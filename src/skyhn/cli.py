@@ -49,6 +49,13 @@ def _rational(tok):
     return Fraction(tok)   # handles "3", "1.5", and "3/2" exactly
 
 
+def _count(path, no, tok):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(path, no, "count is not an integer")
+
+
 def parse_presentation(path):
     """Read a skypres v1 file into a GradedMatrix; all violations are
     reported with line numbers."""
@@ -87,7 +94,7 @@ def parse_presentation(path):
     parts = text.split()
     if len(parts) != 2 or parts[0] != "generators":
         raise ParseError(path, no, "expected 'generators <m>'")
-    m = int(parts[1])
+    m = _count(path, no, parts[1])
     row_degs = []
     for _ in range(m):
         no, text = take("generator degree")
@@ -103,7 +110,7 @@ def parse_presentation(path):
     parts = text.split()
     if len(parts) != 2 or parts[0] != "relations":
         raise ParseError(path, no, "expected 'relations <n>'")
-    n = int(parts[1])
+    n = _count(path, no, parts[1])
     col_degs = []
     cols = []
     for _ in range(n):
@@ -230,6 +237,13 @@ def _int_list(text):
     return [int(p) for p in text.split(",")]
 
 
+def _grid_size(text):
+    parts = _int_list(text)
+    if len(parts) != 2 or min(parts) < 2:
+        raise argparse.ArgumentTypeError("expected NX,NY, both >= 2")
+    return parts
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="skyhn",
@@ -246,7 +260,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--at", type=_pair, required=True)
     p.add_argument("--engine", choices=["brute", "cheng"], default="brute")
-    p.add_argument("--grid", type=_int_list, default=None,
+    p.add_argument("--grid", type=_grid_size, default=None,
                    help="NX,NY override for the cheng engine grid")
     p.add_argument("--seed", type=int, default=0)
 
@@ -429,6 +443,10 @@ def main(argv=None):
         return _COMMANDS[args.cmd](args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
+    except ValueError as exc:
+        # domain errors: a box without generators, --from not <= --to, ...
+        print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except (pipeline.EngineFailure,) as exc:
         print("engine failure: %s" % exc, file=sys.stderr)

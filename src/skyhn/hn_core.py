@@ -3,13 +3,19 @@ filtration by iterated quotients, and slope-sorted merging.
 
 The search needs the integral of dim <W> for very many subspaces W of the
 fiber at the generator degree.  Grid cells are grouped into classes with a
-common active-relation column space, so each subspace costs one small rank
-computation per class.  F_2 vectors ride on bitmask ints.
+common active-relation column space, so each subspace costs one tuple of
+small per-class ranks.  Class weights are exact integers over one common
+denominator (each axis scaled by the lcm of its coordinate denominators),
+so scoring a subspace is an integer dot product; Fractions appear only at
+the API.  F_2 vectors ride on bitmask ints.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from . import grmat, invariants
@@ -17,25 +23,29 @@ from .field import DenseMatrix
 from .grmat import deg_leq, induced_grid
 from .invariants import HNFactor, HNFactorList, merge_factors  # noqa: F401
 
-__all__ = ["SubspaceIter", "SlopeRecord", "brute_force_max_slope",
-           "hn_filtration_at", "merge_factors", "subspaces_of_dim",
-           "subspace_grid_dims"]
+__all__ = ["SlopeRecord", "brute_force_max_slope", "hn_filtration_at",
+           "merge_factors", "subspaces_of_dim", "subspace_grid_dims"]
 
 
 # ---------------------------------------------------------------------------
-# echelon kernels: generic field vectors (lists) and F_2 bitmasks (ints)
+# echelon kernels: prime-field vectors (lists) and F_2 bitmasks (ints)
+
+@functools.lru_cache(maxsize=None)
+def _inverses(q):
+    """Multiplicative inverses in F_q, indexed by element (0 maps to 0)."""
+    return (0,) + tuple(pow(a, q - 2, q) for a in range(1, q))
+
 
 def _insert_generic(F, base, tmp, v):
-    """Insert v (list, mutated) into the echelon `tmp` over the read-only
-    echelon `base`; pivot = last nonzero row.  True if v was independent."""
-    z = F.zero
-    n = len(v)
+    """Insert v (list over the prime field F, mutated) into the echelon
+    `tmp` over the read-only echelon `base`; pivot = last nonzero row.
+    True if v was independent."""
+    q = F.q
+    inv = _inverses(q)
+    piv = len(v) - 1
     while True:
-        piv = -1
-        for i in range(n - 1, -1, -1):
-            if v[i] != z:
-                piv = i
-                break
+        while piv >= 0 and not v[piv]:
+            piv -= 1
         if piv < 0:
             return False
         pc = base.get(piv)
@@ -44,10 +54,12 @@ def _insert_generic(F, base, tmp, v):
         if pc is None:
             tmp[piv] = v
             return True
-        c = F.mul(v[piv], F.inv(pc[piv]))
-        for r in range(piv + 1):
-            if pc[r] != z:
-                v[r] = F.sub(v[r], F.mul(c, pc[r]))
+        c = v[piv] * inv[pc[piv]] % q
+        for r in range(piv):
+            b = pc[r]
+            if b:
+                v[r] = (v[r] - c * b) % q
+        v[piv] = 0
 
 
 def _insert_f2(base, tmp, v):
@@ -63,13 +75,27 @@ def _insert_f2(base, tmp, v):
     return False
 
 
+def _scaled_gaps(coords):
+    """(gaps, scale): the coordinate gaps as ints over scale, the lcm of the
+    denominators; the last coordinate's unbounded cell gets gap 0."""
+    scale = math.lcm(*(c.denominator for c in coords))
+    ints = [c.numerator * (scale // c.denominator) for c in coords]
+    return [b - a for a, b in zip(ints, ints[1:])] + [0], scale
+
+
 class _FiberClasses:
     """Per-presentation cache: the induced grid, per-point fiber class, and
-    per-class (area weight, relation-column echelon)."""
+    per nonzero-fiber class its relation-column echelon, corank, area and
+    lengths on the vertical and horizontal rays from alpha.
+
+    All are exact ints: the x and y cell gaps are ints over `scale` =
+    (sx, sy), so ray lengths are over sy and sx and areas over den = sx*sy.
+    `ranks` gives the per-class ranks of one subspace and `scaled_integral`
+    their area-weighted sum over `den`; `integral` and `dims` convert at
+    the API, so every result stays exact."""
 
     def __init__(self, M):
         F = M.field
-        self.M = M
         self.f2 = (getattr(F, "q", None) == 2)
         t = M.nrows
         G = induced_grid(M)
@@ -78,15 +104,28 @@ class _FiberClasses:
         if len(alphas) != 1:
             raise ValueError("module is not uniquely generated")
         self.alpha = next(iter(alphas))
+        ax, ay = self.alpha
         xs, ys = G.xs, G.ys
-        wx = [b - a for a, b in zip(xs, xs[1:])] + [Fraction(0)]
-        wy = [b - a for a, b in zip(ys, ys[1:])] + [Fraction(0)]
+        wx, sx = _scaled_gaps(xs)
+        wy, sy = _scaled_gaps(ys)
+        self.scale = (sx, sy)
+        self.den = sx * sy
         dense = [M.dense_column(j) for j in range(M.ncols)]
         if self.f2:
             dense = [sum(1 << i for i, v in enumerate(c) if v) for c in dense]
+            self._insert = _insert_f2
+        else:
+            # _insert_generic reduces its vector in place: insert a copy
+            self._insert = (lambda base, tmp, v:
+                            _insert_generic(F, base, tmp, list(v)))
         class_by_J = {}
-        self.point_class = {}   # grid point -> class index, or -1 (zero fiber)
-        self.classes = []       # list of [weight, echelon dict, corank]
+        # grid point -> class index, or -1 where the fiber is zero
+        self.point_class = {}
+        self.echs = []          # per class: echelon dict of relation columns
+        self.coranks = []       # per class: fiber dimension, > 0
+        self.weights = []       # per class: area, an int over den
+        self.vert = []          # per class: length on {ax} x [ay, inf)
+        self.horiz = []         # per class: length on [ax, inf) x {ay}
         for iy, y in enumerate(ys):
             for ix, x in enumerate(xs):
                 pt = (x, y)
@@ -98,17 +137,21 @@ class _FiberClasses:
                 cid = class_by_J.get(J)
                 if cid is None:
                     ech = {}
-                    rank = 0
-                    for j in J:
-                        if self.f2:
-                            rank += _insert_f2({}, ech, dense[j])
-                        else:
-                            rank += _insert_generic(F, {}, ech, list(dense[j]))
-                    cid = len(self.classes)
+                    rank = sum(self._insert({}, ech, dense[j]) for j in J)
+                    cid = -1
+                    if rank < t:
+                        cid = len(self.echs)
+                        self.echs.append(ech)
+                        self.coranks.append(t - rank)
+                        self.weights.append(0)
+                        self.vert.append(0)
+                        self.horiz.append(0)
                     class_by_J[J] = cid
-                    self.classes.append([Fraction(0), ech, t - rank])
                 self.point_class[pt] = cid
-                self.classes[cid][0] += wx[ix] * wy[iy]
+                if cid >= 0:
+                    self.weights[cid] += wx[ix] * wy[iy]
+                    self.vert[cid] += wy[iy] if x == ax else 0
+                    self.horiz[cid] += wx[ix] if y == ay else 0
 
     def to_internal(self, vectors):
         """Convert dense basis vectors to the internal representation."""
@@ -117,44 +160,33 @@ class _FiberClasses:
                     for vec in vectors]
         return [list(vec) for vec in vectors]
 
-    def class_rank(self, cid, ivecs):
-        """dim of the image of span(ivecs) in the fiber of class cid."""
-        weight, ech, corank = self.classes[cid]
-        if corank == 0:
-            return 0
-        F = self.M.field
-        tmp = {}
-        r = 0
-        if self.f2:
+    def ranks(self, ivecs):
+        """Per class, the dim of the image of span(ivecs) in its fiber."""
+        insert = self._insert
+        out = []
+        for ech, corank in zip(self.echs, self.coranks):
+            r = 0
+            tmp = {}
             for v in ivecs:
-                r += _insert_f2(ech, tmp, v)
-        else:
-            for v in ivecs:
-                r += _insert_generic(F, ech, tmp, list(v))
-        return r
+                r += insert(ech, tmp, v)
+                if r == corank:
+                    break
+            out.append(r)
+        return tuple(out)
+
+    def scaled_integral(self, ranks):
+        """den * the integral of the dims given by per-class ranks."""
+        return sum(map(operator.mul, self.weights, ranks))
 
     def integral(self, ivecs):
         """Integral over the plane of dim <span(ivecs)> (bounded modules)."""
-        total = Fraction(0)
-        for cid, (weight, _, corank) in enumerate(self.classes):
-            if weight and corank:
-                r = self.class_rank(cid, ivecs)
-                if r:
-                    total += weight * r
-        return total
+        return Fraction(self.scaled_integral(self.ranks(ivecs)), self.den)
 
     def dims(self, ivecs):
         """dim <span(ivecs)> at every grid point."""
-        per_class = {}
-        out = {}
-        for pt, cid in self.point_class.items():
-            if cid < 0:
-                out[pt] = 0
-                continue
-            if cid not in per_class:
-                per_class[cid] = self.class_rank(cid, ivecs)
-            out[pt] = per_class[cid]
-        return out
+        ranks = self.ranks(ivecs)
+        return {pt: ranks[cid] if cid >= 0 else 0
+                for pt, cid in self.point_class.items()}
 
 
 def fiber_classes(M):
@@ -194,20 +226,6 @@ def subspaces_of_dim(field, t, k):
             for (i, j), v in zip(free, assignment):
                 rows[i][j] = v
             yield rows
-
-
-class SubspaceIter:
-    """All subspaces of F_q^t with 1 <= dim <= t, smallest dimension first."""
-
-    def __init__(self, field, t, dims=None):
-        self.field = field
-        self.t = t
-        self.dims = list(dims) if dims is not None else list(range(1, t + 1))
-
-    def __iter__(self):
-        for k in self.dims:
-            for idx, rows in enumerate(subspaces_of_dim(self.field, self.t, k)):
-                yield k, idx, rows
 
 
 def gaussian_line_count(q, k):
@@ -256,15 +274,15 @@ def brute_force_max_slope(M, use_filter=True, largest=False):
     fc = fiber_classes(M)
     q = F.q
 
-    line_ints = []
-    lines = []
-    for rows in subspaces_of_dim(F, t, 1):
-        iv = fc.to_internal(rows)
-        lines.append((rows, iv))
-        line_ints.append(fc.integral(iv))
+    # integrals are compared as ints over the common denominator fc.den
+    def score(rows):
+        return fc.scaled_integral(fc.ranks(fc.to_internal(rows)))
+
+    lines = list(subspaces_of_dim(F, t, 1))
+    line_ints = [score(rows) for rows in lines]
 
     best_rows, best_dim, best_int = None, 0, None
-    for (rows, _), integ in zip(lines, line_ints):
+    for rows, integ in zip(lines, line_ints):
         if integ <= 0:
             raise ValueError("unbounded or empty submodule integral")
         # slope 1/integ > best_dim/best_int  <=>  best_int > best_dim*integ
@@ -278,8 +296,7 @@ def brute_force_max_slope(M, use_filter=True, largest=False):
             if reach < gaussian_line_count(q, k):
                 continue
         for rows in subspaces_of_dim(F, t, k):
-            iv = fc.to_internal(rows)
-            integ = fc.integral(iv)
+            integ = score(rows)
             if integ <= 0:
                 raise ValueError("unbounded or empty submodule integral")
             # k/integ > best_dim/best_int
@@ -289,7 +306,8 @@ def brute_force_max_slope(M, use_filter=True, largest=False):
                 best_rows, best_dim, best_int = rows, k, integ
 
     basis = DenseMatrix.from_columns(best_rows, t, F)
-    return SlopeRecord(fc.alpha, basis, best_dim, best_int)
+    return SlopeRecord(fc.alpha, basis, best_dim,
+                       Fraction(best_int, fc.den))
 
 
 def hn_filtration_at(M, alpha, use_filter=True):

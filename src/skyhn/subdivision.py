@@ -12,6 +12,7 @@ All geometry is exact: polygon vertices and wall equations are rationals.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from . import grmat, hn_core, invariants
@@ -120,27 +121,20 @@ class ConvexRegion:
         return "ConvexRegion(%d vertices)" % len(self.vertices)
 
 
-def _axis_integral(fc, dims, coords, fixed, vertical):
-    """Integral of the dim function restricted to a grid-aligned ray:
-    vertical {fixed} x [alpha2, inf) or horizontal [alpha1, inf) x {fixed2}.
-    Bounded modules vanish at the last grid line, which gets weight 0."""
-    total = Fraction(0)
-    for c, cnext in zip(coords, coords[1:]):
-        pt = (fixed, c) if vertical else (c, fixed)
-        d = dims.get(pt, 0)
-        if d:
-            total += d * (cnext - c)
-    return total
-
-
-def _poly_from_dims(fc, dims, dim, integral):
-    alpha = fc.alpha
-    c0 = Fraction(integral, dim)
-    ys = [y for y in fc.grid.ys if y >= alpha[1]]
-    xs = [x for x in fc.grid.xs if x >= alpha[0]]
-    cy = _axis_integral(fc, dims, ys, alpha[0], True) / dim
-    cx = _axis_integral(fc, dims, xs, alpha[1], False) / dim
-    return SlopePoly(c0, cx, cy)
+def _poly_from_ranks(fc, dim, ranks):
+    """Slope polynomial of a dim-subspace with the given per-class ranks:
+    c0 = integral/dim; cy and cx are the integrals of dims along the
+    vertical and horizontal rays from alpha, over dim (the last grid line
+    has length 0, as bounded modules vanish there)."""
+    integ = fc.scaled_integral(ranks)
+    if integ <= 0:
+        raise ValueError("module is not bounded: infinite inverse slope")
+    sx, sy = fc.scale
+    return SlopePoly(Fraction(integ, fc.den * dim),
+                     Fraction(sum(map(operator.mul, fc.horiz, ranks)),
+                              sx * dim),
+                     Fraction(sum(map(operator.mul, fc.vert, ranks)),
+                              sy * dim))
 
 
 def slope_polynomial(M):
@@ -153,11 +147,7 @@ def slope_polynomial(M):
     t = M.nrows
     ident = [[F.one if i == j else F.zero for i in range(t)]
              for j in range(t)]
-    iv = fc.to_internal(ident)
-    integ = fc.integral(iv)
-    if integ <= 0:
-        raise ValueError("module is not bounded: infinite inverse slope")
-    return _poly_from_dims(fc, fc.dims(iv), t, integ)
+    return _poly_from_ranks(fc, t, fc.ranks(fc.to_internal(ident)))
 
 
 def _envelope_regions(entries, base_region, origin):
@@ -210,24 +200,24 @@ def _subspace_candidates(M):
     F = M.field
     t = M.nrows
     fc = fiber_classes(M)
+    polys = {}      # (dim, class ranks) -> SlopePoly
     by_poly = {}
     order = []
     for rows in (r for k in range(1, t + 1)
                  for r in hn_core.subspaces_of_dim(F, t, k)):
-        iv = fc.to_internal(rows)
-        integ = fc.integral(iv)
-        if integ <= 0:
-            raise ValueError("module is not bounded: infinite inverse slope")
-        dims = fc.dims(iv)
-        poly = _poly_from_dims(fc, dims, len(rows), integ)
+        sig = (len(rows), fc.ranks(fc.to_internal(rows)))
+        poly = polys.get(sig)
+        if poly is None:
+            poly = polys[sig] = _poly_from_ranks(fc, *sig)
         key = poly.key()
         prev = by_poly.get(key)
         if prev is None:
-            by_poly[key] = (rows, poly, dims)
+            by_poly[key] = (rows, poly)
             order.append(key)
         elif len(rows) > len(prev[0]):
-            by_poly[key] = (rows, poly, dims)
-    return fc, [by_poly[k] for k in order]
+            by_poly[key] = (rows, poly)
+    return fc, [(rows, poly, fc.dims(fc.to_internal(rows)))
+                for rows, poly in map(by_poly.get, order)]
 
 
 def all_max_slope(M, C):

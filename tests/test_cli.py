@@ -2,6 +2,8 @@ import os
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skyhn import cli, grmat, invariants
 from skyhn.cli import (ParseError, emit_store, main, parse_presentation,
@@ -143,3 +145,72 @@ def test_cli_exact(cross_file, tmp_path):
     rc = main(["--out", str(tmp_path), "exact", cross_file])
     assert rc == 0
     assert os.path.exists(os.path.join(str(tmp_path), "exact.csv"))
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err.strip()
+    assert "Traceback" not in err
+    return err
+
+
+def test_cli_generators_not_an_integer(tmp_path, capsys):
+    p = tmp_path / "gx.skypres"
+    p.write_text("skypres v1\nfield 2\ngenerators x\n")
+    with pytest.raises(ParseError) as ei:
+        parse_presentation(str(p))
+    assert ei.value.lineno == 3
+    assert main(["approx", str(p), "--epsilon", "1"]) == 2
+    assert len(_one_line_error(capsys).splitlines()) == 1
+
+
+def test_cli_box_without_generator(cross_file, tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "--box", "10,10,11,11", "approx",
+                 cross_file, "--epsilon", "1"]) == 2
+    assert len(_one_line_error(capsys).splitlines()) == 1
+
+
+def test_cli_cheng_grid_needs_two_lines_per_axis(cross_file, tmp_path,
+                                                 capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["--out", str(tmp_path), "hn", cross_file, "--at", "0,0",
+              "--engine", "cheng", "--grid", "1,1"])
+    assert ei.value.code == 2
+    assert "--grid" in _one_line_error(capsys).splitlines()[-1]
+
+
+def test_cli_query_from_not_below_to(cross_file, capsys):
+    assert main(["query", cross_file, "--theta", "0",
+                 "--from", "1,1", "--to", "0,0"]) == 2
+    assert len(_one_line_error(capsys).splitlines()) == 1
+
+
+def test_cli_negative_epsilon(cross_file, tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "approx", cross_file,
+                 "--epsilon", "-1"]) == 2
+    assert len(_one_line_error(capsys).splitlines()) == 1
+
+
+_FUZZ_LINES = st.sampled_from(
+    ["relations 0", "relations 1", "relations x", "0 0", "1/2 0.5", "1/0 1",
+     "1 0 : 0 1", "1 0 : 0 5", "1 0 : 3 1", "0 1 : 0", "x y : 0 1",
+     "1 1 : a b", "# comment", ""])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(
+    st.text(),
+    st.tuples(st.sampled_from(["skypres v1", "skypres v2"]),
+              st.sampled_from(["field 2", "field 3", "field 4", "field x"]),
+              st.sampled_from(["generators 0", "generators 1",
+                               "generators x", "generators -1"]),
+              st.lists(_FUZZ_LINES, max_size=6))
+    .map(lambda t: "\n".join(list(t[:3]) + t[3]))))
+def test_parse_presentation_fuzz(tmp_path, text):
+    p = tmp_path / "fuzz.skypres"
+    p.write_text(text, encoding="utf-8")
+    try:
+        M = parse_presentation(str(p))
+    except ParseError:
+        return
+    assert isinstance(M, grmat.GradedMatrix)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -7,7 +8,8 @@ from skyhn.subdivision import (ConvexRegion, SlopePoly, all_max_slope,
                                exact_hnf_cell, lower_envelope,
                                slope_polynomial)
 
-from conftest import F2, F3, gm, random_bounded_module
+from conftest import (F2, F3, gm, random_bounded_module,
+                      random_unigen_module)
 
 
 def fiber_submodule(M, alpha):
@@ -203,3 +205,61 @@ def test_exact_tree_matches_brute_random(rng):
                     hn_core.hn_filtration_at(M, beta), (trial, a, beta)
                 checked += 1
     assert checked > 100
+
+
+def _reference_candidates(M):
+    """Candidates from fc.dims and the Fraction ray integrals of the dim
+    function, deduplicated by polynomial keeping the largest dimension."""
+    fc = hn_core.fiber_classes(M)
+    ax, ay = fc.alpha
+
+    def ray(coords, point):
+        return sum((dims[point(c)] * (cn - c)
+                    for c, cn in zip(coords, coords[1:])), Fr(0))
+
+    by_poly, order = {}, []
+    for k in range(1, M.nrows + 1):
+        for rows in hn_core.subspaces_of_dim(M.field, M.nrows, k):
+            iv = fc.to_internal(rows)
+            dims = fc.dims(iv)
+            ys = [y for y in fc.grid.ys if y >= ay]
+            xs = [x for x in fc.grid.xs if x >= ax]
+            poly = SlopePoly(fc.integral(iv) / k,
+                             ray(xs, lambda x: (x, ay)) / k,
+                             ray(ys, lambda y: (ax, y)) / k)
+            key = poly.key()
+            if key not in by_poly:
+                order.append(key)
+            if key not in by_poly or k > len(by_poly[key][0]):
+                by_poly[key] = (rows, dims)
+    return [(by_poly[key][0], key, by_poly[key][1]) for key in order]
+
+
+def _warp(M):
+    """M with degrees moved by increasing maps of each axis onto
+    coordinates over denominators 2, 3 and 5 (the module is unchanged up
+    to reparametrization, but the axes get different common denominators)."""
+    def fx(c):
+        return c / 2 + (Fr(1, 3) if c >= 2 else 0)
+
+    def fy(c):
+        return c / 3 + (Fr(1, 5) if c >= 1 else 0)
+
+    return grmat.GradedMatrix(M.field,
+                              [(fx(x), fy(y)) for x, y in M.row_degrees],
+                              [(fx(x), fy(y)) for x, y in M.col_degrees],
+                              M.columns)
+
+
+def test_subspace_candidates_match_fraction_reference():
+    rng = random.Random(4242)
+    for F, t in ((F3, 3), (F3, 4), (F2, 5)):
+        for _ in range(2):
+            M = random_unigen_module(rng, F, t)
+            while len([r for r, _ in grmat.connected_components(M)
+                       if r]) != 1:
+                M = random_unigen_module(rng, F, t)
+            for N in (M, _warp(M)):
+                _, cands = subdivision._subspace_candidates(N)
+                got = [(rows, poly.key(), dims) for rows, poly, dims in cands]
+                assert got == _reference_candidates(N)
