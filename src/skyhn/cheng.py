@@ -27,7 +27,7 @@ from .hn_core import _insert_f2, _insert_generic, fiber_classes
 from .invariants import HNFactor, HNFactorList
 
 __all__ = ["MatrixSpace", "BlowUp", "WongState", "ShrunkFailure",
-           "build_A_alpha", "wong_limit", "shrunk_subspace_random",
+           "build_A_alpha", "shrunk_subspace_random",
            "hn_cheng"]
 
 
@@ -256,15 +256,6 @@ def _run_wong(A, blow):
     return st
 
 
-def wong_limit(A, blow):
-    """Limit of the Wong sequence of (A, blow-up space) and whether it is
-    contained in the image of A."""
-    st = _run_wong(A, blow)
-    F = A.field
-    cols = st.w_columns()
-    return DenseMatrix.from_columns(cols, A.rows, F), st.contained
-
-
 # ---------------------------------------------------------------------------
 # randomized minimal shrunk subspace
 
@@ -429,7 +420,7 @@ def build_A_alpha(M, G, alpha):
     placed = []
     q0 = 0
     for b in betas:
-        T = grmat.structure_map(M, alpha, b)
+        T = grmat._structure_map(pm, M, b)
         if T.rows == 0:
             continue
         placed.append((q0, T))

@@ -5,11 +5,13 @@ A graded matrix M with degree-labeled rows (generators) and columns
 (relations) presents the module coker(M: A[R] -> A[G]).  Entries are
 nonzero only where row degree <= column degree componentwise.
 
-Degrees are pairs of exact rationals (fractions.Fraction).
+Degrees are pairs of exact rationals (fractions.Fraction); ``kernel`` and
+``minimize`` compare integer coordinate ranks inside and return Fractions.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 from fractions import Fraction
 
@@ -125,19 +127,17 @@ class Grid:
         return (x, y)
 
     def __contains__(self, d):
-        return d[0] in set(self.xs) and d[1] in set(self.ys)
+        return self.floor(d) == (d[0], d[1])
 
     def __repr__(self):
         return "Grid(%d x %d)" % (len(self.xs), len(self.ys))
 
 
 def _coord_floor(coords, v):
-    import bisect
     i = bisect.bisect_right(coords, v)
     return coords[i - 1] if i else NEG_INF
 
 def _coord_ceil(coords, v):
-    import bisect
     i = bisect.bisect_left(coords, v)
     return coords[i] if i < len(coords) else POS_INF
 
@@ -149,28 +149,42 @@ def induced_grid(M):
     return Grid(xs or [Fraction(0)], ys or [Fraction(0)])
 
 
+def _rank_degrees(degs):
+    """Coordinate compression: the sorted distinct x and y coordinates of
+    degs and every degree's pair of integer ranks in them, looked up by
+    (numerator, denominator), which hashes far faster than a Fraction."""
+    xk = [d[0].as_integer_ratio() for d in degs]
+    yk = [d[1].as_integer_ratio() for d in degs]
+    xs = sorted({k: d[0] for k, d in zip(xk, degs)}.values())
+    ys = sorted({k: d[1] for k, d in zip(yk, degs)}.values())
+    xr = {x.as_integer_ratio(): r for r, x in enumerate(xs)}
+    yr = {y.as_integer_ratio(): r for r, y in enumerate(ys)}
+    return xs, ys, [(xr[a], yr[b]) for a, b in zip(xk, yk)]
+
+
 def kernel(M):
     """Minimal generating set of the syzygy module {v : Mv = 0}.
 
     Colexicographic sweep over the join-grid of column degrees: at each
     degree the nullspace of the active columns is computed, and coefficient
     vectors not spanned by previously found generators (shifted up) are
-    recorded as new syzygies at that degree.  The result is a graded matrix
-    with row degrees = col degrees of M.
+    recorded as new syzygies at that degree.  The sweep, the active sets
+    and the "earlier generator <= delta" test run on integer coordinate
+    ranks; the result is a graded matrix with row degrees = col degrees of
+    M and Fraction column degrees.
     """
     F = M.field
     n = M.ncols
     if n == 0:
         return GradedMatrix(F, [], [], [])
-    xs = sorted({d[0] for d in M.col_degrees})
-    ys = sorted({d[1] for d in M.col_degrees})
+    xs, ys, rk = _rank_degrees(M.col_degrees)
     dense_cols = [M.dense_column(j) for j in range(n)]
-    gens = []   # (degree, dense coefficient vector over ncols)
+    gens = []   # (rank pair, dense coefficient vector over ncols)
     seen_active = set()
-    for y in ys:
-        for x in xs:
-            delta = (x, y)
-            J = tuple(j for j in range(n) if deg_leq(M.col_degrees[j], delta))
+    for ry in range(len(ys)):
+        for rx in range(len(xs)):
+            J = tuple(j for j in range(n)
+                      if rk[j][0] <= rx and rk[j][1] <= ry)
             if not J or J in seen_active:
                 continue
             seen_active.add(J)
@@ -180,8 +194,8 @@ def kernel(M):
                 continue
             # echelon of previously found generators, restricted to J
             ech = _Echelon(F, len(J))
-            for gdeg, gvec in gens:
-                if deg_leq(gdeg, delta):
+            for (gx, gy), gvec in gens:
+                if gx <= rx and gy <= ry:
                     ech.insert([gvec[j] for j in J])
             for t in range(kb.cols):
                 v = kb.column(t)
@@ -190,10 +204,11 @@ def kernel(M):
                     full = [F.zero] * n
                     for idx, j in enumerate(J):
                         full[j] = rem[idx]
-                    gens.append((delta, full))
+                    gens.append(((rx, ry), full))
     cols = [[(i, v) for i, v in enumerate(gvec) if v != F.zero]
             for _, gvec in gens]
-    return GradedMatrix(F, list(M.col_degrees), [g for g, _ in gens], cols)
+    return GradedMatrix(F, list(M.col_degrees),
+                        [(xs[rx], ys[ry]) for (rx, ry), _ in gens], cols)
 
 
 class _Echelon:
@@ -254,15 +269,21 @@ class _Echelon:
 def minimize(M):
     """Minimal presentation of coker M.
 
-    Two reductions run to completion: (a) cancel unit pivots, i.e. nonzero
-    entries with equal row and column degree, deleting the generator and
-    relation involved; (b) drop relation columns lying in the span of the
-    other columns at their own degree.  Neither changes the cokernel.
+    Two reductions, neither of which changes the cokernel: (a) cancel unit
+    pivots (nonzero entries with equal row and column degree), deleting the
+    generator and relation involved; (b) drop relation columns lying in the
+    span of the other columns at their own degree.  (b) runs once per
+    distinct column degree d and keeps, modulo the span of the columns
+    strictly below d, the greedy basis of the columns at d from the highest
+    index down.  That is what "delete the first redundant column, restart"
+    keeps: a deletion changes the span at no degree, and within one degree
+    that loop is reverse-delete, whose result is this greedy basis.  Costs
+    O(#degrees * n) echelon inserts; degrees compare as integer ranks.
     """
     F = M.field
     z = F.zero
-    row_degs = list(M.row_degrees)
-    col_degs = list(M.col_degrees)
+    xs, ys, rk = _rank_degrees(M.row_degrees + M.col_degrees)
+    row_degs, col_degs = rk[:M.nrows], rk[M.nrows:]
     cols = [M.dense_column(j) for j in range(M.ncols)]
 
     # (a) unit-pivot cancellation
@@ -294,22 +315,20 @@ def minimize(M):
             del col[i]
         del row_degs[i]
 
-    # (b) redundant-column pruning
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(cols)):
-            others = _Echelon(F, len(row_degs))
-            for j2 in range(len(cols)):
-                if j2 != j and deg_leq(col_degs[j2], col_degs[j]):
-                    others.insert(list(cols[j2]))
-            if others.contains(cols[j]):
-                del cols[j]
-                del col_degs[j]
-                changed = True
-                break
-
-    return from_dense_columns(F, row_degs, col_degs, cols)
+    # (b) redundant-column pruning, one pass per distinct column degree
+    keep = []
+    for d in set(col_degs):
+        ech = _Echelon(F, len(row_degs))
+        for j, (cx, cy) in enumerate(col_degs):
+            if cx <= d[0] and cy <= d[1] and (cx, cy) != d:
+                ech.insert(cols[j])
+        keep += [j for j in range(len(cols) - 1, -1, -1)
+                 if col_degs[j] == d and ech.insert(cols[j]) is not None]
+    keep.sort()
+    return from_dense_columns(
+        F, [(xs[x], ys[y]) for x, y in row_degs],
+        [(xs[col_degs[j][0]], ys[col_degs[j][1]]) for j in keep],
+        [cols[j] for j in keep])
 
 
 def submodule_presentation(M, S):
@@ -481,7 +500,11 @@ def structure_map(M, gamma, delta):
     gamma, delta = as_degree(gamma), as_degree(delta)
     if not deg_leq(gamma, delta):
         raise ValueError("structure map requires gamma <= delta")
-    pm_g = PointwiseModel(M, gamma)
+    return _structure_map(PointwiseModel(M, gamma), M, delta)
+
+
+def _structure_map(pm_g, M, delta):
+    """structure_map out of a prebuilt model pm_g of the source fiber."""
     pm_d = PointwiseModel(M, delta)
     F = M.field
     cols = []

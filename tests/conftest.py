@@ -2,9 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from skyhn import grmat
 from skyhn.field import PrimeField
+
+# the same examples on every run, and no per-example deadline for a slow
+# or loaded machine to trip over
+settings.register_profile("skyhn", derandomize=True, deadline=None)
+settings.load_profile("skyhn")
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

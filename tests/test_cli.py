@@ -1,4 +1,5 @@
 import os
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from skyhn import cli, grmat, invariants
 from skyhn.cli import (ParseError, emit_store, main, parse_presentation,
                        parse_store)
+from skyhn.field import PrimeField
+from skyhn.pipeline import ScanConfig, approx_skyscraper
 
-from conftest import cross_module
+from conftest import cross_module, random_bounded_module
 
 
 CROSS_TEXT = """\
@@ -214,3 +217,76 @@ def test_parse_presentation_fuzz(tmp_path, text):
     except ParseError:
         return
     assert isinstance(M, grmat.GradedMatrix)
+
+
+@st.composite
+def _skypres_text(draw):
+    """Mostly well-formed skypres files: thickness <= 3, relation degrees
+    above the generators', in-range entries, and at most one flaw: a bad
+    degree token, an out-of-range coefficient or row, or a wrong count."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(0, 3))
+    gens = [(draw(st.sampled_from(["0", "1/2", "1"])),
+             draw(st.sampled_from(["0", "2/3", "1"]))) for _ in range(m)]
+    rels = []
+    for _ in range(draw(st.integers(0, 4))):
+        ents = ["%d %d" % (draw(st.integers(0, m - 1)),
+                           draw(st.integers(0, q - 1)))
+                for _ in range(draw(st.integers(0, 3 if m else 0)))]
+        rels.append("%s %s : %s" % (draw(st.sampled_from(["1", "3/2", "2"])),
+                                    draw(st.sampled_from(["1", "4/3", "2"])),
+                                    " ".join(ents)))
+    if draw(st.booleans()):   # cap every generator: a bounded module
+        for i, (x, y) in enumerate(gens):
+            rels += ["4 %s : %d 1" % (y, i), "%s 4 : %d 1" % (x, i)]
+    count = str(len(rels))
+    flaw = draw(st.sampled_from(["none"] * 3 + ["degree", "entry", "count"]))
+    lines = ["%s %s" % g for g in gens] + rels
+    if flaw == "degree" and lines:
+        k = draw(st.integers(0, len(lines) - 1))
+        bad = draw(st.sampled_from(["x", "1/0", "-1", "", "1 1"]))
+        lines[k] = bad + lines[k][lines[k].index(" "):]
+    elif flaw == "entry" and rels:
+        k = draw(st.integers(0, len(rels) - 1))
+        rels[k] += " %d %d" % draw(st.sampled_from(
+            [(0, q), (0, -1), (m, 1), (-1, 1)]))
+        lines[m:] = rels
+    elif flaw == "count":
+        count = draw(st.sampled_from([str(len(rels) + 1), "x", "-1"]))
+    return "\n".join(["skypres v1", "field %d" % q, "generators %d" % m]
+                     + lines[:m] + ["relations " + count] + lines[m:]) + "\n"
+
+
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_skypres_text())
+def test_cli_fuzzed_files_keep_exit_codes(tmp_path, capsys, text):
+    p = tmp_path / "fuzz.skypres"
+    p.write_text(text, encoding="utf-8")
+    out = str(tmp_path / "out")
+    for argv in (["--out", out, "hn", str(p), "--at", "1,1"],
+                 ["--out", out, "approx", str(p), "--epsilon", "1"]):
+        assert main(argv) in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), q=st.sampled_from([2, 3]),
+       dens=st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3])),
+       eps=st.sampled_from([Fr(1), Fr(1, 2), Fr(1, 3)]))
+def test_store_round_trip_property(tmp_path_factory, seed, q, dens, eps):
+    rng = random.Random(seed)
+    F = PrimeField(q)
+    M = random_bounded_module(rng, F, rng.randrange(1, 4))
+    dx, dy = dens
+    M = grmat.GradedMatrix(F, [(x / dx, y / dy) for x, y in M.row_degrees],
+                           [(x / dx, y / dy) for x, y in M.col_degrees],
+                           M.columns)
+    store = approx_skyscraper(M, ScanConfig(epsilon=eps))
+    d = tmp_path_factory.mktemp("store")
+    path, path2 = str(d / "a.csv"), str(d / "b.csv")
+    emit_store(store, path)
+    back = parse_store(path, eps)
+    assert back == store
+    emit_store(back, path2)
+    assert open(path).read() == open(path2).read()

@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
 
+from skyhn import field as fieldmod
 from skyhn import grmat
-from skyhn.field import DenseMatrix
+from skyhn.field import DenseMatrix, PrimeField
 from skyhn.grmat import (Grid, NEG_INF, POS_INF, deg_join, deg_leq, deg_meet,
                          induced_grid)
 
-from conftest import F2, F3, gm
+from conftest import F2, F3, gm, random_bounded_module
 
 
 def test_degree_lattice():
@@ -141,3 +143,178 @@ def test_direct_sum_dims(cross):
     for pt in induced_grid(cross).points():
         assert grmat.pointwise_model(MM, pt).dim == \
             2 * grmat.pointwise_model(cross, pt).dim
+
+
+# ---------------------------------------------------------------------------
+# differential tests: kernel and minimize against the Fraction-comparing,
+# restart-loop versions they replaced
+
+def _kernel_reference(M):
+    """kernel with the colex sweep and filters comparing Fraction degrees."""
+    F = M.field
+    n = M.ncols
+    if n == 0:
+        return grmat.GradedMatrix(F, [], [], [])
+    xs = sorted({d[0] for d in M.col_degrees})
+    ys = sorted({d[1] for d in M.col_degrees})
+    dense_cols = [M.dense_column(j) for j in range(n)]
+    gens = []
+    seen_active = set()
+    for y in ys:
+        for x in xs:
+            delta = (x, y)
+            J = tuple(j for j in range(n) if deg_leq(M.col_degrees[j], delta))
+            if not J or J in seen_active:
+                continue
+            seen_active.add(J)
+            A = DenseMatrix.from_columns([dense_cols[j] for j in J], M.nrows, F)
+            _, _, kb = fieldmod.reduce(A)
+            if kb.cols == 0:
+                continue
+            ech = grmat._Echelon(F, len(J))
+            for gdeg, gvec in gens:
+                if deg_leq(gdeg, delta):
+                    ech.insert([gvec[j] for j in J])
+            for t in range(kb.cols):
+                rem = ech.insert(kb.column(t))
+                if rem is not None:
+                    full = [F.zero] * n
+                    for idx, j in enumerate(J):
+                        full[j] = rem[idx]
+                    gens.append((delta, full))
+    cols = [[(i, v) for i, v in enumerate(gvec) if v != F.zero]
+            for _, gvec in gens]
+    return grmat.GradedMatrix(F, list(M.col_degrees), [g for g, _ in gens],
+                              cols)
+
+
+def _minimize_reference(M):
+    """minimize with step (b) as "delete the first redundant column,
+    restart", comparing Fraction degrees."""
+    F = M.field
+    z = F.zero
+    row_degs = list(M.row_degrees)
+    col_degs = list(M.col_degrees)
+    cols = [M.dense_column(j) for j in range(M.ncols)]
+    while True:
+        hit = None
+        for j, cd in enumerate(col_degs):
+            for i, v in enumerate(cols[j]):
+                if v != z and row_degs[i] == cd:
+                    hit = (i, j)
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        i, j = hit
+        piv = cols[j]
+        piv_inv = F.inv(piv[i])
+        for j2 in range(len(cols)):
+            if j2 == j or cols[j2][i] == z:
+                continue
+            c = F.mul(cols[j2][i], piv_inv)
+            col2 = cols[j2]
+            for r in range(len(row_degs)):
+                if piv[r] != z:
+                    col2[r] = F.sub(col2[r], F.mul(c, piv[r]))
+        del cols[j]
+        del col_degs[j]
+        for col in cols:
+            del col[i]
+        del row_degs[i]
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(cols)):
+            others = grmat._Echelon(F, len(row_degs))
+            for j2 in range(len(cols)):
+                if j2 != j and deg_leq(col_degs[j2], col_degs[j]):
+                    others.insert(list(cols[j2]))
+            if others.contains(cols[j]):
+                del cols[j]
+                del col_degs[j]
+                changed = True
+                break
+    return grmat.from_dense_columns(F, row_degs, col_degs, cols)
+
+
+_COORDS = [Fr(k, den) for den in (1, 2, 3) for k in range(0, 3 * den + 1)]
+
+
+def _random_presentation(rng, F):
+    """Random homogeneous presentation with degrees over denominators 1, 2
+    and 3, mixing in zero columns, unit pivots, several dependent columns
+    at one degree and combinations of lower columns pushed up."""
+    coords = sorted(set(rng.sample(_COORDS, rng.randrange(2, 7))))
+    rows = [(rng.choice(coords), rng.choice(coords))
+            for _ in range(rng.randrange(1, 6))]
+    col_degs, cols = [], []
+
+    def add(d, col):
+        col_degs.append(d)
+        cols.append(col)
+
+    for _ in range(rng.randrange(1, 13)):
+        d = (rng.choice(coords), rng.choice(coords))
+        live = [i for i, r in enumerate(rows) if deg_leq(r, d)]
+        kind = rng.randrange(6)
+        if kind == 0 or not live:
+            add(d, [0] * len(rows))
+        elif kind == 1 and cols:
+            # a combination of earlier columns, at the join of their degrees
+            picks = rng.sample(range(len(cols)), min(len(cols), 3))
+            deg = d
+            comb = [0] * len(rows)
+            for j in picks:
+                deg = grmat.deg_join(deg, col_degs[j])
+                c = rng.randrange(F.q)
+                comb = [F.add(a, F.mul(c, b)) for a, b in zip(comb, cols[j])]
+            add(deg, comb)
+        else:
+            col = [0] * len(rows)
+            for i in live:
+                col[i] = rng.randrange(F.q)
+            for _ in range(rng.randrange(1, 4) if kind == 2 else 1):
+                add(d, list(col))
+                col = [F.mul(rng.randrange(1, F.q), x) for x in col]
+    order = list(range(len(cols)))
+    rng.shuffle(order)
+    return grmat.from_dense_columns(F, rows, [col_degs[j] for j in order],
+                                    [cols[j] for j in order])
+
+
+def _submodule_inputs(rng, F):
+    """Submodule presentations of a random bounded module at a random
+    fiber, the input shape of the HN engines' minimize calls."""
+    M = random_bounded_module(rng, F, rng.randrange(1, 5))
+    pts = list(grmat.induced_grid(M).points())
+    rng.shuffle(pts)
+    for alpha in pts[:3]:
+        pm = grmat.pointwise_model(M, alpha)
+        if pm.dim == 0:
+            continue
+        S = grmat.GradedMatrix(F, M.row_degrees, [alpha] * pm.dim,
+                               [[(i, 1)] for i in pm.basis_rows])
+        yield S, M
+
+
+def test_kernel_and_minimize_match_reference():
+    rng = random.Random(3141)
+    fields = [F2, F3, PrimeField(5)]
+    seen_pruned = 0
+    for trial in range(180):
+        F = fields[trial % 3]
+        M = _random_presentation(rng, F)
+        assert grmat.kernel(M) == _kernel_reference(M)
+        Mm = grmat.minimize(M)
+        assert Mm == _minimize_reference(M)
+        seen_pruned += Mm.ncols < M.ncols
+        for S, B in _submodule_inputs(rng, F):
+            concat = grmat.GradedMatrix(F, B.row_degrees,
+                                        S.col_degrees + B.col_degrees,
+                                        S.columns + B.columns)
+            assert grmat.kernel(concat) == _kernel_reference(concat)
+            N = grmat.submodule_presentation(B, S)
+            assert grmat.minimize(N) == _minimize_reference(N)
+    assert seen_pruned > 60
