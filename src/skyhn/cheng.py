@@ -21,9 +21,10 @@ from fractions import Fraction
 
 from . import field as fieldmod
 from . import grmat, invariants
-from .field import DenseMatrix, PrimeField, embed_phi, ext_field_build, kron
+from .field import (DenseMatrix, PrimeField, _insert_f2, _insert_generic,
+                    embed_phi, ext_field_build, kron)
 from .grmat import as_degree, deg_leq
-from .hn_core import _insert_f2, _insert_generic, fiber_classes
+from .hn_core import fiber_classes
 from .invariants import HNFactor, HNFactorList
 
 __all__ = ["MatrixSpace", "BlowUp", "WongState", "ShrunkFailure",
@@ -44,39 +45,6 @@ class ShrunkFailure(RuntimeError):
 
 def _is_f2(F):
     return isinstance(F, PrimeField) and F.q == 2
-
-
-def _reduce_cols(F, cols, nrows):
-    """Column-reduce dense columns.
-
-    Returns (rank, kernel_combos); each kernel combo is a dense coefficient
-    vector over the input columns.  F_2 columns ride on bitmask ints.
-    """
-    n = len(cols)
-    if _is_f2(F):
-        pivots = {}
-        kernel = []
-        rank = 0
-        for j, col in enumerate(cols):
-            v = 0
-            for i, x in enumerate(col):
-                if x:
-                    v |= 1 << i
-            t = 1 << j
-            while v:
-                hit = pivots.get(v.bit_length() - 1)
-                if hit is None:
-                    pivots[v.bit_length() - 1] = (v, t)
-                    rank += 1
-                    break
-                v ^= hit[0]
-                t ^= hit[1]
-            else:
-                kernel.append([(t >> r) & 1 for r in range(n)])
-        return rank, kernel
-    A = DenseMatrix.from_columns(cols, nrows, F)
-    rank, _, kb = fieldmod.reduce(A)
-    return rank, [kb.column(j) for j in range(kb.cols)]
 
 
 class _Span:
@@ -202,8 +170,8 @@ class WongState:
     @property
     def rank_a(self):
         if self._rank_a is None:
-            self._rank_a, _ = _reduce_cols(self.A.field, self._acols,
-                                           self.A.rows)
+            self._rank_a = fieldmod.reduce_columns(
+                self.A.field, self._acols, self.A.rows)[0]
         return self._rank_a
 
     def w_columns(self):
@@ -222,7 +190,7 @@ class WongState:
         """Basis of A^{-1}(W) in k^{q*ncols}, via the kernel of [A | W]."""
         F = self.A.field
         aug = self._acols + self.w_columns()
-        rank, combos = _reduce_cols(F, aug, self.A.rows)
+        rank, _, combos = fieldmod.reduce_columns(F, aug, self.A.rows)
         self._last_aug_rank = rank
         na = len(self._acols)
         span = _Span(F, na)

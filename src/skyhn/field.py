@@ -2,11 +2,14 @@
 
 Prime field elements are plain ints in [0, q).  Extension field elements are
 tuples of base-field ints of length g (coefficient vectors, constant term
-first).  All matrix routines are dense Gaussian elimination; module-level
-sparsity is handled upstream.
+first).  Elimination is one list-level column reduction, reduce_columns,
+with an F_2 bitmask path and an inlined ``% q`` prime-field path; reduce
+wraps it for DenseMatrix.  Module-level sparsity is handled upstream.
 """
 
 from __future__ import annotations
+
+import functools
 
 
 def _is_prime(n):
@@ -381,54 +384,141 @@ class DenseMatrix:
             self.rows, self.cols, self.field, self.data)
 
 
+# ---------------------------------------------------------------------------
+# elimination: prime-field vectors (lists) and F_2 bitmasks (ints); the
+# pivot of a vector is its last nonzero row
+
+@functools.lru_cache(maxsize=None)
+def _inverses(q):
+    """Multiplicative inverses in F_q, indexed by element (0 maps to 0)."""
+    return (0,) + tuple(pow(a, q - 2, q) for a in range(1, q))
+
+
+def _insert_generic(F, base, tmp, v):
+    """Insert v (list over the prime field F, mutated) into the echelon
+    `tmp` over the read-only echelon `base`; pivot = last nonzero row.
+    True if v was independent."""
+    q = F.q
+    inv = _inverses(q)
+    piv = len(v) - 1
+    while True:
+        while piv >= 0 and not v[piv]:
+            piv -= 1
+        if piv < 0:
+            return False
+        pc = base.get(piv)
+        if pc is None:
+            pc = tmp.get(piv)
+        if pc is None:
+            tmp[piv] = v
+            return True
+        c = v[piv] * inv[pc[piv]] % q
+        for r in range(piv):
+            b = pc[r]
+            if b:
+                v[r] = (v[r] - c * b) % q
+        v[piv] = 0
+
+
+def _insert_f2(base, tmp, v):
+    while v:
+        piv = v.bit_length() - 1
+        pc = base.get(piv)
+        if pc is None:
+            pc = tmp.get(piv)
+        if pc is None:
+            tmp[piv] = v
+            return True
+        v ^= pc
+    return False
+
+
+def reduce_columns(F, cols, nrows):
+    """Column-reduce dense columns of length nrows over F (left unchanged).
+
+    Returns (rank, pivot_cols, combos): the reduced columns with a fresh
+    pivot, in input order, span the column space; each dependent column
+    gives one kernel combo, a dense coefficient vector over the input
+    columns.  The pivot of a column is its last nonzero row; while it
+    collides with an earlier pivot, the stored reduced column is
+    subtracted, and an identity tail tracks the column operations.  F_2
+    columns ride on bitmask ints, other prime fields on inlined ``% q``
+    arithmetic with a cached inverse table; extension fields use F's ops.
+    """
+    n = len(cols)
+    pivots = {}   # pivot row -> (reduced column, its tail)
+    basis, kernel = [], []
+    if isinstance(F, PrimeField) and F.q == 2:
+        for j, col in enumerate(cols):
+            v = 0
+            for i, x in enumerate(col):
+                if x:
+                    v |= 1 << i
+            t = 1 << j
+            while v:
+                hit = pivots.get(v.bit_length() - 1)
+                if hit is None:
+                    pivots[v.bit_length() - 1] = (v, t)
+                    basis.append(v)
+                    break
+                v ^= hit[0]
+                t ^= hit[1]
+            else:
+                kernel.append(t)
+        return (len(basis),
+                [[(v >> i) & 1 for i in range(nrows)] for v in basis],
+                [[(t >> r) & 1 for r in range(n)] for t in kernel])
+    q = F.q if isinstance(F, PrimeField) else None
+    inv = _inverses(q) if q else None
+    z = F.zero
+    for j, col in enumerate(cols):
+        v = list(col)
+        t = [z] * n
+        t[j] = F.one
+        piv = nrows - 1
+        while True:
+            while piv >= 0 and v[piv] == z:
+                piv -= 1
+            if piv < 0:
+                kernel.append(t)
+                break
+            hit = pivots.get(piv)
+            if hit is None:
+                pivots[piv] = (v, t)
+                basis.append(v)
+                break
+            pc, pt = hit
+            if q:
+                c = v[piv] * inv[pc[piv]] % q
+                for r in range(piv):
+                    if pc[r]:
+                        v[r] = (v[r] - c * pc[r]) % q
+                for r, b in enumerate(pt):
+                    if b:
+                        t[r] = (t[r] - c * b) % q
+            else:
+                c = F.mul(v[piv], F.inv(pc[piv]))
+                for r in range(piv):
+                    if pc[r] != z:
+                        v[r] = F.sub(v[r], F.mul(c, pc[r]))
+                for r, b in enumerate(pt):
+                    if b != z:
+                        t[r] = F.sub(t[r], F.mul(c, b))
+            v[piv] = z
+    return len(basis), basis, kernel
+
+
 def reduce(M):
     """Column-reduce a dense matrix.
 
     Returns (rank, column_basis, kernel_basis): column_basis spans the column
     space, kernel_basis spans the right null space; rank + kernel columns =
-    cols.  Standard Gaussian elimination with an identity tail tracking the
-    column operations.
+    cols.  See reduce_columns.
     """
     F = M.field
-    z = F.zero
-    ncols, nrows = M.cols, M.rows
-    # work on column vectors augmented with the transformation
-    cols = [M.column(j) for j in range(ncols)]
-    trans = [[F.one if i == j else z for i in range(ncols)] for j in range(ncols)]
-    pivots = {}  # pivot row (last nonzero row of a reduced column) -> column
-    basis_cols = []
-    kernel_cols = []
-    for j in range(ncols):
-        col = cols[j]
-        tr = trans[j]
-        # kill the last nonzero row while it collides with an earlier pivot;
-        # the pivot row strictly decreases, so this terminates
-        while True:
-            piv = None
-            for i in range(nrows - 1, -1, -1):
-                if col[i] != z:
-                    piv = i
-                    break
-            if piv is None or piv not in pivots:
-                break
-            pj = pivots[piv]
-            pc, pt = cols[pj], trans[pj]
-            c = F.mul(col[piv], F.inv(pc[piv]))
-            for r in range(piv + 1):
-                if pc[r] != z:
-                    col[r] = F.sub(col[r], F.mul(c, pc[r]))
-            for r in range(ncols):
-                if pt[r] != z:
-                    tr[r] = F.sub(tr[r], F.mul(c, pt[r]))
-        if piv is None:
-            kernel_cols.append(tr)
-        else:
-            pivots[piv] = j
-            basis_cols.append(col)
-    rank = len(basis_cols)
-    column_basis = DenseMatrix.from_columns(basis_cols, nrows, F)
-    kernel_basis = DenseMatrix.from_columns(kernel_cols, ncols, F)
-    return rank, column_basis, kernel_basis
+    rank, basis, kernel = reduce_columns(F, M.columns(), M.rows)
+    return (rank, DenseMatrix.from_columns(basis, M.rows, F),
+            DenseMatrix.from_columns(kernel, M.cols, F))
 
 
 def kron(X, A):

@@ -12,22 +12,21 @@ Degrees are pairs of exact rationals (fractions.Fraction); ``kernel`` and
 from __future__ import annotations
 
 import bisect
-import logging
 from fractions import Fraction
 
 from . import field as fieldmod
-from .field import DenseMatrix
-
-log = logging.getLogger(__name__)
+from .field import DenseMatrix, PrimeField, _insert_generic
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
 def as_degree(d):
-    """Coerce a pair of numbers/strings to an exact rational degree."""
+    """Coerce a pair of numbers/strings to an exact rational degree;
+    coordinates that already are Fractions are kept as they are."""
     x, y = d
-    return (Fraction(x), Fraction(y))
+    return (x if type(x) is Fraction else Fraction(x),
+            y if type(y) is Fraction else Fraction(y))
 
 
 def deg_leq(a, b):
@@ -36,10 +35,6 @@ def deg_leq(a, b):
 
 def deg_join(a, b):
     return (max(a[0], b[0]), max(a[1], b[1]))
-
-
-def deg_meet(a, b):
-    return (min(a[0], b[0]), min(a[1], b[1]))
 
 
 class GradedMatrix:
@@ -188,17 +183,16 @@ def kernel(M):
             if not J or J in seen_active:
                 continue
             seen_active.add(J)
-            A = DenseMatrix.from_columns([dense_cols[j] for j in J], M.nrows, F)
-            _, _, kb = fieldmod.reduce(A)
-            if kb.cols == 0:
+            _, _, combos = fieldmod.reduce_columns(
+                F, [dense_cols[j] for j in J], M.nrows)
+            if not combos:
                 continue
             # echelon of previously found generators, restricted to J
             ech = _Echelon(F, len(J))
             for (gx, gy), gvec in gens:
                 if gx <= rx and gy <= ry:
                     ech.insert([gvec[j] for j in J])
-            for t in range(kb.cols):
-                v = kb.column(t)
+            for v in combos:
                 rem = ech.insert(v)
                 if rem is not None:
                     full = [F.zero] * n
@@ -213,53 +207,45 @@ def kernel(M):
 
 class _Echelon:
     """Incremental column echelon over a field; insert returns the reduced
-    remainder when it is nonzero (vector was independent), else None."""
+    remainder when it is nonzero (vector was independent), else None.
+    Prime fields take the inlined elimination of field._insert_generic."""
 
     def __init__(self, F, nrows):
         self.F = F
         self.nrows = nrows
         self.pivots = {}  # row -> column vector with that last nonzero row
+        self._prime = isinstance(F, PrimeField)
+
+    def _insert(self, tmp, v):
+        """Reduce the list v in place against the pivots; store a nonzero
+        remainder in tmp under its pivot row and return True, else False."""
+        if self._prime:
+            return _insert_generic(self.F, self.pivots, tmp, v)
+        F = self.F
+        z = F.zero
+        while True:
+            piv = None
+            for i in range(self.nrows - 1, -1, -1):
+                if v[i] != z:
+                    piv = i
+                    break
+            if piv is None:
+                return False
+            pc = self.pivots.get(piv)
+            if pc is None:
+                tmp[piv] = v
+                return True
+            c = F.mul(v[piv], F.inv(pc[piv]))
+            for r in range(piv + 1):
+                if pc[r] != z:
+                    v[r] = F.sub(v[r], F.mul(c, pc[r]))
 
     def insert(self, v):
-        F = self.F
-        z = F.zero
         v = list(v)
-        while True:
-            piv = None
-            for i in range(self.nrows - 1, -1, -1):
-                if v[i] != z:
-                    piv = i
-                    break
-            if piv is None:
-                return None
-            if piv not in self.pivots:
-                self.pivots[piv] = v
-                return v
-            pc = self.pivots[piv]
-            c = F.mul(v[piv], F.inv(pc[piv]))
-            for r in range(piv + 1):
-                if pc[r] != z:
-                    v[r] = F.sub(v[r], F.mul(c, pc[r]))
+        return v if self._insert(self.pivots, v) else None
 
     def contains(self, v):
-        F = self.F
-        z = F.zero
-        v = list(v)
-        while True:
-            piv = None
-            for i in range(self.nrows - 1, -1, -1):
-                if v[i] != z:
-                    piv = i
-                    break
-            if piv is None:
-                return True
-            if piv not in self.pivots:
-                return False
-            pc = self.pivots[piv]
-            c = F.mul(v[piv], F.inv(pc[piv]))
-            for r in range(piv + 1):
-                if pc[r] != z:
-                    v[r] = F.sub(v[r], F.mul(c, pc[r]))
+        return not self._insert({}, list(v))
 
     @property
     def rank(self):
@@ -404,39 +390,6 @@ def shift_join(M, alpha):
                         [deg_join(d, alpha) for d in M.row_degrees],
                         [deg_join(d, alpha) for d in M.col_degrees],
                         M.columns)
-
-
-def grid_restrict(M, G):
-    """Push degrees to their grid ceilings; out-of-grid degrees are dropped.
-
-    Rows/columns whose ceiling hits the +inf sentinel present nothing inside
-    the grid (generator never born / relation never active) and are removed;
-    the counts are logged.
-    """
-    row_map = {}
-    dropped_rows = 0
-    new_row_degs = []
-    for i, d in enumerate(M.row_degrees):
-        c = G.ceil(d)
-        if c[0] == POS_INF or c[1] == POS_INF:
-            dropped_rows += 1
-        else:
-            row_map[i] = len(new_row_degs)
-            new_row_degs.append(c)
-    new_cols = []
-    new_col_degs = []
-    dropped_cols = 0
-    for j, d in enumerate(M.col_degrees):
-        c = G.ceil(d)
-        if c[0] == POS_INF or c[1] == POS_INF:
-            dropped_cols += 1
-            continue
-        new_cols.append([(row_map[i], v) for i, v in M.columns[j]])
-        new_col_degs.append(c)
-    if dropped_rows or dropped_cols:
-        log.info("grid_restrict dropped %d generators, %d relations "
-                 "(outside grid)", dropped_rows, dropped_cols)
-    return GradedMatrix(M.field, new_row_degs, new_col_degs, new_cols)
 
 
 class PointwiseModel:

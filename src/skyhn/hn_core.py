@@ -12,67 +12,18 @@ the API.  F_2 vectors ride on bitmask ints.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 from fractions import Fraction
 
 from . import grmat, invariants
-from .field import DenseMatrix
+from .field import DenseMatrix, _insert_f2, _insert_generic
 from .grmat import deg_leq, induced_grid
 from .invariants import HNFactor, HNFactorList, merge_factors  # noqa: F401
 
 __all__ = ["SlopeRecord", "brute_force_max_slope", "hn_filtration_at",
            "merge_factors", "subspaces_of_dim", "subspace_grid_dims"]
-
-
-# ---------------------------------------------------------------------------
-# echelon kernels: prime-field vectors (lists) and F_2 bitmasks (ints)
-
-@functools.lru_cache(maxsize=None)
-def _inverses(q):
-    """Multiplicative inverses in F_q, indexed by element (0 maps to 0)."""
-    return (0,) + tuple(pow(a, q - 2, q) for a in range(1, q))
-
-
-def _insert_generic(F, base, tmp, v):
-    """Insert v (list over the prime field F, mutated) into the echelon
-    `tmp` over the read-only echelon `base`; pivot = last nonzero row.
-    True if v was independent."""
-    q = F.q
-    inv = _inverses(q)
-    piv = len(v) - 1
-    while True:
-        while piv >= 0 and not v[piv]:
-            piv -= 1
-        if piv < 0:
-            return False
-        pc = base.get(piv)
-        if pc is None:
-            pc = tmp.get(piv)
-        if pc is None:
-            tmp[piv] = v
-            return True
-        c = v[piv] * inv[pc[piv]] % q
-        for r in range(piv):
-            b = pc[r]
-            if b:
-                v[r] = (v[r] - c * b) % q
-        v[piv] = 0
-
-
-def _insert_f2(base, tmp, v):
-    while v:
-        piv = v.bit_length() - 1
-        pc = base.get(piv)
-        if pc is None:
-            pc = tmp.get(piv)
-        if pc is None:
-            tmp[piv] = v
-            return True
-        v ^= pc
-    return False
 
 
 def _scaled_gaps(coords):

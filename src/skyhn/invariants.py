@@ -4,6 +4,7 @@ Skyscraper store with theta-queries, and erosion distance."""
 from __future__ import annotations
 
 import bisect
+import functools
 from fractions import Fraction
 
 from . import grmat
@@ -320,6 +321,16 @@ class SkyscraperStore:
         return len(self.entries)
 
 
+def theta_staircases(factors, theta):
+    """The staircases of the factors of slope >= theta, in factor order."""
+    return [s for f in factors if f.slope >= theta for s in f.staircases]
+
+
+def count_containing(staircases, beta):
+    """How many of the staircases contain beta."""
+    return sum(1 for s in staircases if staircase_contains(s, beta))
+
+
 def skyscraper_query(store, theta, alpha, beta):
     """s^theta(alpha, beta): over the located entry, count staircases
     containing beta among factors of slope >= theta."""
@@ -329,11 +340,7 @@ def skyscraper_query(store, theta, alpha, beta):
     entry = store.locate(alpha)
     if entry is None:
         return 0
-    total = 0
-    for f in entry.factors:
-        if f.slope >= theta:
-            total += sum(1 for s in f.staircases if staircase_contains(s, beta))
-    return total
+    return count_containing(theta_staircases(entry.factors, theta), beta)
 
 
 def erosion_distance(r, s, theta, probe_grid):
@@ -342,28 +349,47 @@ def erosion_distance(r, s, theta, probe_grid):
     Checks both one-sided conditions s(a-e, b+e) <= r(a, b) and
     r(a-e, b+e) <= s(a, b) at all probe pairs a <= b, over shifts e that are
     multiples of the probe spacing.  Returns (lower, upper); the resolution
-    is the probe spacing.
+    is the probe spacing.  Each distinct query is evaluated once: every
+    store locates a shifted probe point at most once per shift, the
+    unshifted counts r(a, b) and s(a, b) are shared by all shifts, and at
+    e = 0 the two conditions reduce to r(a, b) == s(a, b).
     """
     xs, ys = probe_grid.xs, probe_grid.ys
     spacings = ([b - a for a, b in zip(xs, xs[1:])] +
                 [b - a for a, b in zip(ys, ys[1:])])
     h = min(spacings) if spacings else Fraction(1)
     pts = list(probe_grid.points())
-    pairs = [(a, b) for a in pts for b in pts if deg_leq(a, b)]
+    pairs = [(i, j) for i, a in enumerate(pts) for j, b in enumerate(pts)
+             if deg_leq(a, b)]
+    stores = (r, s)
+
+    def counter(e):
+        """count(k, i, j) = query of stores[k] at (pts[i] - e, pts[j] + e),
+        locating each shifted point of each store once."""
+        lo = [(x - e, y - e) for x, y in pts] if e else pts
+        hi = [(x + e, y + e) for x, y in pts] if e else pts
+
+        @functools.lru_cache(maxsize=None)
+        def stairs(k, i):
+            entry = stores[k].locate(lo[i])
+            return theta_staircases(entry.factors, theta) if entry else []
+        return lambda k, i, j: count_containing(stairs(k, i), hi[j])
+
+    base = functools.lru_cache(maxsize=None)(counter(0))   # r(a,b), s(a,b)
 
     def holds(e):
-        for a, b in pairs:
-            lo = (a[0] - e, a[1] - e)
-            hi = (b[0] + e, b[1] + e)
-            if skyscraper_query(s, theta, lo, hi) > skyscraper_query(r, theta, a, b):
+        if not e:
+            return all(base(1, i, j) == base(0, i, j) for i, j in pairs)
+        count = counter(e)
+        for i, j in pairs:
+            if count(1, i, j) > base(0, i, j):
                 return False
-            if skyscraper_query(r, theta, lo, hi) > skyscraper_query(s, theta, a, b):
+            if count(0, i, j) > base(1, i, j):
                 return False
         return True
 
     span = max(xs[-1] - xs[0], ys[-1] - ys[0]) if pts else Fraction(0)
     kmax = int(span / h) + 2
-    lo_k, hi_k = 0, None
     if holds(Fraction(0)):
         return (Fraction(0), Fraction(0))
     # binary search the smallest multiple of h that works

@@ -15,7 +15,7 @@ from functools import reduce
 from . import cheng, grmat, hn_core, invariants, subdivision
 from .grmat import GradedMatrix, Grid, as_degree, deg_leq
 from .invariants import (HNFactor, HNFactorList, SkyscraperStore,
-                         merge_factors, staircase_contains)
+                         count_containing, merge_factors, theta_staircases)
 
 __all__ = ["ScanConfig", "EngineFailure", "bounding_box", "clip_to_box",
            "regular_grid", "hn_at", "approx_skyscraper", "ExactStore",
@@ -283,12 +283,8 @@ class ExactStore:
         beta, gamma = as_degree(beta), as_degree(gamma)
         if not deg_leq(beta, gamma):
             raise ValueError("query requires beta <= gamma")
-        total = 0
-        for f in self.factors_at(beta).factors:
-            if f.slope >= theta:
-                total += sum(1 for s in f.staircases
-                             if staircase_contains(s, gamma))
-        return total
+        return count_containing(
+            theta_staircases(self.factors_at(beta).factors, theta), gamma)
 
     def snapshot(self, keys, epsilon=None):
         """SkyscraperStore of the exact filtrations at the given keys."""

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -99,3 +100,98 @@ def test_matvec_matches_matmul():
     direct = M.matvec(v)
     via = M.matmul(DenseMatrix.from_columns([v], 2, F3)).column(0)
     assert direct == via
+
+
+# ---------------------------------------------------------------------------
+# reduce / reduce_columns against the elimination they replaced
+
+def _reference_reduce(M):
+    """field.reduce as it was before reduce_columns: generic F ops, one
+    inverse per collision, an identity tail per column."""
+    F = M.field
+    z = F.zero
+    ncols, nrows = M.cols, M.rows
+    cols = [M.column(j) for j in range(ncols)]
+    trans = [[F.one if i == j else z for i in range(ncols)]
+             for j in range(ncols)]
+    pivots = {}
+    basis_cols, kernel_cols = [], []
+    for j in range(ncols):
+        col, tr = cols[j], trans[j]
+        while True:
+            piv = None
+            for i in range(nrows - 1, -1, -1):
+                if col[i] != z:
+                    piv = i
+                    break
+            if piv is None or piv not in pivots:
+                break
+            pc, pt = cols[pivots[piv]], trans[pivots[piv]]
+            c = F.mul(col[piv], F.inv(pc[piv]))
+            for r in range(piv + 1):
+                if pc[r] != z:
+                    col[r] = F.sub(col[r], F.mul(c, pc[r]))
+            for r in range(ncols):
+                if pt[r] != z:
+                    tr[r] = F.sub(tr[r], F.mul(c, pt[r]))
+        if piv is None:
+            kernel_cols.append(tr)
+        else:
+            pivots[piv] = j
+            basis_cols.append(col)
+    return (len(basis_cols), DenseMatrix.from_columns(basis_cols, nrows, F),
+            DenseMatrix.from_columns(kernel_cols, ncols, F))
+
+
+class _OpsOnly:
+    """A field seen only through its operations, so that reduce_columns
+    takes its generic path (no bitmask, no inlined % q)."""
+
+    def __init__(self, F):
+        self.F, self.zero, self.one = F, F.zero, F.one
+
+    def mul(self, a, b):
+        return self.F.mul(a, b)
+
+    def sub(self, a, b):
+        return self.F.sub(a, b)
+
+    def inv(self, a):
+        return self.F.inv(a)
+
+
+def _random_columns(rng, F, nrows, ncols):
+    els = list(F.elements())
+    cols = []
+    for _ in range(ncols):
+        kind = rng.random()
+        if kind < 0.15 or not els:
+            cols.append([F.zero] * nrows)          # zero column
+        elif kind < 0.3 and cols:
+            cols.append(list(rng.choice(cols)))    # repeated column
+        else:
+            cols.append([rng.choice(els) if rng.random() < 0.6 else F.zero
+                         for _ in range(nrows)])
+    return cols
+
+
+def test_reduce_columns_matches_reference():
+    rng = random.Random(97)
+    fields = [F2, F3, PrimeField(7), ext_field_build(2, 2),
+              ext_field_build(3, 2)]
+    for F in fields:
+        for _ in range(150):
+            nrows, ncols = rng.randrange(0, 5), rng.randrange(0, 10)
+            cols = _random_columns(rng, F, nrows, ncols)
+            snapshot = [list(c) for c in cols]
+            M = DenseMatrix.from_columns(cols, nrows, F)
+            got = fieldmod.reduce(M)
+            assert got == _reference_reduce(M)
+            rank, basis, combos = fieldmod.reduce_columns(F, cols, nrows)
+            assert cols == snapshot            # inputs are left unchanged
+            assert (rank, basis, combos) == (got[0], got[1].columns(),
+                                             got[2].columns())
+            # the fast paths (F_2 bitmasks, inlined % q) give exactly the
+            # vectors of the generic path on the same input
+            assert fieldmod.reduce_columns(_OpsOnly(F), cols, nrows) == \
+                (rank, basis, combos)

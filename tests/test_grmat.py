@@ -6,7 +6,7 @@ import pytest
 from skyhn import field as fieldmod
 from skyhn import grmat
 from skyhn.field import DenseMatrix, PrimeField
-from skyhn.grmat import (Grid, NEG_INF, POS_INF, deg_join, deg_leq, deg_meet,
+from skyhn.grmat import (NEG_INF, POS_INF, deg_join, deg_leq,
                          induced_grid)
 
 from conftest import F2, F3, gm, random_bounded_module
@@ -16,7 +16,22 @@ def test_degree_lattice():
     assert deg_leq((0, 1), (1, 1))
     assert not deg_leq((2, 0), (1, 1))
     assert deg_join((1, 0), (0, 3)) == (Fr(1), Fr(3))
-    assert deg_meet((1, 0), (0, 3)) == (Fr(0), Fr(0))
+
+
+def test_as_degree_coerces_and_keeps_fractions():
+    half, three = Fr(1, 2), Fr(3)
+    for d in [(1, 3), ("1/2", "3"), (half, three), [half, 3], ["1/2", three]]:
+        got = grmat.as_degree(d)
+        assert type(got) is tuple
+        assert all(type(c) is Fr for c in got)
+        assert got == (Fr(d[0]), Fr(d[1]))
+    got = grmat.as_degree((half, three))
+    assert got[0] is half and got[1] is three
+    assert grmat.as_degree([half, "3"])[0] is half
+    with pytest.raises(ValueError):
+        grmat.as_degree(("x", 1))
+    with pytest.raises(ValueError):
+        grmat.as_degree((1, "x"))
 
 
 def test_homogeneity_validated():
@@ -113,15 +128,6 @@ def test_shift_join(cross):
     assert N.row_degrees[0] == (Fr(0), Fr(1))
     assert N.col_degrees[0] == (Fr(1), Fr(1))
     assert N.col_degrees[1] == (Fr(0), Fr(3))
-
-
-def test_grid_restrict_drops_outside_columns(cross):
-    G = Grid([Fr(0), Fr(1), Fr(2)], [Fr(0), Fr(1), Fr(2)])
-    R = grmat.grid_restrict(cross, G)
-    assert (Fr(0), Fr(3)) not in R.col_degrees
-    for pt in G.points():
-        assert grmat.pointwise_model(R, pt).dim == \
-            grmat.pointwise_model(cross, pt).dim or pt[1] >= 2
 
 
 def test_pointwise_dims_and_structure_map(cross):
@@ -318,3 +324,53 @@ def test_kernel_and_minimize_match_reference():
             N = grmat.submodule_presentation(B, S)
             assert grmat.minimize(N) == _minimize_reference(N)
     assert seen_pruned > 60
+
+
+class _EchelonReference:
+    """grmat._Echelon as it was before the inlined prime-field path."""
+
+    def __init__(self, F, nrows):
+        self.F, self.nrows, self.pivots = F, nrows, {}
+
+    def _reduce(self, v):
+        F, z = self.F, self.F.zero
+        while True:
+            piv = None
+            for i in range(self.nrows - 1, -1, -1):
+                if v[i] != z:
+                    piv = i
+                    break
+            if piv is None or piv not in self.pivots:
+                return piv
+            pc = self.pivots[piv]
+            c = F.mul(v[piv], F.inv(pc[piv]))
+            for r in range(piv + 1):
+                if pc[r] != z:
+                    v[r] = F.sub(v[r], F.mul(c, pc[r]))
+
+    def insert(self, v):
+        v = list(v)
+        piv = self._reduce(v)
+        if piv is None:
+            return None
+        self.pivots[piv] = v
+        return v
+
+    def contains(self, v):
+        return self._reduce(list(v)) is None
+
+
+def test_echelon_matches_reference():
+    rng = random.Random(31)
+    for F in [F2, F3, PrimeField(7), fieldmod.ext_field_build(2, 2),
+              fieldmod.ext_field_build(3, 2)]:
+        els = list(F.elements())
+        for _ in range(60):
+            n = rng.randrange(0, 6)
+            got, want = grmat._Echelon(F, n), _EchelonReference(F, n)
+            for _ in range(rng.randrange(0, 9)):
+                v = [rng.choice(els) if rng.random() < 0.5 else F.zero
+                     for _ in range(n)]
+                assert got.contains(v) == want.contains(v)
+                assert got.insert(v) == want.insert(v)
+                assert got.pivots == want.pivots

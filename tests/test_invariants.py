@@ -10,8 +10,9 @@ from skyhn.invariants import (HNFactor, HNFactorList, SkyscraperStore,
                               integral_dim, integral_of, merge_factors,
                               skyscraper_query, slope_at, staircase_contains,
                               staircases_from_dims, superlevel_staircases)
+from skyhn.pipeline import ScanConfig, approx_skyscraper, exact_skyscraper
 
-from conftest import F2, cross_module, gm
+from conftest import F2, F3, cross_module, gm, random_bounded_module
 
 
 def vertical_block():
@@ -176,3 +177,150 @@ def test_staircases_from_dims_roundtrip(rng):
         dims2 = {p: sum(1 for s in rebuilt if staircase_contains(s, p))
                  for p in G.points()}
         assert dims == dims2
+
+
+# ---------------------------------------------------------------------------
+# erosion_distance against the query-per-pair reference
+
+def _reference_query(store, theta, alpha, beta):
+    """skyscraper_query as it was before the staircase-count helpers."""
+    alpha, beta = grmat.as_degree(alpha), grmat.as_degree(beta)
+    if not grmat.deg_leq(alpha, beta):
+        raise ValueError("query requires alpha <= beta")
+    entry = store.locate(alpha)
+    if entry is None:
+        return 0
+    total = 0
+    for f in entry.factors:
+        if f.slope >= theta:
+            total += sum(1 for s in f.staircases if staircase_contains(s, beta))
+    return total
+
+
+def _reference_erosion(r, s, theta, probe_grid):
+    """erosion_distance as it was before the per-point resolution: four
+    queries per probe pair and shift."""
+    xs, ys = probe_grid.xs, probe_grid.ys
+    spacings = ([b - a for a, b in zip(xs, xs[1:])] +
+                [b - a for a, b in zip(ys, ys[1:])])
+    h = min(spacings) if spacings else Fr(1)
+    pts = list(probe_grid.points())
+    pairs = [(a, b) for a in pts for b in pts if grmat.deg_leq(a, b)]
+
+    def holds(e):
+        for a, b in pairs:
+            lo = (a[0] - e, a[1] - e)
+            hi = (b[0] + e, b[1] + e)
+            if _reference_query(s, theta, lo, hi) > \
+                    _reference_query(r, theta, a, b):
+                return False
+            if _reference_query(r, theta, lo, hi) > \
+                    _reference_query(s, theta, a, b):
+                return False
+        return True
+
+    span = max(xs[-1] - xs[0], ys[-1] - ys[0]) if pts else Fr(0)
+    kmax = int(span / h) + 2
+    if holds(Fr(0)):
+        return (Fr(0), Fr(0))
+    lo_k, hi_k = 0, kmax
+    if not holds(kmax * h):
+        return (kmax * h, grmat.POS_INF)
+    while hi_k - lo_k > 1:
+        mid = (lo_k + hi_k) // 2
+        if holds(mid * h):
+            hi_k = mid
+        else:
+            lo_k = mid
+    return (lo_k * h, hi_k * h)
+
+
+class _CountingStore(SkyscraperStore):
+    """A copy of a store that counts its locate calls."""
+
+    def __init__(self, store):
+        super().__init__(store.epsilon)
+        self.entries = dict(store.entries)
+        self.locates = 0
+
+    def locate(self, alpha):
+        self.locates += 1
+        return super().locate(alpha)
+
+
+def _moved(store, rng):
+    """A copy of store with the relations of one staircase moved up by
+    (k, k), k in 1..3, so that erosion needs a shift e > 0."""
+    out = SkyscraperStore(store.epsilon)
+    out.entries = dict(store.entries)
+    alpha = rng.choice(store.keys())
+    fl = store.entries[alpha]
+    fi = rng.randrange(len(fl.factors))
+    f = fl.factors[fi]
+    si = rng.randrange(len(f.staircases))
+    st = f.staircases[si]
+    k = rng.randrange(1, 4)
+    moved = Staircase(st.gen, [(x + k, y + k) for x, y in st.rels])
+    stairs = f.staircases[:si] + [moved] + f.staircases[si + 1:]
+    factors = list(fl.factors)
+    factors[fi] = HNFactor(stairs, f.slope)
+    out.entries[alpha] = HNFactorList(alpha, factors)
+    return out
+
+
+def _key_grid(store):
+    keys = store.keys()
+    return Grid(sorted({k[0] for k in keys}), sorted({k[1] for k in keys}))
+
+
+def _assert_same_erosion(r, s, theta, G):
+    r1, s1 = _CountingStore(r), _CountingStore(s)
+    r2, s2 = _CountingStore(r), _CountingStore(s)
+    got = invariants.erosion_distance(r1, s1, theta, G)
+    assert got == _reference_erosion(r2, s2, theta, G)
+    # each store resolves each probe point at most as often as before
+    assert r1.locates <= r2.locates and s1.locates <= s2.locates
+    return got
+
+
+def test_erosion_distance_matches_reference():
+    rng = random.Random(4711)
+    results = []
+    for trial in range(14):
+        F = (F2, F3)[trial % 2]
+        M = random_bounded_module(rng, F, rng.randrange(1, 4), dmax=3)
+        ex = exact_skyscraper(M)
+        for eps in (Fr(1), Fr(1, 2)):
+            sa = approx_skyscraper(M, ScanConfig(epsilon=eps))
+            if not sa.keys():
+                continue
+            snaps = [ex.snapshot(sa.keys(), eps), ex.snapshot(sa.keys())]
+            slopes = sorted({f.slope for st in [sa] + snaps
+                             for fl in st.entries.values() for f in fl})
+            # theta = 0 and a theta between the two least factor slopes
+            thetas = [Fr(0)] + [(a + b) / 2
+                                for a, b in zip(slopes, slopes[1:])][:1]
+            # a coarse probe grid keeps the reference's four queries per
+            # pair and shift affordable
+            G = _key_grid(sa) if eps == 1 else Grid(
+                _key_grid(sa).xs[::2], _key_grid(sa).ys[::2])
+            one = Grid([G.xs[len(G.xs) // 2]], [G.ys[len(G.ys) // 2]])
+            for theta in thetas:
+                for snap in snaps:
+                    results.append(_assert_same_erosion(sa, snap, theta, G))
+                    results.append(_assert_same_erosion(snap, sa, theta, one))
+                    moved = _moved(snap, rng)
+                    results.append(_assert_same_erosion(sa, moved, theta, G))
+                    results.append(_assert_same_erosion(moved, sa, theta, one))
+    # an empty store against an unbounded staircase far below the probes
+    far = (Fr(-10), Fr(-10))
+    wide = SkyscraperStore()
+    wide.insert(HNFactorList(far, [HNFactor([Staircase(far, [])], Fr(1))]))
+    G = Grid([Fr(0), Fr(1), Fr(2)], [Fr(0), Fr(1)])
+    for r, s in ((wide, SkyscraperStore()), (SkyscraperStore(), wide)):
+        got = _assert_same_erosion(r, s, Fr(0), G)
+        assert got == (4, grmat.POS_INF)
+        results.append(got)
+    # the shifted path and its binary search really ran
+    assert sum(1 for lo, hi in results if 0 < hi < grmat.POS_INF) >= 10
+    assert any(0 < lo and hi < grmat.POS_INF for lo, hi in results)
