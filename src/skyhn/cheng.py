@@ -131,24 +131,6 @@ class BlowUp:
                     span.insert(A.matvec(blk))
         return span.basis_columns()
 
-    def image_naive(self, ucols):
-        """Reference image computation: apply every E_ij tensor A_k to every
-        vector and span the results in k^{p*nrows}.  Test oracle only."""
-        sp = self.space
-        F = sp.field
-        Np, N = sp.ncols, sp.nrows
-        span = _Span(F, self.p * N)
-        for u in ucols:
-            for j in range(self.q):
-                blk = u[j * Np:(j + 1) * Np]
-                for A in sp.basis:
-                    w0 = A.matvec(blk)
-                    for i in range(self.p):
-                        w = [F.zero] * (self.p * N)
-                        w[i * N:(i + 1) * N] = w0
-                        span.insert(w)
-        return span.basis_columns()
-
 
 class WongState:
     """Wong-sequence iteration state for a matrix A inside a blow-up.
@@ -478,19 +460,14 @@ def _split_fiber(space, p0, q0, alpha, seed, g_extra, max_retries,
 
 
 def _semistable_factor(cur, alpha):
-    F = cur.field
     t = cur.nrows
     fc = fiber_classes(cur)
-    ident = [[F.one if i == j else F.zero for i in range(t)]
-             for j in range(t)]
-    iv = fc.to_internal(ident)
-    integ = fc.integral(iv)
+    integ = Fraction(fc.scaled_integral(fc.coranks), fc.den)
     if integ <= 0:
         raise ValueError(
             "module is not bounded at %s: infinite slope integral" % (alpha,))
-    dims = fc.dims(iv)
-    stairs = invariants.staircases_from_dims(fc.grid, dims, alpha,
-                                             thickness=t)
+    stairs = invariants.staircases_from_dims(fc.grid, fc.rank_dims(fc.coranks),
+                                             alpha, thickness=t)
     return HNFactor(stairs, Fraction(t) / integ)
 
 
@@ -524,15 +501,16 @@ def hn_cheng(M, G, alpha, seed=0, g_extra=0, max_retries=8, farey_budget=6,
     the support box, so that the discrete filtration transported from G
     coincides with the continuous one; slopes are computed exactly with
     cell-area weighting, making the output directly comparable with the
-    brute-force search.
+    brute-force search.  G may also be a function of no arguments that
+    returns the grid; it is called only when the fiber at alpha is
+    non-zero.
     """
     alpha = as_degree(alpha)
-    pm = grmat.pointwise_model(M, alpha)
-    if pm.dim == 0:
+    cur = grmat.fiber_submodule(M, alpha)
+    if cur is None:
         return HNFactorList(alpha, [])
-    S = grmat.GradedMatrix(M.field, M.row_degrees, [alpha] * pm.dim,
-                           [[(i, M.field.one)] for i in pm.basis_rows])
-    cur = grmat.minimize(grmat.submodule_presentation(M, S))
+    if callable(G):
+        G = G()
     factors = _factors_rec(cur, G, alpha, seed, g_extra, max_retries,
                            farey_budget, farey_cap)
     for a, b in zip(factors, factors[1:]):

@@ -247,6 +247,21 @@ class _Echelon:
     def contains(self, v):
         return not self._insert({}, list(v))
 
+    def reduce(self, v):
+        """Fully reduced copy of v: for each pivot row from the top down,
+        the multiple of its column that clears that row is subtracted."""
+        F = self.F
+        z = F.zero
+        v = list(v)
+        for piv in sorted(self.pivots, reverse=True):
+            if v[piv] != z:
+                pc = self.pivots[piv]
+                c = F.mul(v[piv], F.inv(pc[piv]))
+                for r in range(piv + 1):
+                    if pc[r] != z:
+                        v[r] = F.sub(v[r], F.mul(c, pc[r]))
+        return v
+
     @property
     def rank(self):
         return len(self.pivots)
@@ -352,7 +367,6 @@ def quotient_presentation(M_alpha, B):
     deletes those rows, and fully minimizes.
     """
     F = M_alpha.field
-    z = F.zero
     alphas = set(M_alpha.row_degrees)
     if len(alphas) > 1:
         raise ValueError("module is not uniquely generated")
@@ -369,27 +383,11 @@ def quotient_presentation(M_alpha, B):
     keep = [i for i in range(t) if i not in ech.pivots]
     new_cols = []
     for j in range(M_alpha.ncols):
-        col = M_alpha.dense_column(j)
-        for piv in sorted(ech.pivots, reverse=True):
-            if col[piv] != z:
-                pc = ech.pivots[piv]
-                c = F.mul(col[piv], F.inv(pc[piv]))
-                for r in range(piv + 1):
-                    if pc[r] != z:
-                        col[r] = F.sub(col[r], F.mul(c, pc[r]))
+        col = ech.reduce(M_alpha.dense_column(j))
         new_cols.append([col[i] for i in keep])  # minimize drops zero columns
     pres = from_dense_columns(F, [M_alpha.row_degrees[i] for i in keep],
                               list(M_alpha.col_degrees), new_cols)
     return minimize(pres)
-
-
-def shift_join(M, alpha):
-    """Replace every row/column degree by its join with alpha."""
-    alpha = as_degree(alpha)
-    return GradedMatrix(M.field,
-                        [deg_join(d, alpha) for d in M.row_degrees],
-                        [deg_join(d, alpha) for d in M.col_degrees],
-                        M.columns)
 
 
 class PointwiseModel:
@@ -424,16 +422,7 @@ class PointwiseModel:
 
     def reduce_vector(self, v):
         """Reduce a vector over live_rows to coordinates in basis_rows."""
-        F = self._F
-        z = F.zero
-        v = list(v)
-        for piv in sorted(self._ech.pivots, reverse=True):
-            if v[piv] != z:
-                pc = self._ech.pivots[piv]
-                c = F.mul(v[piv], F.inv(pc[piv]))
-                for r in range(piv + 1):
-                    if pc[r] != z:
-                        v[r] = F.sub(v[r], F.mul(c, pc[r]))
+        v = self._ech.reduce(v)
         return [v[self._pos[g]] for g in self.basis_rows]
 
     def class_of_row(self, i):
@@ -446,6 +435,17 @@ class PointwiseModel:
 
 def pointwise_model(M, gamma):
     return PointwiseModel(M, gamma)
+
+
+def fiber_submodule(M, alpha):
+    """Minimized presentation of <V_alpha>, the submodule generated by the
+    fiber at alpha, or None when the fiber vanishes."""
+    pm = pointwise_model(M, alpha)
+    if pm.dim == 0:
+        return None
+    S = GradedMatrix(M.field, M.row_degrees, [pm.degree] * pm.dim,
+                     [[(i, M.field.one)] for i in pm.basis_rows])
+    return minimize(submodule_presentation(M, S))
 
 
 def structure_map(M, gamma, delta):

@@ -135,7 +135,11 @@ class _FiberClasses:
 
     def dims(self, ivecs):
         """dim <span(ivecs)> at every grid point."""
-        ranks = self.ranks(ivecs)
+        return self.rank_dims(self.ranks(ivecs))
+
+    def rank_dims(self, ranks):
+        """The dim at every grid point of a subspace with these per-class
+        ranks (``coranks`` for the whole fiber)."""
         return {pt: ranks[cid] if cid >= 0 else 0
                 for pt, cid in self.point_class.items()}
 
@@ -269,12 +273,9 @@ def hn_filtration_at(M, alpha, use_filter=True):
     presentation until nothing is left.
     """
     alpha = grmat.as_degree(alpha)
-    pm = grmat.pointwise_model(M, alpha)
-    if pm.dim == 0:
+    cur = grmat.fiber_submodule(M, alpha)
+    if cur is None:
         return HNFactorList(alpha, [])
-    S = grmat.GradedMatrix(M.field, M.row_degrees, [alpha] * pm.dim,
-                           [[(i, M.field.one)] for i in pm.basis_rows])
-    cur = grmat.minimize(grmat.submodule_presentation(M, S))
     factors = []
     while cur.nrows > 0:
         rec = brute_force_max_slope(cur, use_filter=use_filter, largest=True)

@@ -67,22 +67,9 @@ def integral_of(M):
     return integral_dim(bt, B)
 
 
-class HilbertFn:
-    """Pointwise dimensions at the lower corners of a grid's cells."""
-
-    def __init__(self, grid, values):
-        self.grid = grid
-        self.values = values  # dict point -> dim
-
-    def __getitem__(self, point):
-        return self.values[as_degree(point)]
-
-
 def hilbert_function(M, G):
-    values = {}
-    for pt in G.points():
-        values[pt] = grmat.pointwise_model(M, pt).dim
-    return HilbertFn(G, values)
+    """Pointwise dimensions at the points of the grid G: {point: dim}."""
+    return {pt: grmat.pointwise_model(M, pt).dim for pt in G.points()}
 
 
 class Staircase:
@@ -269,13 +256,10 @@ def slope_at(M, alpha):
     """Slope of the submodule generated by the full fiber at alpha:
     dim V_alpha / integral of dim <V_alpha>."""
     alpha = as_degree(alpha)
-    pm = grmat.pointwise_model(M, alpha)
-    if pm.dim == 0:
+    N = grmat.fiber_submodule(M, alpha)
+    if N is None:
         raise ValueError("zero module at %s" % (alpha,))
-    S = GradedMatrix(M.field, M.row_degrees, [alpha] * pm.dim,
-                     [[(i, M.field.one)] for i in pm.basis_rows])
-    N = grmat.submodule_presentation(M, S)
-    return Fraction(pm.dim) / integral_of(N)
+    return Fraction(N.nrows) / integral_of(N)
 
 
 class SkyscraperStore:
@@ -288,9 +272,11 @@ class SkyscraperStore:
     def __init__(self, epsilon=None):
         self.epsilon = Fraction(epsilon) if epsilon is not None else None
         self.entries = {}
+        self._key_grid = None    # grid of the keys, built on demand
 
     def insert(self, factor_list):
         self.entries[factor_list.alpha] = factor_list
+        self._key_grid = None
 
     def keys(self):
         return sorted(self.entries)
@@ -303,11 +289,12 @@ class SkyscraperStore:
             e = self.epsilon
             key = ((alpha[0] // e) * e, (alpha[1] // e) * e)
         else:
-            ks = self.keys()
-            if not ks:
+            if not self.entries:
                 return None
-            g = Grid([k[0] for k in ks], [k[1] for k in ks])
-            key = g.floor(alpha)
+            if self._key_grid is None:
+                self._key_grid = Grid([k[0] for k in self.entries],
+                                      [k[1] for k in self.entries])
+            key = self._key_grid.floor(alpha)
             if key[0] == NEG_INF or key[1] == NEG_INF:
                 return None
         return self.entries.get(key)

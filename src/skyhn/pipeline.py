@@ -1,16 +1,21 @@
-"""End-to-end drivers: epsilon-approximation of the skyscraper invariant,
-the exact per-cell subdivision store, the cache-friendly parallel grid scan,
-filtered landscapes, and the interval-factor diagnostic.
+"""End-to-end drivers: the HN filtration at one degree, the
+epsilon-approximation of the skyscraper invariant, the exact per-cell
+subdivision store, the cache-friendly grid scan, filtered landscapes, and
+the interval-factor diagnostic.
 
 All drivers first clip the module to a bounding box by appending cap
-relations, so every integral is finite.
+relations, so every integral is finite.  ``approx_skyscraper`` and
+``parallel_grid_scan`` are one colexicographic sweep of the epsilon
+lattice with two per-point strategies: one HN engine run per connected
+block, or the lazily built cells of an ``ExactStore``, whose cells of a
+summand are evicted whenever the sweep leaves their grid row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from functools import reduce
 
 from . import cheng, grmat, hn_core, invariants, subdivision
 from .grmat import GradedMatrix, Grid, as_degree, deg_leq
@@ -22,33 +27,26 @@ __all__ = ["ScanConfig", "EngineFailure", "bounding_box", "clip_to_box",
            "exact_skyscraper", "parallel_grid_scan", "filtered_landscape",
            "factor_interval_check"]
 
-ENGINES = ("brute", "cheng", "exact")
+ENGINES = ("brute", "cheng")
+
+
+def _check_engine(engine):
+    if engine not in ENGINES:
+        raise ValueError("unknown engine %r" % (engine,))
 
 
 class ScanConfig:
-    """Knobs shared by the drivers: grid spacing, engine, clipping box,
-    seed, and landscape parameters."""
+    """Knobs of the lattice drivers: lattice spacing, HN engine, seed of
+    the randomized engine, and clipping box (the bounding box when None)."""
 
-    def __init__(self, epsilon=1, engine="brute", seed=0, box=None, margin=1,
-                 levels=(1,), thetas=(Fraction(0),), resolution=8,
-                 anchor="center"):
+    def __init__(self, epsilon=1, engine="brute", seed=0, box=None):
         self.epsilon = Fraction(epsilon)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if engine not in ENGINES:
-            raise ValueError("unknown engine %r" % (engine,))
+        _check_engine(engine)
         self.engine = engine
         self.seed = seed
         self.box = tuple(Fraction(c) for c in box) if box else None
-        self.margin = Fraction(margin)
-        self.levels = tuple(int(k) for k in levels)
-        self.thetas = tuple(Fraction(t) for t in thetas)
-        self.resolution = int(resolution)
-        if self.resolution < 2:
-            raise ValueError("resolution must be at least 2")
-        if anchor not in ("center", "source"):
-            raise ValueError("anchor must be 'center' or 'source'")
-        self.anchor = anchor
 
 
 class EngineFailure(RuntimeError):
@@ -60,15 +58,15 @@ class EngineFailure(RuntimeError):
         self.cause = cause
 
 
-def bounding_box(M, margin=1):
-    """Axis-aligned box covering all presentation degrees plus a margin."""
+def bounding_box(M):
+    """Axis-aligned box covering all presentation degrees, reaching one
+    unit past the largest degree on each axis."""
     degs = list(M.row_degrees) + list(M.col_degrees)
     if not degs:
         z = Fraction(0)
         return (z, z, z, z)
-    margin = Fraction(margin)
     return (min(d[0] for d in degs), min(d[1] for d in degs),
-            max(d[0] for d in degs) + margin, max(d[1] for d in degs) + margin)
+            max(d[0] for d in degs) + 1, max(d[1] for d in degs) + 1)
 
 
 def clip_to_box(M, box):
@@ -97,7 +95,7 @@ def _fr_gcd(a, b):
 def _progression(coords, lo, hi):
     vals = sorted(set(coords) | {lo, hi})
     diffs = [v - vals[0] for v in vals[1:]]
-    h = reduce(_fr_gcd, diffs) if diffs else Fraction(1)
+    h = functools.reduce(_fr_gcd, diffs) if diffs else Fraction(1)
     n = int((hi - lo) / h)
     return [lo + k * h for k in range(n + 1)]
 
@@ -119,91 +117,84 @@ def _blocks(M):
             for rows, cols in grmat.connected_components(M) if rows]
 
 
-def _block_hn(block, alpha, engine, seed, cheng_grid=None, box=None):
-    if engine == "cheng":
-        if cheng_grid is None:
-            cheng_grid = regular_grid(block, [alpha], box)
-        try:
-            return cheng.hn_cheng(block, cheng_grid, alpha, seed=seed)
-        except cheng.ShrunkFailure as exc:
-            raise EngineFailure(alpha, exc)
-    return hn_core.hn_filtration_at(block, alpha)
-
-
-def hn_at(M, alpha, engine="brute", seed=0, box=None, margin=1,
-          cheng_grid=None):
-    """HN filtration of <V_alpha> of the clipped module, computed per
-    connected block and merged by slope."""
-    alpha = as_degree(alpha)
-    box = box or bounding_box(M, margin)
-    Mc = clip_to_box(M, box)
+def _hn_blocks(blocks, alpha, engine, seed, cheng_grid, work=None):
+    """HN filtration at alpha of the direct sum of the blocks: one engine
+    run per block, merged by slope.  cheng_grid(i) is the grid of block i
+    for the cheng engine, asked for only when the fiber is non-zero.  An
+    engine returns an empty list on a zero fiber; work[i] counts the
+    non-empty results of block i."""
+    _check_engine(engine)
     lists = []
-    for block in _blocks(Mc):
-        if grmat.pointwise_model(block, alpha).dim == 0:
-            continue
-        lists.append(_block_hn(block, alpha, engine, seed,
-                               cheng_grid=cheng_grid, box=box))
-    if not lists:
-        return HNFactorList(alpha, [])
-    return merge_factors(lists)
+    for i, block in enumerate(blocks):
+        if engine == "cheng":
+            try:
+                fl = cheng.hn_cheng(block, functools.partial(cheng_grid, i),
+                                    alpha, seed=seed)
+            except cheng.ShrunkFailure as exc:
+                raise EngineFailure(alpha, exc)
+        else:
+            fl = hn_core.hn_filtration_at(block, alpha)
+        if fl.factors:
+            lists.append(fl)
+            if work is not None:
+                work[i] += 1
+    return merge_factors(lists) if lists else HNFactorList(alpha, [])
+
+
+def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
+    """HN filtration of <V_alpha> of the clipped module, computed per
+    connected block and merged by slope.  The cheng engine runs on
+    cheng_grid, or else on the regular grid of each block and alpha."""
+    alpha = as_degree(alpha)
+    box = box or bounding_box(M)
+    blocks = _blocks(clip_to_box(M, box))
+    return _hn_blocks(
+        blocks, alpha, engine, seed,
+        lambda i: (regular_grid(blocks[i], [alpha], box)
+                   if cheng_grid is None else cheng_grid))
 
 
 def _eps_points(box, epsilon):
-    """epsilon-lattice points inside the half-open box, colexicographic."""
+    """x and y coordinates of the epsilon-lattice points inside the
+    half-open box."""
     x0, y0, x1, y1 = box
-    kx0 = math.ceil(x0 / epsilon)
-    ky0 = math.ceil(y0 / epsilon)
-    xs = []
-    k = kx0
-    while k * epsilon < x1:
-        xs.append(k * epsilon)
-        k += 1
-    ys = []
-    k = ky0
-    while k * epsilon < y1:
-        ys.append(k * epsilon)
-        k += 1
-    return xs, ys
+
+    def axis(lo, hi):
+        return [k * epsilon for k in range(math.ceil(lo / epsilon),
+                                           math.ceil(hi / epsilon))]
+    return axis(x0, x1), axis(y0, y1)
+
+
+def _sweep(box, epsilon, hn_of):
+    """Store of the non-empty filtrations hn_of(alpha) at the epsilon-lattice
+    points alpha of the box, visited colexicographically."""
+    xs, ys = _eps_points(box, epsilon)
+    store = SkyscraperStore(epsilon)
+    for y in ys:
+        for x in xs:
+            fl = hn_of((x, y))
+            if fl.factors:
+                store.insert(fl)
+    return store
 
 
 def approx_skyscraper(M, cfg):
     """Store of HN filtrations at every epsilon-lattice point of the
     support; an epsilon-approximation of the true invariant in erosion
     distance.  store.work counts engine runs per block."""
-    box = cfg.box or bounding_box(M, cfg.margin)
-    Mc = clip_to_box(M, box)
-    blocks = _blocks(Mc)
-    xs, ys = _eps_points(box, cfg.epsilon)
-    store = SkyscraperStore(cfg.epsilon)
-    store.work = [0] * len(blocks)
-    grids = [None] * len(blocks)
-    for y in ys:
-        for x in xs:
-            alpha = (x, y)
-            lists = []
-            for i, block in enumerate(blocks):
-                if grmat.pointwise_model(block, alpha).dim == 0:
-                    continue
-                if cfg.engine == "cheng" and grids[i] is None:
-                    lattice = [(xx, yy) for xx in xs for yy in ys]
-                    grids[i] = regular_grid(block, lattice, box)
-                lists.append(_block_hn(block, alpha, cfg.engine, cfg.seed,
-                                       cheng_grid=grids[i], box=box))
-                store.work[i] += 1
-            if lists:
-                store.insert(merge_factors(lists))
+    box = cfg.box or bounding_box(M)
+    blocks = _blocks(clip_to_box(M, box))
+
+    @functools.cache
+    def cheng_grid(i):
+        xs, ys = _eps_points(box, cfg.epsilon)
+        return regular_grid(blocks[i], [(x, y) for x in xs for y in ys], box)
+
+    work = [0] * len(blocks)
+    store = _sweep(box, cfg.epsilon, lambda alpha: _hn_blocks(
+        blocks, alpha, cfg.engine, cfg.seed, cheng_grid, work))
+    store.work = work
     return store
-
-
-def _fiber_presentation(M, alpha):
-    """Minimized presentation of the submodule generated by the fiber at
-    alpha, or None when the fiber vanishes."""
-    pm = grmat.pointwise_model(M, alpha)
-    if pm.dim == 0:
-        return None
-    S = GradedMatrix(M.field, M.row_degrees, [alpha] * pm.dim,
-                     [[(i, M.field.one)] for i in pm.basis_rows])
-    return grmat.minimize(grmat.submodule_presentation(M, S))
 
 
 def _cell_trees(summand, grid, corner):
@@ -214,13 +205,11 @@ def _cell_trees(summand, grid, corner):
     ny = next((y for y in grid.ys if y > ay), None)
     if nx is None or ny is None:
         return None
-    sub = _fiber_presentation(summand, corner)
+    sub = grmat.fiber_submodule(summand, corner)
     if sub is None:
         return None
-    trees = []
-    for piece in _blocks(sub):
-        trees.append(subdivision.exact_hnf_cell(piece, (ax, ay, nx, ny)))
-    return trees
+    return [subdivision.exact_hnf_cell(piece, (ax, ay, nx, ny))
+            for piece in _blocks(sub)]
 
 
 def _coalesce(alpha, lists):
@@ -245,22 +234,23 @@ class ExactStore:
 
     def __init__(self, box):
         self.box = box
-        self.summands = []   # (module, grid, {corner: [SubdivTree]})
+        self.summands = []   # (module, grid, {corner: [SubdivTree] or None})
+        self.work = []       # per summand: tree lists built
 
     def _add_summand(self, module):
         self.summands.append((module, grmat.induced_grid(module), {}))
+        self.work.append(0)
 
-    def _trees_at(self, idx, beta, cache=True):
+    def _trees_at(self, idx, beta):
         module, grid, cells = self.summands[idx]
         corner = grid.floor(beta)
         if corner[0] == invariants.NEG_INF or corner[1] == invariants.NEG_INF:
             return None
-        if corner in cells:
-            return cells[corner]
-        trees = _cell_trees(module, grid, corner)
-        if cache:
-            cells[corner] = trees
-        return trees
+        if corner not in cells:
+            cells[corner] = _cell_trees(module, grid, corner)
+            if cells[corner] is not None:
+                self.work[idx] += 1
+        return cells[corner]
 
     def factors_at(self, beta):
         beta = as_degree(beta)
@@ -269,13 +259,10 @@ class ExactStore:
             trees = self._trees_at(i, beta)
             if not trees:
                 continue
-            per_piece = [t.factors_at(beta) for t in trees]
-            merged = _coalesce(beta, per_piece)
+            merged = _coalesce(beta, [t.factors_at(beta) for t in trees])
             if merged.factors:
                 lists.append(merged)
-        if not lists:
-            return HNFactorList(beta, [])
-        return merge_factors(lists)
+        return merge_factors(lists) if lists else HNFactorList(beta, [])
 
     def query(self, theta, beta, gamma):
         """s^theta(beta, gamma): staircase memberships of gamma among HN
@@ -296,62 +283,46 @@ class ExactStore:
         return store
 
 
-def exact_skyscraper(M, box=None, margin=1, eager=True):
+def exact_skyscraper(M, box=None, eager=True):
     """Exact skyscraper store: the clipped module is split into summands
     and each induced-grid cell gets the subdivision trees of the fiber
-    submodule at its lower corner."""
-    box = box or bounding_box(M, margin)
+    submodule at its lower corner (all cells now when eager, else each
+    cell at its first query)."""
+    box = box or bounding_box(M)
     store = ExactStore(box)
     for block in _blocks(clip_to_box(M, box)):
         store._add_summand(block)
     if eager:
-        for i, (module, grid, cells) in enumerate(store.summands):
+        for i, (_, grid, _) in enumerate(store.summands):
             for corner in grid.points():
-                if corner not in cells:
-                    cells[corner] = _cell_trees(module, grid, corner)
+                store._trees_at(i, corner)
     return store
 
 
 def parallel_grid_scan(M, cfg):
-    """Sweep the epsilon lattice colexicographically, reusing each
-    summand's subdivision trees across lattice points of one grid row and
-    evicting a summand's cache whenever its row pointer advances in y.
-    Produces the same store as approx_skyscraper; store.work counts tree
-    computations per summand (never more than the engine runs of approx)."""
-    box = cfg.box or bounding_box(M, cfg.margin)
-    store = ExactStore(box)
-    for block in _blocks(clip_to_box(M, box)):
-        store._add_summand(block)
-    xs, ys = _eps_points(box, cfg.epsilon)
-    out = SkyscraperStore(cfg.epsilon)
-    out.work = [0] * len(store.summands)
-    pointer_y = [None] * len(store.summands)
-    for y in ys:
-        for x in xs:
-            alpha = (x, y)
-            lists = []
-            for i, (module, grid, cells) in enumerate(store.summands):
-                corner = grid.floor(alpha)
-                if (corner[0] == invariants.NEG_INF
-                        or corner[1] == invariants.NEG_INF):
-                    continue
-                if pointer_y[i] != corner[1]:
-                    cells.clear()          # y-advance evicts the cache
-                    pointer_y[i] = corner[1]
-                if corner not in cells:
-                    cells[corner] = _cell_trees(module, grid, corner)
-                    if cells[corner] is not None:
-                        out.work[i] += 1
-                trees = cells[corner]
-                if not trees:
-                    continue
-                merged = _coalesce(alpha, [t.factors_at(alpha)
-                                           for t in trees])
-                if merged.factors:
-                    lists.append(merged)
-            if lists:
-                out.insert(merge_factors(lists))
-    return out
+    """The epsilon-lattice sweep of approx_skyscraper answered from the
+    lazily built cells of an ExactStore: a summand's trees serve every
+    lattice point of one grid row, and its cells are evicted when the
+    sweep leaves their row.  Produces the same store as
+    approx_skyscraper; store.work counts tree computations per summand
+    (never more than the engine runs of approx)."""
+    box = cfg.box or bounding_box(M)
+    ex = exact_skyscraper(M, box, eager=False)
+    sweep_y = None
+
+    def hn_of(alpha):
+        nonlocal sweep_y
+        if alpha[1] != sweep_y:     # a new lattice row
+            sweep_y = alpha[1]
+            for _, grid, cells in ex.summands:
+                y = grid.floor(alpha)[1]
+                if any(corner[1] != y for corner in cells):
+                    cells.clear()
+        return ex.factors_at(alpha)
+
+    store = _sweep(box, cfg.epsilon, hn_of)
+    store.work = ex.work
+    return store
 
 
 def _query_fn(store):

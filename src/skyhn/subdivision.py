@@ -143,11 +143,7 @@ def slope_polynomial(M):
     integrals of the restrictions to the vertical and horizontal rays
     through alpha."""
     fc = fiber_classes(M)
-    F = M.field
-    t = M.nrows
-    ident = [[F.one if i == j else F.zero for i in range(t)]
-             for j in range(t)]
-    return _poly_from_ranks(fc, t, fc.ranks(fc.to_internal(ident)))
+    return _poly_from_ranks(fc, M.nrows, fc.coranks)
 
 
 def _envelope_regions(entries, base_region, origin):

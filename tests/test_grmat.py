@@ -87,11 +87,7 @@ def test_submodule_presentation_vertical_slice(cross):
 
 
 def test_quotient_presentation_horizontal_factor(cross):
-    alpha = (Fr(0), Fr(1))
-    pm = grmat.pointwise_model(cross, alpha)
-    S = grmat.GradedMatrix(F2, cross.row_degrees, [alpha] * pm.dim,
-                           [[(i, 1)] for i in pm.basis_rows])
-    sub = grmat.minimize(grmat.submodule_presentation(cross, S))
+    sub = grmat.fiber_submodule(cross, (Fr(0), Fr(1)))
     # quotient by the vertical line e_v
     ev = next(j for j in range(sub.nrows))
     B = DenseMatrix.from_columns([[1, 0]], 2, F2) \
@@ -113,21 +109,10 @@ def test_quotient_presentation_horizontal_factor(cross):
 
 
 def test_quotient_rejects_degenerate_basis(cross):
-    alpha = (Fr(0), Fr(1))
-    pm = grmat.pointwise_model(cross, alpha)
-    S = grmat.GradedMatrix(F2, cross.row_degrees, [alpha] * pm.dim,
-                           [[(i, 1)] for i in pm.basis_rows])
-    sub = grmat.minimize(grmat.submodule_presentation(cross, S))
+    sub = grmat.fiber_submodule(cross, (Fr(0), Fr(1)))
     B = DenseMatrix.from_columns([[1, 1], [1, 1]], 2, F2)
     with pytest.raises(ValueError):
         grmat.quotient_presentation(sub, B)
-
-
-def test_shift_join(cross):
-    N = grmat.shift_join(cross, (Fr(0), Fr(1)))
-    assert N.row_degrees[0] == (Fr(0), Fr(1))
-    assert N.col_degrees[0] == (Fr(1), Fr(1))
-    assert N.col_degrees[1] == (Fr(0), Fr(3))
 
 
 def test_pointwise_dims_and_structure_map(cross):
@@ -374,3 +359,20 @@ def test_echelon_matches_reference():
                 assert got.contains(v) == want.contains(v)
                 assert got.insert(v) == want.insert(v)
                 assert got.pivots == want.pivots
+
+
+def test_echelon_reduce_clears_pivots():
+    """reduce(v) is zero on every pivot row and differs from v by a vector
+    of the span."""
+    rng = random.Random(37)
+    for F in [F3, PrimeField(7), fieldmod.ext_field_build(2, 2)]:
+        els = list(F.elements())
+        for _ in range(60):
+            n = rng.randrange(1, 6)
+            ech = grmat._Echelon(F, n)
+            for _ in range(rng.randrange(0, n + 1)):
+                ech.insert([rng.choice(els) for _ in range(n)])
+            v = [rng.choice(els) for _ in range(n)]
+            r = ech.reduce(v)
+            assert all(r[piv] == F.zero for piv in ech.pivots)
+            assert ech.contains([F.sub(a, b) for a, b in zip(v, r)])

@@ -75,11 +75,7 @@ def test_largest_flag_picks_maximal_on_tie():
 
 
 def test_subspace_grid_dims(cross):
-    alpha = (Fr(0), Fr(1))
-    pm = grmat.pointwise_model(cross, alpha)
-    S = grmat.GradedMatrix(F2, cross.row_degrees, [alpha] * pm.dim,
-                           [[(i, 1)] for i in pm.basis_rows])
-    sub = grmat.minimize(grmat.submodule_presentation(cross, S))
+    sub = grmat.fiber_submodule(cross, (Fr(0), Fr(1)))
     G, dims = subspace_grid_dims(sub, [[1, 1]])
     assert dims[(Fr(0), Fr(1))] == 1
 

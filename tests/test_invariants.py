@@ -63,11 +63,7 @@ def test_staircase_area():
 
 
 def test_superlevel_staircases_at_base(cross):
-    alpha = (Fr(0), Fr(1))
-    pm = grmat.pointwise_model(cross, alpha)
-    S = grmat.GradedMatrix(F2, cross.row_degrees, [alpha] * pm.dim,
-                           [[(i, 1)] for i in pm.basis_rows])
-    sub = grmat.minimize(grmat.submodule_presentation(cross, S))
+    sub = grmat.fiber_submodule(cross, (Fr(0), Fr(1)))
     stairs = superlevel_staircases(sub)
     assert len(stairs) == 2
     # level 1: union shape; level 2: the overlap rectangle [0,1)x[1,2)
@@ -119,6 +115,30 @@ def test_store_locate_snapping():
     store = _cross_store()
     assert store.locate((Fr(1, 2), Fr(3, 2))) is not None
     assert store.locate((Fr(-1), Fr(0))) is None
+
+
+def test_store_locate_key_grid_follows_inserts():
+    # a grid-snapped store reuses its key grid between inserts; every
+    # insert must drop it, so off-key points see later keys
+    rng = random.Random(77)
+    store = SkyscraperStore()
+    assert store.locate((Fr(1), Fr(1))) is None
+
+    def fresh(alpha):
+        ks = store.keys()
+        key = Grid([k[0] for k in ks], [k[1] for k in ks]).floor(alpha)
+        return store.entries.get(key)
+
+    store.insert(HNFactorList((Fr(0), Fr(0)), []))
+    assert store.locate((Fr(3, 2), Fr(3, 2))).alpha == (Fr(0), Fr(0))
+    store.insert(HNFactorList((Fr(1), Fr(1)), []))
+    assert store.locate((Fr(3, 2), Fr(3, 2))).alpha == (Fr(1), Fr(1))
+    for _ in range(30):
+        key = (Fr(rng.randrange(-4, 8), 2), Fr(rng.randrange(-4, 8), 2))
+        store.insert(HNFactorList(key, []))
+        for _ in range(10):
+            p = (Fr(rng.randrange(-6, 10), 3), Fr(rng.randrange(-6, 10), 3))
+            assert store.locate(p) is fresh(p), p
 
 
 def test_merge_factors_sorted():

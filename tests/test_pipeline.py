@@ -4,8 +4,9 @@ from fractions import Fraction as Fr
 import pytest
 
 from skyhn import field as fieldmod
-from skyhn import grmat, invariants, pipeline
-from skyhn.grmat import Grid
+from skyhn import cheng, grmat, hn_core, invariants, pipeline
+from skyhn.grmat import NEG_INF, Grid
+from skyhn.invariants import SkyscraperStore, merge_factors
 from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
                             clip_to_box, exact_skyscraper,
                             factor_interval_check, filtered_landscape,
@@ -19,10 +20,15 @@ def test_scan_config_validation():
         ScanConfig(epsilon=0)
     with pytest.raises(ValueError):
         ScanConfig(engine="magic")
+
+
+def test_engine_names_are_validated(cross):
+    # "exact" names no HN engine, and a misspelt name must not fall back
+    # to brute force
     with pytest.raises(ValueError):
-        ScanConfig(resolution=1)
+        ScanConfig(engine="exact")
     with pytest.raises(ValueError):
-        ScanConfig(anchor="left")
+        hn_at(cross, (Fr(0), Fr(1)), engine="chen")
 
 
 def test_bounding_box_and_clip(cross):
@@ -125,6 +131,95 @@ def test_scan_equals_approx_random(rng):
             sa = approx_skyscraper(M, cfg)
             sc = parallel_grid_scan(M, cfg)
             assert sa == sc, (trial, eps)
+
+
+def _approx_reference(M, cfg):
+    """approx_skyscraper before the shared sweep: zero fibers are skipped
+    by a pointwise-model check, every other block runs its engine."""
+    box = cfg.box or bounding_box(M)
+    blocks = pipeline._blocks(clip_to_box(M, box))
+    xs, ys = pipeline._eps_points(box, cfg.epsilon)
+    store = SkyscraperStore(cfg.epsilon)
+    store.work = [0] * len(blocks)
+    grids = [None] * len(blocks)
+    for y in ys:
+        for x in xs:
+            alpha = (x, y)
+            lists = []
+            for i, block in enumerate(blocks):
+                if grmat.pointwise_model(block, alpha).dim == 0:
+                    continue
+                if cfg.engine == "cheng":
+                    if grids[i] is None:
+                        grids[i] = pipeline.regular_grid(
+                            block, [(a, b) for a in xs for b in ys], box)
+                    lists.append(cheng.hn_cheng(block, grids[i], alpha,
+                                                seed=cfg.seed))
+                else:
+                    lists.append(hn_core.hn_filtration_at(block, alpha))
+                store.work[i] += 1
+            if lists:
+                store.insert(merge_factors(lists))
+    return store
+
+
+def _scan_reference(M, cfg):
+    """parallel_grid_scan before the shared sweep: its own cell cache per
+    summand, evicted when the summand's row pointer advances in y."""
+    box = cfg.box or bounding_box(M)
+    summands = [(b, grmat.induced_grid(b), {})
+                for b in pipeline._blocks(clip_to_box(M, box))]
+    xs, ys = pipeline._eps_points(box, cfg.epsilon)
+    out = SkyscraperStore(cfg.epsilon)
+    out.work = [0] * len(summands)
+    pointer_y = [None] * len(summands)
+    for y in ys:
+        for x in xs:
+            alpha = (x, y)
+            lists = []
+            for i, (module, grid, cells) in enumerate(summands):
+                corner = grid.floor(alpha)
+                if corner[0] == NEG_INF or corner[1] == NEG_INF:
+                    continue
+                if pointer_y[i] != corner[1]:
+                    cells.clear()
+                    pointer_y[i] = corner[1]
+                if corner not in cells:
+                    cells[corner] = pipeline._cell_trees(module, grid, corner)
+                    if cells[corner] is not None:
+                        out.work[i] += 1
+                trees = cells[corner]
+                if not trees:
+                    continue
+                merged = pipeline._coalesce(
+                    alpha, [t.factors_at(alpha) for t in trees])
+                if merged.factors:
+                    lists.append(merged)
+            if lists:
+                out.insert(merge_factors(lists))
+    return out
+
+
+def test_sweep_matches_reference_drivers():
+    rng = random.Random(2026)
+    cheng_runs = 0
+    for trial in range(40):
+        F = F2 if trial % 2 else F3
+        M = random_bounded_module(rng, F, rng.randrange(1, 3), dmax=3)
+        engines = ("brute", "cheng") if trial % 8 == 0 else ("brute",)
+        for eps in (Fr(1), Fr(1, 2)):
+            for engine in engines:
+                cfg = ScanConfig(epsilon=eps, engine=engine, seed=trial)
+                got = approx_skyscraper(M, cfg)
+                want = _approx_reference(M, cfg)
+                assert got == want, (trial, eps, engine)
+                assert got.work == want.work, (trial, eps, engine)
+                cheng_runs += engine == "cheng" and sum(got.work) > 0
+            cfg = ScanConfig(epsilon=eps)
+            got, want = parallel_grid_scan(M, cfg), _scan_reference(M, cfg)
+            assert got == want, (trial, eps)
+            assert got.work == want.work, (trial, eps)
+    assert cheng_runs >= 5
 
 
 def test_erosion_approx_vs_exact(cross):
