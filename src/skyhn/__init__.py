@@ -31,4 +31,19 @@ from .pipeline import (EngineFailure, ScanConfig, approx_skyscraper,
                        exact_skyscraper, factor_interval_check,
                        filtered_landscape, hn_at, parallel_grid_scan)
 
+__all__ = ["DenseMatrix", "FieldExt", "PrimeField", "ext_field_build",
+           "GradedMatrix", "Grid", "direct_sum", "induced_grid", "kernel",
+           "minimize", "pointwise_model", "quotient_presentation",
+           "structure_map", "submodule_presentation", "HNFactor",
+           "HNFactorList", "SkyscraperStore", "Staircase", "betti_numbers",
+           "erosion_distance", "hilbert_function", "integral_dim",
+           "merge_factors", "skyscraper_query", "slope_at",
+           "superlevel_staircases", "brute_force_max_slope",
+           "hn_filtration_at", "MatrixSpace", "ShrunkFailure", "hn_cheng",
+           "shrunk_subspace_random", "ConvexRegion", "SlopePoly",
+           "SubdivTree", "all_max_slope", "exact_hnf_cell", "lower_envelope",
+           "slope_polynomial", "EngineFailure", "ScanConfig",
+           "approx_skyscraper", "exact_skyscraper", "factor_interval_check",
+           "filtered_landscape", "hn_at", "parallel_grid_scan"]
+
 __version__ = "0.1.0"

@@ -11,6 +11,12 @@ limit lands inside the image of A.  The Wong image steps exploit the block
 structure of blow-ups (the whole limit has the form k^p tensor S), and A is
 sparsified beforehand by invertible column operations that stay inside the
 blow-up span.
+
+Extension elements exist only as g x g blocks over the module's prime field
+(field.embed_phi), so blow-ups, Wong steps and certificates are all
+prime-field work: list-level columns through the one incremental echelon
+grmat._Echelon and field.reduce_columns, with a GF(2) bitmask path and an
+inlined ``% q`` path.
 """
 
 from __future__ import annotations
@@ -21,9 +27,8 @@ from fractions import Fraction
 
 from . import field as fieldmod
 from . import grmat, invariants
-from .field import (DenseMatrix, PrimeField, _insert_f2, _insert_generic,
-                    embed_phi, ext_field_build, kron)
-from .grmat import as_degree, deg_leq
+from .field import DenseMatrix, embed_phi, ext_field_build
+from .grmat import _Echelon, as_degree, deg_leq
 from .hn_core import fiber_classes
 from .invariants import HNFactor, HNFactorList
 
@@ -43,39 +48,6 @@ class ShrunkFailure(RuntimeError):
         self.attempts = attempts
 
 
-def _is_f2(F):
-    return isinstance(F, PrimeField) and F.q == 2
-
-
-class _Span:
-    """Incremental column span over F with an F_2 bitmask fast path."""
-
-    def __init__(self, F, nrows):
-        self.F = F
-        self.nrows = nrows
-        self.f2 = _is_f2(F)
-        self.ech = {}
-
-    def insert(self, col):
-        if self.f2:
-            v = 0
-            for i, x in enumerate(col):
-                if x:
-                    v |= 1 << i
-            return _insert_f2({}, self.ech, v)
-        return _insert_generic(self.F, {}, self.ech, list(col))
-
-    @property
-    def dim(self):
-        return len(self.ech)
-
-    def basis_columns(self):
-        if self.f2:
-            return [[(v >> i) & 1 for i in range(self.nrows)]
-                    for v in self.ech.values()]
-        return [list(v) for v in self.ech.values()]
-
-
 class MatrixSpace:
     """A subspace of k^{nrows x ncols} given by an independent basis."""
 
@@ -85,12 +57,12 @@ class MatrixSpace:
         self.ncols = ncols
         self.basis = list(basis)
         if check:
-            span = _Span(field, nrows * ncols)
+            span = _Echelon(field, nrows * ncols)
             for B in self.basis:
                 if B.rows != nrows or B.cols != ncols or B.field != field:
                     raise ValueError("basis matrix shape/field mismatch")
                 vec = [x for row in B.data for x in row]
-                if not span.insert(vec):
+                if span.insert(vec) is None:
                     raise ValueError("basis matrices are not independent")
 
     @property
@@ -118,14 +90,12 @@ class BlowUp:
         span(ucols) is k^p tensor S, because every block position i is
         reachable through some E_{ij} tensor A_k."""
         sp = self.space
-        F = sp.field
         Np = sp.ncols
-        z = F.zero
-        span = _Span(F, sp.nrows)
+        span = _Echelon(sp.field, sp.nrows)
         for u in ucols:
             for j in range(self.q):
                 blk = u[j * Np:(j + 1) * Np]
-                if all(x == z for x in blk):
+                if not any(blk):
                     continue
                 for A in sp.basis:
                     span.insert(A.matvec(blk))
@@ -158,12 +128,11 @@ class WongState:
 
     def w_columns(self):
         """Basis of W = k^p tensor S as dense columns of length p*nrows."""
-        F = self.A.field
         N = self.blow.space.nrows
         out = []
         for a in range(self.blow.p):
             for s in self.s_basis:
-                w = [F.zero] * (self.blow.p * N)
+                w = [0] * (self.blow.p * N)
                 w[a * N:(a + 1) * N] = s
                 out.append(w)
         return out
@@ -175,7 +144,7 @@ class WongState:
         rank, _, combos = fieldmod.reduce_columns(F, aug, self.A.rows)
         self._last_aug_rank = rank
         na = len(self._acols)
-        span = _Span(F, na)
+        span = _Echelon(F, na)
         for c in combos:
             span.insert(c[:na])
         return span.basis_columns()
@@ -209,83 +178,26 @@ def _run_wong(A, blow):
 # ---------------------------------------------------------------------------
 # randomized minimal shrunk subspace
 
-def _assemble_blocks(blocks, g, F):
-    """Stack a p x q array of g x g DenseMatrix blocks into one matrix."""
-    p, q = len(blocks), len(blocks[0])
-    out = DenseMatrix.zero(p * g, q * g, F)
-    for i in range(p):
-        for j in range(q):
-            B = blocks[i][j]
-            for a in range(g):
-                row = out.data[i * g + a]
-                brow = B.data[a]
-                for b in range(g):
-                    row[j * g + b] = brow[b]
-    return out
-
-
-def _echelon_transform(F, cols):
-    """Column-echelonize; return the invertible transformation C (as a
-    DenseMatrix of columns) with [cols] . C in echelon form.  Only
-    "subtract a multiple of another column" operations are used."""
-    n = len(cols)
-    z = F.zero
-    work = [list(c) for c in cols]
-    trans = [[F.one if i == j else z for i in range(n)] for j in range(n)]
-    pivots = {}
-    for j in range(n):
-        col, tr = work[j], trans[j]
-        while True:
-            piv = None
-            for i in range(len(col) - 1, -1, -1):
-                if col[i] != z:
-                    piv = i
-                    break
-            if piv is None or piv not in pivots:
-                break
-            pj = pivots[piv]
-            pc, pt = work[pj], trans[pj]
-            c = F.mul(col[piv], F.inv(pc[piv]))
-            for r in range(piv + 1):
-                if pc[r] != z:
-                    col[r] = F.sub(col[r], F.mul(c, pc[r]))
-            for r in range(n):
-                if pt[r] != z:
-                    tr[r] = F.sub(tr[r], F.mul(c, pt[r]))
-        if piv is not None:
-            pivots[piv] = j
-    return DenseMatrix.from_columns(trans, n, F)
-
-
 def _partial_reduce(F, xmats):
-    """Sparsify the coefficient matrices before forming A.
+    """Sparsify the coefficient matrices (lists of rows) before forming A.
 
     Stacking all X_i vertically gives the scalar matrix whose column b
     collects the coefficients of A's block-column b.  A common invertible
     right factor C (column echelon of the stack) maps each X_i to X_i . C;
     the resulting A picks up zero block-columns while staying in the span
-    of the blow-up, since only the X coefficients changed.
+    of the blow-up, since only the X coefficients changed.  Column b of
+    the stack times C is the echelon's remainder of column b (zero for a
+    dependent column), so the blocks of the remainders are the X_i . C.
     """
     if not xmats:
         return xmats
-    Q = xmats[0].cols
-    stacked = []
-    for b in range(Q):
-        col = []
-        for X in xmats:
-            col.extend(X.column(b))
-        stacked.append(col)
-    C = _echelon_transform(F, stacked)
-    return [X.matmul(C) for X in xmats]
-
-
-def _mat_add_into(acc, M):
-    F = acc.field
-    for i in range(acc.rows):
-        arow, mrow = acc.data[i], M.data[i]
-        for j in range(acc.cols):
-            if mrow[j] != F.zero:
-                arow[j] = F.add(arow[j], mrow[j])
+    P, Q = len(xmats[0]), len(xmats[0][0])
+    n = P * len(xmats)
+    ech = _Echelon(F, n)
+    red = [ech.insert([row[b] for X in xmats for row in X]) or [0] * n
+           for b in range(Q)]
+    return [[[col[k * P + i] for col in red] for i in range(P)]
+            for k in range(len(xmats))]
 
 
 def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
@@ -314,32 +226,40 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
         g = max(1, math.ceil(math.log(p, F.q) ** 2))
     g += g_extra
     rng = random.Random(seed)
-    if g == 1:
-        xmats = [DenseMatrix(p, q, F,
-                             [[rng.randrange(F.q) for _ in range(q)]
-                              for _ in range(p)])
-                 for _ in range(space.ell)]
-    else:
-        ext = ext_field_build(F.q, g)
-        xmats = []
-        for _ in range(space.ell):
-            blocks = [[embed_phi(tuple(rng.randrange(F.q) for _ in range(g)),
-                                 ext)
-                       for _ in range(q)] for _ in range(p)]
-            xmats.append(_assemble_blocks(blocks, g, F))
+    ext = ext_field_build(F.q, g) if g > 1 else None
     P, Q = g * p, g * q
+    xmats = []
+    for _ in range(space.ell):
+        # a p x q array of random extension elements as g x g blocks
+        X = [[0] * Q for _ in range(P)]
+        for i in range(p):
+            for j in range(q):
+                x = [rng.randrange(F.q) for _ in range(g)]
+                blk = embed_phi(x, ext).data if ext else [x]
+                for a in range(g):
+                    X[i * g + a][j * g:(j + 1) * g] = blk[a]
+        xmats.append(X)
     xmats = _partial_reduce(F, xmats)
-    A = DenseMatrix.zero(P * space.nrows, Q * Np, F)
+    # A = sum_k X_k (x) A_k, accumulated over the nonzero entries of A_k
+    N = space.nrows
+    acc = [[0] * (Q * Np) for _ in range(P * N)]
     for X, Ak in zip(xmats, space.basis):
-        _mat_add_into(A, kron(X, Ak))
+        nz = [(a, b, v) for a, row in enumerate(Ak.data)
+              for b, v in enumerate(row) if v]
+        for i, xrow in enumerate(X):
+            for j, x in enumerate(xrow):
+                if x:
+                    for a, b, v in nz:
+                        acc[i * N + a][j * Np + b] += x * v
+    A = DenseMatrix(P * N, Q * Np, F, [[v % F.q for v in row] for row in acc])
     st = _run_wong(A, BlowUp(space, P, Q))
     if not st.contained:
         return None
     pre = st.last_preimage     # basis of k^{Q} tensor U*
-    span = _Span(F, Np)
+    span = _Echelon(F, Np)
     for c in pre:
         span.insert(c[:Np])    # first block projects onto U*
-    if span.dim * Q != len(pre):
+    if span.rank * Q != len(pre):
         # the preimage does not have the tensor shape the scaling law
         # demands; treat as a failed draw rather than returning junk
         return None
@@ -377,7 +297,7 @@ def build_A_alpha(M, G, alpha):
         q0 += T.rows
     basis = []
     for off, T in placed:
-        if all(x == F.zero for row in T.data for x in row):
+        if not any(map(any, T.data)):
             continue
         B = DenseMatrix.zero(q0, p0, F)
         for a in range(T.rows):
@@ -436,7 +356,8 @@ def _split_fiber(space, p0, q0, alpha, seed, g_extra, max_retries,
     above p/(p+q); probing small ratios near p0/q0 often yields a usable
     split long before the exact (and large) (p0, q0) computation.
     """
-    if q0 == 0 or space.ell == 0:
+    if q0 == 0 or space.ell == 0 or p0 == 1:
+        # a one-dimensional fiber has no proper nonzero subspace
         return None
     g = math.gcd(p0, q0)
     rp, rq = p0 // g, q0 // g
@@ -484,7 +405,7 @@ def _factors_rec(cur, G, alpha, seed, g_extra, max_retries, farey_budget,
     ucols = [U.column(j) for j in range(U.cols)]
     S = grmat.GradedMatrix(
         F, cur.row_degrees, [alpha] * U.cols,
-        [[(i, v) for i, v in enumerate(col) if v != F.zero] for col in ucols])
+        [[(i, v) for i, v in enumerate(col) if v] for col in ucols])
     sub = grmat.minimize(grmat.submodule_presentation(cur, S))
     quot = grmat.quotient_presentation(cur, U)
     return (_factors_rec(sub, G, alpha, hash((seed, 1)), g_extra,

@@ -24,10 +24,9 @@ import sys
 from fractions import Fraction
 
 from . import field as fieldmod
-from . import grmat, hn_core, invariants, pipeline
+from . import grmat, pipeline
 from .grmat import GradedMatrix
-from .invariants import (HNFactor, HNFactorList, SkyscraperStore, Staircase,
-                         skyscraper_query)
+from .invariants import HNFactor, HNFactorList, SkyscraperStore, Staircase
 
 __all__ = ["ParseError", "parse_presentation", "parse_store", "emit_store",
            "emit_landscape", "main"]

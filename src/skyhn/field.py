@@ -1,15 +1,20 @@
-"""Exact arithmetic over prime fields, extension fields, and dense matrices.
+"""Exact arithmetic over prime fields and dense matrices over them.
 
-Prime field elements are plain ints in [0, q).  Extension field elements are
-tuples of base-field ints of length g (coefficient vectors, constant term
-first).  Elimination is one list-level column reduction, reduce_columns,
-with an F_2 bitmask path and an inlined ``% q`` prime-field path; reduce
-wraps it for DenseMatrix.  Module-level sparsity is handled upstream.
+Field elements are plain ints in [0, q) for a prime q, and every matrix
+operation inlines its ``% q``.  Extension fields F_{q^g} appear only inside
+the randomized engine: ext_field_build picks the modulus and embed_phi turns
+an element (g base-field coefficients, constant term first) into a g x g
+block over F_q, so no extension arithmetic exists.  Elimination is one
+list-level column reduction, reduce_columns, with an F_2 bitmask path and
+an inlined ``% q`` path; reduce wraps it for DenseMatrix, and the
+incremental echelon primitives _insert_f2/_insert_generic share its cached
+inverse table.  Module-level sparsity is handled upstream.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 
 def _is_prime(n):
@@ -172,93 +177,23 @@ def _irreducible(F, coeffs):
 
 
 class FieldExt:
-    """Extension field F_{q^g} = F_q[x]/(modulus).
-
-    Elements are tuples of g ints (coefficients, constant term first).
-    `companion` is the g x g matrix of multiplication by the class of x
-    acting on coefficient columns: subdiagonal ones, last column the
-    negated modulus tail.
-    """
+    """The extension F_{q^g} = F_q[x]/(modulus), kept only as its modulus
+    (length g+1, monic, constant term first) and `companion`, the g x g
+    matrix of multiplication by the class of x acting on coefficient
+    columns: subdiagonal ones, last column the negated modulus tail.
+    Extension elements are coefficient tuples that only embed_phi reads;
+    all arithmetic happens on their g x g blocks over the base field."""
 
     def __init__(self, base, g, modulus):
         self.base = base
         self.g = g
-        self.modulus = list(modulus)  # length g+1, monic
-        q = base.q
-        tail = self.modulus[:g]
+        self.modulus = list(modulus)
         comp = [[0] * g for _ in range(g)]
         for j in range(g - 1):
             comp[j + 1][j] = 1
         for i in range(g):
-            comp[i][g - 1] = (-tail[i]) % q
+            comp[i][g - 1] = (-self.modulus[i]) % base.q
         self.companion = comp
-        self.zero = (0,) * g
-        self.one = tuple([1] + [0] * (g - 1))
-
-    def add(self, a, b):
-        q = self.base.q
-        return tuple((x + y) % q for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        q = self.base.q
-        return tuple((x - y) % q for x, y in zip(a, b))
-
-    def neg(self, a):
-        q = self.base.q
-        return tuple((-x) % q for x in a)
-
-    def mul(self, a, b):
-        prod = _poly_mul(self.base, list(a), list(b))
-        red = _poly_mod(self.base, prod, self.modulus)
-        return tuple(red + [0] * (self.g - len(red)))
-
-    def inv(self, a):
-        # extended Euclid in F_q[x] against the modulus
-        F = self.base
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError("inverse of zero in extension field")
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            lead_inv = F.inv(r1[-1])
-            # divide r0 by r1
-            quo = [0] * (max(len(r0) - len(r1), 0) + 1)
-            rem = list(r0)
-            while len(rem) >= len(r1) and rem:
-                c = (rem[-1] * lead_inv) % F.q
-                sh = len(rem) - len(r1)
-                quo[sh] = c
-                for i, x in enumerate(r1):
-                    rem[sh + i] = (rem[sh + i] - c * x) % F.q
-                _poly_trim(rem)
-            r0, r1 = r1, rem
-            snew = [(x - y) % F.q for x, y in
-                    zip(s0 + [0] * len(quo), _poly_mul(F, quo, s1) + [0] * len(s0))]
-            s0, s1 = s1, _poly_trim(snew)
-        # r0 = gcd (a nonzero constant since modulus irreducible)
-        c_inv = F.inv(r0[0])
-        res = _poly_mod(F, [(x * c_inv) % F.q for x in s0], self.modulus)
-        return tuple(res + [0] * (self.g - len(res)))
-
-    def from_base(self, a):
-        return tuple([a % self.base.q] + [0] * (self.g - 1))
-
-    def elements(self):
-        q, g = self.base.q, self.g
-        for code in range(q ** g):
-            e = []
-            c = code
-            for _ in range(g):
-                e.append(c % q)
-                c //= q
-            yield tuple(e)
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldExt) and other.base == self.base
-                and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash(("FieldExt", self.base.q, tuple(self.modulus)))
 
     def __repr__(self):
         return "FieldExt(q=%d, g=%d)" % (self.base.q, self.g)
@@ -269,9 +204,7 @@ def ext_field_build(q, g):
 
     Candidate moduli x^g + a_{g-1} x^{g-1} + ... + a_0 are enumerated in
     increasing order of the integer code sum(a_i q^i); the first irreducible
-    one wins, so the construction is deterministic.  g = 1 yields F_q wrapped
-    trivially (modulus x + a for the least valid a: x itself, i.e. a = 0...
-    x is irreducible of degree 1, giving F_q[x]/(x) = F_q).
+    one wins, so the construction is deterministic.  g = 1 yields F_q[x]/(x).
     """
     base = PrimeField(q)
     for code in range(q ** g):
@@ -287,36 +220,33 @@ def ext_field_build(q, g):
 
 
 def embed_phi(x, ext):
-    """Embed an extension-field element as a g x g base-field matrix.
+    """Embed an extension-field element (g coefficients, constant first) as
+    a g x g base-field matrix.
 
-    phi(x) = sum_j x_j * companion^j; a ring homomorphism L -> k^{g x g}.
+    phi(x) = sum_j x_j * companion^j, a ring homomorphism L -> k^{g x g}.
+    Its column k is companion^k applied to x (phi(x) commutes with the
+    companion and sends e_0 to x), so column 0 is x and each next column
+    is the companion times the one before.
     """
-    g = ext.g
-    base = ext.base
-    acc = DenseMatrix.zero(g, g, base)
-    pw = DenseMatrix.identity(g, base)
-    comp = DenseMatrix(g, g, base, [row[:] for row in ext.companion])
-    for j in range(g):
-        xj = x[j]
-        if xj:
-            for i in range(g):
-                for jj in range(g):
-                    acc.data[i][jj] = (acc.data[i][jj] + xj * pw.data[i][jj]) % base.q
-        if j < g - 1:
-            pw = comp.matmul(pw)
-    return acc
+    g, q, comp = ext.g, ext.base.q, ext.companion
+    cols = [[a % q for a in x]]
+    for _ in range(g - 1):
+        v = cols[-1]
+        top = v[-1]
+        cols.append([((v[i - 1] if i else 0) + comp[i][g - 1] * top) % q
+                     for i in range(g)])
+    return DenseMatrix.from_columns(cols, g, ext.base)
 
 
 class DenseMatrix:
-    """Dense matrix over a PrimeField or FieldExt, row-major list of lists."""
+    """Dense matrix over a PrimeField, row-major list of lists of ints."""
 
     def __init__(self, rows, cols, field, data=None):
         self.rows = rows
         self.cols = cols
         self.field = field
         if data is None:
-            z = field.zero
-            data = [[z] * cols for _ in range(rows)]
+            data = [[0] * cols for _ in range(rows)]
         self.data = data
 
     @classmethod
@@ -327,52 +257,37 @@ class DenseMatrix:
     def identity(cls, n, field):
         m = cls(n, n, field)
         for i in range(n):
-            m.data[i][i] = field.one
+            m.data[i][i] = 1
         return m
 
     @classmethod
     def from_columns(cls, cols, nrows, field):
-        m = cls(nrows, len(cols), field)
-        for j, col in enumerate(cols):
-            for i in range(nrows):
-                m.data[i][j] = col[i]
-        return m
+        return cls(nrows, len(cols), field,
+                   [[col[i] for col in cols] for i in range(nrows)])
 
     def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
+        return [row[j] for row in self.data]
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
     def matmul(self, other):
         assert self.cols == other.rows and self.field == other.field
-        F = self.field
-        out = DenseMatrix.zero(self.rows, other.cols, F)
-        for i in range(self.rows):
-            srow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = srow[k]
-                if a == F.zero:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b != F.zero:
-                        orow[j] = F.add(orow[j], F.mul(a, b))
-        return out
+        q = self.field.q
+        out = []
+        for srow in self.data:
+            acc = [0] * other.cols
+            for a, brow in zip(srow, other.data):
+                if a:
+                    for j, b in enumerate(brow):
+                        if b:
+                            acc[j] += a * b
+            out.append([x % q for x in acc])
+        return DenseMatrix(self.rows, other.cols, self.field, out)
 
     def matvec(self, v):
-        F = self.field
-        out = [F.zero] * self.rows
-        for i in range(self.rows):
-            acc = F.zero
-            row = self.data[i]
-            for k, x in enumerate(v):
-                if x != F.zero and row[k] != F.zero:
-                    acc = F.add(acc, F.mul(row[k], x))
-            out[i] = acc
-        return out
+        q = self.field.q
+        return [sum(map(operator.mul, row, v)) % q for row in self.data]
 
     def __eq__(self, other):
         return (isinstance(other, DenseMatrix) and self.rows == other.rows
@@ -434,7 +349,8 @@ def _insert_f2(base, tmp, v):
 
 
 def reduce_columns(F, cols, nrows):
-    """Column-reduce dense columns of length nrows over F (left unchanged).
+    """Column-reduce dense columns of length nrows over the prime field F
+    (left unchanged).
 
     Returns (rank, pivot_cols, combos): the reduced columns with a fresh
     pivot, in input order, span the column space; each dependent column
@@ -443,12 +359,12 @@ def reduce_columns(F, cols, nrows):
     collides with an earlier pivot, the stored reduced column is
     subtracted, and an identity tail tracks the column operations.  F_2
     columns ride on bitmask ints, other prime fields on inlined ``% q``
-    arithmetic with a cached inverse table; extension fields use F's ops.
+    arithmetic with a cached inverse table.
     """
     n = len(cols)
     pivots = {}   # pivot row -> (reduced column, its tail)
     basis, kernel = [], []
-    if isinstance(F, PrimeField) and F.q == 2:
+    if F.q == 2:
         for j, col in enumerate(cols):
             v = 0
             for i, x in enumerate(col):
@@ -468,16 +384,15 @@ def reduce_columns(F, cols, nrows):
         return (len(basis),
                 [[(v >> i) & 1 for i in range(nrows)] for v in basis],
                 [[(t >> r) & 1 for r in range(n)] for t in kernel])
-    q = F.q if isinstance(F, PrimeField) else None
-    inv = _inverses(q) if q else None
-    z = F.zero
+    q = F.q
+    inv = _inverses(q)
     for j, col in enumerate(cols):
         v = list(col)
-        t = [z] * n
-        t[j] = F.one
+        t = [0] * n
+        t[j] = 1
         piv = nrows - 1
         while True:
-            while piv >= 0 and v[piv] == z:
+            while piv >= 0 and not v[piv]:
                 piv -= 1
             if piv < 0:
                 kernel.append(t)
@@ -488,23 +403,14 @@ def reduce_columns(F, cols, nrows):
                 basis.append(v)
                 break
             pc, pt = hit
-            if q:
-                c = v[piv] * inv[pc[piv]] % q
-                for r in range(piv):
-                    if pc[r]:
-                        v[r] = (v[r] - c * pc[r]) % q
-                for r, b in enumerate(pt):
-                    if b:
-                        t[r] = (t[r] - c * b) % q
-            else:
-                c = F.mul(v[piv], F.inv(pc[piv]))
-                for r in range(piv):
-                    if pc[r] != z:
-                        v[r] = F.sub(v[r], F.mul(c, pc[r]))
-                for r, b in enumerate(pt):
-                    if b != z:
-                        t[r] = F.sub(t[r], F.mul(c, b))
-            v[piv] = z
+            c = v[piv] * inv[pc[piv]] % q
+            for r in range(piv):
+                if pc[r]:
+                    v[r] = (v[r] - c * pc[r]) % q
+            for r, b in enumerate(pt):
+                if b:
+                    t[r] = (t[r] - c * b) % q
+            v[piv] = 0
     return len(basis), basis, kernel
 
 
@@ -524,18 +430,15 @@ def reduce(M):
 def kron(X, A):
     """Kronecker product: block (i,j) of the result is X[i][j] * A."""
     assert X.field == A.field
-    F = X.field
-    out = DenseMatrix.zero(X.rows * A.rows, X.cols * A.cols, F)
-    for i in range(X.rows):
-        for j in range(X.cols):
-            x = X.data[i][j]
-            if x == F.zero:
+    q = X.field.q
+    out = DenseMatrix.zero(X.rows * A.rows, X.cols * A.cols, X.field)
+    for i, xrow in enumerate(X.data):
+        for j, x in enumerate(xrow):
+            if not x:
                 continue
-            for a in range(A.rows):
+            for a, arow in enumerate(A.data):
                 orow = out.data[i * A.rows + a]
-                arow = A.data[a]
-                for b in range(A.cols):
-                    if arow[b] != F.zero:
-                        orow[j * A.cols + b] = F.add(
-                            orow[j * A.cols + b], F.mul(x, arow[b]))
+                for b, y in enumerate(arow):
+                    if y:
+                        orow[j * A.cols + b] = x * y % q
     return out

@@ -15,7 +15,8 @@ import bisect
 from fractions import Fraction
 
 from . import field as fieldmod
-from .field import DenseMatrix, PrimeField, _insert_generic
+from .field import (DenseMatrix, PrimeField, _insert_f2, _insert_generic,
+                    _inverses)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -38,13 +39,17 @@ def deg_join(a, b):
 
 
 class GradedMatrix:
-    """Homogeneous matrix over a finite field with bidegree-labeled rows/cols.
+    """Homogeneous matrix over a prime field with bidegree-labeled rows/cols.
 
     columns[j] is a sparse list of (row index, nonzero field element),
-    sorted by row index.
+    sorted by row index.  Every module is over a PrimeField: this is the one
+    place that is checked, and everything below computes modulo field.q.
     """
 
     def __init__(self, field, row_degrees, col_degrees, columns, check=True):
+        if not isinstance(field, PrimeField):
+            raise ValueError("module coefficients must form a prime field, "
+                             "got %r" % (field,))
         self.field = field
         self.row_degrees = [as_degree(d) for d in row_degrees]
         self.col_degrees = [as_degree(d) for d in col_degrees]
@@ -206,61 +211,79 @@ def kernel(M):
 
 
 class _Echelon:
-    """Incremental column echelon over a field; insert returns the reduced
-    remainder when it is nonzero (vector was independent), else None.
-    Prime fields take the inlined elimination of field._insert_generic."""
+    """Incremental column echelon over a prime field, pivot = last nonzero
+    row: insert returns the reduced remainder (a list) when the vector was
+    independent, else None.  F_2 columns are stored in `pivots` as bitmask
+    ints, other fields' as lists; both reduce through field._insert_f2 /
+    field._insert_generic."""
 
     def __init__(self, F, nrows):
         self.F = F
         self.nrows = nrows
-        self.pivots = {}  # row -> column vector with that last nonzero row
-        self._prime = isinstance(F, PrimeField)
+        self.f2 = F.q == 2
+        self.pivots = {}  # row -> stored column with that last nonzero row
 
-    def _insert(self, tmp, v):
-        """Reduce the list v in place against the pivots; store a nonzero
-        remainder in tmp under its pivot row and return True, else False."""
-        if self._prime:
-            return _insert_generic(self.F, self.pivots, tmp, v)
-        F = self.F
-        z = F.zero
-        while True:
-            piv = None
-            for i in range(self.nrows - 1, -1, -1):
-                if v[i] != z:
-                    piv = i
-                    break
-            if piv is None:
-                return False
-            pc = self.pivots.get(piv)
-            if pc is None:
-                tmp[piv] = v
-                return True
-            c = F.mul(v[piv], F.inv(pc[piv]))
-            for r in range(piv + 1):
-                if pc[r] != z:
-                    v[r] = F.sub(v[r], F.mul(c, pc[r]))
+    def _vec(self, v):
+        """A fresh internal copy of the list v."""
+        if not self.f2:
+            return list(v)
+        m = 0
+        for i, x in enumerate(v):
+            if x:
+                m |= 1 << i
+        return m
+
+    def _col(self, v):
+        """The list form of an internal vector (the list itself, not a
+        copy, off F_2)."""
+        if self.f2:
+            return [(v >> i) & 1 for i in range(self.nrows)]
+        return v
 
     def insert(self, v):
-        v = list(v)
-        return v if self._insert(self.pivots, v) else None
+        # the hottest call of grmat: _vec and _col inlined
+        pivots = self.pivots
+        if not self.f2:
+            v = list(v)   # reduced in place
+            return v if _insert_generic(self.F, pivots, pivots, v) else None
+        m = 0
+        for i, x in enumerate(v):
+            if x:
+                m |= 1 << i
+        if not _insert_f2(pivots, pivots, m):
+            return None
+        m = next(reversed(pivots.values()))   # the newest pivot column
+        return [(m >> i) & 1 for i in range(self.nrows)]
 
     def contains(self, v):
-        return not self._insert({}, list(v))
+        if self.f2:
+            return not _insert_f2(self.pivots, {}, self._vec(v))
+        return not _insert_generic(self.F, self.pivots, {}, list(v))
 
     def reduce(self, v):
         """Fully reduced copy of v: for each pivot row from the top down,
         the multiple of its column that clears that row is subtracted."""
-        F = self.F
-        z = F.zero
-        v = list(v)
-        for piv in sorted(self.pivots, reverse=True):
-            if v[piv] != z:
+        v = self._vec(v)
+        rows = sorted(self.pivots, reverse=True)
+        if self.f2:
+            for piv in rows:
+                if v >> piv & 1:
+                    v ^= self.pivots[piv]
+            return self._col(v)
+        q = self.F.q
+        inv = _inverses(q)
+        for piv in rows:
+            if v[piv]:
                 pc = self.pivots[piv]
-                c = F.mul(v[piv], F.inv(pc[piv]))
+                c = v[piv] * inv[pc[piv]] % q
                 for r in range(piv + 1):
-                    if pc[r] != z:
-                        v[r] = F.sub(v[r], F.mul(c, pc[r]))
+                    if pc[r]:
+                        v[r] = (v[r] - c * pc[r]) % q
         return v
+
+    def basis_columns(self):
+        """Copies of the stored columns as lists, in insertion order."""
+        return [list(self._col(v)) for v in self.pivots.values()]
 
     @property
     def rank(self):
@@ -282,7 +305,7 @@ def minimize(M):
     O(#degrees * n) echelon inserts; degrees compare as integer ranks.
     """
     F = M.field
-    z = F.zero
+    q = F.q
     xs, ys, rk = _rank_degrees(M.row_degrees + M.col_degrees)
     row_degs, col_degs = rk[:M.nrows], rk[M.nrows:]
     cols = [M.dense_column(j) for j in range(M.ncols)]
@@ -292,7 +315,7 @@ def minimize(M):
         hit = None
         for j, cd in enumerate(col_degs):
             for i, v in enumerate(cols[j]):
-                if v != z and row_degs[i] == cd:
+                if v and row_degs[i] == cd:
                     hit = (i, j)
                     break
             if hit:
@@ -301,15 +324,15 @@ def minimize(M):
             break
         i, j = hit
         piv = cols[j]
-        piv_inv = F.inv(piv[i])
+        piv_inv = _inverses(q)[piv[i]]
         for j2 in range(len(cols)):
-            if j2 == j or cols[j2][i] == z:
+            if j2 == j or not cols[j2][i]:
                 continue
-            c = F.mul(cols[j2][i], piv_inv)
+            c = cols[j2][i] * piv_inv % q
             col2 = cols[j2]
             for r in range(len(row_degs)):
-                if piv[r] != z:
-                    col2[r] = F.sub(col2[r], F.mul(c, piv[r]))
+                if piv[r]:
+                    col2[r] = (col2[r] - c * piv[r]) % q
         del cols[j]
         del col_degs[j]
         for col in cols:
@@ -415,7 +438,6 @@ class PointwiseModel:
                     col[self._pos[i]] = v
                 ech.insert(col)
         self._ech = ech
-        self._F = F
         self.basis_rows = [g for g in self.live_rows
                            if self._pos[g] not in ech.pivots]
         self.dim = n - ech.rank
@@ -424,13 +446,6 @@ class PointwiseModel:
         """Reduce a vector over live_rows to coordinates in basis_rows."""
         v = self._ech.reduce(v)
         return [v[self._pos[g]] for g in self.basis_rows]
-
-    def class_of_row(self, i):
-        """Coordinates of generator row i's class in the chosen basis."""
-        F = self._F
-        v = [F.zero] * len(self.live_rows)
-        v[self._pos[i]] = F.one
-        return self.reduce_vector(v)
 
 
 def pointwise_model(M, gamma):

@@ -47,7 +47,7 @@ class _FiberClasses:
 
     def __init__(self, M):
         F = M.field
-        self.f2 = (getattr(F, "q", None) == 2)
+        self.f2 = F.q == 2
         t = M.nrows
         G = induced_grid(M)
         self.grid = G

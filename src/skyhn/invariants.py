@@ -8,8 +8,8 @@ import functools
 from fractions import Fraction
 
 from . import grmat
-from .grmat import (GradedMatrix, Grid, as_degree, deg_join, deg_leq,
-                    induced_grid, NEG_INF, POS_INF)
+from .grmat import (GradedMatrix, Grid, as_degree, deg_leq, induced_grid,
+                    NEG_INF, POS_INF)
 
 
 class BettiTable:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import grmat, hn_core, invariants
 from .field import DenseMatrix
-from .grmat import as_degree, deg_join, deg_leq
+from .grmat import as_degree, deg_join
 from .hn_core import fiber_classes
 from .invariants import HNFactor, HNFactorList, Staircase
 
@@ -187,7 +187,8 @@ def lower_envelope(polys, cell):
 
 def _subspace_candidates(M):
     """Enumerate all nonzero fiber subspaces, compute their slope data, and
-    dedup by the polynomial, keeping the largest dimension.
+    dedup by the polynomial, keeping the largest dimension.  Returns the
+    fiber classes and the (rows, poly) pairs in first-seen order.
 
     Subspaces sharing a truncated polynomial attain the same slope wherever
     one of them is maximal, and their sum (also in the class) is the unique
@@ -212,8 +213,7 @@ def _subspace_candidates(M):
             order.append(key)
         elif len(rows) > len(prev[0]):
             by_poly[key] = (rows, poly)
-    return fc, [(rows, poly, fc.dims(fc.to_internal(rows)))
-                for rows, poly in map(by_poly.get, order)]
+    return fc, [by_poly[key] for key in order]
 
 
 def all_max_slope(M, C):
@@ -223,13 +223,13 @@ def all_max_slope(M, C):
     (ConvexRegion, basis DenseMatrix, SlopePoly)."""
     fc, cands = _subspace_candidates(M)
     base = ConvexRegion.rectangle(*C)
-    entries = [(i, poly) for i, (_, poly, _) in enumerate(cands)]
+    entries = [(i, poly) for i, (_, poly) in enumerate(cands)]
     faces = _envelope_regions(entries, base, fc.alpha)
     F = M.field
     t = M.nrows
     out = []
     for ident, region in faces:
-        rows, poly, _ = cands[ident]
+        rows, poly = cands[ident]
         out.append((region, DenseMatrix.from_columns(rows, t, F), poly))
     return out
 
@@ -337,13 +337,13 @@ def _build(cur, region, alpha, positions, cum_cols, parent, t0, F):
     if cur.nrows == 0:
         return
     fc, cands = _subspace_candidates(cur)
-    entries = [(i, poly) for i, (_, poly, _) in enumerate(cands)]
+    entries = [(i, poly) for i, (_, poly) in enumerate(cands)]
     faces = _envelope_regions(entries, region, alpha)
     for ident, face in faces:
-        rows, poly, dims = cands[ident]
+        rows, poly = cands[ident]
         d = len(rows)
-        stairs = invariants.staircases_from_dims(fc.grid, dims, alpha,
-                                                 thickness=d)
+        stairs = invariants.staircases_from_dims(
+            fc.grid, fc.dims(fc.to_internal(rows)), alpha, thickness=d)
         lifted = cum_cols + [_lift(v, positions, t0, F) for v in rows]
         node = SubdivNode(face, DenseMatrix.from_columns(lifted, t0, F),
                           stairs, poly)

@@ -7,7 +7,7 @@ import pytest
 from skyhn import cheng, grmat, hn_core
 from skyhn.cheng import (BlowUp, MatrixSpace, ShrunkFailure, build_A_alpha,
                          hn_cheng, shrunk_subspace_random)
-from skyhn.field import DenseMatrix
+from skyhn.field import DenseMatrix, PrimeField
 from skyhn.grmat import Grid
 
 from conftest import F2, F3, gm, random_bounded_module
@@ -16,7 +16,7 @@ from conftest import F2, F3, gm, random_bounded_module
 def random_space(rng, F, N, Np, ell):
     ell = min(ell, N * Np)
     basis = []
-    span = cheng._Span(F, N * Np)
+    span = grmat._Echelon(F, N * Np)
     while len(basis) < ell:
         B = DenseMatrix(N, Np, F, [[rng.randrange(F.q) for _ in range(Np)]
                                    for _ in range(N)])
@@ -36,11 +36,11 @@ def min_shrunk_exhaustive(space):
     F = space.field
     best = None
     for rows in all_subspace_bases(F, space.ncols):
-        span = cheng._Span(F, space.nrows)
+        span = grmat._Echelon(F, space.nrows)
         for u in rows:
             for A in space.basis:
                 span.insert(A.matvec(list(u)))
-        defect = len(rows) - span.dim
+        defect = len(rows) - span.rank
         key = (-defect, len(rows))
         if best is None or key < best[0]:
             best = (key, rows)
@@ -65,7 +65,7 @@ def image_naive(blow, ucols):
     sp = blow.space
     F = sp.field
     Np, N = sp.ncols, sp.nrows
-    span = cheng._Span(F, blow.p * N)
+    span = grmat._Echelon(F, blow.p * N)
     for u in ucols:
         for j in range(blow.q):
             blk = u[j * Np:(j + 1) * Np]
@@ -181,3 +181,83 @@ def test_shrunk_failure_carries_alpha():
     exc = ShrunkFailure((Fr(0), Fr(0)), 8)
     assert exc.alpha == (Fr(0), Fr(0))
     assert exc.attempts == 8
+
+
+def _echelon_transform(F, cols):
+    """The invertible C with [cols] . C in column echelon form, computed as
+    the randomized engine's partial reduction once did: generic field
+    operations and one identity tail per column."""
+    n = len(cols)
+    work = [list(c) for c in cols]
+    trans = [[F.one if i == j else F.zero for i in range(n)]
+             for j in range(n)]
+    pivots = {}
+    for j in range(n):
+        col, tr = work[j], trans[j]
+        while True:
+            piv = None
+            for i in range(len(col) - 1, -1, -1):
+                if col[i] != F.zero:
+                    piv = i
+                    break
+            if piv is None or piv not in pivots:
+                break
+            pc, pt = work[pivots[piv]], trans[pivots[piv]]
+            c = F.mul(col[piv], F.inv(pc[piv]))
+            for r in range(piv + 1):
+                if pc[r] != F.zero:
+                    col[r] = F.sub(col[r], F.mul(c, pc[r]))
+            for r in range(n):
+                if pt[r] != F.zero:
+                    tr[r] = F.sub(tr[r], F.mul(c, pt[r]))
+        if piv is not None:
+            pivots[piv] = j
+    return trans    # the columns of C
+
+
+def test_partial_reduce_matches_echelon_transform():
+    rng = random.Random(71)
+    dependent = 0
+    for F in [F2, F3, PrimeField(5), PrimeField(7)]:
+        for _ in range(100):
+            ell, P, Q = rng.randrange(1, 4), rng.randrange(1, 4), \
+                rng.randrange(1, 7)
+            xmats = [[[rng.randrange(F.q) if rng.random() < 0.6 else 0
+                       for _ in range(Q)] for _ in range(P)]
+                     for _ in range(ell)]
+            if Q > 1 and rng.random() < 0.3:     # a repeated block-column
+                for X in xmats:
+                    for row in X:
+                        row[-1] = row[0]
+            C = _echelon_transform(
+                F, [[row[b] for X in xmats for row in X] for b in range(Q)])
+            want = [[[sum(row[k] * C[j][k] for k in range(Q)) % F.q
+                      for j in range(Q)] for row in X] for X in xmats]
+            got = cheng._partial_reduce(F, xmats)
+            assert got == want
+            dependent += any(not any(row[j] for X in got for row in X)
+                             for j in range(Q))
+    assert dependent > 50
+
+
+def test_one_dimensional_fiber_draws_nothing(monkeypatch, stable):
+    """A one-dimensional fiber has no proper nonzero subspace, so it is
+    semistable without a randomized draw."""
+    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
+    staircase = gm(F2, [(0, 0)], [((3, 0), [(0, 1)]), ((0, 3), [(0, 1)])])
+    calls = []
+    real = cheng.shrunk_subspace_random
+
+    def counting(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+    monkeypatch.setattr(cheng, "shrunk_subspace_random", counting)
+    alpha = (Fr(0), Fr(0))
+    fl = hn_cheng(staircase, G, alpha, seed=0)
+    assert fl == hn_core.hn_filtration_at(staircase, alpha)
+    assert len(fl.factors) == 1 and calls == []
+    # the patched name is the one the engine draws through: the
+    # thickness-2 fixture's two-dimensional fiber does call it
+    assert hn_cheng(stable, G, alpha, seed=1) == \
+        hn_core.hn_filtration_at(stable, alpha)
+    assert calls

@@ -346,26 +346,35 @@ class _EchelonReference:
 
 
 def test_echelon_matches_reference():
+    """The merged echelon returns the reference's remainders, pivots and
+    membership answers; over GF(2) its bitmask path and its ``% q`` list
+    path (forced by clearing the f2 flag) store the same columns."""
     rng = random.Random(31)
-    for F in [F2, F3, PrimeField(7), fieldmod.ext_field_build(2, 2),
-              fieldmod.ext_field_build(3, 2)]:
+    for F in [F2, F3, PrimeField(7)]:
         els = list(F.elements())
         for _ in range(60):
             n = rng.randrange(0, 6)
             got, want = grmat._Echelon(F, n), _EchelonReference(F, n)
+            lists = grmat._Echelon(F, n)
+            lists.f2 = False
             for _ in range(rng.randrange(0, 9)):
                 v = [rng.choice(els) if rng.random() < 0.5 else F.zero
                      for _ in range(n)]
-                assert got.contains(v) == want.contains(v)
-                assert got.insert(v) == want.insert(v)
-                assert got.pivots == want.pivots
+                assert got.contains(v) == want.contains(v) == \
+                    lists.contains(v)
+                assert got.reduce(v) == lists.reduce(v)
+                assert got.insert(v) == want.insert(v) == lists.insert(v)
+                assert got.basis_columns() == list(want.pivots.values()) \
+                    == lists.basis_columns()
+                assert got.pivots.keys() == want.pivots.keys()
+                assert lists.pivots == want.pivots
 
 
 def test_echelon_reduce_clears_pivots():
     """reduce(v) is zero on every pivot row and differs from v by a vector
     of the span."""
     rng = random.Random(37)
-    for F in [F3, PrimeField(7), fieldmod.ext_field_build(2, 2)]:
+    for F in [F2, F3, PrimeField(7)]:
         els = list(F.elements())
         for _ in range(60):
             n = rng.randrange(1, 6)
@@ -376,3 +385,11 @@ def test_echelon_reduce_clears_pivots():
             r = ech.reduce(v)
             assert all(r[piv] == F.zero for piv in ech.pivots)
             assert ech.contains([F.sub(a, b) for a, b in zip(v, r)])
+
+
+def test_graded_matrix_rejects_non_prime_fields():
+    E = fieldmod.ext_field_build(2, 2)
+    with pytest.raises(ValueError, match="prime field"):
+        grmat.GradedMatrix(E, [(0, 0)], [(1, 0)], [[(0, (1, 0))]])
+    with pytest.raises(ValueError, match="prime field"):
+        grmat.GradedMatrix(E, [], [], [])

@@ -36,10 +36,10 @@ def test_slope_polynomial_stable(stable):
 
 def test_slope_polynomial_stable_lines(stable):
     fc, cands = subdivision._subspace_candidates(stable)
-    line_polys = sorted((poly.cy, poly.cx) for rows, poly, _ in cands
+    line_polys = sorted((poly.cy, poly.cx) for rows, poly in cands
                         if len(rows) == 1)
     assert line_polys == [(Fr(2), Fr(3)), (Fr(3), Fr(2)), (Fr(3), Fr(3))]
-    assert all(poly.c0 == 5 for rows, poly, _ in cands if len(rows) == 1)
+    assert all(poly.c0 == 5 for rows, poly in cands if len(rows) == 1)
 
 
 def test_slope_polynomial_cross_vertical(cross):
@@ -261,6 +261,7 @@ def test_subspace_candidates_match_fraction_reference():
                        if r]) != 1:
                 M = random_unigen_module(rng, F, t)
             for N in (M, _warp(M)):
-                _, cands = subdivision._subspace_candidates(N)
-                got = [(rows, poly.key(), dims) for rows, poly, dims in cands]
+                fc, cands = subdivision._subspace_candidates(N)
+                got = [(rows, poly.key(), fc.dims(fc.to_internal(rows)))
+                       for rows, poly in cands]
                 assert got == _reference_candidates(N)

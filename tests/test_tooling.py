@@ -1,7 +1,9 @@
 """The benchmark's layer tracer (perfbench/layertrace.py) wraps public names
 of every skyhn layer from outside; these checks fail when a name it wraps
-or reads is renamed or removed."""
+or reads is renamed or removed.  A source scan keeps imports honest."""
 
+import ast
+import glob
 import os
 import sys
 from fractions import Fraction as Fr
@@ -49,3 +51,45 @@ def test_tracer_install_uninstall_restores_every_name(cross):
     assert ex.box == (Fr(0), Fr(0), Fr(4), Fr(4))
     assert len(ex.summands) == 2
     assert all(len(summand) == 3 for summand in ex.summands)
+
+
+def _unused_imports(source):
+    """Names the module source imports and never reads: not a Name node
+    anywhere in it, not listed in its __all__, and not imported by a
+    statement that carries ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+                "noqa: F401" in line
+                for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        out += [alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if (alias.asname or alias.name.split(".")[0]) not in used]
+    return out
+
+
+def test_no_unused_imports_in_src():
+    assert _unused_imports("import os\nfrom a import (b,\n    c)\nc()\n") \
+        == ["os", "b"]
+    assert _unused_imports("from __future__ import annotations\n"
+                           "import os.path\nfrom a import (b,  # noqa: F401\n"
+                           "    c)\n__all__ = ['os']\n") == []
+    src = os.path.dirname(pipeline.__file__)
+    found = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            names = _unused_imports(fh.read())
+        if names:
+            found[os.path.basename(path)] = names
+    assert found == {}
