@@ -62,7 +62,7 @@ class MatrixSpace:
                 if B.rows != nrows or B.cols != ncols or B.field != field:
                     raise ValueError("basis matrix shape/field mismatch")
                 vec = [x for row in B.data for x in row]
-                if span.insert(vec) is None:
+                if not span.insert(vec):
                     raise ValueError("basis matrices are not independent")
 
     @property
@@ -194,7 +194,8 @@ def _partial_reduce(F, xmats):
     P, Q = len(xmats[0]), len(xmats[0][0])
     n = P * len(xmats)
     ech = _Echelon(F, n)
-    red = [ech.insert([row[b] for X in xmats for row in X]) or [0] * n
+    red = [ech.insert_reduced([row[b] for X in xmats for row in X])
+           or [0] * n
            for b in range(Q)]
     return [[[col[k * P + i] for col in red] for i in range(P)]
             for k in range(len(xmats))]

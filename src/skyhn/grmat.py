@@ -12,6 +12,8 @@ Degrees are pairs of exact rationals (fractions.Fraction); ``kernel`` and
 from __future__ import annotations
 
 import bisect
+import operator
+import random
 from fractions import Fraction
 
 from . import field as fieldmod
@@ -198,7 +200,7 @@ def kernel(M):
                 if gx <= rx and gy <= ry:
                     ech.insert([gvec[j] for j in J])
             for v in combos:
-                rem = ech.insert(v)
+                rem = ech.insert_reduced(v)
                 if rem is not None:
                     full = [F.zero] * n
                     for idx, j in enumerate(J):
@@ -212,10 +214,10 @@ def kernel(M):
 
 class _Echelon:
     """Incremental column echelon over a prime field, pivot = last nonzero
-    row: insert returns the reduced remainder (a list) when the vector was
-    independent, else None.  F_2 columns are stored in `pivots` as bitmask
-    ints, other fields' as lists; both reduce through field._insert_f2 /
-    field._insert_generic."""
+    row: insert tells whether the vector was independent, insert_reduced
+    also returns its reduced remainder (a list), else None.  F_2 columns
+    are stored in `pivots` as bitmask ints, other fields' as lists; both
+    reduce through field._insert_f2 / field._insert_generic."""
 
     def __init__(self, F, nrows):
         self.F = F
@@ -241,19 +243,21 @@ class _Echelon:
         return v
 
     def insert(self, v):
-        # the hottest call of grmat: _vec and _col inlined
+        # the hottest call of grmat: _vec inlined
         pivots = self.pivots
         if not self.f2:
-            v = list(v)   # reduced in place
-            return v if _insert_generic(self.F, pivots, pivots, v) else None
+            return _insert_generic(self.F, pivots, pivots, list(v))
         m = 0
         for i, x in enumerate(v):
             if x:
                 m |= 1 << i
-        if not _insert_f2(pivots, pivots, m):
+        return _insert_f2(pivots, pivots, m)
+
+    def insert_reduced(self, v):
+        if not self.insert(v):
             return None
-        m = next(reversed(pivots.values()))   # the newest pivot column
-        return [(m >> i) & 1 for i in range(self.nrows)]
+        m = next(reversed(self.pivots.values()))   # the newest pivot column
+        return [(m >> i) & 1 for i in range(self.nrows)] if self.f2 else m
 
     def contains(self, v):
         if self.f2:
@@ -347,7 +351,7 @@ def minimize(M):
             if cx <= d[0] and cy <= d[1] and (cx, cy) != d:
                 ech.insert(cols[j])
         keep += [j for j in range(len(cols) - 1, -1, -1)
-                 if col_degs[j] == d and ech.insert(cols[j]) is not None]
+                 if col_degs[j] == d and ech.insert(cols[j])]
     keep.sort()
     return from_dense_columns(
         F, [(xs[x], ys[y]) for x, y in row_degs],
@@ -401,7 +405,7 @@ def quotient_presentation(M_alpha, B):
     # column echelon of B, pivot = last nonzero row
     ech = _Echelon(F, t)
     for j in range(B.cols):
-        if ech.insert(B.column(j)) is None:
+        if not ech.insert(B.column(j)):
             raise ValueError("degenerate basis: columns not independent")
     keep = [i for i in range(t) if i not in ech.pivots]
     new_cols = []
@@ -488,8 +492,9 @@ def connected_components(M):
 
     Returns a list of (row_indices, col_indices).  Untouched rows become
     singleton free blocks; zero columns are attached to an empty-row block
-    of their own.  This is a sound partial decomposition: blocks are genuine
-    direct summands, with no indecomposability claim.
+    of their own.  Blocks are genuine direct summands, but a block can be a
+    direct sum in disguise (after a change of generators): ``decompose``
+    splits one block further.
     """
     parent = list(range(M.nrows))
 
@@ -541,3 +546,207 @@ def direct_sum(M1, M2):
                         M1.row_degrees + M2.row_degrees,
                         M1.col_degrees + M2.col_degrees,
                         cols)
+
+
+# ---------------------------------------------------------------------------
+# direct-sum decomposition of one block by Fitting splits
+
+_SPLIT_SEED = 0      # every run draws the same endomorphisms
+_SPLIT_TRIES = 8     # failed draws before a block is taken as indecomposable
+_SHIFT_ALL_MAX = 8   # up to this field order every X - c*I is tried
+
+
+def _matmul(q, A, B):
+    """Product of row-major square matrices over F_q."""
+    cols = list(zip(*B))
+    return [[sum(map(operator.mul, row, col)) % q for col in cols]
+            for row in A]
+
+
+def _inverse(F, A):
+    """Inverse of a row-major square matrix over F: the kernel combos of
+    the columns of [A | I] are (-A^-1 e_k, e_k), one per k, exactly when A
+    is invertible."""
+    t, q = len(A), F.q
+    cols = [list(c) for c in zip(*A)] + [
+        [int(i == k) for i in range(t)] for k in range(t)]
+    _, _, kern = fieldmod.reduce_columns(F, cols, t)
+    if any(c[t + k] != 1 for k, c in enumerate(kern)):
+        raise AssertionError("decompose: singular base change")
+    return [[-c[i] % q for c in kern] for i in range(t)]
+
+
+def _endomorphisms(M):
+    """Basis of End(M)_0, as row-major generator matrices X: X[a][b] != 0
+    only where g_a <= g_b, and X.p_j in R<=r_j = span{p_k : r_k <= r_j}
+    for every relation column p_j.  The second condition is y.X.p_j = 0
+    for y in the annihilator of R<=d, one annihilator per distinct
+    relation degree d; the basis is the nullspace of these equations."""
+    F, t = M.field, M.nrows
+    q = F.q
+    _, _, rk = _rank_degrees(M.row_degrees + M.col_degrees)
+    gd, rd = rk[:t], rk[t:]
+    P = [M.dense_column(j) for j in range(M.ncols)]
+    unknowns = [(a, b) for a in range(t) for b in range(t)
+                if deg_leq(gd[a], gd[b])]
+    eqs = []
+    for d in sorted(set(rd)):
+        below = [k for k, r in enumerate(rd) if deg_leq(r, d)]
+        _, _, ann = fieldmod.reduce_columns(
+            F, [[P[k][a] for k in below] for a in range(t)], len(below))
+        for j, r in enumerate(rd):
+            if r == d:
+                p = P[j]
+                eqs += [[y[a] * p[b] % q for a, b in unknowns] for y in ann]
+    eqs = [e for e in eqs if any(e)]
+    _, _, combos = fieldmod.reduce_columns(
+        F, [[e[u] for e in eqs] for u in range(len(unknowns))], len(eqs))
+    out = []
+    for c in combos:
+        X = [[0] * t for _ in range(t)]
+        for (a, b), x in zip(unknowns, c):
+            X[a][b] = x
+        out.append(X)
+    return out
+
+
+def _fitting_idempotent(F, X, c):
+    """The projection onto the image of (X - c*I)^t along its kernel, a
+    polynomial in X, or None when that image is 0 or everything."""
+    t, q = len(X), F.q
+    Z = [[(x - c) % q if a == b else x for b, x in enumerate(row)]
+         for a, row in enumerate(X)]
+    k = 1
+    while k < t:
+        Z = _matmul(q, Z, Z)
+        k *= 2
+    rank, image, kern = fieldmod.reduce_columns(
+        F, [list(col) for col in zip(*Z)], t)
+    if rank in (0, t):
+        return None
+    B = [list(row) for row in zip(*(image + kern))]
+    Binv = _inverse(F, B)
+    return _matmul(q, [row[:rank] + [0] * (t - rank) for row in B], Binv)
+
+
+def _split(M, ends, E):
+    """Split M along the graded idempotent E of End(M)_0: the pieces (with
+    End restricted to each) presented by the top and bottom rows of T^-1 P,
+    where T's columns are generators of im E and of im(I - E), picked per
+    generator degree modulo the picks strictly below it.  Raises when E is
+    not a graded idempotent preserving the relations, or T is not a graded
+    change of generators."""
+    F, t = M.field, M.nrows
+    q = F.q
+    _, _, rk = _rank_degrees(M.row_degrees + M.col_degrees)
+    gd, rd = rk[:t], rk[t:]
+    P = [M.dense_column(j) for j in range(M.ncols)]
+    if _matmul(q, E, E) != E:
+        raise AssertionError("decompose: E is not idempotent")
+    if any(x and not deg_leq(gd[a], gd[b])
+           for a, row in enumerate(E) for b, x in enumerate(row)):
+        raise AssertionError("decompose: E is not graded")
+    for d in sorted(set(rd)):
+        ech = _Echelon(F, t)
+        for p, r in zip(P, rd):
+            if deg_leq(r, d):
+                ech.insert(p)
+        if not all(ech.contains([sum(map(operator.mul, row, p)) % q
+                                 for row in E])
+                   for p, r in zip(P, rd) if r == d):
+            raise AssertionError("decompose: E does not preserve R<=d")
+    picks = []   # (generator index, column)
+    for proj in (E, [[(int(a == b) - x) % q for b, x in enumerate(row)]
+                     for a, row in enumerate(E)]):
+        cols = [list(col) for col in zip(*proj)]
+        mine = []
+        for d in sorted(set(gd)):
+            ech = _Echelon(F, t)
+            for b, col in mine:
+                if gd[b] != d and deg_leq(gd[b], d):
+                    ech.insert(col)
+            mine += [(b, cols[b]) for b in range(t)
+                     if gd[b] == d and ech.insert(cols[b])]
+        picks.append(mine)
+    r = len(picks[0])
+    picks = picks[0] + picks[1]
+    if len(picks) != t:
+        raise AssertionError("decompose: %d generators for %d"
+                             % (len(picks), t))
+    T = [list(row) for row in zip(*(col for _, col in picks))]
+    Tinv = _inverse(F, T)
+    degs = [M.row_degrees[b] for b, _ in picks]
+    # T and T^-1 are graded, or GradedMatrix validation raises
+    from_dense_columns(F, M.row_degrees, degs, [col for _, col in picks])
+    from_dense_columns(F, degs, M.row_degrees, [list(c) for c in zip(*Tinv)])
+    Pn = [[sum(map(operator.mul, row, p)) % q for row in Tinv] for p in P]
+    conj = [_matmul(q, _matmul(q, Tinv, B), T) for B in ends]
+    out = []
+    for lo, hi in ((0, r), (r, t)):
+        cols, cdegs = [], []
+        for p, d in zip(Pn, M.col_degrees):
+            part = [(i - lo, p[i]) for i in range(lo, hi) if p[i]]
+            if part:
+                cols.append(part)
+                cdegs.append(d)
+        piece = GradedMatrix(F, degs[lo:hi], cdegs, cols)
+        n = hi - lo
+        ech = _Echelon(F, n * n)
+        sub = []
+        for C in conj:
+            blk = [row[lo:hi] for row in C[lo:hi]]
+            if ech.insert([x for row in blk for x in row]):
+                sub.append(blk)
+        out.append((piece, sub))
+    return out
+
+
+def _draw_idempotent(N, ends, rng):
+    """A splitting projection of N from up to _SPLIT_TRIES random X in the
+    span of ends, each tried with every shift, or None."""
+    q, n = N.field.q, N.nrows
+    for _ in range(_SPLIT_TRIES):
+        coef = [rng.randrange(q) for _ in ends]
+        X = [[sum(c * B[a][b] for c, B in zip(coef, ends)) % q
+              for b in range(n)] for a in range(n)]
+        shifts = (range(q) if q <= _SHIFT_ALL_MAX
+                  else sorted({X[a][a] for a in range(n)}))
+        for c in shifts:
+            E = _fitting_idempotent(N.field, X, c)
+            if E is not None:
+                return E
+    return None
+
+
+def decompose(M):
+    """Direct summands of the block M, by Fitting splits.
+
+    End(M)_0 is computed once (``_endomorphisms``).  A random X in it, from
+    a constant seed, and its shifts X - c*I give the projection E onto the
+    image of (X - c*I)^t along the kernel; E is a polynomial in X, so a
+    graded idempotent endomorphism, and when 0 < rank E < t it splits M
+    (``_split``).  Each piece is split again with End restricted to it.
+    Shifts range over the whole field up to order _SHIFT_ALL_MAX, else over
+    the diagonal entries of X.  After _SPLIT_TRIES draws without a split a
+    piece is kept whole: a missed split costs speed only, and every split
+    made is checked.  Returns the non-zero pieces, minimized, or [M] when
+    no split is found.
+    """
+    if M.nrows <= 1:
+        return [M]
+    rng = random.Random(_SPLIT_SEED)
+    out, todo = [], [(M, _endomorphisms(M))]
+    while todo:
+        N, ends = todo.pop()
+        # a piece whose End is the scalars alone is indecomposable
+        E = (_draw_idempotent(N, ends, rng)
+             if N.nrows > 1 and len(ends) > 1 else None)
+        if E is not None:
+            todo += reversed(_split(N, ends, E))
+        elif N is M:
+            out.append(M)
+        else:
+            N = minimize(N)
+            if N.nrows:
+                out.append(N)
+    return out

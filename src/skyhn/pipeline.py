@@ -4,11 +4,16 @@ subdivision store, the cache-friendly grid scan, filtered landscapes, and
 the interval-factor diagnostic.
 
 All drivers first clip the module to a bounding box by appending cap
-relations, so every integral is finite.  ``approx_skyscraper`` and
+relations, so every integral is finite, and split it into connected
+blocks.  Brute force and the exact cells then run on the direct summands
+that ``grmat.decompose`` finds in each block, once per block per driver
+call, and the pieces' factors are coalesced back into one list per block;
+the cheng engine runs on each block whole.  ``approx_skyscraper`` and
 ``parallel_grid_scan`` are one colexicographic sweep of the epsilon
-lattice with two per-point strategies: one HN engine run per connected
-block, or the lazily built cells of an ``ExactStore``, whose cells of a
-summand are evicted whenever the sweep leaves their grid row.
+lattice with two per-point strategies: HN engine runs, or the lazily
+built cells of an ``ExactStore``, whose cells of a summand are evicted
+whenever the sweep leaves their grid row.  ``store.work`` counts per
+connected block.
 """
 
 from __future__ import annotations
@@ -117,23 +122,35 @@ def _blocks(M):
             for rows, cols in grmat.connected_components(M) if rows]
 
 
-def _hn_blocks(blocks, alpha, engine, seed, cheng_grid, work=None):
-    """HN filtration at alpha of the direct sum of the blocks: one engine
-    run per block, merged by slope.  cheng_grid(i) is the grid of block i
-    for the cheng engine, asked for only when the fiber is non-zero.  An
-    engine returns an empty list on a zero fiber; work[i] counts the
-    non-empty results of block i."""
+def _engine_pieces(blocks, engine):
+    """What the engine runs on, per connected block: the block whole for
+    cheng, the summands that grmat.decompose finds in it for brute force."""
     _check_engine(engine)
+    if engine == "cheng":
+        return [[block] for block in blocks]
+    return [grmat.decompose(block) for block in blocks]
+
+
+def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None):
+    """HN filtration at alpha of the direct sum of the connected blocks:
+    one engine run per piece of a block (pieces from _engine_pieces),
+    coalesced into one list per block, and the blocks' lists merged by
+    slope.  cheng_grid(i) is the grid of block i for the cheng engine,
+    asked for only when the fiber is non-zero.  An engine returns an empty
+    list on a zero fiber; work[i] counts the non-empty results of block
+    i."""
     lists = []
-    for i, block in enumerate(blocks):
+    for i, block_pieces in enumerate(pieces):
         if engine == "cheng":
             try:
-                fl = cheng.hn_cheng(block, functools.partial(cheng_grid, i),
-                                    alpha, seed=seed)
+                fls = [cheng.hn_cheng(p, functools.partial(cheng_grid, i),
+                                      alpha, seed=seed)
+                       for p in block_pieces]
             except cheng.ShrunkFailure as exc:
                 raise EngineFailure(alpha, exc)
         else:
-            fl = hn_core.hn_filtration_at(block, alpha)
+            fls = [hn_core.hn_filtration_at(p, alpha) for p in block_pieces]
+        fl = _coalesce(alpha, fls)
         if fl.factors:
             lists.append(fl)
             if work is not None:
@@ -142,14 +159,15 @@ def _hn_blocks(blocks, alpha, engine, seed, cheng_grid, work=None):
 
 
 def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
-    """HN filtration of <V_alpha> of the clipped module, computed per
-    connected block and merged by slope.  The cheng engine runs on
-    cheng_grid, or else on the regular grid of each block and alpha."""
+    """HN filtration of <V_alpha> of the clipped module: brute force runs
+    per summand found by grmat.decompose, cheng per connected block, and
+    the results are merged by slope.  The cheng engine runs on cheng_grid,
+    or else on the regular grid of each block and alpha."""
     alpha = as_degree(alpha)
     box = box or bounding_box(M)
     blocks = _blocks(clip_to_box(M, box))
     return _hn_blocks(
-        blocks, alpha, engine, seed,
+        _engine_pieces(blocks, engine), alpha, engine, seed,
         lambda i: (regular_grid(blocks[i], [alpha], box)
                    if cheng_grid is None else cheng_grid))
 
@@ -181,7 +199,8 @@ def _sweep(box, epsilon, hn_of):
 def approx_skyscraper(M, cfg):
     """Store of HN filtrations at every epsilon-lattice point of the
     support; an epsilon-approximation of the true invariant in erosion
-    distance.  store.work counts engine runs per block."""
+    distance.  store.work counts, per connected block, the lattice points
+    where its engine runs found a non-zero fiber."""
     box = cfg.box or bounding_box(M)
     blocks = _blocks(clip_to_box(M, box))
 
@@ -190,31 +209,36 @@ def approx_skyscraper(M, cfg):
         xs, ys = _eps_points(box, cfg.epsilon)
         return regular_grid(blocks[i], [(x, y) for x in xs for y in ys], box)
 
+    pieces = _engine_pieces(blocks, cfg.engine)
     work = [0] * len(blocks)
     store = _sweep(box, cfg.epsilon, lambda alpha: _hn_blocks(
-        blocks, alpha, cfg.engine, cfg.seed, cheng_grid, work))
+        pieces, alpha, cfg.engine, cfg.seed, cheng_grid, work))
     store.work = work
     return store
 
 
-def _cell_trees(summand, grid, corner):
-    """Subdivision trees of the pieces of <V_corner> over the grid cell with
-    the given lower corner, or None when the cell is empty or unbounded."""
+def _cell_trees(pieces, grid, corner):
+    """Subdivision trees of the blocks of <V_corner> of each piece of a
+    summand, over the cell of the summand's grid with the given lower
+    corner (<V>(A + B) = <V>(A) + <V>(B)), or None when the cell is empty
+    or unbounded."""
     ax, ay = corner
     nx = next((x for x in grid.xs if x > ax), None)
     ny = next((y for y in grid.ys if y > ay), None)
     if nx is None or ny is None:
         return None
-    sub = grmat.fiber_submodule(summand, corner)
-    if sub is None:
+    subs = [sub for sub in (grmat.fiber_submodule(p, corner) for p in pieces)
+            if sub is not None]
+    if not subs:
         return None
-    return [subdivision.exact_hnf_cell(piece, (ax, ay, nx, ny))
-            for piece in _blocks(sub)]
+    return [subdivision.exact_hnf_cell(block, (ax, ay, nx, ny))
+            for sub in subs for block in _blocks(sub)]
 
 
 def _coalesce(alpha, lists):
-    """Merge factor lists of the pieces of one summand: equal-slope factors
-    combine into a single semistable factor in canonical superlevel form."""
+    """Merge factor lists of the pieces of one connected block:
+    equal-slope factors combine into a single semistable factor in
+    canonical superlevel form."""
     factors = [f for l in lists for f in l.factors]
     factors.sort(key=lambda f: f.slope, reverse=True)
     out = []
@@ -230,24 +254,31 @@ def _coalesce(alpha, lists):
 
 class ExactStore:
     """Per-summand, per-grid-cell subdivision trees; answers HN filtrations
-    and skyscraper queries at arbitrary rational points of the box."""
+    and skyscraper queries at arbitrary rational points of the box.
+
+    A summand is one connected block of the clipped module, with its
+    induced grid and its cells; its pieces, the summands that
+    grmat.decompose finds in it, sit beside it in ``pieces``, and each
+    cell holds the trees of the pieces' fiber submodules."""
 
     def __init__(self, box):
         self.box = box
         self.summands = []   # (module, grid, {corner: [SubdivTree] or None})
+        self.pieces = []     # per summand: its grmat.decompose pieces
         self.work = []       # per summand: tree lists built
 
     def _add_summand(self, module):
         self.summands.append((module, grmat.induced_grid(module), {}))
+        self.pieces.append(grmat.decompose(module))
         self.work.append(0)
 
     def _trees_at(self, idx, beta):
-        module, grid, cells = self.summands[idx]
+        _, grid, cells = self.summands[idx]
         corner = grid.floor(beta)
         if corner[0] == invariants.NEG_INF or corner[1] == invariants.NEG_INF:
             return None
         if corner not in cells:
-            cells[corner] = _cell_trees(module, grid, corner)
+            cells[corner] = _cell_trees(self.pieces[idx], grid, corner)
             if cells[corner] is not None:
                 self.work[idx] += 1
         return cells[corner]
@@ -284,9 +315,10 @@ class ExactStore:
 
 
 def exact_skyscraper(M, box=None, eager=True):
-    """Exact skyscraper store: the clipped module is split into summands
-    and each induced-grid cell gets the subdivision trees of the fiber
-    submodule at its lower corner (all cells now when eager, else each
+    """Exact skyscraper store: the clipped module is split into connected
+    summands, each further into its decompose pieces, and each cell of a
+    summand's induced grid gets the subdivision trees of the pieces' fiber
+    submodules at its lower corner (all cells now when eager, else each
     cell at its first query)."""
     box = box or bounding_box(M)
     store = ExactStore(box)

@@ -1,11 +1,13 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
+from skyhn import field as fieldmod
 from skyhn import grmat
-from skyhn.field import PrimeField
+from skyhn.field import DenseMatrix, PrimeField
 
 # the same examples on every run, and no per-example deadline for a slow
 # or loaded machine to trip over
@@ -14,6 +16,7 @@ settings.load_profile("skyhn")
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 def gm(F, gens, rels):
@@ -83,6 +86,47 @@ def random_unigen_module(rng, F, thickness, dmax=4):
         rels.append(((Fraction(dmax), gy), [(i, 1)]))
         rels.append(((gx, Fraction(dmax)), [(i, 1)]))
     return gm(F, gens, rels)
+
+
+def hidden_direct_sum(rng, F, sizes, dmax=3):
+    """A direct sum of random bounded and unigen modules of the given
+    thicknesses in disguise: conjugated by a random invertible
+    degree-respecting change of generators, then mixed by random column
+    operations within one relation degree."""
+    parts = [(random_bounded_module if rng.random() < 0.5
+              else random_unigen_module)(rng, F, t, dmax=dmax)
+             for t in sizes]
+    M = functools.reduce(grmat.direct_sum, parts)
+    t, q, g = M.nrows, F.q, M.row_degrees
+    while True:
+        G = [[rng.randrange(q) if grmat.deg_leq(g[a], g[b]) else 0
+              for b in range(t)] for a in range(t)]
+        if fieldmod.reduce(DenseMatrix(t, t, F, G))[0] == t:
+            break
+    cols = [[sum(x * y for x, y in zip(row, M.dense_column(j))) % q
+             for row in G] for j in range(M.ncols)]
+    for _ in range(2 * len(cols)):
+        j, k = rng.randrange(len(cols)), rng.randrange(len(cols))
+        if j != k and M.col_degrees[j] == M.col_degrees[k]:
+            c = rng.randrange(q)
+            cols[j] = [(x + c * y) % q for x, y in zip(cols[j], cols[k])]
+    return grmat.from_dense_columns(F, g, M.col_degrees, cols)
+
+
+def hidden_corpus(n=36, seed=4242, max_thickness=6):
+    """(field, number of hidden summands, module): hidden direct sums of
+    2-3 summands of thickness 1-2 and at most max_thickness in all,
+    cycling over GF(2), GF(3) and GF(5)."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        F = (F2, F3, F5)[i % 3]
+        while True:
+            sizes = [rng.randrange(1, 3) for _ in range(rng.randrange(2, 4))]
+            if sum(sizes) <= max_thickness:
+                break
+        out.append((F, len(sizes), hidden_direct_sum(rng, F, sizes)))
+    return out
 
 
 @pytest.fixture

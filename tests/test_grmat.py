@@ -9,7 +9,7 @@ from skyhn.field import DenseMatrix, PrimeField
 from skyhn.grmat import (NEG_INF, POS_INF, deg_join, deg_leq,
                          induced_grid)
 
-from conftest import F2, F3, gm, random_bounded_module
+from conftest import F2, F3, gm, hidden_corpus, random_bounded_module
 
 
 def test_degree_lattice():
@@ -167,7 +167,7 @@ def _kernel_reference(M):
                 if deg_leq(gdeg, delta):
                     ech.insert([gvec[j] for j in J])
             for t in range(kb.cols):
-                rem = ech.insert(kb.column(t))
+                rem = ech.insert_reduced(kb.column(t))
                 if rem is not None:
                     full = [F.zero] * n
                     for idx, j in enumerate(J):
@@ -347,15 +347,16 @@ class _EchelonReference:
 
 def test_echelon_matches_reference():
     """The merged echelon returns the reference's remainders, pivots and
-    membership answers; over GF(2) its bitmask path and its ``% q`` list
-    path (forced by clearing the f2 flag) store the same columns."""
+    membership answers, and insert its independence flag; over GF(2) its
+    bitmask path and its ``% q`` list path (forced by clearing the f2 flag)
+    store the same columns."""
     rng = random.Random(31)
     for F in [F2, F3, PrimeField(7)]:
         els = list(F.elements())
         for _ in range(60):
             n = rng.randrange(0, 6)
             got, want = grmat._Echelon(F, n), _EchelonReference(F, n)
-            lists = grmat._Echelon(F, n)
+            lists, flags = grmat._Echelon(F, n), grmat._Echelon(F, n)
             lists.f2 = False
             for _ in range(rng.randrange(0, 9)):
                 v = [rng.choice(els) if rng.random() < 0.5 else F.zero
@@ -363,10 +364,13 @@ def test_echelon_matches_reference():
                 assert got.contains(v) == want.contains(v) == \
                     lists.contains(v)
                 assert got.reduce(v) == lists.reduce(v)
-                assert got.insert(v) == want.insert(v) == lists.insert(v)
+                rem = want.insert(v)
+                assert got.insert_reduced(v) == rem == lists.insert_reduced(v)
+                assert flags.insert(v) is (rem is not None)
                 assert got.basis_columns() == list(want.pivots.values()) \
                     == lists.basis_columns()
                 assert got.pivots.keys() == want.pivots.keys()
+                assert flags.pivots == got.pivots
                 assert lists.pivots == want.pivots
 
 
@@ -393,3 +397,98 @@ def test_graded_matrix_rejects_non_prime_fields():
         grmat.GradedMatrix(E, [(0, 0)], [(1, 0)], [[(0, (1, 0))]])
     with pytest.raises(ValueError, match="prime field"):
         grmat.GradedMatrix(E, [], [], [])
+
+
+def _dims(modules, G):
+    return [sum(grmat.pointwise_model(M, pt).dim for M in modules)
+            for pt in G.points()]
+
+
+def test_decompose_hidden_direct_sums():
+    """The pieces of a hidden direct sum add up to it pointwise on its
+    induced grid, the same input gives the same pieces, and most inputs
+    split into at least as many pieces as summands were hidden."""
+    corpus = hidden_corpus()
+    found = 0
+    for F, k, M in corpus:
+        pieces = grmat.decompose(M)
+        assert all(p.field == F and p.nrows for p in pieces)
+        assert _dims(pieces, induced_grid(M)) == _dims([M], induced_grid(M))
+        assert grmat.decompose(M) == pieces
+        found += len(pieces) >= k
+    assert found >= 0.8 * len(corpus)
+
+
+def test_decompose_keeps_indecomposables_whole(stable, cross):
+    assert grmat.decompose(stable) == [stable]
+    for rows, cols in grmat.connected_components(cross):
+        block = grmat.extract_block(cross, rows, cols)
+        assert grmat.decompose(block) == [block]
+    # one relation less and the stable module splits in two
+    M = grmat.extract_block(stable, [0, 1], [0, 1, 3, 4])
+    assert sorted(p.nrows for p in grmat.decompose(M)) == [1, 1]
+
+
+def test_decompose_mixed_degree_block():
+    """A GF(3) block with generators at (0,1) and (0,0) whose split needs
+    the graded change of generators: E's generator columns are picked per
+    degree, modulo the picks strictly below it."""
+    M = gm(F3, [(0, 1), (0, 0)],
+           [((1, 3), [(0, 2), (1, 1)]), ((2, 1), [(0, 1), (1, 1)]),
+            ((3, 1), [(0, 1)]), ((0, 3), [(0, 1)]), ((3, 0), [(1, 1)]),
+            ((0, 3), [(1, 1)]), ((4, 1), [(0, 1)]), ((0, 4), [(0, 1)]),
+            ((4, 0), [(1, 1)]), ((0, 4), [(1, 1)])])
+    pieces = grmat.decompose(M)
+    assert sorted(p.row_degrees for p in pieces) == [
+        [(Fr(0), Fr(0))], [(Fr(0), Fr(1))]]
+    assert _dims(pieces, induced_grid(M)) == _dims([M], induced_grid(M))
+
+
+def test_split_checks_every_projection(stable, cross):
+    """_split raises on a projection that is not idempotent, not graded,
+    or does not preserve the relations below each degree."""
+    ends = grmat._endomorphisms(stable)
+    with pytest.raises(AssertionError, match="idempotent"):
+        grmat._split(stable, ends, [[1, 1], [0, 1]])
+    with pytest.raises(AssertionError, match="preserve"):
+        grmat._split(stable, ends, [[1, 0], [0, 0]])
+    with pytest.raises(AssertionError, match="graded"):
+        grmat._split(cross, grmat._endomorphisms(cross), [[0, 0], [1, 1]])
+
+
+def test_endomorphisms_of_a_direct_sum():
+    """End of a hidden direct sum contains the identity, and every basis
+    element maps each relation into the relations of degree below it."""
+    for F, _, M in hidden_corpus(n=9, seed=7):
+        ends = grmat._endomorphisms(M)
+        ech = grmat._Echelon(F, M.nrows * M.nrows)
+        for X in ends:
+            assert ech.insert([x for row in X for x in row])
+            for j, d in enumerate(M.col_degrees):
+                below = grmat._Echelon(F, M.nrows)
+                for k, e in enumerate(M.col_degrees):
+                    if deg_leq(e, d):
+                        below.insert(M.dense_column(k))
+                p = M.dense_column(j)
+                assert below.contains([sum(x * y for x, y in zip(row, p))
+                                       % F.q for row in X])
+        ident = [int(a == b) for a in range(M.nrows) for b in range(M.nrows)]
+        assert ech.contains(ident)
+
+
+def test_inverse_of_base_changes():
+    """_inverse returns A^-1 for invertible A and raises on a singular
+    one, so a degenerate change of generators can never split a block."""
+    rng = random.Random(11)
+    for F in [F2, F3, PrimeField(5)]:
+        for _ in range(60):
+            n = rng.randrange(1, 6)
+            A = [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)]
+            ident = [[int(i == j) for j in range(n)] for i in range(n)]
+            if fieldmod.reduce_columns(F, A, n)[0] < n:
+                with pytest.raises(AssertionError, match="singular"):
+                    grmat._inverse(F, A)
+                continue
+            Ai = grmat._inverse(F, A)
+            assert grmat._matmul(F.q, A, Ai) == ident
+            assert grmat._matmul(F.q, Ai, A) == ident

@@ -6,13 +6,14 @@ import pytest
 from skyhn import field as fieldmod
 from skyhn import cheng, grmat, hn_core, invariants, pipeline
 from skyhn.grmat import NEG_INF, Grid
-from skyhn.invariants import SkyscraperStore, merge_factors
+from skyhn.invariants import HNFactorList, SkyscraperStore, merge_factors
 from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
                             clip_to_box, exact_skyscraper,
                             factor_interval_check, filtered_landscape,
                             hn_at, parallel_grid_scan)
 
-from conftest import F2, F3, gm, random_bounded_module
+from conftest import (F2, F3, gm, hidden_corpus, hidden_direct_sum,
+                      random_bounded_module)
 
 
 def test_scan_config_validation():
@@ -185,7 +186,8 @@ def _scan_reference(M, cfg):
                     cells.clear()
                     pointer_y[i] = corner[1]
                 if corner not in cells:
-                    cells[corner] = pipeline._cell_trees(module, grid, corner)
+                    cells[corner] = pipeline._cell_trees(
+                        [module], grid, corner)
                     if cells[corner] is not None:
                         out.work[i] += 1
                 trees = cells[corner]
@@ -201,11 +203,17 @@ def _scan_reference(M, cfg):
 
 
 def test_sweep_matches_reference_drivers():
+    """40 random bounded modules, then 12 hidden direct sums of thickness
+    2-4, whose split path the undecomposed references cover."""
     rng = random.Random(2026)
     cheng_runs = 0
-    for trial in range(40):
+    for trial in range(52):
         F = F2 if trial % 2 else F3
-        M = random_bounded_module(rng, F, rng.randrange(1, 3), dmax=3)
+        if trial < 40:
+            M = random_bounded_module(rng, F, rng.randrange(1, 3), dmax=3)
+        else:
+            sizes = [rng.randrange(1, 3) for _ in range(2)]
+            M = hidden_direct_sum(rng, F, sizes)
         engines = ("brute", "cheng") if trial % 8 == 0 else ("brute",)
         for eps in (Fr(1), Fr(1, 2)):
             for engine in engines:
@@ -220,6 +228,39 @@ def test_sweep_matches_reference_drivers():
             assert got == want, (trial, eps)
             assert got.work == want.work, (trial, eps)
     assert cheng_runs >= 5
+
+
+def _hn_reference(M, alpha, box):
+    """hn_at before decomposition: brute force per connected block."""
+    lists = [fl for fl in (hn_core.hn_filtration_at(b, alpha)
+                           for b in pipeline._blocks(clip_to_box(M, box)))
+             if fl.factors]
+    return merge_factors(lists) if lists else HNFactorList(alpha, [])
+
+
+def test_drivers_match_undecomposed_reference():
+    """Brute force and the exact cells run on the pieces grmat.decompose
+    finds; on hidden direct sums over GF(2), GF(3) and GF(5) each driver
+    equals its undecomposed reference, and the cheng engine, which runs on
+    each connected block whole, equals brute force."""
+    split = 0
+    corpus = hidden_corpus(n=18, seed=99, max_thickness=4)
+    for i, (F, _, M) in enumerate(corpus):
+        box = bounding_box(M)
+        blocks = pipeline._blocks(clip_to_box(M, box))
+        split += sum(map(len, map(grmat.decompose, blocks))) > len(blocks)
+        cfg = ScanConfig(epsilon=1)
+        got, want = approx_skyscraper(M, cfg), _approx_reference(M, cfg)
+        assert got == want and got.work == want.work, i
+        xs, ys = pipeline._eps_points(box, cfg.epsilon)
+        snap = exact_skyscraper(M).snapshot(
+            [(x, y) for y in ys for x in xs], cfg.epsilon)
+        assert snap == _scan_reference(M, cfg), i
+        for alpha in sorted(set(M.row_degrees)):
+            brute = hn_at(M, alpha)
+            assert brute == _hn_reference(M, alpha, box), (i, alpha)
+            assert hn_at(M, alpha, engine="cheng", seed=i) == brute, (i, alpha)
+    assert split >= len(corpus) // 2
 
 
 def test_erosion_approx_vs_exact(cross):

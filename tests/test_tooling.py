@@ -5,10 +5,13 @@ or reads is renamed or removed.  A source scan keeps imports honest."""
 import ast
 import glob
 import os
+import random
 import sys
 from fractions import Fraction as Fr
 
-from skyhn import pipeline
+from skyhn import grmat, pipeline
+
+from conftest import F2, hidden_direct_sum
 
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              os.pardir, "perfbench"))
@@ -31,26 +34,36 @@ def _bindings():
 
 
 def test_tracer_install_uninstall_restores_every_name(cross):
-    before = _bindings()
-    assert {attr for _, attr, _ in before} >= {
-        attr for _, _, attr, _ in layertrace.TARGETS}
-    tracer = layertrace.Tracer()
-    tracer.install()
-    try:
-        assert all(getattr(ns, attr) is not orig for ns, attr, orig in before)
-        cfg = pipeline.ScanConfig(epsilon=1)
-        sa = tracer.op(0, pipeline.approx_skyscraper, cross, cfg)
-        sc = tracer.op(1, pipeline.parallel_grid_scan, cross, cfg)
-    finally:
-        tracer.uninstall()
-    assert all(getattr(ns, attr) is orig for ns, attr, orig in before)
-    assert tracer.counts["pipeline.approx.engine_runs"] == sum(sa.work) > 0
-    assert tracer.counts["pipeline.scan.tree_builds"] == sum(sc.work) > 0
-    # perfbench/run.py and the cli read the summands of an exact store
-    ex = pipeline.exact_skyscraper(cross, eager=False)
-    assert ex.box == (Fr(0), Fr(0), Fr(4), Fr(4))
-    assert len(ex.summands) == 2
-    assert all(len(summand) == 3 for summand in ex.summands)
+    # a hidden direct sum that is one connected block of four pieces
+    hidden = hidden_direct_sum(random.Random(3), F2, [2, 2])
+    box = pipeline.bounding_box(hidden)
+    blocks = pipeline._blocks(pipeline.clip_to_box(hidden, box))
+    assert len(blocks) == 1 and len(grmat.decompose(blocks[0])) == 4
+    for M, n_blocks in ((cross, 2), (hidden, 1)):
+        before = _bindings()
+        assert {attr for _, attr, _ in before} >= {
+            attr for _, _, attr, _ in layertrace.TARGETS}
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            assert all(getattr(ns, attr) is not orig
+                       for ns, attr, orig in before)
+            cfg = pipeline.ScanConfig(epsilon=1)
+            sa = tracer.op(0, pipeline.approx_skyscraper, M, cfg)
+            sc = tracer.op(1, pipeline.parallel_grid_scan, M, cfg)
+        finally:
+            tracer.uninstall()
+        assert all(getattr(ns, attr) is orig for ns, attr, orig in before)
+        assert tracer.counts["pipeline.approx.engine_runs"] == sum(sa.work) > 0
+        assert tracer.counts["pipeline.scan.tree_builds"] == sum(sc.work) > 0
+        assert len(sa.work) == len(sc.work) == n_blocks
+        # perfbench/run.py and the cli read the summands of an exact store:
+        # one (module, grid, cells) per connected block
+        ex = pipeline.exact_skyscraper(M, eager=False)
+        assert len(ex.summands) == n_blocks
+        assert all(len(summand) == 3 for summand in ex.summands)
+    assert ex.box == box
+    assert pipeline.exact_skyscraper(cross).box == (Fr(0), Fr(0), Fr(4), Fr(4))
 
 
 def _unused_imports(source):
