@@ -243,6 +243,12 @@ def _grid_size(text):
     return parts
 
 
+def _resolution(text):
+    if not text.isdigit() or int(text) < 2:
+        raise argparse.ArgumentTypeError("expected an integer >= 2")
+    return int(text)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="skyhn",
@@ -286,7 +292,9 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--k", type=_int_list, default=[1])
     p.add_argument("--theta", type=_frac_list, default=[Fraction(0)])
-    p.add_argument("--resolution", type=int, default=8)
+    p.add_argument("--resolution", type=_resolution, default=8,
+                   help="evaluation points per axis and bisection steps, "
+                   ">= 2")
     p.add_argument("--anchor", choices=["center", "source"],
                    default="center")
 

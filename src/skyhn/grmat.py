@@ -108,8 +108,8 @@ class Grid:
     """Product grid: strictly increasing x and y coordinate lists."""
 
     def __init__(self, xs, ys):
-        self.xs = sorted({Fraction(x) for x in xs})
-        self.ys = sorted({Fraction(y) for y in ys})
+        self.xs = _axis(xs)
+        self.ys = _axis(ys)
 
     def points(self):
         for y in self.ys:
@@ -133,6 +133,14 @@ class Grid:
 
     def __repr__(self):
         return "Grid(%d x %d)" % (len(self.xs), len(self.ys))
+
+
+def _axis(coords):
+    """Sorted distinct coordinates as Fractions.  Coordinates that already
+    are Fractions are kept, and duplicates are found by (numerator,
+    denominator), which hashes far faster than a Fraction."""
+    frs = [c if type(c) is Fraction else Fraction(c) for c in coords]
+    return sorted({c.as_integer_ratio(): c for c in frs}.values())
 
 
 def _coord_floor(coords, v):
@@ -458,13 +466,36 @@ def pointwise_model(M, gamma):
 
 def fiber_submodule(M, alpha):
     """Minimized presentation of <V_alpha>, the submodule generated by the
-    fiber at alpha, or None when the fiber vanishes."""
+    fiber at alpha, or None when the fiber vanishes.  No fiber model is
+    built when no generator lies below alpha."""
+    alpha = as_degree(alpha)
+    if not any(deg_leq(g, alpha) for g in M.row_degrees):
+        return None
     pm = pointwise_model(M, alpha)
     if pm.dim == 0:
         return None
     S = GradedMatrix(M.field, M.row_degrees, [pm.degree] * pm.dim,
                      [[(i, M.field.one)] for i in pm.basis_rows])
     return minimize(submodule_presentation(M, S))
+
+
+def join_degrees(N, alpha):
+    """N with every row and column degree joined with alpha.
+
+    When N is the minimized fiber submodule of M at a point c of M's
+    induced grid (so every degree of N is >= c and on that grid's
+    coordinates) and alpha lies in the cell [c, next grid point), the
+    result presents <V_alpha>: M is constant on the cell, so <V_alpha> is
+    <V_c> restricted to the up-set of alpha.  On such degrees the join
+    only turns coordinates equal to c_x (or c_y) into alpha_x (or
+    alpha_y), an injective, order-preserving relabelling, so the result
+    is minimal too."""
+    ax, ay = alpha
+
+    def join(d):
+        return (max(d[0], ax), max(d[1], ay))
+    return GradedMatrix(N.field, [join(d) for d in N.row_degrees],
+                        [join(d) for d in N.col_degrees], N.columns)
 
 
 def structure_map(M, gamma, delta):

@@ -8,6 +8,10 @@ small per-class ranks.  Class weights are exact integers over one common
 denominator (each axis scaled by the lcm of its coordinate denominators),
 so scoring a subspace is an integer dot product; Fractions appear only at
 the API.  F_2 vectors ride on bitmask ints.
+
+``hn_filtration_at`` builds the fiber submodule <V_alpha> and hands it to
+``hn_filtration_of``, the quotient loop; the lattice sweep, which derives
+<V_alpha> from its cell's corner, calls the loop directly.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from .grmat import deg_leq, induced_grid
 from .invariants import HNFactor, HNFactorList, merge_factors  # noqa: F401
 
 __all__ = ["SlopeRecord", "brute_force_max_slope", "hn_filtration_at",
-           "merge_factors", "subspaces_of_dim", "subspace_grid_dims"]
+           "hn_filtration_of", "merge_factors", "subspaces_of_dim",
+           "subspace_grid_dims"]
 
 
 def _scaled_gaps(coords):
@@ -266,14 +271,22 @@ def brute_force_max_slope(M, use_filter=True, largest=False):
 
 
 def hn_filtration_at(M, alpha, use_filter=True):
-    """HN filtration of the submodule generated by the fiber at alpha.
+    """HN filtration of the submodule generated by the fiber at alpha:
+    grmat.fiber_submodule, then hn_filtration_of."""
+    alpha = grmat.as_degree(alpha)
+    return hn_filtration_of(grmat.fiber_submodule(M, alpha), alpha,
+                            use_filter)
+
+
+def hn_filtration_of(cur, alpha, use_filter=True):
+    """HN filtration at alpha of the module presented by cur, a
+    presentation of <V_alpha> with every generator at alpha (as
+    grmat.fiber_submodule returns it), or of zero when cur is None.
 
     Repeatedly extracts the highest-slope subspace, records its factor as
     superlevel staircases with its slope, and passes to the quotient
     presentation until nothing is left.
     """
-    alpha = grmat.as_degree(alpha)
-    cur = grmat.fiber_submodule(M, alpha)
     if cur is None:
         return HNFactorList(alpha, [])
     factors = []

@@ -12,8 +12,11 @@ the cheng engine runs on each block whole.  ``approx_skyscraper`` and
 ``parallel_grid_scan`` are one colexicographic sweep of the epsilon
 lattice with two per-point strategies: HN engine runs, or the lazily
 built cells of an ``ExactStore``, whose cells of a summand are evicted
-whenever the sweep leaves their grid row.  ``store.work`` counts per
-connected block.
+whenever the sweep leaves their grid row.  A module is constant on each
+cell of its induced grid, so the brute-force sweep builds a piece's fiber
+submodule once per cell, at the cell's lower corner, and joins its degrees
+with each lattice point of the cell (``_CellFibers``).  ``store.work``
+counts per connected block.
 """
 
 from __future__ import annotations
@@ -131,14 +134,16 @@ def _engine_pieces(blocks, engine):
     return [grmat.decompose(block) for block in blocks]
 
 
-def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None):
+def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
+               fiber=grmat.fiber_submodule):
     """HN filtration at alpha of the direct sum of the connected blocks:
     one engine run per piece of a block (pieces from _engine_pieces),
     coalesced into one list per block, and the blocks' lists merged by
     slope.  cheng_grid(i) is the grid of block i for the cheng engine,
-    asked for only when the fiber is non-zero.  An engine returns an empty
-    list on a zero fiber; work[i] counts the non-empty results of block
-    i."""
+    asked for only when the fiber is non-zero.  Brute force runs on
+    fiber(piece, alpha), the presentation of the piece's <V_alpha>.  An
+    engine returns an empty list on a zero fiber; work[i] counts the
+    non-empty results of block i."""
     lists = []
     for i, block_pieces in enumerate(pieces):
         if engine == "cheng":
@@ -149,7 +154,8 @@ def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None):
             except cheng.ShrunkFailure as exc:
                 raise EngineFailure(alpha, exc)
         else:
-            fls = [hn_core.hn_filtration_at(p, alpha) for p in block_pieces]
+            fls = [hn_core.hn_filtration_of(fiber(p, alpha), alpha)
+                   for p in block_pieces]
         fl = _coalesce(alpha, fls)
         if fl.factors:
             lists.append(fl)
@@ -183,6 +189,36 @@ def _eps_points(box, epsilon):
     return axis(x0, x1), axis(y0, y1)
 
 
+class _CellFibers:
+    """The fiber submodules of one piece in the lattice sweep, one per cell
+    of the piece's induced grid.  The piece is constant on the cell
+    [c, next grid point) of its lower corner c, so at every alpha of the
+    cell <V_alpha> is <V_c> joined with alpha (grmat.join_degrees); where
+    c is -inf on an axis no generator lies below alpha and the fiber is
+    zero.  The sweep visits cells row by row, so each cell is computed
+    once, and a row's cells are dropped when the sweep leaves it."""
+
+    def __init__(self, piece):
+        self.piece = piece
+        self.grid = grmat.induced_grid(piece)
+        self.row = None
+        self.cells = {}    # corner in the current row -> <V_c> or None
+
+    def at(self, alpha):
+        corner = self.grid.floor(alpha)
+        if corner[0] == invariants.NEG_INF or corner[1] == invariants.NEG_INF:
+            return None
+        if corner[1] != self.row:
+            self.row = corner[1]
+            self.cells.clear()
+        if corner not in self.cells:
+            self.cells[corner] = grmat.fiber_submodule(self.piece, corner)
+        sub = self.cells[corner]
+        if sub is None or corner == alpha:
+            return sub
+        return grmat.join_degrees(sub, alpha)
+
+
 def _sweep(box, epsilon, hn_of):
     """Store of the non-empty filtrations hn_of(alpha) at the epsilon-lattice
     points alpha of the box, visited colexicographically."""
@@ -199,8 +235,11 @@ def _sweep(box, epsilon, hn_of):
 def approx_skyscraper(M, cfg):
     """Store of HN filtrations at every epsilon-lattice point of the
     support; an epsilon-approximation of the true invariant in erosion
-    distance.  store.work counts, per connected block, the lattice points
-    where its engine runs found a non-zero fiber."""
+    distance.  Brute force computes each piece's fiber submodule once per
+    cell of the piece's induced grid and derives it at every lattice point
+    of the cell (_CellFibers); the cheng engine runs on each block whole
+    at every point.  store.work counts, per connected block, the lattice
+    points where its engine runs found a non-zero fiber."""
     box = cfg.box or bounding_box(M)
     blocks = _blocks(clip_to_box(M, box))
 
@@ -210,9 +249,13 @@ def approx_skyscraper(M, cfg):
         return regular_grid(blocks[i], [(x, y) for x in xs for y in ys], box)
 
     pieces = _engine_pieces(blocks, cfg.engine)
+    fiber = grmat.fiber_submodule
+    if cfg.engine == "brute":
+        pieces = [[_CellFibers(p) for p in ps] for ps in pieces]
+        fiber = _CellFibers.at
     work = [0] * len(blocks)
     store = _sweep(box, cfg.epsilon, lambda alpha: _hn_blocks(
-        pieces, alpha, cfg.engine, cfg.seed, cheng_grid, work))
+        pieces, alpha, cfg.engine, cfg.seed, cheng_grid, work, fiber))
     store.work = work
     return store
 

@@ -181,6 +181,22 @@ def test_cli_cheng_grid_needs_two_lines_per_axis(cross_file, tmp_path,
     assert "--grid" in _one_line_error(capsys).splitlines()[-1]
 
 
+def test_cli_landscape_resolution_below_two(cross_file, tmp_path, capsys):
+    # 1 divided by zero and 0 or less wrote an empty landscape
+    for bad in ("1", "0", "-3", "x"):
+        with pytest.raises(SystemExit) as ei:
+            main(["--out", str(tmp_path), "landscape", cross_file,
+                  "--resolution", bad])
+        assert ei.value.code == 2, bad
+        err = _one_line_error(capsys).splitlines()
+        assert "--resolution" in err[-1], bad
+    assert not os.path.exists(os.path.join(str(tmp_path), "landscape.csv"))
+    assert main(["--out", str(tmp_path), "landscape", cross_file,
+                 "--resolution", "2"]) == 0
+    rows = open(os.path.join(str(tmp_path), "landscape.csv")).readlines()
+    assert len(rows) == 1 + 2 * 2
+
+
 def test_cli_query_from_not_below_to(cross_file, capsys):
     assert main(["query", cross_file, "--theta", "0",
                  "--from", "1,1", "--to", "0,0"]) == 2

@@ -52,6 +52,25 @@ def test_grid_floor_ceil(cross):
     assert G.floor((Fr(-1), Fr(0)))[0] is NEG_INF
 
 
+def test_grid_coordinates_match_fraction_sets():
+    # the axis lists equal the sorted set of Fraction(c), and coordinates
+    # that already are Fractions are kept as they are
+    half = Fr(1, 2)
+    cases = [[3, 1, 2, 1, 0, -2],
+             ["1/2", "0.5", "3", "2/4", "-1", "1/3"],
+             [half, Fr(2, 4), Fr(1, 2), Fr(3), Fr(-1, 3), Fr(3, 1)],
+             [1, "1", Fr(1), Fr(2, 2), "1/3", Fr(1, 3), 0]]
+    for xs in cases:
+        ys = list(reversed(xs))
+        G = grmat.Grid(xs, ys)
+        assert G.xs == sorted({Fr(x) for x in xs})
+        assert G.ys == sorted({Fr(y) for y in ys})
+        assert all(type(c) is Fr for c in G.xs + G.ys)
+    G = grmat.Grid([half], [half, 1])
+    assert G.xs[0] is half and G.ys[0] is half
+    assert grmat.Grid([], []).xs == []
+
+
 def test_kernel_two_vertical_columns(cross):
     # restrict to g1's two relations: single syzygy at the join (1,3)
     M = grmat.extract_block(cross, [0], [0, 1])

@@ -204,7 +204,10 @@ def _scan_reference(M, cfg):
 
 def test_sweep_matches_reference_drivers():
     """40 random bounded modules, then 12 hidden direct sums of thickness
-    2-4, whose split path the undecomposed references cover."""
+    2-4, whose split path the undecomposed references cover; epsilon 1,
+    1/2 and 1/3 put one, four and nine lattice points in a unit cell, so
+    brute force derives most of its fiber submodules from a cell's
+    corner."""
     rng = random.Random(2026)
     cheng_runs = 0
     for trial in range(52):
@@ -215,8 +218,10 @@ def test_sweep_matches_reference_drivers():
             sizes = [rng.randrange(1, 3) for _ in range(2)]
             M = hidden_direct_sum(rng, F, sizes)
         engines = ("brute", "cheng") if trial % 8 == 0 else ("brute",)
-        for eps in (Fr(1), Fr(1, 2)):
-            for engine in engines:
+        for eps in (Fr(1), Fr(1, 2), Fr(1, 3)):
+            # cheng's certification at the finer grid of epsilon 1/3 takes
+            # up to 90 s on one of these modules
+            for engine in engines if eps != Fr(1, 3) else ("brute",):
                 cfg = ScanConfig(epsilon=eps, engine=engine, seed=trial)
                 got = approx_skyscraper(M, cfg)
                 want = _approx_reference(M, cfg)
@@ -228,6 +233,104 @@ def test_sweep_matches_reference_drivers():
             assert got == want, (trial, eps)
             assert got.work == want.work, (trial, eps)
     assert cheng_runs >= 5
+
+
+def _sweep_pieces(n_random=12, n_hidden=12):
+    """Decompose pieces of clipped random bounded modules over GF(2) and
+    GF(3) and of hidden direct sums over GF(2), GF(3) and GF(5)."""
+    rng = random.Random(77)
+    modules = [random_bounded_module(rng, F2 if i % 2 else F3,
+                                     rng.randrange(1, 4), dmax=3)
+               for i in range(n_random)]
+    modules += [M for _, _, M in hidden_corpus(n=n_hidden, seed=78,
+                                               max_thickness=4)]
+    return [p for M in modules
+            for b in pipeline._blocks(clip_to_box(M, bounding_box(M)))
+            for p in grmat.decompose(b)]
+
+
+def _probe_points(grid):
+    """Grid points, points strictly inside cells, points on exactly one
+    grid line, and points below the grid on one axis, colexicographic."""
+    xs, ys = grid.xs, grid.ys
+    mx = [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [xs[-1] + Fr(1, 3)]
+    my = [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[-1] + Fr(1, 3)]
+    pts = [(x, y) for x in xs + mx for y in ys + my]
+    pts += [(xs[0] - Fr(1, 2), y) for y in ys + my]
+    pts += [(x, ys[0] - Fr(1, 2)) for x in xs + mx]
+    return sorted(pts, key=lambda p: (p[1], p[0]))
+
+
+def test_cell_fibers_match_fiber_submodule():
+    """At every probe point the fiber submodule derived from the cell's
+    lower corner has the pointwise dims of fiber_submodule at the point,
+    on the grid of both presentations' degrees, is minimal, and has the
+    same HN filtration."""
+    kinds = set()
+    for piece in _sweep_pieces():
+        cells = pipeline._CellFibers(piece)
+        for alpha in _probe_points(cells.grid):
+            got = cells.at(alpha)
+            want = grmat.fiber_submodule(piece, alpha)
+            assert (got is None) == (want is None), alpha
+            if got is None:
+                continue
+            on_x, on_y = alpha[0] in cells.grid.xs, alpha[1] in cells.grid.ys
+            kinds.add((on_x, on_y))
+            assert got.row_degrees == [alpha] * got.nrows
+            assert grmat.minimize(got) == got, alpha
+            G = Grid([d[0] for N in (got, want)
+                      for d in N.row_degrees + N.col_degrees],
+                     [d[1] for N in (got, want)
+                      for d in N.row_degrees + N.col_degrees])
+            for pt in G.points():
+                assert grmat.pointwise_model(got, pt).dim == \
+                    grmat.pointwise_model(want, pt).dim, (alpha, pt)
+            assert hn_core.hn_filtration_of(got, alpha) == \
+                hn_core.hn_filtration_at(piece, alpha), alpha
+    # non-zero fibers at grid points, inside cells and on one line each
+    assert kinds == {(True, True), (False, False), (True, False),
+                     (False, True)}
+
+
+def test_sweep_builds_each_cell_fiber_once(monkeypatch):
+    """In one approx_skyscraper call a piece's fiber submodule is built at
+    most once per cell of its induced grid, and no fiber model is built
+    where a piece has no generator below the point."""
+    built, bad_models = [], []
+    sub_presentation = grmat.submodule_presentation
+    model = grmat.pointwise_model
+
+    def counted_presentation(M, S):
+        built.append((M, S.col_degrees[0]))
+        return sub_presentation(M, S)
+
+    def checked_model(M, gamma):
+        if not any(grmat.deg_leq(g, gamma) for g in M.row_degrees):
+            bad_models.append(gamma)
+        return model(M, gamma)
+
+    monkeypatch.setattr(grmat, "submodule_presentation", counted_presentation)
+    monkeypatch.setattr(grmat, "pointwise_model", checked_model)
+    rng = random.Random(79)
+    # one indecomposable piece generated at (0,1) and (1,0): the cell at
+    # (0,0) of its grid lies below neither generator
+    modules = [gm(F2, [(0, 1), (1, 0)], [((1, 1), [(0, 1), (1, 1)])])]
+    modules += [random_bounded_module(rng, F2 if i % 2 else F3, 2, dmax=3)
+                for i in range(6)]
+    modules += [M for _, _, M in hidden_corpus(n=6, seed=80,
+                                               max_thickness=4)]
+    n_built = 0
+    for M in modules:
+        for eps in (Fr(1, 2), Fr(1, 3)):
+            built.clear()
+            approx_skyscraper(M, ScanConfig(epsilon=eps))
+            cells = [(id(N), c) for N, c in built]
+            assert len(cells) == len(set(cells)), eps
+            assert all(c in grmat.induced_grid(N) for N, c in built)
+            n_built += len(built)
+    assert n_built > 0
+    assert bad_models == []
 
 
 def _hn_reference(M, alpha, box):
