@@ -8,20 +8,30 @@ filtration, so a shrunk-subspace oracle yields a split-and-recurse driver.
 The oracle is randomized: draw a random matrix A in a blown-up space over
 an extension field, run its Wong sequence, and certify the answer when the
 limit lands inside the image of A.  The Wong image steps exploit the block
-structure of blow-ups (the whole limit has the form k^p tensor S), and A is
-sparsified beforehand by invertible column operations that stay inside the
-blow-up span.
+structure of blow-ups (the whole limit has the form k^p tensor S) and
+multiply only the nonzero rows of the basis matrices, found once per
+space; A is sparsified beforehand by invertible column operations that
+stay inside the blow-up span.
+
+No algebra is repeated where its result is known.  The fiber submodule
+of a block whose generators all lie below alpha is the block with its
+degrees joined with alpha (grmat.fiber_submodule, no kernel).  A_alpha
+takes one fiber model per distinct set of live rows and active columns
+among the grid points above alpha (grmat.structure_maps).  A's columns
+are reduced once per draw (field.ColumnReduction): that reduction gives
+rank A, and each Wong step continues it with the columns of W alone.
 
 Extension elements exist only as g x g blocks over the module's prime field
 (field.embed_phi), so blow-ups, Wong steps and certificates are all
 prime-field work: list-level columns through the one incremental echelon
-grmat._Echelon and field.reduce_columns, with a GF(2) bitmask path and an
-inlined ``% q`` path.
+grmat._Echelon and the one elimination loop behind field.reduce_columns,
+with a GF(2) bitmask path and an inlined ``% q`` path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -56,6 +66,9 @@ class MatrixSpace:
         self.nrows = nrows
         self.ncols = ncols
         self.basis = list(basis)
+        # per basis matrix, its nonzero rows as (row index, row)
+        self.nonzero_rows = [[(a, row) for a, row in enumerate(B.data)
+                              if any(row)] for B in self.basis]
         if check:
             span = _Echelon(field, nrows * ncols)
             for B in self.basis:
@@ -90,15 +103,18 @@ class BlowUp:
         span(ucols) is k^p tensor S, because every block position i is
         reachable through some E_{ij} tensor A_k."""
         sp = self.space
-        Np = sp.ncols
+        Np, q = sp.ncols, sp.field.q
         span = _Echelon(sp.field, sp.nrows)
         for u in ucols:
             for j in range(self.q):
                 blk = u[j * Np:(j + 1) * Np]
                 if not any(blk):
                     continue
-                for A in sp.basis:
-                    span.insert(A.matvec(blk))
+                for rows in sp.nonzero_rows:
+                    w = [0] * sp.nrows
+                    for a, row in rows:
+                        w[a] = sum(map(operator.mul, row, blk)) % q
+                    span.insert(w)
         return span.basis_columns()
 
 
@@ -106,7 +122,9 @@ class WongState:
     """Wong-sequence iteration state for a matrix A inside a blow-up.
 
     The limit candidate W always has the form k^p tensor S for a subspace
-    S of k^nrows; only a basis of S is stored.
+    S of k^nrows; only a basis of S is stored.  A's columns are reduced
+    once: that reduction gives rank_a and the kernel of A, and every
+    preimage continues it with the columns of W alone.
     """
 
     def __init__(self, A, blow):
@@ -115,16 +133,13 @@ class WongState:
         self.step = 0
         self.s_basis = []
         self.last_preimage = []
-        self._acols = A.columns()
-        self._rank_a = None
+        F = A.field
+        self._red = fieldmod.ColumnReduction(F, A.columns(), A.rows)
+        self.rank_a = self._red.rank
+        self._kernel_a = _Echelon(F, A.cols)
+        for c in self._red.kernel:
+            self._kernel_a.insert(c)
         self._last_aug_rank = None
-
-    @property
-    def rank_a(self):
-        if self._rank_a is None:
-            self._rank_a = fieldmod.reduce_columns(
-                self.A.field, self._acols, self.A.rows)[0]
-        return self._rank_a
 
     def w_columns(self):
         """Basis of W = k^p tensor S as dense columns of length p*nrows."""
@@ -138,15 +153,14 @@ class WongState:
         return out
 
     def preimage(self):
-        """Basis of A^{-1}(W) in k^{q*ncols}, via the kernel of [A | W]."""
-        F = self.A.field
-        aug = self._acols + self.w_columns()
-        rank, _, combos = fieldmod.reduce_columns(F, aug, self.A.rows)
+        """Basis of A^{-1}(W) in k^{q*ncols}: the A-parts of the kernel
+        combos of [A | W], which continue A's reduction with W's columns,
+        spanned after A's own kernel."""
+        rank, combos = self._red.extend(self.w_columns())
         self._last_aug_rank = rank
-        na = len(self._acols)
-        span = _Echelon(F, na)
+        span = self._kernel_a.copy()
         for c in combos:
-            span.insert(c[:na])
+            span.insert(c)
         return span.basis_columns()
 
     def advance(self):
@@ -244,9 +258,8 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
     # A = sum_k X_k (x) A_k, accumulated over the nonzero entries of A_k
     N = space.nrows
     acc = [[0] * (Q * Np) for _ in range(P * N)]
-    for X, Ak in zip(xmats, space.basis):
-        nz = [(a, b, v) for a, row in enumerate(Ak.data)
-              for b, v in enumerate(row) if v]
+    for X, rows in zip(xmats, space.nonzero_rows):
+        nz = [(a, b, v) for a, row in rows for b, v in enumerate(row) if v]
         for i, xrow in enumerate(X):
             for j, x in enumerate(xrow):
                 if x:
@@ -276,33 +289,30 @@ def build_A_alpha(M, G, alpha):
     Rows are the stacked fibers at the grid points strictly above alpha
     (colexicographic order, zero-dimensional fibers contribute no rows);
     the basis has one matrix per point with a nonzero structure map,
-    carrying that map in its block and zeros elsewhere.
+    carrying that map in its block and zeros elsewhere.  The maps come from
+    grmat.structure_maps, which builds one fiber model per distinct set of
+    live rows and active columns among the points.
 
     Returns (space, p0, q0, betas) with p0 = dim at alpha, q0 = total
     stacked dimension, betas = all grid points above alpha.
     """
     alpha = as_degree(alpha)
     F = M.field
-    pm = grmat.pointwise_model(M, alpha)
+    betas = [b for b in G.points() if deg_leq(alpha, b) and b != alpha]
+    pm, maps = grmat.structure_maps(M, alpha, betas)
     p0 = pm.dim
     if p0 == 0:
         raise ValueError("zero fiber at %s" % (alpha,))
-    betas = [b for b in G.points() if deg_leq(alpha, b) and b != alpha]
     placed = []
     q0 = 0
-    for b in betas:
-        T = grmat._structure_map(pm, M, b)
-        if T.rows == 0:
-            continue
-        placed.append((q0, T))
+    for T in maps:
+        if any(map(any, T.data)):
+            placed.append((q0, T))
         q0 += T.rows
     basis = []
     for off, T in placed:
-        if not any(map(any, T.data)):
-            continue
         B = DenseMatrix.zero(q0, p0, F)
-        for a in range(T.rows):
-            B.data[off + a] = list(T.data[a])
+        B.data[off:off + T.rows] = [list(row) for row in T.data]
         basis.append(B)
     return MatrixSpace(F, q0, p0, basis), p0, q0, betas
 
@@ -366,13 +376,7 @@ def _split_fiber(space, p0, q0, alpha, seed, g_extra, max_retries,
     for (p, q) in _farey_probes(rp, rq, farey_budget, farey_cap):
         U = _shrunk_with_retries(space, p, q, alpha, seed, g_extra,
                                  max_retries, p_cap)
-        d = U.cols
-        if p * rq > q * rp:
-            # threshold above the whole module's ratio: any nonzero
-            # result is automatically a proper submodule
-            if 0 < d < p0:
-                return U
-        elif 0 < d < p0:
+        if 0 < U.cols < p0:
             return U
     U = _shrunk_with_retries(space, rp, rq, alpha, seed, g_extra,
                              max_retries, p_cap)

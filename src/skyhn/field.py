@@ -5,16 +5,16 @@ operation inlines its ``% q``.  Extension fields F_{q^g} appear only inside
 the randomized engine: ext_field_build picks the modulus and embed_phi turns
 an element (g base-field coefficients, constant term first) into a g x g
 block over F_q, so no extension arithmetic exists.  Elimination is one
-list-level column reduction, reduce_columns, with an F_2 bitmask path and
-an inlined ``% q`` path; reduce wraps it for DenseMatrix, and the
-incremental echelon primitives _insert_f2/_insert_generic share its cached
-inverse table.  Module-level sparsity is handled upstream.
+list-level column reduction loop with an F_2 bitmask path and an inlined
+``% q`` path: reduce_columns runs it once, ColumnReduction keeps it open
+for further columns, reduce wraps it for DenseMatrix, and the incremental
+echelon primitives _insert_f2/_insert_generic share its cached inverse
+table.  Module-level sparsity is handled upstream.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 
 
 def _is_prime(n):
@@ -285,10 +285,6 @@ class DenseMatrix:
             out.append([x % q for x in acc])
         return DenseMatrix(self.rows, other.cols, self.field, out)
 
-    def matvec(self, v):
-        q = self.field.q
-        return [sum(map(operator.mul, row, v)) % q for row in self.data]
-
     def __eq__(self, other):
         return (isinstance(other, DenseMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.field == other.field
@@ -348,6 +344,87 @@ def _insert_f2(base, tmp, v):
     return False
 
 
+class ColumnReduction:
+    """reduce_columns, kept open for more columns.
+
+    ColumnReduction(F, cols, nrows) column-reduces cols as reduce_columns
+    does and keeps `rank`, `basis` and `kernel`.  extend(more) continues
+    the elimination with further columns on a copy of the saved pivots, so
+    one reduction serves any number of extensions.  Their tails start at
+    zero: a combo it returns is the part on `cols` of the kernel combo that
+    reduce_columns(F, cols + more, nrows) gives for the same column, and
+    the rank it returns is that reduction's rank.
+    """
+
+    def __init__(self, F, cols, nrows):
+        self.q, self.nrows, self.n = F.q, nrows, len(cols)
+        self._pivots = {}   # pivot row -> (reduced column, its tail)
+        self.basis, self.kernel = self._reduce(self._pivots, cols, True)
+        self.rank = len(self.basis)
+
+    def extend(self, more):
+        """(rank, combos over the first columns) of the reduction continued
+        with the columns `more`; the saved state is left unchanged."""
+        pivots = dict(self._pivots)
+        kernel = self._reduce(pivots, more, False)[1]
+        return len(pivots), kernel
+
+    def _reduce(self, pivots, cols, tracked):
+        """The one elimination loop: reduce cols against `pivots`, storing
+        fresh pivots; a tail starts at the identity column when tracked,
+        else at zero.  Returns (reduced columns with a fresh pivot, tails
+        of the columns that reduced to zero), as lists."""
+        q, nrows, n = self.q, self.nrows, self.n
+        basis, kernel = [], []
+        if q == 2:
+            for j, col in enumerate(cols):
+                v = 0
+                for i, x in enumerate(col):
+                    if x:
+                        v |= 1 << i
+                t = 1 << j if tracked else 0
+                while v:
+                    hit = pivots.get(v.bit_length() - 1)
+                    if hit is None:
+                        pivots[v.bit_length() - 1] = (v, t)
+                        basis.append(v)
+                        break
+                    v ^= hit[0]
+                    t ^= hit[1]
+                else:
+                    kernel.append(t)
+            return ([[(v >> i) & 1 for i in range(nrows)] for v in basis],
+                    [[(t >> r) & 1 for r in range(n)] for t in kernel])
+        inv = _inverses(q)
+        for j, col in enumerate(cols):
+            v = list(col)
+            t = [0] * n
+            if tracked:
+                t[j] = 1
+            piv = nrows - 1
+            while True:
+                while piv >= 0 and not v[piv]:
+                    piv -= 1
+                if piv < 0:
+                    kernel.append(t)
+                    break
+                hit = pivots.get(piv)
+                if hit is None:
+                    pivots[piv] = (v, t)
+                    basis.append(v)
+                    break
+                pc, pt = hit
+                c = v[piv] * inv[pc[piv]] % q
+                for r in range(piv):
+                    if pc[r]:
+                        v[r] = (v[r] - c * pc[r]) % q
+                for r, b in enumerate(pt):
+                    if b:
+                        t[r] = (t[r] - c * b) % q
+                v[piv] = 0
+        return basis, kernel
+
+
 def reduce_columns(F, cols, nrows):
     """Column-reduce dense columns of length nrows over the prime field F
     (left unchanged).
@@ -359,59 +436,11 @@ def reduce_columns(F, cols, nrows):
     collides with an earlier pivot, the stored reduced column is
     subtracted, and an identity tail tracks the column operations.  F_2
     columns ride on bitmask ints, other prime fields on inlined ``% q``
-    arithmetic with a cached inverse table.
+    arithmetic with a cached inverse table.  ColumnReduction runs the
+    elimination and keeps it open for further columns.
     """
-    n = len(cols)
-    pivots = {}   # pivot row -> (reduced column, its tail)
-    basis, kernel = [], []
-    if F.q == 2:
-        for j, col in enumerate(cols):
-            v = 0
-            for i, x in enumerate(col):
-                if x:
-                    v |= 1 << i
-            t = 1 << j
-            while v:
-                hit = pivots.get(v.bit_length() - 1)
-                if hit is None:
-                    pivots[v.bit_length() - 1] = (v, t)
-                    basis.append(v)
-                    break
-                v ^= hit[0]
-                t ^= hit[1]
-            else:
-                kernel.append(t)
-        return (len(basis),
-                [[(v >> i) & 1 for i in range(nrows)] for v in basis],
-                [[(t >> r) & 1 for r in range(n)] for t in kernel])
-    q = F.q
-    inv = _inverses(q)
-    for j, col in enumerate(cols):
-        v = list(col)
-        t = [0] * n
-        t[j] = 1
-        piv = nrows - 1
-        while True:
-            while piv >= 0 and not v[piv]:
-                piv -= 1
-            if piv < 0:
-                kernel.append(t)
-                break
-            hit = pivots.get(piv)
-            if hit is None:
-                pivots[piv] = (v, t)
-                basis.append(v)
-                break
-            pc, pt = hit
-            c = v[piv] * inv[pc[piv]] % q
-            for r in range(piv):
-                if pc[r]:
-                    v[r] = (v[r] - c * pc[r]) % q
-            for r, b in enumerate(pt):
-                if b:
-                    t[r] = (t[r] - c * b) % q
-            v[piv] = 0
-    return len(basis), basis, kernel
+    red = ColumnReduction(F, cols, nrows)
+    return red.rank, red.basis, red.kernel
 
 
 def reduce(M):

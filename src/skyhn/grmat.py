@@ -293,6 +293,13 @@ class _Echelon:
                         v[r] = (v[r] - c * pc[r]) % q
         return v
 
+    def copy(self):
+        """An echelon with the same pivots, to insert into independently
+        (stored columns are never mutated, so they are shared)."""
+        out = _Echelon(self.F, self.nrows)
+        out.pivots = dict(self.pivots)
+        return out
+
     def basis_columns(self):
         """Copies of the stored columns as lists, in insertion order."""
         return [list(self._col(v)) for v in self.pivots.values()]
@@ -426,29 +433,27 @@ def quotient_presentation(M_alpha, B):
 
 
 class PointwiseModel:
-    """The fiber V_gamma = (A[G]/Im M)_gamma with a chosen basis.
+    """The fiber V_gamma = (A[G]/Im M)_gamma with a chosen basis, built from
+    the generators <= gamma (live_rows) and the relations <= gamma
+    (active_cols), as index lists; pointwise_model finds them for gamma.
 
     basis_rows are the generator rows (global indices) whose classes form a
     basis; reduce_vector sends a vector over the live rows to coordinates in
     that basis.
     """
 
-    def __init__(self, M, gamma):
+    def __init__(self, M, live_rows, active_cols):
         F = M.field
         z = F.zero
-        gamma = as_degree(gamma)
-        self.degree = gamma
-        self.live_rows = [i for i, d in enumerate(M.row_degrees)
-                          if deg_leq(d, gamma)]
+        self.live_rows = list(live_rows)
         self._pos = {g: k for k, g in enumerate(self.live_rows)}
         n = len(self.live_rows)
         ech = _Echelon(F, n)
-        for j, d in enumerate(M.col_degrees):
-            if deg_leq(d, gamma):
-                col = [z] * n
-                for i, v in M.columns[j]:
-                    col[self._pos[i]] = v
-                ech.insert(col)
+        for j in active_cols:
+            col = [z] * n
+            for i, v in M.columns[j]:
+                col[self._pos[i]] = v
+            ech.insert(col)
         self._ech = ech
         self.basis_rows = [g for g in self.live_rows
                            if self._pos[g] not in ech.pivots]
@@ -461,20 +466,34 @@ class PointwiseModel:
 
 
 def pointwise_model(M, gamma):
-    return PointwiseModel(M, gamma)
+    gamma = as_degree(gamma)
+    return PointwiseModel(
+        M, [i for i, d in enumerate(M.row_degrees) if deg_leq(d, gamma)],
+        [j for j, d in enumerate(M.col_degrees) if deg_leq(d, gamma)])
 
 
 def fiber_submodule(M, alpha):
     """Minimized presentation of <V_alpha>, the submodule generated by the
-    fiber at alpha, or None when the fiber vanishes.  No fiber model is
-    built when no generator lies below alpha."""
+    fiber at alpha, or None when the fiber vanishes.
+
+    When every generator lies <= alpha, <V_alpha> is M with its degrees
+    joined with alpha (join_degrees), minimized, and no kernel is computed:
+    A[alpha]^t -> M has image <V_alpha>, and at each d >= alpha its kernel
+    is spanned by the relations c_j <= d, which are exactly the columns at
+    c_j v alpha.  Otherwise the relations of the fiber's basis generators
+    come from a kernel (submodule_presentation).  No fiber model is built
+    when no generator lies below alpha."""
     alpha = as_degree(alpha)
-    if not any(deg_leq(g, alpha) for g in M.row_degrees):
+    below = [deg_leq(g, alpha) for g in M.row_degrees]
+    if not any(below):
         return None
+    if all(below):
+        N = minimize(join_degrees(M, alpha))
+        return N if N.nrows else None
     pm = pointwise_model(M, alpha)
     if pm.dim == 0:
         return None
-    S = GradedMatrix(M.field, M.row_degrees, [pm.degree] * pm.dim,
+    S = GradedMatrix(M.field, M.row_degrees, [alpha] * pm.dim,
                      [[(i, M.field.one)] for i in pm.basis_rows])
     return minimize(submodule_presentation(M, S))
 
@@ -482,12 +501,13 @@ def fiber_submodule(M, alpha):
 def join_degrees(N, alpha):
     """N with every row and column degree joined with alpha.
 
-    When N is the minimized fiber submodule of M at a point c of M's
-    induced grid (so every degree of N is >= c and on that grid's
-    coordinates) and alpha lies in the cell [c, next grid point), the
-    result presents <V_alpha>: M is constant on the cell, so <V_alpha> is
-    <V_c> restricted to the up-set of alpha.  On such degrees the join
-    only turns coordinates equal to c_x (or c_y) into alpha_x (or
+    When every generator of N lies <= alpha, the result presents <V_alpha>
+    (see fiber_submodule).  When N is the minimized fiber submodule of M at
+    a point c of M's induced grid (so every degree of N is >= c and on that
+    grid's coordinates) and alpha lies in the cell [c, next grid point),
+    the result presents <V_alpha> too: M is constant on the cell, so
+    <V_alpha> is <V_c> restricted to the up-set of alpha.  On such degrees
+    the join only turns coordinates equal to c_x (or c_y) into alpha_x (or
     alpha_y), an injective, order-preserving relabelling, so the result
     is minimal too."""
     ax, ay = alpha
@@ -500,22 +520,44 @@ def join_degrees(N, alpha):
 
 def structure_map(M, gamma, delta):
     """Matrix of V_{gamma -> delta} in the pointwise-model bases."""
-    gamma, delta = as_degree(gamma), as_degree(delta)
-    if not deg_leq(gamma, delta):
-        raise ValueError("structure map requires gamma <= delta")
-    return _structure_map(PointwiseModel(M, gamma), M, delta)
+    return structure_maps(M, gamma, [delta])[1][0]
 
 
-def _structure_map(pm_g, M, delta):
-    """structure_map out of a prebuilt model pm_g of the source fiber."""
-    pm_d = PointwiseModel(M, delta)
+def structure_maps(M, gamma, deltas):
+    """The fiber model at gamma and the matrices of V_{gamma -> delta} in
+    the pointwise-model bases, one per delta in deltas (each >= gamma).
+
+    Degrees are compared as integer coordinate ranks, compressed once.  A
+    target fiber model depends only on its live rows and active columns:
+    one is built per distinct pair of them, and its matrix is shared (the
+    same object) by every delta with that pair."""
+    t, n = M.nrows, M.ncols
+    _, _, rk = _rank_degrees(M.row_degrees + M.col_degrees
+                             + [as_degree(gamma)]
+                             + [as_degree(d) for d in deltas])
+    rows, cols, (g, *ds) = rk[:t], rk[t:t + n], rk[t + n:]
+
+    def below(degs, d):
+        return tuple(i for i, (x, y) in enumerate(degs)
+                     if x <= d[0] and y <= d[1])
+    src = PointwiseModel(M, below(rows, g), below(cols, g))
     F = M.field
-    cols = []
-    for g in pm_g.basis_rows:
-        v = [F.zero] * len(pm_d.live_rows)
-        v[pm_d._pos[g]] = F.one
-        cols.append(pm_d.reduce_vector(v))
-    return DenseMatrix.from_columns(cols, pm_d.dim, F)
+    built, maps = {}, []
+    for d in ds:
+        if not (g[0] <= d[0] and g[1] <= d[1]):
+            raise ValueError("structure map requires gamma <= delta")
+        key = (below(rows, d), below(cols, d))
+        T = built.get(key)
+        if T is None:
+            pm = PointwiseModel(M, *key)
+            out = []
+            for i in src.basis_rows:
+                v = [F.zero] * len(pm.live_rows)
+                v[pm._pos[i]] = F.one
+                out.append(pm.reduce_vector(v))
+            T = built[key] = DenseMatrix.from_columns(out, pm.dim, F)
+        maps.append(T)
+    return src, maps
 
 
 def connected_components(M):

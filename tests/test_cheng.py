@@ -4,22 +4,34 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from skyhn import cheng, grmat, hn_core
+from skyhn import cheng, grmat, hn_core, pipeline
+from skyhn import field as fieldmod
 from skyhn.cheng import (BlowUp, MatrixSpace, ShrunkFailure, build_A_alpha,
                          hn_cheng, shrunk_subspace_random)
 from skyhn.field import DenseMatrix, PrimeField
 from skyhn.grmat import Grid
 
-from conftest import F2, F3, gm, random_bounded_module
+from conftest import (F2, F3, cross_module, gm, hidden_corpus,
+                      random_bounded_module, random_unigen_module,
+                      stable_module)
 
 
-def random_space(rng, F, N, Np, ell):
+def matvec(A, v):
+    q = A.field.q
+    return [sum(a * b for a, b in zip(row, v)) % q for row in A.data]
+
+
+def random_space(rng, F, N, Np, ell, sparse=False):
+    """Random independent basis; sparse: each matrix's nonzero entries lie
+    in one random band of rows, as in the spaces build_A_alpha builds."""
     ell = min(ell, N * Np)
     basis = []
     span = grmat._Echelon(F, N * Np)
     while len(basis) < ell:
-        B = DenseMatrix(N, Np, F, [[rng.randrange(F.q) for _ in range(Np)]
-                                   for _ in range(N)])
+        lo = rng.randrange(N) if sparse else 0
+        hi = rng.randrange(lo + 1, N + 1) if sparse else N
+        B = DenseMatrix(N, Np, F, [[rng.randrange(F.q) if lo <= a < hi else 0
+                                    for _ in range(Np)] for a in range(N)])
         if span.insert([x for row in B.data for x in row]):
             basis.append(B)
     return MatrixSpace(F, N, Np, basis)
@@ -39,7 +51,7 @@ def min_shrunk_exhaustive(space):
         span = grmat._Echelon(F, space.nrows)
         for u in rows:
             for A in space.basis:
-                span.insert(A.matvec(list(u)))
+                span.insert(matvec(A, list(u)))
         defect = len(rows) - span.rank
         key = (-defect, len(rows))
         if best is None or key < best[0]:
@@ -70,7 +82,7 @@ def image_naive(blow, ucols):
         for j in range(blow.q):
             blk = u[j * Np:(j + 1) * Np]
             for A in sp.basis:
-                w0 = A.matvec(blk)
+                w0 = matvec(A, blk)
                 for i in range(blow.p):
                     w = [F.zero] * (blow.p * N)
                     w[i * N:(i + 1) * N] = w0
@@ -84,16 +96,45 @@ def test_matrix_space_rejects_dependent_basis():
         MatrixSpace(F2, 2, 2, [B, B])
 
 
+def core_all_rows(blow, ucols):
+    """image_core multiplying every row of every basis matrix."""
+    sp = blow.space
+    Np = sp.ncols
+    span = grmat._Echelon(sp.field, sp.nrows)
+    for u in ucols:
+        for j in range(blow.q):
+            blk = u[j * Np:(j + 1) * Np]
+            if any(blk):
+                for A in sp.basis:
+                    span.insert(matvec(A, blk))
+    return span.basis_columns()
+
+
+def a_alpha_spaces():
+    """Matrix spaces that build_A_alpha builds for the fixtures."""
+    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
+    return [build_A_alpha(M, G, alpha)[0]
+            for M, alpha in [(cross_module(), (Fr(0), Fr(1))),
+                             (stable_module(), (Fr(0), Fr(0))),
+                             (stable_module(), (Fr(1), Fr(0)))]]
+
+
 def test_blowup_core_matches_naive(rng):
-    for _ in range(15):
-        sp = random_space(rng, F2, rng.randrange(1, 4), rng.randrange(1, 4),
-                          rng.randrange(1, 4))
+    """image_core, which multiplies only the nonzero rows of the basis
+    matrices, against the core over all rows and the naive image, on
+    dense and row-sparse random spaces and on build_A_alpha's spaces."""
+    spaces = [random_space(rng, F3 if k % 3 == 0 else F2, rng.randrange(1, 5),
+                           rng.randrange(1, 4), rng.randrange(1, 4),
+                           sparse=k % 2)
+              for k in range(30)]
+    for sp in spaces + a_alpha_spaces():
         p = rng.randrange(1, 3)
         q = rng.randrange(1, 3)
         blow = BlowUp(sp, p, q)
-        ucols = [[rng.randrange(2) for _ in range(q * sp.ncols)]
+        ucols = [[rng.randrange(sp.field.q) for _ in range(q * sp.ncols)]
                  for _ in range(rng.randrange(1, 4))]
         core = blow.image_core(ucols)
+        assert core == core_all_rows(blow, ucols)
         naive = image_naive(blow, ucols)
         # the naive image must be exactly k^p tensor the core
         assert len(naive) == p * len(core)
@@ -115,6 +156,136 @@ def test_shrunk_matches_exhaustive_small_spaces(rng):
         got = [U.column(j) for j in range(U.cols)]
         assert len(got) == len(want_rows), trial
         assert same_span(F2, got, [list(r) for r in want_rows], sp.ncols)
+
+
+def _build_A_alpha_per_beta(M, G, alpha):
+    """build_A_alpha with one fiber model and structure map built afresh
+    for every grid point above alpha: (basis data, p0, q0, betas)."""
+    F = M.field
+    pm = grmat.pointwise_model(M, alpha)
+    betas = [b for b in G.points() if grmat.deg_leq(alpha, b) and b != alpha]
+    placed, q0 = [], 0
+    for b in betas:
+        pd = grmat.pointwise_model(M, b)
+        cols = []
+        for g in pm.basis_rows:
+            v = [0] * len(pd.live_rows)
+            v[pd.live_rows.index(g)] = 1
+            cols.append(pd.reduce_vector(v))
+        T = DenseMatrix.from_columns(cols, pd.dim, F)
+        placed.append((q0, T))
+        q0 += T.rows
+    basis = []
+    for off, T in placed:
+        if any(map(any, T.data)):
+            B = [[0] * pm.dim for _ in range(q0)]
+            B[off:off + T.rows] = T.data
+            basis.append(B)
+    return basis, pm.dim, q0, betas
+
+
+def test_build_A_alpha_matches_per_beta_construction():
+    """The same basis, p0, q0 and betas as a fresh fiber model per point:
+    fiber submodules on their regular grid and on a grid of spacing 1/3
+    (where points share their live rows and active columns), and clipped
+    modules whose generators do not all lie at alpha."""
+    rng = random.Random(6010)
+    modules = [random_bounded_module(rng, F, rng.randrange(1, 4), dmax=3)
+               for F in (F2, F3) * 4]
+    modules += [random_unigen_module(rng, F3, 3, dmax=3)]
+    modules += [M for _, _, M in hidden_corpus(n=3, seed=6011,
+                                               max_thickness=3)]
+    shared = mixed = 0
+    for M in modules:
+        box = pipeline.bounding_box(M)
+        Mc = pipeline.clip_to_box(M, box)
+        x0, y0, x1, y1 = box
+        fine = Grid([x0 + Fr(k, 3) for k in range(3 * int(x1 - x0) + 1)],
+                    [y0 + Fr(k, 3) for k in range(3 * int(y1 - y0) + 1)])
+        for alpha in grmat.induced_grid(Mc).points():
+            if grmat.pointwise_model(Mc, alpha).dim == 0:
+                continue
+            sub = grmat.fiber_submodule(Mc, alpha)
+            inputs = [(sub, pipeline.regular_grid(Mc, [alpha], box)),
+                      (sub, fine)]
+            if set(Mc.row_degrees) != {alpha}:
+                inputs.append((Mc, pipeline.regular_grid(Mc, [alpha], box)))
+                mixed += 1
+            for N, G in inputs:
+                space, p0, q0, betas = build_A_alpha(N, G, alpha)
+                assert ([B.data for B in space.basis], p0, q0, betas) == \
+                    _build_A_alpha_per_beta(N, G, alpha)
+                assert (space.nrows, space.ncols) == (q0, p0)
+                maps = grmat.structure_maps(N, alpha, betas)[1]
+                shared += len({id(T) for T in maps}) < len(maps)
+    assert shared >= 20 and mixed >= 10
+
+
+class _WongReference:
+    """Wong steps with [A | W] reduced afresh at every step and A reduced
+    on its own for rank_a, and the core over all rows."""
+
+    def __init__(self, A, blow):
+        self.A, self.blow = A, blow
+        self.s_basis, self.last_preimage = [], []
+        self.acols = A.columns()
+        self.rank_a = fieldmod.reduce_columns(A.field, self.acols, A.rows)[0]
+        self.contained = None
+
+    def advance(self):
+        F, N, p = self.A.field, self.blow.space.nrows, self.blow.p
+        wcols = []
+        for a in range(p):
+            for s in self.s_basis:
+                w = [0] * (p * N)
+                w[a * N:(a + 1) * N] = s
+                wcols.append(w)
+        rank, _, combos = fieldmod.reduce_columns(F, self.acols + wcols,
+                                                  self.A.rows)
+        self.contained = rank == self.rank_a
+        na = len(self.acols)
+        span = grmat._Echelon(F, na)
+        for c in combos:
+            span.insert(c[:na])
+        self.last_preimage = span.basis_columns()
+        new_s = core_all_rows(self.blow, self.last_preimage)
+        if len(new_s) == len(self.s_basis):
+            return False
+        self.s_basis = new_s
+        return True
+
+
+def test_wong_matches_fresh_reduction(monkeypatch, rng):
+    """Every Wong run of the randomized draws, step by step against the
+    reference: the same preimages, cores and certificate, for extension
+    degree g = 1 and g > 1."""
+    outcomes = set()
+
+    def checked(A, blow):
+        st, ref = cheng.WongState(A, blow), _WongReference(A, blow)
+        while True:
+            grew = st.advance()
+            assert grew == ref.advance()
+            assert st.last_preimage == ref.last_preimage
+            assert st.s_basis == ref.s_basis
+            if not grew:
+                break
+        assert st.contained == ref.contained
+        assert st.rank_a == ref.rank_a
+        # blow.p is g times the draw's p
+        outcomes.add((blow.p > draw_p, st.contained))
+        return st
+    monkeypatch.setattr(cheng, "_run_wong", checked)
+    spaces = [random_space(rng, F3 if k % 2 else F2, rng.randrange(1, 4),
+                           rng.randrange(1, 4), rng.randrange(1, 4),
+                           sparse=k % 2)
+              for k in range(24)]
+    for k, sp in enumerate(spaces + a_alpha_spaces()):
+        for draw_p, q, g_extra in [(1, 1, 0), (1, 2, 0), (2, 1, 1),
+                                   (3, 2, 0)]:
+            shrunk_subspace_random(sp, draw_p, seed=k, q=q, g_extra=g_extra)
+    assert outcomes == {(False, True), (False, False), (True, True),
+                        (True, False)}
 
 
 def test_build_A_alpha_cross(cross):

@@ -131,7 +131,7 @@ def test_kron_shapes_and_values():
 
 
 def test_dense_algebra_matches_definitions():
-    """matmul, matvec and kron against their entrywise definitions."""
+    """matmul and kron against their entrywise definitions."""
     rng = random.Random(53)
     for F in [F2, F3, PrimeField(7)]:
         q = F.q
@@ -145,9 +145,6 @@ def test_dense_algebra_matches_definitions():
             assert X.matmul(Y).data == [
                 [sum(X.data[i][l] * Y.data[l][j] for l in range(k)) % q
                  for j in range(m)] for i in range(n)]
-            v = [rng.randrange(q) for _ in range(k)]
-            assert X.matvec(v) == [sum(a * b for a, b in zip(row, v)) % q
-                                   for row in X.data]
             K = kron(X, Y)
             assert (K.rows, K.cols) == (n * k, k * m)
             assert all(K.data[i * k + a][j * m + b]
@@ -156,17 +153,29 @@ def test_dense_algebra_matches_definitions():
                        for a in range(k) for b in range(m))
 
 
-def test_matvec_matches_matmul():
-    cols = [[1, 2], [0, 1]]
-    M = DenseMatrix.from_columns(cols, 2, F3)
-    v = [2, 1]
-    direct = M.matvec(v)
-    via = M.matmul(DenseMatrix.from_columns([v], 2, F3)).column(0)
-    assert direct == via
-
-
 # ---------------------------------------------------------------------------
 # reduce / reduce_columns against the elimination they replaced
+
+def test_column_reduction_extend_matches_whole_reduction():
+    """ColumnReduction(cols).extend(more), any number of times, gives the
+    rank of reduce_columns(cols + more) and the parts on cols of its
+    kernel combos for the columns of more."""
+    rng = random.Random(59)
+    for F in [F2, F3, F5]:
+        for _ in range(150):
+            n, k, m = rng.randrange(0, 6), rng.randrange(0, 4), \
+                rng.randrange(0, 6)
+            cols = [[rng.randrange(F.q) for _ in range(m)] for _ in range(n)]
+            red = fieldmod.ColumnReduction(F, cols, m)
+            assert (red.rank, red.basis, red.kernel) == \
+                fieldmod.reduce_columns(F, cols, m)
+            for _ in range(2):
+                more = [[rng.randrange(F.q) for _ in range(m)]
+                        for _ in range(k)]
+                rank, _, combos = fieldmod.reduce_columns(F, cols + more, m)
+                assert red.extend(more) == (
+                    rank, [c[:n] for c in combos[len(red.kernel):]])
+
 
 def _reference_reduce(M):
     """field.reduce as it was before reduce_columns: generic F ops, one

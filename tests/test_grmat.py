@@ -4,12 +4,12 @@ from fractions import Fraction as Fr
 import pytest
 
 from skyhn import field as fieldmod
-from skyhn import grmat
+from skyhn import grmat, hn_core
 from skyhn.field import DenseMatrix, PrimeField
 from skyhn.grmat import (NEG_INF, POS_INF, deg_join, deg_leq,
                          induced_grid)
 
-from conftest import F2, F3, gm, hidden_corpus, random_bounded_module
+from conftest import F2, F3, F5, gm, hidden_corpus, random_bounded_module
 
 
 def test_degree_lattice():
@@ -511,3 +511,78 @@ def test_inverse_of_base_changes():
             Ai = grmat._inverse(F, A)
             assert grmat._matmul(F.q, A, Ai) == ident
             assert grmat._matmul(F.q, Ai, A) == ident
+
+
+def _fiber_submodule_by_kernel(M, alpha):
+    """fiber_submodule by the kernel path alone: the fiber's basis
+    generators at alpha, their relations from submodule_presentation."""
+    pm = grmat.pointwise_model(M, alpha)
+    if pm.dim == 0:
+        return None
+    S = grmat.GradedMatrix(M.field, M.row_degrees, [alpha] * pm.dim,
+                           [[(i, 1)] for i in pm.basis_rows])
+    return grmat.minimize(grmat.submodule_presentation(M, S))
+
+
+def _points_above_generators(rng, M):
+    """Points alpha >= every generator of M: grid points of M's induced
+    grid, points off the grid, and points past every relation."""
+    G = induced_grid(M)
+    top = (max(d[0] for d in M.row_degrees), max(d[1] for d in M.row_degrees))
+    pts = [p for p in G.points() if deg_leq(top, p)]
+    rng.shuffle(pts)
+    pts = pts[:4] + [top]
+    off = [(x + Fr(1, 3), y + Fr(1, 2) * k) for x, y in pts[:2]
+           for k in range(2)]
+    return pts + off + [(G.xs[-1] + Fr(1, 2), G.ys[-1] + 1)]
+
+
+def test_fiber_submodule_join_path_matches_kernel_path(monkeypatch):
+    """Where every generator lies <= alpha, fiber_submodule joins the
+    degrees with alpha and computes no kernel; its result presents the
+    module of the kernel path: the same number of generators, the same
+    pointwise dims and HN filtration, and it is minimal.  Elsewhere it is
+    the kernel path."""
+    rng = random.Random(907)
+    modules = [random_bounded_module(rng, (F2, F3, F5)[i % 3],
+                                     rng.randrange(1, 4), dmax=3)
+               for i in range(15)]
+    for _, _, M in hidden_corpus(n=9, seed=908, max_thickness=4):
+        modules.append(M)
+        modules += grmat.decompose(M)
+    cases = [(M, alpha, _fiber_submodule_by_kernel(M, alpha))
+             for M in modules for alpha in _points_above_generators(rng, M)]
+
+    def no_kernel(M):
+        raise AssertionError("the join path computed a kernel")
+    monkeypatch.setattr(grmat, "kernel", no_kernel)
+    got = [grmat.fiber_submodule(M, alpha) for M, alpha, _ in cases]
+    monkeypatch.undo()
+    cut = zero = 0
+    for (M, alpha, want), sub in zip(cases, got):
+        if want is None:
+            assert sub is None, alpha
+            zero += 1
+            continue
+        assert sub.nrows == want.nrows
+        assert set(sub.row_degrees) == {alpha}
+        assert all(sub.row_degrees[i] != sub.col_degrees[j]
+                   for j, col in enumerate(sub.columns) for i, _ in col)
+        G = grmat.Grid(induced_grid(sub).xs + induced_grid(want).xs,
+                       induced_grid(sub).ys + induced_grid(want).ys)
+        assert _dims([sub], G) == _dims([want], G)
+        assert hn_core.hn_filtration_of(sub, alpha) == \
+            hn_core.hn_filtration_of(want, alpha)
+        cut += sub.nrows < M.nrows
+    assert zero >= 20 and cut >= 20
+    # below some generator's degree the kernel path is taken unchanged
+    partial = 0
+    for M in modules:
+        top = (max(d[0] for d in M.row_degrees),
+               max(d[1] for d in M.row_degrees))
+        for alpha in induced_grid(M).points():
+            if not deg_leq(top, alpha):
+                partial += any(deg_leq(g, alpha) for g in M.row_degrees)
+                assert grmat.fiber_submodule(M, alpha) == \
+                    _fiber_submodule_by_kernel(M, alpha)
+    assert partial >= 20

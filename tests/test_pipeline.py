@@ -220,7 +220,7 @@ def test_sweep_matches_reference_drivers():
         engines = ("brute", "cheng") if trial % 8 == 0 else ("brute",)
         for eps in (Fr(1), Fr(1, 2), Fr(1, 3)):
             # cheng's certification at the finer grid of epsilon 1/3 takes
-            # up to 90 s on one of these modules
+            # about 20 s of CPU on one of these modules (trial 40)
             for engine in engines if eps != Fr(1, 3) else ("brute",):
                 cfg = ScanConfig(epsilon=eps, engine=engine, seed=trial)
                 got = approx_skyscraper(M, cfg)
