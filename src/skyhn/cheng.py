@@ -36,7 +36,7 @@ import random
 from fractions import Fraction
 
 from . import field as fieldmod
-from . import grmat, invariants
+from . import grmat
 from .field import DenseMatrix, embed_phi, ext_field_build
 from .grmat import _Echelon, as_degree, deg_leq
 from .hn_core import fiber_classes
@@ -392,8 +392,7 @@ def _semistable_factor(cur, alpha):
     if integ <= 0:
         raise ValueError(
             "module is not bounded at %s: infinite slope integral" % (alpha,))
-    stairs = invariants.staircases_from_dims(fc.grid, fc.rank_dims(fc.coranks),
-                                             alpha, thickness=t)
+    stairs = fc.staircases(fc.coranks, t)
     return HNFactor(stairs, Fraction(t) / integ)
 
 

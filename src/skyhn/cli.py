@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -290,8 +291,9 @@ def build_parser():
 
     p = sub.add_parser("landscape", help="filtered landscape CSV")
     p.add_argument("input")
-    p.add_argument("--k", type=_int_list, default=[1])
-    p.add_argument("--theta", type=_frac_list, default=[Fraction(0)])
+    # tuples: one parser serves every call of main (see _parser)
+    p.add_argument("--k", type=_int_list, default=(1,))
+    p.add_argument("--theta", type=_frac_list, default=(Fraction(0),))
     p.add_argument("--resolution", type=_resolution, default=8,
                    help="evaluation points per axis and bisection steps, "
                    ">= 2")
@@ -444,8 +446,15 @@ _COMMANDS = {"hn": _cmd_hn, "approx": _cmd_approx, "exact": _cmd_exact,
              "landscape": _cmd_landscape, "check": _cmd_check}
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built once per process: parse_args leaves it
+    unchanged, and its defaults are immutable."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.cmd](args)
     except ParseError as exc:

@@ -5,13 +5,18 @@ A graded matrix M with degree-labeled rows (generators) and columns
 (relations) presents the module coker(M: A[R] -> A[G]).  Entries are
 nonzero only where row degree <= column degree componentwise.
 
-Degrees are pairs of exact rationals (fractions.Fraction); ``kernel`` and
-``minimize`` compare integer coordinate ranks inside and return Fractions.
+Fractions at the API, ints below: every degree that enters or leaves this
+module is a pair of exact rationals (fractions.Fraction), and the loops
+inside compare, hash and sort integer coordinate ranks (``_ranks``), the
+positions of each coordinate among the matrix's sorted distinct ones.
+Matrices built from ranks (``_from_ranks``) are validated on them and keep
+them for the next operation.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import operator
 import random
 from fractions import Fraction
@@ -57,17 +62,21 @@ class GradedMatrix:
         self.col_degrees = [as_degree(d) for d in col_degrees]
         self.columns = [sorted(((i, v) for i, v in col if v != field.zero))
                         for col in columns]
+        self._ranks = None      # see _ranks
         if check:
-            self._validate()
+            self._validate(self.row_degrees, self.col_degrees)
 
-    def _validate(self):
+    def _validate(self, rows, cols):
+        """Every entry's row degree is <= its column degree, compared on
+        rows and cols: the degrees themselves or their integer ranks."""
         if len(self.columns) != len(self.col_degrees):
             raise ValueError("column count mismatch")
         for j, col in enumerate(self.columns):
+            cx, cy = cols[j]
             for i, v in col:
-                if not 0 <= i < len(self.row_degrees):
+                if not 0 <= i < len(rows):
                     raise ValueError("row index out of range in column %d" % j)
-                if not deg_leq(self.row_degrees[i], self.col_degrees[j]):
+                if rows[i][0] > cx or rows[i][1] > cy:
                     raise ValueError(
                         "inhomogeneous entry (%d, %d): row degree %s > column degree %s"
                         % (i, j, self.row_degrees[i], self.col_degrees[j]))
@@ -104,6 +113,31 @@ def from_dense_columns(field, row_degrees, col_degrees, dense_cols):
     return GradedMatrix(field, row_degrees, col_degrees, cols)
 
 
+def _from_ranks(field, xs, ys, row_rk, col_rk, cols):
+    """GradedMatrix with degrees (xs[rx], ys[ry]) given by integer ranks
+    into the sorted distinct coordinates xs and ys, validated on the ranks,
+    which it keeps (compressed to the coordinates in use) for _ranks."""
+    xs, ys, rk = _compress(xs, ys, row_rk + col_rk)
+    row_rk, col_rk = rk[:len(row_rk)], rk[len(row_rk):]
+    M = GradedMatrix(field, [(xs[x], ys[y]) for x, y in row_rk],
+                     [(xs[x], ys[y]) for x, y in col_rk], cols, check=False)
+    M._validate(row_rk, col_rk)
+    M._ranks = (xs, ys, row_rk, col_rk)
+    return M
+
+
+def _compress(xs, ys, rk):
+    """Drop the coordinates that no rank pair in rk uses, renumbering."""
+    ux = sorted({x for x, _ in rk})
+    uy = sorted({y for _, y in rk})
+    if len(ux) == len(xs) and len(uy) == len(ys):
+        return xs, ys, rk
+    mx = {r: k for k, r in enumerate(ux)}
+    my = {r: k for k, r in enumerate(uy)}
+    return ([xs[r] for r in ux], [ys[r] for r in uy],
+            [(mx[x], my[y]) for x, y in rk])
+
+
 class Grid:
     """Product grid: strictly increasing x and y coordinate lists."""
 
@@ -137,10 +171,19 @@ class Grid:
 
 def _axis(coords):
     """Sorted distinct coordinates as Fractions.  Coordinates that already
-    are Fractions are kept, and duplicates are found by (numerator,
-    denominator), which hashes far faster than a Fraction."""
-    frs = [c if type(c) is Fraction else Fraction(c) for c in coords]
-    return sorted({c.as_integer_ratio(): c for c in frs}.values())
+    are Fractions are kept (see _sorted_distinct)."""
+    return _sorted_distinct(
+        [c if type(c) is Fraction else Fraction(c) for c in coords])
+
+
+def _sorted_distinct(frs):
+    """The distinct values of a list of Fractions, sorted, without Fraction
+    hashes or comparisons: duplicates are found by (numerator,
+    denominator) and the order by the numerators over the lcm of the
+    denominators.  The last of equal Fractions is kept."""
+    byk = {c.as_integer_ratio(): c for c in frs}
+    den = math.lcm(*(d for _, d in byk))
+    return [byk[k] for k in sorted(byk, key=lambda k: k[0] * (den // k[1]))]
 
 
 def _coord_floor(coords, v):
@@ -163,13 +206,34 @@ def _rank_degrees(degs):
     """Coordinate compression: the sorted distinct x and y coordinates of
     degs and every degree's pair of integer ranks in them, looked up by
     (numerator, denominator), which hashes far faster than a Fraction."""
-    xk = [d[0].as_integer_ratio() for d in degs]
-    yk = [d[1].as_integer_ratio() for d in degs]
-    xs = sorted({k: d[0] for k, d in zip(xk, degs)}.values())
-    ys = sorted({k: d[1] for k, d in zip(yk, degs)}.values())
+    xs = _sorted_distinct([d[0] for d in degs])
+    ys = _sorted_distinct([d[1] for d in degs])
     xr = {x.as_integer_ratio(): r for r, x in enumerate(xs)}
     yr = {y.as_integer_ratio(): r for r, y in enumerate(ys)}
-    return xs, ys, [(xr[a], yr[b]) for a, b in zip(xk, yk)]
+    return xs, ys, [(xr[x.as_integer_ratio()], yr[y.as_integer_ratio()])
+                    for x, y in degs]
+
+
+def _count_leq(coords, v):
+    """How many of the sorted Fractions coords are <= the Fraction v: a
+    linear scan of short lists on cross-multiplied ints."""
+    n, d = v.numerator, v.denominator
+    k = 0
+    while k < len(coords) and \
+            coords[k].numerator * d <= n * coords[k].denominator:
+        k += 1
+    return k
+
+
+def _ranks(M):
+    """(xs, ys, row ranks, column ranks): the sorted distinct coordinates
+    of M's degrees (its induced grid, when M has a degree) and each row's
+    and column's pair of integer ranks in them, computed once per
+    matrix."""
+    if M._ranks is None:
+        xs, ys, rk = _rank_degrees(M.row_degrees + M.col_degrees)
+        M._ranks = (xs, ys, rk[:M.nrows], rk[M.nrows:])
+    return M._ranks
 
 
 def kernel(M):
@@ -325,8 +389,8 @@ def minimize(M):
     """
     F = M.field
     q = F.q
-    xs, ys, rk = _rank_degrees(M.row_degrees + M.col_degrees)
-    row_degs, col_degs = rk[:M.nrows], rk[M.nrows:]
+    xs, ys, row_degs, col_degs = _ranks(M)
+    row_degs, col_degs = list(row_degs), list(col_degs)
     cols = [M.dense_column(j) for j in range(M.ncols)]
 
     # (a) unit-pivot cancellation
@@ -368,10 +432,9 @@ def minimize(M):
         keep += [j for j in range(len(cols) - 1, -1, -1)
                  if col_degs[j] == d and ech.insert(cols[j])]
     keep.sort()
-    return from_dense_columns(
-        F, [(xs[x], ys[y]) for x, y in row_degs],
-        [(xs[col_degs[j][0]], ys[col_degs[j][1]]) for j in keep],
-        [cols[j] for j in keep])
+    return _from_ranks(F, xs, ys, row_degs, [col_degs[j] for j in keep],
+                       [[(i, v) for i, v in enumerate(cols[j]) if v]
+                        for j in keep])
 
 
 def submodule_presentation(M, S):
@@ -409,8 +472,8 @@ def quotient_presentation(M_alpha, B):
     deletes those rows, and fully minimizes.
     """
     F = M_alpha.field
-    alphas = set(M_alpha.row_degrees)
-    if len(alphas) > 1:
+    xs, ys, row_rk, col_rk = _ranks(M_alpha)
+    if len(set(row_rk)) > 1:
         raise ValueError("module is not uniquely generated")
     t = M_alpha.nrows
     if B.cols == 0:
@@ -426,10 +489,10 @@ def quotient_presentation(M_alpha, B):
     new_cols = []
     for j in range(M_alpha.ncols):
         col = ech.reduce(M_alpha.dense_column(j))
-        new_cols.append([col[i] for i in keep])  # minimize drops zero columns
-    pres = from_dense_columns(F, [M_alpha.row_degrees[i] for i in keep],
-                              list(M_alpha.col_degrees), new_cols)
-    return minimize(pres)
+        # minimize drops zero columns
+        new_cols.append([(k, col[i]) for k, i in enumerate(keep) if col[i]])
+    return minimize(_from_ranks(F, xs, ys, [row_rk[i] for i in keep],
+                                col_rk, new_cols))
 
 
 class PointwiseModel:
@@ -484,12 +547,21 @@ def fiber_submodule(M, alpha):
     come from a kernel (submodule_presentation).  No fiber model is built
     when no generator lies below alpha."""
     alpha = as_degree(alpha)
-    below = [deg_leq(g, alpha) for g in M.row_degrees]
+    xs, ys, row_rk, col_rk = _ranks(M)
+    # ranks of the largest coordinates <= alpha
+    ax = _count_leq(xs, alpha[0]) - 1
+    ay = _count_leq(ys, alpha[1]) - 1
+    below = [x <= ax and y <= ay for x, y in row_rk]
     if not any(below):
         return None
     if all(below):
-        N = minimize(join_degrees(M, alpha))
-        return N if N.nrows else None
+        # the fiber is zero when the relations <= alpha have rank nrows
+        ech = _Echelon(M.field, M.nrows)
+        for j, (x, y) in enumerate(col_rk):
+            if (x <= ax and y <= ay and ech.insert(M.dense_column(j))
+                    and ech.rank == M.nrows):
+                return None
+        return minimize(join_degrees(M, alpha))
     pm = pointwise_model(M, alpha)
     if pm.dim == 0:
         return None
@@ -509,13 +581,20 @@ def join_degrees(N, alpha):
     <V_alpha> is <V_c> restricted to the up-set of alpha.  On such degrees
     the join only turns coordinates equal to c_x (or c_y) into alpha_x (or
     alpha_y), an injective, order-preserving relabelling, so the result
-    is minimal too."""
-    ax, ay = alpha
+    is minimal too.
 
-    def join(d):
-        return (max(d[0], ax), max(d[1], ay))
-    return GradedMatrix(N.field, [join(d) for d in N.row_degrees],
-                        [join(d) for d in N.col_degrees], N.columns)
+    The join acts on N's coordinate ranks: every coordinate <= alpha's
+    becomes alpha's, and the others keep their order above it."""
+    alpha = as_degree(alpha)
+    xs, ys, row_rk, col_rk = _ranks(N)
+    kx = _count_leq(xs, alpha[0])      # coordinates joining to alpha
+    ky = _count_leq(ys, alpha[1])
+
+    def join(rk):
+        return [(x - kx + 1 if x >= kx else 0, y - ky + 1 if y >= ky else 0)
+                for x, y in rk]
+    return _from_ranks(N.field, [alpha[0]] + xs[kx:], [alpha[1]] + ys[ky:],
+                       join(row_rk), join(col_rk), N.columns)
 
 
 def structure_map(M, gamma, delta):
@@ -657,8 +736,7 @@ def _endomorphisms(M):
     relation degree d; the basis is the nullspace of these equations."""
     F, t = M.field, M.nrows
     q = F.q
-    _, _, rk = _rank_degrees(M.row_degrees + M.col_degrees)
-    gd, rd = rk[:t], rk[t:]
+    _, _, gd, rd = _ranks(M)
     P = [M.dense_column(j) for j in range(M.ncols)]
     unknowns = [(a, b) for a in range(t) for b in range(t)
                 if deg_leq(gd[a], gd[b])]
@@ -711,8 +789,7 @@ def _split(M, ends, E):
     change of generators."""
     F, t = M.field, M.nrows
     q = F.q
-    _, _, rk = _rank_degrees(M.row_degrees + M.col_degrees)
-    gd, rd = rk[:t], rk[t:]
+    _, _, gd, rd = _ranks(M)
     P = [M.dense_column(j) for j in range(M.ncols)]
     if _matmul(q, E, E) != E:
         raise AssertionError("decompose: E is not idempotent")

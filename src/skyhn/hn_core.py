@@ -1,13 +1,17 @@
 """Brute-force highest-slope search over F_q-subspaces, the full HN
 filtration by iterated quotients, and slope-sorted merging.
 
-The search needs the integral of dim <W> for very many subspaces W of the
-fiber at the generator degree.  Grid cells are grouped into classes with a
-common active-relation column space, so each subspace costs one tuple of
-small per-class ranks.  Class weights are exact integers over one common
-denominator (each axis scaled by the lcm of its coordinate denominators),
-so scoring a subspace is an integer dot product; Fractions appear only at
-the API.  F_2 vectors ride on bitmask ints.
+Fractions at the API, ints below: slopes, integrals, degrees and
+staircases leave this module as Fractions, and the loops inside run on
+ints.  The search needs the integral of dim <W> for very many subspaces W
+of the fiber at the generator degree.  Grid cells are grouped into classes
+with a common active-relation column space, found by comparing the
+integer coordinate ranks of the induced grid, so each subspace costs one
+tuple of small per-class ranks.  Class weights are exact integers over one
+common denominator (each axis scaled by the lcm of its coordinate
+denominators), so scoring a subspace is an integer dot product, and a
+factor's superlevel staircases come from one sweep over grid indices.
+F_2 vectors ride on bitmask ints.
 
 ``hn_filtration_at`` builds the fiber submodule <V_alpha> and hands it to
 ``hn_filtration_of``, the quotient loop; the lattice sweep, which derives
@@ -16,6 +20,7 @@ the API.  F_2 vectors ride on bitmask ints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -23,7 +28,6 @@ from fractions import Fraction
 
 from . import grmat, invariants
 from .field import DenseMatrix, _insert_f2, _insert_generic
-from .grmat import deg_leq, induced_grid
 from .invariants import HNFactor, HNFactorList, merge_factors  # noqa: F401
 
 __all__ = ["SlopeRecord", "brute_force_max_slope", "hn_filtration_at",
@@ -44,24 +48,24 @@ class _FiberClasses:
     per nonzero-fiber class its relation-column echelon, corank, area and
     lengths on the vertical and horizontal rays from alpha.
 
-    All are exact ints: the x and y cell gaps are ints over `scale` =
-    (sx, sy), so ray lengths are over sy and sx and areas over den = sx*sy.
-    `ranks` gives the per-class ranks of one subspace and `scaled_integral`
-    their area-weighted sum over `den`; `integral` and `dims` convert at
-    the API, so every result stays exact."""
+    Grid points are index pairs (ix, iy) into the induced grid's xs and ys,
+    and every degree comparison is one of integer ranks.  All weights are
+    exact ints: the x and y cell gaps are ints over `scale` = (sx, sy), so
+    ray lengths are over sy and sx and areas over den = sx*sy.  `ranks`
+    gives the per-class ranks of one subspace and `scaled_integral` their
+    area-weighted sum over `den`; `integral`, `dims` and `staircases`
+    convert at the API, so every result stays exact."""
 
     def __init__(self, M):
         F = M.field
         self.f2 = F.q == 2
         t = M.nrows
-        G = induced_grid(M)
-        self.grid = G
-        alphas = set(M.row_degrees)
-        if len(alphas) != 1:
+        xs, ys, row_rk, col_rk = grmat._ranks(M)
+        if len(set(row_rk)) != 1:
             raise ValueError("module is not uniquely generated")
-        self.alpha = next(iter(alphas))
-        ax, ay = self.alpha
-        xs, ys = G.xs, G.ys
+        self.alpha = M.row_degrees[0]
+        self.xs, self.ys = xs, ys
+        self.origin = ax, ay = row_rk[0]     # alpha's index pair
         wx, sx = _scaled_gaps(xs)
         wy, sy = _scaled_gaps(ys)
         self.scale = (sx, sy)
@@ -75,21 +79,20 @@ class _FiberClasses:
             self._insert = (lambda base, tmp, v:
                             _insert_generic(F, base, tmp, list(v)))
         class_by_J = {}
-        # grid point -> class index, or -1 where the fiber is zero
+        # (ix, iy) -> class index, or -1 where the fiber is zero
         self.point_class = {}
         self.echs = []          # per class: echelon dict of relation columns
         self.coranks = []       # per class: fiber dimension, > 0
         self.weights = []       # per class: area, an int over den
         self.vert = []          # per class: length on {ax} x [ay, inf)
         self.horiz = []         # per class: length on [ax, inf) x {ay}
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                pt = (x, y)
-                if not deg_leq(self.alpha, pt):
-                    self.point_class[pt] = -1
+        for iy in range(len(ys)):
+            for ix in range(len(xs)):
+                if ix < ax or iy < ay:
+                    self.point_class[ix, iy] = -1
                     continue
-                J = tuple(j for j in range(M.ncols)
-                          if deg_leq(M.col_degrees[j], pt))
+                J = tuple(j for j, (cx, cy) in enumerate(col_rk)
+                          if cx <= ix and cy <= iy)
                 cid = class_by_J.get(J)
                 if cid is None:
                     ech = {}
@@ -103,11 +106,15 @@ class _FiberClasses:
                         self.vert.append(0)
                         self.horiz.append(0)
                     class_by_J[J] = cid
-                self.point_class[pt] = cid
+                self.point_class[ix, iy] = cid
                 if cid >= 0:
                     self.weights[cid] += wx[ix] * wy[iy]
-                    self.vert[cid] += wy[iy] if x == ax else 0
-                    self.horiz[cid] += wx[ix] if y == ay else 0
+                    self.vert[cid] += wy[iy] if ix == ax else 0
+                    self.horiz[cid] += wx[ix] if iy == ay else 0
+
+    @functools.cached_property
+    def grid(self):
+        return grmat.Grid(self.xs, self.ys)
 
     def to_internal(self, vectors):
         """Convert dense basis vectors to the internal representation."""
@@ -145,8 +152,17 @@ class _FiberClasses:
     def rank_dims(self, ranks):
         """The dim at every grid point of a subspace with these per-class
         ranks (``coranks`` for the whole fiber)."""
-        return {pt: ranks[cid] if cid >= 0 else 0
-                for pt, cid in self.point_class.items()}
+        xs, ys = self.xs, self.ys
+        return {(xs[ix], ys[iy]): ranks[cid] if cid >= 0 else 0
+                for (ix, iy), cid in self.point_class.items()}
+
+    def staircases(self, ranks, thickness):
+        """invariants.staircases_from_dims of rank_dims(ranks) at alpha,
+        swept over grid indices."""
+        dims = {p: ranks[cid] for p, cid in self.point_class.items()
+                if cid >= 0}
+        return invariants.grid_staircases(self.xs, self.ys, self.origin,
+                                          dims, thickness, self.alpha)
 
 
 def fiber_classes(M):
@@ -293,9 +309,8 @@ def hn_filtration_of(cur, alpha, use_filter=True):
     while cur.nrows > 0:
         rec = brute_force_max_slope(cur, use_filter=use_filter, largest=True)
         fcc = fiber_classes(cur)
-        dims = fcc.dims(fcc.to_internal(rec.basis_vectors()))
-        stairs = invariants.staircases_from_dims(fcc.grid, dims, alpha,
-                                                 thickness=rec.dim)
+        stairs = fcc.staircases(
+            fcc.ranks(fcc.to_internal(rec.basis_vectors())), rec.dim)
         factors.append(HNFactor(stairs, rec.slope))
         cur = grmat.quotient_presentation(cur, rec.basis)
     for a, b in zip(factors, factors[1:]):

@@ -1,10 +1,17 @@
 """Betti tables, Hilbert functions, integrals, slopes, staircases, the
-Skyscraper store with theta-queries, and erosion distance."""
+Skyscraper store with theta-queries, and erosion distance.
+
+Fractions at the API, ints below: staircases, factor lists, store keys and
+erosion brackets are exact rationals, while superlevel staircases are
+swept over grid indices (``grid_staircases``) and erosion_distance tests
+staircase membership on an integer lattice.
+"""
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 from fractions import Fraction
 
 from . import grmat
@@ -72,28 +79,34 @@ def hilbert_function(M, G):
     return {pt: grmat.pointwise_model(M, pt).dim for pt in G.points()}
 
 
+EMPTY_STAIRCASE = "empty staircase (relation at the generator)"
+
+
 class Staircase:
     """Uniquely generated interval: one generator degree and an antichain of
     relation degrees, sorted by x ascending (hence y descending).
 
     The support is {b : gen <= b and no rel <= b}; relations act closed at
-    their degree.
+    their degree.  check=False takes rels as they are, for callers that
+    build an x-sorted antichain above gen and not at it by construction
+    (they check emptiness on integer indices).
     """
 
-    def __init__(self, gen, rels):
+    def __init__(self, gen, rels, check=True):
         self.gen = as_degree(gen)
-        rels = sorted((as_degree(r) for r in rels))
-        for a, b in zip(rels, rels[1:]):
-            if not (a[0] < b[0] and a[1] > b[1]):
-                raise ValueError("relations do not form an antichain: %s, %s"
-                                 % (a, b))
-        for r in rels:
-            if not deg_leq(self.gen, r):
-                raise ValueError("relation %s below generator %s"
-                                 % (r, self.gen))
+        if check:
+            rels = sorted((as_degree(r) for r in rels))
+            for a, b in zip(rels, rels[1:]):
+                if not (a[0] < b[0] and a[1] > b[1]):
+                    raise ValueError("relations do not form an antichain: "
+                                     "%s, %s" % (a, b))
+            for r in rels:
+                if not deg_leq(self.gen, r):
+                    raise ValueError("relation %s below generator %s"
+                                     % (r, self.gen))
+            if rels and rels[0] == self.gen:
+                raise ValueError(EMPTY_STAIRCASE)
         self.rels = rels
-        if self.rels and self.rels[0] == self.gen:
-            raise ValueError("empty staircase (relation at the generator)")
         self._rel_xs = [r[0] for r in self.rels]
 
     def key(self):
@@ -144,26 +157,62 @@ def staircases_from_dims(grid, dims, alpha, thickness=None):
     the order, constant on the cells of `grid`, and supported on <alpha>.
 
     dims maps grid points to counts.  Returns staircases S_1..S_T whose
-    indicators sum to the dim function.
+    indicators sum to the dim function; they are those of grid_staircases
+    on the grid points >= alpha.
     """
     alpha = as_degree(alpha)
-    pts = [p for p in grid.points() if deg_leq(alpha, p)]
+    xs, ys = grid.xs, grid.ys
+    ox = bisect.bisect_left(xs, alpha[0])
+    oy = bisect.bisect_left(ys, alpha[1])
+    idims = {(ix, iy): dims.get((xs[ix], ys[iy]), 0)
+             for iy in range(oy, len(ys)) for ix in range(ox, len(xs))}
     if thickness is None:
-        thickness = max((dims.get(p, 0) for p in pts), default=0)
+        thickness = max(idims.values(), default=0)
+    return grid_staircases(xs, ys, (ox, oy), idims, thickness, alpha)
+
+
+def grid_staircases(xs, ys, origin, dims, thickness, alpha):
+    """The superlevel staircases S_1..S_thickness generated at alpha of a
+    dim function on the grid points (xs[ix], ys[iy]) with (ix, iy) >=
+    origin, given by dims: index pair -> count (0 where missing).
+
+    S_j's relations are the minimal grid points where the dim is < j, found
+    in one sweep over the columns ix: a column's first such row iy is a
+    minimal point exactly when it lies below the first such row of every
+    column to its left.  Only the relations become Fractions."""
+    ox, oy = origin
+    corners = [[] for _ in range(thickness)]
+    low = [len(ys)] * thickness     # per level: least first row so far
+    for ix in range(ox, len(xs) if thickness else ox):
+        m = thickness               # least dim of the column so far, capped
+        # low[j] <= low[0]: no level records a row at or above low[0]
+        for iy in range(oy, low[0]):
+            d = dims.get((ix, iy), 0)
+            if d < m:
+                # the levels j + 1 in (d, m] first drop below here
+                for j in range(d, m):
+                    if iy < low[j]:
+                        low[j] = iy
+                        corners[j].append((ix, iy))
+                m = d
+                if not m:
+                    break
     out = []
-    for j in range(1, thickness + 1):
-        dead = [p for p in pts if dims.get(p, 0) < j]
-        rels = _minimal_points(dead)
-        out.append(Staircase(alpha, rels))
+    for c in corners:
+        if (c and c[0] == origin and xs[ox] == alpha[0]
+                and ys[oy] == alpha[1]):
+            raise ValueError(EMPTY_STAIRCASE)
+        out.append(Staircase(alpha, [(xs[ix], ys[iy]) for ix, iy in c],
+                             check=False))
     return out
 
 
 def _minimal_points(points):
-    """Minimal elements of a set of degrees under componentwise order."""
-    pts = sorted(set(points))
+    """Minimal elements of a set of degrees under componentwise order: in
+    lexicographic order, the points below every earlier point's y."""
     mins = []
-    for p in pts:
-        if not any(deg_leq(m, p) for m in mins):
+    for p in sorted(set(points)):
+        if not mins or p[1] < mins[-1][1]:
             mins.append(p)
     return mins
 
@@ -279,7 +328,13 @@ class SkyscraperStore:
         self._key_grid = None
 
     def keys(self):
-        return sorted(self.entries)
+        """The keys in lexicographic order, sorted as ints: numerators over
+        the lcm of each axis's denominators."""
+        dx = math.lcm(*{k[0].denominator for k in self.entries})
+        dy = math.lcm(*{k[1].denominator for k in self.entries})
+        return sorted(self.entries, key=lambda k: (
+            k[0].numerator * (dx // k[0].denominator),
+            k[1].numerator * (dy // k[1].denominator)))
 
     def locate(self, alpha):
         alpha = as_degree(alpha)
@@ -340,34 +395,67 @@ def erosion_distance(r, s, theta, probe_grid):
     store locates a shifted probe point at most once per shift, the
     unshifted counts r(a, b) and s(a, b) are shared by all shifts, and at
     e = 0 the two conditions reduce to r(a, b) == s(a, b).
+
+    Below the store lookups everything is an int: the probe points, their
+    spacing and the shifts lie on the lattice (1/D)Z^2, D the lcm of the
+    probe coordinates' denominators, so b + e is tested against each
+    located staircase with every degree g replaced by ceil(g*D), which is
+    <= an integer B exactly when g <= B/D.
     """
     xs, ys = probe_grid.xs, probe_grid.ys
-    spacings = ([b - a for a, b in zip(xs, xs[1:])] +
-                [b - a for a, b in zip(ys, ys[1:])])
-    h = min(spacings) if spacings else Fraction(1)
+    D = math.lcm(*(c.denominator for c in xs + ys))
+    X = [x.numerator * (D // x.denominator) for x in xs]
+    Y = [y.numerator * (D // y.denominator) for y in ys]
+    steps = ([b - a for a, b in zip(X, X[1:])] +
+             [b - a for a, b in zip(Y, Y[1:])])
+    H = min(steps) if steps else D      # the spacing h = H/D
+    h = Fraction(H, D)
     pts = list(probe_grid.points())
-    pairs = [(i, j) for i, a in enumerate(pts) for j, b in enumerate(pts)
-             if deg_leq(a, b)]
+    idx = [(ix, iy) for iy in range(len(ys)) for ix in range(len(xs))]
+    pairs = [(i, j) for i, (ai, bi) in enumerate(idx)
+             for j, (aj, bj) in enumerate(idx) if ai <= aj and bi <= bj]
+    scaled = {}     # id(entry) -> its theta staircases on the 1/D lattice
+
+    def lattice_stairs(entry):
+        out = scaled.get(id(entry))
+        if out is None:
+            out = scaled[id(entry)] = [
+                (_ceil_scaled(S.gen[0], D), _ceil_scaled(S.gen[1], D),
+                 [_ceil_scaled(x, D) for x, _ in S.rels],
+                 [_ceil_scaled(y, D) for _, y in S.rels])
+                for S in theta_staircases(entry.factors, theta)]
+        return out
     stores = (r, s)
 
-    def counter(e):
-        """count(k, i, j) = query of stores[k] at (pts[i] - e, pts[j] + e),
-        locating each shifted point of each store once."""
-        lo = [(x - e, y - e) for x, y in pts] if e else pts
-        hi = [(x + e, y + e) for x, y in pts] if e else pts
+    def counter(k):
+        """count(n, i, j) = query of stores[n] at (pts[i] - e, pts[j] + e)
+        for e = k*h, locating each shifted point of each store once."""
+        e, E = k * h, k * H
+        lo = [(x - e, y - e) for x, y in pts] if k else pts
+        hi = [(X[ix] + E, Y[iy] + E) for ix, iy in idx]
 
         @functools.lru_cache(maxsize=None)
-        def stairs(k, i):
-            entry = stores[k].locate(lo[i])
-            return theta_staircases(entry.factors, theta) if entry else []
-        return lambda k, i, j: count_containing(stairs(k, i), hi[j])
+        def stairs(n, i):
+            entry = stores[n].locate(lo[i])
+            return lattice_stairs(entry) if entry else []
+
+        def count(n, i, j):
+            bx, by = hi[j]
+            c = 0
+            for gx, gy, rxs, rys in stairs(n, i):
+                if gx <= bx and gy <= by:
+                    p = bisect.bisect_right(rxs, bx)
+                    if not p or rys[p - 1] > by:
+                        c += 1
+            return c
+        return count
 
     base = functools.lru_cache(maxsize=None)(counter(0))   # r(a,b), s(a,b)
 
-    def holds(e):
-        if not e:
+    def holds(k):
+        if not k:
             return all(base(1, i, j) == base(0, i, j) for i, j in pairs)
-        count = counter(e)
+        count = counter(k)
         for i, j in pairs:
             if count(1, i, j) > base(0, i, j):
                 return False
@@ -375,18 +463,23 @@ def erosion_distance(r, s, theta, probe_grid):
                 return False
         return True
 
-    span = max(xs[-1] - xs[0], ys[-1] - ys[0]) if pts else Fraction(0)
-    kmax = int(span / h) + 2
-    if holds(Fraction(0)):
+    span = max(X[-1] - X[0], Y[-1] - Y[0]) if pts else 0
+    kmax = span // H + 2
+    if holds(0):
         return (Fraction(0), Fraction(0))
     # binary search the smallest multiple of h that works
     lo_k, hi_k = 0, kmax
-    if not holds(kmax * h):
+    if not holds(kmax):
         return (kmax * h, POS_INF)
     while hi_k - lo_k > 1:
         mid = (lo_k + hi_k) // 2
-        if holds(mid * h):
+        if holds(mid):
             hi_k = mid
         else:
             lo_k = mid
     return (lo_k * h, hi_k * h)
+
+
+def _ceil_scaled(c, D):
+    """ceil(c * D) for a Fraction c and a positive int D."""
+    return -(-c.numerator * D // c.denominator)

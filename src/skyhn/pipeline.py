@@ -21,6 +21,7 @@ counts per connected block.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from fractions import Fraction
@@ -189,32 +190,54 @@ def _eps_points(box, epsilon):
     return axis(x0, x1), axis(y0, y1)
 
 
+def _axis_floor(coords):
+    """v -> (ix, exact): the index of the largest of the sorted coords that
+    is <= v (-1 below them all) and whether it equals v, memoized by v's
+    (numerator, denominator): a lattice sweep asks for few distinct v."""
+    memo = {}
+
+    def floor(v):
+        key = v.as_integer_ratio()
+        hit = memo.get(key)
+        if hit is None:
+            ix = bisect.bisect_right(coords, v) - 1
+            hit = memo[key] = (
+                ix, ix >= 0 and coords[ix].as_integer_ratio() == key)
+        return hit
+    return floor
+
+
 class _CellFibers:
     """The fiber submodules of one piece in the lattice sweep, one per cell
-    of the piece's induced grid.  The piece is constant on the cell
-    [c, next grid point) of its lower corner c, so at every alpha of the
-    cell <V_alpha> is <V_c> joined with alpha (grmat.join_degrees); where
-    c is -inf on an axis no generator lies below alpha and the fiber is
-    zero.  The sweep visits cells row by row, so each cell is computed
-    once, and a row's cells are dropped when the sweep leaves it."""
+    of the piece's induced grid, keyed by the grid-index pair of its lower
+    corner c.  The piece is constant on the cell [c, next grid point), so
+    at every alpha of the cell <V_alpha> is <V_c> joined with alpha
+    (grmat.join_degrees); where c is -inf on an axis no generator lies
+    below alpha and the fiber is zero.  The sweep visits cells row by row,
+    so each cell is computed once, and a row's cells are dropped when the
+    sweep leaves it."""
 
     def __init__(self, piece):
         self.piece = piece
         self.grid = grmat.induced_grid(piece)
+        self._fx = _axis_floor(self.grid.xs)
+        self._fy = _axis_floor(self.grid.ys)
         self.row = None
-        self.cells = {}    # corner in the current row -> <V_c> or None
+        self.cells = {}    # (ix, iy) in the current row -> <V_c> or None
 
     def at(self, alpha):
-        corner = self.grid.floor(alpha)
-        if corner[0] == invariants.NEG_INF or corner[1] == invariants.NEG_INF:
+        ix, on_x = self._fx(alpha[0])
+        iy, on_y = self._fy(alpha[1])
+        if ix < 0 or iy < 0:
             return None
-        if corner[1] != self.row:
-            self.row = corner[1]
+        if iy != self.row:
+            self.row = iy
             self.cells.clear()
-        if corner not in self.cells:
-            self.cells[corner] = grmat.fiber_submodule(self.piece, corner)
-        sub = self.cells[corner]
-        if sub is None or corner == alpha:
+        sub = self.cells.get((ix, iy), self)     # self: not computed yet
+        if sub is self:
+            sub = self.cells[ix, iy] = grmat.fiber_submodule(
+                self.piece, (self.grid.xs[ix], self.grid.ys[iy]))
+        if sub is None or (on_x and on_y):
             return sub
         return grmat.join_degrees(sub, alpha)
 
@@ -266,10 +289,11 @@ def _cell_trees(pieces, grid, corner):
     corner (<V>(A + B) = <V>(A) + <V>(B)), or None when the cell is empty
     or unbounded."""
     ax, ay = corner
-    nx = next((x for x in grid.xs if x > ax), None)
-    ny = next((y for y in grid.ys if y > ay), None)
-    if nx is None or ny is None:
+    ix = bisect.bisect_right(grid.xs, ax)
+    iy = bisect.bisect_right(grid.ys, ay)
+    if ix == len(grid.xs) or iy == len(grid.ys):
         return None
+    nx, ny = grid.xs[ix], grid.ys[iy]
     subs = [sub for sub in (grmat.fiber_submodule(p, corner) for p in pieces)
             if sub is not None]
     if not subs:
@@ -306,25 +330,41 @@ class ExactStore:
 
     def __init__(self, box):
         self.box = box
-        self.summands = []   # (module, grid, {corner: [SubdivTree] or None})
+        # (module, grid, {(ix, iy): [SubdivTree] or None}), the cells keyed
+        # by the grid-index pair of their lower corner
+        self.summands = []
         self.pieces = []     # per summand: its grmat.decompose pieces
         self.work = []       # per summand: tree lists built
+        self._floors = []    # per summand: _axis_floor of its grid's axes
 
     def _add_summand(self, module):
-        self.summands.append((module, grmat.induced_grid(module), {}))
+        grid = grmat.induced_grid(module)
+        self.summands.append((module, grid, {}))
         self.pieces.append(grmat.decompose(module))
         self.work.append(0)
+        self._floors.append((_axis_floor(grid.xs), _axis_floor(grid.ys)))
 
     def _trees_at(self, idx, beta):
         _, grid, cells = self.summands[idx]
-        corner = grid.floor(beta)
-        if corner[0] == invariants.NEG_INF or corner[1] == invariants.NEG_INF:
+        fx, fy = self._floors[idx]
+        ix, iy = fx(beta[0])[0], fy(beta[1])[0]
+        if ix < 0 or iy < 0:
             return None
-        if corner not in cells:
-            cells[corner] = _cell_trees(self.pieces[idx], grid, corner)
-            if cells[corner] is not None:
+        trees = cells.get((ix, iy), cells)      # cells: not computed yet
+        if trees is cells:
+            trees = cells[ix, iy] = _cell_trees(
+                self.pieces[idx], grid, (grid.xs[ix], grid.ys[iy]))
+            if trees is not None:
                 self.work[idx] += 1
-        return cells[corner]
+        return trees
+
+    def _evict_rows(self, y):
+        """Drop each summand's cells when any lies outside the grid row
+        holding y."""
+        for (_, _, cells), (_, fy) in zip(self.summands, self._floors):
+            iy = fy(y)[0]
+            if any(c[1] != iy for c in cells):
+                cells.clear()
 
     def factors_at(self, beta):
         beta = as_degree(beta)
@@ -389,10 +429,7 @@ def parallel_grid_scan(M, cfg):
         nonlocal sweep_y
         if alpha[1] != sweep_y:     # a new lattice row
             sweep_y = alpha[1]
-            for _, grid, cells in ex.summands:
-                y = grid.floor(alpha)[1]
-                if any(corner[1] != y for corner in cells):
-                    cells.clear()
+            ex._evict_rows(sweep_y)
         return ex.factors_at(alpha)
 
     store = _sweep(box, cfg.epsilon, hn_of)

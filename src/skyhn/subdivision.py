@@ -8,16 +8,20 @@ envelope of affine truncations.  Iterating on quotients yields a nested
 subdivision realizing the HN filtration at every interior point.
 
 All geometry is exact: polygon vertices and wall equations are rationals.
+Reads of a built tree run on ints: point location cross-multiplies by the
+point's denominators against integer half-plane coefficients, and
+staircases are transported and merged on integer comparisons.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
 from . import grmat, hn_core, invariants
 from .field import DenseMatrix
-from .grmat import as_degree, deg_join
+from .grmat import as_degree
 from .hn_core import fiber_classes
 from .invariants import HNFactor, HNFactorList, Staircase
 
@@ -67,6 +71,7 @@ class ConvexRegion:
     def __init__(self, vertices, halfplanes=()):
         self.vertices = [(Fraction(x), Fraction(y)) for x, y in vertices]
         self.halfplanes = list(halfplanes)
+        self._int_planes = None     # see contains
 
     @classmethod
     def rectangle(cls, x0, y0, x1, y1):
@@ -113,12 +118,32 @@ class ConvexRegion:
 
     def contains(self, point):
         """Closed membership; half-open tiling semantics are realized by
-        the caller's least-id rule on shared walls."""
-        x, y = Fraction(point[0]), Fraction(point[1])
-        return all(a * x + b * y <= c for a, b, c in self.halfplanes)
+        the caller's least-id rule on shared walls.  With x = p/q and
+        y = r/s, a*x + b*y <= c is A*p*s + B*r*q <= C*q*s for the integer
+        multiple (A, B, C) of (a, b, c), computed once per region."""
+        planes = self._int_planes
+        if planes is None:
+            planes = self._int_planes = [_int_plane(*h)
+                                         for h in self.halfplanes]
+        x, y = as_degree(point)
+        p, q = x.numerator, x.denominator
+        r, s = y.numerator, y.denominator
+        for A, B, C in planes:
+            if A * p * s + B * r * q > C * q * s:
+                return False
+        return True
 
     def __repr__(self):
         return "ConvexRegion(%d vertices)" % len(self.vertices)
+
+
+def _int_plane(a, b, c):
+    """(a, b, c) times the lcm of their denominators: integers."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    L = math.lcm(a.denominator, b.denominator, c.denominator)
+    return (a.numerator * (L // a.denominator),
+            b.numerator * (L // b.denominator),
+            c.numerator * (L // c.denominator))
 
 
 def _poly_from_ranks(fc, dim, ranks):
@@ -294,7 +319,9 @@ class SubdivTree:
         for node in self.path(beta):
             stairs = [_staircase_at(s, beta) for s in node.staircases]
             slope = 1 / node.poly.inverse_slope(delta)
-            if factors and factors[-1].slope == slope:
+            # Fractions are normalized: equal exactly when their ratios are
+            if (factors and factors[-1].slope.as_integer_ratio()
+                    == slope.as_integer_ratio()):
                 # on a wall consecutive steps share a slope: one factor,
                 # re-decomposed into canonical superlevel staircases
                 merged = _renormalize(factors[-1].staircases + stairs, beta)
@@ -306,24 +333,53 @@ class SubdivTree:
 
 def _renormalize(stairs, beta):
     """Superlevel staircases of the summed Hilbert function of staircases
-    all generated at beta (the canonical form of a merged factor)."""
-    xs = sorted({beta[0]} | {r[0] for s in stairs for r in s.rels})
-    ys = sorted({beta[1]} | {r[1] for s in stairs for r in s.rels})
-    grid = grmat.Grid(xs, ys)
+    all generated at beta (the canonical form of a merged factor), swept
+    over the ranks of beta's and the relations' coordinates: beta has rank
+    (0, 0), and in column ix a staircase holds the rows below the least
+    rank y of its relations with rank x <= ix."""
+    rels = [r for S in stairs for r in S.rels]
+    xs, ys, rk = grmat._rank_degrees([beta] + rels)
     dims = {}
-    for pt in grid.points():
-        dims[pt] = sum(1 for s in stairs
-                       if invariants.staircase_contains(s, pt))
-    return invariants.staircases_from_dims(grid, dims, beta,
-                                           thickness=len(stairs))
+    k = 1
+    for S in stairs:
+        srk = rk[k:k + len(S.rels)]
+        k += len(S.rels)
+        p, low = 0, len(ys)
+        for ix in range(len(xs)):
+            while p < len(srk) and srk[p][0] <= ix:
+                low = min(low, srk[p][1])
+                p += 1
+            for iy in range(low):
+                dims[ix, iy] = dims.get((ix, iy), 0) + 1
+    return invariants.grid_staircases(xs, ys, (0, 0), dims, len(stairs),
+                                      beta)
 
 
 def _staircase_at(S, beta):
     """Transport a staircase generated below beta to generator beta: the
     relations become the minimal elements of their joins with beta.  Valid
-    while beta lies below every relation's activation (first cell)."""
-    joined = [deg_join(r, beta) for r in S.rels]
-    return Staircase(beta, invariants._minimal_points(joined))
+    while beta lies below every relation's activation (first cell).
+
+    One pass over the x-sorted antichain: the joins' x coordinates are
+    beta's for a prefix of it and their y coordinates beta's for a suffix,
+    so among equal x the last join is minimal and among equal y the first;
+    coordinates compare as cross-multiplied ints."""
+    bx, by = beta
+    xn, xd = bx.numerator, bx.denominator
+    yn, yd = by.numerator, by.denominator
+    out = []
+    last_xb = last_yb = False
+    for rx, ry in S.rels:
+        xb = rx.numerator * xd <= xn * rx.denominator      # rx <= bx
+        yb = ry.numerator * yd <= yn * ry.denominator      # ry <= by
+        if xb and yb:
+            raise ValueError(invariants.EMPTY_STAIRCASE)
+        if last_xb and xb:
+            out[-1] = (bx, ry)
+        elif not (last_yb and yb):
+            out.append((bx if xb else rx, by if yb else ry))
+        last_xb, last_yb = xb, yb
+    return Staircase(beta, out, check=False)
 
 
 def _lift(vec, positions, t0, F):
@@ -342,8 +398,7 @@ def _build(cur, region, alpha, positions, cum_cols, parent, t0, F):
     for ident, face in faces:
         rows, poly = cands[ident]
         d = len(rows)
-        stairs = invariants.staircases_from_dims(
-            fc.grid, fc.dims(fc.to_internal(rows)), alpha, thickness=d)
+        stairs = fc.staircases(fc.ranks(fc.to_internal(rows)), d)
         lifted = cum_cols + [_lift(v, positions, t0, F) for v in rows]
         node = SubdivNode(face, DenseMatrix.from_columns(lifted, t0, F),
                           stairs, poly)

@@ -8,6 +8,7 @@ from hypothesis import settings
 from skyhn import field as fieldmod
 from skyhn import grmat
 from skyhn.field import DenseMatrix, PrimeField
+from skyhn.invariants import Staircase
 
 # the same examples on every run, and no per-example deadline for a slow
 # or loaded machine to trip over
@@ -127,6 +128,41 @@ def hidden_corpus(n=36, seed=4242, max_thickness=6):
                 break
         out.append((F, len(sizes), hidden_direct_sum(rng, F, sizes)))
     return out
+
+
+def rescaled(M):
+    """M moved by the increasing maps x -> (x - 2)/2 and y -> (y - 1)/3:
+    the same module up to reparametrization, with negative degrees over
+    denominators 2 and 3."""
+    def move(d):
+        return ((d[0] - 2) / 2, (d[1] - 1) / 3)
+    return grmat.GradedMatrix(M.field, [move(d) for d in M.row_degrees],
+                              [move(d) for d in M.col_degrees], M.columns)
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer superlevel staircases
+
+def reference_minimal_points(points):
+    """Minimal elements of a set of degrees, by pairwise comparison."""
+    pts = sorted(set(points))
+    mins = []
+    for p in pts:
+        if not any(grmat.deg_leq(m, p) for m in mins):
+            mins.append(p)
+    return mins
+
+
+def reference_staircases_from_dims(grid, dims, alpha, thickness=None):
+    """invariants.staircases_from_dims on Fraction points: per level, the
+    minimal grid points >= alpha where the dim drops below it."""
+    alpha = grmat.as_degree(alpha)
+    pts = [p for p in grid.points() if grmat.deg_leq(alpha, p)]
+    if thickness is None:
+        thickness = max((dims.get(p, 0) for p in pts), default=0)
+    return [Staircase(alpha, reference_minimal_points(
+                [p for p in pts if dims.get(p, 0) < j]))
+            for j in range(1, thickness + 1)]
 
 
 @pytest.fixture

@@ -197,6 +197,45 @@ def test_cli_landscape_resolution_below_two(cross_file, tmp_path, capsys):
     assert len(rows) == 1 + 2 * 2
 
 
+def test_cli_parser_built_once_and_calls_share_no_state(cross_file, tmp_path,
+                                                        monkeypatch):
+    """main builds its parser once per process, and consecutive calls with
+    different subcommands see only their own arguments and defaults,
+    including landscape's --k and --theta defaults after a call changed
+    the values it was given."""
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        name: (lambda args: seen.append(args) or 0)
+        for name in cli._COMMANDS})
+    out = ["--out", str(tmp_path)]
+    calls = [["landscape", cross_file],
+             ["approx", cross_file, "--epsilon", "1/2"],
+             ["landscape", cross_file, "--k", "2,3", "--theta", "1/2"],
+             ["--box", "0,0,4,4", "hn", cross_file, "--at", "0,0"],
+             ["landscape", cross_file]]
+    for argv in calls:
+        assert main(out + argv) == 0
+        # a command that changed its arguments leaves the next call alone
+        for value in vars(seen[-1]).values():
+            if isinstance(value, list):
+                value.append("changed")
+    first, approx, given, hn, last = seen
+    assert len(builds) == 1
+    assert list(first.k) == list(last.k) == [1]
+    assert list(first.theta) == list(last.theta) == [Fr(0)]
+    assert given.k[:2] == [2, 3] and given.theta[:1] == [Fr(1, 2)]
+    assert not hasattr(approx, "k") and approx.epsilon == Fr(1, 2)
+    assert approx.box is None and last.box is None
+    assert hn.box == (0, 0, 4, 4) and hn.at == (0, 0)
+    assert first.cmd == last.cmd == "landscape" and approx.cmd == "approx"
+    cli._parser.cache_clear()
+
+
 def test_cli_query_from_not_below_to(cross_file, capsys):
     assert main(["query", cross_file, "--theta", "0",
                  "--from", "1,1", "--to", "0,0"]) == 2

@@ -37,6 +37,12 @@ def test_as_degree_coerces_and_keeps_fractions():
 def test_homogeneity_validated():
     with pytest.raises(ValueError):
         gm(F2, [(0, 1)], [((0, 0), [(0, 1)])])
+    # matrices built from integer ranks are validated on the ranks
+    xs, ys = [Fr(-1, 2), Fr(1, 3)], [Fr(0), Fr(5, 2)]
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        grmat._from_ranks(F2, xs, ys, [(0, 1)], [(1, 0)], [[(0, 1)]])
+    M = grmat._from_ranks(F2, xs, ys, [(0, 0)], [(1, 1)], [[(0, 1)]])
+    assert M == gm(F2, [(Fr(-1, 2), 0)], [((Fr(1, 3), Fr(5, 2)), [(0, 1)])])
 
 
 def test_induced_grid_cross(cross):

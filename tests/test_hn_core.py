@@ -10,7 +10,8 @@ from skyhn.hn_core import (brute_force_max_slope, gaussian_line_count,
                            hn_filtration_at, subspaces_of_dim,
                            subspace_grid_dims)
 
-from conftest import F2, F3, gm, random_bounded_module
+from conftest import (F2, F3, gm, random_bounded_module, random_unigen_module,
+                      reference_staircases_from_dims, rescaled)
 
 
 def _count(field, t, k):
@@ -207,3 +208,123 @@ def test_integer_scoring_matches_fraction_reference():
             assert rec.basis_vectors() == rows
             assert (rec.dim, rec.integral) == (dim, integ)
             assert type(rec.integral) is Fr
+
+
+# ---------------------------------------------------------------------------
+# _FiberClasses on integer ranks against the Fraction-degree construction
+
+class _ReferenceFiberClasses:
+    """_FiberClasses as it was on Fraction degrees: deg_leq at every grid
+    point and relation, classes keyed by grid points."""
+
+    def __init__(self, M):
+        F = M.field
+        t = M.nrows
+        G = self.grid = grmat.induced_grid(M)
+        self.alpha = ax, ay = M.row_degrees[0]
+        wx, sx = hn_core._scaled_gaps(G.xs)
+        wy, sy = hn_core._scaled_gaps(G.ys)
+        self.scale, self.den = (sx, sy), sx * sy
+        dense = [M.dense_column(j) for j in range(M.ncols)]
+        if F.q == 2:
+            dense = [sum(1 << i for i, v in enumerate(c) if v) for c in dense]
+            insert = fieldmod._insert_f2
+        else:
+            def insert(base, tmp, v):
+                return fieldmod._insert_generic(F, base, tmp, list(v))
+        class_by_J = {}
+        self.point_class = {}
+        self.echs, self.coranks, self.weights = [], [], []
+        self.vert, self.horiz = [], []
+        for iy, y in enumerate(G.ys):
+            for ix, x in enumerate(G.xs):
+                pt = (x, y)
+                if not grmat.deg_leq(self.alpha, pt):
+                    self.point_class[pt] = -1
+                    continue
+                J = tuple(j for j in range(M.ncols)
+                          if grmat.deg_leq(M.col_degrees[j], pt))
+                cid = class_by_J.get(J)
+                if cid is None:
+                    ech = {}
+                    rank = sum(insert({}, ech, dense[j]) for j in J)
+                    cid = -1
+                    if rank < t:
+                        cid = len(self.echs)
+                        self.echs.append(ech)
+                        self.coranks.append(t - rank)
+                        self.weights.append(0)
+                        self.vert.append(0)
+                        self.horiz.append(0)
+                    class_by_J[J] = cid
+                self.point_class[pt] = cid
+                if cid >= 0:
+                    self.weights[cid] += wx[ix] * wy[iy]
+                    self.vert[cid] += wy[iy] if x == ax else 0
+                    self.horiz[cid] += wx[ix] if y == ay else 0
+
+    def rank_dims(self, ranks):
+        return {pt: ranks[cid] if cid >= 0 else 0
+                for pt, cid in self.point_class.items()}
+
+
+def _staircases_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _fiber_class_modules():
+    """Uniquely generated modules with integral, negative and non-integral
+    degrees: random unigen modules, their rescaled copies, and fiber
+    submodules of rescaled random modules at points on and off their grids
+    (built from integer ranks by the join and kernel paths)."""
+    rng = random.Random(2718)
+    out = []
+    for i in range(15):
+        F = (F2, F3, PrimeField(5))[i % 3]
+        M = random_unigen_module(rng, F, 1 + i % 3)
+        out += [M, rescaled(M)]
+    for i in range(12):
+        M = rescaled(random_bounded_module(rng, (F2, F3)[i % 2],
+                                           1 + i % 3, dmax=4))
+        G = grmat.induced_grid(M)
+        for x in G.xs[:3]:
+            for y in G.ys[:3]:
+                for alpha in ((x, y), (x + Fr(1, 7), y + Fr(2, 5))):
+                    sub = grmat.fiber_submodule(M, alpha)
+                    if sub is not None:
+                        out.append(sub)
+    return out
+
+
+def test_fiber_classes_match_fraction_reference():
+    n_subspaces = n_errors = 0
+    for M in _fiber_class_modules():
+        fc, ref = hn_core._FiberClasses(M), _ReferenceFiberClasses(M)
+        assert (fc.grid.xs, fc.grid.ys) == (ref.grid.xs, ref.grid.ys)
+        assert fc.alpha == ref.alpha
+        assert {(fc.xs[ix], fc.ys[iy]): cid for (ix, iy), cid
+                in fc.point_class.items()} == ref.point_class
+        assert (fc.echs, fc.coranks) == (ref.echs, ref.coranks)
+        assert (fc.weights, fc.vert, fc.horiz) == \
+            (ref.weights, ref.vert, ref.horiz)
+        assert (fc.scale, fc.den) == (ref.scale, ref.den)
+        cases = [(fc.coranks, M.nrows)]
+        for k in range(1, M.nrows + 1):
+            for rows in subspaces_of_dim(M.field, M.nrows, k):
+                ranks = fc.ranks(fc.to_internal(rows))
+                assert fc.rank_dims(ranks) == ref.rank_dims(ranks)
+                cases.append((ranks, k))
+                n_subspaces += 1
+        # thickness one past the dim at alpha: an empty staircase
+        cases.append((fc.coranks, M.nrows + 1))
+        for ranks, k in cases:
+            got = _staircases_or_error(fc.staircases, ranks, k)
+            want = _staircases_or_error(reference_staircases_from_dims,
+                                        ref.grid, ref.rank_dims(ranks),
+                                        ref.alpha, k)
+            assert got == want
+            n_errors += type(got) is tuple
+    assert n_subspaces > 100 and n_errors > 0

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -12,7 +13,9 @@ from skyhn.invariants import (HNFactor, HNFactorList, SkyscraperStore,
                               staircases_from_dims, superlevel_staircases)
 from skyhn.pipeline import ScanConfig, approx_skyscraper, exact_skyscraper
 
-from conftest import F2, F3, cross_module, gm, random_bounded_module
+from conftest import (F2, F3, cross_module, gm, random_bounded_module,
+                      reference_minimal_points,
+                      reference_staircases_from_dims, rescaled)
 
 
 def vertical_block():
@@ -111,6 +114,15 @@ def test_query_requires_order():
         skyscraper_query(_cross_store(), Fr(0), (Fr(1), Fr(1)), (Fr(0), Fr(0)))
 
 
+def test_store_keys_sorted_lexicographically(rng):
+    store = SkyscraperStore()
+    for _ in range(40):
+        alpha = (Fr(rng.randrange(-9, 9), rng.randrange(1, 7)),
+                 Fr(rng.randrange(-9, 9), rng.randrange(1, 7)))
+        store.insert(HNFactorList(alpha, []))
+    assert store.keys() == sorted(store.entries) and len(store) > 20
+
+
 def test_store_locate_snapping():
     store = _cross_store()
     assert store.locate((Fr(1, 2), Fr(3, 2))) is not None
@@ -197,6 +209,65 @@ def test_staircases_from_dims_roundtrip(rng):
         dims2 = {p: sum(1 for s in rebuilt if staircase_contains(s, p))
                  for p in G.points()}
         assert dims == dims2
+
+
+def _random_axis(rng):
+    """3-6 sorted distinct coordinates, negative and over denominators 1,
+    2 and 3, unevenly spaced."""
+    return sorted({Fr(rng.randrange(-9, 9), rng.choice((1, 2, 3)))
+                   for _ in range(rng.randrange(3, 7))})
+
+
+def test_staircases_from_dims_matches_fraction_reference():
+    """The column sweep over grid indices against minimal dead points found
+    by pairwise Fraction comparison: monotone dims (sums of staircases)
+    and arbitrary ones, alpha on, between and off the grid's lines, with
+    and without a thickness (one past the dim at alpha raises)."""
+    rng = random.Random(1618)
+    n_raised = 0
+    for trial in range(300):
+        G = Grid(_random_axis(rng), _random_axis(rng))
+        alpha = (rng.choice(G.xs[:2] + [G.xs[0] - Fr(1, 5),
+                                        (G.xs[0] + G.xs[1]) / 2]),
+                 rng.choice(G.ys[:2] + [G.ys[0] - Fr(1, 5),
+                                        (G.ys[0] + G.ys[1]) / 2]))
+        if trial % 2:
+            dims = {p: rng.randrange(4) for p in G.points()
+                    if rng.random() < 0.8}
+        else:
+            stairs = [Staircase(alpha, _minimal_points_of(rng, G, alpha))
+                      for _ in range(rng.randrange(1, 4))]
+            dims = {p: sum(1 for s in stairs if staircase_contains(s, p))
+                    for p in G.points()}
+        for thickness in (None, 1, 2, 4):
+            try:
+                want = reference_staircases_from_dims(G, dims, alpha,
+                                                      thickness)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    staircases_from_dims(G, dims, alpha, thickness)
+                n_raised += 1
+                continue
+            assert staircases_from_dims(G, dims, alpha, thickness) == want
+    assert n_raised > 0
+
+
+def _minimal_points_of(rng, G, alpha):
+    """The minimal ones of a few random grid points above alpha, strictly
+    above it on one axis."""
+    pts = [p for p in G.points() if grmat.deg_leq(alpha, p) and p != alpha]
+    return invariants._minimal_points(
+        rng.sample(pts, min(len(pts), rng.randrange(0, 4))))
+
+
+def test_minimal_points_matches_pairwise_reference():
+    rng = random.Random(1619)
+    for _ in range(200):
+        pts = [(Fr(rng.randrange(-4, 4), rng.choice((1, 2, 3))),
+                Fr(rng.randrange(-4, 4), rng.choice((1, 2))))
+               for _ in range(rng.randrange(0, 12))]
+        assert invariants._minimal_points(pts) == \
+            reference_minimal_points(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +415,49 @@ def test_erosion_distance_matches_reference():
     # the shifted path and its binary search really ran
     assert sum(1 for lo, hi in results if 0 < hi < grmat.POS_INF) >= 10
     assert any(0 < lo and hi < grmat.POS_INF for lo, hi in results)
+
+
+def _uneven_grid(G, rng):
+    """Probe grid from G's coordinates: every other one dropped at random
+    and a point over a new denominator (5 or 7) added on each axis."""
+    def axis(cs):
+        kept = [c for k, c in enumerate(cs) if k == 0 or rng.random() < 0.6]
+        return kept + [cs[0] + Fr(rng.randrange(1, 9), rng.choice((5, 7)))]
+    return Grid(axis(G.xs), axis(G.ys))
+
+
+def test_erosion_distance_matches_reference_off_integers():
+    """The integer-lattice erosion against the Fraction reference on
+    rescaled modules (negative degrees over denominators 2 and 3), lattice
+    spacings 1/3 and 2/3 and unevenly spaced probe grids over further
+    denominators, so that the 1/D scaling is exercised."""
+    rng = random.Random(4712)
+    results = []
+    for trial in range(8):
+        F = (F2, F3)[trial % 2]
+        M = rescaled(random_bounded_module(rng, F, rng.randrange(1, 4),
+                                           dmax=3))
+        ex = exact_skyscraper(M)
+        for eps in (Fr(1, 3), Fr(2, 3)):
+            sa = approx_skyscraper(M, ScanConfig(epsilon=eps))
+            if not sa.keys():
+                continue
+            snap = ex.snapshot(sa.keys())
+            slopes = sorted({f.slope for st in (sa, snap)
+                             for fl in st.entries.values() for f in fl})
+            thetas = [Fr(0)] + [(a + b) / 2
+                                for a, b in zip(slopes, slopes[1:])][:1]
+            G = _key_grid(sa)
+            G = Grid(G.xs[::3], G.ys[::3])
+            for theta in thetas:
+                for probe in (G, _uneven_grid(_key_grid(sa), rng)):
+                    if len(probe.xs) * len(probe.ys) > 20:
+                        probe = Grid(probe.xs[:4], probe.ys[:4])
+                    moved = _moved(snap, rng)
+                    results.append(_assert_same_erosion(sa, snap, theta,
+                                                        probe))
+                    results.append(_assert_same_erosion(moved, sa, theta,
+                                                        probe))
+    assert sum(1 for lo, hi in results if 0 < hi < grmat.POS_INF) >= 5
+    assert any(hi.denominator > 1 for _, hi in results
+               if 0 < hi < grmat.POS_INF)

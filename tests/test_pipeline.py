@@ -293,6 +293,31 @@ def test_cell_fibers_match_fiber_submodule():
                      (False, True)}
 
 
+def test_zero_fiber_shortcut_matches_join_path(monkeypatch):
+    """Where every generator lies below alpha, fiber_submodule returns None
+    exactly where minimize(join_degrees(M, alpha)) has no rows, and then
+    joins and minimizes nothing."""
+    join, minimize = grmat.join_degrees, grmat.minimize
+    calls = []
+    monkeypatch.setattr(grmat, "join_degrees",
+                        lambda N, a: calls.append(a) or join(N, a))
+    monkeypatch.setattr(grmat, "minimize",
+                        lambda N: calls.append(N) or minimize(N))
+    n_zero = n_nonzero = 0
+    for piece in _sweep_pieces():
+        for alpha in _probe_points(grmat.induced_grid(piece)):
+            if not all(grmat.deg_leq(g, alpha) for g in piece.row_degrees):
+                continue
+            zero = minimize(join(piece, alpha)).nrows == 0
+            calls.clear()
+            got = grmat.fiber_submodule(piece, alpha)
+            assert (got is None) == zero, alpha
+            assert len(calls) == (0 if zero else 2), alpha
+            n_zero += zero
+            n_nonzero += not zero
+    assert n_zero > 50 and n_nonzero > 50
+
+
 def test_sweep_builds_each_cell_fiber_once(monkeypatch):
     """In one approx_skyscraper call a piece's fiber submodule is built at
     most once per cell of its induced grid, and no fiber model is built

@@ -1,16 +1,20 @@
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
 
-from skyhn import grmat, hn_core, subdivision
+from skyhn import grmat, hn_core, pipeline, subdivision
 from skyhn.grmat import fiber_submodule
 from skyhn.subdivision import (ConvexRegion, SlopePoly, all_max_slope,
                                exact_hnf_cell, lower_envelope,
                                slope_polynomial)
 
+from skyhn.invariants import Staircase
+
 from conftest import (F2, F3, gm, random_bounded_module,
-                      random_unigen_module)
+                      random_unigen_module, reference_minimal_points,
+                      rescaled)
 
 
 def shift_join(M, alpha):
@@ -265,3 +269,109 @@ def test_subspace_candidates_match_fraction_reference():
                 got = [(rows, poly.key(), fc.dims(fc.to_internal(rows)))
                        for rows, poly in cands]
                 assert got == _reference_candidates(N)
+
+
+# ---------------------------------------------------------------------------
+# integer reads of a tree against their Fraction references
+
+def _reference_staircase_at(S, beta):
+    """_staircase_at as it was: the joins with beta, their minimal points
+    by pairwise comparison, and a validated Staircase."""
+    return Staircase(beta, reference_minimal_points(
+        [grmat.deg_join(r, beta) for r in S.rels]))
+
+
+def _rational_axis(rng):
+    """4-6 sorted distinct coordinates, negative and over denominators 1,
+    2 and 3."""
+    while True:
+        cs = sorted({Fr(rng.randrange(-8, 8), rng.choice((1, 2, 3)))
+                     for _ in range(6)})
+        if len(cs) >= 4:
+            return cs
+
+
+def test_staircase_at_matches_fraction_reference():
+    """Transport to beta at alpha, inside the first cell, on its upper
+    lines, beyond them (where the staircase can become empty, which must
+    raise the same error) and at points over other denominators."""
+    rng = random.Random(31)
+    n_raised = n_moved = 0
+    for _ in range(300):
+        xs, ys = _rational_axis(rng), _rational_axis(rng)
+        alpha = (xs[0], ys[0])
+        pts = [(x, y) for x in xs for y in ys if (x, y) != alpha]
+        S = Staircase(alpha, reference_minimal_points(
+            rng.sample(pts, rng.randrange(0, 5))))
+        cx = [xs[0], (xs[0] + xs[1]) / 2, xs[1], xs[2],
+              xs[0] + Fr(1, rng.choice((5, 7)))]
+        cy = [ys[0], (ys[0] + ys[1]) / 2, ys[1], ys[2],
+              ys[0] + Fr(1, rng.choice((5, 7)))]
+        for beta in [(x, y) for x in cx for y in cy]:
+            try:
+                want = _reference_staircase_at(S, beta)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    subdivision._staircase_at(S, beta)
+                n_raised += 1
+                continue
+            got = subdivision._staircase_at(S, beta)
+            assert got == want and got.rels == want.rels
+            n_moved += got.rels != S.rels
+    assert n_raised > 0 and n_moved > 0
+
+
+def _reference_contains(region, point):
+    x, y = Fr(point[0]), Fr(point[1])
+    return all(a * x + b * y <= c for a, b, c in region.halfplanes)
+
+
+def _tree_regions(rng):
+    """Every region of the trees of the exact stores of rescaled random
+    modules (negative degrees over denominators 2 and 3), and clips of
+    rectangles by random rational half-planes."""
+    out = []
+    for i in range(10):
+        M = rescaled(random_bounded_module(rng, (F2, F3)[i % 2],
+                                           1 + i % 3, dmax=3))
+        ex = pipeline.exact_skyscraper(M)
+        todo = [t.root for _, _, cells in ex.summands
+                for trees in cells.values() if trees for t in trees]
+        while todo:
+            node = todo.pop()
+            out.append(node.region)
+            todo += node.children
+    for _ in range(40):
+        R = ConvexRegion.rectangle(Fr(-1, 2), Fr(-2, 3), Fr(3, 2), 1)
+        for _ in range(rng.randrange(1, 4)):
+            R = R.clip(Fr(rng.randrange(-5, 6), rng.randrange(1, 4)),
+                       Fr(rng.randrange(-5, 6), rng.randrange(1, 4)),
+                       Fr(rng.randrange(-3, 4), rng.randrange(1, 6)))
+        out.append(R)
+    return out
+
+
+def test_region_contains_matches_fraction_reference():
+    """Cross-multiplied integer membership against the Fraction half-plane
+    test at each region's vertices, on its walls (edge midpoints and
+    thirds), inside it, and at random points, ints among them."""
+    rng = random.Random(32)
+    regions = _tree_regions(rng)
+    n_walls = 0
+    for R in regions:
+        vs = R.vertices
+        pts = list(vs)
+        for p, q in zip(vs, vs[1:] + vs[:1]):
+            pts += [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2),
+                    ((2 * p[0] + q[0]) / 3, (2 * p[1] + q[1]) / 3)]
+        pts += [(Fr(rng.randrange(-12, 12), rng.randrange(1, 8)),
+                 Fr(rng.randrange(-12, 12), rng.randrange(1, 8)))
+                for _ in range(8)]
+        pts += [(rng.randrange(-2, 3), rng.randrange(-2, 3))
+                for _ in range(3)]
+        for p in pts + rng.choice(regions).vertices:
+            want = _reference_contains(R, p)
+            assert R.contains(p) == want
+            n_walls += want and any(a * p[0] + b * p[1] == c
+                                    for a, b, c in R.halfplanes)
+    assert len(regions) > 60 and n_walls > 100

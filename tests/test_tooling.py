@@ -9,7 +9,7 @@ import random
 import sys
 from fractions import Fraction as Fr
 
-from skyhn import grmat, pipeline
+from skyhn import grmat, invariants, pipeline, subdivision
 
 from conftest import F2, hidden_direct_sum
 
@@ -64,6 +64,81 @@ def test_tracer_install_uninstall_restores_every_name(cross):
         assert all(len(summand) == 3 for summand in ex.summands)
     assert ex.box == box
     assert pipeline.exact_skyscraper(cross).box == (Fr(0), Fr(0), Fr(4), Fr(4))
+
+
+def _count_fraction_comparisons(monkeypatch):
+    """Count the rich comparisons Fraction makes from now on, except while
+    a function wrapped by pause() runs; returns (counts, pause)."""
+    counts = {"n": 0, "paused": 0}
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        def counted(a, b, _orig=getattr(Fr, name)):
+            counts["n"] += not counts["paused"]
+            return _orig(a, b)
+        monkeypatch.setattr(Fr, name, counted)
+
+    def pause(owner, attr):
+        orig = getattr(owner, attr)
+
+        def paused(*args):
+            counts["paused"] += 1
+            try:
+                return orig(*args)
+            finally:
+                counts["paused"] -= 1
+        monkeypatch.setattr(owner, attr, paused)
+    return counts, pause
+
+
+def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
+        cross, monkeypatch):
+    """On the cross fixture the probe-pair loop of erosion_distance makes
+    no Fraction comparison (the store lookups and the per-entry choice of
+    staircases, outside it, may), and neither do SubdivTree.factors_at
+    reads at points already read, walls included.  Counts, not times."""
+    sa = pipeline.approx_skyscraper(cross, pipeline.ScanConfig(Fr(1, 2)))
+    ex = pipeline.exact_skyscraper(cross)
+    snap = ex.snapshot(sa.keys())
+    # a copy with one staircase's relations moved up, so shifts e > 0 run
+    moved = invariants.SkyscraperStore(snap.epsilon)
+    moved.entries = dict(snap.entries)
+    alpha = sa.keys()[0]
+    fl = snap.entries[alpha]
+    f = fl.factors[0]
+    S = f.staircases[0]
+    moved.entries[alpha] = invariants.HNFactorList(alpha, [invariants.HNFactor(
+        [invariants.Staircase(S.gen, [(x + 2, y + 2) for x, y in S.rels])]
+        + f.staircases[1:], f.slope)] + fl.factors[1:])
+    keys = sa.keys()
+    G = grmat.Grid([k[0] for k in keys], [k[1] for k in keys])
+    trees = [t for _, _, cells in ex.summands
+             for ts in cells.values() if ts for t in ts]
+    # the tree of <V_(0,1)> has the wall y = (3 + x)/2 (acceptance 3)
+    trees.append(subdivision.exact_hnf_cell(
+        grmat.fiber_submodule(cross, (0, 1)), (Fr(0), Fr(1), Fr(1), Fr(2))))
+    # a 4 x 4 lattice of each tree's cell below its upper lines
+    reads = [(t, (x0 + (x1 - x0) * Fr(i, 4), y0 + (y1 - y0) * Fr(j, 4)))
+             for t in trees for x0, y0, x1, y1 in [t.cell]
+             for i in range(4) for j in range(4)]
+    for t, beta in reads:
+        t.factors_at(beta)
+    merged = []
+    renormalize = subdivision._renormalize
+    monkeypatch.setattr(subdivision, "_renormalize",
+                        lambda st, b: merged.append(b) or renormalize(st, b))
+    counts, pause = _count_fraction_comparisons(monkeypatch)
+    pause(invariants.SkyscraperStore, "locate")
+    pause(invariants, "theta_staircases")
+    brackets = [invariants.erosion_distance(r, s, Fr(0), G)
+                for r, s in ((sa, snap), (moved, sa), (sa, moved))]
+    assert counts["n"] == 0
+    for t, beta in reads:
+        t.factors_at(beta)
+    assert counts["n"] == 0
+    monkeypatch.undo()
+    # the shifted pair loop ran, and the reads crossed walls, where
+    # equal-slope factors merge
+    assert any(0 < hi < grmat.POS_INF for _, hi in brackets)
+    assert len(reads) > 20 and merged
 
 
 def _unused_imports(source):
