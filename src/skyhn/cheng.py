@@ -26,6 +26,12 @@ Extension elements exist only as g x g blocks over the module's prime field
 prime-field work: list-level columns through the one incremental echelon
 grmat._Echelon and the one elimination loop behind field.reduce_columns,
 with a GF(2) bitmask path and an inlined ``% q`` path.
+
+Four module constants fix the search schedule of ``hn_cheng``:
+``_FAREY_BUDGET`` Farey probes (p, q) with p*q <= ``_FAREY_CAP`` are tried
+before the exact (p0, q0) blow-up, each with up to ``_MAX_RETRIES`` draws,
+and every draw's extension degree is its default plus ``_G_EXTRA`` (plus
+what the retry schedule adds).
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ class ShrunkFailure(RuntimeError):
 class MatrixSpace:
     """A subspace of k^{nrows x ncols} given by an independent basis."""
 
-    def __init__(self, field, nrows, ncols, basis, check=True):
+    def __init__(self, field, nrows, ncols, basis):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -69,14 +75,12 @@ class MatrixSpace:
         # per basis matrix, its nonzero rows as (row index, row)
         self.nonzero_rows = [[(a, row) for a, row in enumerate(B.data)
                               if any(row)] for B in self.basis]
-        if check:
-            span = _Echelon(field, nrows * ncols)
-            for B in self.basis:
-                if B.rows != nrows or B.cols != ncols or B.field != field:
-                    raise ValueError("basis matrix shape/field mismatch")
-                vec = [x for row in B.data for x in row]
-                if not span.insert(vec):
-                    raise ValueError("basis matrices are not independent")
+        span = _Echelon(field, nrows * ncols)
+        for B in self.basis:
+            if B.rows != nrows or B.cols != ncols or B.field != field:
+                raise ValueError("basis matrix shape/field mismatch")
+            if not span.insert([x for row in B.data for x in row]):
+                raise ValueError("basis matrices are not independent")
 
     @property
     def ell(self):
@@ -320,6 +324,12 @@ def build_A_alpha(M, G, alpha):
 # ---------------------------------------------------------------------------
 # HN driver: Farey probes, retries, split-and-recurse
 
+_G_EXTRA = 0          # extension degrees added to every draw's default
+_MAX_RETRIES = 8      # draws per blow-up before ShrunkFailure
+_FAREY_BUDGET = 6     # Farey probes tried before the exact (p0, q0) one
+_FAREY_CAP = 36       # largest p*q of a Farey probe
+
+
 def _farey_probes(rp, rq, budget, cap):
     """Mediant descent from 0/1, 1/0 toward rp/rq: the probe ratios in
     visiting order, skipping the target itself, capped by p*q <= cap."""
@@ -357,8 +367,7 @@ def _shrunk_with_retries(space, p, q, alpha, seed, g_extra, max_retries,
     raise ShrunkFailure(alpha, max_retries)
 
 
-def _split_fiber(space, p0, q0, alpha, seed, g_extra, max_retries,
-                 farey_budget, farey_cap):
+def _split_fiber(space, p0, q0, alpha, seed):
     """Find the fiber of a proper nonzero HN filtration member, or None
     when the module is certified semistable at alpha.
 
@@ -373,13 +382,13 @@ def _split_fiber(space, p0, q0, alpha, seed, g_extra, max_retries,
     g = math.gcd(p0, q0)
     rp, rq = p0 // g, q0 // g
     p_cap = p0 * q0
-    for (p, q) in _farey_probes(rp, rq, farey_budget, farey_cap):
-        U = _shrunk_with_retries(space, p, q, alpha, seed, g_extra,
-                                 max_retries, p_cap)
+    for (p, q) in _farey_probes(rp, rq, _FAREY_BUDGET, _FAREY_CAP):
+        U = _shrunk_with_retries(space, p, q, alpha, seed, _G_EXTRA,
+                                 _MAX_RETRIES, p_cap)
         if 0 < U.cols < p0:
             return U
-    U = _shrunk_with_retries(space, rp, rq, alpha, seed, g_extra,
-                             max_retries, p_cap)
+    U = _shrunk_with_retries(space, rp, rq, alpha, seed, _G_EXTRA,
+                             _MAX_RETRIES, p_cap)
     if U.cols in (0, p0):
         return None
     return U
@@ -396,13 +405,11 @@ def _semistable_factor(cur, alpha):
     return HNFactor(stairs, Fraction(t) / integ)
 
 
-def _factors_rec(cur, G, alpha, seed, g_extra, max_retries, farey_budget,
-                 farey_cap):
+def _factors_rec(cur, G, alpha, seed):
     if cur.nrows == 0:
         return []
     space, p0, q0, _ = build_A_alpha(cur, G, alpha)
-    U = _split_fiber(space, p0, q0, alpha, seed, g_extra, max_retries,
-                     farey_budget, farey_cap)
+    U = _split_fiber(space, p0, q0, alpha, seed)
     if U is None:
         return [_semistable_factor(cur, alpha)]
     F = cur.field
@@ -412,14 +419,11 @@ def _factors_rec(cur, G, alpha, seed, g_extra, max_retries, farey_budget,
         [[(i, v) for i, v in enumerate(col) if v] for col in ucols])
     sub = grmat.minimize(grmat.submodule_presentation(cur, S))
     quot = grmat.quotient_presentation(cur, U)
-    return (_factors_rec(sub, G, alpha, hash((seed, 1)), g_extra,
-                         max_retries, farey_budget, farey_cap)
-            + _factors_rec(quot, G, alpha, hash((seed, 2)), g_extra,
-                           max_retries, farey_budget, farey_cap))
+    return (_factors_rec(sub, G, alpha, hash((seed, 1)))
+            + _factors_rec(quot, G, alpha, hash((seed, 2))))
 
 
-def hn_cheng(M, G, alpha, seed=0, g_extra=0, max_retries=8, farey_budget=6,
-             farey_cap=36):
+def hn_cheng(M, G, alpha, seed=0):
     """HN filtration at alpha via recursive shrunk-subspace splits.
 
     G must be a regular grid containing the degrees of M (and alpha) inside
@@ -436,8 +440,7 @@ def hn_cheng(M, G, alpha, seed=0, g_extra=0, max_retries=8, farey_budget=6,
         return HNFactorList(alpha, [])
     if callable(G):
         G = G()
-    factors = _factors_rec(cur, G, alpha, seed, g_extra, max_retries,
-                           farey_budget, farey_cap)
+    factors = _factors_rec(cur, G, alpha, seed)
     for a, b in zip(factors, factors[1:]):
         if not a.slope > b.slope:
             raise AssertionError("HN slopes not strictly decreasing")

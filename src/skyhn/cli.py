@@ -45,8 +45,14 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def _rational(tok):
-    return Fraction(tok)   # handles "3", "1.5", and "3/2" exactly
+def _fraction(tok):
+    """Fraction(tok) of "3", "1.5" or "3/2", exactly.  A malformed token or
+    a zero denominator raises ArgumentTypeError, which argparse reports as
+    a one-line usage error."""
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("bad rational %r" % tok)
 
 
 def _count(path, no, tok):
@@ -102,8 +108,8 @@ def parse_presentation(path):
         if len(parts) != 2:
             raise ParseError(path, no, "expected '<x> <y>'")
         try:
-            row_degs.append((_rational(parts[0]), _rational(parts[1])))
-        except (ValueError, ZeroDivisionError):
+            row_degs.append((_fraction(parts[0]), _fraction(parts[1])))
+        except argparse.ArgumentTypeError:
             raise ParseError(path, no, "bad rational degree")
 
     no, text = take("relations line")
@@ -122,8 +128,8 @@ def parse_presentation(path):
         if len(hp) != 2:
             raise ParseError(path, no, "expected two degree coordinates")
         try:
-            d = (_rational(hp[0]), _rational(hp[1]))
-        except (ValueError, ZeroDivisionError):
+            d = (_fraction(hp[0]), _fraction(hp[1]))
+        except argparse.ArgumentTypeError:
             raise ParseError(path, no, "bad rational degree")
         tp = tail.split()
         if len(tp) % 2:
@@ -219,18 +225,18 @@ def _pair(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected X,Y")
-    return (Fraction(parts[0]), Fraction(parts[1]))
+    return (_fraction(parts[0]), _fraction(parts[1]))
 
 
 def _quad(text):
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected X0,Y0,X1,Y1")
-    return tuple(Fraction(p) for p in parts)
+    return tuple(_fraction(p) for p in parts)
 
 
 def _frac_list(text):
-    return [Fraction(p) for p in text.split(",")]
+    return [_fraction(p) for p in text.split(",")]
 
 
 def _int_list(text):
@@ -272,7 +278,7 @@ def build_parser():
 
     p = sub.add_parser("approx", help="epsilon-approximate store")
     p.add_argument("input")
-    p.add_argument("--epsilon", type=Fraction, required=True)
+    p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--engine", choices=["brute", "cheng"], default="brute")
     p.add_argument("--seed", type=int, default=0)
 
@@ -281,11 +287,11 @@ def build_parser():
 
     p = sub.add_parser("scan", help="parallel grid scan store")
     p.add_argument("input")
-    p.add_argument("--epsilon", type=Fraction, required=True)
+    p.add_argument("--epsilon", type=_fraction, required=True)
 
     p = sub.add_parser("query", help="skyscraper query s^theta(from, to)")
     p.add_argument("input")
-    p.add_argument("--theta", type=Fraction, required=True)
+    p.add_argument("--theta", type=_fraction, required=True)
     p.add_argument("--from", dest="src", type=_pair, required=True)
     p.add_argument("--to", dest="dst", type=_pair, required=True)
 
@@ -302,7 +308,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="self-tests + interval-factor report")
     p.add_argument("input")
-    p.add_argument("--epsilon", type=Fraction, default=Fraction(1))
+    p.add_argument("--epsilon", type=_fraction, default=Fraction(1))
     return ap
 
 

@@ -50,9 +50,6 @@ class PrimeField:
     def sub(self, a, b):
         return (a - b) % self.q
 
-    def neg(self, a):
-        return (-a) % self.q
-
     def mul(self, a, b):
         return (a * b) % self.q
 

@@ -9,8 +9,9 @@ Fractions at the API, ints below: every degree that enters or leaves this
 module is a pair of exact rationals (fractions.Fraction), and the loops
 inside compare, hash and sort integer coordinate ranks (``_ranks``), the
 positions of each coordinate among the matrix's sorted distinct ones.
-Matrices built from ranks (``_from_ranks``) are validated on them and keep
-them for the next operation.
+Every matrix has its ranks from the moment it is built and is validated
+once, on them: the constructor computes them from the degrees, and
+``_from_ranks`` hands over the ranks that an operation already holds.
 """
 
 from __future__ import annotations
@@ -51,25 +52,34 @@ class GradedMatrix:
     columns[j] is a sparse list of (row index, nonzero field element),
     sorted by row index.  Every module is over a PrimeField: this is the one
     place that is checked, and everything below computes modulo field.q.
+    ``_ranks`` is (xs, ys, row ranks, column ranks): the sorted distinct
+    coordinates of the degrees (the induced grid, when there is a degree)
+    and each row's and column's pair of integer ranks in them.  They are
+    computed when the matrix is built, and homogeneity is validated on
+    them.
     """
 
-    def __init__(self, field, row_degrees, col_degrees, columns, check=True):
+    def __init__(self, field, row_degrees, col_degrees, columns):
+        row_degrees = [as_degree(d) for d in row_degrees]
+        col_degrees = [as_degree(d) for d in col_degrees]
+        xs, ys, rk = _rank_degrees(row_degrees + col_degrees)
+        self._init(field, row_degrees, col_degrees, columns,
+                   (xs, ys, rk[:len(row_degrees)], rk[len(row_degrees):]))
+
+    def _init(self, field, row_degrees, col_degrees, columns, ranks):
+        """Set the fields from degrees and their ranks (see _ranks), and
+        check that every entry's row rank pair is <= its column's."""
         if not isinstance(field, PrimeField):
             raise ValueError("module coefficients must form a prime field, "
                              "got %r" % (field,))
         self.field = field
-        self.row_degrees = [as_degree(d) for d in row_degrees]
-        self.col_degrees = [as_degree(d) for d in col_degrees]
+        self.row_degrees = row_degrees
+        self.col_degrees = col_degrees
         self.columns = [sorted(((i, v) for i, v in col if v != field.zero))
                         for col in columns]
-        self._ranks = None      # see _ranks
-        if check:
-            self._validate(self.row_degrees, self.col_degrees)
-
-    def _validate(self, rows, cols):
-        """Every entry's row degree is <= its column degree, compared on
-        rows and cols: the degrees themselves or their integer ranks."""
-        if len(self.columns) != len(self.col_degrees):
+        self._ranks = ranks
+        _, _, rows, cols = ranks
+        if len(self.columns) != len(cols):
             raise ValueError("column count mismatch")
         for j, col in enumerate(self.columns):
             cx, cy = cols[j]
@@ -79,7 +89,7 @@ class GradedMatrix:
                 if rows[i][0] > cx or rows[i][1] > cy:
                     raise ValueError(
                         "inhomogeneous entry (%d, %d): row degree %s > column degree %s"
-                        % (i, j, self.row_degrees[i], self.col_degrees[j]))
+                        % (i, j, row_degrees[i], col_degrees[j]))
 
     @property
     def nrows(self):
@@ -115,14 +125,14 @@ def from_dense_columns(field, row_degrees, col_degrees, dense_cols):
 
 def _from_ranks(field, xs, ys, row_rk, col_rk, cols):
     """GradedMatrix with degrees (xs[rx], ys[ry]) given by integer ranks
-    into the sorted distinct coordinates xs and ys, validated on the ranks,
-    which it keeps (compressed to the coordinates in use) for _ranks."""
+    into the sorted distinct coordinates xs and ys: the ranks (compressed
+    to the coordinates in use) are handed over, not computed again."""
     xs, ys, rk = _compress(xs, ys, row_rk + col_rk)
     row_rk, col_rk = rk[:len(row_rk)], rk[len(row_rk):]
-    M = GradedMatrix(field, [(xs[x], ys[y]) for x, y in row_rk],
-                     [(xs[x], ys[y]) for x, y in col_rk], cols, check=False)
-    M._validate(row_rk, col_rk)
-    M._ranks = (xs, ys, row_rk, col_rk)
+    M = GradedMatrix.__new__(GradedMatrix)
+    M._init(field, [(xs[x], ys[y]) for x, y in row_rk],
+            [(xs[x], ys[y]) for x, y in col_rk], cols,
+            (xs, ys, row_rk, col_rk))
     return M
 
 
@@ -144,26 +154,43 @@ class Grid:
     def __init__(self, xs, ys):
         self.xs = _axis(xs)
         self.ys = _axis(ys)
+        # per axis: a coordinate's (numerator, denominator) -> its _floor
+        self._memo = ({}, {})
 
     def points(self):
         for y in self.ys:
             for x in self.xs:
                 yield (x, y)
 
+    def index(self, d):
+        """(ix, iy, on_grid): per axis the index of the largest grid
+        coordinate <= d's (-1 below them all), and whether d is a grid
+        point.  Memoized per coordinate: a lattice sweep asks for few
+        distinct ones."""
+        x, y = d
+        mx, my = self._memo
+        hx = mx.get(x.as_integer_ratio()) or self._floor(0, x)
+        hy = my.get(y.as_integer_ratio()) or self._floor(1, y)
+        return hx[0], hy[0], hx[1] and hy[1]
+
+    def _floor(self, axis, v):
+        """(i, exact): the index of the largest coordinate <= v on the axis
+        (0: x, 1: y) and whether it equals v, entered in the memo."""
+        coords = self.ys if axis else self.xs
+        key = v.as_integer_ratio()
+        i = bisect.bisect_right(coords, v) - 1
+        hit = self._memo[axis][key] = (
+            i, i >= 0 and coords[i].as_integer_ratio() == key)
+        return hit
+
     def floor(self, d):
         """Largest grid point <= d componentwise; -inf sentinel per axis."""
-        x = _coord_floor(self.xs, d[0])
-        y = _coord_floor(self.ys, d[1])
-        return (x, y)
-
-    def ceil(self, d):
-        """Smallest grid point >= d componentwise; +inf sentinel per axis."""
-        x = _coord_ceil(self.xs, d[0])
-        y = _coord_ceil(self.ys, d[1])
-        return (x, y)
+        ix, iy, _ = self.index(d)
+        return (self.xs[ix] if ix >= 0 else NEG_INF,
+                self.ys[iy] if iy >= 0 else NEG_INF)
 
     def __contains__(self, d):
-        return self.floor(d) == (d[0], d[1])
+        return self.index(d)[2]
 
     def __repr__(self):
         return "Grid(%d x %d)" % (len(self.xs), len(self.ys))
@@ -184,15 +211,6 @@ def _sorted_distinct(frs):
     byk = {c.as_integer_ratio(): c for c in frs}
     den = math.lcm(*(d for _, d in byk))
     return [byk[k] for k in sorted(byk, key=lambda k: k[0] * (den // k[1]))]
-
-
-def _coord_floor(coords, v):
-    i = bisect.bisect_right(coords, v)
-    return coords[i - 1] if i else NEG_INF
-
-def _coord_ceil(coords, v):
-    i = bisect.bisect_left(coords, v)
-    return coords[i] if i < len(coords) else POS_INF
 
 
 def induced_grid(M):
@@ -223,17 +241,6 @@ def _count_leq(coords, v):
             coords[k].numerator * d <= n * coords[k].denominator:
         k += 1
     return k
-
-
-def _ranks(M):
-    """(xs, ys, row ranks, column ranks): the sorted distinct coordinates
-    of M's degrees (its induced grid, when M has a degree) and each row's
-    and column's pair of integer ranks in them, computed once per
-    matrix."""
-    if M._ranks is None:
-        xs, ys, rk = _rank_degrees(M.row_degrees + M.col_degrees)
-        M._ranks = (xs, ys, rk[:M.nrows], rk[M.nrows:])
-    return M._ranks
 
 
 def kernel(M):
@@ -389,7 +396,7 @@ def minimize(M):
     """
     F = M.field
     q = F.q
-    xs, ys, row_degs, col_degs = _ranks(M)
+    xs, ys, row_degs, col_degs = M._ranks
     row_degs, col_degs = list(row_degs), list(col_degs)
     cols = [M.dense_column(j) for j in range(M.ncols)]
 
@@ -472,7 +479,7 @@ def quotient_presentation(M_alpha, B):
     deletes those rows, and fully minimizes.
     """
     F = M_alpha.field
-    xs, ys, row_rk, col_rk = _ranks(M_alpha)
+    xs, ys, row_rk, col_rk = M_alpha._ranks
     if len(set(row_rk)) > 1:
         raise ValueError("module is not uniquely generated")
     t = M_alpha.nrows
@@ -547,7 +554,7 @@ def fiber_submodule(M, alpha):
     come from a kernel (submodule_presentation).  No fiber model is built
     when no generator lies below alpha."""
     alpha = as_degree(alpha)
-    xs, ys, row_rk, col_rk = _ranks(M)
+    xs, ys, row_rk, col_rk = M._ranks
     # ranks of the largest coordinates <= alpha
     ax = _count_leq(xs, alpha[0]) - 1
     ay = _count_leq(ys, alpha[1]) - 1
@@ -586,7 +593,7 @@ def join_degrees(N, alpha):
     The join acts on N's coordinate ranks: every coordinate <= alpha's
     becomes alpha's, and the others keep their order above it."""
     alpha = as_degree(alpha)
-    xs, ys, row_rk, col_rk = _ranks(N)
+    xs, ys, row_rk, col_rk = N._ranks
     kx = _count_leq(xs, alpha[0])      # coordinates joining to alpha
     ky = _count_leq(ys, alpha[1])
 
@@ -736,7 +743,7 @@ def _endomorphisms(M):
     relation degree d; the basis is the nullspace of these equations."""
     F, t = M.field, M.nrows
     q = F.q
-    _, _, gd, rd = _ranks(M)
+    _, _, gd, rd = M._ranks
     P = [M.dense_column(j) for j in range(M.ncols)]
     unknowns = [(a, b) for a in range(t) for b in range(t)
                 if deg_leq(gd[a], gd[b])]
@@ -789,7 +796,7 @@ def _split(M, ends, E):
     change of generators."""
     F, t = M.field, M.nrows
     q = F.q
-    _, _, gd, rd = _ranks(M)
+    _, _, gd, rd = M._ranks
     P = [M.dense_column(j) for j in range(M.ncols)]
     if _matmul(q, E, E) != E:
         raise AssertionError("decompose: E is not idempotent")

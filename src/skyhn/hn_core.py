@@ -31,8 +31,7 @@ from .field import DenseMatrix, _insert_f2, _insert_generic
 from .invariants import HNFactor, HNFactorList, merge_factors  # noqa: F401
 
 __all__ = ["SlopeRecord", "brute_force_max_slope", "hn_filtration_at",
-           "hn_filtration_of", "merge_factors", "subspaces_of_dim",
-           "subspace_grid_dims"]
+           "hn_filtration_of", "merge_factors", "subspaces_of_dim"]
 
 
 def _scaled_gaps(coords):
@@ -60,7 +59,7 @@ class _FiberClasses:
         F = M.field
         self.f2 = F.q == 2
         t = M.nrows
-        xs, ys, row_rk, col_rk = grmat._ranks(M)
+        xs, ys, row_rk, col_rk = M._ranks
         if len(set(row_rk)) != 1:
             raise ValueError("module is not uniquely generated")
         self.alpha = M.row_degrees[0]
@@ -171,13 +170,6 @@ def fiber_classes(M):
         cache = _FiberClasses(M)
         M._fiber_classes = cache
     return cache
-
-
-def subspace_grid_dims(M, basis_vectors):
-    """Pointwise dims of the submodule generated by the given fiber vectors
-    (dense lists over the generators), on the induced grid of M."""
-    fc = fiber_classes(M)
-    return fc.grid, fc.dims(fc.to_internal(basis_vectors))
 
 
 # ---------------------------------------------------------------------------

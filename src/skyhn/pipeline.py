@@ -10,18 +10,19 @@ that ``grmat.decompose`` finds in each block, once per block per driver
 call, and the pieces' factors are coalesced back into one list per block;
 the cheng engine runs on each block whole.  ``approx_skyscraper`` and
 ``parallel_grid_scan`` are one colexicographic sweep of the epsilon
-lattice with two per-point strategies: HN engine runs, or the lazily
-built cells of an ``ExactStore``, whose cells of a summand are evicted
-whenever the sweep leaves their grid row.  A module is constant on each
-cell of its induced grid, so the brute-force sweep builds a piece's fiber
-submodule once per cell, at the cell's lower corner, and joins its degrees
-with each lattice point of the cell (``_CellFibers``).  ``store.work``
-counts per connected block.
+lattice (``_sweep``) with two per-point strategies: HN engine runs, or the
+lazily built cells of an ``ExactStore``.  A module is constant on each
+cell of its induced grid, and one per-cell cache (``_Cells``) serves both:
+the brute-force sweep builds a piece's fiber submodule once per cell, at
+the cell's lower corner, and joins its degrees with each lattice point of
+the cell; an ``ExactStore`` builds a summand's subdivision trees once per
+cell.  ``_sweep`` is the one place that evicts cells: it tells every cache
+which lattice row it enters, and each drops the cells of its other grid
+rows.  ``store.work`` counts per connected block.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from fractions import Fraction
@@ -190,64 +191,62 @@ def _eps_points(box, epsilon):
     return axis(x0, x1), axis(y0, y1)
 
 
-def _axis_floor(coords):
-    """v -> (ix, exact): the index of the largest of the sorted coords that
-    is <= v (-1 below them all) and whether it equals v, memoized by v's
-    (numerator, denominator): a lattice sweep asks for few distinct v."""
-    memo = {}
+class _Cells(dict):
+    """Data constant on each cell of a module's induced grid: build(c) runs
+    on the first read of the cell with lower corner c, and its result is
+    kept under the cell's grid-index pair; `built` counts the builds that
+    returned something other than None.  A sweep calls keep_row on entering
+    each lattice row, which drops the cells of every other grid row."""
 
-    def floor(v):
-        key = v.as_integer_ratio()
-        hit = memo.get(key)
-        if hit is None:
-            ix = bisect.bisect_right(coords, v) - 1
-            hit = memo[key] = (
-                ix, ix >= 0 and coords[ix].as_integer_ratio() == key)
-        return hit
-    return floor
-
-
-class _CellFibers:
-    """The fiber submodules of one piece in the lattice sweep, one per cell
-    of the piece's induced grid, keyed by the grid-index pair of its lower
-    corner c.  The piece is constant on the cell [c, next grid point), so
-    at every alpha of the cell <V_alpha> is <V_c> joined with alpha
-    (grmat.join_degrees); where c is -inf on an axis no generator lies
-    below alpha and the fiber is zero.  The sweep visits cells row by row,
-    so each cell is computed once, and a row's cells are dropped when the
-    sweep leaves it."""
-
-    def __init__(self, piece):
-        self.piece = piece
-        self.grid = grmat.induced_grid(piece)
-        self._fx = _axis_floor(self.grid.xs)
-        self._fy = _axis_floor(self.grid.ys)
+    def __init__(self, grid, build):
+        super().__init__()
+        self.grid = grid
+        self.build = build
+        self.built = 0
         self.row = None
-        self.cells = {}    # (ix, iy) in the current row -> <V_c> or None
 
     def at(self, alpha):
-        ix, on_x = self._fx(alpha[0])
-        iy, on_y = self._fy(alpha[1])
+        """(the data of alpha's cell, whether alpha is a grid point); the
+        data is None where alpha lies below the grid."""
+        ix, iy, on_grid = self.grid.index(alpha)
         if ix < 0 or iy < 0:
-            return None
+            return None, on_grid
+        data = self.get((ix, iy), self)      # self: not built yet
+        if data is self:
+            data = self[ix, iy] = self.build(
+                (self.grid.xs[ix], self.grid.ys[iy]))
+            self.built += data is not None
+        return data, on_grid
+
+    def keep_row(self, y):
+        iy = self.grid._floor(1, y)[0]
         if iy != self.row:
             self.row = iy
-            self.cells.clear()
-        sub = self.cells.get((ix, iy), self)     # self: not computed yet
-        if sub is self:
-            sub = self.cells[ix, iy] = grmat.fiber_submodule(
-                self.piece, (self.grid.xs[ix], self.grid.ys[iy]))
-        if sub is None or (on_x and on_y):
-            return sub
-        return grmat.join_degrees(sub, alpha)
+            self.clear()
 
 
-def _sweep(box, epsilon, hn_of):
+def _cell_fiber(cells, alpha):
+    """<V_alpha> of a piece from cells, the piece's fiber submodules <V_c>
+    at the lower corners c of its grid cells.  The piece is constant on
+    the cell [c, next grid point), so <V_alpha> is <V_c> joined with alpha
+    (grmat.join_degrees); where c is -inf on an axis no generator lies
+    below alpha and the fiber is zero."""
+    sub, on_grid = cells.at(alpha)
+    if sub is None or on_grid:
+        return sub
+    return grmat.join_degrees(sub, alpha)
+
+
+def _sweep(box, epsilon, hn_of, caches=()):
     """Store of the non-empty filtrations hn_of(alpha) at the epsilon-lattice
-    points alpha of the box, visited colexicographically."""
+    points alpha of the box, visited colexicographically.  Each of the
+    caches (_Cells) is told the lattice row the sweep enters, and keeps
+    only that row's cells."""
     xs, ys = _eps_points(box, epsilon)
     store = SkyscraperStore(epsilon)
     for y in ys:
+        for cells in caches:
+            cells.keep_row(y)
         for x in xs:
             fl = hn_of((x, y))
             if fl.factors:
@@ -259,10 +258,11 @@ def approx_skyscraper(M, cfg):
     """Store of HN filtrations at every epsilon-lattice point of the
     support; an epsilon-approximation of the true invariant in erosion
     distance.  Brute force computes each piece's fiber submodule once per
-    cell of the piece's induced grid and derives it at every lattice point
-    of the cell (_CellFibers); the cheng engine runs on each block whole
-    at every point.  store.work counts, per connected block, the lattice
-    points where its engine runs found a non-zero fiber."""
+    cell of the piece's induced grid, in one _Cells cache per piece that
+    _sweep evicts row by row, and derives it at every lattice point of the
+    cell (_cell_fiber); the cheng engine runs on each block whole at every
+    point.  store.work counts, per connected block, the lattice points
+    where its engine runs found a non-zero fiber."""
     box = cfg.box or bounding_box(M)
     blocks = _blocks(clip_to_box(M, box))
 
@@ -272,13 +272,16 @@ def approx_skyscraper(M, cfg):
         return regular_grid(blocks[i], [(x, y) for x in xs for y in ys], box)
 
     pieces = _engine_pieces(blocks, cfg.engine)
-    fiber = grmat.fiber_submodule
+    fiber, caches = grmat.fiber_submodule, []
     if cfg.engine == "brute":
-        pieces = [[_CellFibers(p) for p in ps] for ps in pieces]
-        fiber = _CellFibers.at
+        pieces = [[_Cells(grmat.induced_grid(p),
+                          functools.partial(grmat.fiber_submodule, p))
+                   for p in ps] for ps in pieces]
+        fiber, caches = _cell_fiber, [c for ps in pieces for c in ps]
     work = [0] * len(blocks)
     store = _sweep(box, cfg.epsilon, lambda alpha: _hn_blocks(
-        pieces, alpha, cfg.engine, cfg.seed, cheng_grid, work, fiber))
+        pieces, alpha, cfg.engine, cfg.seed, cheng_grid, work, fiber),
+        caches)
     store.work = work
     return store
 
@@ -289,11 +292,10 @@ def _cell_trees(pieces, grid, corner):
     corner (<V>(A + B) = <V>(A) + <V>(B)), or None when the cell is empty
     or unbounded."""
     ax, ay = corner
-    ix = bisect.bisect_right(grid.xs, ax)
-    iy = bisect.bisect_right(grid.ys, ay)
-    if ix == len(grid.xs) or iy == len(grid.ys):
+    ix, iy, _ = grid.index(corner)
+    if ix + 1 == len(grid.xs) or iy + 1 == len(grid.ys):
         return None
-    nx, ny = grid.xs[ix], grid.ys[iy]
+    nx, ny = grid.xs[ix + 1], grid.ys[iy + 1]
     subs = [sub for sub in (grmat.fiber_submodule(p, corner) for p in pieces)
             if sub is not None]
     if not subs:
@@ -324,53 +326,30 @@ class ExactStore:
     and skyscraper queries at arbitrary rational points of the box.
 
     A summand is one connected block of the clipped module, with its
-    induced grid and its cells; its pieces, the summands that
-    grmat.decompose finds in it, sit beside it in ``pieces``, and each
-    cell holds the trees of the pieces' fiber submodules."""
+    induced grid and its cells (a _Cells cache); each cell holds the trees
+    of the fiber submodules of the summand's pieces, the summands that
+    grmat.decompose finds in it."""
 
     def __init__(self, box):
         self.box = box
-        # (module, grid, {(ix, iy): [SubdivTree] or None}), the cells keyed
-        # by the grid-index pair of their lower corner
+        # (module, grid, _Cells of [SubdivTree] or None), one per summand
         self.summands = []
-        self.pieces = []     # per summand: its grmat.decompose pieces
-        self.work = []       # per summand: tree lists built
-        self._floors = []    # per summand: _axis_floor of its grid's axes
 
     def _add_summand(self, module):
         grid = grmat.induced_grid(module)
-        self.summands.append((module, grid, {}))
-        self.pieces.append(grmat.decompose(module))
-        self.work.append(0)
-        self._floors.append((_axis_floor(grid.xs), _axis_floor(grid.ys)))
+        build = functools.partial(_cell_trees, grmat.decompose(module), grid)
+        self.summands.append((module, grid, _Cells(grid, build)))
 
-    def _trees_at(self, idx, beta):
-        _, grid, cells = self.summands[idx]
-        fx, fy = self._floors[idx]
-        ix, iy = fx(beta[0])[0], fy(beta[1])[0]
-        if ix < 0 or iy < 0:
-            return None
-        trees = cells.get((ix, iy), cells)      # cells: not computed yet
-        if trees is cells:
-            trees = cells[ix, iy] = _cell_trees(
-                self.pieces[idx], grid, (grid.xs[ix], grid.ys[iy]))
-            if trees is not None:
-                self.work[idx] += 1
-        return trees
-
-    def _evict_rows(self, y):
-        """Drop each summand's cells when any lies outside the grid row
-        holding y."""
-        for (_, _, cells), (_, fy) in zip(self.summands, self._floors):
-            iy = fy(y)[0]
-            if any(c[1] != iy for c in cells):
-                cells.clear()
+    @property
+    def work(self):
+        """Per summand: the non-empty tree lists built."""
+        return [cells.built for _, _, cells in self.summands]
 
     def factors_at(self, beta):
         beta = as_degree(beta)
         lists = []
-        for i in range(len(self.summands)):
-            trees = self._trees_at(i, beta)
+        for _, _, cells in self.summands:
+            trees = cells.at(beta)[0]
             if not trees:
                 continue
             merged = _coalesce(beta, [t.factors_at(beta) for t in trees])
@@ -408,31 +387,23 @@ def exact_skyscraper(M, box=None, eager=True):
     for block in _blocks(clip_to_box(M, box)):
         store._add_summand(block)
     if eager:
-        for i, (_, grid, _) in enumerate(store.summands):
+        for _, grid, cells in store.summands:
             for corner in grid.points():
-                store._trees_at(i, corner)
+                cells.at(corner)
     return store
 
 
 def parallel_grid_scan(M, cfg):
     """The epsilon-lattice sweep of approx_skyscraper answered from the
     lazily built cells of an ExactStore: a summand's trees serve every
-    lattice point of one grid row, and its cells are evicted when the
-    sweep leaves their row.  Produces the same store as
-    approx_skyscraper; store.work counts tree computations per summand
-    (never more than the engine runs of approx)."""
+    lattice point of one grid row, and _sweep evicts its cells when it
+    leaves their row.  Produces the same store as approx_skyscraper;
+    store.work counts tree computations per summand (never more than the
+    engine runs of approx)."""
     box = cfg.box or bounding_box(M)
     ex = exact_skyscraper(M, box, eager=False)
-    sweep_y = None
-
-    def hn_of(alpha):
-        nonlocal sweep_y
-        if alpha[1] != sweep_y:     # a new lattice row
-            sweep_y = alpha[1]
-            ex._evict_rows(sweep_y)
-        return ex.factors_at(alpha)
-
-    store = _sweep(box, cfg.epsilon, hn_of)
+    store = _sweep(box, cfg.epsilon, ex.factors_at,
+                   [cells for _, _, cells in ex.summands])
     store.work = ex.work
     return store
 
@@ -444,24 +415,23 @@ def _query_fn(store):
 
 
 def filtered_landscape(store, k, theta, eval_points, resolution=8,
-                       anchor="center", hmax=None):
+                       anchor="center"):
     """lambda_k^theta at each evaluation point: the largest diagonal reach h
     with s^theta(alpha - h*1, alpha + h*1) >= k (anchor 'center'), or
     s^theta(alpha, alpha + h*1) >= k (anchor 'source'), found by bisection
     to resolution hmax / 2^resolution."""
     q = _query_fn(store)
-    if hmax is None:
-        if isinstance(store, ExactStore):
-            x0, y0, x1, y1 = store.box
-            hmax = max(x1 - x0, y1 - y0)
+    if isinstance(store, ExactStore):
+        x0, y0, x1, y1 = store.box
+        hmax = max(x1 - x0, y1 - y0)
+    else:
+        ks = store.keys()
+        if not ks:
+            hmax = Fraction(1)
         else:
-            ks = store.keys()
-            if not ks:
-                hmax = Fraction(1)
-            else:
-                hmax = max(max(b[0] for b in ks) - min(b[0] for b in ks),
-                           max(b[1] for b in ks) - min(b[1] for b in ks))
-                hmax += store.epsilon or Fraction(1)
+            hmax = max(max(b[0] for b in ks) - min(b[0] for b in ks),
+                       max(b[1] for b in ks) - min(b[1] for b in ks))
+            hmax += store.epsilon or Fraction(1)
     if hmax <= 0:
         hmax = Fraction(1)
 

@@ -48,9 +48,6 @@ class SlopePoly:
     def inverse_slope(self, delta):
         return self.truncated(delta) + delta[0] * delta[1]
 
-    def slope(self, delta):
-        return 1 / self.inverse_slope(delta)
-
     def key(self):
         return (self.c0, self.cx, self.cy)
 

@@ -248,6 +248,27 @@ def test_cli_negative_epsilon(cross_file, tmp_path, capsys):
     assert len(_one_line_error(capsys).splitlines()) == 1
 
 
+def test_cli_zero_denominator_is_a_usage_error(cross_file, tmp_path, capsys):
+    """A rational flag with denominator 0 exits 2 with one error line that
+    names the flag, not a ZeroDivisionError traceback."""
+    cases = [(["approx", cross_file, "--epsilon", "1/0"], "--epsilon"),
+             (["scan", cross_file, "--epsilon", "1/0"], "--epsilon"),
+             (["check", cross_file, "--epsilon", "1/0"], "--epsilon"),
+             (["query", cross_file, "--theta", "1/0", "--from", "0,0",
+               "--to", "1,1"], "--theta"),
+             (["landscape", cross_file, "--theta", "1/0"], "--theta"),
+             (["hn", cross_file, "--at", "1/0,0"], "--at"),
+             (["--box", "0,0,1/0,1", "approx", cross_file, "--epsilon", "1"],
+              "--box")]
+    for argv, flag in cases:
+        with pytest.raises(SystemExit) as ei:
+            main(["--out", str(tmp_path)] + argv)
+        assert ei.value.code == 2, argv
+        errors = [line for line in _one_line_error(capsys).splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0], argv
+
+
 _FUZZ_LINES = st.sampled_from(
     ["relations 0", "relations 1", "relations x", "0 0", "1/2 0.5", "1/0 1",
      "1 0 : 0 1", "1 0 : 0 5", "1 0 : 3 1", "0 1 : 0", "x y : 0 1",

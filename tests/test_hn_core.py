@@ -7,8 +7,7 @@ from skyhn import field as fieldmod
 from skyhn import grmat, hn_core
 from skyhn.field import DenseMatrix, PrimeField
 from skyhn.hn_core import (brute_force_max_slope, gaussian_line_count,
-                           hn_filtration_at, subspaces_of_dim,
-                           subspace_grid_dims)
+                           hn_filtration_at, subspaces_of_dim)
 
 from conftest import (F2, F3, gm, random_bounded_module, random_unigen_module,
                       reference_staircases_from_dims, rescaled)
@@ -73,12 +72,6 @@ def test_largest_flag_picks_maximal_on_tie():
             ((2, 0), [(1, 1)]), ((0, 2), [(1, 1)])])
     assert brute_force_max_slope(M).dim == 1
     assert brute_force_max_slope(M, largest=True).dim == 2
-
-
-def test_subspace_grid_dims(cross):
-    sub = grmat.fiber_submodule(cross, (Fr(0), Fr(1)))
-    G, dims = subspace_grid_dims(sub, [[1, 1]])
-    assert dims[(Fr(0), Fr(1))] == 1
 
 
 def test_hn_filtration_cross(cross):

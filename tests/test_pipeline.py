@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as Fr
 
@@ -268,9 +269,10 @@ def test_cell_fibers_match_fiber_submodule():
     same HN filtration."""
     kinds = set()
     for piece in _sweep_pieces():
-        cells = pipeline._CellFibers(piece)
+        cells = pipeline._Cells(grmat.induced_grid(piece),
+                                functools.partial(grmat.fiber_submodule, piece))
         for alpha in _probe_points(cells.grid):
-            got = cells.at(alpha)
+            got = pipeline._cell_fiber(cells, alpha)
             want = grmat.fiber_submodule(piece, alpha)
             assert (got is None) == (want is None), alpha
             if got is None:
@@ -356,6 +358,46 @@ def test_sweep_builds_each_cell_fiber_once(monkeypatch):
             n_built += len(built)
     assert n_built > 0
     assert bad_models == []
+
+
+def test_sweep_is_the_one_place_that_evicts_cells(monkeypatch):
+    """In every approx_skyscraper (brute force) and parallel_grid_scan
+    call, no cell cache ever holds cells of two grid rows, and no cell is
+    built twice; an eager exact store keeps every cell, and its work is
+    its number of non-empty cells."""
+    caches, builds, sweeping = [], [], [True]
+
+    class Watched(pipeline._Cells):
+        def __init__(self, grid, build):
+            super().__init__(grid, lambda c: builds.append((self, c))
+                             or build(c))
+            caches.append(self)
+
+        def at(self, alpha):
+            out = super().at(alpha)
+            assert not sweeping[0] or len({iy for _, iy in self}) <= 1, alpha
+            return out
+
+    monkeypatch.setattr(pipeline, "_Cells", Watched)
+    n_built = n_rows_left = 0
+    for M in _sweep_pieces():
+        for eps in (Fr(1), Fr(1, 2), Fr(1, 3)):
+            for driver in (approx_skyscraper, parallel_grid_scan):
+                caches.clear()
+                builds.clear()
+                driver(M, ScanConfig(epsilon=eps))
+                keys = [(id(cells), c) for cells, c in builds]
+                assert len(keys) == len(set(keys)), (driver, eps)
+                n_built += len(builds)
+                n_rows_left += sum(cells.row is not None for cells in caches)
+        sweeping[0] = False
+        ex = exact_skyscraper(M)
+        sweeping[0] = True
+        for _, grid, cells in ex.summands:
+            assert len(cells) == len(grid.xs) * len(grid.ys)
+        assert ex.work == [sum(v is not None for v in cells.values())
+                           for _, _, cells in ex.summands]
+    assert n_built > 0 and n_rows_left > 0
 
 
 def _hn_reference(M, alpha, box):

@@ -141,6 +141,20 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
     assert len(reads) > 20 and merged
 
 
+def test_graded_matrix_from_degrees_compares_no_fractions(monkeypatch):
+    """Building a GradedMatrix ranks its Fraction degrees by (numerator,
+    denominator) and validates it on the integer ranks: no Fraction rich
+    comparison, where a validation on the degrees makes two per entry."""
+    degs = [(Fr(k, 3), Fr(5 - k, 2)) for k in range(5)]
+    rels = [(Fr(4, 3), Fr(5, 2))] * 5
+    cols = [[(i, 1) for i in range(5)] for _ in range(5)]
+    counts, _ = _count_fraction_comparisons(monkeypatch)
+    M = grmat.GradedMatrix(F2, degs, rels, cols)
+    assert counts["n"] == 0
+    monkeypatch.undo()
+    assert sum(len(c) for c in M.columns) == 25
+
+
 def _unused_imports(source):
     """Names the module source imports and never reads: not a Name node
     anywhere in it, not listed in its __all__, and not imported by a
