@@ -397,11 +397,12 @@ def _split_fiber(space, p0, q0, alpha, seed):
 def _semistable_factor(cur, alpha):
     t = cur.nrows
     fc = fiber_classes(cur)
-    integ = Fraction(fc.scaled_integral(fc.coranks), fc.den)
+    w = fc.at(fc.alpha)
+    integ = Fraction(w.scaled_integral(fc.coranks), w.den)
     if integ <= 0:
         raise ValueError(
             "module is not bounded at %s: infinite slope integral" % (alpha,))
-    stairs = fc.staircases(fc.coranks, t)
+    stairs = fc.staircases(fc.coranks, t, fc.alpha)
     return HNFactor(stairs, Fraction(t) / integ)
 
 

@@ -243,6 +243,13 @@ def _int_list(text):
     return [int(p) for p in text.split(",")]
 
 
+def _k_list(text):
+    parts = text.split(",")
+    if not all(p.isdigit() and int(p) >= 1 for p in parts):
+        raise argparse.ArgumentTypeError("expected integers >= 1")
+    return [int(p) for p in parts]
+
+
 def _grid_size(text):
     parts = _int_list(text)
     if len(parts) != 2 or min(parts) < 2:
@@ -298,7 +305,8 @@ def build_parser():
     p = sub.add_parser("landscape", help="filtered landscape CSV")
     p.add_argument("input")
     # tuples: one parser serves every call of main (see _parser)
-    p.add_argument("--k", type=_int_list, default=(1,))
+    p.add_argument("--k", type=_k_list, default=(1,),
+                   help="levels k of lambda_k, integers >= 1")
     p.add_argument("--theta", type=_frac_list, default=(Fraction(0),))
     p.add_argument("--resolution", type=_resolution, default=8,
                    help="evaluation points per axis and bisection steps, "

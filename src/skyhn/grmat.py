@@ -42,10 +42,6 @@ def deg_leq(a, b):
     return a[0] <= b[0] and a[1] <= b[1]
 
 
-def deg_join(a, b):
-    return (max(a[0], b[0]), max(a[1], b[1]))
-
-
 class GradedMatrix:
     """Homogeneous matrix over a prime field with bidegree-labeled rows/cols.
 
@@ -581,17 +577,9 @@ def join_degrees(N, alpha):
     """N with every row and column degree joined with alpha.
 
     When every generator of N lies <= alpha, the result presents <V_alpha>
-    (see fiber_submodule).  When N is the minimized fiber submodule of M at
-    a point c of M's induced grid (so every degree of N is >= c and on that
-    grid's coordinates) and alpha lies in the cell [c, next grid point),
-    the result presents <V_alpha> too: M is constant on the cell, so
-    <V_alpha> is <V_c> restricted to the up-set of alpha.  On such degrees
-    the join only turns coordinates equal to c_x (or c_y) into alpha_x (or
-    alpha_y), an injective, order-preserving relabelling, so the result
-    is minimal too.
-
-    The join acts on N's coordinate ranks: every coordinate <= alpha's
-    becomes alpha's, and the others keep their order above it."""
+    (see fiber_submodule).  The join acts on N's coordinate ranks: every
+    coordinate <= alpha's becomes alpha's, and the others keep their order
+    above it."""
     alpha = as_degree(alpha)
     xs, ys, row_rk, col_rk = N._ranks
     kx = _count_leq(xs, alpha[0])      # coordinates joining to alpha

@@ -13,14 +13,16 @@ denominators), so scoring a subspace is an integer dot product, and a
 factor's superlevel staircases come from one sweep over grid indices.
 F_2 vectors ride on bitmask ints.
 
-``hn_filtration_at`` builds the fiber submodule <V_alpha> and hands it to
-``hn_filtration_of``, the quotient loop; the lattice sweep, which derives
-<V_alpha> from its cell's corner, calls the loop directly.
+The classes, their ranks and the quotients depend only on the integer
+ranks; only the weights depend on the point alpha of the first cell where
+the filtration is read.  ``hn_filtration_at`` builds the fiber submodule
+<V_alpha> and hands it to ``hn_filtration_of``, the quotient loop; the
+lattice sweep hands the loop its cell's <V_c> at every lattice point
+alpha of the cell, so the linear algebra of a cell runs once per HN step.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -43,32 +45,31 @@ def _scaled_gaps(coords):
 
 
 class _FiberClasses:
-    """Per-presentation cache: the induced grid, per-point fiber class, and
-    per nonzero-fiber class its relation-column echelon, corank, area and
-    lengths on the vertical and horizontal rays from alpha.
+    """Per-presentation cache of what depends only on the integer ranks:
+    the induced grid, per-point fiber class, and per nonzero-fiber class
+    its relation-column echelon and corank.  `at(alpha)` gives the class
+    weights at a point alpha of the first cell [generator degree, next
+    coordinate): they read the grid with the generator's coordinates
+    replaced by alpha's (`axes_at`), so only the first gap on each axis
+    moves, and the classes and weights are those of the presentation
+    joined with alpha.
 
     Grid points are index pairs (ix, iy) into the induced grid's xs and ys,
-    and every degree comparison is one of integer ranks.  All weights are
-    exact ints: the x and y cell gaps are ints over `scale` = (sx, sy), so
-    ray lengths are over sy and sx and areas over den = sx*sy.  `ranks`
-    gives the per-class ranks of one subspace and `scaled_integral` their
-    area-weighted sum over `den`; `integral`, `dims` and `staircases`
-    convert at the API, so every result stays exact."""
+    and every degree comparison is one of integer ranks.  `ranks` gives
+    the per-class ranks of one subspace.  Two memos serve the HN steps at
+    every point of a cell: `stratum(k)`, the k-subspaces with their ranks,
+    and `quotients`, the quotient presentation by each chosen subspace."""
 
     def __init__(self, M):
-        F = M.field
+        F = self.field = M.field
         self.f2 = F.q == 2
-        t = M.nrows
+        t = self.t = M.nrows
         xs, ys, row_rk, col_rk = M._ranks
         if len(set(row_rk)) != 1:
             raise ValueError("module is not uniquely generated")
         self.alpha = M.row_degrees[0]
         self.xs, self.ys = xs, ys
         self.origin = ax, ay = row_rk[0]     # alpha's index pair
-        wx, sx = _scaled_gaps(xs)
-        wy, sy = _scaled_gaps(ys)
-        self.scale = (sx, sy)
-        self.den = sx * sy
         dense = [M.dense_column(j) for j in range(M.ncols)]
         if self.f2:
             dense = [sum(1 << i for i, v in enumerate(c) if v) for c in dense]
@@ -82,9 +83,6 @@ class _FiberClasses:
         self.point_class = {}
         self.echs = []          # per class: echelon dict of relation columns
         self.coranks = []       # per class: fiber dimension, > 0
-        self.weights = []       # per class: area, an int over den
-        self.vert = []          # per class: length on {ax} x [ay, inf)
-        self.horiz = []         # per class: length on [ax, inf) x {ay}
         for iy in range(len(ys)):
             for ix in range(len(xs)):
                 if ix < ax or iy < ay:
@@ -101,19 +99,20 @@ class _FiberClasses:
                         cid = len(self.echs)
                         self.echs.append(ech)
                         self.coranks.append(t - rank)
-                        self.weights.append(0)
-                        self.vert.append(0)
-                        self.horiz.append(0)
                     class_by_J[J] = cid
                 self.point_class[ix, iy] = cid
-                if cid >= 0:
-                    self.weights[cid] += wx[ix] * wy[iy]
-                    self.vert[cid] += wy[iy] if ix == ax else 0
-                    self.horiz[cid] += wx[ix] if iy == ay else 0
+        self._strata = {}
+        self.quotients = {}     # chosen basis, as row tuples -> quotient
 
-    @functools.cached_property
-    def grid(self):
-        return grmat.Grid(self.xs, self.ys)
+    def at(self, alpha):
+        """The class weights at alpha, a point of the first cell."""
+        return _ClassWeights(self, alpha)
+
+    def axes_at(self, alpha):
+        """The grid coordinates with the generator's replaced by alpha's."""
+        (ax, ay), xs, ys = self.origin, self.xs, self.ys
+        return (xs[:ax] + [alpha[0]] + xs[ax + 1:],
+                ys[:ay] + [alpha[1]] + ys[ay + 1:])
 
     def to_internal(self, vectors):
         """Convert dense basis vectors to the internal representation."""
@@ -136,32 +135,64 @@ class _FiberClasses:
             out.append(r)
         return tuple(out)
 
-    def scaled_integral(self, ranks):
-        """den * the integral of the dims given by per-class ranks."""
-        return sum(map(operator.mul, self.weights, ranks))
+    def stratum(self, k):
+        """The k-subspaces of the fiber as (ranks, rows) pairs in
+        subspaces_of_dim order, enumerated on first use: every line for
+        k = 1, and for k > 1 one pair per distinct ranks tuple, with the
+        first subspace that has it.  Subspaces of equal dim and ranks have
+        the same slope at every point of the cell."""
+        out = self._strata.get(k)
+        if out is None:
+            pairs = ((self.ranks(self.to_internal(rows)), rows)
+                     for rows in subspaces_of_dim(self.field, self.t, k))
+            if k == 1:
+                out = list(pairs)
+            else:
+                first = {}
+                for ranks, rows in pairs:
+                    first.setdefault(ranks, rows)
+                out = list(first.items())
+            self._strata[k] = out
+        return out
 
-    def integral(self, ivecs):
-        """Integral over the plane of dim <span(ivecs)> (bounded modules)."""
-        return Fraction(self.scaled_integral(self.ranks(ivecs)), self.den)
-
-    def dims(self, ivecs):
-        """dim <span(ivecs)> at every grid point."""
-        return self.rank_dims(self.ranks(ivecs))
-
-    def rank_dims(self, ranks):
-        """The dim at every grid point of a subspace with these per-class
-        ranks (``coranks`` for the whole fiber)."""
-        xs, ys = self.xs, self.ys
-        return {(xs[ix], ys[iy]): ranks[cid] if cid >= 0 else 0
-                for (ix, iy), cid in self.point_class.items()}
-
-    def staircases(self, ranks, thickness):
-        """invariants.staircases_from_dims of rank_dims(ranks) at alpha,
-        swept over grid indices."""
+    def staircases(self, ranks, thickness, alpha):
+        """invariants.staircases_from_dims at alpha, a point of the first
+        cell, of the dims of a subspace with these per-class ranks
+        (``coranks`` for the whole fiber), swept over grid indices."""
         dims = {p: ranks[cid] for p, cid in self.point_class.items()
                 if cid >= 0}
-        return invariants.grid_staircases(self.xs, self.ys, self.origin,
-                                          dims, thickness, self.alpha)
+        return invariants.grid_staircases(*self.axes_at(alpha), self.origin,
+                                          dims, thickness, alpha)
+
+
+class _ClassWeights:
+    """The fiber classes' weights at a point alpha of the first cell, all
+    exact ints: the x and y cell gaps are ints over `scale` = (sx, sy), so
+    per class the lengths on the rays {alpha1} x [alpha2, inf) (`vert`)
+    and [alpha1, inf) x {alpha2} (`horiz`) are over sy and sx, and the
+    areas (`area`) over den = sx*sy.  `scaled_integral` gives den times
+    the integral of a subspace's dims from its per-class ranks."""
+
+    def __init__(self, fc, alpha):
+        ax, ay = fc.origin
+        xs, ys = fc.axes_at(alpha)
+        wx, sx = _scaled_gaps(xs)
+        wy, sy = _scaled_gaps(ys)
+        self.scale = (sx, sy)
+        self.den = sx * sy
+        n = len(fc.coranks)
+        self.area, self.vert, self.horiz = [0] * n, [0] * n, [0] * n
+        for (ix, iy), cid in fc.point_class.items():
+            if cid >= 0:
+                self.area[cid] += wx[ix] * wy[iy]
+                if ix == ax:
+                    self.vert[cid] += wy[iy]
+                if iy == ay:
+                    self.horiz[cid] += wx[ix]
+
+    def scaled_integral(self, ranks):
+        """den * the integral of the dims given by per-class ranks."""
+        return sum(map(operator.mul, self.area, ranks))
 
 
 def fiber_classes(M):
@@ -203,31 +234,33 @@ def gaussian_line_count(q, k):
 
 class SlopeRecord:
     """A maximizing subspace: basis columns over the generators at alpha,
-    with its inverse slope (integral per dimension)."""
+    its per-class ranks, and its inverse slope (integral per dimension)."""
 
-    def __init__(self, alpha, basis, dim, integral):
+    def __init__(self, alpha, basis, dim, integral, ranks):
         self.alpha = alpha
         self.basis = basis            # DenseMatrix t x dim
         self.dim = dim
         self.integral = integral
+        self.ranks = ranks
         self.inv_slope = Fraction(integral, dim)
 
     @property
     def slope(self):
         return 1 / self.inv_slope
 
-    def basis_vectors(self):
-        return [self.basis.column(j) for j in range(self.basis.cols)]
 
-
-def brute_force_max_slope(M, use_filter=True, largest=False):
-    """Exhaustive highest-slope submodule search at the generator degree.
+def brute_force_max_slope(M, use_filter=True, largest=False, alpha=None):
+    """Exhaustive highest-slope submodule search at alpha, a point of the
+    first cell of M's induced grid above its generator degree (that
+    degree when None), over the subspaces of the fiber at the generator.
 
     Lines are scanned first; a dimension-k stratum is skipped when fewer
     than (q^k - 1)/(q - 1) lines reach slope mu(best)/k, since a k-subspace
     beating the current best would force all its lines above that bound.
     (The skip also rules out equal-slope subspaces at that dimension: the
-    bounding chain is strict.)
+    bounding chain is strict.)  A stratum is scanned once per distinct
+    ranks tuple (_FiberClasses.stratum), whose first subspace is the one a
+    scan of every subspace would keep.
 
     Ties favor smaller dimension, then the earlier echelon pattern.  With
     largest=True they favor the larger dimension instead, which returns the
@@ -240,42 +273,40 @@ def brute_force_max_slope(M, use_filter=True, largest=False):
     if t == 0:
         raise ValueError("zero thickness: no generators")
     fc = fiber_classes(M)
-    q = F.q
+    alpha = fc.alpha if alpha is None else alpha
+    # integrals are compared as ints over the common denominator w.den
+    w = fc.at(alpha)
+    lines = fc.stratum(1)
+    line_ints = [w.scaled_integral(ranks) for ranks, _ in lines]
 
-    # integrals are compared as ints over the common denominator fc.den
-    def score(rows):
-        return fc.scaled_integral(fc.ranks(fc.to_internal(rows)))
-
-    lines = list(subspaces_of_dim(F, t, 1))
-    line_ints = [score(rows) for rows in lines]
-
-    best_rows, best_dim, best_int = None, 0, None
-    for rows, integ in zip(lines, line_ints):
+    best, best_dim, best_int = None, 0, None
+    for line, integ in zip(lines, line_ints):
         if integ <= 0:
             raise ValueError("unbounded or empty submodule integral")
         # slope 1/integ > best_dim/best_int  <=>  best_int > best_dim*integ
-        if best_rows is None or best_int > best_dim * integ:
-            best_rows, best_dim, best_int = rows, 1, integ
+        if best is None or best_int > best_dim * integ:
+            best, best_dim, best_int = line, 1, integ
 
     for k in range(2, t + 1):
         if use_filter:
             # lines with slope >= mu(best)/k: 1/l >= best_dim/(k*best_int)
             reach = sum(1 for l in line_ints if k * best_int >= best_dim * l)
-            if reach < gaussian_line_count(q, k):
+            if reach < gaussian_line_count(F.q, k):
                 continue
-        for rows in subspaces_of_dim(F, t, k):
-            integ = score(rows)
+        for sub in fc.stratum(k):
+            integ = w.scaled_integral(sub[0])
             if integ <= 0:
                 raise ValueError("unbounded or empty submodule integral")
             # k/integ > best_dim/best_int
             if k * best_int > best_dim * integ or (
                     largest and k * best_int == best_dim * integ
                     and k > best_dim):
-                best_rows, best_dim, best_int = rows, k, integ
+                best, best_dim, best_int = sub, k, integ
 
-    basis = DenseMatrix.from_columns(best_rows, t, F)
-    return SlopeRecord(fc.alpha, basis, best_dim,
-                       Fraction(best_int, fc.den))
+    ranks, rows = best
+    basis = DenseMatrix.from_columns(rows, t, F)
+    return SlopeRecord(alpha, basis, best_dim, Fraction(best_int, w.den),
+                       ranks)
 
 
 def hn_filtration_at(M, alpha, use_filter=True):
@@ -287,24 +318,38 @@ def hn_filtration_at(M, alpha, use_filter=True):
 
 
 def hn_filtration_of(cur, alpha, use_filter=True):
-    """HN filtration at alpha of the module presented by cur, a
-    presentation of <V_alpha> with every generator at alpha (as
-    grmat.fiber_submodule returns it), or of zero when cur is None.
+    """HN filtration at alpha of <V_alpha>, given cur, a presentation of
+    <V_c> with every generator at one point c (as grmat.fiber_submodule
+    returns it), where alpha lies in c's cell [c, next coordinate of cur);
+    of zero when cur is None.  On the up-set of alpha the module cur
+    presents is generated at alpha, and presented by cur with every degree
+    joined with alpha: a relabelling of c's coordinates as alpha's that
+    keeps cur's integer ranks, so the loop reads cur's fiber classes with
+    the first gaps measured from alpha (_FiberClasses.at).  A piece is
+    constant on its grid cells, so there this is the piece's <V_alpha>.
 
     Repeatedly extracts the highest-slope subspace, records its factor as
     superlevel staircases with its slope, and passes to the quotient
-    presentation until nothing is left.
+    presentation until the subspace is the whole fiber.  The strata and
+    the quotients are memoized on cur's fiber classes, so at every point
+    of a cell after the first a step is integer dot products only.
     """
     if cur is None:
         return HNFactorList(alpha, [])
     factors = []
     while cur.nrows > 0:
-        rec = brute_force_max_slope(cur, use_filter=use_filter, largest=True)
-        fcc = fiber_classes(cur)
-        stairs = fcc.staircases(
-            fcc.ranks(fcc.to_internal(rec.basis_vectors())), rec.dim)
-        factors.append(HNFactor(stairs, rec.slope))
-        cur = grmat.quotient_presentation(cur, rec.basis)
+        rec = brute_force_max_slope(cur, use_filter, True, alpha)
+        fc = fiber_classes(cur)
+        factors.append(HNFactor(fc.staircases(rec.ranks, rec.dim, alpha),
+                                rec.slope))
+        if rec.dim == cur.nrows:
+            break           # semistable: the quotient is zero
+        key = tuple(map(tuple, rec.basis.data))
+        quot = fc.quotients.get(key)
+        if quot is None:
+            quot = fc.quotients[key] = grmat.quotient_presentation(
+                cur, rec.basis)
+        cur = quot
     for a, b in zip(factors, factors[1:]):
         if not a.slope > b.slope:
             raise AssertionError("HN slopes not strictly decreasing")

@@ -240,7 +240,7 @@ class HNFactor:
 
     def __init__(self, staircases, slope):
         self.staircases = list(staircases)
-        self.slope = Fraction(slope)
+        self.slope = slope if type(slope) is Fraction else Fraction(slope)
 
     @property
     def dim(self):

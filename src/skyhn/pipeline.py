@@ -14,11 +14,12 @@ lattice (``_sweep``) with two per-point strategies: HN engine runs, or the
 lazily built cells of an ``ExactStore``.  A module is constant on each
 cell of its induced grid, and one per-cell cache (``_Cells``) serves both:
 the brute-force sweep builds a piece's fiber submodule once per cell, at
-the cell's lower corner, and joins its degrees with each lattice point of
-the cell; an ``ExactStore`` builds a summand's subdivision trees once per
-cell.  ``_sweep`` is the one place that evicts cells: it tells every cache
-which lattice row it enters, and each drops the cells of its other grid
-rows.  ``store.work`` counts per connected block.
+the cell's lower corner, and runs the HN loop on it at each lattice point
+of the cell, which memoizes the loop's linear algebra on it; an
+``ExactStore`` builds a summand's subdivision trees once per cell.
+``_sweep`` is the one place that evicts cells: it tells every cache which
+lattice row it enters, and each drops the cells of its other grid rows.
+``store.work`` counts per connected block.
 """
 
 from __future__ import annotations
@@ -206,17 +207,17 @@ class _Cells(dict):
         self.row = None
 
     def at(self, alpha):
-        """(the data of alpha's cell, whether alpha is a grid point); the
-        data is None where alpha lies below the grid."""
-        ix, iy, on_grid = self.grid.index(alpha)
+        """The data of alpha's cell, or None where alpha lies below the
+        grid."""
+        ix, iy, _ = self.grid.index(alpha)
         if ix < 0 or iy < 0:
-            return None, on_grid
+            return None
         data = self.get((ix, iy), self)      # self: not built yet
         if data is self:
             data = self[ix, iy] = self.build(
                 (self.grid.xs[ix], self.grid.ys[iy]))
             self.built += data is not None
-        return data, on_grid
+        return data
 
     def keep_row(self, y):
         iy = self.grid._floor(1, y)[0]
@@ -226,15 +227,13 @@ class _Cells(dict):
 
 
 def _cell_fiber(cells, alpha):
-    """<V_alpha> of a piece from cells, the piece's fiber submodules <V_c>
-    at the lower corners c of its grid cells.  The piece is constant on
-    the cell [c, next grid point), so <V_alpha> is <V_c> joined with alpha
-    (grmat.join_degrees); where c is -inf on an axis no generator lies
-    below alpha and the fiber is zero."""
-    sub, on_grid = cells.at(alpha)
-    if sub is None or on_grid:
-        return sub
-    return grmat.join_degrees(sub, alpha)
+    """<V_c> of alpha's cell, from cells, a piece's fiber submodules at
+    the lower corners c of its grid cells.  The piece is constant on the
+    cell [c, next grid point): hn_core.hn_filtration_of reads <V_alpha>
+    from <V_c>, and the memos on <V_c> serve every lattice point of the
+    cell.  None where c is -inf on an axis: no generator lies below
+    alpha."""
+    return cells.at(alpha)
 
 
 def _sweep(box, epsilon, hn_of, caches=()):
@@ -259,10 +258,11 @@ def approx_skyscraper(M, cfg):
     support; an epsilon-approximation of the true invariant in erosion
     distance.  Brute force computes each piece's fiber submodule once per
     cell of the piece's induced grid, in one _Cells cache per piece that
-    _sweep evicts row by row, and derives it at every lattice point of the
-    cell (_cell_fiber); the cheng engine runs on each block whole at every
-    point.  store.work counts, per connected block, the lattice points
-    where its engine runs found a non-zero fiber."""
+    _sweep evicts row by row, and reads every lattice point of the cell
+    from it (_cell_fiber), so each HN step's linear algebra runs once per
+    cell; the cheng engine runs on each block whole at every point.
+    store.work counts, per connected block, the lattice points where its
+    engine runs found a non-zero fiber."""
     box = cfg.box or bounding_box(M)
     blocks = _blocks(clip_to_box(M, box))
 
@@ -349,7 +349,7 @@ class ExactStore:
         beta = as_degree(beta)
         lists = []
         for _, _, cells in self.summands:
-            trees = cells.at(beta)[0]
+            trees = cells.at(beta)
             if not trees:
                 continue
             merged = _coalesce(beta, [t.factors_at(beta) for t in trees])
@@ -419,7 +419,9 @@ def filtered_landscape(store, k, theta, eval_points, resolution=8,
     """lambda_k^theta at each evaluation point: the largest diagonal reach h
     with s^theta(alpha - h*1, alpha + h*1) >= k (anchor 'center'), or
     s^theta(alpha, alpha + h*1) >= k (anchor 'source'), found by bisection
-    to resolution hmax / 2^resolution."""
+    to resolution hmax / 2^resolution; k is an integer >= 1."""
+    if k < 1:
+        raise ValueError("k must be at least 1, got %r" % (k,))
     q = _query_fn(store)
     if isinstance(store, ExactStore):
         x0, y0, x1, y1 = store.box

@@ -9,8 +9,10 @@ subdivision realizing the HN filtration at every interior point.
 
 All geometry is exact: polygon vertices and wall equations are rationals.
 Reads of a built tree run on ints: point location cross-multiplies by the
-point's denominators against integer half-plane coefficients, and
-staircases are transported and merged on integer comparisons.
+point's denominators against integer half-plane coefficients, each slope
+is one Fraction of the polynomial evaluated on the offset's numerators
+and denominators, and staircases are transported and merged on integer
+comparisons.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import operator
 from fractions import Fraction
 
-from . import grmat, hn_core, invariants
+from . import grmat, invariants
 from .field import DenseMatrix
 from .grmat import as_degree
 from .hn_core import fiber_classes
@@ -41,6 +43,16 @@ class SlopePoly:
         self.cy = Fraction(cy)
         if self.c0 <= 0:
             raise ValueError("inverse slope constant must be positive")
+
+    def slope_at(self, n1, d1, n2, d2):
+        """The slope 1/p(d) at the offset d = (n1/d1, n2/d2), from ints:
+        with c0, cx and cy as C0, CX and CY over their common denominator
+        D, p(d) * D*d1*d2 = C0*d1*d2 - CY*n1*d2 - CX*n2*d1 + D*n1*n2."""
+        cs = (self.c0, self.cx, self.cy)
+        D = math.lcm(*(c.denominator for c in cs))
+        c0, cx, cy = (c.numerator * (D // c.denominator) for c in cs)
+        return Fraction(D * d1 * d2, c0 * d1 * d2 - cy * n1 * d2
+                        - cx * n2 * d1 + D * n1 * n2)
 
     def truncated(self, delta):
         return self.c0 - self.cy * delta[0] - self.cx * delta[1]
@@ -143,19 +155,20 @@ def _int_plane(a, b, c):
             c.numerator * (L // c.denominator))
 
 
-def _poly_from_ranks(fc, dim, ranks):
-    """Slope polynomial of a dim-subspace with the given per-class ranks:
-    c0 = integral/dim; cy and cx are the integrals of dims along the
-    vertical and horizontal rays from alpha, over dim (the last grid line
-    has length 0, as bounded modules vanish there)."""
-    integ = fc.scaled_integral(ranks)
+def _poly_from_ranks(w, dim, ranks):
+    """Slope polynomial of a dim-subspace with the given per-class ranks,
+    from the class weights w at alpha: c0 = integral/dim; cy and cx are
+    the integrals of dims along the vertical and horizontal rays from
+    alpha, over dim (the last grid line has length 0, as bounded modules
+    vanish there)."""
+    integ = w.scaled_integral(ranks)
     if integ <= 0:
         raise ValueError("module is not bounded: infinite inverse slope")
-    sx, sy = fc.scale
-    return SlopePoly(Fraction(integ, fc.den * dim),
-                     Fraction(sum(map(operator.mul, fc.horiz, ranks)),
+    sx, sy = w.scale
+    return SlopePoly(Fraction(integ, w.den * dim),
+                     Fraction(sum(map(operator.mul, w.horiz, ranks)),
                               sx * dim),
-                     Fraction(sum(map(operator.mul, fc.vert, ranks)),
+                     Fraction(sum(map(operator.mul, w.vert, ranks)),
                               sy * dim))
 
 
@@ -165,7 +178,7 @@ def slope_polynomial(M):
     integrals of the restrictions to the vertical and horizontal rays
     through alpha."""
     fc = fiber_classes(M)
-    return _poly_from_ranks(fc, M.nrows, fc.coranks)
+    return _poly_from_ranks(fc.at(fc.alpha), M.nrows, fc.coranks)
 
 
 def _envelope_regions(entries, base_region, origin):
@@ -215,26 +228,27 @@ def _subspace_candidates(M):
     Subspaces sharing a truncated polynomial attain the same slope wherever
     one of them is maximal, and their sum (also in the class) is the unique
     maximal-dimension member -- the correct HN step for the whole face.
+    The polynomial depends only on the dim and the per-class ranks, so each
+    stratum is read as _FiberClasses.stratum gives it, with the first
+    subspace of each ranks tuple.
     """
-    F = M.field
-    t = M.nrows
     fc = fiber_classes(M)
+    w = fc.at(fc.alpha)
     polys = {}      # (dim, class ranks) -> SlopePoly
     by_poly = {}
     order = []
-    for rows in (r for k in range(1, t + 1)
-                 for r in hn_core.subspaces_of_dim(F, t, k)):
-        sig = (len(rows), fc.ranks(fc.to_internal(rows)))
-        poly = polys.get(sig)
-        if poly is None:
-            poly = polys[sig] = _poly_from_ranks(fc, *sig)
-        key = poly.key()
-        prev = by_poly.get(key)
-        if prev is None:
-            by_poly[key] = (rows, poly)
-            order.append(key)
-        elif len(rows) > len(prev[0]):
-            by_poly[key] = (rows, poly)
+    for k in range(1, M.nrows + 1):
+        for ranks, rows in fc.stratum(k):
+            poly = polys.get((k, ranks))
+            if poly is None:
+                poly = polys[k, ranks] = _poly_from_ranks(w, k, ranks)
+            key = poly.key()
+            prev = by_poly.get(key)
+            if prev is None:
+                by_poly[key] = (rows, poly)
+                order.append(key)
+            elif k > len(prev[0]):
+                by_poly[key] = (rows, poly)
     return fc, [by_poly[key] for key in order]
 
 
@@ -309,13 +323,19 @@ class SubdivTree:
 
     def factors_at(self, beta):
         """HN factor list of the submodule generated at beta, with slopes
-        evaluated from the polynomials and staircases transported to beta."""
+        evaluated from the polynomials on ints (one Fraction per slope)
+        and staircases transported to beta."""
         beta = as_degree(beta)
-        delta = (beta[0] - self.alpha[0], beta[1] - self.alpha[1])
+        # the offset beta - alpha as numerators over denominators
+        (bx, by), (ax, ay) = beta, self.alpha
+        d1 = bx.denominator * ax.denominator
+        n1 = bx.numerator * ax.denominator - ax.numerator * bx.denominator
+        d2 = by.denominator * ay.denominator
+        n2 = by.numerator * ay.denominator - ay.numerator * by.denominator
         factors = []
         for node in self.path(beta):
             stairs = [_staircase_at(s, beta) for s in node.staircases]
-            slope = 1 / node.poly.inverse_slope(delta)
+            slope = node.poly.slope_at(n1, d1, n2, d2)
             # Fractions are normalized: equal exactly when their ratios are
             if (factors and factors[-1].slope.as_integer_ratio()
                     == slope.as_integer_ratio()):
@@ -395,11 +415,13 @@ def _build(cur, region, alpha, positions, cum_cols, parent, t0, F):
     for ident, face in faces:
         rows, poly = cands[ident]
         d = len(rows)
-        stairs = fc.staircases(fc.ranks(fc.to_internal(rows)), d)
+        stairs = fc.staircases(fc.ranks(fc.to_internal(rows)), d, alpha)
         lifted = cum_cols + [_lift(v, positions, t0, F) for v in rows]
         node = SubdivNode(face, DenseMatrix.from_columns(lifted, t0, F),
                           stairs, poly)
         parent.children.append(node)
+        if d == cur.nrows:
+            continue        # semistable: the quotient is zero
         basis = DenseMatrix.from_columns(rows, cur.nrows, F)
         # row classes kept by the quotient, for coordinate lifting below
         ech = grmat._Echelon(F, cur.nrows)

@@ -140,6 +140,29 @@ def rescaled(M):
                               [move(d) for d in M.col_degrees], M.columns)
 
 
+def deg_join(a, b):
+    """The componentwise maximum of two degrees, as exact Fractions."""
+    a, b = grmat.as_degree(a), grmat.as_degree(b)
+    return (max(a[0], b[0]), max(a[1], b[1]))
+
+
+# ---------------------------------------------------------------------------
+# dims and integrals of subspaces from a presentation's fiber classes
+
+def class_dims(fc, ranks):
+    """The dim at every grid point (a Fraction pair) of a subspace with
+    these per-class ranks; 0 where the fiber is zero or not above alpha."""
+    return {(fc.xs[ix], fc.ys[iy]): ranks[cid] if cid >= 0 else 0
+            for (ix, iy), cid in fc.point_class.items()}
+
+
+def class_integral(fc, ivecs):
+    """The integral over the plane of dim <span(ivecs)>, a Fraction, from
+    the class weights at the generator degree."""
+    w = fc.at(fc.alpha)
+    return Fraction(w.scaled_integral(fc.ranks(ivecs)), w.den)
+
+
 # ---------------------------------------------------------------------------
 # Fraction references for the integer superlevel staircases
 

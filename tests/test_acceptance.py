@@ -14,8 +14,9 @@ from skyhn.invariants import erosion_distance
 from skyhn.pipeline import (ScanConfig, approx_skyscraper, clip_to_box,
                             exact_skyscraper, parallel_grid_scan)
 
-from conftest import (F2, F3, cross_module, random_bounded_module,
-                      random_unigen_module, stable_module)
+from conftest import (F2, F3, class_integral, cross_module,
+                      random_bounded_module, random_unigen_module,
+                      stable_module)
 
 
 RESULTS = []   # (n, "PASS"/"FAIL", desc, seconds); printed by conftest
@@ -63,7 +64,7 @@ def test_acceptance_2():
     assert rec.dim == 2 and rec.slope == Fr(2, 9)
     fc = hn_core.fiber_classes(M)
     for rows in hn_core.subspaces_of_dim(F2, 2, 1):
-        assert fc.integral(fc.to_internal(rows)) == 5
+        assert class_integral(fc, fc.to_internal(rows)) == 5
 
 
 @criterion(3, "cross fixture end-to-end: slopes 1/2, 1/3 and the envelope "

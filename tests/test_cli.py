@@ -197,6 +197,27 @@ def test_cli_landscape_resolution_below_two(cross_file, tmp_path, capsys):
     assert len(rows) == 1 + 2 * 2
 
 
+def test_cli_landscape_k_below_one(tmp_path, capsys):
+    # --k 0 and --k -1 wrote lambda = 2 everywhere, also at (2, 2), where
+    # this module is zero
+    p = tmp_path / "a.skypres"
+    p.write_text("skypres v1\nfield 2\ngenerators 2\n0 0\n1 1\n"
+                 "relations 0\n")
+    argv = ["--out", str(tmp_path), "--box", "0,0,2,2", "landscape", str(p),
+            "--resolution", "2"]
+    for bad in ("0", "-1", "1,0", "x"):
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--k", bad])
+        assert ei.value.code == 2, bad
+        errors = [line for line in _one_line_error(capsys).splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "--k" in errors[0], bad
+    assert not os.path.exists(os.path.join(str(tmp_path), "landscape.csv"))
+    assert main(argv + ["--k", "1,2"]) == 0
+    rows = open(os.path.join(str(tmp_path), "landscape.csv")).readlines()
+    assert "2,2,1,0,0\n" in rows and "2,2,2,0,0\n" in rows
+
+
 def test_cli_parser_built_once_and_calls_share_no_state(cross_file, tmp_path,
                                                         monkeypatch):
     """main builds its parser once per process, and consecutive calls with

@@ -6,15 +6,15 @@ import pytest
 from skyhn import field as fieldmod
 from skyhn import grmat, hn_core
 from skyhn.field import DenseMatrix, PrimeField
-from skyhn.grmat import NEG_INF, deg_join, deg_leq, induced_grid
+from skyhn.grmat import NEG_INF, deg_leq, induced_grid
 
-from conftest import F2, F3, F5, gm, hidden_corpus, random_bounded_module
+from conftest import (F2, F3, F5, deg_join, gm, hidden_corpus,
+                      random_bounded_module)
 
 
 def test_degree_lattice():
     assert deg_leq((0, 1), (1, 1))
     assert not deg_leq((2, 0), (1, 1))
-    assert deg_join((1, 0), (0, 3)) == (Fr(1), Fr(3))
 
 
 def test_as_degree_coerces_and_keeps_fractions():
@@ -281,7 +281,7 @@ def _random_presentation(rng, F):
             deg = d
             comb = [0] * len(rows)
             for j in picks:
-                deg = grmat.deg_join(deg, col_degs[j])
+                deg = deg_join(deg, col_degs[j])
                 c = rng.randrange(F.q)
                 comb = [F.add(a, F.mul(c, b)) for a, b in zip(comb, cols[j])]
             add(deg, comb)

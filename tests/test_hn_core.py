@@ -9,7 +9,8 @@ from skyhn.field import DenseMatrix, PrimeField
 from skyhn.hn_core import (brute_force_max_slope, gaussian_line_count,
                            hn_filtration_at, subspaces_of_dim)
 
-from conftest import (F2, F3, gm, random_bounded_module, random_unigen_module,
+from conftest import (F2, F3, class_dims, class_integral, deg_join, gm,
+                      random_bounded_module, random_unigen_module,
                       reference_staircases_from_dims, rescaled)
 
 
@@ -55,7 +56,7 @@ def test_stable_whole_space_semistable(stable):
 def test_stable_lines_all_slope_one_fifth(stable):
     fc = hn_core.fiber_classes(stable)
     for rows in subspaces_of_dim(F2, 2, 1):
-        assert fc.integral(fc.to_internal(rows)) == 5
+        assert class_integral(fc, fc.to_internal(rows)) == 5
 
 
 def test_smallest_dim_tie_break_default(stable):
@@ -186,19 +187,19 @@ def test_integer_scoring_matches_fraction_reference():
         t = 1 + trial % 3 if F.q < 5 else 1 + trial % 2
         M = _mixed_unigen_module(rng, F, t)
         fc = hn_core.fiber_classes(M)
-        assert fc.den > 1
+        assert fc.at(fc.alpha).den > 1
         for k in range(1, t + 1):
             for rows in subspaces_of_dim(F, t, k):
                 dims = _reference_dims(M, rows)
                 iv = fc.to_internal(rows)
-                assert fc.dims(iv) == dims
-                integ = fc.integral(iv)
+                assert class_dims(fc, fc.ranks(iv)) == dims
+                integ = class_integral(fc, iv)
                 assert type(integ) is Fr
                 assert integ == _reference_integral(M, dims)
         for largest in (False, True):
             rec = brute_force_max_slope(M, largest=largest)
             rows, dim, integ = _reference_max_slope(M, largest)
-            assert rec.basis_vectors() == rows
+            assert rec.basis.columns() == rows
             assert (rec.dim, rec.integral) == (dim, integ)
             assert type(rec.integral) is Fr
 
@@ -296,28 +297,79 @@ def test_fiber_classes_match_fraction_reference():
     n_subspaces = n_errors = 0
     for M in _fiber_class_modules():
         fc, ref = hn_core._FiberClasses(M), _ReferenceFiberClasses(M)
-        assert (fc.grid.xs, fc.grid.ys) == (ref.grid.xs, ref.grid.ys)
+        assert (fc.xs, fc.ys) == (ref.grid.xs, ref.grid.ys)
         assert fc.alpha == ref.alpha
         assert {(fc.xs[ix], fc.ys[iy]): cid for (ix, iy), cid
                 in fc.point_class.items()} == ref.point_class
         assert (fc.echs, fc.coranks) == (ref.echs, ref.coranks)
-        assert (fc.weights, fc.vert, fc.horiz) == \
-            (ref.weights, ref.vert, ref.horiz)
-        assert (fc.scale, fc.den) == (ref.scale, ref.den)
+        w = fc.at(fc.alpha)
+        assert (w.area, w.vert, w.horiz) == (ref.weights, ref.vert, ref.horiz)
+        assert (w.scale, w.den) == (ref.scale, ref.den)
         cases = [(fc.coranks, M.nrows)]
         for k in range(1, M.nrows + 1):
             for rows in subspaces_of_dim(M.field, M.nrows, k):
                 ranks = fc.ranks(fc.to_internal(rows))
-                assert fc.rank_dims(ranks) == ref.rank_dims(ranks)
+                assert class_dims(fc, ranks) == ref.rank_dims(ranks)
                 cases.append((ranks, k))
                 n_subspaces += 1
         # thickness one past the dim at alpha: an empty staircase
         cases.append((fc.coranks, M.nrows + 1))
         for ranks, k in cases:
-            got = _staircases_or_error(fc.staircases, ranks, k)
+            got = _staircases_or_error(fc.staircases, ranks, k, fc.alpha)
             want = _staircases_or_error(reference_staircases_from_dims,
                                         ref.grid, ref.rank_dims(ranks),
                                         ref.alpha, k)
             assert got == want
             n_errors += type(got) is tuple
     assert n_subspaces > 100 and n_errors > 0
+
+
+def _first_cell_points(M, rng):
+    """The generator degree g, points on the two lines through g inside
+    the first cell, and points inside it, over denominators up to 7."""
+    G = grmat.induced_grid(M)
+    (gx, gy), out = M.row_degrees[0], []
+    nx = next((x for x in G.xs if x > gx), gx + 1)
+    ny = next((y for y in G.ys if y > gy), gy + 1)
+    for fx, fy in ((0, 0), (0, 1), (1, 0), (1, 1), (1, 1)):
+        out.append((gx + fx * (nx - gx) * Fr(rng.randrange(1, 7), 7),
+                    gy + fy * (ny - gy) * Fr(rng.randrange(1, 5), 5)))
+    return out
+
+
+def test_first_cell_points_read_the_joined_presentation():
+    """At every point alpha of the first cell, the fiber classes' weights
+    and staircases, the brute-force search and the HN loop read the
+    presentation as if its degrees were joined with alpha: the same as
+    on that joined presentation built from Fraction degrees."""
+    rng = random.Random(1789)
+    n_off = 0
+    for trial in range(16):
+        F = (F2, F3, PrimeField(5))[trial % 3]
+        M = _mixed_unigen_module(rng, F, 1 + trial % 3)
+        fc = hn_core.fiber_classes(M)
+        for alpha in _first_cell_points(M, rng):
+            J = grmat.GradedMatrix(
+                F, [deg_join(d, alpha) for d in M.row_degrees],
+                [deg_join(d, alpha) for d in M.col_degrees], M.columns)
+            ref = _ReferenceFiberClasses(J)
+            w = fc.at(alpha)
+            assert (w.area, w.vert, w.horiz) == \
+                (ref.weights, ref.vert, ref.horiz), (trial, alpha)
+            assert (w.scale, w.den) == (ref.scale, ref.den)
+            for k in range(1, M.nrows + 1):
+                for rows in subspaces_of_dim(F, M.nrows, k):
+                    ranks = fc.ranks(fc.to_internal(rows))
+                    assert fc.staircases(ranks, k, alpha) == \
+                        reference_staircases_from_dims(
+                            ref.grid, ref.rank_dims(ranks), alpha, k)
+            for largest in (False, True):
+                got = brute_force_max_slope(M, largest=largest, alpha=alpha)
+                want = brute_force_max_slope(J, largest=largest)
+                assert got.alpha == alpha
+                assert (got.basis, got.dim, got.integral) == \
+                    (want.basis, want.dim, want.integral), (trial, alpha)
+            assert hn_core.hn_filtration_of(M, alpha) == \
+                hn_core.hn_filtration_of(J, alpha), (trial, alpha)
+            n_off += alpha != M.row_degrees[0]
+    assert n_off > 50

@@ -14,7 +14,7 @@ from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
                             hn_at, parallel_grid_scan)
 
 from conftest import (F2, F3, gm, hidden_corpus, hidden_direct_sum,
-                      random_bounded_module)
+                      random_bounded_module, stable_module)
 
 
 def test_scan_config_validation():
@@ -263,36 +263,73 @@ def _probe_points(grid):
 
 
 def test_cell_fibers_match_fiber_submodule():
-    """At every probe point the fiber submodule derived from the cell's
-    lower corner has the pointwise dims of fiber_submodule at the point,
-    on the grid of both presentations' degrees, is minimal, and has the
-    same HN filtration."""
+    """At every probe point alpha, the HN loop on the fiber submodule of
+    alpha's cell, <V_c> at the cell's lower corner c (what the sweep hands
+    it), gives the HN filtration of fiber_submodule at alpha, on grid
+    points, inside cells and on one grid line in each direction.  Points
+    of one cell share its <V_c> and the memos on it."""
     kinds = set()
     for piece in _sweep_pieces():
         cells = pipeline._Cells(grmat.induced_grid(piece),
                                 functools.partial(grmat.fiber_submodule, piece))
         for alpha in _probe_points(cells.grid):
-            got = pipeline._cell_fiber(cells, alpha)
+            sub = pipeline._cell_fiber(cells, alpha)
             want = grmat.fiber_submodule(piece, alpha)
-            assert (got is None) == (want is None), alpha
-            if got is None:
+            assert (sub is None) == (want is None), alpha
+            if sub is None:
                 continue
             on_x, on_y = alpha[0] in cells.grid.xs, alpha[1] in cells.grid.ys
             kinds.add((on_x, on_y))
-            assert got.row_degrees == [alpha] * got.nrows
-            assert grmat.minimize(got) == got, alpha
-            G = Grid([d[0] for N in (got, want)
-                      for d in N.row_degrees + N.col_degrees],
-                     [d[1] for N in (got, want)
-                      for d in N.row_degrees + N.col_degrees])
-            for pt in G.points():
-                assert grmat.pointwise_model(got, pt).dim == \
-                    grmat.pointwise_model(want, pt).dim, (alpha, pt)
-            assert hn_core.hn_filtration_of(got, alpha) == \
+            assert sub.row_degrees == [cells.grid.floor(alpha)] * sub.nrows
+            assert hn_core.hn_filtration_of(sub, alpha) == \
                 hn_core.hn_filtration_at(piece, alpha), alpha
     # non-zero fibers at grid points, inside cells and on one line each
     assert kinds == {(True, True), (False, False), (True, False),
                      (False, True)}
+
+
+def test_sweep_runs_each_hn_step_algebra_once_per_cell(monkeypatch):
+    """In one approx_skyscraper call, fiber classes are built at most once
+    per presentation and a quotient at most once per (presentation,
+    chosen subspace), though the presentations of a cell serve all its
+    lattice points; no quotient is built at a step that takes the whole
+    fiber."""
+    quotient, classes = grmat.quotient_presentation, hn_core._FiberClasses
+    quotients, built, keep = [], [], []     # keep: no id is reused
+
+    def counted_quotient(M, B):
+        assert B.cols < M.nrows, "quotient by the whole fiber"
+        keep.append(M)
+        quotients.append((id(M), tuple(map(tuple, B.data))))
+        return quotient(M, B)
+
+    class Counted(classes):
+        def __init__(self, M):
+            keep.append(M)
+            built.append(id(M))
+            super().__init__(M)
+
+    monkeypatch.setattr(grmat, "quotient_presentation", counted_quotient)
+    monkeypatch.setattr(hn_core, "_FiberClasses", Counted)
+    # the first modules of the acceptance-5 corpus of seed 7 (the sixth
+    # has a piece whose HN filtrations take two steps) and the stable
+    # module, a piece of thickness 2 that is not semistable off alpha
+    rng = random.Random(7)
+    modules = [random_bounded_module(rng, F2 if i % 2 else F3,
+                                     rng.randrange(1, 3), dmax=3)
+               for i in range(8)] + [stable_module()]
+    n_quotients = n_runs = n_built = 0
+    for M in modules:
+        for eps in (Fr(1), Fr(1, 2), Fr(1, 3)):
+            del quotients[:], built[:], keep[:]
+            store = approx_skyscraper(M, ScanConfig(epsilon=eps))
+            assert len(quotients) == len(set(quotients)), eps
+            assert len(built) == len(set(built)), eps
+            n_quotients += len(quotients)
+            n_built += len(built)
+            n_runs += sum(store.work)
+    # multi-step filtrations occur, and cells serve several points
+    assert n_quotients > 0 and n_built < n_runs
 
 
 def test_zero_fiber_shortcut_matches_join_path(monkeypatch):
@@ -465,6 +502,15 @@ def test_landscape_monotone_in_theta_and_k(cross):
     l2 = filtered_landscape(ex, 2, Fr(0), pts)
     for p in pts:
         assert l2[p] <= l1[p]
+
+
+def test_landscape_rejects_k_below_one(cross):
+    # with k <= 0 every level is >= k: lambda was the whole reach, also
+    # where the module is zero
+    ex = exact_skyscraper(cross)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            filtered_landscape(ex, k, Fr(0), [(Fr(0), Fr(1))])
 
 
 def test_landscape_source_anchor(cross):

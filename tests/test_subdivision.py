@@ -12,16 +12,16 @@ from skyhn.subdivision import (ConvexRegion, SlopePoly, all_max_slope,
 
 from skyhn.invariants import Staircase
 
-from conftest import (F2, F3, gm, random_bounded_module,
-                      random_unigen_module, reference_minimal_points,
-                      rescaled)
+from conftest import (F2, F3, class_dims, class_integral, deg_join, gm,
+                      random_bounded_module, random_unigen_module,
+                      reference_minimal_points, rescaled)
 
 
 def shift_join(M, alpha):
     """M with every row and column degree replaced by its join with alpha."""
     return grmat.GradedMatrix(
-        M.field, [grmat.deg_join(d, alpha) for d in M.row_degrees],
-        [grmat.deg_join(d, alpha) for d in M.col_degrees], M.columns)
+        M.field, [deg_join(d, alpha) for d in M.row_degrees],
+        [deg_join(d, alpha) for d in M.col_degrees], M.columns)
 
 
 def test_slope_poly_evaluation():
@@ -213,7 +213,7 @@ def test_exact_tree_matches_brute_random(rng):
 
 
 def _reference_candidates(M):
-    """Candidates from fc.dims and the Fraction ray integrals of the dim
+    """Candidates from the dims and the Fraction ray integrals of the dim
     function, deduplicated by polynomial keeping the largest dimension."""
     fc = hn_core.fiber_classes(M)
     ax, ay = fc.alpha
@@ -226,10 +226,10 @@ def _reference_candidates(M):
     for k in range(1, M.nrows + 1):
         for rows in hn_core.subspaces_of_dim(M.field, M.nrows, k):
             iv = fc.to_internal(rows)
-            dims = fc.dims(iv)
-            ys = [y for y in fc.grid.ys if y >= ay]
-            xs = [x for x in fc.grid.xs if x >= ax]
-            poly = SlopePoly(fc.integral(iv) / k,
+            dims = class_dims(fc, fc.ranks(iv))
+            ys = [y for y in fc.ys if y >= ay]
+            xs = [x for x in fc.xs if x >= ax]
+            poly = SlopePoly(class_integral(fc, iv) / k,
                              ray(xs, lambda x: (x, ay)) / k,
                              ray(ys, lambda y: (ax, y)) / k)
             key = poly.key()
@@ -266,7 +266,8 @@ def test_subspace_candidates_match_fraction_reference():
                 M = random_unigen_module(rng, F, t)
             for N in (M, _warp(M)):
                 fc, cands = subdivision._subspace_candidates(N)
-                got = [(rows, poly.key(), fc.dims(fc.to_internal(rows)))
+                got = [(rows, poly.key(),
+                        class_dims(fc, fc.ranks(fc.to_internal(rows))))
                        for rows, poly in cands]
                 assert got == _reference_candidates(N)
 
@@ -278,7 +279,7 @@ def _reference_staircase_at(S, beta):
     """_staircase_at as it was: the joins with beta, their minimal points
     by pairwise comparison, and a validated Staircase."""
     return Staircase(beta, reference_minimal_points(
-        [grmat.deg_join(r, beta) for r in S.rels]))
+        [deg_join(r, beta) for r in S.rels]))
 
 
 def _rational_axis(rng):
@@ -319,6 +320,39 @@ def test_staircase_at_matches_fraction_reference():
             assert got == want and got.rels == want.rels
             n_moved += got.rels != S.rels
     assert n_raised > 0 and n_moved > 0
+
+
+def test_tree_read_slopes_match_fraction_reference():
+    """The slopes that SubdivTree.factors_at evaluates on ints, against
+    1 / poly.inverse_slope(delta) in Fractions for the nodes on the path,
+    with equal consecutive slopes merged, on the trees of rescaled random
+    modules (alpha negative and non-integral) at points beta of each cell
+    over denominators 5 and 7."""
+    rng = random.Random(34)
+    n_reads = n_negative = n_steps = 0
+    for i in range(12):
+        M = rescaled(random_bounded_module(rng, (F2, F3)[i % 2],
+                                           1 + i % 3, dmax=3))
+        ex = pipeline.exact_skyscraper(M)
+        for t in [t for _, _, cells in ex.summands
+                  for trees in cells.values() if trees for t in trees]:
+            x0, y0, x1, y1 = t.cell
+            for _ in range(4):
+                beta = (x0 + (x1 - x0) * Fr(rng.randrange(0, 7), 7),
+                        y0 + (y1 - y0) * Fr(rng.randrange(0, 5), 5))
+                delta = (beta[0] - t.alpha[0], beta[1] - t.alpha[1])
+                want = []
+                for node in t.path(beta):
+                    slope = 1 / node.poly.inverse_slope(delta)
+                    if not want or want[-1] != slope:
+                        want.append(slope)
+                got = [f.slope for f in t.factors_at(beta).factors]
+                assert got == want, (i, t.alpha, beta)
+                assert all(type(s) is Fr for s in got)
+                n_reads += 1
+                n_negative += min(t.alpha) < 0 and min(beta) < 0
+                n_steps += len(got) > 1
+    assert n_reads > 100 and n_negative > 20 and n_steps > 0
 
 
 def _reference_contains(region, point):

@@ -89,12 +89,25 @@ def _count_fraction_comparisons(monkeypatch):
     return counts, pause
 
 
+def _count_fraction_constructions(monkeypatch):
+    """Count the Fractions constructed from now on; returns the counts."""
+    counts = {"n": 0}
+    new = Fr.__new__
+
+    def counted(cls, *args, **kwargs):
+        counts["n"] += 1
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fr, "__new__", counted)
+    return counts
+
+
 def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
         cross, monkeypatch):
     """On the cross fixture the probe-pair loop of erosion_distance makes
     no Fraction comparison (the store lookups and the per-entry choice of
     staircases, outside it, may), and neither do SubdivTree.factors_at
-    reads at points already read, walls included.  Counts, not times."""
+    reads at points already read, walls included; those reads build one
+    Fraction per slope at most.  Counts, not times."""
     sa = pipeline.approx_skyscraper(cross, pipeline.ScanConfig(Fr(1, 2)))
     ex = pipeline.exact_skyscraper(cross)
     snap = ex.snapshot(sa.keys())
@@ -131,9 +144,13 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
     brackets = [invariants.erosion_distance(r, s, Fr(0), G)
                 for r, s in ((sa, snap), (moved, sa), (sa, moved))]
     assert counts["n"] == 0
+    # at most one Fraction per slope of a node on the read's path
+    slopes = sum(len(t.path(beta)) for t, beta in reads)
+    built = _count_fraction_constructions(monkeypatch)
     for t, beta in reads:
         t.factors_at(beta)
     assert counts["n"] == 0
+    assert 0 < built["n"] <= slopes
     monkeypatch.undo()
     # the shifted pair loop ran, and the reads crossed walls, where
     # equal-slope factors merge
