@@ -4,13 +4,21 @@ The fiber at alpha together with the structure maps into all higher grid
 points defines a matrix space A_alpha.  The minimal shrunk subspace of a
 (p, q)-blow-up of that space is exactly the fiber of a member of the HN
 filtration, so a shrunk-subspace oracle yields a split-and-recurse driver.
+As in Cheng's algorithm, the recursion works on the representation
+itself: every node is a subquotient <U2>/<U1> of the module generated at
+alpha, for subspaces U1 <= U2 of the fiber, and its matrix space is read
+off A_alpha's structure maps T by reducing T.U2 modulo T.U1.  A_alpha is
+built once per call, no presentation of a filtration member is computed,
+and a leaf's slope and staircases come from the ranks of U2 and U1 on the
+fiber classes of <V_alpha>.
 
 The oracle is randomized: draw a random matrix A in a blown-up space over
 an extension field, run its Wong sequence, and certify the answer when the
 limit lands inside the image of A.  The Wong image steps exploit the block
-structure of blow-ups (the whole limit has the form k^p tensor S) and
-multiply only the nonzero rows of the basis matrices, found once per
-space; A is sparsified beforehand by invertible column operations that
+structure of blow-ups (the whole limit has the form k^p tensor S): S is
+spanned by the basis matrices applied to a basis of the span of the
+preimage's column blocks, multiplying only their nonzero rows, found once
+per space; A is sparsified beforehand by invertible column operations that
 stay inside the blow-up span.
 
 No algebra is repeated where its result is known.  The fiber submodule
@@ -36,6 +44,7 @@ what the retry schedule adds).
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import random
@@ -44,7 +53,7 @@ from fractions import Fraction
 from . import field as fieldmod
 from . import grmat
 from .field import DenseMatrix, embed_phi, ext_field_build
-from .grmat import _Echelon, as_degree, deg_leq
+from .grmat import _Echelon, as_degree
 from .hn_core import fiber_classes
 from .invariants import HNFactor, HNFactorList
 
@@ -105,21 +114,25 @@ class BlowUp:
         """Core S of the blow-up image: span{A_k . u_j} over base matrices
         A_k and column blocks u_j of the given vectors; the full image of
         span(ucols) is k^p tensor S, because every block position i is
-        reachable through some E_{ij} tensor A_k."""
+        reachable through some E_{ij} tensor A_k.  S depends only on the
+        span T of the blocks, of dim at most ncols, so the blocks are
+        echelonized first and A_k is applied to a basis of T.  Returns S's
+        reduced column echelon basis (_Echelon.reduced_basis)."""
         sp = self.space
         Np, q = sp.ncols, sp.field.q
+        blocks = _Echelon(sp.field, Np)
+        for blk in (u[j * Np:(j + 1) * Np] for u in ucols
+                    for j in range(self.q)):
+            if blocks.insert(blk) and blocks.rank == Np:
+                break
         span = _Echelon(sp.field, sp.nrows)
-        for u in ucols:
-            for j in range(self.q):
-                blk = u[j * Np:(j + 1) * Np]
-                if not any(blk):
-                    continue
-                for rows in sp.nonzero_rows:
-                    w = [0] * sp.nrows
-                    for a, row in rows:
-                        w[a] = sum(map(operator.mul, row, blk)) % q
-                    span.insert(w)
-        return span.basis_columns()
+        for t in blocks.basis_columns():
+            for rows in sp.nonzero_rows:
+                w = [0] * sp.nrows
+                for a, row in rows:
+                    w[a] = sum(map(operator.mul, row, t)) % q
+                span.insert(w)
+        return span.reduced_basis()
 
 
 class WongState:
@@ -302,7 +315,13 @@ def build_A_alpha(M, G, alpha):
     """
     alpha = as_degree(alpha)
     F = M.field
-    betas = [b for b in G.points() if deg_leq(alpha, b) and b != alpha]
+    # the grid points >= alpha, from the first coordinate >= alpha's on
+    # each axis, in colexicographic order; alpha is the first when on G
+    xs = G.xs[bisect.bisect_left(G.xs, alpha[0]):]
+    betas = [(x, y) for y in G.ys[bisect.bisect_left(G.ys, alpha[1]):]
+             for x in xs]
+    if betas and betas[0] == alpha:
+        del betas[0]
     pm, maps = grmat.structure_maps(M, alpha, betas)
     p0 = pm.dim
     if p0 == 0:
@@ -394,46 +413,136 @@ def _split_fiber(space, p0, q0, alpha, seed):
     return U
 
 
-def _semistable_factor(cur, alpha):
-    t = cur.nrows
+def _apply(T, v, q):
+    """T . v for T given by its rows."""
+    return [sum(map(operator.mul, row, v)) % q for row in T]
+
+
+class _Subquotients:
+    """The recursion of hn_cheng on subquotients of the fiber at alpha.
+
+    cur presents <V_alpha> with its t generators at alpha, and its
+    generator coordinates are those of V_alpha = k^t.  A node is the
+    subquotient <U2>/<U1> for subspaces U1 <= U2 of k^t, given as lists of
+    vectors: `lo` spans U1, and `top` is a basis of U2 modulo U1 and the
+    node's coordinates.  Its fiber at a grid point beta is T.U2 / T.U1, T
+    the structure map to beta, so its matrix space (``space``) is read off
+    the root's A_alpha, which is built once (build_A_alpha), and the
+    slopes and staircases of a leaf off cur's fiber classes."""
+
+    def __init__(self, cur, G, alpha):
+        self.field, self.alpha = cur.field, alpha
+        self.root, p0, self.q0, _ = build_A_alpha(cur, G, alpha)
+        if p0 != cur.nrows:
+            raise AssertionError("hn_cheng: the fiber at alpha is not k^t")
+        # per root basis matrix, the nonzero rows of its structure map
+        self.maps = [[r for _, r in rows] for rows in self.root.nonzero_rows]
+        self.fc = fiber_classes(cur)
+        self.weights = self.fc.at(self.fc.alpha)
+
+    def space(self, lo, top):
+        """(matrix space, q0) of the node: per root basis matrix, with T
+        the nonzero rows of its structure map, a basis of the rows of
+        T.top reduced modulo the span of T.lo, placed in the block's rows
+        as build_A_alpha places the maps of a presentation of the node
+        generated in the node's coordinates; the two agree up to
+        invertible row operations within each block."""
+        F = self.field
+        q, p = F.q, len(top)
+        blocks = []
+        for T in self.maps:
+            ech = _Echelon(F, len(T))
+            for v in lo:
+                ech.insert(_apply(T, v, q))
+            red = [ech.reduce(_apply(T, c, q)) for c in top]
+            keep = _Echelon(F, p)
+            blocks.append([r for r in map(list, zip(*red)) if keep.insert(r)])
+        q0 = sum(map(len, blocks))
+        basis, off = [], 0
+        for rows in blocks:
+            if rows:
+                B = DenseMatrix.zero(q0, p, F)
+                B.data[off:off + len(rows)] = rows
+                basis.append(B)
+            off += len(rows)
+        return MatrixSpace(F, q0, p, basis), q0
+
+    def factors(self, lo, top, space, q0, seed):
+        """The HN factors of the node, split by a certified shrunk
+        subspace U into <U1 + lift U>/<U1> and <U2>/<U1 + lift U>, whose
+        coordinates are lift U and the node's coordinates off the pivot
+        rows of U's echelon (as grmat.quotient_presentation picks them)."""
+        U = _split_fiber(space, len(top), q0, self.alpha, seed)
+        if U is None:
+            return [self.semistable(lo, top)]
+        ucols = [U.column(j) for j in range(U.cols)]
+        ech = _Echelon(self.field, len(top))
+        for u in ucols:
+            ech.insert(u)
+        q = self.field.q
+        lift = [[sum(map(operator.mul, u, coord)) % q for coord in zip(*top)]
+                for u in ucols]
+        rest = [c for i, c in enumerate(top) if i not in ech.pivots]
+        mid = lo + lift
+        return (self.factors(lo, lift, *self.space(lo, lift), hash((seed, 1)))
+                + self.factors(mid, rest, *self.space(mid, rest),
+                               hash((seed, 2))))
+
+    def semistable(self, lo, top):
+        """The node as one HN factor: its per-class ranks are those of U2
+        less those of U1 on cur's fiber classes."""
+        fc, w = self.fc, self.weights
+        ranks = fc.ranks(fc.to_internal(lo + top))
+        if lo:
+            ranks = tuple(map(operator.sub, ranks,
+                              fc.ranks(fc.to_internal(lo))))
+        integ = Fraction(w.scaled_integral(ranks), w.den)
+        return HNFactor(fc.staircases(ranks, len(top), fc.alpha),
+                        len(top) / integ)
+
+
+def _check_grid(cur, G, alpha):
+    """ValueError unless hn_cheng may read <V_alpha>, presented by cur,
+    on G: G is evenly spaced, every coordinate of cur (alpha's among them)
+    is a coordinate of G, and cur vanishes past its last coordinates.
+    Then <V_alpha> is constant on the equal cells of G and zero on its
+    last row and column, so the discrete slopes on G are the area-weighted
+    ones.  Coordinates compare as (numerator, denominator) pairs."""
+    for name, axis, coords in (("x", G.xs, cur._ranks[0]),
+                               ("y", G.ys, cur._ranks[1])):
+        ratios = [c.as_integer_ratio() for c in axis]
+        have = set(ratios)
+        for c in coords:
+            if c.as_integer_ratio() not in have:
+                raise ValueError(
+                    "cheng grid lacks %s = %s, a degree of the module "
+                    "generated at (%s, %s)" % ((name, c) + alpha))
+        den = math.lcm(*(d for _, d in ratios))
+        ints = [n * (den // d) for n, d in ratios]
+        if len({b - a for a, b in zip(ints, ints[1:])}) > 1:
+            raise ValueError("cheng grid is not evenly spaced in " + name)
     fc = fiber_classes(cur)
-    w = fc.at(fc.alpha)
-    integ = Fraction(w.scaled_integral(fc.coranks), w.den)
-    if integ <= 0:
-        raise ValueError(
-            "module is not bounded at %s: infinite slope integral" % (alpha,))
-    stairs = fc.staircases(fc.coranks, t, fc.alpha)
-    return HNFactor(stairs, Fraction(t) / integ)
-
-
-def _factors_rec(cur, G, alpha, seed):
-    if cur.nrows == 0:
-        return []
-    space, p0, q0, _ = build_A_alpha(cur, G, alpha)
-    U = _split_fiber(space, p0, q0, alpha, seed)
-    if U is None:
-        return [_semistable_factor(cur, alpha)]
-    F = cur.field
-    ucols = [U.column(j) for j in range(U.cols)]
-    S = grmat.GradedMatrix(
-        F, cur.row_degrees, [alpha] * U.cols,
-        [[(i, v) for i, v in enumerate(col) if v] for col in ucols])
-    sub = grmat.minimize(grmat.submodule_presentation(cur, S))
-    quot = grmat.quotient_presentation(cur, U)
-    return (_factors_rec(sub, G, alpha, hash((seed, 1)))
-            + _factors_rec(quot, G, alpha, hash((seed, 2))))
+    ax, ay = fc.origin
+    if (fc.point_class[len(fc.xs) - 1, ay] >= 0
+            or fc.point_class[ax, len(fc.ys) - 1] >= 0):
+        raise ValueError("module is not bounded at (%s, %s)" % alpha)
 
 
 def hn_cheng(M, G, alpha, seed=0):
     """HN filtration at alpha via recursive shrunk-subspace splits.
 
-    G must be a regular grid containing the degrees of M (and alpha) inside
+    G must be a regular grid containing alpha and the degrees of M inside
     the support box, so that the discrete filtration transported from G
-    coincides with the continuous one; slopes are computed exactly with
-    cell-area weighting, making the output directly comparable with the
-    brute-force search.  G may also be a function of no arguments that
-    returns the grid; it is called only when the fiber at alpha is
-    non-zero.
+    coincides with the continuous one; _check_grid checks exactly what
+    that needs and raises ValueError otherwise.  Slopes are computed
+    exactly with cell-area weighting, making the output directly
+    comparable with the brute-force search.  G may also be a function of
+    no arguments that returns the grid; it is called only when the fiber
+    at alpha is non-zero.
+
+    The splits run on subquotients of the fiber at alpha (_Subquotients):
+    A_alpha is built once per call, and no presentation of a filtration
+    member is computed.
     """
     alpha = as_degree(alpha)
     cur = grmat.fiber_submodule(M, alpha)
@@ -441,7 +550,11 @@ def hn_cheng(M, G, alpha, seed=0):
         return HNFactorList(alpha, [])
     if callable(G):
         G = G()
-    factors = _factors_rec(cur, G, alpha, seed)
+    _check_grid(cur, G, alpha)
+    sq = _Subquotients(cur, G, alpha)
+    t = cur.nrows
+    factors = sq.factors([], [[int(i == j) for i in range(t)]
+                              for j in range(t)], sq.root, sq.q0, seed)
     for a, b in zip(factors, factors[1:]):
         if not a.slope > b.slope:
             raise AssertionError("HN slopes not strictly decreasing")

@@ -280,7 +280,9 @@ def build_parser():
     p.add_argument("--at", type=_pair, required=True)
     p.add_argument("--engine", choices=["brute", "cheng"], default="brute")
     p.add_argument("--grid", type=_grid_size, default=None,
-                   help="NX,NY override for the cheng engine grid")
+                   help="NX,NY override for the cheng engine grid: evenly "
+                   "spaced over the box, it must hold --at and the degrees "
+                   "of the module generated there")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("approx", help="epsilon-approximate store")

@@ -371,6 +371,32 @@ class _Echelon:
         """Copies of the stored columns as lists, in insertion order."""
         return [list(self._col(v)) for v in self.pivots.values()]
 
+    def reduced_basis(self):
+        """The reduced column echelon basis of the span, which depends on
+        the span alone: one column per pivot row in increasing order, with
+        1 at its own pivot row and 0 at every other pivot row."""
+        out = {}
+        if self.f2:
+            for piv in sorted(self.pivots):
+                v = self.pivots[piv]
+                for p, w in out.items():
+                    if v >> p & 1:
+                        v ^= w
+                out[piv] = v
+            return [self._col(v) for v in out.values()]
+        q = self.F.q
+        inv = _inverses(q)
+        for piv in sorted(self.pivots):
+            v = self.pivots[piv]
+            c = inv[v[piv]]
+            v = [x * c % q for x in v]
+            for p, w in out.items():
+                if v[p]:
+                    c = v[p]
+                    v = [(x - c * y) % q for x, y in zip(v, w)]
+            out[piv] = v
+        return list(out.values())
+
     @property
     def rank(self):
         return len(self.pivots)

@@ -24,6 +24,7 @@ lattice row it enters, and each drops the cells of its other grid rows.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from fractions import Fraction
@@ -71,24 +72,30 @@ class EngineFailure(RuntimeError):
 
 def bounding_box(M):
     """Axis-aligned box covering all presentation degrees, reaching one
-    unit past the largest degree on each axis."""
-    degs = list(M.row_degrees) + list(M.col_degrees)
-    if not degs:
+    unit past the largest degree on each axis: read off the sorted
+    distinct coordinates that M keeps (M._ranks)."""
+    xs, ys, _, _ = M._ranks
+    if not xs:
         z = Fraction(0)
         return (z, z, z, z)
-    return (min(d[0] for d in degs), min(d[1] for d in degs),
-            max(d[0] for d in degs) + 1, max(d[1] for d in degs) + 1)
+    return (xs[0], ys[0], xs[-1] + 1, ys[-1] + 1)
 
 
 def clip_to_box(M, box):
     """Append cap relations killing every generator at the box's upper
-    edges, making the cokernel bounded (supported inside the box)."""
+    edges, making the cokernel bounded (supported inside the box).  The
+    generators are checked on their coordinate ranks against the ranks
+    where the box's edges fall."""
     x0, y0, x1, y1 = (Fraction(c) for c in box)
+    xs, ys, row_rk, _ = M._ranks
+    lx, hx = bisect.bisect_left(xs, x0), bisect.bisect_left(xs, x1)
+    ly, hy = bisect.bisect_left(ys, y0), bisect.bisect_left(ys, y1)
     cols = [list(c) for c in M.columns]
     col_degs = list(M.col_degrees)
     one = M.field.one
     for i, (gx, gy) in enumerate(M.row_degrees):
-        if not (x0 <= gx < x1 and y0 <= gy < y1):
+        rx, ry = row_rk[i]
+        if not (lx <= rx < hx and ly <= ry < hy):
             raise ValueError("generator %d at %s outside the box" % (i, (gx, gy)))
         col_degs.append((x1, gy))
         cols.append([(i, one)])
@@ -97,30 +104,53 @@ def clip_to_box(M, box):
     return GradedMatrix(M.field, list(M.row_degrees), col_degs, cols)
 
 
-def _fr_gcd(a, b):
-    return Fraction(math.gcd(a.numerator * b.denominator,
-                             b.numerator * a.denominator),
-                    a.denominator * b.denominator)
-
-
-def _progression(coords, lo, hi):
-    vals = sorted(set(coords) | {lo, hi})
-    diffs = [v - vals[0] for v in vals[1:]]
-    h = functools.reduce(_fr_gcd, diffs) if diffs else Fraction(1)
-    n = int((hi - lo) / h)
-    return [lo + k * h for k in range(n + 1)]
+def _progression(ratios, lo, hi):
+    """The evenly spaced coordinates from lo to hi with the largest step
+    that hits every coordinate given by its (numerator, denominator) pair
+    in ratios, all of them between lo and hi; computed on integers over
+    the lcm of the denominators."""
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    den = math.lcm(ld, hd, *(d for _, d in ratios))
+    base, top = ln * (den // ld), hn * (den // hd)
+    step = math.gcd(top - base, *(n * (den // d) - base for n, d in ratios))
+    if not step:
+        return [lo]
+    return [Fraction(base + k * step, den)
+            for k in range((top - base) // step + 1)]
 
 
 def regular_grid(M, extra_points, box):
     """Evenly spaced grid covering the box and containing every degree of M
-    and every extra point; on such a grid discrete slopes are proportional
-    to the exact area-weighted ones."""
+    and every extra point inside the box; on such a grid discrete slopes
+    are proportional to the exact area-weighted ones.  M's degrees are read
+    as coordinate ranks (M._ranks) and the extra points' coordinates as
+    (numerator, denominator) pairs, each distinct one compared with the
+    box once."""
     x0, y0, x1, y1 = box
-    degs = list(M.row_degrees) + list(M.col_degrees) + \
-        [as_degree(p) for p in extra_points]
-    degs = [d for d in degs if x0 <= d[0] <= x1 and y0 <= d[1] <= y1]
-    return Grid(_progression([d[0] for d in degs], x0, x1),
-                _progression([d[1] for d in degs], y0, y1))
+    xs, ys, row_rk, col_rk = M._ranks
+    lx, hx = bisect.bisect_left(xs, x0), bisect.bisect_right(xs, x1)
+    ly, hy = bisect.bisect_left(ys, y0), bisect.bisect_right(ys, y1)
+    ratx = [c.as_integer_ratio() for c in xs]
+    raty = [c.as_integer_ratio() for c in ys]
+    px, py = set(), set()   # the kept coordinates' (numerator, denominator)
+    for rx, ry in row_rk + col_rk:
+        if lx <= rx < hx and ly <= ry < hy:
+            px.add(ratx[rx])
+            py.add(raty[ry])
+    inx, iny = {}, {}       # (numerator, denominator) -> inside the box
+    for d in extra_points:
+        x, y = as_degree(d)
+        kx, ky = x.as_integer_ratio(), y.as_integer_ratio()
+        ix = inx.get(kx)
+        if ix is None:
+            ix = inx[kx] = x0 <= x <= x1
+        iy = iny.get(ky)
+        if iy is None:
+            iy = iny[ky] = y0 <= y <= y1
+        if ix and iy:
+            px.add(kx)
+            py.add(ky)
+    return Grid(_progression(px, x0, x1), _progression(py, y0, y1))
 
 
 def _blocks(M):

@@ -97,7 +97,9 @@ def test_matrix_space_rejects_dependent_basis():
 
 
 def core_all_rows(blow, ucols):
-    """image_core multiplying every row of every basis matrix."""
+    """image_core multiplying every row of every basis matrix by every
+    column block, in the same canonical form: the reduced column echelon
+    basis of the span, which is the same list for any spanning set."""
     sp = blow.space
     Np = sp.ncols
     span = grmat._Echelon(sp.field, sp.nrows)
@@ -107,7 +109,7 @@ def core_all_rows(blow, ucols):
             if any(blk):
                 for A in sp.basis:
                     span.insert(matvec(A, blk))
-    return span.basis_columns()
+    return span.reduced_basis()
 
 
 def a_alpha_spaces():
@@ -432,3 +434,181 @@ def test_one_dimensional_fiber_draws_nothing(monkeypatch, stable):
     assert hn_cheng(stable, G, alpha, seed=1) == \
         hn_core.hn_filtration_at(stable, alpha)
     assert calls
+
+
+def test_hn_cheng_checks_its_grid(cross):
+    """hn_cheng reads the fiber submodule on G only where that is exact:
+    G evenly spaced, alpha and every coordinate of the module generated at
+    alpha on G, and the module bounded; else ValueError."""
+    alpha = (Fr(0), Fr(1))
+    cases = [
+        (Grid([Fr(k) for k in range(5)], [Fr(0), Fr(2), Fr(4)]), "lacks y"),
+        (Grid([Fr(0), Fr(2), Fr(4)], [Fr(k) for k in range(5)]), "lacks x"),
+        (Grid([Fr(k) for k in range(5)] + [Fr(6)],
+              [Fr(k) for k in range(5)]), "evenly spaced"),
+        # ends before the module vanishes at x = 3
+        (Grid([Fr(k) for k in range(3)], [Fr(k) for k in range(5)]),
+         "lacks x"),
+    ]
+    for G, what in cases:
+        with pytest.raises(ValueError, match=what):
+            hn_cheng(cross, G, alpha, seed=0)
+    # a grid that ends where the module vanishes is enough
+    assert hn_cheng(cross, Grid([Fr(k) for k in range(4)],
+                                [Fr(k) for k in range(4)]), alpha, seed=0) \
+        == hn_core.hn_filtration_at(cross, alpha)
+    line = gm(F2, [(0, 0)], [((1, 0), [(0, 1)])])   # [0, 1) x [0, inf)
+    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
+    with pytest.raises(ValueError, match="not bounded"):
+        hn_cheng(line, G, (Fr(0), Fr(0)), seed=0)
+    # a zero fiber needs no grid at all
+    assert hn_cheng(cross, cases[0][0], (Fr(-1), Fr(0)), seed=0).factors == []
+
+
+def test_hn_cheng_on_user_grids_is_exact_or_refuses():
+    """Random bounded modules at random points of random evenly spaced
+    grids over their box, as ``skyhn hn --engine cheng --grid NX,NY``
+    builds them: where the grid holds alpha and every degree of the
+    clipped module inside its span, cheng equals brute force; elsewhere it
+    equals brute force or raises ValueError, and it does raise."""
+    rng = random.Random(5)
+    seen = {"cover": 0, "refused": 0, "exact": 0}
+    for m in range(60):
+        M = random_bounded_module(rng, F2 if m % 2 else F3,
+                                  rng.randrange(1, 4))
+        box = pipeline.bounding_box(M)
+        x0, y0, x1, y1 = box
+        Mc = pipeline.clip_to_box(M, box)
+        for _ in range(2):
+            if rng.random() < 0.5:
+                nx = int(x1 - x0) * rng.randrange(1, 3) + 1
+                ny = int(y1 - y0) * rng.randrange(1, 3) + 1
+            else:
+                nx, ny = rng.randrange(2, 7), rng.randrange(2, 7)
+            G = Grid([x0 + (x1 - x0) * Fr(i, nx - 1) for i in range(nx)],
+                     [y0 + (y1 - y0) * Fr(j, ny - 1) for j in range(ny)])
+            pts = list(G.points()) + list(grmat.induced_grid(M).points())
+            alpha = pts[rng.randrange(len(pts))]
+            want = pipeline.hn_at(M, alpha, box=box)
+            if not want.factors:
+                continue
+            cover = alpha in G and all(
+                d in G for d in Mc.row_degrees + Mc.col_degrees
+                if x0 <= d[0] <= x1 and y0 <= d[1] <= y1)
+            seen["cover"] += cover
+            try:
+                got = pipeline.hn_at(M, alpha, "cheng", m, box, G)
+            except ValueError:
+                assert not cover, (m, alpha)
+                seen["refused"] += 1
+                continue
+            assert got == want, (m, alpha)
+            seen["exact"] += 1
+    assert seen["cover"] >= 10 and seen["refused"] >= 10, seen
+
+
+def _old_children(P, U, alpha):
+    """The presentations hn_cheng once recursed on after a split by the
+    shrunk subspace U of P's fiber at alpha: the submodule that U
+    generates and the quotient by it."""
+    ucols = [U.column(j) for j in range(U.cols)]
+    S = grmat.GradedMatrix(P.field, P.row_degrees, [alpha] * U.cols,
+                           [[(i, v) for i, v in enumerate(c) if v]
+                            for c in ucols])
+    return (grmat.minimize(grmat.submodule_presentation(P, S)),
+            grmat.quotient_presentation(P, U))
+
+
+def _rank(F, vecs, n):
+    return fieldmod.reduce_columns(F, vecs, n)[0] if vecs else 0
+
+
+def test_split_nodes_match_old_presentations(monkeypatch):
+    """Every node of the split recursion, a subquotient <lo + top>/<lo> of
+    the fiber at alpha, against the presentation of the same module that
+    the engine once built with submodule_presentation and
+    quotient_presentation (kept here): build_A_alpha on it has the node's
+    p0 and q0, its fiber dims per grid point are the node's ranks
+    rank T(lo + top) - rank T(lo), and the node's matrix space has one
+    block of that many rows per grid point where it is nonzero.  On the
+    fixtures and on small unigen modules over GF(2) and GF(3)."""
+    real_factors = cheng._Subquotients.factors
+    real_split = cheng._split_fiber
+    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
+    state = {"stack": [], "node": None, "splits": 0, "nodes": 0}
+
+    def factors(self, lo, top, space, q0, seed):
+        P = state["stack"].pop()
+        F, alpha = self.field, self.alpha
+        old, p0, old_q0, betas = build_A_alpha(P, G, alpha)
+        assert (len(top), q0) == (p0, old_q0)
+        assert (space.ncols, space.nrows) == (p0, q0)
+        dims = [T.rows for T in grmat.structure_maps(P, alpha, betas)[1]]
+        ranks = []
+        for T in state["root_maps"]:
+            imgs = [matvec(T, v) for v in lo + top]
+            ranks.append(_rank(F, imgs, T.rows)
+                         - _rank(F, imgs[:len(lo)], T.rows))
+        assert ranks == dims
+        assert [len(rows) for rows in space.nonzero_rows] == \
+            [r for r in ranks if r]
+        state["node"] = P
+        state["nodes"] += 1
+        return real_factors(self, lo, top, space, q0, seed)
+
+    def split(space, p0, q0, alpha, seed):
+        U = real_split(space, p0, q0, alpha, seed)
+        if U is not None:
+            sub, quot = _old_children(state["node"], U, alpha)
+            state["stack"] += [quot, sub]
+            state["splits"] += 1
+        return U
+    monkeypatch.setattr(cheng._Subquotients, "factors", factors)
+    monkeypatch.setattr(cheng, "_split_fiber", split)
+    rng = random.Random(1313)
+    cases = [(cross_module(), (Fr(0), Fr(1))),
+             (stable_module(), (Fr(0), Fr(0))),
+             (stable_module(), (Fr(1), Fr(0)))]
+    for k in range(16):
+        M = random_unigen_module(rng, F3 if k % 2 else F2, rng.randrange(3, 6))
+        cases.append((M, M.row_degrees[0]))
+    for k, (M, alpha) in enumerate(cases):
+        cur = grmat.fiber_submodule(M, alpha)
+        betas = build_A_alpha(cur, G, alpha)[3]
+        state["root_maps"] = grmat.structure_maps(cur, alpha, betas)[1]
+        state["stack"] = [cur]
+        assert hn_cheng(M, G, alpha, seed=k) == \
+            hn_core.hn_filtration_at(M, alpha), k
+        assert state["stack"] == []
+    assert state["splits"] >= 10 and state["nodes"] > 2 * state["splits"]
+
+
+def test_hn_cheng_builds_one_space_and_no_presentation(monkeypatch):
+    """One build_A_alpha per call and no presentation algebra beyond the
+    fiber submodule, whose join path costs one minimize on modules
+    generated at alpha; the splits happen on subquotients."""
+    calls = {"build_A_alpha": 0, "minimize": 0, "kernel": 0,
+             "submodule_presentation": 0, "quotient_presentation": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*a, **k):
+            calls[name] += 1
+            return real(*a, **k)
+        monkeypatch.setattr(owner, name, wrapped)
+    counting(cheng, "build_A_alpha")
+    for name in ("minimize", "kernel", "submodule_presentation",
+                 "quotient_presentation"):
+        counting(grmat, name)
+    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
+    rng = random.Random(1414)
+    runs = split = 0
+    for k in range(12):
+        M = random_unigen_module(rng, F3 if k % 2 else F2, rng.randrange(3, 6))
+        fl = hn_cheng(M, G, M.row_degrees[0], seed=k)
+        runs += 1
+        split += len(fl.factors) > 1
+    assert split >= 3
+    assert calls == {"build_A_alpha": runs, "minimize": runs, "kernel": 0,
+                     "submodule_presentation": 0, "quotient_presentation": 0}

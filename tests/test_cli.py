@@ -181,6 +181,24 @@ def test_cli_cheng_grid_needs_two_lines_per_axis(cross_file, tmp_path,
     assert "--grid" in _one_line_error(capsys).splitlines()[-1]
 
 
+def test_cli_cheng_grid_must_hold_the_degrees(cross_file, tmp_path, capsys):
+    """The cross fixture's box is [0, 4]^2: a 4 x 4 grid (spacing 4/3)
+    misses its degrees at 1, 2 and 3, and the answer would not be the
+    HN filtration, so hn exits 2 with one line; the 5 x 5 grid holds
+    them and agrees with brute force."""
+    out = str(tmp_path)
+    assert main(["--out", out, "hn", cross_file, "--at", "0,1",
+                 "--engine", "cheng", "--grid", "4,4"]) == 2
+    err = _one_line_error(capsys)
+    assert len(err.splitlines()) == 1 and "cheng grid" in err
+    assert not os.path.exists(os.path.join(out, "hn.csv"))
+    assert main(["--out", out, "hn", cross_file, "--at", "0,1",
+                 "--engine", "cheng", "--grid", "5,5"]) == 0
+    cheng_out = capsys.readouterr().out
+    assert main(["--out", out, "hn", cross_file, "--at", "0,1"]) == 0
+    assert capsys.readouterr().out == cheng_out
+
+
 def test_cli_landscape_resolution_below_two(cross_file, tmp_path, capsys):
     # 1 divided by zero and 0 or less wrote an empty landscape
     for bad in ("1", "0", "-3", "x"):

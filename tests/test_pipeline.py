@@ -208,7 +208,8 @@ def test_sweep_matches_reference_drivers():
     2-4, whose split path the undecomposed references cover; epsilon 1,
     1/2 and 1/3 put one, four and nine lattice points in a unit cell, so
     brute force derives most of its fiber submodules from a cell's
-    corner."""
+    corner.  Every eighth module also runs the cheng engine, at every
+    epsilon, against its reference and brute force."""
     rng = random.Random(2026)
     cheng_runs = 0
     for trial in range(52):
@@ -220,15 +221,17 @@ def test_sweep_matches_reference_drivers():
             M = hidden_direct_sum(rng, F, sizes)
         engines = ("brute", "cheng") if trial % 8 == 0 else ("brute",)
         for eps in (Fr(1), Fr(1, 2), Fr(1, 3)):
-            # cheng's certification at the finer grid of epsilon 1/3 takes
-            # about 20 s of CPU on one of these modules (trial 40)
-            for engine in engines if eps != Fr(1, 3) else ("brute",):
+            stores = {}
+            for engine in engines:
                 cfg = ScanConfig(epsilon=eps, engine=engine, seed=trial)
-                got = approx_skyscraper(M, cfg)
+                got = stores[engine] = approx_skyscraper(M, cfg)
                 want = _approx_reference(M, cfg)
                 assert got == want, (trial, eps, engine)
                 assert got.work == want.work, (trial, eps, engine)
                 cheng_runs += engine == "cheng" and sum(got.work) > 0
+            # HN filtrations are unique: both engines store the same ones
+            assert stores.get("cheng", stores["brute"]) == stores["brute"], \
+                (trial, eps)
             cfg = ScanConfig(epsilon=eps)
             got, want = parallel_grid_scan(M, cfg), _scan_reference(M, cfg)
             assert got == want, (trial, eps)
