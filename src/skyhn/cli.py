@@ -390,7 +390,7 @@ def _cmd_scan(args):
 
 def _cmd_query(args):
     M = _load(args)
-    ex = pipeline.exact_skyscraper(M, box=args.box)
+    ex = pipeline.exact_skyscraper(M, box=args.box, eager=False)
     print(ex.query(args.theta, args.src, args.dst))
     return EXIT_OK
 
@@ -398,7 +398,7 @@ def _cmd_query(args):
 def _cmd_landscape(args):
     M = _load(args)
     box = _box(args, M)
-    ex = pipeline.exact_skyscraper(M, box=box)
+    ex = pipeline.exact_skyscraper(M, box=box, eager=False)
     x0, y0, x1, y1 = box
     R = args.resolution
     pts = [(x0 + (x1 - x0) * Fraction(i, R - 1),
@@ -431,7 +431,7 @@ def _cmd_check(args):
         slopes = [f.slope for f in approx.entries[alpha].factors]
         if any(a < b for a, b in zip(slopes, slopes[1:])):
             failures.append("slopes increase at %s" % (alpha,))
-    ex = pipeline.exact_skyscraper(M, box=box)
+    ex = pipeline.exact_skyscraper(M, box=box, eager=False)
     Mc = pipeline.clip_to_box(M, box)
     rng = random.Random(0)
     x0, y0, x1, y1 = box

@@ -117,6 +117,7 @@ def _poly_sub(F, a, b):
     return _poly_trim([(x - y) % F.q for x, y in zip(a, b)])
 
 def _poly_gcd(F, a, b):
+    """The monic gcd of a and b ([] when both are 0)."""
     a, b = list(a), list(b)
     while b:
         # a mod b with b made monic on the fly
@@ -124,7 +125,7 @@ def _poly_gcd(F, a, b):
         bm = [(c * lead_inv) % F.q for c in b]
         a = _poly_mod(F, a, bm)
         a, b = b, a
-    return a
+    return [c * F.inv(a[-1]) % F.q for c in a] if a else a
 
 
 def _irreducible(F, coeffs):

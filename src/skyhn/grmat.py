@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import field as fieldmod
 from .field import (DenseMatrix, PrimeField, _insert_f2, _insert_generic,
-                    _inverses)
+                    _inverses, _poly_gcd, _poly_powmod, _poly_sub)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -722,11 +722,10 @@ def direct_sum(M1, M2):
 
 
 # ---------------------------------------------------------------------------
-# direct-sum decomposition of one block by Fitting splits
+# direct-sum decomposition of one block by orthogonal idempotents of End(M)_0
 
 _SPLIT_SEED = 0      # every run draws the same endomorphisms
-_SPLIT_TRIES = 8     # failed draws before a block is taken as indecomposable
-_SHIFT_ALL_MAX = 8   # up to this field order every X - c*I is tried
+_SPLIT_TRIES = 8     # failed draws before a piece is taken as indecomposable
 
 
 def _matmul(q, A, B):
@@ -782,54 +781,108 @@ def _endomorphisms(M):
     return out
 
 
-def _fitting_idempotent(F, X, c):
-    """The projection onto the image of (X - c*I)^t along its kernel, a
-    polynomial in X, or None when that image is 0 or everything."""
-    t, q = len(X), F.q
-    Z = [[(x - c) % q if a == b else x for b, x in enumerate(row)]
-         for a, row in enumerate(X)]
-    k = 1
-    while k < t:
-        Z = _matmul(q, Z, Z)
-        k *= 2
-    rank, image, kern = fieldmod.reduce_columns(
-        F, [list(col) for col in zip(*Z)], t)
-    if rank in (0, t):
-        return None
-    B = [list(row) for row in zip(*(image + kern))]
-    Binv = _inverse(F, B)
-    return _matmul(q, [row[:rank] + [0] * (t - rank) for row in B], Binv)
+def _eigenvalue(F, f, rng):
+    """A root in F_q of the monic f (coefficients from the constant term
+    up), or None, without a loop over F_q: g = gcd(f, x^q - x) is the
+    product of f's distinct linear factors, and gcd(g, (x + a)^((q-1)/2)
+    - 1) for random a splits it until one factor is left."""
+    q = F.q
+    g = _poly_gcd(F, f, _poly_sub(F, _poly_powmod(F, [0, 1], q, f), [0, 1]))
+    while len(g) > 2:
+        if q == 2:      # g = x(x + 1)
+            return 0
+        h = _poly_gcd(F, g, _poly_sub(
+            F, _poly_powmod(F, [rng.randrange(q), 1], (q - 1) // 2, g), [1]))
+        if 1 < len(h) < len(g):
+            g = h
+    return -g[0] % q if len(g) == 2 else None
 
 
-def _split(M, ends, E):
-    """Split M along the graded idempotent E of End(M)_0: the pieces (with
-    End restricted to each) presented by the top and bottom rows of T^-1 P,
-    where T's columns are generators of im E and of im(I - E), picked per
-    generator degree modulo the picks strictly below it.  Raises when E is
-    not a graded idempotent preserving the relations, or T is not a graded
-    change of generators."""
+def _eigen_split(F, draw, E, r, rng):
+    """Two graded idempotents E.P and E - E.P that split the idempotent E
+    of rank r, with their ranks, or None after _SPLIT_TRIES failed draws.
+
+    Y = E.X.E for X = draw(), uniform in End(M)_0, is uniform in the
+    corner E.End.E, and Y is 0 on im(I - E).  c is a root of the monic f
+    of least degree with f(Y).v = 0 for a random v in im E, so an
+    eigenvalue of Y there.  P is the Fitting projection of Y - c, onto the
+    image of Z = (Y - c)^k along its kernel (k >= r), a polynomial in Y.
+    rank E.P is rank Z, less t - r when c != 0, as Y - c is then
+    invertible on im(I - E) and E.P = P - (I - E).
+
+    The draw fails when rank E.P = 0: c is Y's one eigenvalue on im E, and
+    N = Y - c.E is nilpotent there.  When N != 0 the next Y is E.X.E.N,
+    singular on im E, so the root 0 splits it unless it is nilpotent too;
+    that draw is not counted.  Two isomorphic summands make the corner hold
+    a matrix ring, where a uniform Y often has one eigenvalue and such an
+    N."""
+    q, t = F.q, len(E)
+    fresh, N = 0, None
+    while fresh < _SPLIT_TRIES:
+        Y = draw()
+        if r < t:
+            Y = _matmul(q, _matmul(q, E, Y), E)
+        follow = N is not None      # the follow-up draw E.X.E.N
+        if follow:
+            Y, N = _matmul(q, Y, N), None
+        else:
+            fresh += 1
+        vs = [[0]]
+        while not any(vs[0]):   # v = E.w != 0
+            w = [rng.randrange(q) for _ in range(t)]
+            vs = [[sum(map(operator.mul, row, w)) % q for row in E]]
+        for _ in range(r):      # v, Y.v, ..., Y^r.v
+            vs.append([sum(map(operator.mul, row, vs[-1])) % q for row in Y])
+        f = fieldmod.reduce_columns(F, vs, t)[2][0]
+        while not f[-1]:
+            f.pop()
+        c = _eigenvalue(F, f, rng)
+        if c is None:
+            continue
+        Z = [[(y - c) % q if a == b else y for b, y in enumerate(row)]
+             for a, row in enumerate(Y)]
+        k = 1
+        while k < r:
+            Z = _matmul(q, Z, Z)
+            k *= 2
+        rank, image, kern = fieldmod.reduce_columns(
+            F, [list(col) for col in zip(*Z)], t)
+        n = rank - (t - r if c else 0)
+        if n == 0:
+            if not follow:
+                N = [[(y - c * e) % q for y, e in zip(*rows)]
+                     for rows in zip(Y, E)]
+                N = N if any(map(any, N)) else None
+            continue
+        B = [list(row) for row in zip(*(image + kern))]
+        P = _matmul(q, [row[:rank] + [0] * (t - rank) for row in B],
+                    _inverse(F, B))
+        if c:
+            P = [[(x + e - (a == b)) % q
+                  for b, (x, e) in enumerate(zip(*rows))]
+                 for a, rows in enumerate(zip(P, E))]
+        return [(P, n), ([[(e - x) % q for x, e in zip(*rows)]
+                          for rows in zip(P, E)], r - n)]
+    return None
+
+
+def _split(M, idempotents):
+    """The pieces of M along orthogonal graded idempotents of End(M)_0 that
+    sum to the identity, minimized, without the zero ones.
+
+    T's columns are generators of each idempotent's image, picked per
+    generator degree modulo the picks strictly below it, and block i of the
+    rows of T^-1 P presents piece i.  Raises unless the picks are t
+    generators, T and T^-1 are graded, and every block part of every
+    relation p_j lies in R<=r_j, the span of the relations of degree <=
+    r_j: then the block parts generate the relations, and the pieces' direct
+    sum presents M."""
     F, t = M.field, M.nrows
     q = F.q
-    _, _, gd, rd = M._ranks
-    P = [M.dense_column(j) for j in range(M.ncols)]
-    if _matmul(q, E, E) != E:
-        raise AssertionError("decompose: E is not idempotent")
-    if any(x and not deg_leq(gd[a], gd[b])
-           for a, row in enumerate(E) for b, x in enumerate(row)):
-        raise AssertionError("decompose: E is not graded")
-    for d in sorted(set(rd)):
-        ech = _Echelon(F, t)
-        for p, r in zip(P, rd):
-            if deg_leq(r, d):
-                ech.insert(p)
-        if not all(ech.contains([sum(map(operator.mul, row, p)) % q
-                                 for row in E])
-                   for p, r in zip(P, rd) if r == d):
-            raise AssertionError("decompose: E does not preserve R<=d")
-    picks = []   # (generator index, column)
-    for proj in (E, [[(int(a == b) - x) % q for b, x in enumerate(row)]
-                     for a, row in enumerate(E)]):
-        cols = [list(col) for col in zip(*proj)]
+    xs, ys, gd, rd = M._ranks
+    picks, bounds = [], [0]   # (generator index, column); block boundaries
+    for E in idempotents:
+        cols = [list(col) for col in zip(*E)]
         mine = []
         for d in sorted(set(gd)):
             ech = _Echelon(F, t)
@@ -838,86 +891,90 @@ def _split(M, ends, E):
                     ech.insert(col)
             mine += [(b, cols[b]) for b in range(t)
                      if gd[b] == d and ech.insert(cols[b])]
-        picks.append(mine)
-    r = len(picks[0])
-    picks = picks[0] + picks[1]
+        picks += mine
+        bounds.append(len(picks))
     if len(picks) != t:
         raise AssertionError("decompose: %d generators for %d"
                              % (len(picks), t))
     T = [list(row) for row in zip(*(col for _, col in picks))]
     Tinv = _inverse(F, T)
-    degs = [M.row_degrees[b] for b, _ in picks]
-    # T and T^-1 are graded, or GradedMatrix validation raises
-    from_dense_columns(F, M.row_degrees, degs, [col for _, col in picks])
-    from_dense_columns(F, degs, M.row_degrees, [list(c) for c in zip(*Tinv)])
-    Pn = [[sum(map(operator.mul, row, p)) % q for row in Tinv] for p in P]
-    conj = [_matmul(q, _matmul(q, Tinv, B), T) for B in ends]
+    nd = [gd[b] for b, _ in picks]
+    if any(x and not deg_leq(gd[a], nd[k])
+           for a, row in enumerate(T) for k, x in enumerate(row)) or \
+            any(x and not deg_leq(nd[k], gd[a])
+                for k, row in enumerate(Tinv) for a, x in enumerate(row)):
+        raise AssertionError("decompose: the base change is not graded")
+    Pn = [[sum(map(operator.mul, row, p)) % q for row in Tinv]
+          for p in map(M.dense_column, range(M.ncols))]
+    blocks = list(zip(bounds, bounds[1:]))
+    # a relation within one block is its own block part; in a relation
+    # with several, the last part is the relation less the others
+    mixed = {}
+    for p, r in zip(Pn, rd):
+        parts = [(lo, hi) for lo, hi in blocks if any(p[lo:hi])]
+        if len(parts) > 1:
+            mixed.setdefault(r, []).append((p, parts[:-1]))
+    for d, rels in mixed.items():
+        ech = _Echelon(F, t)
+        for p, r in zip(Pn, rd):
+            if deg_leq(r, d):
+                ech.insert(p)
+        if not all(ech.contains([0] * lo + p[lo:hi] + [0] * (t - hi))
+                   for p, parts in rels for lo, hi in parts):
+            raise AssertionError("decompose: a block part leaves R<=d")
     out = []
-    for lo, hi in ((0, r), (r, t)):
+    for lo, hi in blocks:
         cols, cdegs = [], []
-        for p, d in zip(Pn, M.col_degrees):
+        for p, r in zip(Pn, rd):
             part = [(i - lo, p[i]) for i in range(lo, hi) if p[i]]
             if part:
                 cols.append(part)
-                cdegs.append(d)
-        piece = GradedMatrix(F, degs[lo:hi], cdegs, cols)
-        n = hi - lo
-        ech = _Echelon(F, n * n)
-        sub = []
-        for C in conj:
-            blk = [row[lo:hi] for row in C[lo:hi]]
-            if ech.insert([x for row in blk for x in row]):
-                sub.append(blk)
-        out.append((piece, sub))
+                cdegs.append(r)
+        N = minimize(_from_ranks(F, xs, ys, nd[lo:hi], cdegs, cols))
+        if N.nrows:
+            out.append(N)
     return out
-
-
-def _draw_idempotent(N, ends, rng):
-    """A splitting projection of N from up to _SPLIT_TRIES random X in the
-    span of ends, each tried with every shift, or None."""
-    q, n = N.field.q, N.nrows
-    for _ in range(_SPLIT_TRIES):
-        coef = [rng.randrange(q) for _ in ends]
-        X = [[sum(c * B[a][b] for c, B in zip(coef, ends)) % q
-              for b in range(n)] for a in range(n)]
-        shifts = (range(q) if q <= _SHIFT_ALL_MAX
-                  else sorted({X[a][a] for a in range(n)}))
-        for c in shifts:
-            E = _fitting_idempotent(N.field, X, c)
-            if E is not None:
-                return E
-    return None
 
 
 def decompose(M):
-    """Direct summands of the block M, by Fitting splits.
+    """Direct summands of the block M, from orthogonal idempotents of
+    End(M)_0, found by eigenvalue splits in M's own coordinates.
 
-    End(M)_0 is computed once (``_endomorphisms``).  A random X in it, from
-    a constant seed, and its shifts X - c*I give the projection E onto the
-    image of (X - c*I)^t along the kernel; E is a polynomial in X, so a
-    graded idempotent endomorphism, and when 0 < rank E < t it splits M
-    (``_split``).  Each piece is split again with End restricted to it.
-    Shifts range over the whole field up to order _SHIFT_ALL_MAX, else over
-    the diagonal entries of X.  After _SPLIT_TRIES draws without a split a
-    piece is kept whole: a missed split costs speed only, and every split
-    made is checked.  Returns the non-zero pieces, minimized, or [M] when
-    no split is found.
+    End(M)_0 is computed once (``_endomorphisms``).  Starting from E = I,
+    each idempotent E is split by ``_eigen_split``: a random X from a
+    constant seed gives Y = E.X.E, and the Fitting projection of Y - c, for
+    an eigenvalue c of Y in F_q, cuts E in two.  c is a root of a divisor
+    of Y's minimal polynomial, found by gcds with x^q - x, so one rule
+    serves every prime field.  A piece of one generator is not drawn
+    on, and after _SPLIT_TRIES failed draws a piece is kept whole: a missed
+    split costs speed only.  M is presented again once, along all the
+    idempotents, and that split is checked (``_split``).  Returns the
+    non-zero pieces, minimized, or [M] when no split is found.
     """
     if M.nrows <= 1:
         return [M]
+    ends = _endomorphisms(M)
+    if len(ends) == 1:      # End(M)_0 is the scalars
+        return [M]
+    F, t = M.field, M.nrows
     rng = random.Random(_SPLIT_SEED)
-    out, todo = [], [(M, _endomorphisms(M))]
+    # each entry of X that some basis matrix sets, with its basis values
+    entries = [(a, b, [B[a][b] for B in ends])
+               for a in range(t) for b in range(t)
+               if any(B[a][b] for B in ends)]
+
+    def draw():
+        coef = [rng.randrange(F.q) for _ in ends]
+        X = [[0] * t for _ in range(t)]
+        for a, b, vals in entries:
+            X[a][b] = sum(map(operator.mul, coef, vals)) % F.q
+        return X
+    done, todo = [], [([[int(a == b) for b in range(t)] for a in range(t)], t)]
     while todo:
-        N, ends = todo.pop()
-        # a piece whose End is the scalars alone is indecomposable
-        E = (_draw_idempotent(N, ends, rng)
-             if N.nrows > 1 and len(ends) > 1 else None)
-        if E is not None:
-            todo += reversed(_split(N, ends, E))
-        elif N is M:
-            out.append(M)
+        E, r = todo.pop()
+        parts = _eigen_split(F, draw, E, r, rng) if r > 1 else None
+        if parts is None:
+            done.append(E)
         else:
-            N = minimize(N)
-            if N.nrows:
-                out.append(N)
-    return out
+            todo += reversed(parts)
+    return [M] if len(done) == 1 else _split(M, done)

@@ -207,16 +207,6 @@ def grid_staircases(xs, ys, origin, dims, thickness, alpha):
     return out
 
 
-def _minimal_points(points):
-    """Minimal elements of a set of degrees under componentwise order: in
-    lexicographic order, the points below every earlier point's y."""
-    mins = []
-    for p in sorted(set(points)):
-        if not mins or p[1] < mins[-1][1]:
-            mins.append(p)
-    return mins
-
-
 def superlevel_staircases(M):
     """Decompose dim coker M into staircases for a uniquely generated M.
 

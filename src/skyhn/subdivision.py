@@ -125,6 +125,18 @@ class ConvexRegion:
             tot += x0 * y1 - x1 * y0
         return tot / 2
 
+    def has_area(self):
+        """area() > 0, decided on integers: the shoelace sum of the
+        vertices scaled to one common denominator."""
+        vs = self.vertices
+        if len(vs) < 3:
+            return False
+        den = math.lcm(*(c.denominator for v in vs for c in v))
+        pts = [(x.numerator * (den // x.denominator),
+                y.numerator * (den // y.denominator)) for x, y in vs]
+        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                   in zip(pts, pts[1:] + pts[:1])) > 0
+
     def contains(self, point):
         """Closed membership; half-open tiling semantics are realized by
         the caller's least-id rule on shared walls.  With x = p/q and
@@ -183,7 +195,9 @@ def slope_polynomial(M):
 
 def _envelope_regions(entries, base_region, origin):
     """Clip, for each (id, poly), the base region by all pairwise
-    half-planes {p~_i <= p~_j}; keep regions with positive area.
+    half-planes {p~_i <= p~_j}; keep regions with positive area.  A region
+    that no half-plane clipped is the base region, whose area is tested
+    once: most calls have one entry, which nothing clips.
 
     Polynomials take offsets from `origin`; the inequality
     (cy_j - cy_i) d1 + (cx_j - cx_i) d2 <= c0_j - c0_i is translated to
@@ -191,6 +205,7 @@ def _envelope_regions(entries, base_region, origin):
     """
     out = []
     ox, oy = origin
+    whole = base_region.has_area()
     for i, (ident, pi) in enumerate(entries):
         region = base_region
         for j, (_, pj) in enumerate(entries):
@@ -202,7 +217,7 @@ def _envelope_regions(entries, base_region, origin):
             region = region.clip(a, b, c)
             if len(region.vertices) < 3:
                 break
-        if region.area() > 0:
+        if (whole if region is base_region else region.has_area()):
             out.append((ident, region))
     return out
 

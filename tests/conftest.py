@@ -91,13 +91,18 @@ def random_unigen_module(rng, F, thickness, dmax=4):
 
 def hidden_direct_sum(rng, F, sizes, dmax=3):
     """A direct sum of random bounded and unigen modules of the given
-    thicknesses in disguise: conjugated by a random invertible
-    degree-respecting change of generators, then mixed by random column
-    operations within one relation degree."""
+    thicknesses in disguise (see disguise)."""
     parts = [(random_bounded_module if rng.random() < 0.5
               else random_unigen_module)(rng, F, t, dmax=dmax)
              for t in sizes]
-    M = functools.reduce(grmat.direct_sum, parts)
+    return disguise(rng, functools.reduce(grmat.direct_sum, parts))
+
+
+def disguise(rng, M):
+    """M conjugated by a random invertible degree-respecting change of
+    generators, then mixed by random column operations within one relation
+    degree: the same module, presented differently."""
+    F = M.field
     t, q, g = M.nrows, F.q, M.row_degrees
     while True:
         G = [[rng.randrange(q) if grmat.deg_leq(g[a], g[b]) else 0

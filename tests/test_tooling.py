@@ -212,3 +212,49 @@ def test_no_unused_imports_in_src():
         if names:
             found[os.path.basename(path)] = names
     assert found == {}
+
+
+def _dead_private_names(sources):
+    """(file, name) of every private module-level name (one leading
+    underscore) that a file of sources, {file: text}, defines and that no
+    file reads outside the definition itself: not as a Name, nor as an
+    attribute."""
+    defs, reads = [], []
+    for fname, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defs += [(fname, name, node.lineno, node.end_lineno)
+                     for name in names
+                     if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((fname, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.append((fname, node.attr, node.lineno))
+    return [(fname, name) for fname, name, lo, hi in defs
+            if not any(n == name and (f != fname or not lo <= line <= hi)
+                       for f, n, line in reads)]
+
+
+def test_no_dead_private_names_in_src():
+    """Every private module-level name in src/ is read somewhere in src/
+    outside its own definition, so no helper outlives the code that
+    called it (the tests are no caller)."""
+    assert _dead_private_names({
+        "a.py": "_X = 1\n_Y = 2\ndef _f(n):\n    return _f(n - 1)\n"
+                "def _g():\n    return _X\nclass _C:\n    pass\n",
+        "b.py": "import a\na._g()\n"}) == [
+            ("a.py", "_Y"), ("a.py", "_f"), ("a.py", "_C")]
+    src = os.path.dirname(pipeline.__file__)
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert _dead_private_names(sources) == []
