@@ -31,9 +31,10 @@ rank A, and each Wong step continues it with the columns of W alone.
 
 Extension elements exist only as g x g blocks over the module's prime field
 (field.embed_phi), so blow-ups, Wong steps and certificates are all
-prime-field work: list-level columns through the one incremental echelon
-grmat._Echelon and the one elimination loop behind field.reduce_columns,
-with a GF(2) bitmask path and an inlined ``% q`` path.
+prime-field work: list-level columns through field's one elimination
+loop per vector form (a GF(2) bitmask or an inlined ``% q`` list), both
+as the incremental echelon field._Echelon and as the column reduction
+behind field.ColumnReduction.
 
 Four module constants fix the search schedule of ``hn_cheng``:
 ``_FAREY_BUDGET`` Farey probes (p, q) with p*q <= ``_FAREY_CAP`` are tried

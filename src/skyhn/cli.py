@@ -57,9 +57,12 @@ def _fraction(tok):
 
 def _count(path, no, tok):
     try:
-        return int(tok)
+        n = int(tok)
     except ValueError:
         raise ParseError(path, no, "count is not an integer")
+    if n < 0:
+        raise ParseError(path, no, "count is negative")
+    return n
 
 
 def parse_presentation(path):
@@ -153,6 +156,8 @@ def parse_presentation(path):
                                  "column degree %s" % (row_degs[idx], d))
         col_degs.append(d)
         cols.append(col)
+    for no, _ in it:
+        raise ParseError(path, no, "line after the last declared relation")
     try:
         return GradedMatrix(F, row_degs, col_degs, cols)
     except ValueError as exc:

@@ -5,11 +5,11 @@ operation inlines its ``% q``.  Extension fields F_{q^g} appear only inside
 the randomized engine: ext_field_build picks the modulus and embed_phi turns
 an element (g base-field coefficients, constant term first) into a g x g
 block over F_q, so no extension arithmetic exists.  Elimination is one
-list-level column reduction loop with an F_2 bitmask path and an inlined
-``% q`` path: reduce_columns runs it once, ColumnReduction keeps it open
-for further columns, reduce wraps it for DenseMatrix, and the incremental
-echelon primitives _insert_f2/_insert_generic share its cached inverse
-table.  Module-level sparsity is handled upstream.
+insert loop per vector form, F_2 bitmask ints or lists with inlined
+``% q`` (_insert_f2, _insert_generic).  Other modules reach it through
+_vector_form (pack and insert), _Echelon, and ColumnReduction (behind
+reduce_columns and reduce), and never read a bitmask.  Module-level
+sparsity is handled upstream.
 """
 
 from __future__ import annotations
@@ -304,11 +304,12 @@ def _inverses(q):
 
 
 def _insert_generic(F, base, tmp, v):
-    """Insert v (list over the prime field F, mutated) into the echelon
+    """Insert a copy of v (list over the prime field F) into the echelon
     `tmp` over the read-only echelon `base`; pivot = last nonzero row.
     True if v was independent."""
     q = F.q
     inv = _inverses(q)
+    v = list(v)
     piv = len(v) - 1
     while True:
         while piv >= 0 and not v[piv]:
@@ -342,85 +343,189 @@ def _insert_f2(base, tmp, v):
     return False
 
 
+_BIT_CHARS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack_f2(v):
+    """The bitmask of an F_2 list: bit i is set where v[i] is 1.  The list
+    is read as one binary numeral, most significant entry first."""
+    return int(bytes(v[::-1]).translate(_BIT_CHARS) or b"0", 2)
+
+
+def _unpack_f2(m, lo, hi):
+    """Entries lo..hi-1 of an F_2 bitmask below 2^hi, as a list: the
+    binary numeral of m with a leading 1 at bit hi, read backwards."""
+    return list(format(m | 1 << hi, "b")[hi - lo:0:-1].encode()
+                .translate(_BIT_VALUES))
+
+
+@functools.lru_cache(maxsize=None)
+def _vector_form(q):
+    """(pack, insert) for vectors over the prime field F_q.  pack(v) is the
+    internal form of the list v: a bitmask int over F_2, else v itself.
+    insert(base, tmp, w) reduces a copy of the internal vector w against
+    the read-only echelon `base` and then `tmp`, stores it in `tmp` under
+    its pivot and tells whether w was independent."""
+    if q == 2:
+        return _pack_f2, _insert_f2
+    return (lambda v: v), functools.partial(_insert_generic, PrimeField(q))
+
+
+class _Echelon:
+    """Incremental column echelon over a prime field, pivot = last nonzero
+    row: insert tells whether the vector was independent, insert_reduced
+    also returns its reduced remainder (a list), else None.  `pivots` maps
+    each pivot row to its stored column in the internal form of
+    _vector_form: F_2 bitmask ints when `f2`, lists otherwise."""
+
+    def __init__(self, F, nrows):
+        self.F = F
+        self.nrows = nrows
+        self.f2 = F.q == 2
+        self.pivots = {}  # row -> stored column with that last nonzero row
+
+    def _col(self, v):
+        """The list form of an internal vector (the list itself, not a
+        copy, off F_2)."""
+        return _unpack_f2(v, 0, self.nrows) if self.f2 else v
+
+    def insert(self, v):
+        pivots = self.pivots
+        if self.f2:
+            return _insert_f2(pivots, pivots, _pack_f2(v))
+        return _insert_generic(self.F, pivots, pivots, v)
+
+    def insert_reduced(self, v):
+        if not self.insert(v):
+            return None
+        return self._col(next(reversed(self.pivots.values())))  # newest
+
+    def contains(self, v):
+        if self.f2:
+            return not _insert_f2(self.pivots, {}, _pack_f2(v))
+        return not _insert_generic(self.F, self.pivots, {}, v)
+
+    def reduce(self, v):
+        """Fully reduced copy of v: for each pivot row from the top down,
+        the multiple of its column that clears that row is subtracted."""
+        v = _pack_f2(v) if self.f2 else list(v)
+        rows = sorted(self.pivots, reverse=True)
+        if self.f2:
+            for piv in rows:
+                if v >> piv & 1:
+                    v ^= self.pivots[piv]
+            return self._col(v)
+        q = self.F.q
+        inv = _inverses(q)
+        for piv in rows:
+            if v[piv]:
+                pc = self.pivots[piv]
+                c = v[piv] * inv[pc[piv]] % q
+                for r in range(piv + 1):
+                    if pc[r]:
+                        v[r] = (v[r] - c * pc[r]) % q
+        return v
+
+    def copy(self):
+        """An echelon with the same pivots, to insert into independently
+        (stored columns are never mutated, so they are shared)."""
+        out = _Echelon(self.F, self.nrows)
+        out.pivots = dict(self.pivots)
+        return out
+
+    def basis_columns(self):
+        """Copies of the stored columns as lists, in insertion order."""
+        return [list(self._col(v)) for v in self.pivots.values()]
+
+    def reduced_basis(self):
+        """The reduced column echelon basis of the span, which depends on
+        the span alone: one column per pivot row in increasing order, with
+        1 at its own pivot row and 0 at every other pivot row."""
+        out = {}
+        if self.f2:
+            for piv in sorted(self.pivots):
+                v = self.pivots[piv]
+                for p, w in out.items():
+                    if v >> p & 1:
+                        v ^= w
+                out[piv] = v
+            return [self._col(v) for v in out.values()]
+        q = self.F.q
+        inv = _inverses(q)
+        for piv in sorted(self.pivots):
+            v = self.pivots[piv]
+            c = inv[v[piv]]
+            v = [x * c % q for x in v]
+            for p, w in out.items():
+                if v[p]:
+                    c = v[p]
+                    v = [(x - c * y) % q for x, y in zip(v, w)]
+            out[piv] = v
+        return list(out.values())
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+
 class ColumnReduction:
     """reduce_columns, kept open for more columns.
 
     ColumnReduction(F, cols, nrows) column-reduces cols as reduce_columns
-    does and keeps `rank`, `basis` and `kernel`.  extend(more) continues
-    the elimination with further columns on a copy of the saved pivots, so
-    one reduction serves any number of extensions.  Their tails start at
-    zero: a combo it returns is the part on `cols` of the kernel combo that
-    reduce_columns(F, cols + more, nrows) gives for the same column, and
-    the rank it returns is that reduction's rank.
+    does and keeps `rank` and `kernel`; `basis` is read off the saved
+    pivots on demand.  extend(more) continues
+    the elimination with further columns over the saved pivots, which it
+    leaves unchanged, so one reduction serves any number of extensions.
+    Their tails start at zero: a combo it returns is the part on `cols` of
+    the kernel combo that reduce_columns(F, cols + more, nrows) gives for
+    the same column, and the rank it returns is that reduction's rank.
     """
 
     def __init__(self, F, cols, nrows):
-        self.q, self.nrows, self.n = F.q, nrows, len(cols)
-        self._pivots = {}   # pivot row -> (reduced column, its tail)
-        self.basis, self.kernel = self._reduce(self._pivots, cols, True)
-        self.rank = len(self.basis)
+        self.F, self.nrows, self.n = F, nrows, len(cols)
+        self._pivots = {}   # pivot row >= n -> tail, then reduced column
+        self.kernel = self._reduce(self._pivots, cols, True)
+        self.rank = len(self._pivots)
+
+    @property
+    def basis(self):
+        """The reduced columns with a fresh pivot, in input order."""
+        n, end = self.n, self.n + self.nrows
+        if self.F.q == 2:
+            return [_unpack_f2(v, n, end) for v in self._pivots.values()]
+        return [v[n:] for v in self._pivots.values()]
 
     def extend(self, more):
         """(rank, combos over the first columns) of the reduction continued
         with the columns `more`; the saved state is left unchanged."""
-        pivots = dict(self._pivots)
-        kernel = self._reduce(pivots, more, False)[1]
-        return len(pivots), kernel
+        fresh = {}
+        kernel = self._reduce(fresh, more, False)
+        return self.rank + len(fresh), kernel
 
-    def _reduce(self, pivots, cols, tracked):
-        """The one elimination loop: reduce cols against `pivots`, storing
-        fresh pivots; a tail starts at the identity column when tracked,
-        else at zero.  Returns (reduced columns with a fresh pivot, tails
-        of the columns that reduced to zero), as lists."""
-        q, nrows, n = self.q, self.nrows, self.n
-        basis, kernel = [], []
-        if q == 2:
-            for j, col in enumerate(cols):
-                v = 0
-                for i, x in enumerate(col):
-                    if x:
-                        v |= 1 << i
-                t = 1 << j if tracked else 0
-                while v:
-                    hit = pivots.get(v.bit_length() - 1)
-                    if hit is None:
-                        pivots[v.bit_length() - 1] = (v, t)
-                        basis.append(v)
-                        break
-                    v ^= hit[0]
-                    t ^= hit[1]
-                else:
-                    kernel.append(t)
-            return ([[(v >> i) & 1 for i in range(nrows)] for v in basis],
-                    [[(t >> r) & 1 for r in range(n)] for t in kernel])
-        inv = _inverses(q)
+    def _reduce(self, fresh, cols, tracked):
+        """Insert each column, its tail in front of it in coordinates
+        0..n-1, into `fresh` over the saved pivots; a tail starts at the
+        identity column when tracked, else at zero.  A column that reduces
+        to zero leaves its tail as a pivot below n, which is popped out as
+        its kernel combo (a zero vector is a zero combo).  Returns the
+        kernel combos, as lists."""
+        n, f2 = self.n, self.F.q == 2
+        pack, insert = _vector_form(self.F.q)
+        zero = [0] * n
+        kernel = []
         for j, col in enumerate(cols):
-            v = list(col)
-            t = [0] * n
+            v = [*zero, *col]
             if tracked:
-                t[j] = 1
-            piv = nrows - 1
-            while True:
-                while piv >= 0 and not v[piv]:
-                    piv -= 1
-                if piv < 0:
-                    kernel.append(t)
-                    break
-                hit = pivots.get(piv)
-                if hit is None:
-                    pivots[piv] = (v, t)
-                    basis.append(v)
-                    break
-                pc, pt = hit
-                c = v[piv] * inv[pc[piv]] % q
-                for r in range(piv):
-                    if pc[r]:
-                        v[r] = (v[r] - c * pc[r]) % q
-                for r, b in enumerate(pt):
-                    if b:
-                        t[r] = (t[r] - c * b) % q
-                v[piv] = 0
-        return basis, kernel
+                v[j] = 1
+            if not insert(self._pivots, fresh, pack(v)):
+                kernel.append(list(zero))
+                continue
+            piv = next(reversed(fresh))
+            if piv < n:
+                v = fresh.pop(piv)
+                kernel.append(_unpack_f2(v, 0, n) if f2 else v[:n])
+        return kernel
 
 
 def reduce_columns(F, cols, nrows):
@@ -430,12 +535,8 @@ def reduce_columns(F, cols, nrows):
     Returns (rank, pivot_cols, combos): the reduced columns with a fresh
     pivot, in input order, span the column space; each dependent column
     gives one kernel combo, a dense coefficient vector over the input
-    columns.  The pivot of a column is its last nonzero row; while it
-    collides with an earlier pivot, the stored reduced column is
-    subtracted, and an identity tail tracks the column operations.  F_2
-    columns ride on bitmask ints, other prime fields on inlined ``% q``
-    arithmetic with a cached inverse table.  ColumnReduction runs the
-    elimination and keeps it open for further columns.
+    columns.  The pivot of a column is its last nonzero row, and an
+    identity tail tracks the column operations (see ColumnReduction).
     """
     red = ColumnReduction(F, cols, nrows)
     return red.rank, red.basis, red.kernel

@@ -12,6 +12,8 @@ positions of each coordinate among the matrix's sorted distinct ones.
 Every matrix has its ranks from the moment it is built and is validated
 once, on them: the constructor computes them from the degrees, and
 ``_from_ranks`` hands over the ranks that an operation already holds.
+All elimination runs in field (_Echelon, reduce_columns); grmat._Echelon
+is field's class, imported.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import random
 from fractions import Fraction
 
 from . import field as fieldmod
-from .field import (DenseMatrix, PrimeField, _insert_f2, _insert_generic,
-                    _inverses, _poly_gcd, _poly_powmod, _poly_sub)
+from .field import (DenseMatrix, PrimeField, _Echelon, _inverses, _poly_gcd,
+                    _poly_powmod, _poly_sub)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -265,8 +267,8 @@ def kernel(M):
             if not J or J in seen_active:
                 continue
             seen_active.add(J)
-            _, _, combos = fieldmod.reduce_columns(
-                F, [dense_cols[j] for j in J], M.nrows)
+            combos = fieldmod.ColumnReduction(
+                F, [dense_cols[j] for j in J], M.nrows).kernel
             if not combos:
                 continue
             # echelon of previously found generators, restricted to J
@@ -285,121 +287,6 @@ def kernel(M):
             for _, gvec in gens]
     return GradedMatrix(F, list(M.col_degrees),
                         [(xs[rx], ys[ry]) for (rx, ry), _ in gens], cols)
-
-
-class _Echelon:
-    """Incremental column echelon over a prime field, pivot = last nonzero
-    row: insert tells whether the vector was independent, insert_reduced
-    also returns its reduced remainder (a list), else None.  F_2 columns
-    are stored in `pivots` as bitmask ints, other fields' as lists; both
-    reduce through field._insert_f2 / field._insert_generic."""
-
-    def __init__(self, F, nrows):
-        self.F = F
-        self.nrows = nrows
-        self.f2 = F.q == 2
-        self.pivots = {}  # row -> stored column with that last nonzero row
-
-    def _vec(self, v):
-        """A fresh internal copy of the list v."""
-        if not self.f2:
-            return list(v)
-        m = 0
-        for i, x in enumerate(v):
-            if x:
-                m |= 1 << i
-        return m
-
-    def _col(self, v):
-        """The list form of an internal vector (the list itself, not a
-        copy, off F_2)."""
-        if self.f2:
-            return [(v >> i) & 1 for i in range(self.nrows)]
-        return v
-
-    def insert(self, v):
-        # the hottest call of grmat: _vec inlined
-        pivots = self.pivots
-        if not self.f2:
-            return _insert_generic(self.F, pivots, pivots, list(v))
-        m = 0
-        for i, x in enumerate(v):
-            if x:
-                m |= 1 << i
-        return _insert_f2(pivots, pivots, m)
-
-    def insert_reduced(self, v):
-        if not self.insert(v):
-            return None
-        m = next(reversed(self.pivots.values()))   # the newest pivot column
-        return [(m >> i) & 1 for i in range(self.nrows)] if self.f2 else m
-
-    def contains(self, v):
-        if self.f2:
-            return not _insert_f2(self.pivots, {}, self._vec(v))
-        return not _insert_generic(self.F, self.pivots, {}, list(v))
-
-    def reduce(self, v):
-        """Fully reduced copy of v: for each pivot row from the top down,
-        the multiple of its column that clears that row is subtracted."""
-        v = self._vec(v)
-        rows = sorted(self.pivots, reverse=True)
-        if self.f2:
-            for piv in rows:
-                if v >> piv & 1:
-                    v ^= self.pivots[piv]
-            return self._col(v)
-        q = self.F.q
-        inv = _inverses(q)
-        for piv in rows:
-            if v[piv]:
-                pc = self.pivots[piv]
-                c = v[piv] * inv[pc[piv]] % q
-                for r in range(piv + 1):
-                    if pc[r]:
-                        v[r] = (v[r] - c * pc[r]) % q
-        return v
-
-    def copy(self):
-        """An echelon with the same pivots, to insert into independently
-        (stored columns are never mutated, so they are shared)."""
-        out = _Echelon(self.F, self.nrows)
-        out.pivots = dict(self.pivots)
-        return out
-
-    def basis_columns(self):
-        """Copies of the stored columns as lists, in insertion order."""
-        return [list(self._col(v)) for v in self.pivots.values()]
-
-    def reduced_basis(self):
-        """The reduced column echelon basis of the span, which depends on
-        the span alone: one column per pivot row in increasing order, with
-        1 at its own pivot row and 0 at every other pivot row."""
-        out = {}
-        if self.f2:
-            for piv in sorted(self.pivots):
-                v = self.pivots[piv]
-                for p, w in out.items():
-                    if v >> p & 1:
-                        v ^= w
-                out[piv] = v
-            return [self._col(v) for v in out.values()]
-        q = self.F.q
-        inv = _inverses(q)
-        for piv in sorted(self.pivots):
-            v = self.pivots[piv]
-            c = inv[v[piv]]
-            v = [x * c % q for x in v]
-            for p, w in out.items():
-                if v[p]:
-                    c = v[p]
-                    v = [(x - c * y) % q for x, y in zip(v, w)]
-            out[piv] = v
-        return list(out.values())
-
-    @property
-    def rank(self):
-        return len(self.pivots)
 
 
 def minimize(M):
@@ -742,7 +629,7 @@ def _inverse(F, A):
     t, q = len(A), F.q
     cols = [list(c) for c in zip(*A)] + [
         [int(i == k) for i in range(t)] for k in range(t)]
-    _, _, kern = fieldmod.reduce_columns(F, cols, t)
+    kern = fieldmod.ColumnReduction(F, cols, t).kernel
     if any(c[t + k] != 1 for k, c in enumerate(kern)):
         raise AssertionError("decompose: singular base change")
     return [[-c[i] % q for c in kern] for i in range(t)]
@@ -763,15 +650,16 @@ def _endomorphisms(M):
     eqs = []
     for d in sorted(set(rd)):
         below = [k for k, r in enumerate(rd) if deg_leq(r, d)]
-        _, _, ann = fieldmod.reduce_columns(
-            F, [[P[k][a] for k in below] for a in range(t)], len(below))
+        ann = fieldmod.ColumnReduction(
+            F, [[P[k][a] for k in below] for a in range(t)], len(below)).kernel
         for j, r in enumerate(rd):
             if r == d:
                 p = P[j]
                 eqs += [[y[a] * p[b] % q for a, b in unknowns] for y in ann]
     eqs = [e for e in eqs if any(e)]
-    _, _, combos = fieldmod.reduce_columns(
-        F, [[e[u] for e in eqs] for u in range(len(unknowns))], len(eqs))
+    combos = fieldmod.ColumnReduction(
+        F, [[e[u] for e in eqs] for u in range(len(unknowns))],
+        len(eqs)).kernel
     out = []
     for c in combos:
         X = [[0] * t for _ in range(t)]
@@ -833,7 +721,7 @@ def _eigen_split(F, draw, E, r, rng):
             vs = [[sum(map(operator.mul, row, w)) % q for row in E]]
         for _ in range(r):      # v, Y.v, ..., Y^r.v
             vs.append([sum(map(operator.mul, row, vs[-1])) % q for row in Y])
-        f = fieldmod.reduce_columns(F, vs, t)[2][0]
+        f = fieldmod.ColumnReduction(F, vs, t).kernel[0]
         while not f[-1]:
             f.pop()
         c = _eigenvalue(F, f, rng)

@@ -11,7 +11,8 @@ tuple of small per-class ranks.  Class weights are exact integers over one
 common denominator (each axis scaled by the lcm of its coordinate
 denominators), so scoring a subspace is an integer dot product, and a
 factor's superlevel staircases come from one sweep over grid indices.
-F_2 vectors ride on bitmask ints.
+The ranks are echelon inserts through field._vector_form, which packs the
+vectors (F_2 bitmasks or lists); this module never reads a packed vector.
 
 The classes, their ranks and the quotients depend only on the integer
 ranks; only the weights depend on the point alpha of the first cell where
@@ -29,7 +30,7 @@ import operator
 from fractions import Fraction
 
 from . import grmat, invariants
-from .field import DenseMatrix, _insert_f2, _insert_generic
+from .field import DenseMatrix, _vector_form
 from .invariants import HNFactor, HNFactorList, merge_factors  # noqa: F401
 
 __all__ = ["SlopeRecord", "brute_force_max_slope", "hn_filtration_at",
@@ -62,7 +63,7 @@ class _FiberClasses:
 
     def __init__(self, M):
         F = self.field = M.field
-        self.f2 = F.q == 2
+        self._pack, self._insert = _vector_form(F.q)
         t = self.t = M.nrows
         xs, ys, row_rk, col_rk = M._ranks
         if len(set(row_rk)) != 1:
@@ -70,14 +71,7 @@ class _FiberClasses:
         self.alpha = M.row_degrees[0]
         self.xs, self.ys = xs, ys
         self.origin = ax, ay = row_rk[0]     # alpha's index pair
-        dense = [M.dense_column(j) for j in range(M.ncols)]
-        if self.f2:
-            dense = [sum(1 << i for i, v in enumerate(c) if v) for c in dense]
-            self._insert = _insert_f2
-        else:
-            # _insert_generic reduces its vector in place: insert a copy
-            self._insert = (lambda base, tmp, v:
-                            _insert_generic(F, base, tmp, list(v)))
+        dense = self.to_internal(M.dense_column(j) for j in range(M.ncols))
         class_by_J = {}
         # (ix, iy) -> class index, or -1 where the fiber is zero
         self.point_class = {}
@@ -116,10 +110,7 @@ class _FiberClasses:
 
     def to_internal(self, vectors):
         """Convert dense basis vectors to the internal representation."""
-        if self.f2:
-            return [sum(1 << i for i, v in enumerate(vec) if v)
-                    for vec in vectors]
-        return [list(vec) for vec in vectors]
+        return [self._pack(vec) for vec in vectors]
 
     def ranks(self, ivecs):
         """Per class, the dim of the image of span(ivecs) in its fiber."""

@@ -123,9 +123,8 @@ def regular_grid(M, extra_points, box):
     """Evenly spaced grid covering the box and containing every degree of M
     and every extra point inside the box; on such a grid discrete slopes
     are proportional to the exact area-weighted ones.  M's degrees are read
-    as coordinate ranks (M._ranks) and the extra points' coordinates as
-    (numerator, denominator) pairs, each distinct one compared with the
-    box once."""
+    as coordinate ranks (M._ranks), and every coordinate is kept as a
+    (numerator, denominator) pair."""
     x0, y0, x1, y1 = box
     xs, ys, row_rk, col_rk = M._ranks
     lx, hx = bisect.bisect_left(xs, x0), bisect.bisect_right(xs, x1)
@@ -137,19 +136,11 @@ def regular_grid(M, extra_points, box):
         if lx <= rx < hx and ly <= ry < hy:
             px.add(ratx[rx])
             py.add(raty[ry])
-    inx, iny = {}, {}       # (numerator, denominator) -> inside the box
     for d in extra_points:
         x, y = as_degree(d)
-        kx, ky = x.as_integer_ratio(), y.as_integer_ratio()
-        ix = inx.get(kx)
-        if ix is None:
-            ix = inx[kx] = x0 <= x <= x1
-        iy = iny.get(ky)
-        if iy is None:
-            iy = iny[ky] = y0 <= y <= y1
-        if ix and iy:
-            px.add(kx)
-            py.add(ky)
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            px.add(x.as_integer_ratio())
+            py.add(y.as_integer_ratio())
     return Grid(_progression(px, x0, x1), _progression(py, y0, y1))
 
 
@@ -290,17 +281,12 @@ def approx_skyscraper(M, cfg):
     cell of the piece's induced grid, in one _Cells cache per piece that
     _sweep evicts row by row, and reads every lattice point of the cell
     from it (_cell_fiber), so each HN step's linear algebra runs once per
-    cell; the cheng engine runs on each block whole at every point.
+    cell; the cheng engine runs on each block whole at every point, on
+    the regular grid of the block and the point, as hn_at does.
     store.work counts, per connected block, the lattice points where its
     engine runs found a non-zero fiber."""
     box = cfg.box or bounding_box(M)
     blocks = _blocks(clip_to_box(M, box))
-
-    @functools.cache
-    def cheng_grid(i):
-        xs, ys = _eps_points(box, cfg.epsilon)
-        return regular_grid(blocks[i], [(x, y) for x in xs for y in ys], box)
-
     pieces = _engine_pieces(blocks, cfg.engine)
     fiber, caches = grmat.fiber_submodule, []
     if cfg.engine == "brute":
@@ -310,7 +296,8 @@ def approx_skyscraper(M, cfg):
         fiber, caches = _cell_fiber, [c for ps in pieces for c in ps]
     work = [0] * len(blocks)
     store = _sweep(box, cfg.epsilon, lambda alpha: _hn_blocks(
-        pieces, alpha, cfg.engine, cfg.seed, cheng_grid, work, fiber),
+        pieces, alpha, cfg.engine, cfg.seed,
+        lambda i: regular_grid(blocks[i], [alpha], box), work, fiber),
         caches)
     store.work = work
     return store
@@ -452,6 +439,9 @@ def filtered_landscape(store, k, theta, eval_points, resolution=8,
     to resolution hmax / 2^resolution; k is an integer >= 1."""
     if k < 1:
         raise ValueError("k must be at least 1, got %r" % (k,))
+    if anchor not in ("center", "source"):
+        raise ValueError("anchor must be 'center' or 'source', got %r"
+                         % (anchor,))
     q = _query_fn(store)
     if isinstance(store, ExactStore):
         x0, y0, x1, y1 = store.box

@@ -286,13 +286,11 @@ def all_max_slope(M, C):
 
 
 class SubdivNode:
-    """One face of the nested subdivision: its region, the cumulative
-    subspace basis (in the original fiber coordinates), the staircases of
+    """One face of the nested subdivision: its region, the staircases of
     the factor introduced at this node, and the factor's polynomial."""
 
-    def __init__(self, region, basis, staircases, poly):
+    def __init__(self, region, staircases, poly):
         self.region = region
-        self.basis = basis          # DenseMatrix t0 x (cumulative dim)
         self.staircases = list(staircases)
         self.poly = poly
         self.children = []
@@ -414,14 +412,7 @@ def _staircase_at(S, beta):
     return Staircase(beta, out, check=False)
 
 
-def _lift(vec, positions, t0, F):
-    out = [F.zero] * t0
-    for i, v in enumerate(vec):
-        out[positions[i]] = v
-    return out
-
-
-def _build(cur, region, alpha, positions, cum_cols, parent, t0, F):
+def _build(cur, region, alpha, parent):
     if cur.nrows == 0:
         return
     fc, cands = _subspace_candidates(cur)
@@ -431,21 +422,13 @@ def _build(cur, region, alpha, positions, cum_cols, parent, t0, F):
         rows, poly = cands[ident]
         d = len(rows)
         stairs = fc.staircases(fc.ranks(fc.to_internal(rows)), d, alpha)
-        lifted = cum_cols + [_lift(v, positions, t0, F) for v in rows]
-        node = SubdivNode(face, DenseMatrix.from_columns(lifted, t0, F),
-                          stairs, poly)
+        node = SubdivNode(face, stairs, poly)
         parent.children.append(node)
         if d == cur.nrows:
             continue        # semistable: the quotient is zero
-        basis = DenseMatrix.from_columns(rows, cur.nrows, F)
-        # row classes kept by the quotient, for coordinate lifting below
-        ech = grmat._Echelon(F, cur.nrows)
-        for j in range(d):
-            ech.insert(basis.column(j))
-        keep = [i for i in range(cur.nrows) if i not in ech.pivots]
-        quot = grmat.quotient_presentation(cur, basis)
-        _build(quot, face, alpha, [positions[i] for i in keep],
-               list(lifted), node, t0, F)
+        _build(grmat.quotient_presentation(
+            cur, DenseMatrix.from_columns(rows, cur.nrows, cur.field)),
+            face, alpha, node)
 
 
 def exact_hnf_cell(M, C):
@@ -458,9 +441,6 @@ def exact_hnf_cell(M, C):
     if len(degs) != 1:
         raise ValueError("module is not uniquely generated")
     alpha = next(iter(degs))
-    F = cur.field
-    t0 = cur.nrows
-    root = SubdivNode(ConvexRegion.rectangle(*C),
-                      DenseMatrix.zero(t0, 0, F), [], None)
-    _build(cur, root.region, alpha, list(range(t0)), [], root, t0, F)
+    root = SubdivNode(ConvexRegion.rectangle(*C), [], None)
+    _build(cur, root.region, alpha, root)
     return SubdivTree(alpha, tuple(Fraction(c) for c in C), root)

@@ -234,6 +234,26 @@ def test_cli_generators_not_an_integer(tmp_path, capsys):
     assert len(_one_line_error(capsys).splitlines()) == 1
 
 
+def test_cli_malformed_counts_and_trailing_relation(tmp_path, capsys):
+    # all three exited 0; the extra relation line was silently dropped
+    head = "skypres v1\nfield 2\n"
+    cases = [
+        ("neg_gens", head + "generators -2\n", 3),
+        ("neg_rels", head + "generators 1\n0 0\nrelations -1\n", 5),
+        ("extra_rel", head + "generators 1\n0 0\nrelations 1\n"
+         "1 0 : 0 1\n# comment\n0 1 : 0 1\n", 8),
+    ]
+    for name, text, lineno in cases:
+        p = tmp_path / (name + ".skypres")
+        p.write_text(text)
+        with pytest.raises(ParseError) as ei:
+            parse_presentation(str(p))
+        assert ei.value.lineno == lineno, name
+        assert main(["--out", str(tmp_path / "out"), "approx", str(p),
+                     "--epsilon", "1"]) == 2, name
+        assert len(_one_line_error(capsys).splitlines()) == 1, name
+
+
 def test_cli_box_without_generator(cross_file, tmp_path, capsys):
     assert main(["--out", str(tmp_path), "--box", "10,10,11,11", "approx",
                  cross_file, "--epsilon", "1"]) == 2

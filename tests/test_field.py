@@ -175,6 +175,24 @@ def test_column_reduction_extend_matches_whole_reduction():
                 rank, _, combos = fieldmod.reduce_columns(F, cols + more, m)
                 assert red.extend(more) == (
                     rank, [c[:n] for c in combos[len(red.kernel):]])
+        # sizes where a column's tail and its entries share bit positions;
+        # batches with zero, repeated and mutually dependent columns, whose
+        # combos over cols are zero
+        for _ in range(10):
+            n, m = rng.randrange(20, 41), rng.randrange(20, 41)
+            cols = _with_dependent(rng, F, _random_columns(rng, F, m, n), 4)
+            n = len(cols)
+            red = fieldmod.ColumnReduction(F, cols, m)
+            assert (red.rank, red.basis, red.kernel) == \
+                fieldmod.reduce_columns(F, cols, m)
+            for _ in range(2):
+                more = _random_columns(rng, F, m, rng.randrange(1, 8))
+                more = _with_dependent(rng, F, more + [[0] * m], 3)
+                rank, _, combos = fieldmod.reduce_columns(F, cols + more, m)
+                got = red.extend(more)
+                assert got == (rank,
+                               [c[:n] for c in combos[len(red.kernel):]])
+                assert [0] * n in got[1]
 
 
 def _reference_reduce(M):
@@ -230,6 +248,16 @@ def _random_columns(rng, F, nrows, ncols):
     return cols
 
 
+def _with_dependent(rng, F, cols, k):
+    """cols followed by k random combinations of them."""
+    out = list(cols)
+    for _ in range(k):
+        cs = [rng.randrange(F.q) for _ in out]
+        out.append([sum(c * col[i] for c, col in zip(cs, out)) % F.q
+                    for i in range(len(out[0]))])
+    return out
+
+
 def test_reduce_columns_matches_reference():
     rng = random.Random(97)
     for F in [F2, F3, PrimeField(7)]:
@@ -244,3 +272,13 @@ def test_reduce_columns_matches_reference():
             assert cols == snapshot            # inputs are left unchanged
             assert (rank, basis, combos) == (got[0], got[1].columns(),
                                              got[2].columns())
+    for F in [F2, F3, F5]:      # tails and columns share bit positions
+        for _ in range(8):
+            nrows, ncols = rng.randrange(20, 41), rng.randrange(20, 41)
+            cols = _with_dependent(
+                rng, F, _random_columns(rng, F, nrows, ncols), 4)
+            M = DenseMatrix.from_columns(cols, nrows, F)
+            got = fieldmod.reduce(M)
+            assert got == _reference_reduce(M)
+            assert fieldmod.reduce_columns(F, cols, nrows) == \
+                (got[0], got[1].columns(), got[2].columns())

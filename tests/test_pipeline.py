@@ -523,6 +523,14 @@ def test_landscape_source_anchor(cross):
     assert lam[pts[0]] > 0
 
 
+def test_landscape_rejects_unknown_anchor(cross):
+    # any anchor but 'center' acted as 'source', so a typo gave wrong lambda
+    ex = exact_skyscraper(cross)
+    for anchor in ("centre", "Source", ""):
+        with pytest.raises(ValueError, match="anchor"):
+            filtered_landscape(ex, 1, Fr(0), [(Fr(0), Fr(1))], anchor=anchor)
+
+
 def test_interval_check_cross_clean_stable_flagged(cross, stable):
     s1 = approx_skyscraper(cross, ScanConfig(epsilon=1))
     assert factor_interval_check(s1) == []
