@@ -434,8 +434,8 @@ def _cmd_check(args):
         failures.append("scan store differs from approx store")
     for alpha in approx.keys():
         slopes = [f.slope for f in approx.entries[alpha].factors]
-        if any(a < b for a, b in zip(slopes, slopes[1:])):
-            failures.append("slopes increase at %s" % (alpha,))
+        if any(a <= b for a, b in zip(slopes, slopes[1:])):
+            failures.append("slopes do not strictly decrease at %s" % (alpha,))
     ex = pipeline.exact_skyscraper(M, box=box, eager=False)
     Mc = pipeline.clip_to_box(M, box)
     rng = random.Random(0)

@@ -1,5 +1,5 @@
-"""Brute-force highest-slope search over F_q-subspaces, the full HN
-filtration by iterated quotients, and slope-sorted merging.
+"""Brute-force highest-slope search over F_q-subspaces, and the full HN
+filtration by iterated quotients.
 
 Fractions at the API, ints below: slopes, integrals, degrees and
 staircases leave this module as Fractions, and the loops inside run on
@@ -31,10 +31,10 @@ from fractions import Fraction
 
 from . import grmat, invariants
 from .field import DenseMatrix, _vector_form
-from .invariants import HNFactor, HNFactorList, merge_factors  # noqa: F401
+from .invariants import HNFactor, HNFactorList
 
 __all__ = ["SlopeRecord", "brute_force_max_slope", "hn_filtration_at",
-           "hn_filtration_of", "merge_factors", "subspaces_of_dim"]
+           "hn_filtration_of", "subspaces_of_dim"]
 
 
 def _scaled_gaps(coords):

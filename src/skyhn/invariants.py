@@ -1,5 +1,7 @@
-"""Betti tables, Hilbert functions, integrals, slopes, staircases, the
-Skyscraper store with theta-queries, and erosion distance.
+"""Betti tables, Hilbert functions, integrals, slopes, staircases, the one
+merge rule for HN factor lists (``merge_factors``, which joins equal slopes
+with ``renormalize``), the Skyscraper store with theta-queries, and
+erosion distance.
 
 Fractions at the API, ints below: staircases, factor lists, store keys and
 erosion brackets are exact rationals, while superlevel staircases are
@@ -207,6 +209,29 @@ def grid_staircases(xs, ys, origin, dims, thickness, alpha):
     return out
 
 
+def renormalize(stairs, alpha):
+    """Superlevel staircases of the summed Hilbert function of staircases
+    all generated at alpha (the canonical form of a joined factor), swept
+    over the ranks of alpha's and the relations' coordinates: alpha has
+    rank (0, 0), and in column ix a staircase holds the rows below the
+    least rank y of its relations with rank x <= ix."""
+    rels = [r for S in stairs for r in S.rels]
+    xs, ys, rk = grmat._rank_degrees([alpha] + rels)
+    dims = {}
+    k = 1
+    for S in stairs:
+        srk = rk[k:k + len(S.rels)]
+        k += len(S.rels)
+        p, low = 0, len(ys)
+        for ix in range(len(xs)):
+            while p < len(srk) and srk[p][0] <= ix:
+                low = min(low, srk[p][1])
+                p += 1
+            for iy in range(low):
+                dims[ix, iy] = dims.get((ix, iy), 0) + 1
+    return grid_staircases(xs, ys, (0, 0), dims, len(stairs), alpha)
+
+
 def superlevel_staircases(M):
     """Decompose dim coker M into staircases for a uniquely generated M.
 
@@ -276,19 +301,27 @@ class HNFactorList:
             self.alpha, [f.slope for f in self.factors])
 
 
-def merge_factors(lists):
-    """Merge per-summand factor lists at a common alpha, sorted by strictly
-    decreasing slope; equal-slope factors keep their input order."""
-    lists = list(lists)
-    if not lists:
-        raise ValueError("nothing to merge")
-    alpha = lists[0].alpha
+def merge_factors(alpha, lists):
+    """The HN filtration at alpha of a direct sum, from its summands'
+    factor lists at alpha: the factors sorted by decreasing slope, those
+    of one slope joined into one factor in canonical superlevel form
+    (renormalize), so the slopes strictly decrease.  No lists: the empty
+    list."""
+    alpha = as_degree(alpha)
+    factors = []
     for l in lists:
         if l.alpha != alpha:
             raise ValueError("mismatched base degrees in merge")
-    factors = [f for l in lists for f in l.factors]
-    factors.sort(key=lambda f: f.slope, reverse=True)  # stable
-    return HNFactorList(alpha, factors)
+        factors += l.factors
+    factors.sort(key=lambda f: f.slope, reverse=True)
+    out = []
+    for f in factors:
+        if out and out[-1].slope == f.slope:
+            out[-1] = HNFactor(renormalize(out[-1].staircases + f.staircases,
+                                           alpha), f.slope)
+        else:
+            out.append(f)
+    return HNFactorList(alpha, out)
 
 
 def slope_at(M, alpha):

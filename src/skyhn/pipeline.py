@@ -4,11 +4,13 @@ subdivision store, the cache-friendly grid scan, filtered landscapes, and
 the interval-factor diagnostic.
 
 All drivers first clip the module to a bounding box by appending cap
-relations, so every integral is finite, and split it into connected
-blocks.  Brute force and the exact cells then run on the direct summands
-that ``grmat.decompose`` finds in each block, once per block per driver
-call, and the pieces' factors are coalesced back into one list per block;
-the cheng engine runs on each block whole.  ``approx_skyscraper`` and
+relations, so every integral is finite, minimize it once and split it into
+connected blocks (``_clipped_blocks``).  Brute force and the exact cells
+then run on the direct summands that ``grmat.decompose`` finds in each
+block, once per block per driver call; the cheng engine runs on each block
+whole.  One ``invariants.merge_factors`` per point joins the factors of
+every piece, equal slopes into one, so the answer does not depend on how
+the presentation falls into blocks.  ``approx_skyscraper`` and
 ``parallel_grid_scan`` are one colexicographic sweep of the epsilon
 lattice (``_sweep``) with two per-point strategies: HN engine runs, or the
 lazily built cells of an ``ExactStore``.  A module is constant on each
@@ -31,8 +33,8 @@ from fractions import Fraction
 
 from . import cheng, grmat, hn_core, invariants, subdivision
 from .grmat import GradedMatrix, Grid, as_degree, deg_leq
-from .invariants import (HNFactor, HNFactorList, SkyscraperStore,
-                         count_containing, merge_factors, theta_staircases)
+from .invariants import (SkyscraperStore, count_containing, merge_factors,
+                         theta_staircases)
 
 __all__ = ["ScanConfig", "EngineFailure", "bounding_box", "clip_to_box",
            "regular_grid", "hn_at", "approx_skyscraper", "ExactStore",
@@ -149,6 +151,13 @@ def _blocks(M):
             for rows, cols in grmat.connected_components(M) if rows]
 
 
+def _clipped_blocks(M, box):
+    """The connected blocks of the minimal presentation of M clipped to
+    the box: what every driver runs on.  The blocks of a minimal
+    presentation are minimal, and none of them presents zero."""
+    return _blocks(grmat.minimize(clip_to_box(M, box)))
+
+
 def _engine_pieces(blocks, engine):
     """What the engine runs on, per connected block: the block whole for
     cheng, the summands that grmat.decompose finds in it for brute force."""
@@ -161,13 +170,13 @@ def _engine_pieces(blocks, engine):
 def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
                fiber=grmat.fiber_submodule):
     """HN filtration at alpha of the direct sum of the connected blocks:
-    one engine run per piece of a block (pieces from _engine_pieces),
-    coalesced into one list per block, and the blocks' lists merged by
-    slope.  cheng_grid(i) is the grid of block i for the cheng engine,
-    asked for only when the fiber is non-zero.  Brute force runs on
-    fiber(piece, alpha), the presentation of the piece's <V_alpha>.  An
-    engine returns an empty list on a zero fiber; work[i] counts the
-    non-empty results of block i."""
+    one engine run per piece of a block (pieces from _engine_pieces), and
+    the factors of every piece merged (merge_factors).  cheng_grid(i) is
+    the grid of block i for the cheng engine, asked for only when the
+    fiber is non-zero.  Brute force runs on fiber(piece, alpha), the
+    presentation of the piece's <V_alpha>.  An engine returns an empty
+    list on a zero fiber; work[i] counts the points where some piece of
+    block i gave a non-empty one."""
     lists = []
     for i, block_pieces in enumerate(pieces):
         if engine == "cheng":
@@ -180,22 +189,20 @@ def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
         else:
             fls = [hn_core.hn_filtration_of(fiber(p, alpha), alpha)
                    for p in block_pieces]
-        fl = _coalesce(alpha, fls)
-        if fl.factors:
-            lists.append(fl)
-            if work is not None:
-                work[i] += 1
-    return merge_factors(lists) if lists else HNFactorList(alpha, [])
+        lists += fls
+        if work is not None and any(fl.factors for fl in fls):
+            work[i] += 1
+    return merge_factors(alpha, lists)
 
 
 def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
     """HN filtration of <V_alpha> of the clipped module: brute force runs
     per summand found by grmat.decompose, cheng per connected block, and
-    the results are merged by slope.  The cheng engine runs on cheng_grid,
-    or else on the regular grid of each block and alpha."""
+    the results are merged (merge_factors).  The cheng engine runs on
+    cheng_grid, or else on the regular grid of each block and alpha."""
     alpha = as_degree(alpha)
     box = box or bounding_box(M)
-    blocks = _blocks(clip_to_box(M, box))
+    blocks = _clipped_blocks(M, box)
     return _hn_blocks(
         _engine_pieces(blocks, engine), alpha, engine, seed,
         lambda i: (regular_grid(blocks[i], [alpha], box)
@@ -247,16 +254,6 @@ class _Cells(dict):
             self.clear()
 
 
-def _cell_fiber(cells, alpha):
-    """<V_c> of alpha's cell, from cells, a piece's fiber submodules at
-    the lower corners c of its grid cells.  The piece is constant on the
-    cell [c, next grid point): hn_core.hn_filtration_of reads <V_alpha>
-    from <V_c>, and the memos on <V_c> serve every lattice point of the
-    cell.  None where c is -inf on an axis: no generator lies below
-    alpha."""
-    return cells.at(alpha)
-
-
 def _sweep(box, epsilon, hn_of, caches=()):
     """Store of the non-empty filtrations hn_of(alpha) at the epsilon-lattice
     points alpha of the box, visited colexicographically.  Each of the
@@ -280,20 +277,20 @@ def approx_skyscraper(M, cfg):
     distance.  Brute force computes each piece's fiber submodule once per
     cell of the piece's induced grid, in one _Cells cache per piece that
     _sweep evicts row by row, and reads every lattice point of the cell
-    from it (_cell_fiber), so each HN step's linear algebra runs once per
+    from it (_Cells.at), so each HN step's linear algebra runs once per
     cell; the cheng engine runs on each block whole at every point, on
     the regular grid of the block and the point, as hn_at does.
     store.work counts, per connected block, the lattice points where its
     engine runs found a non-zero fiber."""
     box = cfg.box or bounding_box(M)
-    blocks = _blocks(clip_to_box(M, box))
+    blocks = _clipped_blocks(M, box)
     pieces = _engine_pieces(blocks, cfg.engine)
     fiber, caches = grmat.fiber_submodule, []
     if cfg.engine == "brute":
         pieces = [[_Cells(grmat.induced_grid(p),
                           functools.partial(grmat.fiber_submodule, p))
                    for p in ps] for ps in pieces]
-        fiber, caches = _cell_fiber, [c for ps in pieces for c in ps]
+        fiber, caches = _Cells.at, [c for ps in pieces for c in ps]
     work = [0] * len(blocks)
     store = _sweep(box, cfg.epsilon, lambda alpha: _hn_blocks(
         pieces, alpha, cfg.engine, cfg.seed,
@@ -321,31 +318,14 @@ def _cell_trees(pieces, grid, corner):
             for sub in subs for block in _blocks(sub)]
 
 
-def _coalesce(alpha, lists):
-    """Merge factor lists of the pieces of one connected block:
-    equal-slope factors combine into a single semistable factor in
-    canonical superlevel form."""
-    factors = [f for l in lists for f in l.factors]
-    factors.sort(key=lambda f: f.slope, reverse=True)
-    out = []
-    for f in factors:
-        if out and out[-1].slope == f.slope:
-            stairs = subdivision._renormalize(
-                out[-1].staircases + f.staircases, alpha)
-            out[-1] = HNFactor(stairs, f.slope)
-        else:
-            out.append(f)
-    return HNFactorList(alpha, out)
-
-
 class ExactStore:
     """Per-summand, per-grid-cell subdivision trees; answers HN filtrations
     and skyscraper queries at arbitrary rational points of the box.
 
-    A summand is one connected block of the clipped module, with its
-    induced grid and its cells (a _Cells cache); each cell holds the trees
-    of the fiber submodules of the summand's pieces, the summands that
-    grmat.decompose finds in it."""
+    A summand is one connected block of the clipped, minimized module
+    (_clipped_blocks), with its induced grid and its cells (a _Cells
+    cache); each cell holds the trees of the fiber submodules of the
+    summand's pieces, the summands that grmat.decompose finds in it."""
 
     def __init__(self, box):
         self.box = box
@@ -364,15 +344,9 @@ class ExactStore:
 
     def factors_at(self, beta):
         beta = as_degree(beta)
-        lists = []
-        for _, _, cells in self.summands:
-            trees = cells.at(beta)
-            if not trees:
-                continue
-            merged = _coalesce(beta, [t.factors_at(beta) for t in trees])
-            if merged.factors:
-                lists.append(merged)
-        return merge_factors(lists) if lists else HNFactorList(beta, [])
+        return merge_factors(beta, [t.factors_at(beta)
+                                    for _, _, cells in self.summands
+                                    for t in cells.at(beta) or ()])
 
     def query(self, theta, beta, gamma):
         """s^theta(beta, gamma): staircase memberships of gamma among HN
@@ -394,14 +368,14 @@ class ExactStore:
 
 
 def exact_skyscraper(M, box=None, eager=True):
-    """Exact skyscraper store: the clipped module is split into connected
-    summands, each further into its decompose pieces, and each cell of a
-    summand's induced grid gets the subdivision trees of the pieces' fiber
-    submodules at its lower corner (all cells now when eager, else each
-    cell at its first query)."""
+    """Exact skyscraper store: the clipped module is minimized and split
+    into connected summands, each further into its decompose pieces, and
+    each cell of a summand's induced grid gets the subdivision trees of
+    the pieces' fiber submodules at its lower corner (all cells now when
+    eager, else each cell at its first query)."""
     box = box or bounding_box(M)
     store = ExactStore(box)
-    for block in _blocks(clip_to_box(M, box)):
+    for block in _clipped_blocks(M, box):
         store._add_summand(block)
     if eager:
         for _, grid, cells in store.summands:

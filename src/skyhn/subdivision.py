@@ -11,8 +11,8 @@ All geometry is exact: polygon vertices and wall equations are rationals.
 Reads of a built tree run on ints: point location cross-multiplies by the
 point's denominators against integer half-plane coefficients, each slope
 is one Fraction of the polynomial evaluated on the offset's numerators
-and denominators, and staircases are transported and merged on integer
-comparisons.
+and denominators, and staircases are transported on integer comparisons
+and joined on a wall by ``invariants.renormalize``.
 """
 
 from __future__ import annotations
@@ -353,36 +353,13 @@ class SubdivTree:
             if (factors and factors[-1].slope.as_integer_ratio()
                     == slope.as_integer_ratio()):
                 # on a wall consecutive steps share a slope: one factor,
-                # re-decomposed into canonical superlevel staircases
-                merged = _renormalize(factors[-1].staircases + stairs, beta)
+                # joined as invariants.merge_factors joins one slope
+                merged = invariants.renormalize(
+                    factors[-1].staircases + stairs, beta)
                 factors[-1] = HNFactor(merged, slope)
             else:
                 factors.append(HNFactor(stairs, slope))
         return HNFactorList(beta, factors)
-
-
-def _renormalize(stairs, beta):
-    """Superlevel staircases of the summed Hilbert function of staircases
-    all generated at beta (the canonical form of a merged factor), swept
-    over the ranks of beta's and the relations' coordinates: beta has rank
-    (0, 0), and in column ix a staircase holds the rows below the least
-    rank y of its relations with rank x <= ix."""
-    rels = [r for S in stairs for r in S.rels]
-    xs, ys, rk = grmat._rank_degrees([beta] + rels)
-    dims = {}
-    k = 1
-    for S in stairs:
-        srk = rk[k:k + len(S.rels)]
-        k += len(S.rels)
-        p, low = 0, len(ys)
-        for ix in range(len(xs)):
-            while p < len(srk) and srk[p][0] <= ix:
-                low = min(low, srk[p][1])
-                p += 1
-            for iy in range(low):
-                dims[ix, iy] = dims.get((ix, iy), 0) + 1
-    return invariants.grid_staircases(xs, ys, (0, 0), dims, len(stairs),
-                                      beta)
 
 
 def _staircase_at(S, beta):

@@ -134,6 +134,53 @@ def test_cli_check_ok(cross_file, capsys):
     assert "check ok" in capsys.readouterr().out
 
 
+# I + I, I one generator at (0,0) killed at (1,0) and (0,1) over GF(2), and
+# the same module with a third generator cancelled by a relation at (0,0),
+# which makes the presentation one connected block
+I_PLUS_I = """\
+skypres v1
+field 2
+generators 2
+0 0
+0 0
+relations 4
+1 0 : 0 1
+0 1 : 0 1
+1 0 : 1 1
+0 1 : 1 1
+"""
+I_PLUS_I_CANCELLED = """\
+skypres v1
+field 2
+generators 3
+0 0
+0 0
+0 0
+relations 5
+0 0 : 0 1 1 1 2 1
+1 0 : 0 1
+0 1 : 0 1
+1 0 : 1 1
+0 1 : 1 1
+"""
+
+
+def test_cli_check_same_report_on_both_presentations(tmp_path, capsys):
+    """The HN filtration of I + I at (0,0) is one factor of slope 1 and
+    thickness 2 whatever the presentation: check passes on both, with
+    strictly decreasing slopes, and reports the same non-interval
+    factor."""
+    reports = []
+    for k, text in enumerate((I_PLUS_I, I_PLUS_I_CANCELLED)):
+        p = tmp_path / ("m%d.skypres" % k)
+        p.write_text(text)
+        assert main(["--out", str(tmp_path), "check", str(p)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert "non-interval factor at (Fraction(0, 1), Fraction(0, 1)) " \
+        "index 0 thickness 2" in reports[0]
+
+
 def _skypres(M):
     """The skypres v1 text of a presentation."""
     lines = ["skypres v1", "field %d" % M.field.q, "generators %d" % M.nrows]

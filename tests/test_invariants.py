@@ -158,8 +158,27 @@ def test_merge_factors_sorted():
     s = Staircase(alpha, [(Fr(1), Fr(0))])
     l1 = HNFactorList(alpha, [HNFactor([s], Fr(1, 3))])
     l2 = HNFactorList(alpha, [HNFactor([s], Fr(1, 2))])
-    merged = merge_factors([l1, l2])
+    merged = merge_factors(alpha, [l1, l2])
     assert [f.slope for f in merged.factors] == [Fr(1, 2), Fr(1, 3)]
+    # one slope in two lists: one factor, whose staircases are the
+    # superlevel sets of the summed Hilbert function of [0,2)x[0,1) and
+    # [0,1)x[0,2), the L-shape and the unit square
+    wide = Staircase(alpha, [(2, 0), (0, 1)])
+    tall = Staircase(alpha, [(1, 0), (0, 2)])
+    l3 = HNFactorList(alpha, [HNFactor([wide], Fr(1, 2)),
+                              HNFactor([s], Fr(1, 3))])
+    l4 = HNFactorList(alpha, [HNFactor([tall], Fr(1, 2))])
+    merged = merge_factors(alpha, [l3, l4])
+    assert [f.slope for f in merged.factors] == [Fr(1, 2), Fr(1, 3)]
+    assert merged.factors[0].staircases == [
+        Staircase(alpha, [(2, 0), (1, 1), (0, 2)]),
+        Staircase(alpha, [(1, 0), (0, 1)])]
+    assert merged.factors[1].staircases == [s]
+    # a list at another base degree cannot be merged
+    with pytest.raises(ValueError, match="mismatched"):
+        merge_factors(alpha, [l1, HNFactorList((Fr(1), Fr(0)), [])])
+    # nothing to merge: the empty list at alpha
+    assert merge_factors((0, 0), []) == HNFactorList(alpha, [])
 
 
 def test_factor_list_equality_is_canonical():

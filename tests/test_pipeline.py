@@ -7,14 +7,14 @@ import pytest
 from skyhn import field as fieldmod
 from skyhn import cheng, grmat, hn_core, invariants, pipeline
 from skyhn.grmat import NEG_INF, Grid
-from skyhn.invariants import HNFactorList, SkyscraperStore, merge_factors
+from skyhn.invariants import SkyscraperStore, merge_factors
 from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
                             clip_to_box, exact_skyscraper,
                             factor_interval_check, filtered_landscape,
                             hn_at, parallel_grid_scan)
 
-from conftest import (F2, F3, gm, hidden_corpus, hidden_direct_sum,
-                      random_bounded_module, stable_module)
+from conftest import (F2, F3, deg_join, disguise, gm, hidden_corpus,
+                      hidden_direct_sum, random_bounded_module, stable_module)
 
 
 def test_scan_config_validation():
@@ -77,9 +77,13 @@ def test_approx_direct_sum_doubles(cross):
     s2 = approx_skyscraper(MM, ScanConfig(epsilon=1, box=box))
     assert s1.keys() == s2.keys()
     for k in s1.keys():
-        a = sorted(f.key() for f in s1.entries[k].factors)
-        b = sorted(f.key() for f in s2.entries[k].factors)
-        assert b == sorted(a + a)
+        # M + M has each HN factor of M once, with its Hilbert function
+        # doubled: every superlevel staircase of the factor twice
+        a, b = s1.entries[k].factors, s2.entries[k].factors
+        assert [f.slope for f in b] == [f.slope for f in a]
+        for fa, fb in zip(a, b):
+            assert (sorted(S.key() for S in fb.staircases)
+                    == sorted(S.key() for S in fa.staircases * 2))
 
 
 def test_exact_queries_cross(cross):
@@ -139,7 +143,7 @@ def _approx_reference(M, cfg):
     """approx_skyscraper before the shared sweep: zero fibers are skipped
     by a pointwise-model check, every other block runs its engine."""
     box = cfg.box or bounding_box(M)
-    blocks = pipeline._blocks(clip_to_box(M, box))
+    blocks = pipeline._clipped_blocks(M, box)
     xs, ys = pipeline._eps_points(box, cfg.epsilon)
     store = SkyscraperStore(cfg.epsilon)
     store.work = [0] * len(blocks)
@@ -161,7 +165,7 @@ def _approx_reference(M, cfg):
                     lists.append(hn_core.hn_filtration_at(block, alpha))
                 store.work[i] += 1
             if lists:
-                store.insert(merge_factors(lists))
+                store.insert(merge_factors(alpha, lists))
     return store
 
 
@@ -170,7 +174,7 @@ def _scan_reference(M, cfg):
     summand, evicted when the summand's row pointer advances in y."""
     box = cfg.box or bounding_box(M)
     summands = [(b, grmat.induced_grid(b), {})
-                for b in pipeline._blocks(clip_to_box(M, box))]
+                for b in pipeline._clipped_blocks(M, box)]
     xs, ys = pipeline._eps_points(box, cfg.epsilon)
     out = SkyscraperStore(cfg.epsilon)
     out.work = [0] * len(summands)
@@ -191,15 +195,10 @@ def _scan_reference(M, cfg):
                         [module], grid, corner)
                     if cells[corner] is not None:
                         out.work[i] += 1
-                trees = cells[corner]
-                if not trees:
-                    continue
-                merged = pipeline._coalesce(
-                    alpha, [t.factors_at(alpha) for t in trees])
-                if merged.factors:
-                    lists.append(merged)
-            if lists:
-                out.insert(merge_factors(lists))
+                lists += [t.factors_at(alpha) for t in cells[corner] or ()]
+            merged = merge_factors(alpha, lists)
+            if merged.factors:
+                out.insert(merged)
     return out
 
 
@@ -249,7 +248,7 @@ def _sweep_pieces(n_random=12, n_hidden=12):
     modules += [M for _, _, M in hidden_corpus(n=n_hidden, seed=78,
                                                max_thickness=4)]
     return [p for M in modules
-            for b in pipeline._blocks(clip_to_box(M, bounding_box(M)))
+            for b in pipeline._clipped_blocks(M, bounding_box(M))
             for p in grmat.decompose(b)]
 
 
@@ -276,7 +275,7 @@ def test_cell_fibers_match_fiber_submodule():
         cells = pipeline._Cells(grmat.induced_grid(piece),
                                 functools.partial(grmat.fiber_submodule, piece))
         for alpha in _probe_points(cells.grid):
-            sub = pipeline._cell_fiber(cells, alpha)
+            sub = cells.at(alpha)
             want = grmat.fiber_submodule(piece, alpha)
             assert (sub is None) == (want is None), alpha
             if sub is None:
@@ -442,10 +441,8 @@ def test_sweep_is_the_one_place_that_evicts_cells(monkeypatch):
 
 def _hn_reference(M, alpha, box):
     """hn_at before decomposition: brute force per connected block."""
-    lists = [fl for fl in (hn_core.hn_filtration_at(b, alpha)
-                           for b in pipeline._blocks(clip_to_box(M, box)))
-             if fl.factors]
-    return merge_factors(lists) if lists else HNFactorList(alpha, [])
+    return merge_factors(alpha, [hn_core.hn_filtration_at(b, alpha)
+                                 for b in pipeline._clipped_blocks(M, box)])
 
 
 def test_drivers_match_undecomposed_reference():
@@ -457,7 +454,7 @@ def test_drivers_match_undecomposed_reference():
     corpus = hidden_corpus(n=18, seed=99, max_thickness=4)
     for i, (F, _, M) in enumerate(corpus):
         box = bounding_box(M)
-        blocks = pipeline._blocks(clip_to_box(M, box))
+        blocks = pipeline._clipped_blocks(M, box)
         split += sum(map(len, map(grmat.decompose, blocks))) > len(blocks)
         cfg = ScanConfig(epsilon=1)
         got, want = approx_skyscraper(M, cfg), _approx_reference(M, cfg)
@@ -471,6 +468,66 @@ def test_drivers_match_undecomposed_reference():
             assert brute == _hn_reference(M, alpha, box), (i, alpha)
             assert hn_at(M, alpha, engine="cheng", seed=i) == brute, (i, alpha)
     assert split >= len(corpus) // 2
+
+
+def _with_cancelling_pairs(rng, M, n=2):
+    """M with n generators added, each at the join of the degrees of two
+    of M's generators and cancelled there by a relation that also holds
+    those two: the same module, whose blocks the new relations join."""
+    F = M.field
+    gens, cols = list(M.row_degrees), [list(c) for c in M.columns]
+    rels = list(M.col_degrees)
+    for _ in range(n):
+        a, b = rng.randrange(M.nrows), rng.randrange(M.nrows)
+        d = deg_join(gens[a], gens[b])
+        held = {a: 1 + rng.randrange(F.q - 1), b: 1 + rng.randrange(F.q - 1)}
+        cols.append(sorted(held.items()) + [(len(gens), 1)])
+        gens.append(d)
+        rels.append(d)
+    return grmat.GradedMatrix(F, gens, rels, cols)
+
+
+def _invariance_stores(N, box, eps, seed):
+    """Brute and cheng approx, the scan and the exact snapshot of N at the
+    epsilon-lattice points of the box."""
+    xs, ys = pipeline._eps_points(box, eps)
+    out = [approx_skyscraper(N, ScanConfig(eps, engine, seed, box))
+           for engine in ("brute", "cheng")]
+    out.append(parallel_grid_scan(N, ScanConfig(eps, box=box)))
+    out.append(exact_skyscraper(N, box).snapshot(
+        [(x, y) for y in ys for x in xs], eps))
+    return out
+
+
+def test_stores_do_not_depend_on_the_presentation():
+    """Presentation invariance, an oracle beside engine agreement: the
+    four stores of M equal those of M in disguise, of M with cancelling
+    generator-relation pairs, and of the direct sum of the pieces that
+    grmat.decompose finds in the blocks of M's clipped minimal
+    presentation.  The HN filtration of a direct sum joins the summands'
+    factors of equal slope, however the presentation groups them."""
+    rng = random.Random(1717)
+    modules = [random_bounded_module(rng, F2 if i % 2 else F3, 2 + i % 2,
+                                     dmax=3) for i in range(6)]
+    modules += [M for _, _, M in hidden_corpus(n=6, seed=1718,
+                                               max_thickness=4)]
+    eps = Fr(1, 2)
+    n_thick = 0
+    for i, M in enumerate(modules):
+        box = bounding_box(M)
+        Mc = grmat.minimize(clip_to_box(M, box))
+        pieces = [p for rows, cols in grmat.connected_components(Mc) if rows
+                  for p in grmat.decompose(
+                      grmat.extract_block(Mc, rows, cols))]
+        want = _invariance_stores(M, box, eps, i)
+        for k, N in enumerate((disguise(rng, M),
+                               _with_cancelling_pairs(rng, M),
+                               functools.reduce(grmat.direct_sum, pieces))):
+            assert _invariance_stores(N, box, eps, i) == want, (i, k)
+        n_thick += any(f.dim > 1 for fl in want[0].entries.values()
+                       for f in fl.factors)
+    # factors of dimension > 1 occur, where joins happen
+    assert n_thick >= len(modules) // 2
 
 
 def test_erosion_approx_vs_exact(cross):

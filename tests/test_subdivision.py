@@ -358,20 +358,32 @@ def test_staircase_at_matches_fraction_reference():
     assert n_raised > 0 and n_moved > 0
 
 
+def _undecomposed_trees(M):
+    """The subdivision trees of every cell of every connected block of the
+    clipped, minimized M, built as an exact store builds them but on each
+    block whole rather than on its decompose pieces: exact_hnf_cell on the
+    connected blocks of the block's fiber submodule at each cell corner."""
+    trees = []
+    for block in pipeline._clipped_blocks(M, pipeline.bounding_box(M)):
+        grid = grmat.induced_grid(block)
+        for corner in grid.points():
+            trees += pipeline._cell_trees([block], grid, corner) or []
+    return trees
+
+
 def test_tree_read_slopes_match_fraction_reference():
     """The slopes that SubdivTree.factors_at evaluates on ints, against
     1 / poly.inverse_slope(delta) in Fractions for the nodes on the path,
     with equal consecutive slopes merged, on the trees of rescaled random
     modules (alpha negative and non-integral) at points beta of each cell
-    over denominators 5 and 7."""
+    over denominators 5 and 7.  The trees are built on undecomposed
+    blocks, so that some reads have more than one factor."""
     rng = random.Random(34)
     n_reads = n_negative = n_steps = 0
     for i in range(12):
         M = rescaled(random_bounded_module(rng, (F2, F3)[i % 2],
                                            1 + i % 3, dmax=3))
-        ex = pipeline.exact_skyscraper(M)
-        for t in [t for _, _, cells in ex.summands
-                  for trees in cells.values() if trees for t in trees]:
+        for t in _undecomposed_trees(M):
             x0, y0, x1, y1 = t.cell
             for _ in range(4):
                 beta = (x0 + (x1 - x0) * Fr(rng.randrange(0, 7), 7),

@@ -35,9 +35,9 @@ def _bindings():
 
 def test_tracer_install_uninstall_restores_every_name(cross):
     # a hidden direct sum that is one connected block of four pieces
-    hidden = hidden_direct_sum(random.Random(3), F2, [2, 2])
+    hidden = hidden_direct_sum(random.Random(2), F2, [2, 2])
     box = pipeline.bounding_box(hidden)
-    blocks = pipeline._blocks(pipeline.clip_to_box(hidden, box))
+    blocks = pipeline._clipped_blocks(hidden, box)
     assert len(blocks) == 1 and len(grmat.decompose(blocks[0])) == 4
     for M, n_blocks in ((cross, 2), (hidden, 1)):
         before = _bindings()
@@ -135,8 +135,8 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
     for t, beta in reads:
         t.factors_at(beta)
     merged = []
-    renormalize = subdivision._renormalize
-    monkeypatch.setattr(subdivision, "_renormalize",
+    renormalize = invariants.renormalize
+    monkeypatch.setattr(invariants, "renormalize",
                         lambda st, b: merged.append(b) or renormalize(st, b))
     counts, pause = _count_fraction_comparisons(monkeypatch)
     pause(invariants.SkyscraperStore, "locate")
