@@ -164,27 +164,23 @@ def parse_presentation(path):
         raise ParseError(path, 0, str(exc))
 
 
-def _fr(x):
-    return str(Fraction(x))
-
-
 STORE_FIELDS = ["alpha_x", "alpha_y", "factor", "slope_num", "slope_den",
                 "stair_gen_x", "stair_gen_y", "stair_rels"]
 
 
 def emit_store(store, path):
-    """One CSV row per staircase, sorted by (alpha_x, alpha_y, factor)."""
+    """One CSV row per staircase, sorted by (alpha_x, alpha_y, factor);
+    the store's Fraction coordinates are written as str writes them."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(STORE_FIELDS)
         for alpha in store.keys():
             for j, f in enumerate(store.entries[alpha].factors):
                 for s in f.staircases:
-                    rels = ";".join("%s:%s" % (_fr(r[0]), _fr(r[1]))
-                                    for r in s.rels)
-                    w.writerow([_fr(alpha[0]), _fr(alpha[1]), j,
+                    rels = ";".join("%s:%s" % (x, y) for x, y in s.rels)
+                    w.writerow([alpha[0], alpha[1], j,
                                 f.slope.numerator, f.slope.denominator,
-                                _fr(s.gen[0]), _fr(s.gen[1]), rels])
+                                s.gen[0], s.gen[1], rels])
 
 
 def parse_store(path, epsilon=None):
@@ -215,12 +211,13 @@ def parse_store(path, epsilon=None):
 
 
 def emit_landscape(rows, path):
-    """rows: iterable of (x, y, k, theta, lam)."""
+    """rows: iterable of (x, y, k, theta, lam), the rationals as Fractions
+    (or ints), written as str writes them."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", "k", "theta", "lambda"])
         for x, y, k, theta, lam in sorted(rows):
-            w.writerow([_fr(x), _fr(y), k, _fr(theta), _fr(lam)])
+            w.writerow([x, y, k, theta, lam])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Betti tables, Hilbert functions, integrals, slopes, staircases, the one
 merge rule for HN factor lists (``merge_factors``, which joins equal slopes
-with ``renormalize``), the Skyscraper store with theta-queries, and
-erosion distance.
+with ``renormalize`` and returns a single non-empty list as it is, since
+one summand's filtration is canonical already), the Skyscraper store with
+theta-queries, and erosion distance.
 
 Fractions at the API, ints below: staircases, factor lists, store keys and
 erosion brackets are exact rationals, while superlevel staircases are
 swept over grid indices (``grid_staircases``) and erosion_distance tests
-staircase membership on an integer lattice.
+staircase membership on an integer lattice.  At shift 0, erosion_distance
+compares the staircases the two stores locate at each probe point, and
+visits the probe pairs only where they differ somewhere.
 """
 
 from __future__ import annotations
@@ -306,13 +309,19 @@ def merge_factors(alpha, lists):
     factor lists at alpha: the factors sorted by decreasing slope, those
     of one slope joined into one factor in canonical superlevel form
     (renormalize), so the slopes strictly decrease.  No lists: the empty
-    list."""
+    list.  A single non-empty list is returned as it is: one summand's
+    filtration is canonical already, its slopes strictly decreasing and
+    its staircases superlevel ones."""
     alpha = as_degree(alpha)
-    factors = []
+    full = []
     for l in lists:
         if l.alpha != alpha:
             raise ValueError("mismatched base degrees in merge")
-        factors += l.factors
+        if l.factors:
+            full.append(l)
+    if len(full) == 1:
+        return full[0]
+    factors = [f for l in full for f in l.factors]
     factors.sort(key=lambda f: f.slope, reverse=True)
     out = []
     for f in factors:
@@ -417,7 +426,9 @@ def erosion_distance(r, s, theta, probe_grid):
     is the probe spacing.  Each distinct query is evaluated once: every
     store locates a shifted probe point at most once per shift, the
     unshifted counts r(a, b) and s(a, b) are shared by all shifts, and at
-    e = 0 the two conditions reduce to r(a, b) == s(a, b).
+    e = 0 the two conditions reduce to r(a, b) == s(a, b), which holds at
+    every pair, with no pair visited, where both stores locate the same
+    theta-staircases at every probe point.
 
     Below the store lookups everything is an int: the probe points, their
     spacing and the shifts lie on the lattice (1/D)Z^2, D the lcm of the
@@ -471,14 +482,19 @@ def erosion_distance(r, s, theta, probe_grid):
                     if not p or rys[p - 1] > by:
                         c += 1
             return c
-        return count
+        return count, stairs
 
-    base = functools.lru_cache(maxsize=None)(counter(0))   # r(a,b), s(a,b)
+    count0, stairs0 = counter(0)
+    base = functools.lru_cache(maxsize=None)(count0)   # r(a,b), s(a,b)
 
     def holds(k):
         if not k:
-            return all(base(1, i, j) == base(0, i, j) for i, j in pairs)
-        count = counter(k)
+            # equal staircases at every probe point a give r(a, b) ==
+            # s(a, b) at every pair
+            return (all(stairs0(0, i) == stairs0(1, i)
+                        for i in range(len(pts)))
+                    or all(base(1, i, j) == base(0, i, j) for i, j in pairs))
+        count, _ = counter(k)
         for i, j in pairs:
             if count(1, i, j) > base(0, i, j):
                 return False

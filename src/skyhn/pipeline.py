@@ -8,17 +8,24 @@ relations, so every integral is finite, minimize it once and split it into
 connected blocks (``_clipped_blocks``).  Brute force and the exact cells
 then run on the direct summands that ``grmat.decompose`` finds in each
 block, once per block per driver call; the cheng engine runs on each block
-whole.  One ``invariants.merge_factors`` per point joins the factors of
-every piece, equal slopes into one, so the answer does not depend on how
-the presentation falls into blocks.  ``approx_skyscraper`` and
+whole.  A summand of one generator is an interval module and reaches no
+engine: its HN filtration at every point of its support is the interval
+above the point, at slope 1/area, read in closed form from one
+``_Interval`` per cell (``_piece_cell``), which serves ``hn_at``, the
+brute-force sweep and the exact store alike.  Most summands that
+decompose finds have one generator, so the engines run on the few that
+have more.  One ``invariants.merge_factors`` per point joins the
+factors of every piece, equal slopes into one, so the answer does not
+depend on how the presentation falls into blocks.  ``approx_skyscraper`` and
 ``parallel_grid_scan`` are one colexicographic sweep of the epsilon
 lattice (``_sweep``) with two per-point strategies: HN engine runs, or the
 lazily built cells of an ``ExactStore``.  A module is constant on each
 cell of its induced grid, and one per-cell cache (``_Cells``) serves both:
-the brute-force sweep builds a piece's fiber submodule once per cell, at
-the cell's lower corner, and runs the HN loop on it at each lattice point
-of the cell, which memoizes the loop's linear algebra on it; an
-``ExactStore`` builds a summand's subdivision trees once per cell.
+the brute-force sweep builds a piece's fiber submodule (or _Interval) once
+per cell, at the cell's lower corner, and runs the HN loop on it at each
+lattice point of the cell, which memoizes the loop's linear algebra on
+it; an ``ExactStore`` builds a summand's subdivision trees and
+_Intervals once per cell.
 ``_sweep`` is the one place that evicts cells: it tells every cache which
 lattice row it enters, and each drops the cells of its other grid rows.
 ``store.work`` counts per connected block.
@@ -33,8 +40,8 @@ from fractions import Fraction
 
 from . import cheng, grmat, hn_core, invariants, subdivision
 from .grmat import GradedMatrix, Grid, as_degree, deg_leq
-from .invariants import (SkyscraperStore, count_containing, merge_factors,
-                         theta_staircases)
+from .invariants import (HNFactor, HNFactorList, SkyscraperStore, Staircase,
+                         count_containing, merge_factors, theta_staircases)
 
 __all__ = ["ScanConfig", "EngineFailure", "bounding_box", "clip_to_box",
            "regular_grid", "hn_at", "approx_skyscraper", "ExactStore",
@@ -167,16 +174,99 @@ def _engine_pieces(blocks, engine):
     return [grmat.decompose(block) for block in blocks]
 
 
+class _Interval:
+    """The HN filtration of a one-generator piece, an interval module, over
+    one cell: at every point beta of the piece's support the module
+    generated there is the interval above beta, which is semistable, so
+    its one factor is that interval at slope 1/area [FJNT24].  Holds the
+    interval at the cell's lower corner c, and its area at c + d as the
+    integer coefficients of c0 - cy*d1 - cx*d2 + d1*d2 over a common
+    denominator (the subdivision.SlopePoly form), so that a read is one
+    staircase transport and one Fraction."""
+
+    __slots__ = ("corner", "stair", "coeffs")
+
+    def __init__(self, stair):
+        """From the interval at the corner: with its degrees as ints over
+        the lcm L of their denominators, and offsets from the corner, the
+        first column's height is the first relation's y, the first row's
+        width the last relation's x, and the area a sum of rectangles, all
+        over D = L*L."""
+        (cx, cy), rels = stair.gen, stair.rels
+        L = math.lcm(cx.denominator, cy.denominator,
+                     *(c.denominator for r in rels for c in r))
+        X = cx.numerator * (L // cx.denominator)
+        Y = cy.numerator * (L // cy.denominator)
+        pts = [(x.numerator * (L // x.denominator) - X,
+                y.numerator * (L // y.denominator) - Y) for x, y in rels]
+        if not pts or pts[0][0] or pts[-1][1]:
+            raise ValueError("module is not bounded: infinite inverse slope")
+        area = sum((b[0] - a[0]) * a[1] for a, b in zip(pts, pts[1:]))
+        self.corner = (cx.numerator, cx.denominator,
+                       cy.numerator, cy.denominator)
+        self.stair = stair
+        self.coeffs = (L * L, area, pts[-1][0] * L, pts[0][1] * L)
+
+    def factors_at(self, beta):
+        """The HN filtration at a point beta of the cell: the interval
+        transported to beta, at the slope read on ints as
+        subdivision.SlopePoly.slope_at reads it."""
+        bx, by = beta
+        an, ad, cn, cd = self.corner
+        # the offset beta - c as numerators over denominators
+        d1 = bx.denominator * ad
+        n1 = bx.numerator * ad - an * bx.denominator
+        d2 = by.denominator * cd
+        n2 = by.numerator * cd - cn * by.denominator
+        D, c0, cx, cy = self.coeffs
+        slope = Fraction(D * d1 * d2, c0 * d1 * d2 - cy * n1 * d2
+                         - cx * n2 * d1 + D * n1 * n2)
+        return HNFactorList(beta, [HNFactor(
+            [subdivision._staircase_at(self.stair, beta)], slope)])
+
+
+def _interval_cell(piece, corner):
+    """The _Interval of a one-generator minimal piece over the cell with
+    lower corner `corner` of its induced grid, or of a grid refining it;
+    None where the fiber at the corner is zero.  Decided on the piece's
+    coordinate ranks: the relations of a minimal one-generator
+    presentation are an antichain."""
+    xs, ys, (gen,), rels = piece._ranks
+    # ranks below kx (ky) are coordinates <= the corner's
+    kx = grmat._count_leq(xs, corner[0])
+    ky = grmat._count_leq(ys, corner[1])
+    if gen[0] >= kx or gen[1] >= ky or any(x < kx and y < ky
+                                           for x, y in rels):
+        return None
+    rels = sorted(rels)
+    if not all(a[0] < b[0] and a[1] > b[1] for a, b in zip(rels, rels[1:])):
+        raise ValueError("relations do not form an antichain")
+    stair = Staircase(piece.row_degrees[0],
+                      [(xs[x], ys[y]) for x, y in rels], check=False)
+    return _Interval(subdivision._staircase_at(stair, corner))
+
+
+def _piece_cell(piece, corner):
+    """What brute force reads of a piece over the cell with lower corner
+    `corner`: the _Interval of a one-generator piece, which never reaches
+    an engine, and the fiber submodule <V_corner> of any other; None
+    where the fiber is zero."""
+    if piece.nrows == 1:
+        return _interval_cell(piece, corner)
+    return grmat.fiber_submodule(piece, corner)
+
+
 def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
-               fiber=grmat.fiber_submodule):
+               cell=_piece_cell):
     """HN filtration at alpha of the direct sum of the connected blocks:
-    one engine run per piece of a block (pieces from _engine_pieces), and
-    the factors of every piece merged (merge_factors).  cheng_grid(i) is
+    one read per piece of a block (pieces from _engine_pieces), and the
+    factors of every piece merged (merge_factors).  cheng_grid(i) is
     the grid of block i for the cheng engine, asked for only when the
-    fiber is non-zero.  Brute force runs on fiber(piece, alpha), the
-    presentation of the piece's <V_alpha>.  An engine returns an empty
-    list on a zero fiber; work[i] counts the points where some piece of
-    block i gave a non-empty one."""
+    fiber is non-zero.  Brute force reads cell(piece, alpha), what
+    _piece_cell builds for alpha's cell: an _Interval reads its factors
+    in closed form, and the HN loop runs on a fiber submodule.  An empty
+    list stands for a zero fiber; work[i] counts the points where some
+    piece of block i gave a non-empty one."""
     lists = []
     for i, block_pieces in enumerate(pieces):
         if engine == "cheng":
@@ -187,8 +277,11 @@ def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
             except cheng.ShrunkFailure as exc:
                 raise EngineFailure(alpha, exc)
         else:
-            fls = [hn_core.hn_filtration_of(fiber(p, alpha), alpha)
-                   for p in block_pieces]
+            fls = []
+            for p in block_pieces:
+                c = cell(p, alpha)
+                fls.append(c.factors_at(alpha) if type(c) is _Interval
+                           else hn_core.hn_filtration_of(c, alpha))
         lists += fls
         if work is not None and any(fl.factors for fl in fls):
             work[i] += 1
@@ -197,8 +290,9 @@ def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
 
 def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
     """HN filtration of <V_alpha> of the clipped module: brute force runs
-    per summand found by grmat.decompose, cheng per connected block, and
-    the results are merged (merge_factors).  The cheng engine runs on
+    per summand found by grmat.decompose (a one-generator summand is read
+    in closed form, _piece_cell), cheng per connected block, and the
+    results are merged (merge_factors).  The cheng engine runs on
     cheng_grid, or else on the regular grid of each block and alpha."""
     alpha = as_degree(alpha)
     box = box or bounding_box(M)
@@ -274,48 +368,51 @@ def _sweep(box, epsilon, hn_of, caches=()):
 def approx_skyscraper(M, cfg):
     """Store of HN filtrations at every epsilon-lattice point of the
     support; an epsilon-approximation of the true invariant in erosion
-    distance.  Brute force computes each piece's fiber submodule once per
-    cell of the piece's induced grid, in one _Cells cache per piece that
-    _sweep evicts row by row, and reads every lattice point of the cell
-    from it (_Cells.at), so each HN step's linear algebra runs once per
-    cell; the cheng engine runs on each block whole at every point, on
+    distance.  Brute force computes each piece's fiber submodule, or the
+    _Interval of a one-generator piece, once per cell of the piece's
+    induced grid, in one _Cells cache per piece that _sweep evicts row by
+    row, and reads every lattice point of the cell from it (_Cells.at), so
+    each HN step's linear algebra runs once per cell; the cheng engine runs on each block whole at every point, on
     the regular grid of the block and the point, as hn_at does.
     store.work counts, per connected block, the lattice points where its
     engine runs found a non-zero fiber."""
     box = cfg.box or bounding_box(M)
     blocks = _clipped_blocks(M, box)
     pieces = _engine_pieces(blocks, cfg.engine)
-    fiber, caches = grmat.fiber_submodule, []
+    cell, caches = _piece_cell, []
     if cfg.engine == "brute":
         pieces = [[_Cells(grmat.induced_grid(p),
-                          functools.partial(grmat.fiber_submodule, p))
+                          functools.partial(_piece_cell, p))
                    for p in ps] for ps in pieces]
-        fiber, caches = _Cells.at, [c for ps in pieces for c in ps]
+        cell, caches = _Cells.at, [c for ps in pieces for c in ps]
     work = [0] * len(blocks)
     store = _sweep(box, cfg.epsilon, lambda alpha: _hn_blocks(
         pieces, alpha, cfg.engine, cfg.seed,
-        lambda i: regular_grid(blocks[i], [alpha], box), work, fiber),
+        lambda i: regular_grid(blocks[i], [alpha], box), work, cell),
         caches)
     store.work = work
     return store
 
 
 def _cell_trees(pieces, grid, corner):
-    """Subdivision trees of the blocks of <V_corner> of each piece of a
-    summand, over the cell of the summand's grid with the given lower
-    corner (<V>(A + B) = <V>(A) + <V>(B)), or None when the cell is empty
-    or unbounded."""
-    ax, ay = corner
+    """What an ExactStore reads over the cell of a summand's grid with the
+    given lower corner, per piece of the summand: the _Interval of a
+    one-generator piece, and the subdivision trees of the blocks of
+    <V_corner> of any other (<V>(A + B) = <V>(A) + <V>(B)); None when
+    every fiber is zero or the cell is unbounded."""
     ix, iy, _ = grid.index(corner)
     if ix + 1 == len(grid.xs) or iy + 1 == len(grid.ys):
         return None
-    nx, ny = grid.xs[ix + 1], grid.ys[iy + 1]
-    subs = [sub for sub in (grmat.fiber_submodule(p, corner) for p in pieces)
-            if sub is not None]
-    if not subs:
-        return None
-    return [subdivision.exact_hnf_cell(block, (ax, ay, nx, ny))
-            for sub in subs for block in _blocks(sub)]
+    rect = (corner[0], corner[1], grid.xs[ix + 1], grid.ys[iy + 1])
+    out = []
+    for p in pieces:
+        c = _piece_cell(p, corner)
+        if type(c) is _Interval:
+            out.append(c)
+        elif c is not None:
+            out += [subdivision.exact_hnf_cell(block, rect)
+                    for block in _blocks(c)]
+    return out or None
 
 
 class ExactStore:
@@ -324,12 +421,14 @@ class ExactStore:
 
     A summand is one connected block of the clipped, minimized module
     (_clipped_blocks), with its induced grid and its cells (a _Cells
-    cache); each cell holds the trees of the fiber submodules of the
-    summand's pieces, the summands that grmat.decompose finds in it."""
+    cache); each cell holds, per piece of the summand (the summands that
+    grmat.decompose finds in it), the _Interval of a one-generator piece
+    or the trees of the fiber submodule of any other (_cell_trees)."""
 
     def __init__(self, box):
         self.box = box
-        # (module, grid, _Cells of [SubdivTree] or None), one per summand
+        # (module, grid, _Cells of [SubdivTree or _Interval] or None), one
+        # per summand
         self.summands = []
 
     def _add_summand(self, module):
@@ -339,7 +438,7 @@ class ExactStore:
 
     @property
     def work(self):
-        """Per summand: the non-empty tree lists built."""
+        """Per summand: the non-empty cell lists built."""
         return [cells.built for _, _, cells in self.summands]
 
     def factors_at(self, beta):
@@ -370,9 +469,10 @@ class ExactStore:
 def exact_skyscraper(M, box=None, eager=True):
     """Exact skyscraper store: the clipped module is minimized and split
     into connected summands, each further into its decompose pieces, and
-    each cell of a summand's induced grid gets the subdivision trees of
-    the pieces' fiber submodules at its lower corner (all cells now when
-    eager, else each cell at its first query)."""
+    each cell of a summand's induced grid gets, at its lower corner, the
+    subdivision trees of the pieces' fiber submodules, or the _Interval of
+    a one-generator piece (all cells now when eager, else each cell at its
+    first query)."""
     box = box or bounding_box(M)
     store = ExactStore(box)
     for block in _clipped_blocks(M, box):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from skyhn import field as fieldmod
-from skyhn import grmat
+from skyhn import grmat, pipeline, subdivision
 from skyhn.field import DenseMatrix, PrimeField
 from skyhn.invariants import Staircase
 
@@ -149,6 +149,33 @@ def deg_join(a, b):
     """The componentwise maximum of two degrees, as exact Fractions."""
     a, b = grmat.as_degree(a), grmat.as_degree(b)
     return (max(a[0], b[0]), max(a[1], b[1]))
+
+
+def fiber_trees(module, grid, corner):
+    """subdivision.exact_hnf_cell on each connected block of <V_corner> of
+    the module, over the cell of grid with that lower corner; [] on a zero
+    fiber or an unbounded cell.  One-generator fibers get trees too, though
+    the drivers read them in closed form (pipeline._Interval), so that
+    tree reads keep their coverage."""
+    ix, iy, _ = grid.index(corner)
+    if ix + 1 == len(grid.xs) or iy + 1 == len(grid.ys):
+        return []
+    sub = grmat.fiber_submodule(module, corner)
+    if sub is None:
+        return []
+    rect = (corner[0], corner[1], grid.xs[ix + 1], grid.ys[iy + 1])
+    return [subdivision.exact_hnf_cell(block, rect)
+            for block in pipeline._blocks(sub)]
+
+
+def store_trees(ex):
+    """fiber_trees of every decompose piece of every summand of the exact
+    store ex, at every point of the summand's grid, in the order in which
+    an eager store builds its cells."""
+    return [t for module, grid, _ in ex.summands
+            for pieces in [grmat.decompose(module)]
+            for corner in grid.points() for piece in pieces
+            for t in fiber_trees(piece, grid, corner)]
 
 
 # ---------------------------------------------------------------------------

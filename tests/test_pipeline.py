@@ -13,8 +13,9 @@ from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
                             factor_interval_check, filtered_landscape,
                             hn_at, parallel_grid_scan)
 
-from conftest import (F2, F3, deg_join, disguise, gm, hidden_corpus,
-                      hidden_direct_sum, random_bounded_module, stable_module)
+from conftest import (F2, F3, F5, deg_join, disguise, fiber_trees, gm,
+                      hidden_corpus, hidden_direct_sum, random_bounded_module,
+                      rescaled, stable_module)
 
 
 def test_scan_config_validation():
@@ -288,6 +289,50 @@ def test_cell_fibers_match_fiber_submodule():
     # non-zero fibers at grid points, inside cells and on one line each
     assert kinds == {(True, True), (False, False), (True, False),
                      (False, True)}
+
+
+def test_interval_cells_match_every_engine():
+    """The closed-form cell of a one-generator piece (pipeline._Interval)
+    against all three engines: every one-generator piece of _sweep_pieces
+    and the pieces of rescaled one-generator modules (negative degrees
+    over denominators 2 and 3) over GF(2), GF(3) and GF(5).  At every
+    probe point alpha of the piece's grid, the cell of alpha's grid cell
+    is None exactly where the fiber is zero, and otherwise its factors at
+    alpha equal brute force on fiber_submodule(piece, alpha), the read of
+    exact_hnf_cell's tree of the cell and hn_cheng; so do those of the
+    cell built at alpha itself, which hn_at reads."""
+    rng = random.Random(91)
+    pieces = [p for p in _sweep_pieces() if p.nrows == 1]
+    n_sweep = len(pieces)
+    for i in range(12):
+        M = rescaled(random_bounded_module(rng, (F2, F3, F5)[i % 3], 1,
+                                           dmax=4))
+        pieces += [p for b in pipeline._clipped_blocks(M, bounding_box(M))
+                   for p in grmat.decompose(b)]
+    n_reads = n_inside = 0
+    for piece in pieces:
+        assert piece.nrows == 1
+        grid, box = grmat.induced_grid(piece), bounding_box(piece)
+        cells = pipeline._Cells(grid, functools.partial(pipeline._piece_cell,
+                                                        piece))
+        for alpha in _probe_points(grid):
+            cell = cells.at(alpha)
+            sub = grmat.fiber_submodule(piece, alpha)
+            assert (cell is None) == (sub is None), alpha
+            if cell is None:
+                continue
+            got = cell.factors_at(alpha)
+            assert len(got.factors) == 1 and type(got.factors[0].slope) is Fr
+            assert got == hn_core.hn_filtration_of(sub, alpha), alpha
+            tree, = fiber_trees(piece, grid, grid.floor(alpha))
+            assert got == tree.factors_at(alpha), alpha
+            assert got == cheng.hn_cheng(
+                piece, pipeline.regular_grid(piece, [alpha], box), alpha)
+            assert got == pipeline._piece_cell(piece, alpha).factors_at(alpha)
+            n_reads += 1
+            n_inside += alpha not in grid
+    assert n_sweep > 50 and len(pieces) >= n_sweep + 10
+    assert n_reads > 300 and n_inside > 200
 
 
 def test_sweep_runs_each_hn_step_algebra_once_per_cell(monkeypatch):

@@ -12,9 +12,10 @@ from skyhn.subdivision import (ConvexRegion, SlopePoly, all_max_slope,
 
 from skyhn.invariants import Staircase
 
-from conftest import (F2, F3, class_dims, class_integral, deg_join, gm,
-                      random_bounded_module, random_unigen_module,
-                      reference_minimal_points, rescaled)
+from conftest import (F2, F3, class_dims, class_integral, deg_join,
+                      fiber_trees, gm, random_bounded_module,
+                      random_unigen_module, reference_minimal_points,
+                      rescaled, store_trees)
 
 
 def shift_join(M, alpha):
@@ -360,14 +361,15 @@ def test_staircase_at_matches_fraction_reference():
 
 def _undecomposed_trees(M):
     """The subdivision trees of every cell of every connected block of the
-    clipped, minimized M, built as an exact store builds them but on each
-    block whole rather than on its decompose pieces: exact_hnf_cell on the
-    connected blocks of the block's fiber submodule at each cell corner."""
+    clipped, minimized M, built on each block whole rather than on its
+    decompose pieces: exact_hnf_cell on the connected blocks of the
+    block's fiber submodule at each cell corner (fiber_trees), fibers of
+    one generator included."""
     trees = []
     for block in pipeline._clipped_blocks(M, pipeline.bounding_box(M)):
         grid = grmat.induced_grid(block)
         for corner in grid.points():
-            trees += pipeline._cell_trees([block], grid, corner) or []
+            trees += fiber_trees(block, grid, corner)
     return trees
 
 
@@ -409,16 +411,15 @@ def _reference_contains(region, point):
 
 
 def _tree_regions(rng):
-    """Every region of the trees of the exact stores of rescaled random
-    modules (negative degrees over denominators 2 and 3), and clips of
-    rectangles by random rational half-planes."""
+    """Every region of the trees of the cells of the exact stores of
+    rescaled random modules (negative degrees over denominators 2 and 3),
+    one-generator fibers included (store_trees), and clips of rectangles
+    by random rational half-planes."""
     out = []
     for i in range(10):
         M = rescaled(random_bounded_module(rng, (F2, F3)[i % 2],
                                            1 + i % 3, dmax=3))
-        ex = pipeline.exact_skyscraper(M)
-        todo = [t.root for _, _, cells in ex.summands
-                for trees in cells.values() if trees for t in trees]
+        todo = [t.root for t in store_trees(pipeline.exact_skyscraper(M))]
         while todo:
             node = todo.pop()
             out.append(node.region)

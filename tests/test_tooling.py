@@ -11,7 +11,7 @@ from fractions import Fraction as Fr
 
 from skyhn import grmat, invariants, pipeline, subdivision
 
-from conftest import F2, hidden_direct_sum
+from conftest import F2, hidden_direct_sum, store_trees
 
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              os.pardir, "perfbench"))
@@ -106,8 +106,10 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
     """On the cross fixture the probe-pair loop of erosion_distance makes
     no Fraction comparison (the store lookups and the per-entry choice of
     staircases, outside it, may), and neither do SubdivTree.factors_at
-    reads at points already read, walls included; those reads build one
-    Fraction per slope at most.  Counts, not times."""
+    reads at points already read, walls included, nor the reads of the
+    interval cells (pipeline._Interval) that the exact store holds; a
+    tree read builds one Fraction per slope at most, an interval read
+    one.  Counts, not times."""
     sa = pipeline.approx_skyscraper(cross, pipeline.ScanConfig(Fr(1, 2)))
     ex = pipeline.exact_skyscraper(cross)
     snap = ex.snapshot(sa.keys())
@@ -123,8 +125,15 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
         + f.staircases[1:], f.slope)] + fl.factors[1:])
     keys = sa.keys()
     G = grmat.Grid([k[0] for k in keys], [k[1] for k in keys])
-    trees = [t for _, _, cells in ex.summands
-             for ts in cells.values() if ts for t in ts]
+    # the trees of the cells the store reads in closed form, and the
+    # closed-form cells themselves (both pieces of the cross have one
+    # generator)
+    trees = store_trees(ex)
+    intervals = [(c, rect) for _, grid, cells in ex.summands
+                 for (ix, iy), cs in cells.items() if cs for c in cs
+                 for rect in [(grid.xs[ix], grid.ys[iy],
+                               grid.xs[ix + 1], grid.ys[iy + 1])]]
+    assert all(type(c) is pipeline._Interval for c, _ in intervals)
     # the tree of <V_(0,1)> has the wall y = (3 + x)/2 (acceptance 3)
     trees.append(subdivision.exact_hnf_cell(
         grmat.fiber_submodule(cross, (0, 1)), (Fr(0), Fr(1), Fr(1), Fr(2))))
@@ -132,7 +141,11 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
     reads = [(t, (x0 + (x1 - x0) * Fr(i, 4), y0 + (y1 - y0) * Fr(j, 4)))
              for t in trees for x0, y0, x1, y1 in [t.cell]
              for i in range(4) for j in range(4)]
-    for t, beta in reads:
+    interval_reads = [
+        (c, (x0 + (x1 - x0) * Fr(i, 4), y0 + (y1 - y0) * Fr(j, 4)))
+        for c, (x0, y0, x1, y1) in intervals
+        for i in range(4) for j in range(4)]
+    for t, beta in reads + interval_reads:
         t.factors_at(beta)
     merged = []
     renormalize = invariants.renormalize
@@ -151,11 +164,16 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
         t.factors_at(beta)
     assert counts["n"] == 0
     assert 0 < built["n"] <= slopes
+    built["n"] = 0
+    for c, beta in interval_reads:
+        c.factors_at(beta)
+    assert counts["n"] == 0
+    assert built["n"] == len(interval_reads)
     monkeypatch.undo()
     # the shifted pair loop ran, and the reads crossed walls, where
     # equal-slope factors merge
     assert any(0 < hi < grmat.POS_INF for _, hi in brackets)
-    assert len(reads) > 20 and merged
+    assert len(reads) > 20 and merged and len(interval_reads) > 20
 
 
 def test_graded_matrix_from_degrees_compares_no_fractions(monkeypatch):
