@@ -1,8 +1,7 @@
 """Betti tables, Hilbert functions, integrals, slopes, staircases, the one
 merge rule for HN factor lists (``merge_factors``, which joins equal slopes
-with ``renormalize`` and returns a single non-empty list as it is, since
-one summand's filtration is canonical already), the Skyscraper store with
-theta-queries, and erosion distance.
+with ``renormalize``), the Skyscraper store with theta-queries, and
+erosion distance.
 
 Fractions at the API, ints below: staircases, factor lists, store keys and
 erosion brackets are exact rationals, while superlevel staircases are
@@ -309,19 +308,13 @@ def merge_factors(alpha, lists):
     factor lists at alpha: the factors sorted by decreasing slope, those
     of one slope joined into one factor in canonical superlevel form
     (renormalize), so the slopes strictly decrease.  No lists: the empty
-    list.  A single non-empty list is returned as it is: one summand's
-    filtration is canonical already, its slopes strictly decreasing and
-    its staircases superlevel ones."""
+    list."""
     alpha = as_degree(alpha)
-    full = []
+    factors = []
     for l in lists:
         if l.alpha != alpha:
             raise ValueError("mismatched base degrees in merge")
-        if l.factors:
-            full.append(l)
-    if len(full) == 1:
-        return full[0]
-    factors = [f for l in full for f in l.factors]
+        factors += l.factors
     factors.sort(key=lambda f: f.slope, reverse=True)
     out = []
     for f in factors:

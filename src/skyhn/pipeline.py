@@ -8,24 +8,25 @@ relations, so every integral is finite, minimize it once and split it into
 connected blocks (``_clipped_blocks``).  Brute force and the exact cells
 then run on the direct summands that ``grmat.decompose`` finds in each
 block, once per block per driver call; the cheng engine runs on each block
-whole.  A summand of one generator is an interval module and reaches no
-engine: its HN filtration at every point of its support is the interval
-above the point, at slope 1/area, read in closed form from one
-``_Interval`` per cell (``_piece_cell``), which serves ``hn_at``, the
-brute-force sweep and the exact store alike.  Most summands that
-decompose finds have one generator, so the engines run on the few that
-have more.  One ``invariants.merge_factors`` per point joins the
+whole.  In the brute-force sweep and the exact store, a summand of one
+generator is an interval module and reaches no engine: its HN
+filtration at every point of its support is the interval above the
+point, at slope 1/area, read in closed form from one ``_Interval`` per
+cell.  Most summands that decompose finds have one generator, so there
+the engines run on the few that have more.  ``hn_at`` stays the
+reference that the closed form is checked against: it runs brute force
+on every summand.  One ``invariants.merge_factors`` per point joins the
 factors of every piece, equal slopes into one, so the answer does not
-depend on how the presentation falls into blocks.  ``approx_skyscraper`` and
-``parallel_grid_scan`` are one colexicographic sweep of the epsilon
+depend on how the presentation falls into blocks.  ``approx_skyscraper``
+and ``parallel_grid_scan`` are one colexicographic sweep of the epsilon
 lattice (``_sweep``) with two per-point strategies: HN engine runs, or the
 lazily built cells of an ``ExactStore``.  A module is constant on each
 cell of its induced grid, and one per-cell cache (``_Cells``) serves both:
-the brute-force sweep builds a piece's fiber submodule (or _Interval) once
-per cell, at the cell's lower corner, and runs the HN loop on it at each
-lattice point of the cell, which memoizes the loop's linear algebra on
-it; an ``ExactStore`` builds a summand's subdivision trees and
-_Intervals once per cell.
+the brute-force sweep builds a piece's cell once, at the cell's lower
+corner, as the piece's _Interval or else its fiber submodule (_Fiber),
+and reads every lattice point of the cell from it; the HN loop memoizes
+its linear algebra on the fiber submodule.  An ``ExactStore`` builds a
+summand's _Intervals and subdivision trees once per cell.
 ``_sweep`` is the one place that evicts cells: it tells every cache which
 lattice row it enters, and each drops the cells of its other grid rows.
 ``store.work`` counts per connected block.
@@ -246,27 +247,39 @@ def _interval_cell(piece, corner):
     return _Interval(subdivision._staircase_at(stair, corner))
 
 
-def _piece_cell(piece, corner):
-    """What brute force reads of a piece over the cell with lower corner
-    `corner`: the _Interval of a one-generator piece, which never reaches
-    an engine, and the fiber submodule <V_corner> of any other; None
-    where the fiber is zero."""
-    if piece.nrows == 1:
-        return _interval_cell(piece, corner)
-    return grmat.fiber_submodule(piece, corner)
+class _Fiber:
+    """The fiber submodule <V_c> of a piece over one cell, c the cell's
+    lower corner: brute force runs the HN loop on it at each point of the
+    cell (hn_core.hn_filtration_of), which memoizes the loop's linear
+    algebra on it."""
+
+    __slots__ = ("sub",)
+
+    def __init__(self, sub):
+        self.sub = sub
+
+    def factors_at(self, beta):
+        return hn_core.hn_filtration_of(self.sub, beta)
+
+
+def _fiber_cell(piece, corner):
+    """The _Fiber of a piece over the cell with lower corner `corner` of
+    its induced grid, or of a grid refining it; None where the fiber at
+    the corner is zero."""
+    sub = grmat.fiber_submodule(piece, corner)
+    return None if sub is None else _Fiber(sub)
 
 
 def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
-               cell=_piece_cell):
+               cell=_fiber_cell):
     """HN filtration at alpha of the direct sum of the connected blocks:
     one read per piece of a block (pieces from _engine_pieces), and the
     factors of every piece merged (merge_factors).  cheng_grid(i) is
     the grid of block i for the cheng engine, asked for only when the
-    fiber is non-zero.  Brute force reads cell(piece, alpha), what
-    _piece_cell builds for alpha's cell: an _Interval reads its factors
-    in closed form, and the HN loop runs on a fiber submodule.  An empty
-    list stands for a zero fiber; work[i] counts the points where some
-    piece of block i gave a non-empty one."""
+    fiber is non-zero.  Brute force reads cell(piece, alpha), the
+    _Interval or _Fiber of alpha's cell, or None on a zero fiber, whose
+    list is empty; work[i] counts the points where some piece of block i
+    gave a non-empty one."""
     lists = []
     for i, block_pieces in enumerate(pieces):
         if engine == "cheng":
@@ -277,11 +290,9 @@ def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
             except cheng.ShrunkFailure as exc:
                 raise EngineFailure(alpha, exc)
         else:
-            fls = []
-            for p in block_pieces:
-                c = cell(p, alpha)
-                fls.append(c.factors_at(alpha) if type(c) is _Interval
-                           else hn_core.hn_filtration_of(c, alpha))
+            fls = [HNFactorList(alpha, []) if c is None
+                   else c.factors_at(alpha)
+                   for c in (cell(p, alpha) for p in block_pieces)]
         lists += fls
         if work is not None and any(fl.factors for fl in fls):
             work[i] += 1
@@ -290,10 +301,12 @@ def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
 
 def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
     """HN filtration of <V_alpha> of the clipped module: brute force runs
-    per summand found by grmat.decompose (a one-generator summand is read
-    in closed form, _piece_cell), cheng per connected block, and the
-    results are merged (merge_factors).  The cheng engine runs on
-    cheng_grid, or else on the regular grid of each block and alpha."""
+    per summand found by grmat.decompose, one-generator summands included,
+    so that it is the reference for the closed form that the sweep and
+    the exact store read those from (_Interval); cheng runs per connected
+    block, and the results are merged (merge_factors).  The cheng engine
+    runs on cheng_grid, or else on the regular grid of each block and
+    alpha."""
     alpha = as_degree(alpha)
     box = box or bounding_box(M)
     blocks = _clipped_blocks(M, box)
@@ -368,21 +381,22 @@ def _sweep(box, epsilon, hn_of, caches=()):
 def approx_skyscraper(M, cfg):
     """Store of HN filtrations at every epsilon-lattice point of the
     support; an epsilon-approximation of the true invariant in erosion
-    distance.  Brute force computes each piece's fiber submodule, or the
-    _Interval of a one-generator piece, once per cell of the piece's
-    induced grid, in one _Cells cache per piece that _sweep evicts row by
-    row, and reads every lattice point of the cell from it (_Cells.at), so
-    each HN step's linear algebra runs once per cell; the cheng engine runs on each block whole at every point, on
-    the regular grid of the block and the point, as hn_at does.
-    store.work counts, per connected block, the lattice points where its
-    engine runs found a non-zero fiber."""
+    distance.  Brute force builds each piece's cell once per cell of the
+    piece's induced grid, the _Interval of a one-generator piece and the
+    _Fiber of any other, in one _Cells cache per piece that _sweep evicts
+    row by row, and reads every lattice point of the cell from it
+    (_Cells.at), so each HN step's linear algebra runs once per cell; the
+    cheng engine runs on each block whole at every point, on the regular
+    grid of the block and the point, as hn_at does.  store.work counts,
+    per connected block, the lattice points where its pieces' reads found
+    a non-zero fiber."""
     box = cfg.box or bounding_box(M)
     blocks = _clipped_blocks(M, box)
     pieces = _engine_pieces(blocks, cfg.engine)
-    cell, caches = _piece_cell, []
+    cell, caches = _fiber_cell, []
     if cfg.engine == "brute":
-        pieces = [[_Cells(grmat.induced_grid(p),
-                          functools.partial(_piece_cell, p))
+        pieces = [[_Cells(grmat.induced_grid(p), functools.partial(
+            _interval_cell if p.nrows == 1 else _fiber_cell, p))
                    for p in ps] for ps in pieces]
         cell, caches = _Cells.at, [c for ps in pieces for c in ps]
     work = [0] * len(blocks)
@@ -406,12 +420,14 @@ def _cell_trees(pieces, grid, corner):
     rect = (corner[0], corner[1], grid.xs[ix + 1], grid.ys[iy + 1])
     out = []
     for p in pieces:
-        c = _piece_cell(p, corner)
-        if type(c) is _Interval:
-            out.append(c)
-        elif c is not None:
+        if p.nrows == 1:
+            c = _interval_cell(p, corner)
+            out += [] if c is None else [c]
+            continue
+        sub = grmat.fiber_submodule(p, corner)
+        if sub is not None:
             out += [subdivision.exact_hnf_cell(block, rect)
-                    for block in _blocks(c)]
+                    for block in _blocks(sub)]
     return out or None
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import random
 from fractions import Fraction as Fr
@@ -5,7 +6,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from skyhn import field as fieldmod
-from skyhn import cheng, grmat, hn_core, invariants, pipeline
+from skyhn import cheng, grmat, hn_core, invariants, pipeline, subdivision
 from skyhn.grmat import NEG_INF, Grid
 from skyhn.invariants import SkyscraperStore, merge_factors
 from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
@@ -300,7 +301,7 @@ def test_interval_cells_match_every_engine():
     is None exactly where the fiber is zero, and otherwise its factors at
     alpha equal brute force on fiber_submodule(piece, alpha), the read of
     exact_hnf_cell's tree of the cell and hn_cheng; so do those of the
-    cell built at alpha itself, which hn_at reads."""
+    cell built at alpha itself, a corner of a grid refining the piece's."""
     rng = random.Random(91)
     pieces = [p for p in _sweep_pieces() if p.nrows == 1]
     n_sweep = len(pieces)
@@ -313,8 +314,8 @@ def test_interval_cells_match_every_engine():
     for piece in pieces:
         assert piece.nrows == 1
         grid, box = grmat.induced_grid(piece), bounding_box(piece)
-        cells = pipeline._Cells(grid, functools.partial(pipeline._piece_cell,
-                                                        piece))
+        cells = pipeline._Cells(grid, functools.partial(
+            pipeline._interval_cell, piece))
         for alpha in _probe_points(grid):
             cell = cells.at(alpha)
             sub = grmat.fiber_submodule(piece, alpha)
@@ -328,11 +329,43 @@ def test_interval_cells_match_every_engine():
             assert got == tree.factors_at(alpha), alpha
             assert got == cheng.hn_cheng(
                 piece, pipeline.regular_grid(piece, [alpha], box), alpha)
-            assert got == pipeline._piece_cell(piece, alpha).factors_at(alpha)
+            assert got == pipeline._interval_cell(piece, alpha).factors_at(
+                alpha)
             n_reads += 1
             n_inside += alpha not in grid
     assert n_sweep > 50 and len(pieces) >= n_sweep + 10
     assert n_reads > 300 and n_inside > 200
+
+
+def test_only_hn_at_runs_engines_on_interval_pieces(monkeypatch, cross,
+                                                    stable):
+    """The cross has two pieces of one generator each: the sweeps and the
+    exact store read them in closed form, with no brute-force search and
+    no cell subdivision, while hn_at, the reference, runs brute force on
+    both.  The stable module is one piece of two generators, which every
+    driver hands to the engines."""
+    calls = collections.Counter()
+    search = hn_core.brute_force_max_slope
+    subdivide = subdivision.exact_hnf_cell
+    monkeypatch.setattr(hn_core, "brute_force_max_slope", lambda *a, **k: (
+        calls.update(["search"]) or search(*a, **k)))
+    monkeypatch.setattr(subdivision, "exact_hnf_cell", lambda *a, **k: (
+        calls.update(["cell"]) or subdivide(*a, **k)))
+    cfg = ScanConfig(epsilon=Fr(1, 2))
+    for M, n_gens in ((cross, [1, 1]), (stable, [2])):
+        assert [p.nrows for b in pipeline._clipped_blocks(M, bounding_box(M))
+                for p in grmat.decompose(b)] == n_gens
+        calls.clear()
+        approx_skyscraper(M, cfg)
+        parallel_grid_scan(M, cfg)
+        exact_skyscraper(M)
+        if M is cross:
+            assert not calls
+        else:
+            assert calls["search"] > 0 and calls["cell"] > 0
+        calls.clear()
+        hn_at(M, M.row_degrees[0])
+        assert calls["search"] > 0 and not calls["cell"]
 
 
 def test_sweep_runs_each_hn_step_algebra_once_per_cell(monkeypatch):
