@@ -31,10 +31,16 @@ rank A, and each Wong step continues it with the columns of W alone.
 
 Extension elements exist only as g x g blocks over the module's prime field
 (field.embed_phi), so blow-ups, Wong steps and certificates are all
-prime-field work: list-level columns through field's one elimination
-loop per vector form (a GF(2) bitmask or an inlined ``% q`` list), both
-as the incremental echelon field._Echelon and as the column reduction
-behind field.ColumnReduction.
+prime-field work on the vectors of field._vector_form: GF(2) bitmask ints,
+lists otherwise, which this module moves through field's primitives
+(place, slice, combine, apply a list of rows) and never reads.  A space
+packs its basis once, on its first draw (MatrixSpace.vectors).  A is
+built column by column in that form: column (j, b) of sum_k X_k (x) A_k
+is the sum over k and i of X_k[i][j] times column b of A_k placed at
+block i.  Its reduction, the preimages, the cores S and the projection
+onto U* stay packed; only U is unpacked, at the end of the draw.  The
+random coefficients X_k stay lists, as the draw reads them entry by entry
+to weight the blocks.
 
 Four module constants fix the search schedule of ``hn_cheng``:
 ``_FAREY_BUDGET`` Farey probes (p, q) with p*q <= ``_FAREY_CAP`` are tried
@@ -46,6 +52,7 @@ what the retry schedule adds).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 import random
@@ -92,6 +99,24 @@ class MatrixSpace:
             if not span.insert([x for row in B.data for x in row]):
                 raise ValueError("basis matrices are not independent")
 
+    @functools.cached_property
+    def vectors(self):
+        """The basis in field's vector form, packed on the first draw:
+        (cols, rows).  cols[b] has one (k, lo, v) per basis matrix k whose
+        column b is nonzero, v that column cut to the matrix's nonzero
+        band, its rows lo through its last nonzero row; rows[k] lists the
+        nonzero rows of basis matrix k as (row index, row)."""
+        pack = fieldmod._vector_form(self.field.q).pack
+        cols = [[] for _ in range(self.ncols)]
+        for k, (B, nz) in enumerate(zip(self.basis, self.nonzero_rows)):
+            lo = nz[0][0]
+            for b, c in enumerate(zip(*B.data[lo:nz[-1][0] + 1])):
+                if any(c):
+                    cols[b].append((k, lo, pack(list(c))))
+        rows = [[(a, pack(row)) for a, row in nz]
+                for nz in self.nonzero_rows]
+        return cols, rows
+
     @property
     def ell(self):
         return len(self.basis)
@@ -113,62 +138,60 @@ class BlowUp:
 
     def image_core(self, ucols):
         """Core S of the blow-up image: span{A_k . u_j} over base matrices
-        A_k and column blocks u_j of the given vectors; the full image of
-        span(ucols) is k^p tensor S, because every block position i is
-        reachable through some E_{ij} tensor A_k.  S depends only on the
-        span T of the blocks, of dim at most ncols, so the blocks are
-        echelonized first and A_k is applied to a basis of T.  Returns S's
-        reduced column echelon basis (_Echelon.reduced_basis)."""
+        A_k and column blocks u_j of the given vectors (field's vector
+        form, like the result); the full image of span(ucols) is k^p
+        tensor S, because every block position i is reachable through some
+        E_{ij} tensor A_k.  S depends only on the span T of the blocks, of
+        dim at most ncols, so the blocks are echelonized first and A_k is
+        applied to a basis of T.  Returns S's reduced column echelon basis
+        (_Echelon.reduced_basis)."""
         sp = self.space
-        Np, q = sp.ncols, sp.field.q
+        Np, N = sp.ncols, sp.nrows
+        form = fieldmod._vector_form(sp.field.q)
+        cut, apply = form.slice, form.apply
         blocks = _Echelon(sp.field, Np)
-        for blk in (u[j * Np:(j + 1) * Np] for u in ucols
+        for blk in (cut(u, j * Np, (j + 1) * Np) for u in ucols
                     for j in range(self.q)):
-            if blocks.insert(blk) and blocks.rank == Np:
+            if blocks.add(blk) and blocks.rank == Np:
                 break
-        span = _Echelon(sp.field, sp.nrows)
-        for t in blocks.basis_columns():
-            for rows in sp.nonzero_rows:
-                w = [0] * sp.nrows
-                for a, row in rows:
-                    w[a] = sum(map(operator.mul, row, t)) % q
-                span.insert(w)
+        span = _Echelon(sp.field, N)
+        add, rowsets = span.add, sp.vectors[1]
+        for t in blocks.columns():
+            for rows in rowsets:
+                add(apply(rows, t, N))
         return span.reduced_basis()
 
 
 class WongState:
     """Wong-sequence iteration state for a matrix A inside a blow-up.
 
-    The limit candidate W always has the form k^p tensor S for a subspace
-    S of k^nrows; only a basis of S is stored.  A's columns are reduced
-    once: that reduction gives rank_a and the kernel of A, and every
-    preimage continues it with the columns of W alone.
+    A is given by its columns in field's vector form, as are all vectors
+    here.  The limit candidate W always has the form k^p tensor S for a
+    subspace S of k^nrows; only a basis of S is stored.  A's columns are
+    reduced once: that reduction gives rank_a and the kernel of A, and
+    every preimage continues it with the columns of W alone.
     """
 
-    def __init__(self, A, blow):
-        self.A = A
+    def __init__(self, acols, blow):
         self.blow = blow
         self.step = 0
         self.s_basis = []
         self.last_preimage = []
-        F = A.field
-        self._red = fieldmod.ColumnReduction(F, A.columns(), A.rows)
+        F = blow.space.field
+        self._red = fieldmod.ColumnReduction(F, acols,
+                                             blow.p * blow.space.nrows)
         self.rank_a = self._red.rank
-        self._kernel_a = _Echelon(F, A.cols)
+        self._kernel_a = _Echelon(F, len(acols))
         for c in self._red.kernel:
-            self._kernel_a.insert(c)
+            self._kernel_a.add(c)
         self._last_aug_rank = None
 
     def w_columns(self):
-        """Basis of W = k^p tensor S as dense columns of length p*nrows."""
-        N = self.blow.space.nrows
-        out = []
-        for a in range(self.blow.p):
-            for s in self.s_basis:
-                w = [0] * (self.blow.p * N)
-                w[a * N:(a + 1) * N] = s
-                out.append(w)
-        return out
+        """Basis of W = k^p tensor S as columns of length p*nrows."""
+        N, p = self.blow.space.nrows, self.blow.p
+        place = self._red.form.place
+        return [place(s, a * N, p * N) for a in range(p)
+                for s in self.s_basis]
 
     def preimage(self):
         """Basis of A^{-1}(W) in k^{q*ncols}: the A-parts of the kernel
@@ -178,8 +201,8 @@ class WongState:
         self._last_aug_rank = rank
         span = self._kernel_a.copy()
         for c in combos:
-            span.insert(c)
-        return span.basis_columns()
+            span.add(c)
+        return span.columns()
 
     def advance(self):
         """One Wong step W -> blow(A^{-1}(W)); True if W grew."""
@@ -198,8 +221,8 @@ class WongState:
         return self._last_aug_rank == self.rank_a
 
 
-def _run_wong(A, blow):
-    st = WongState(A, blow)
+def _run_wong(acols, blow):
+    st = WongState(acols, blow)
     limit = min(blow.p * blow.space.nrows, blow.q * blow.space.ncols) + 1
     while st.advance():
         if st.step > limit:
@@ -213,24 +236,20 @@ def _run_wong(A, blow):
 def _partial_reduce(F, xmats):
     """Sparsify the coefficient matrices (lists of rows) before forming A.
 
-    Stacking all X_i vertically gives the scalar matrix whose column b
-    collects the coefficients of A's block-column b.  A common invertible
-    right factor C (column echelon of the stack) maps each X_i to X_i . C;
+    Stacking all X_k vertically gives the scalar matrix whose column j
+    collects the coefficients of A's block-column j.  A common invertible
+    right factor C (column echelon of the stack) maps each X_k to X_k . C;
     the resulting A picks up zero block-columns while staying in the span
-    of the blow-up, since only the X coefficients changed.  Column b of
-    the stack times C is the echelon's remainder of column b (zero for a
-    dependent column), so the blocks of the remainders are the X_i . C.
+    of the blow-up, since only the X coefficients changed.  Column j of
+    the stack times C is the echelon's remainder of column j (zero for a
+    dependent column).  Returns these remainders: entry k*P + i of column
+    j is entry (i, j) of X_k . C, for P the rows of each X_k.
     """
-    if not xmats:
-        return xmats
-    P, Q = len(xmats[0]), len(xmats[0][0])
-    n = P * len(xmats)
+    n = len(xmats[0]) * len(xmats)
     ech = _Echelon(F, n)
-    red = [ech.insert_reduced([row[b] for X in xmats for row in X])
-           or [0] * n
-           for b in range(Q)]
-    return [[[col[k * P + i] for col in red] for i in range(P)]
-            for k in range(len(xmats))]
+    return [ech.insert_reduced([row[j] for X in xmats for row in X])
+            or [0] * n
+            for j in range(len(xmats[0][0]))]
 
 
 def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
@@ -272,25 +291,28 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
                 for a in range(g):
                     X[i * g + a][j * g:(j + 1) * g] = blk[a]
         xmats.append(X)
-    xmats = _partial_reduce(F, xmats)
-    # A = sum_k X_k (x) A_k, accumulated over the nonzero entries of A_k
+    # A = sum_k X_k (x) A_k: column (j, b) sums X_k[i][j] times column b
+    # of A_k placed at block i, over the k where that column is nonzero
     N = space.nrows
-    acc = [[0] * (Q * Np) for _ in range(P * N)]
-    for X, rows in zip(xmats, space.nonzero_rows):
-        nz = [(a, b, v) for a, row in rows for b, v in enumerate(row) if v]
-        for i, xrow in enumerate(X):
-            for j, x in enumerate(xrow):
-                if x:
-                    for a, b, v in nz:
-                        acc[i * N + a][j * Np + b] += x * v
-    A = DenseMatrix(P * N, Q * Np, F, [[v % F.q for v in row] for row in acc])
-    st = _run_wong(A, BlowUp(space, P, Q))
+    form = fieldmod._vector_form(F.q)
+    cols = space.vectors[0]
+    acols = []
+    for xcol in _partial_reduce(F, xmats):
+        xs = [[] for _ in xmats]    # per k, (X_k[i][j], offset of block i)
+        for r, x in enumerate(xcol):
+            if x:
+                xs[r // P].append((x, r % P * N))
+        for bcols in cols:
+            acols.append(form.combine([(x, off + lo, c)
+                                       for k, lo, c in bcols
+                                       for x, off in xs[k]], P * N))
+    st = _run_wong(acols, BlowUp(space, P, Q))
     if not st.contained:
         return None
     pre = st.last_preimage     # basis of k^{Q} tensor U*
     span = _Echelon(F, Np)
     for c in pre:
-        span.insert(c[:Np])    # first block projects onto U*
+        span.add(form.slice(c, 0, Np))    # first block projects onto U*
     if span.rank * Q != len(pre):
         # the preimage does not have the tensor shape the scaling law
         # demands; treat as a failed draw rather than returning junk

@@ -138,6 +138,7 @@ def parse_presentation(path):
         if len(tp) % 2:
             raise ParseError(path, no, "entries must be index/value pairs")
         col = []
+        named = set()
         for i in range(0, len(tp), 2):
             try:
                 idx, val = int(tp[i]), int(tp[i + 1])
@@ -145,6 +146,9 @@ def parse_presentation(path):
                 raise ParseError(path, no, "bad entry pair")
             if not 0 <= idx < m:
                 raise ParseError(path, no, "row index %d out of range" % idx)
+            if idx in named:
+                raise ParseError(path, no, "row index %d named twice" % idx)
+            named.add(idx)
             if not 0 <= val < q:
                 raise ParseError(path, no, "coefficient %d outside [0,%d)"
                                  % (val, q))

@@ -4,17 +4,24 @@ Field elements are plain ints in [0, q) for a prime q, and every matrix
 operation inlines its ``% q``.  Extension fields F_{q^g} appear only inside
 the randomized engine: ext_field_build picks the modulus and embed_phi turns
 an element (g base-field coefficients, constant term first) into a g x g
-block over F_q, so no extension arithmetic exists.  Elimination is one
-insert loop per vector form, F_2 bitmask ints or lists with inlined
-``% q`` (_insert_f2, _insert_generic).  Other modules reach it through
-_vector_form (pack and insert), _Echelon, and ColumnReduction (behind
-reduce_columns and reduce), and never read a bitmask.  Module-level
-sparsity is handled upstream.
+block over F_q, so no extension arithmetic exists.
+
+Vectors have one internal form per field, _vector_form(q): F_2 bitmask ints
+(_F2Vectors) or lists with inlined ``% q`` (_ListVectors).  Elimination is
+one insert loop per form (_insert_f2, _insert_generic), and each form has
+the few coarse primitives that other modules need to work on internal
+vectors without reading them: pack, unpack, place, slice, lift, combine
+and apply a list of rows.  Other modules reach elimination through
+_vector_form, _Echelon (lists through insert, internal vectors through
+add) and ColumnReduction (internal columns; reduce_columns and reduce take
+lists), and never read a bitmask.  Module-level sparsity is handled
+upstream.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 
 def _is_prime(n):
@@ -197,12 +204,14 @@ class FieldExt:
         return "FieldExt(q=%d, g=%d)" % (self.base.q, self.g)
 
 
+@functools.lru_cache(maxsize=None)
 def ext_field_build(q, g):
     """Build F_{q^g} with the lexicographically least monic irreducible modulus.
 
     Candidate moduli x^g + a_{g-1} x^{g-1} + ... + a_0 are enumerated in
     increasing order of the integer code sum(a_i q^i); the first irreducible
-    one wins, so the construction is deterministic.  g = 1 yields F_q[x]/(x).
+    one wins, so the construction is deterministic and built once per
+    (q, g).  g = 1 yields F_q[x]/(x).
     """
     base = PrimeField(q)
     for code in range(q ** g):
@@ -360,24 +369,138 @@ def _unpack_f2(m, lo, hi):
                 .translate(_BIT_VALUES))
 
 
+class _F2Vectors:
+    """Vectors over F_2 as bitmask ints: entry i is bit i, and a vector of
+    length n is below 2^n.  See _vector_form."""
+
+    pack = staticmethod(_pack_f2)
+    insert = staticmethod(_insert_f2)
+
+    @staticmethod
+    def unpack(v, n):
+        return _unpack_f2(v, 0, n)
+
+    @staticmethod
+    def zero(n):
+        return 0
+
+    @staticmethod
+    def place(v, off, n):
+        return v << off
+
+    @staticmethod
+    def lift(v, n, j):
+        v <<= n
+        return v if j is None else v | 1 << j
+
+    @staticmethod
+    def slice(v, lo, hi):
+        return v >> lo & (1 << hi - lo) - 1
+
+    @staticmethod
+    def combine(terms, n):
+        out = 0
+        for c, off, v in terms:
+            if c:
+                out ^= v << off
+        return out
+
+    @staticmethod
+    def apply(rows, v, n):
+        out = 0
+        for a, row in rows:
+            if (row & v).bit_count() & 1:
+                out |= 1 << a
+        return out
+
+
+class _ListVectors:
+    """Vectors over F_q as lists of ints in [0, q), with the ``% q``
+    inlined.  See _vector_form."""
+
+    def __init__(self, q):
+        self.q = q
+        self.insert = functools.partial(_insert_generic, PrimeField(q))
+
+    @staticmethod
+    def pack(v):
+        return v
+
+    @staticmethod
+    def unpack(v, n):
+        return v
+
+    @staticmethod
+    def zero(n):
+        return [0] * n
+
+    @staticmethod
+    def place(v, off, n):
+        out = [0] * n
+        out[off:off + len(v)] = v
+        return out
+
+    @staticmethod
+    def lift(v, n, j):
+        out = [0] * n + v
+        if j is not None:
+            out[j] = 1
+        return out
+
+    @staticmethod
+    def slice(v, lo, hi):
+        return v[lo:hi]
+
+    def combine(self, terms, n):
+        q = self.q
+        out = [0] * n
+        for c, off, v in terms:
+            for a, y in enumerate(v, off):
+                if y:
+                    out[a] = (out[a] + c * y) % q
+        return out
+
+    def apply(self, rows, v, n):
+        q = self.q
+        out = [0] * n
+        for a, row in rows:
+            out[a] = sum(map(operator.mul, row, v)) % q
+        return out
+
+
 @functools.lru_cache(maxsize=None)
 def _vector_form(q):
-    """(pack, insert) for vectors over the prime field F_q.  pack(v) is the
-    internal form of the list v: a bitmask int over F_2, else v itself.
-    insert(base, tmp, w) reduces a copy of the internal vector w against
-    the read-only echelon `base` and then `tmp`, stores it in `tmp` under
-    its pivot and tells whether w was independent."""
+    """The internal vector form over the prime field F_q: bitmask ints over
+    F_2 (_F2Vectors), else lists (_ListVectors).  Other modules hold
+    internal vectors only through it, and never read one:
+      pack(v), unpack(v, n)   list v <-> internal v of length n
+      insert(base, tmp, v)    reduce a copy of v against the read-only
+                              echelon `base` and then `tmp`, store it in
+                              `tmp` under its pivot; True if independent
+      zero(n)                 the zero vector of length n
+      place(v, off, n)        v at entries off.. of a vector of length n
+      lift(v, n, j)           v after n new leading entries, which are
+                              0 but for a 1 at entry j unless j is None
+      slice(v, lo, hi)        entries lo..hi-1 of v
+      combine(terms, n)       sum of c * place(v, off, n) over the
+                              (c, off, v) of terms, c an element of F_q
+      apply(rows, v, n)       the vector of length n with entry a the
+                              product row . v, for each (a, row) of rows,
+                              and 0 elsewhere
+    No primitive mutates its arguments, and no caller mutates an internal
+    vector (a list packs to itself), so internal vectors may be shared."""
     if q == 2:
-        return _pack_f2, _insert_f2
-    return (lambda v: v), functools.partial(_insert_generic, PrimeField(q))
+        return _F2Vectors
+    return _ListVectors(q)
 
 
 class _Echelon:
     """Incremental column echelon over a prime field, pivot = last nonzero
-    row: insert tells whether the vector was independent, insert_reduced
-    also returns its reduced remainder (a list), else None.  `pivots` maps
-    each pivot row to its stored column in the internal form of
-    _vector_form: F_2 bitmask ints when `f2`, lists otherwise."""
+    row: insert tells whether the list v was independent, add does the
+    same for an internal vector, insert_reduced also returns the reduced
+    remainder (a list), else None.  `pivots` maps each pivot row to its
+    stored column in the internal form of _vector_form: F_2 bitmask ints
+    when `f2`, lists otherwise."""
 
     def __init__(self, F, nrows):
         self.F = F
@@ -394,6 +517,12 @@ class _Echelon:
         pivots = self.pivots
         if self.f2:
             return _insert_f2(pivots, pivots, _pack_f2(v))
+        return _insert_generic(self.F, pivots, pivots, v)
+
+    def add(self, v):
+        pivots = self.pivots
+        if self.f2:
+            return _insert_f2(pivots, pivots, v)
         return _insert_generic(self.F, pivots, pivots, v)
 
     def insert_reduced(self, v):
@@ -434,14 +563,19 @@ class _Echelon:
         out.pivots = dict(self.pivots)
         return out
 
+    def columns(self):
+        """The stored columns, internal, in insertion order."""
+        return list(self.pivots.values())
+
     def basis_columns(self):
         """Copies of the stored columns as lists, in insertion order."""
         return [list(self._col(v)) for v in self.pivots.values()]
 
     def reduced_basis(self):
-        """The reduced column echelon basis of the span, which depends on
-        the span alone: one column per pivot row in increasing order, with
-        1 at its own pivot row and 0 at every other pivot row."""
+        """The reduced column echelon basis of the span, internal, which
+        depends on the span alone: one column per pivot row in increasing
+        order, with 1 at its own pivot row and 0 at every other pivot
+        row."""
         out = {}
         if self.f2:
             for piv in sorted(self.pivots):
@@ -450,7 +584,7 @@ class _Echelon:
                     if v >> p & 1:
                         v ^= w
                 out[piv] = v
-            return [self._col(v) for v in out.values()]
+            return list(out.values())
         q = self.F.q
         inv = _inverses(q)
         for piv in sorted(self.pivots):
@@ -470,31 +604,33 @@ class _Echelon:
 
 
 class ColumnReduction:
-    """reduce_columns, kept open for more columns.
+    """reduce_columns on internal vectors, kept open for more columns.
 
-    ColumnReduction(F, cols, nrows) column-reduces cols as reduce_columns
-    does and keeps `rank` and `kernel`; `basis` is read off the saved
-    pivots on demand.  extend(more) continues
-    the elimination with further columns over the saved pivots, which it
-    leaves unchanged, so one reduction serves any number of extensions.
-    Their tails start at zero: a combo it returns is the part on `cols` of
-    the kernel combo that reduce_columns(F, cols + more, nrows) gives for
-    the same column, and the rank it returns is that reduction's rank.
+    ColumnReduction(F, cols, nrows) column-reduces cols, vectors of length
+    nrows in the internal form of _vector_form(F.q), as reduce_columns
+    does their lists, and keeps `rank` and `kernel` (internal combos);
+    `basis` is read off the saved pivots on demand.  extend(more)
+    continues the elimination with further columns over the saved pivots,
+    which it leaves unchanged, so one reduction serves any number of
+    extensions.  Their tails start at zero: a combo it returns is the part
+    on `cols` of the kernel combo that reduce_columns(F, cols + more,
+    nrows) gives for the same column, and the rank it returns is that
+    reduction's rank.
     """
 
     def __init__(self, F, cols, nrows):
         self.F, self.nrows, self.n = F, nrows, len(cols)
+        self.form = _vector_form(F.q)
         self._pivots = {}   # pivot row >= n -> tail, then reduced column
         self.kernel = self._reduce(self._pivots, cols, True)
         self.rank = len(self._pivots)
 
     @property
     def basis(self):
-        """The reduced columns with a fresh pivot, in input order."""
-        n, end = self.n, self.n + self.nrows
-        if self.F.q == 2:
-            return [_unpack_f2(v, n, end) for v in self._pivots.values()]
-        return [v[n:] for v in self._pivots.values()]
+        """The reduced columns with a fresh pivot, internal, in input
+        order."""
+        n, end, cut = self.n, self.n + self.nrows, self.form.slice
+        return [cut(v, n, end) for v in self._pivots.values()]
 
     def extend(self, more):
         """(rank, combos over the first columns) of the reduction continued
@@ -509,22 +645,17 @@ class ColumnReduction:
         identity column when tracked, else at zero.  A column that reduces
         to zero leaves its tail as a pivot below n, which is popped out as
         its kernel combo (a zero vector is a zero combo).  Returns the
-        kernel combos, as lists."""
-        n, f2 = self.n, self.F.q == 2
-        pack, insert = _vector_form(self.F.q)
-        zero = [0] * n
+        kernel combos."""
+        n, form, pivots = self.n, self.form, self._pivots
+        insert, lift, cut = form.insert, form.lift, form.slice
         kernel = []
         for j, col in enumerate(cols):
-            v = [*zero, *col]
-            if tracked:
-                v[j] = 1
-            if not insert(self._pivots, fresh, pack(v)):
-                kernel.append(list(zero))
+            if not insert(pivots, fresh, lift(col, n, j if tracked else None)):
+                kernel.append(form.zero(n))
                 continue
             piv = next(reversed(fresh))
             if piv < n:
-                v = fresh.pop(piv)
-                kernel.append(_unpack_f2(v, 0, n) if f2 else v[:n])
+                kernel.append(cut(fresh.pop(piv), 0, n))
         return kernel
 
 
@@ -538,8 +669,18 @@ def reduce_columns(F, cols, nrows):
     columns.  The pivot of a column is its last nonzero row, and an
     identity tail tracks the column operations (see ColumnReduction).
     """
-    red = ColumnReduction(F, cols, nrows)
-    return red.rank, red.basis, red.kernel
+    form = _vector_form(F.q)
+    red = ColumnReduction(F, [form.pack(c) for c in cols], nrows)
+    return (red.rank, [form.unpack(v, nrows) for v in red.basis],
+            [form.unpack(c, red.n) for c in red.kernel])
+
+
+def kernel_combos(F, cols, nrows):
+    """The kernel combos of reduce_columns(F, cols, nrows) alone."""
+    form = _vector_form(F.q)
+    n, unpack = len(cols), form.unpack
+    return [unpack(c, n) for c in
+            ColumnReduction(F, list(map(form.pack, cols)), nrows).kernel]
 
 
 def reduce(M):

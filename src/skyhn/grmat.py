@@ -12,8 +12,8 @@ positions of each coordinate among the matrix's sorted distinct ones.
 Every matrix has its ranks from the moment it is built and is validated
 once, on them: the constructor computes them from the degrees, and
 ``_from_ranks`` hands over the ranks that an operation already holds.
-All elimination runs in field (_Echelon, reduce_columns); grmat._Echelon
-is field's class, imported.
+All elimination runs in field (_Echelon, reduce_columns, kernel_combos);
+grmat._Echelon is field's class, imported.
 """
 
 from __future__ import annotations
@@ -267,8 +267,8 @@ def kernel(M):
             if not J or J in seen_active:
                 continue
             seen_active.add(J)
-            combos = fieldmod.ColumnReduction(
-                F, [dense_cols[j] for j in J], M.nrows).kernel
+            combos = fieldmod.kernel_combos(
+                F, [dense_cols[j] for j in J], M.nrows)
             if not combos:
                 continue
             # echelon of previously found generators, restricted to J
@@ -629,7 +629,7 @@ def _inverse(F, A):
     t, q = len(A), F.q
     cols = [list(c) for c in zip(*A)] + [
         [int(i == k) for i in range(t)] for k in range(t)]
-    kern = fieldmod.ColumnReduction(F, cols, t).kernel
+    kern = fieldmod.kernel_combos(F, cols, t)
     if any(c[t + k] != 1 for k, c in enumerate(kern)):
         raise AssertionError("decompose: singular base change")
     return [[-c[i] % q for c in kern] for i in range(t)]
@@ -650,16 +650,15 @@ def _endomorphisms(M):
     eqs = []
     for d in sorted(set(rd)):
         below = [k for k, r in enumerate(rd) if deg_leq(r, d)]
-        ann = fieldmod.ColumnReduction(
-            F, [[P[k][a] for k in below] for a in range(t)], len(below)).kernel
+        ann = fieldmod.kernel_combos(
+            F, [[P[k][a] for k in below] for a in range(t)], len(below))
         for j, r in enumerate(rd):
             if r == d:
                 p = P[j]
                 eqs += [[y[a] * p[b] % q for a, b in unknowns] for y in ann]
     eqs = [e for e in eqs if any(e)]
-    combos = fieldmod.ColumnReduction(
-        F, [[e[u] for e in eqs] for u in range(len(unknowns))],
-        len(eqs)).kernel
+    combos = fieldmod.kernel_combos(
+        F, [[e[u] for e in eqs] for u in range(len(unknowns))], len(eqs))
     out = []
     for c in combos:
         X = [[0] * t for _ in range(t)]
@@ -721,7 +720,7 @@ def _eigen_split(F, draw, E, r, rng):
             vs = [[sum(map(operator.mul, row, w)) % q for row in E]]
         for _ in range(r):      # v, Y.v, ..., Y^r.v
             vs.append([sum(map(operator.mul, row, vs[-1])) % q for row in Y])
-        f = fieldmod.ColumnReduction(F, vs, t).kernel[0]
+        f = fieldmod.kernel_combos(F, vs, t)[0]
         while not f[-1]:
             f.pop()
         c = _eigenvalue(F, f, rng)

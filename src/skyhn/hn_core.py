@@ -63,7 +63,8 @@ class _FiberClasses:
 
     def __init__(self, M):
         F = self.field = M.field
-        self._pack, self._insert = _vector_form(F.q)
+        form = _vector_form(F.q)
+        self._pack, self._insert = form.pack, form.insert
         t = self.t = M.nrows
         xs, ys, row_rk, col_rk = M._ranks
         if len(set(row_rk)) != 1:

@@ -442,6 +442,10 @@ def erosion_distance(r, s, theta, probe_grid):
     pairs = [(i, j) for i, (ai, bi) in enumerate(idx)
              for j, (aj, bj) in enumerate(idx) if ai <= aj and bi <= bj]
     scaled = {}     # id(entry) -> its theta staircases on the 1/D lattice
+    stores = (r, s)
+
+    def stairs_at(entry):
+        return theta_staircases(entry.factors, theta) if entry else []
 
     def lattice_stairs(entry):
         out = scaled.get(id(entry))
@@ -450,21 +454,25 @@ def erosion_distance(r, s, theta, probe_grid):
                 (_ceil_scaled(S.gen[0], D), _ceil_scaled(S.gen[1], D),
                  [_ceil_scaled(x, D) for x, _ in S.rels],
                  [_ceil_scaled(y, D) for _, y in S.rels])
-                for S in theta_staircases(entry.factors, theta)]
+                for S in stairs_at(entry)]
         return out
-    stores = (r, s)
+
+    @functools.lru_cache(maxsize=None)
+    def located(n, i):
+        """The entry of stores[n] at pts[i], unshifted."""
+        return stores[n].locate(pts[i])
 
     def counter(k):
         """count(n, i, j) = query of stores[n] at (pts[i] - e, pts[j] + e)
         for e = k*h, locating each shifted point of each store once."""
         e, E = k * h, k * H
-        lo = [(x - e, y - e) for x, y in pts] if k else pts
+        lo = [(x - e, y - e) for x, y in pts]
         hi = [(X[ix] + E, Y[iy] + E) for ix, iy in idx]
 
         @functools.lru_cache(maxsize=None)
         def stairs(n, i):
-            entry = stores[n].locate(lo[i])
-            return lattice_stairs(entry) if entry else []
+            return lattice_stairs(stores[n].locate(lo[i]) if k
+                                  else located(n, i))
 
         def count(n, i, j):
             bx, by = hi[j]
@@ -475,19 +483,19 @@ def erosion_distance(r, s, theta, probe_grid):
                     if not p or rys[p - 1] > by:
                         c += 1
             return c
-        return count, stairs
+        return count
 
-    count0, stairs0 = counter(0)
-    base = functools.lru_cache(maxsize=None)(count0)   # r(a,b), s(a,b)
+    base = functools.lru_cache(maxsize=None)(counter(0))   # r(a,b), s(a,b)
 
     def holds(k):
         if not k:
             # equal staircases at every probe point a give r(a, b) ==
-            # s(a, b) at every pair
-            return (all(stairs0(0, i) == stairs0(1, i)
+            # s(a, b) at every pair; they are compared as they are, and
+            # scaled to the lattice only when the pairs must be visited
+            return (all(stairs_at(located(0, i)) == stairs_at(located(1, i))
                         for i in range(len(pts)))
                     or all(base(1, i, j) == base(0, i, j) for i, j in pairs))
-        count, _ = counter(k)
+        count = counter(k)
         for i, j in pairs:
             if count(1, i, j) > base(0, i, j):
                 return False

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -98,8 +99,9 @@ def test_matrix_space_rejects_dependent_basis():
 
 def core_all_rows(blow, ucols):
     """image_core multiplying every row of every basis matrix by every
-    column block, in the same canonical form: the reduced column echelon
-    basis of the span, which is the same list for any spanning set."""
+    column block of the lists ucols, in the same canonical form: the
+    reduced column echelon basis of the span (internal vectors), which is
+    the same list for any spanning set."""
     sp = blow.space
     Np = sp.ncols
     span = grmat._Echelon(sp.field, sp.nrows)
@@ -135,8 +137,10 @@ def test_blowup_core_matches_naive(rng):
         blow = BlowUp(sp, p, q)
         ucols = [[rng.randrange(sp.field.q) for _ in range(q * sp.ncols)]
                  for _ in range(rng.randrange(1, 4))]
-        core = blow.image_core(ucols)
-        assert core == core_all_rows(blow, ucols)
+        form = fieldmod._vector_form(sp.field.q)
+        core = blow.image_core([form.pack(u) for u in ucols])
+        assert [form.unpack(v, sp.nrows) for v in core] == \
+            [form.unpack(v, sp.nrows) for v in core_all_rows(blow, ucols)]
         naive = image_naive(blow, ucols)
         # the naive image must be exactly k^p tensor the core
         assert len(naive) == p * len(core)
@@ -224,18 +228,21 @@ def test_build_A_alpha_matches_per_beta_construction():
 
 
 class _WongReference:
-    """Wong steps with [A | W] reduced afresh at every step and A reduced
-    on its own for rank_a, and the core over all rows."""
+    """Wong steps on list columns: [A | W] reduced afresh at every step,
+    A reduced on its own for rank_a, and the core over all rows."""
 
-    def __init__(self, A, blow):
-        self.A, self.blow = A, blow
+    def __init__(self, acols, blow):
+        self.blow = blow
         self.s_basis, self.last_preimage = [], []
-        self.acols = A.columns()
-        self.rank_a = fieldmod.reduce_columns(A.field, self.acols, A.rows)[0]
+        self.acols = acols
+        self.nrows = blow.p * blow.space.nrows
+        self.rank_a = fieldmod.reduce_columns(blow.space.field, acols,
+                                              self.nrows)[0]
         self.contained = None
 
     def advance(self):
-        F, N, p = self.A.field, self.blow.space.nrows, self.blow.p
+        F, N, p = self.blow.space.field, self.blow.space.nrows, self.blow.p
+        unpack = fieldmod._vector_form(F.q).unpack
         wcols = []
         for a in range(p):
             for s in self.s_basis:
@@ -243,39 +250,138 @@ class _WongReference:
                 w[a * N:(a + 1) * N] = s
                 wcols.append(w)
         rank, _, combos = fieldmod.reduce_columns(F, self.acols + wcols,
-                                                  self.A.rows)
+                                                  self.nrows)
         self.contained = rank == self.rank_a
         na = len(self.acols)
         span = grmat._Echelon(F, na)
         for c in combos:
             span.insert(c[:na])
         self.last_preimage = span.basis_columns()
-        new_s = core_all_rows(self.blow, self.last_preimage)
+        new_s = [unpack(v, N)
+                 for v in core_all_rows(self.blow, self.last_preimage)]
         if len(new_s) == len(self.s_basis):
             return False
         self.s_basis = new_s
         return True
 
 
+def _run_reference(acols, blow):
+    ref = _WongReference(acols, blow)
+    while ref.advance():
+        pass
+    return ref
+
+
+def _extension_degree(F, p, g_extra):
+    return (1 if p <= 1 else max(1, math.ceil(math.log(p, F.q) ** 2))) \
+        + g_extra
+
+
+def _draw_reference(space, p, seed, q=None, g_extra=0):
+    """shrunk_subspace_random on lists, as the engine drew before it
+    worked in field's vector form: the same random stream, X_k . C from
+    the echelon transform, A = sum_k kron(X_k, A_k) as a dense matrix, and
+    the Wong steps of _WongReference on its columns."""
+    if q is None:
+        q = p
+    F, Np, N = space.field, space.ncols, space.nrows
+    if space.ell == 0 or N == 0:
+        return DenseMatrix.identity(Np, F)
+    g = _extension_degree(F, p, g_extra)
+    rng = random.Random(seed)
+    ext = fieldmod.ext_field_build(F.q, g) if g > 1 else None
+    P, Q = g * p, g * q
+    xmats = []
+    for _ in range(space.ell):
+        X = [[0] * Q for _ in range(P)]
+        for i in range(p):
+            for j in range(q):
+                x = [rng.randrange(F.q) for _ in range(g)]
+                blk = fieldmod.embed_phi(x, ext).data if ext else [x]
+                for a in range(g):
+                    X[i * g + a][j * g:(j + 1) * g] = blk[a]
+        xmats.append(X)
+    C = _echelon_transform(
+        F, [[row[b] for X in xmats for row in X] for b in range(Q)])
+    A = DenseMatrix.zero(P * N, Q * Np, F)
+    for X, B in zip(xmats, space.basis):
+        XC = DenseMatrix(P, Q, F, [[sum(row[k] * C[j][k] for k in range(Q))
+                                    % F.q for j in range(Q)] for row in X])
+        K = fieldmod.kron(XC, B)
+        A.data = [[(x + y) % F.q for x, y in zip(ra, rk)]
+                  for ra, rk in zip(A.data, K.data)]
+    ref = _run_reference(A.columns(), cheng.BlowUp(space, P, Q))
+    if not ref.contained:
+        return None
+    span = grmat._Echelon(F, Np)
+    for c in ref.last_preimage:
+        span.insert(c[:Np])
+    if span.rank * Q != len(ref.last_preimage):
+        return None
+    return DenseMatrix.from_columns(span.basis_columns(), Np, F)
+
+
+def _draw_cases(rng):
+    """Random dense and row-sparse spaces over GF(2) and GF(3), and
+    build_A_alpha's spaces, each with (p, q, g_extra) blow-ups whose
+    extension degree is 1 and more than 1."""
+    spaces = [random_space(rng, F3 if k % 2 else F2, rng.randrange(1, 4),
+                           rng.randrange(1, 4), rng.randrange(1, 4),
+                           sparse=k % 4 > 1)
+              for k in range(24)]
+    spaces += a_alpha_spaces()
+    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
+    for F, t in ((F2, 4), (F3, 3), (F2, 5), (F3, 4)):
+        M = random_unigen_module(rng, F, t)
+        spaces.append(build_A_alpha(M, G, M.row_degrees[0])[0])
+    return [(sp, draw_p, q, g_extra) for sp in spaces
+            for draw_p, q, g_extra in [(1, 1, 0), (1, 2, 0), (2, 1, 1),
+                                       (3, 2, 0), (2, 3, 0)]]
+
+
+def test_draws_match_list_reference(rng):
+    """Every randomized draw, over GF(2) and GF(3), on random and
+    build_A_alpha spaces, for extension degree g = 1 and g > 1, returns
+    exactly the U (or None) of the list-form reference, and both
+    certificate outcomes occur in each field at both kinds of degree."""
+    outcomes = set()
+    for k, (sp, draw_p, q, g_extra) in enumerate(_draw_cases(rng)):
+        got = shrunk_subspace_random(sp, draw_p, seed=k, q=q,
+                                     g_extra=g_extra)
+        want = _draw_reference(sp, draw_p, seed=k, q=q, g_extra=g_extra)
+        assert got == want, (k, sp, draw_p, q, g_extra)
+        g = _extension_degree(sp.field, draw_p, g_extra)
+        outcomes.add((sp.field.q, g > 1, got is None))
+    assert outcomes == set(itertools.product((2, 3), (False, True),
+                                             (False, True)))
+
+
 def test_wong_matches_fresh_reduction(monkeypatch, rng):
     """Every Wong run of the randomized draws, step by step against the
-    reference: the same preimages, cores and certificate, for extension
-    degree g = 1 and g > 1."""
+    reference on the unpacked columns: the same preimages, cores and
+    certificate, for extension degree g = 1 and g > 1, over GF(2) and
+    GF(3)."""
     outcomes = set()
 
-    def checked(A, blow):
-        st, ref = cheng.WongState(A, blow), _WongReference(A, blow)
+    def checked(acols, blow):
+        F = blow.space.field
+        unpack = fieldmod._vector_form(F.q).unpack
+        nrows, ncols = blow.p * blow.space.nrows, len(acols)
+        st = cheng.WongState(acols, blow)
+        ref = _WongReference([unpack(c, nrows) for c in acols], blow)
         while True:
             grew = st.advance()
             assert grew == ref.advance()
-            assert st.last_preimage == ref.last_preimage
-            assert st.s_basis == ref.s_basis
+            assert [unpack(v, ncols) for v in st.last_preimage] == \
+                ref.last_preimage
+            assert [unpack(v, blow.space.nrows) for v in st.s_basis] == \
+                ref.s_basis
             if not grew:
                 break
         assert st.contained == ref.contained
         assert st.rank_a == ref.rank_a
         # blow.p is g times the draw's p
-        outcomes.add((blow.p > draw_p, st.contained))
+        outcomes.add((F.q, blow.p > draw_p, st.contained))
         return st
     monkeypatch.setattr(cheng, "_run_wong", checked)
     spaces = [random_space(rng, F3 if k % 2 else F2, rng.randrange(1, 4),
@@ -286,8 +392,9 @@ def test_wong_matches_fresh_reduction(monkeypatch, rng):
         for draw_p, q, g_extra in [(1, 1, 0), (1, 2, 0), (2, 1, 1),
                                    (3, 2, 0)]:
             shrunk_subspace_random(sp, draw_p, seed=k, q=q, g_extra=g_extra)
-    assert outcomes == {(False, True), (False, False), (True, True),
-                        (True, False)}
+    assert {(g, c) for _, g, c in outcomes} == {
+        (False, True), (False, False), (True, True), (True, False)}
+    assert {q for q, _, _ in outcomes} == {2, 3}
 
 
 def test_build_A_alpha_cross(cross):
@@ -407,9 +514,10 @@ def test_partial_reduce_matches_echelon_transform():
             want = [[[sum(row[k] * C[j][k] for k in range(Q)) % F.q
                       for j in range(Q)] for row in X] for X in xmats]
             got = cheng._partial_reduce(F, xmats)
-            assert got == want
-            dependent += any(not any(row[j] for X in got for row in X)
-                             for j in range(Q))
+            # column j of the stacked X_k . C
+            assert got == [[row[j] for X in want for row in X]
+                           for j in range(Q)]
+            dependent += any(not any(col) for col in got)
     assert dependent > 50
 
 

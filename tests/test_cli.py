@@ -301,6 +301,27 @@ def test_cli_malformed_counts_and_trailing_relation(tmp_path, capsys):
         assert len(_one_line_error(capsys).splitlines()) == 1, name
 
 
+def test_relation_naming_a_generator_twice(tmp_path, capsys):
+    """A relation that names one generator twice was read with its last
+    entry winning, although the two entries would sum to zero over GF(3);
+    it is a parse error on its own line, and the CLI exits 2."""
+    head = "skypres v1\nfield 3\ngenerators 2\n0 0\n0 0\nrelations 2\n"
+    cases = [("twice", head + "1 0 : 1 1\n1 1 : 0 1 0 2\n", 8),
+             ("with a zero", head + "1 1 : 1 0 0 1 1 2\n0 1 : 0 1\n", 7)]
+    for name, text, lineno in cases:
+        p = tmp_path / (name.replace(" ", "_") + ".skypres")
+        p.write_text(text)
+        with pytest.raises(ParseError, match="named twice") as ei:
+            parse_presentation(str(p))
+        assert ei.value.lineno == lineno, name
+        assert main(["--out", str(tmp_path / "out"), "approx", str(p),
+                     "--epsilon", "1"]) == 2, name
+        assert len(_one_line_error(capsys).splitlines()) == 1, name
+    ok = tmp_path / "once.skypres"
+    ok.write_text(head + "1 0 : 1 1\n1 1 : 0 1 1 2\n")
+    assert parse_presentation(str(ok)).columns[1] == [(0, 1), (1, 2)]
+
+
 def test_cli_box_without_generator(cross_file, tmp_path, capsys):
     assert main(["--out", str(tmp_path), "--box", "10,10,11,11", "approx",
                  cross_file, "--epsilon", "1"]) == 2

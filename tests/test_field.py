@@ -157,23 +157,35 @@ def test_dense_algebra_matches_definitions():
 # reduce / reduce_columns against the elimination they replaced
 
 def test_column_reduction_extend_matches_whole_reduction():
-    """ColumnReduction(cols).extend(more), any number of times, gives the
-    rank of reduce_columns(cols + more) and the parts on cols of its
-    kernel combos for the columns of more."""
+    """ColumnReduction(cols).extend(more), any number of times, on the
+    internal vectors of _vector_form, gives the rank of
+    reduce_columns(cols + more) on their lists and the parts on cols of
+    its kernel combos for the columns of more."""
     rng = random.Random(59)
     for F in [F2, F3, F5]:
+        form = fieldmod._vector_form(F.q)
+
+        def opened(cols, m):
+            red = fieldmod.ColumnReduction(F, [form.pack(c) for c in cols],
+                                           m)
+            assert (red.rank, [form.unpack(v, m) for v in red.basis],
+                    [form.unpack(c, len(cols)) for c in red.kernel]) == \
+                fieldmod.reduce_columns(F, cols, m)
+            return red
+
+        def extended(red, more, m):
+            rank, combos = red.extend([form.pack(c) for c in more])
+            return rank, [form.unpack(c, red.n) for c in combos]
         for _ in range(150):
             n, k, m = rng.randrange(0, 6), rng.randrange(0, 4), \
                 rng.randrange(0, 6)
             cols = [[rng.randrange(F.q) for _ in range(m)] for _ in range(n)]
-            red = fieldmod.ColumnReduction(F, cols, m)
-            assert (red.rank, red.basis, red.kernel) == \
-                fieldmod.reduce_columns(F, cols, m)
+            red = opened(cols, m)
             for _ in range(2):
                 more = [[rng.randrange(F.q) for _ in range(m)]
                         for _ in range(k)]
                 rank, _, combos = fieldmod.reduce_columns(F, cols + more, m)
-                assert red.extend(more) == (
+                assert extended(red, more, m) == (
                     rank, [c[:n] for c in combos[len(red.kernel):]])
         # sizes where a column's tail and its entries share bit positions;
         # batches with zero, repeated and mutually dependent columns, whose
@@ -182,14 +194,12 @@ def test_column_reduction_extend_matches_whole_reduction():
             n, m = rng.randrange(20, 41), rng.randrange(20, 41)
             cols = _with_dependent(rng, F, _random_columns(rng, F, m, n), 4)
             n = len(cols)
-            red = fieldmod.ColumnReduction(F, cols, m)
-            assert (red.rank, red.basis, red.kernel) == \
-                fieldmod.reduce_columns(F, cols, m)
+            red = opened(cols, m)
             for _ in range(2):
                 more = _random_columns(rng, F, m, rng.randrange(1, 8))
                 more = _with_dependent(rng, F, more + [[0] * m], 3)
                 rank, _, combos = fieldmod.reduce_columns(F, cols + more, m)
-                got = red.extend(more)
+                got = extended(red, more, m)
                 assert got == (rank,
                                [c[:n] for c in combos[len(red.kernel):]])
                 assert [0] * n in got[1]

@@ -426,6 +426,34 @@ def test_erosion_distance_matches_reference():
     assert any(0 < lo and hi < grmat.POS_INF for lo, hi in results)
 
 
+def test_erosion_scales_staircases_only_for_the_pair_loop(monkeypatch):
+    """At shift 0 erosion_distance compares the located theta-staircases
+    as they are: equal stores scale no staircase to the lattice, and a
+    store that differs at one probe point scales its staircases for the
+    pair loop, with the reference's answer either way."""
+    scaled = []
+    ceil_scaled = invariants._ceil_scaled
+    monkeypatch.setattr(invariants, "_ceil_scaled",
+                        lambda c, D: scaled.append(c) or ceil_scaled(c, D))
+    rng = random.Random(4712)
+    runs = 0
+    for trial in range(6):
+        M = random_bounded_module(rng, (F2, F3)[trial % 2],
+                                  rng.randrange(1, 4), dmax=3)
+        sa = approx_skyscraper(M, ScanConfig(epsilon=Fr(1)))
+        if not sa.keys():
+            continue
+        snap = exact_skyscraper(M).snapshot(sa.keys(), Fr(1))
+        G = _key_grid(sa)
+        del scaled[:]
+        assert _assert_same_erosion(sa, snap, Fr(0), G) == (0, 0)
+        assert scaled == []
+        _assert_same_erosion(sa, _moved(snap, rng), Fr(0), G)
+        assert scaled
+        runs += 1
+    assert runs >= 3
+
+
 def _uneven_grid(G, rng):
     """Probe grid from G's coordinates: every other one dropped at random
     and a point over a new denominator (5 or 7) added on each axis."""

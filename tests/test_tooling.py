@@ -104,8 +104,9 @@ def _count_fraction_constructions(monkeypatch):
 def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
         cross, monkeypatch):
     """On the cross fixture the probe-pair loop of erosion_distance makes
-    no Fraction comparison (the store lookups and the per-entry choice of
-    staircases, outside it, may), and neither do SubdivTree.factors_at
+    no Fraction comparison (the store lookups, the per-entry choice of
+    staircases and the shift-0 comparison of the located staircases,
+    outside it, may), and neither do SubdivTree.factors_at
     reads at points already read, walls included, nor the reads of the
     interval cells (pipeline._Interval) that the exact store holds; a
     tree read builds one Fraction per slope at most, an interval read
@@ -154,6 +155,7 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
     counts, pause = _count_fraction_comparisons(monkeypatch)
     pause(invariants.SkyscraperStore, "locate")
     pause(invariants, "theta_staircases")
+    pause(invariants.Staircase, "__eq__")
     brackets = [invariants.erosion_distance(r, s, Fr(0), G)
                 for r, s in ((sa, snap), (moved, sa), (sa, moved))]
     assert counts["n"] == 0
@@ -276,3 +278,41 @@ def test_no_dead_private_names_in_src():
         with open(path, encoding="utf-8") as fh:
             sources[os.path.basename(path)] = fh.read()
     assert _dead_private_names(sources) == []
+
+
+_BITMASK_NAMES = {"_pack_f2", "_unpack_f2", "_insert_f2", "bit_count",
+                  "bit_length"}
+
+
+def _bitmask_names(source):
+    """The names of _BITMASK_NAMES that a module source uses: as a
+    variable, an attribute or an imported name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found & _BITMASK_NAMES
+
+
+def test_only_field_reads_a_bitmask():
+    """GF(2) vectors are bitmask ints inside field alone: every other
+    module of src/ holds them through field._vector_form and never packs,
+    unpacks, eliminates or counts bits itself."""
+    assert _bitmask_names(
+        "from .field import _pack_f2 as p\nv.bit_length()\n"
+        "x = bit_count\n# _insert_f2\n") == {"_pack_f2", "bit_length",
+                                            "bit_count"}
+    src = os.path.dirname(pipeline.__file__)
+    found = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            names = _bitmask_names(fh.read())
+        if names and os.path.basename(path) != "field.py":
+            found[os.path.basename(path)] = names
+    assert found == {}
+    with open(os.path.join(src, "field.py"), encoding="utf-8") as fh:
+        assert _bitmask_names(fh.read()) == _BITMASK_NAMES
