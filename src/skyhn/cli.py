@@ -378,7 +378,10 @@ def _cmd_approx(args):
 def _cmd_exact(args):
     M = _load(args)
     ex = pipeline.exact_skyscraper(M, box=args.box)
-    keys = sorted({p for _, grid, _ in ex.summands for p in grid.points()})
+    # the grid points of the decompose pieces, where a filtration changes:
+    # a presentation that hides a direct sum in one block gets no more
+    keys = sorted({p for piece in ex.pieces
+                   for p in grmat.induced_grid(piece).points()})
     snap = ex.snapshot(keys)
     emit_store(snap, _store_path(args, "exact.csv"))
     print("entries %d" % len(snap))

@@ -136,28 +136,13 @@ def _poly_gcd(F, a, b):
 
 
 def _irreducible(F, coeffs):
-    """Check irreducibility of a monic polynomial (coefficient list, monic).
-
-    Exhaustive trial division for degree <= 8, Rabin's test otherwise.
-    """
+    """Check irreducibility of a monic polynomial (coefficient list, monic)
+    by Rabin's test."""
     g = len(coeffs) - 1
     if g == 1:
         return True
     if coeffs[0] == 0:  # divisible by x
         return False
-    if g <= 8:
-        # trial divide by every monic polynomial of degree 1..g//2
-        for d in range(1, g // 2 + 1):
-            for code in range(F.q ** d):
-                div = []
-                c = code
-                for _ in range(d):
-                    div.append(c % F.q)
-                    c //= F.q
-                div.append(1)
-                if not _poly_mod(F, coeffs, div):
-                    return False
-        return True
     # Rabin: x^(q^g) == x mod f, and gcd(x^(q^(g/p)) - x, f) = 1 for primes p|g
     q = F.q
     xq = _poly_powmod(F, [0, 1], q ** g, coeffs)

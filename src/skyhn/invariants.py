@@ -4,9 +4,11 @@ with ``renormalize``), the Skyscraper store with theta-queries, and
 erosion distance.
 
 Fractions at the API, ints below: staircases, factor lists, store keys and
-erosion brackets are exact rationals, while superlevel staircases are
-swept over grid indices (``grid_staircases``) and erosion_distance tests
-staircase membership on an integer lattice.  At shift 0, erosion_distance
+erosion brackets are exact rationals, while staircase membership
+(``staircase_contains``) and transport to a higher generator
+(``staircase_at``) compare cross-multiplied ints, superlevel staircases
+are swept over grid indices (``grid_staircases``) and erosion_distance
+tests staircase membership on an integer lattice.  At shift 0, erosion_distance
 compares the staircases the two stores locate at each probe point, and
 visits the probe pairs only where they differ somewhere.
 """
@@ -111,7 +113,6 @@ class Staircase:
             if rels and rels[0] == self.gen:
                 raise ValueError(EMPTY_STAIRCASE)
         self.rels = rels
-        self._rel_xs = [r[0] for r in self.rels]
 
     def key(self):
         return (self.gen, tuple(self.rels))
@@ -143,17 +144,49 @@ class Staircase:
 
 
 def staircase_contains(S, beta):
-    """Membership test: gen <= beta and no relation <= beta, via binary
-    search over the x-sorted antichain."""
-    beta = as_degree(beta)
-    if not deg_leq(S.gen, beta):
+    """Membership test: gen <= beta and no relation <= beta, on
+    cross-multiplied ints.  The relations are sorted by x, so the first
+    one right of beta ends the scan: every later one lies right of it."""
+    bx, by = as_degree(beta)
+    xn, xd = bx.numerator, bx.denominator
+    yn, yd = by.numerator, by.denominator
+    gx, gy = S.gen
+    if gx.numerator * xd > xn * gx.denominator or \
+            gy.numerator * yd > yn * gy.denominator:
         return False
-    # relations with x <= beta.x have decreasing y; only the last one (the
-    # largest x) has the least y among them, so it decides
-    i = bisect.bisect_right(S._rel_xs, beta[0])
-    if i == 0:
-        return True
-    return S.rels[i - 1][1] > beta[1]
+    for rx, ry in S.rels:
+        if rx.numerator * xd > xn * rx.denominator:         # rx > bx
+            return True
+        if ry.numerator * yd <= yn * ry.denominator:        # ry <= by
+            return False
+    return True
+
+
+def staircase_at(S, beta):
+    """Transport a staircase generated below beta to generator beta: the
+    relations become the minimal elements of their joins with beta.  Valid
+    while beta lies below every relation's activation (first cell).
+
+    One pass over the x-sorted antichain: the joins' x coordinates are
+    beta's for a prefix of it and their y coordinates beta's for a suffix,
+    so among equal x the last join is minimal and among equal y the first;
+    coordinates compare as cross-multiplied ints."""
+    bx, by = beta
+    xn, xd = bx.numerator, bx.denominator
+    yn, yd = by.numerator, by.denominator
+    out = []
+    last_xb = last_yb = False
+    for rx, ry in S.rels:
+        xb = rx.numerator * xd <= xn * rx.denominator      # rx <= bx
+        yb = ry.numerator * yd <= yn * ry.denominator      # ry <= by
+        if xb and yb:
+            raise ValueError(EMPTY_STAIRCASE)
+        if last_xb and xb:
+            out[-1] = (bx, ry)
+        elif not (last_yb and yb):
+            out.append((bx if xb else rx, by if yb else ry))
+        last_xb, last_yb = xb, yb
+    return Staircase(beta, out, check=False)
 
 
 def staircases_from_dims(grid, dims, alpha, thickness=None):

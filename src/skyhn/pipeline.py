@@ -8,28 +8,28 @@ relations, so every integral is finite, minimize it once and split it into
 connected blocks (``_clipped_blocks``).  Brute force and the exact cells
 then run on the direct summands that ``grmat.decompose`` finds in each
 block, once per block per driver call; the cheng engine runs on each block
-whole.  In the brute-force sweep and the exact store, a summand of one
-generator is an interval module and reaches no engine: its HN
-filtration at every point of its support is the interval above the
-point, at slope 1/area, read in closed form from one ``_Interval`` per
-cell.  Most summands that decompose finds have one generator, so there
-the engines run on the few that have more.  ``hn_at`` stays the
-reference that the closed form is checked against: it runs brute force
-on every summand.  One ``invariants.merge_factors`` per point joins the
-factors of every piece, equal slopes into one, so the answer does not
-depend on how the presentation falls into blocks.  ``approx_skyscraper``
-and ``parallel_grid_scan`` are one colexicographic sweep of the epsilon
+whole.  In the sweeps and the exact store, a summand of one generator is
+an interval module and reaches no engine: one ``_Interval`` per summand
+reads it from its staircase, where the HN filtration at every point of
+the support is the interval above the point, at slope 1/area.  Most
+summands that decompose finds have one generator, so there the engines
+run on the few that have more.  ``hn_at`` stays the reference that the
+staircase reads are checked against: it runs brute force on every
+summand.  One ``invariants.merge_factors`` per point joins the factors of
+every piece, equal slopes into one, so the answer does not depend on how
+the presentation falls into blocks.  ``approx_skyscraper`` and
+``parallel_grid_scan`` are one colexicographic sweep of the epsilon
 lattice (``_sweep``) with two per-point strategies: HN engine runs, or the
 lazily built cells of an ``ExactStore``.  A module is constant on each
 cell of its induced grid, and one per-cell cache (``_Cells``) serves both:
-the brute-force sweep builds a piece's cell once, at the cell's lower
-corner, as the piece's _Interval or else its fiber submodule (_Fiber),
-and reads every lattice point of the cell from it; the HN loop memoizes
-its linear algebra on the fiber submodule.  An ``ExactStore`` builds a
-summand's _Intervals and subdivision trees once per cell.
-``_sweep`` is the one place that evicts cells: it tells every cache which
-lattice row it enters, and each drops the cells of its other grid rows.
-``store.work`` counts per connected block.
+the brute-force sweep builds the fiber submodule of a piece of two or
+more generators once per cell, at the cell's lower corner (_Fiber), and
+reads every lattice point of the cell from it, as the HN loop memoizes
+its linear algebra on it; an ``ExactStore`` builds a summand's
+subdivision trees once per cell.  ``_sweep`` is the one place that evicts
+cells: it tells every cache which lattice row it enters, and each drops
+the cells of its other grid rows.  ``store.work`` counts per connected
+block.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from fractions import Fraction
 from . import cheng, grmat, hn_core, invariants, subdivision
 from .grmat import GradedMatrix, Grid, as_degree, deg_leq
 from .invariants import (HNFactor, HNFactorList, SkyscraperStore, Staircase,
-                         count_containing, merge_factors, theta_staircases)
+                         count_containing, merge_factors, staircase_at,
+                         staircase_contains, theta_staircases)
 
 __all__ = ["ScanConfig", "EngineFailure", "bounding_box", "clip_to_box",
            "regular_grid", "hn_at", "approx_skyscraper", "ExactStore",
@@ -176,75 +177,43 @@ def _engine_pieces(blocks, engine):
 
 
 class _Interval:
-    """The HN filtration of a one-generator piece, an interval module, over
-    one cell: at every point beta of the piece's support the module
+    """A one-generator piece of decompose, an interval module, read from
+    its staircase: at every point beta of the support the module
     generated there is the interval above beta, which is semistable, so
-    its one factor is that interval at slope 1/area [FJNT24].  Holds the
-    interval at the cell's lower corner c, and its area at c + d as the
-    integer coefficients of c0 - cy*d1 - cx*d2 + d1*d2 over a common
-    denominator (the subdivision.SlopePoly form), so that a read is one
-    staircase transport and one Fraction."""
+    its one factor is that interval at slope 1/area [FJNT24].  Built once
+    per piece where a driver prepares its pieces."""
 
-    __slots__ = ("corner", "stair", "coeffs")
+    __slots__ = ("stair",)
 
-    def __init__(self, stair):
-        """From the interval at the corner: with its degrees as ints over
-        the lcm L of their denominators, and offsets from the corner, the
-        first column's height is the first relation's y, the first row's
-        width the last relation's x, and the area a sum of rectangles, all
-        over D = L*L."""
-        (cx, cy), rels = stair.gen, stair.rels
-        L = math.lcm(cx.denominator, cy.denominator,
-                     *(c.denominator for r in rels for c in r))
-        X = cx.numerator * (L // cx.denominator)
-        Y = cy.numerator * (L // cy.denominator)
-        pts = [(x.numerator * (L // x.denominator) - X,
-                y.numerator * (L // y.denominator) - Y) for x, y in rels]
-        if not pts or pts[0][0] or pts[-1][1]:
+    def __init__(self, piece):
+        """Checked on the piece's coordinate ranks: the relations of a
+        minimal one-generator presentation are an antichain, and the box
+        caps bound it on both axes."""
+        xs, ys, (gen,), rels = piece._ranks
+        rels = sorted(rels)
+        if not all(a[0] < b[0] and a[1] > b[1]
+                   for a, b in zip(rels, rels[1:])):
+            raise ValueError("relations do not form an antichain")
+        if not rels or rels[0][0] != gen[0] or rels[-1][1] != gen[1]:
             raise ValueError("module is not bounded: infinite inverse slope")
-        area = sum((b[0] - a[0]) * a[1] for a, b in zip(pts, pts[1:]))
-        self.corner = (cx.numerator, cx.denominator,
-                       cy.numerator, cy.denominator)
-        self.stair = stair
-        self.coeffs = (L * L, area, pts[-1][0] * L, pts[0][1] * L)
+        self.stair = Staircase(piece.row_degrees[0],
+                               [(xs[x], ys[y]) for x, y in rels], check=False)
+
+    def at(self, beta):
+        """The reader itself where beta lies in the support, else None."""
+        return self if staircase_contains(self.stair, beta) else None
 
     def factors_at(self, beta):
-        """The HN filtration at a point beta of the cell: the interval
-        transported to beta, at the slope read on ints as
-        subdivision.SlopePoly.slope_at reads it."""
-        bx, by = beta
-        an, ad, cn, cd = self.corner
-        # the offset beta - c as numerators over denominators
-        d1 = bx.denominator * ad
-        n1 = bx.numerator * ad - an * bx.denominator
-        d2 = by.denominator * cd
-        n2 = by.numerator * cd - cn * by.denominator
-        D, c0, cx, cy = self.coeffs
-        slope = Fraction(D * d1 * d2, c0 * d1 * d2 - cy * n1 * d2
-                         - cx * n2 * d1 + D * n1 * n2)
-        return HNFactorList(beta, [HNFactor(
-            [subdivision._staircase_at(self.stair, beta)], slope)])
-
-
-def _interval_cell(piece, corner):
-    """The _Interval of a one-generator minimal piece over the cell with
-    lower corner `corner` of its induced grid, or of a grid refining it;
-    None where the fiber at the corner is zero.  Decided on the piece's
-    coordinate ranks: the relations of a minimal one-generator
-    presentation are an antichain."""
-    xs, ys, (gen,), rels = piece._ranks
-    # ranks below kx (ky) are coordinates <= the corner's
-    kx = grmat._count_leq(xs, corner[0])
-    ky = grmat._count_leq(ys, corner[1])
-    if gen[0] >= kx or gen[1] >= ky or any(x < kx and y < ky
-                                           for x, y in rels):
-        return None
-    rels = sorted(rels)
-    if not all(a[0] < b[0] and a[1] > b[1] for a, b in zip(rels, rels[1:])):
-        raise ValueError("relations do not form an antichain")
-    stair = Staircase(piece.row_degrees[0],
-                      [(xs[x], ys[y]) for x, y in rels], check=False)
-    return _Interval(subdivision._staircase_at(stair, corner))
+        """The HN filtration at a point beta of the support: the staircase
+        transported to beta, its area a sum of rectangles on ints over the
+        lcm L of the denominators, and one Fraction."""
+        S = staircase_at(self.stair, beta)
+        L = math.lcm(*(c.denominator for r in S.rels for c in r))
+        pts = [(x.numerator * (L // x.denominator),
+                y.numerator * (L // y.denominator)) for x, y in S.rels]
+        Y = pts[-1][1]          # beta's y; the first relation has its x
+        area = sum((b[0] - a[0]) * (a[1] - Y) for a, b in zip(pts, pts[1:]))
+        return HNFactorList(beta, [HNFactor([S], Fraction(L * L, area))])
 
 
 class _Fiber:
@@ -273,13 +242,13 @@ def _fiber_cell(piece, corner):
 def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
                cell=_fiber_cell):
     """HN filtration at alpha of the direct sum of the connected blocks:
-    one read per piece of a block (pieces from _engine_pieces), and the
-    factors of every piece merged (merge_factors).  cheng_grid(i) is
-    the grid of block i for the cheng engine, asked for only when the
-    fiber is non-zero.  Brute force reads cell(piece, alpha), the
-    _Interval or _Fiber of alpha's cell, or None on a zero fiber, whose
-    list is empty; work[i] counts the points where some piece of block i
-    gave a non-empty one."""
+    one read per piece of a block (pieces from _engine_pieces, or their
+    readers), and the factors of every piece merged (merge_factors).
+    cheng_grid(i) is the grid of block i for the cheng engine, asked for
+    only when the fiber is non-zero.  Brute force reads cell(piece,
+    alpha), an _Interval or the _Fiber of alpha's cell, or None on a zero
+    fiber, whose list is empty; work[i] counts the points where some
+    piece of block i gave a non-empty one."""
     lists = []
     for i, block_pieces in enumerate(pieces):
         if engine == "cheng":
@@ -302,8 +271,8 @@ def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
 def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
     """HN filtration of <V_alpha> of the clipped module: brute force runs
     per summand found by grmat.decompose, one-generator summands included,
-    so that it is the reference for the closed form that the sweep and
-    the exact store read those from (_Interval); cheng runs per connected
+    so that it is the reference for the staircase reads that the sweeps
+    and the exact store make of those (_Interval); cheng runs per connected
     block, and the results are merged (merge_factors).  The cheng engine
     runs on cheng_grid, or else on the regular grid of each block and
     alpha."""
@@ -381,13 +350,13 @@ def _sweep(box, epsilon, hn_of, caches=()):
 def approx_skyscraper(M, cfg):
     """Store of HN filtrations at every epsilon-lattice point of the
     support; an epsilon-approximation of the true invariant in erosion
-    distance.  Brute force builds each piece's cell once per cell of the
-    piece's induced grid, the _Interval of a one-generator piece and the
-    _Fiber of any other, in one _Cells cache per piece that _sweep evicts
-    row by row, and reads every lattice point of the cell from it
-    (_Cells.at), so each HN step's linear algebra runs once per cell; the
-    cheng engine runs on each block whole at every point, on the regular
-    grid of the block and the point, as hn_at does.  store.work counts,
+    distance.  Brute force reads a one-generator piece from its _Interval,
+    and builds any other piece's _Fiber once per cell of the piece's
+    induced grid, in one _Cells cache per piece that _sweep evicts row by
+    row, and reads every lattice point of the cell from it (_Cells.at),
+    so each HN step's linear algebra runs once per cell; the cheng engine
+    runs on each block whole at every point, on the regular grid of the
+    block and the point, as hn_at does.  store.work counts,
     per connected block, the lattice points where its pieces' reads found
     a non-zero fiber."""
     box = cfg.box or bounding_box(M)
@@ -395,10 +364,11 @@ def approx_skyscraper(M, cfg):
     pieces = _engine_pieces(blocks, cfg.engine)
     cell, caches = _fiber_cell, []
     if cfg.engine == "brute":
-        pieces = [[_Cells(grmat.induced_grid(p), functools.partial(
-            _interval_cell if p.nrows == 1 else _fiber_cell, p))
+        pieces = [[_Interval(p) if p.nrows == 1 else _Cells(
+            grmat.induced_grid(p), functools.partial(_fiber_cell, p))
                    for p in ps] for ps in pieces]
-        cell, caches = _Cells.at, [c for ps in pieces for c in ps]
+        cell = _read_at
+        caches = [c for ps in pieces for c in ps if type(c) is _Cells]
     work = [0] * len(blocks)
     store = _sweep(box, cfg.epsilon, lambda alpha: _hn_blocks(
         pieces, alpha, cfg.engine, cfg.seed,
@@ -408,21 +378,27 @@ def approx_skyscraper(M, cfg):
     return store
 
 
-def _cell_trees(pieces, grid, corner):
+def _read_at(reader, alpha):
+    """What reader (an _Interval or a _Cells) reads alpha from, or None."""
+    return reader.at(alpha)
+
+
+def _cell_trees(readers, grid, corner):
     """What an ExactStore reads over the cell of a summand's grid with the
-    given lower corner, per piece of the summand: the _Interval of a
-    one-generator piece, and the subdivision trees of the blocks of
-    <V_corner> of any other (<V>(A + B) = <V>(A) + <V>(B)); None when
-    every fiber is zero or the cell is unbounded."""
+    given lower corner, per piece of the summand (readers: the _Interval
+    of a one-generator piece, any other piece itself): the _Intervals
+    live at the corner, and the subdivision trees of the blocks of
+    <V_corner> of the other pieces (<V>(A + B) = <V>(A) + <V>(B)); None
+    when every fiber is zero or the cell is unbounded."""
     ix, iy, _ = grid.index(corner)
     if ix + 1 == len(grid.xs) or iy + 1 == len(grid.ys):
         return None
     rect = (corner[0], corner[1], grid.xs[ix + 1], grid.ys[iy + 1])
     out = []
-    for p in pieces:
-        if p.nrows == 1:
-            c = _interval_cell(p, corner)
-            out += [] if c is None else [c]
+    for p in readers:
+        if type(p) is _Interval:
+            if p.at(corner):
+                out.append(p)
             continue
         sub = grmat.fiber_submodule(p, corner)
         if sub is not None:
@@ -437,19 +413,24 @@ class ExactStore:
 
     A summand is one connected block of the clipped, minimized module
     (_clipped_blocks), with its induced grid and its cells (a _Cells
-    cache); each cell holds, per piece of the summand (the summands that
-    grmat.decompose finds in it), the _Interval of a one-generator piece
-    or the trees of the fiber submodule of any other (_cell_trees)."""
+    cache); its pieces are the summands that grmat.decompose finds in it,
+    and each cell holds the _Intervals of the one-generator pieces live
+    there and the trees of the fiber submodules of the others
+    (_cell_trees)."""
 
     def __init__(self, box):
         self.box = box
         # (module, grid, _Cells of [SubdivTree or _Interval] or None), one
         # per summand
         self.summands = []
+        self.pieces = []        # the decompose pieces of every summand
 
     def _add_summand(self, module):
         grid = grmat.induced_grid(module)
-        build = functools.partial(_cell_trees, grmat.decompose(module), grid)
+        pieces = grmat.decompose(module)
+        self.pieces += pieces
+        build = functools.partial(_cell_trees, [
+            _Interval(p) if p.nrows == 1 else p for p in pieces], grid)
         self.summands.append((module, grid, _Cells(grid, build)))
 
     @property
@@ -486,9 +467,9 @@ def exact_skyscraper(M, box=None, eager=True):
     """Exact skyscraper store: the clipped module is minimized and split
     into connected summands, each further into its decompose pieces, and
     each cell of a summand's induced grid gets, at its lower corner, the
-    subdivision trees of the pieces' fiber submodules, or the _Interval of
-    a one-generator piece (all cells now when eager, else each cell at its
-    first query)."""
+    subdivision trees of the pieces' fiber submodules, and the _Intervals
+    of the one-generator pieces live there (all cells now when eager,
+    else each cell at its first query)."""
     box = box or bounding_box(M)
     store = ExactStore(box)
     for block in _clipped_blocks(M, box):

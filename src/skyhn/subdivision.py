@@ -12,7 +12,8 @@ Reads of a built tree run on ints: point location cross-multiplies by the
 point's denominators against integer half-plane coefficients, each slope
 is one Fraction of the polynomial evaluated on the offset's numerators
 and denominators, and staircases are transported on integer comparisons
-and joined on a wall by ``invariants.renormalize``.
+(``invariants.staircase_at``) and joined on a wall by
+``invariants.renormalize``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import grmat, invariants
 from .field import DenseMatrix
 from .grmat import as_degree
 from .hn_core import fiber_classes
-from .invariants import HNFactor, HNFactorList, Staircase
+from .invariants import HNFactor, HNFactorList, staircase_at
 
 __all__ = ["SlopePoly", "ConvexRegion", "SubdivNode", "SubdivTree",
            "slope_polynomial", "lower_envelope", "all_max_slope",
@@ -347,7 +348,7 @@ class SubdivTree:
         n2 = by.numerator * ay.denominator - ay.numerator * by.denominator
         factors = []
         for node in self.path(beta):
-            stairs = [_staircase_at(s, beta) for s in node.staircases]
+            stairs = [staircase_at(s, beta) for s in node.staircases]
             slope = node.poly.slope_at(n1, d1, n2, d2)
             # Fractions are normalized: equal exactly when their ratios are
             if (factors and factors[-1].slope.as_integer_ratio()
@@ -360,33 +361,6 @@ class SubdivTree:
             else:
                 factors.append(HNFactor(stairs, slope))
         return HNFactorList(beta, factors)
-
-
-def _staircase_at(S, beta):
-    """Transport a staircase generated below beta to generator beta: the
-    relations become the minimal elements of their joins with beta.  Valid
-    while beta lies below every relation's activation (first cell).
-
-    One pass over the x-sorted antichain: the joins' x coordinates are
-    beta's for a prefix of it and their y coordinates beta's for a suffix,
-    so among equal x the last join is minimal and among equal y the first;
-    coordinates compare as cross-multiplied ints."""
-    bx, by = beta
-    xn, xd = bx.numerator, bx.denominator
-    yn, yd = by.numerator, by.denominator
-    out = []
-    last_xb = last_yb = False
-    for rx, ry in S.rels:
-        xb = rx.numerator * xd <= xn * rx.denominator      # rx <= bx
-        yb = ry.numerator * yd <= yn * ry.denominator      # ry <= by
-        if xb and yb:
-            raise ValueError(invariants.EMPTY_STAIRCASE)
-        if last_xb and xb:
-            out[-1] = (bx, ry)
-        elif not (last_yb and yb):
-            out.append((bx if xb else rx, by if yb else ry))
-        last_xb, last_yb = xb, yb
-    return Staircase(beta, out, check=False)
 
 
 def _build(cur, region, alpha, parent):

@@ -220,6 +220,32 @@ def reference_staircases_from_dims(grid, dims, alpha, thickness=None):
             for j in range(1, thickness + 1)]
 
 
+# ---------------------------------------------------------------------------
+# counting Fraction comparisons
+
+def count_fraction_comparisons(monkeypatch):
+    """Count the rich comparisons Fraction makes from now on, except while
+    a function wrapped by pause() runs; returns (counts, pause)."""
+    counts = {"n": 0, "paused": 0}
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        def counted(a, b, _orig=getattr(Fraction, name)):
+            counts["n"] += not counts["paused"]
+            return _orig(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+
+    def pause(owner, attr):
+        orig = getattr(owner, attr)
+
+        def paused(*args):
+            counts["paused"] += 1
+            try:
+                return orig(*args)
+            finally:
+                counts["paused"] -= 1
+        monkeypatch.setattr(owner, attr, paused)
+    return counts, pause
+
+
 @pytest.fixture
 def cross():
     return cross_module()

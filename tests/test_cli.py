@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 from fractions import Fraction as Fr
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skyhn import cli, grmat, invariants
+from skyhn import cli, grmat, invariants, pipeline
 from skyhn.cli import (ParseError, emit_store, main, parse_presentation,
                        parse_store)
 from skyhn.field import PrimeField
-from skyhn.pipeline import ScanConfig, approx_skyscraper
+from skyhn.pipeline import ScanConfig, approx_skyscraper, bounding_box
 
-from conftest import cross_module, random_bounded_module
+from conftest import cross_module, hidden_corpus, random_bounded_module
 
 
 CROSS_TEXT = """\
@@ -263,6 +264,31 @@ def test_cli_exact(cross_file, tmp_path):
     rc = main(["--out", str(tmp_path), "exact", cross_file])
     assert rc == 0
     assert os.path.exists(os.path.join(str(tmp_path), "exact.csv"))
+
+
+def test_cli_exact_keys_do_not_depend_on_the_presentation(tmp_path, capsys):
+    """A hidden direct sum that stays one connected block and the direct
+    sum of its decompose pieces write the same exact.csv under one --box:
+    the keys are the grid points of the pieces, not of the blocks."""
+    n_hidden = 0
+    for i, (_, _, M) in enumerate(hidden_corpus(n=18, seed=99,
+                                                max_thickness=4)):
+        box = bounding_box(M)
+        blocks = pipeline._clipped_blocks(M, box)
+        pieces = [p for b in blocks for p in grmat.decompose(b)]
+        n_hidden += len(blocks) < len(pieces)
+        texts = []
+        for k, N in enumerate((M, functools.reduce(grmat.direct_sum,
+                                                   pieces))):
+            p = tmp_path / ("m%d.skypres" % k)
+            p.write_text(_skypres(N))
+            out = tmp_path / ("out%d" % k)
+            assert main(["--out", str(out), "--box",
+                         ",".join(str(c) for c in box), "exact", str(p)]) == 0
+            texts.append((out / "exact.csv").read_text())
+        assert texts[0] == texts[1], i
+    capsys.readouterr()
+    assert n_hidden >= 10
 
 
 def _one_line_error(capsys):

@@ -64,6 +64,37 @@ def _is_field(E):
                for a in els if any(a))
 
 
+def _irreducible_by_trial_division(F, coeffs):
+    """The oracle: a monic polynomial of degree g >= 2 is irreducible
+    exactly when no monic polynomial of degree 1..g//2 divides it."""
+    g = len(coeffs) - 1
+    for d in range(1, g // 2 + 1):
+        for div in itertools.product(range(F.q), repeat=d):
+            if not fieldmod._poly_mod(F, coeffs, list(div) + [1]):
+                return False
+    return True
+
+
+def test_irreducible_matches_trial_division():
+    """Rabin's test against trial division on every monic polynomial of
+    degree <= 8 over GF(2), <= 5 over GF(3) and <= 4 over GF(5); and the
+    modulus ext_field_build picks is the least irreducible one in its
+    enumeration order (the constant coefficient first, varying fastest)."""
+    n_irreducible = 0
+    for F, gmax in ((F2, 8), (F3, 5), (F5, 4)):
+        for g in range(1, gmax + 1):
+            first = None
+            for code in range(F.q ** g):
+                coeffs = [code // F.q ** i % F.q for i in range(g)] + [1]
+                want = _irreducible_by_trial_division(F, coeffs)
+                assert fieldmod._irreducible(F, coeffs) == want, coeffs
+                if want and first is None:
+                    first = coeffs
+                n_irreducible += want
+            assert ext_field_build(F.q, g).modulus == first
+    assert n_irreducible > 200
+
+
 def test_ext_field_build_f4():
     E = ext_field_build(2, 2)
     # modulus x^2 + x + 1

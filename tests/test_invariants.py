@@ -1,3 +1,4 @@
+import bisect
 import random
 import re
 from fractions import Fraction as Fr
@@ -13,8 +14,8 @@ from skyhn.invariants import (HNFactor, HNFactorList, SkyscraperStore,
                               staircases_from_dims, superlevel_staircases)
 from skyhn.pipeline import ScanConfig, approx_skyscraper, exact_skyscraper
 
-from conftest import (F2, F3, cross_module, gm, random_bounded_module,
-                      reference_minimal_points,
+from conftest import (F2, F3, count_fraction_comparisons, cross_module, gm,
+                      random_bounded_module, reference_minimal_points,
                       reference_staircases_from_dims, rescaled)
 
 
@@ -53,6 +54,52 @@ def test_staircase_contains_boundary():
     assert not staircase_contains(S, (Fr(1), Fr(0)))   # relations are closed
     assert staircase_contains(S, (Fr(1, 2), Fr(5, 2)))
     assert not staircase_contains(S, (Fr(0), Fr(3)))
+
+
+def _reference_contains(S, beta):
+    """staircase_contains as it was: gen <= beta on Fractions, then a
+    binary search of beta's x among the relations' x coordinates, whose
+    last relation at or left of beta decides."""
+    if not grmat.deg_leq(S.gen, beta):
+        return False
+    i = bisect.bisect_right([r[0] for r in S.rels], beta[0])
+    return i == 0 or S.rels[i - 1][1] > beta[1]
+
+
+def test_staircase_contains_matches_bisect_reference(monkeypatch):
+    """The integer membership test against the Fraction one, on random
+    staircases with negative coordinates over denominators 1, 2, 3 and 6,
+    probed at the generator, at the relations, on the relations' lines,
+    between them and outside; it makes no Fraction comparison."""
+    rng = random.Random(17)
+
+    def coord():
+        return Fr(rng.randrange(-12, 12), rng.choice((1, 2, 3, 6)))
+    cases = []
+    for _ in range(300):
+        gen = (coord(), coord())
+        rels = reference_minimal_points(
+            [(gen[0] + abs(coord()), gen[1] + abs(coord()))
+             for _ in range(rng.randrange(0, 5))])
+        S = Staircase(gen, [r for r in rels if r != gen])
+        xs = sorted({gen[0]} | {x for x, _ in S.rels})
+        ys = sorted({gen[1]} | {y for _, y in S.rels})
+        mx = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        my = [(a + b) / 2 for a, b in zip(ys, ys[1:])]
+        px = xs + mx + [xs[0] - Fr(1, 6), xs[-1] + Fr(1, 5)]
+        py = ys + my + [ys[0] - Fr(1, 6), ys[-1] + Fr(1, 5)]
+        cases += [(S, (x, y), _reference_contains(S, (x, y)))
+                  for x in px for y in py]
+    counts, _ = count_fraction_comparisons(monkeypatch)
+    got = [staircase_contains(S, beta) for S, beta, _ in cases]
+    assert counts["n"] == 0
+    monkeypatch.undo()
+    assert got == [want for _, _, want in cases]
+    assert 0.2 < sum(got) / len(got) < 0.8
+    # the generator is in, every relation out
+    assert all(staircase_contains(S, S.gen) for S, _, _ in cases)
+    assert not any(staircase_contains(S, r) for S, _, _ in cases
+                   for r in S.rels)
 
 
 def test_staircase_antichain_validation():

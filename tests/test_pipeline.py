@@ -293,15 +293,14 @@ def test_cell_fibers_match_fiber_submodule():
 
 
 def test_interval_cells_match_every_engine():
-    """The closed-form cell of a one-generator piece (pipeline._Interval)
+    """The staircase reader of a one-generator piece (pipeline._Interval)
     against all three engines: every one-generator piece of _sweep_pieces
     and the pieces of rescaled one-generator modules (negative degrees
     over denominators 2 and 3) over GF(2), GF(3) and GF(5).  At every
-    probe point alpha of the piece's grid, the cell of alpha's grid cell
-    is None exactly where the fiber is zero, and otherwise its factors at
-    alpha equal brute force on fiber_submodule(piece, alpha), the read of
-    exact_hnf_cell's tree of the cell and hn_cheng; so do those of the
-    cell built at alpha itself, a corner of a grid refining the piece's."""
+    probe point alpha of the piece's grid, the reader's at(alpha) is None
+    exactly where the fiber is zero, and otherwise its factors at alpha
+    equal brute force on fiber_submodule(piece, alpha), the read of
+    exact_hnf_cell's tree of alpha's grid cell and hn_cheng."""
     rng = random.Random(91)
     pieces = [p for p in _sweep_pieces() if p.nrows == 1]
     n_sweep = len(pieces)
@@ -314,23 +313,21 @@ def test_interval_cells_match_every_engine():
     for piece in pieces:
         assert piece.nrows == 1
         grid, box = grmat.induced_grid(piece), bounding_box(piece)
-        cells = pipeline._Cells(grid, functools.partial(
-            pipeline._interval_cell, piece))
+        reader = pipeline._Interval(piece)
         for alpha in _probe_points(grid):
-            cell = cells.at(alpha)
+            live = reader.at(alpha)
             sub = grmat.fiber_submodule(piece, alpha)
-            assert (cell is None) == (sub is None), alpha
-            if cell is None:
+            assert (live is None) == (sub is None), alpha
+            if live is None:
                 continue
-            got = cell.factors_at(alpha)
+            assert live is reader
+            got = reader.factors_at(alpha)
             assert len(got.factors) == 1 and type(got.factors[0].slope) is Fr
             assert got == hn_core.hn_filtration_of(sub, alpha), alpha
             tree, = fiber_trees(piece, grid, grid.floor(alpha))
             assert got == tree.factors_at(alpha), alpha
             assert got == cheng.hn_cheng(
                 piece, pipeline.regular_grid(piece, [alpha], box), alpha)
-            assert got == pipeline._interval_cell(piece, alpha).factors_at(
-                alpha)
             n_reads += 1
             n_inside += alpha not in grid
     assert n_sweep > 50 and len(pieces) >= n_sweep + 10
@@ -340,32 +337,57 @@ def test_interval_cells_match_every_engine():
 def test_only_hn_at_runs_engines_on_interval_pieces(monkeypatch, cross,
                                                     stable):
     """The cross has two pieces of one generator each: the sweeps and the
-    exact store read them in closed form, with no brute-force search and
-    no cell subdivision, while hn_at, the reference, runs brute force on
-    both.  The stable module is one piece of two generators, which every
-    driver hands to the engines."""
+    exact store read them from their staircases, with no brute-force
+    search, no cell subdivision, no fiber submodule of a one-generator
+    piece and no _Cells over one (the scan's and the store's _Cells are
+    over summands, and hold the pieces' _Intervals), while hn_at, the
+    reference, runs brute force on both.  The stable module is one piece
+    of two generators, which every driver hands to the engines."""
     calls = collections.Counter()
     search = hn_core.brute_force_max_slope
     subdivide = subdivision.exact_hnf_cell
+    fiber = grmat.fiber_submodule
+    caches = []
+
+    class Cells(pipeline._Cells):
+        def __init__(self, grid, build):
+            super().__init__(grid, build)
+            caches.append(self)
+
+    def counted_fiber(M, alpha):
+        calls.update(["fiber %d" % M.nrows])
+        return fiber(M, alpha)
+
     monkeypatch.setattr(hn_core, "brute_force_max_slope", lambda *a, **k: (
         calls.update(["search"]) or search(*a, **k)))
     monkeypatch.setattr(subdivision, "exact_hnf_cell", lambda *a, **k: (
         calls.update(["cell"]) or subdivide(*a, **k)))
+    monkeypatch.setattr(grmat, "fiber_submodule", counted_fiber)
+    monkeypatch.setattr(pipeline, "_Cells", Cells)
     cfg = ScanConfig(epsilon=Fr(1, 2))
     for M, n_gens in ((cross, [1, 1]), (stable, [2])):
         assert [p.nrows for b in pipeline._clipped_blocks(M, bounding_box(M))
                 for p in grmat.decompose(b)] == n_gens
         calls.clear()
+        del caches[:]
         approx_skyscraper(M, cfg)
-        parallel_grid_scan(M, cfg)
+        n_approx = len(caches)
+        sc = parallel_grid_scan(M, cfg)
         exact_skyscraper(M)
         if M is cross:
-            assert not calls
+            assert not calls and n_approx == 0
+            # one _Cells per summand in the scan and in the store, each
+            # holding _Intervals only
+            assert len(caches) == 4 and sum(sc.work) > 0
+            assert all(type(r) is pipeline._Interval for c in caches
+                       for rs in c.values() if rs for r in rs)
         else:
             assert calls["search"] > 0 and calls["cell"] > 0
+            assert n_approx == 1 and calls["fiber 2"] > 0
         calls.clear()
         hn_at(M, M.row_degrees[0])
         assert calls["search"] > 0 and not calls["cell"]
+        assert calls["fiber %d" % n_gens[0]] > 0
 
 
 def test_sweep_runs_each_hn_step_algebra_once_per_cell(monkeypatch):

@@ -10,7 +10,7 @@ from skyhn.subdivision import (ConvexRegion, SlopePoly, all_max_slope,
                                exact_hnf_cell, lower_envelope,
                                slope_polynomial)
 
-from skyhn.invariants import Staircase
+from skyhn.invariants import Staircase, staircase_at
 
 from conftest import (F2, F3, class_dims, class_integral, deg_join,
                       fiber_trees, gm, random_bounded_module,
@@ -313,8 +313,9 @@ def test_subspace_candidates_match_fraction_reference():
 # integer reads of a tree against their Fraction references
 
 def _reference_staircase_at(S, beta):
-    """_staircase_at as it was: the joins with beta, their minimal points
-    by pairwise comparison, and a validated Staircase."""
+    """The transport of invariants.staircase_at as first written: the
+    joins with beta, their minimal points by pairwise comparison, and a
+    validated Staircase."""
     return Staircase(beta, reference_minimal_points(
         [deg_join(r, beta) for r in S.rels]))
 
@@ -350,10 +351,10 @@ def test_staircase_at_matches_fraction_reference():
                 want = _reference_staircase_at(S, beta)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    subdivision._staircase_at(S, beta)
+                    staircase_at(S, beta)
                 n_raised += 1
                 continue
-            got = subdivision._staircase_at(S, beta)
+            got = staircase_at(S, beta)
             assert got == want and got.rels == want.rels
             n_moved += got.rels != S.rels
     assert n_raised > 0 and n_moved > 0

@@ -11,7 +11,8 @@ from fractions import Fraction as Fr
 
 from skyhn import grmat, invariants, pipeline, subdivision
 
-from conftest import F2, hidden_direct_sum, store_trees
+from conftest import (F2, count_fraction_comparisons, hidden_direct_sum,
+                      store_trees)
 
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              os.pardir, "perfbench"))
@@ -64,29 +65,6 @@ def test_tracer_install_uninstall_restores_every_name(cross):
         assert all(len(summand) == 3 for summand in ex.summands)
     assert ex.box == box
     assert pipeline.exact_skyscraper(cross).box == (Fr(0), Fr(0), Fr(4), Fr(4))
-
-
-def _count_fraction_comparisons(monkeypatch):
-    """Count the rich comparisons Fraction makes from now on, except while
-    a function wrapped by pause() runs; returns (counts, pause)."""
-    counts = {"n": 0, "paused": 0}
-    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
-        def counted(a, b, _orig=getattr(Fr, name)):
-            counts["n"] += not counts["paused"]
-            return _orig(a, b)
-        monkeypatch.setattr(Fr, name, counted)
-
-    def pause(owner, attr):
-        orig = getattr(owner, attr)
-
-        def paused(*args):
-            counts["paused"] += 1
-            try:
-                return orig(*args)
-            finally:
-                counts["paused"] -= 1
-        monkeypatch.setattr(owner, attr, paused)
-    return counts, pause
 
 
 def _count_fraction_constructions(monkeypatch):
@@ -152,7 +130,7 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
     renormalize = invariants.renormalize
     monkeypatch.setattr(invariants, "renormalize",
                         lambda st, b: merged.append(b) or renormalize(st, b))
-    counts, pause = _count_fraction_comparisons(monkeypatch)
+    counts, pause = count_fraction_comparisons(monkeypatch)
     pause(invariants.SkyscraperStore, "locate")
     pause(invariants, "theta_staircases")
     pause(invariants.Staircase, "__eq__")
@@ -185,7 +163,7 @@ def test_graded_matrix_from_degrees_compares_no_fractions(monkeypatch):
     degs = [(Fr(k, 3), Fr(5 - k, 2)) for k in range(5)]
     rels = [(Fr(4, 3), Fr(5, 2))] * 5
     cols = [[(i, 1) for i in range(5)] for _ in range(5)]
-    counts, _ = _count_fraction_comparisons(monkeypatch)
+    counts, _ = count_fraction_comparisons(monkeypatch)
     M = grmat.GradedMatrix(F2, degs, rels, cols)
     assert counts["n"] == 0
     monkeypatch.undo()
@@ -316,3 +294,68 @@ def test_only_field_reads_a_bitmask():
     assert found == {}
     with open(os.path.join(src, "field.py"), encoding="utf-8") as fh:
         assert _bitmask_names(fh.read()) == _BITMASK_NAMES
+
+
+_SHARED_BASE = {"field", "grmat"}
+
+
+def _private_cross_reads(sources):
+    """(file, "module._name") for every private module-level name (one
+    leading underscore) that a file of sources, {file: text}, reads from
+    another of those modules, as module._name or by
+    ``from .module import _name``, unless that module is one of
+    _SHARED_BASE, whose private helpers the layers above share by
+    design."""
+    mods = {os.path.splitext(f)[0] for f in sources}
+    out = []
+    for fname, text in sources.items():
+        own = os.path.splitext(fname)[0]
+        aliases = {}        # local name -> module of sources
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = node.module or ""
+            if not node.level:
+                if base.split(".")[0] != "skyhn":
+                    continue
+                base = base[len("skyhn."):]
+            for alias in node.names:
+                if not base and alias.name in mods:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif (base in mods and alias.name.startswith("_")
+                      and not alias.name.startswith("__")):
+                    out.append((fname, "%s.%s" % (base, alias.name)))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                out.append((fname, "%s.%s" % (aliases[node.value.id],
+                                              node.attr)))
+    return [(f, name) for f, name in out
+            if name.split(".")[0] not in _SHARED_BASE | {
+                os.path.splitext(f)[0]}]
+
+
+def test_no_private_reads_across_layers():
+    """No module of src/ reads a private module-level name of another,
+    except of field and grmat, the base layers whose elimination,
+    vector-form and coordinate-rank helpers are shared by design."""
+    assert _private_cross_reads({
+        "a.py": "_X = 1\n",
+        "b.py": "from . import a, grmat as g\nfrom .a import _X, Y\n"
+                "from .grmat import _Echelon\ndef f(m):\n"
+                "    return a._X + g._ranks + m._ranks + a.__name__\n",
+        "c.py": "from . import b as bb\nbb._f()\n",
+        "grmat.py": "from . import a\nfrom os import _exit\na._X\n",
+        "d.py": "from skyhn import c\nfrom skyhn.a import _X\nc._g\n"}) == [
+            ("b.py", "a._X"), ("b.py", "a._X"), ("c.py", "b._f"),
+            ("grmat.py", "a._X"), ("d.py", "a._X"), ("d.py", "c._g")]
+    src = os.path.dirname(pipeline.__file__)
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert _private_cross_reads(sources) == []
