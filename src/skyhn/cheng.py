@@ -23,9 +23,10 @@ stay inside the blow-up span.
 
 No algebra is repeated where its result is known.  The fiber submodule
 of a block whose generators all lie below alpha is the block with its
-degrees joined with alpha (grmat.fiber_submodule, no kernel).  A_alpha
-takes one fiber model per distinct set of live rows and active columns
-among the grid points above alpha (grmat.structure_maps).  A's columns
+degrees joined with alpha (grmat.fiber_submodule, no kernel).  Its fiber
+classes (hn_core.fiber_classes) are the call's one fiber model: they check
+the grid, give A_alpha one structure map per class (build_A_alpha), and
+give a leaf its slope and staircases.  A's columns
 are reduced once per draw (field.ColumnReduction): that reduction gives
 rank A, and each Wong step continues it with the columns of W alone.
 
@@ -75,8 +76,8 @@ class ShrunkFailure(RuntimeError):
 
     def __init__(self, alpha, attempts):
         super().__init__(
-            "no certified shrunk subspace at %s after %d attempts"
-            % (alpha, attempts))
+            "no certified shrunk subspace at (%s, %s) after %d attempts"
+            % (*alpha, attempts))
         self.alpha = alpha
         self.attempts = attempts
 
@@ -323,44 +324,65 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
 # ---------------------------------------------------------------------------
 # the matrix space of a module at a grid point
 
+def _stacked_space(F, ncols, blocks):
+    """The matrix space whose rows stack the blocks (lists of rows of
+    length ncols), with one basis matrix per nonzero block, carrying that
+    block in its rows and zeros elsewhere."""
+    q0 = sum(map(len, blocks))
+    basis, off = [], 0
+    for rows in blocks:
+        if any(map(any, rows)):
+            B = DenseMatrix.zero(q0, ncols, F)
+            B.data[off:off + len(rows)] = [list(r) for r in rows]
+            basis.append(B)
+        off += len(rows)
+    return MatrixSpace(F, q0, ncols, basis)
+
+
 def build_A_alpha(M, G, alpha):
-    """Matrix space of all structure maps out of the fiber at alpha.
+    """Matrix space of all structure maps out of the fiber at alpha, for M
+    generated at alpha (as grmat.fiber_submodule returns <V_alpha>); any
+    other module raises ValueError.
 
     Rows are the stacked fibers at the grid points strictly above alpha
     (colexicographic order, zero-dimensional fibers contribute no rows);
     the basis has one matrix per point with a nonzero structure map,
-    carrying that map in its block and zeros elsewhere.  The maps come from
-    grmat.structure_maps, which builds one fiber model per distinct set of
-    live rows and active columns among the points.
+    carrying that map in its block and zeros elsewhere.  A point's map is
+    that of its fiber class (hn_core.fiber_classes), the class of its floor
+    on M's induced grid: column k is the k-th basis generator at alpha
+    fully reduced modulo the class's relations (field._vector_form's
+    reduce) on the rows that are not pivots, as in grmat.structure_map.
 
     Returns (space, p0, q0, betas) with p0 = dim at alpha, q0 = total
     stacked dimension, betas = all grid points above alpha.
     """
     alpha = as_degree(alpha)
-    F = M.field
+    if set(M.row_degrees) != {alpha}:
+        raise ValueError("build_A_alpha needs a module generated at "
+                         "(%s, %s)" % alpha)
+    t, form, fc = M.nrows, fieldmod._vector_form(M.field.q), fiber_classes(M)
+    src = fc.point_class[fc.origin]
+    if src < 0:
+        raise ValueError("zero fiber at (%s, %s)" % alpha)
+    units = [form.pack([int(i == j) for j in range(t)])
+             for i in range(t) if i not in fc.echs[src]]
+    maps = []           # per class, its map as rows
+    for ech in fc.echs:
+        cols = [form.unpack(form.reduce(ech, u), t) for u in units]
+        maps.append([[c[r] for c in cols] for r in range(t) if r not in ech])
+    maps.append([])     # maps[-1]: the points of class -1, the zero fiber
     # the grid points >= alpha, from the first coordinate >= alpha's on
     # each axis, in colexicographic order; alpha is the first when on G
     xs = G.xs[bisect.bisect_left(G.xs, alpha[0]):]
-    betas = [(x, y) for y in G.ys[bisect.bisect_left(G.ys, alpha[1]):]
-             for x in xs]
+    ys = G.ys[bisect.bisect_left(G.ys, alpha[1]):]
+    betas = [(x, y) for y in ys for x in xs]
+    ixs = [bisect.bisect_right(fc.xs, x) - 1 for x in xs]
+    classes = [fc.point_class[ix, iy] for iy in
+               (bisect.bisect_right(fc.ys, y) - 1 for y in ys) for ix in ixs]
     if betas and betas[0] == alpha:
-        del betas[0]
-    pm, maps = grmat.structure_maps(M, alpha, betas)
-    p0 = pm.dim
-    if p0 == 0:
-        raise ValueError("zero fiber at %s" % (alpha,))
-    placed = []
-    q0 = 0
-    for T in maps:
-        if any(map(any, T.data)):
-            placed.append((q0, T))
-        q0 += T.rows
-    basis = []
-    for off, T in placed:
-        B = DenseMatrix.zero(q0, p0, F)
-        B.data[off:off + T.rows] = [list(row) for row in T.data]
-        basis.append(B)
-    return MatrixSpace(F, q0, p0, basis), p0, q0, betas
+        del betas[0], classes[0]
+    space = _stacked_space(M.field, len(units), [maps[c] for c in classes])
+    return space, len(units), space.nrows, betas
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +502,8 @@ class _Subquotients:
             red = [ech.reduce(_apply(T, c, q)) for c in top]
             keep = _Echelon(F, p)
             blocks.append([r for r in map(list, zip(*red)) if keep.insert(r)])
-        q0 = sum(map(len, blocks))
-        basis, off = [], 0
-        for rows in blocks:
-            if rows:
-                B = DenseMatrix.zero(q0, p, F)
-                B.data[off:off + len(rows)] = rows
-                basis.append(B)
-            off += len(rows)
-        return MatrixSpace(F, q0, p, basis), q0
+        space = _stacked_space(F, p, blocks)
+        return space, space.nrows
 
     def factors(self, lo, top, space, q0, seed):
         """The HN factors of the node, split by a certified shrunk

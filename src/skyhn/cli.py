@@ -65,9 +65,10 @@ def _count(path, no, tok):
     return n
 
 
-def parse_presentation(path):
+def parse_presentation(path, field=None):
     """Read a skypres v1 file into a GradedMatrix; all violations are
-    reported with line numbers."""
+    reported with line numbers.  A field order other than `field`, when
+    given, is one of them, on the field line."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.readlines()
     lines = []
@@ -98,6 +99,9 @@ def parse_presentation(path):
         F = fieldmod.PrimeField(q)
     except ValueError as exc:
         raise ParseError(path, no, str(exc))
+    if field is not None and q != field:
+        raise ParseError(path, no, "field %d does not match --field %d"
+                         % (q, field))
 
     no, text = take("generators line")
     parts = text.split()
@@ -156,8 +160,9 @@ def parse_presentation(path):
                 col.append((idx, val))
             if not grmat.deg_leq(row_degs[idx], d):
                 raise ParseError(path, no,
-                                 "inhomogeneous entry: row degree %s above "
-                                 "column degree %s" % (row_degs[idx], d))
+                                 "inhomogeneous entry: row degree (%s, %s) "
+                                 "above column degree (%s, %s)"
+                                 % (*row_degs[idx], *d))
         col_degs.append(d)
         cols.append(col)
     for no, _ in it:
@@ -329,11 +334,7 @@ def build_parser():
 
 
 def _load(args):
-    M = parse_presentation(args.input)
-    if args.field is not None and M.field.q != args.field:
-        raise ParseError(args.input, 2, "field %d does not match --field %d"
-                         % (M.field.q, args.field))
-    return M
+    return parse_presentation(args.input, args.field)
 
 
 def _box(args, M):
@@ -439,7 +440,8 @@ def _cmd_check(args):
     for alpha in approx.keys():
         slopes = [f.slope for f in approx.entries[alpha].factors]
         if any(a <= b for a, b in zip(slopes, slopes[1:])):
-            failures.append("slopes do not strictly decrease at %s" % (alpha,))
+            failures.append("slopes do not strictly decrease at (%s, %s)"
+                            % alpha)
     ex = pipeline.exact_skyscraper(M, box=box, eager=False)
     Mc = pipeline.clip_to_box(M, box)
     rng = random.Random(0)
@@ -451,12 +453,12 @@ def _cmd_check(args):
              a[1] + (y1 - a[1]) * Fraction(rng.randrange(0, 8), 8))
         rank = fieldmod.reduce(grmat.structure_map(Mc, a, b))[0]
         if ex.query(Fraction(0), a, b) != rank:
-            failures.append("theta=0 query differs from rank at %s -> %s"
-                            % (a, b))
+            failures.append("theta=0 query differs from rank at (%s, %s) -> "
+                            "(%s, %s)" % (*a, *b))
     report = pipeline.factor_interval_check(approx)
     for alpha, j, thick in report:
-        print("non-interval factor at %s index %d thickness %d"
-              % (alpha, j, thick))
+        print("non-interval factor at (%s, %s) index %d thickness %d"
+              % (*alpha, j, thick))
     if failures:
         for msg in failures:
             print("FAIL:", msg, file=sys.stderr)

@@ -8,12 +8,13 @@ block over F_q, so no extension arithmetic exists.
 
 Vectors have one internal form per field, _vector_form(q): F_2 bitmask ints
 (_F2Vectors) or lists with inlined ``% q`` (_ListVectors).  Elimination is
-one insert loop per form (_insert_f2, _insert_generic), and each form has
-the few coarse primitives that other modules need to work on internal
-vectors without reading them: pack, unpack, place, slice, lift, combine
-and apply a list of rows.  Other modules reach elimination through
-_vector_form, _Echelon (lists through insert, internal vectors through
-add) and ColumnReduction (internal columns; reduce_columns and reduce take
+one loop per form for each of insert, full reduction and the reduced
+basis, and each form has the few coarse primitives that other modules
+need to work on internal vectors without reading them: pack, unpack,
+place, slice, lift, combine and apply a list of rows.  Other modules reach
+elimination through _vector_form, _Echelon (lists through insert, internal
+vectors through add; it holds its form and never branches on the field)
+and ColumnReduction (internal columns; reduce_columns and reduce take
 lists), and never read a bitmask.  Module-level sparsity is handled
 upstream.
 """
@@ -43,10 +44,11 @@ class PrimeField:
     """The field F_q for a prime q <= 2^16. Elements are ints in [0, q)."""
 
     def __init__(self, q):
-        if not _is_prime(q):
-            raise ValueError("field order must be prime, got %r" % (q,))
+        # the bound first: trial division up to sqrt(q) is slow for large q
         if q > 1 << 16:
             raise ValueError("field order too large: %r" % (q,))
+        if not _is_prime(q):
+            raise ValueError("field order must be prime, got %r" % (q,))
         self.q = q
         self.zero = 0
         self.one = 1
@@ -398,6 +400,24 @@ class _F2Vectors:
                 out |= 1 << a
         return out
 
+    @staticmethod
+    def reduce(pivots, v):
+        for piv in sorted(pivots, reverse=True):
+            if v >> piv & 1:
+                v ^= pivots[piv]
+        return v
+
+    @staticmethod
+    def reduced(pivots):
+        out = {}
+        for piv in sorted(pivots):
+            v = pivots[piv]
+            for p, w in out.items():
+                if v >> p & 1:
+                    v ^= w
+            out[piv] = v
+        return list(out.values())
+
 
 class _ListVectors:
     """Vectors over F_q as lists of ints in [0, q), with the ``% q``
@@ -452,6 +472,34 @@ class _ListVectors:
             out[a] = sum(map(operator.mul, row, v)) % q
         return out
 
+    def reduce(self, pivots, v):
+        q = self.q
+        inv = _inverses(q)
+        v = list(v)
+        for piv in sorted(pivots, reverse=True):
+            if v[piv]:
+                pc = pivots[piv]
+                c = v[piv] * inv[pc[piv]] % q
+                for r in range(piv + 1):
+                    if pc[r]:
+                        v[r] = (v[r] - c * pc[r]) % q
+        return v
+
+    def reduced(self, pivots):
+        q = self.q
+        inv = _inverses(q)
+        out = {}
+        for piv in sorted(pivots):
+            v = pivots[piv]
+            c = inv[v[piv]]
+            v = [x * c % q for x in v]
+            for p, w in out.items():
+                if v[p]:
+                    c = v[p]
+                    v = [(x - c * y) % q for x, y in zip(v, w)]
+            out[piv] = v
+        return list(out.values())
+
 
 @functools.lru_cache(maxsize=None)
 def _vector_form(q):
@@ -472,6 +520,13 @@ def _vector_form(q):
       apply(rows, v, n)       the vector of length n with entry a the
                               product row . v, for each (a, row) of rows,
                               and 0 elsewhere
+      reduce(pivots, v)       v less the combination of the columns of
+                              the echelon `pivots` that clears every
+                              pivot row of v, from the top down
+      reduced(pivots)         the reduced column echelon basis of the
+                              span of `pivots`, which depends on the span
+                              alone: per pivot row, ascending, a column
+                              with 1 there and 0 at the other pivot rows
     No primitive mutates its arguments, and no caller mutates an internal
     vector (a list packs to itself), so internal vectors may be shared."""
     if q == 2:
@@ -484,62 +539,38 @@ class _Echelon:
     row: insert tells whether the list v was independent, add does the
     same for an internal vector, insert_reduced also returns the reduced
     remainder (a list), else None.  `pivots` maps each pivot row to its
-    stored column in the internal form of _vector_form: F_2 bitmask ints
-    when `f2`, lists otherwise."""
+    stored column in the internal form of _vector_form(F.q), whose
+    primitives are bound once per echelon."""
 
     def __init__(self, F, nrows):
         self.F = F
         self.nrows = nrows
-        self.f2 = F.q == 2
+        self.form = form = _vector_form(F.q)
+        self._pack, self._unpack = form.pack, form.unpack
+        self._insert, self._reduce = form.insert, form.reduce
         self.pivots = {}  # row -> stored column with that last nonzero row
-
-    def _col(self, v):
-        """The list form of an internal vector (the list itself, not a
-        copy, off F_2)."""
-        return _unpack_f2(v, 0, self.nrows) if self.f2 else v
 
     def insert(self, v):
         pivots = self.pivots
-        if self.f2:
-            return _insert_f2(pivots, pivots, _pack_f2(v))
-        return _insert_generic(self.F, pivots, pivots, v)
+        return self._insert(pivots, pivots, self._pack(v))
 
     def add(self, v):
         pivots = self.pivots
-        if self.f2:
-            return _insert_f2(pivots, pivots, v)
-        return _insert_generic(self.F, pivots, pivots, v)
+        return self._insert(pivots, pivots, v)
 
     def insert_reduced(self, v):
         if not self.insert(v):
             return None
-        return self._col(next(reversed(self.pivots.values())))  # newest
+        return self._unpack(next(reversed(self.pivots.values())),  # newest
+                            self.nrows)
 
     def contains(self, v):
-        if self.f2:
-            return not _insert_f2(self.pivots, {}, _pack_f2(v))
-        return not _insert_generic(self.F, self.pivots, {}, v)
+        return not self._insert(self.pivots, {}, self._pack(v))
 
     def reduce(self, v):
-        """Fully reduced copy of v: for each pivot row from the top down,
-        the multiple of its column that clears that row is subtracted."""
-        v = _pack_f2(v) if self.f2 else list(v)
-        rows = sorted(self.pivots, reverse=True)
-        if self.f2:
-            for piv in rows:
-                if v >> piv & 1:
-                    v ^= self.pivots[piv]
-            return self._col(v)
-        q = self.F.q
-        inv = _inverses(q)
-        for piv in rows:
-            if v[piv]:
-                pc = self.pivots[piv]
-                c = v[piv] * inv[pc[piv]] % q
-                for r in range(piv + 1):
-                    if pc[r]:
-                        v[r] = (v[r] - c * pc[r]) % q
-        return v
+        """Fully reduced copy of the list v (see _vector_form's reduce)."""
+        return self._unpack(self._reduce(self.pivots, self._pack(v)),
+                            self.nrows)
 
     def copy(self):
         """An echelon with the same pivots, to insert into independently
@@ -554,34 +585,13 @@ class _Echelon:
 
     def basis_columns(self):
         """Copies of the stored columns as lists, in insertion order."""
-        return [list(self._col(v)) for v in self.pivots.values()]
+        return [list(self._unpack(v, self.nrows))
+                for v in self.pivots.values()]
 
     def reduced_basis(self):
-        """The reduced column echelon basis of the span, internal, which
-        depends on the span alone: one column per pivot row in increasing
-        order, with 1 at its own pivot row and 0 at every other pivot
-        row."""
-        out = {}
-        if self.f2:
-            for piv in sorted(self.pivots):
-                v = self.pivots[piv]
-                for p, w in out.items():
-                    if v >> p & 1:
-                        v ^= w
-                out[piv] = v
-            return list(out.values())
-        q = self.F.q
-        inv = _inverses(q)
-        for piv in sorted(self.pivots):
-            v = self.pivots[piv]
-            c = inv[v[piv]]
-            v = [x * c % q for x in v]
-            for p, w in out.items():
-                if v[p]:
-                    c = v[p]
-                    v = [(x - c * y) % q for x, y in zip(v, w)]
-            out[piv] = v
-        return list(out.values())
+        """The reduced column echelon basis of the span, internal (see
+        _vector_form's reduced)."""
+        return self.form.reduced(self.pivots)
 
     @property
     def rank(self):

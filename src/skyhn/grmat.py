@@ -86,8 +86,9 @@ class GradedMatrix:
                     raise ValueError("row index out of range in column %d" % j)
                 if rows[i][0] > cx or rows[i][1] > cy:
                     raise ValueError(
-                        "inhomogeneous entry (%d, %d): row degree %s > column degree %s"
-                        % (i, j, row_degrees[i], col_degrees[j]))
+                        "inhomogeneous entry (%d, %d): row degree (%s, %s) > "
+                        "column degree (%s, %s)"
+                        % (i, j, *row_degrees[i], *col_degrees[j]))
 
     @property
     def nrows(self):
@@ -413,26 +414,27 @@ def quotient_presentation(M_alpha, B):
 
 class PointwiseModel:
     """The fiber V_gamma = (A[G]/Im M)_gamma with a chosen basis, built from
-    the generators <= gamma (live_rows) and the relations <= gamma
-    (active_cols), as index lists; pointwise_model finds them for gamma.
+    the generators <= gamma (live_rows) and the relations <= gamma, whose
+    echelon it keeps.
 
     basis_rows are the generator rows (global indices) whose classes form a
     basis; reduce_vector sends a vector over the live rows to coordinates in
     that basis.
     """
 
-    def __init__(self, M, live_rows, active_cols):
-        F = M.field
-        z = F.zero
-        self.live_rows = list(live_rows)
+    def __init__(self, M, gamma):
+        gamma = as_degree(gamma)
+        self.live_rows = [i for i, d in enumerate(M.row_degrees)
+                          if deg_leq(d, gamma)]
         self._pos = {g: k for k, g in enumerate(self.live_rows)}
         n = len(self.live_rows)
-        ech = _Echelon(F, n)
-        for j in active_cols:
-            col = [z] * n
-            for i, v in M.columns[j]:
-                col[self._pos[i]] = v
-            ech.insert(col)
+        ech = _Echelon(M.field, n)
+        for j, d in enumerate(M.col_degrees):
+            if deg_leq(d, gamma):
+                col = [0] * n
+                for i, v in M.columns[j]:
+                    col[self._pos[i]] = v
+                ech.insert(col)
         self._ech = ech
         self.basis_rows = [g for g in self.live_rows
                            if self._pos[g] not in ech.pivots]
@@ -445,10 +447,8 @@ class PointwiseModel:
 
 
 def pointwise_model(M, gamma):
-    gamma = as_degree(gamma)
-    return PointwiseModel(
-        M, [i for i, d in enumerate(M.row_degrees) if deg_leq(d, gamma)],
-        [j for j, d in enumerate(M.col_degrees) if deg_leq(d, gamma)])
+    """The fiber model at gamma (PointwiseModel)."""
+    return PointwiseModel(M, gamma)
 
 
 def fiber_submodule(M, alpha):
@@ -506,45 +506,15 @@ def join_degrees(N, alpha):
 
 
 def structure_map(M, gamma, delta):
-    """Matrix of V_{gamma -> delta} in the pointwise-model bases."""
-    return structure_maps(M, gamma, [delta])[1][0]
-
-
-def structure_maps(M, gamma, deltas):
-    """The fiber model at gamma and the matrices of V_{gamma -> delta} in
-    the pointwise-model bases, one per delta in deltas (each >= gamma).
-
-    Degrees are compared as integer coordinate ranks, compressed once.  A
-    target fiber model depends only on its live rows and active columns:
-    one is built per distinct pair of them, and its matrix is shared (the
-    same object) by every delta with that pair."""
-    t, n = M.nrows, M.ncols
-    _, _, rk = _rank_degrees(M.row_degrees + M.col_degrees
-                             + [as_degree(gamma)]
-                             + [as_degree(d) for d in deltas])
-    rows, cols, (g, *ds) = rk[:t], rk[t:t + n], rk[t + n:]
-
-    def below(degs, d):
-        return tuple(i for i, (x, y) in enumerate(degs)
-                     if x <= d[0] and y <= d[1])
-    src = PointwiseModel(M, below(rows, g), below(cols, g))
-    F = M.field
-    built, maps = {}, []
-    for d in ds:
-        if not (g[0] <= d[0] and g[1] <= d[1]):
-            raise ValueError("structure map requires gamma <= delta")
-        key = (below(rows, d), below(cols, d))
-        T = built.get(key)
-        if T is None:
-            pm = PointwiseModel(M, *key)
-            out = []
-            for i in src.basis_rows:
-                v = [F.zero] * len(pm.live_rows)
-                v[pm._pos[i]] = F.one
-                out.append(pm.reduce_vector(v))
-            T = built[key] = DenseMatrix.from_columns(out, pm.dim, F)
-        maps.append(T)
-    return src, maps
+    """Matrix of V_{gamma -> delta} in the pointwise-model bases: column k
+    is the k-th basis generator at gamma reduced in the model at delta."""
+    gamma, delta = as_degree(gamma), as_degree(delta)
+    if not deg_leq(gamma, delta):
+        raise ValueError("structure map requires gamma <= delta")
+    src, dst = PointwiseModel(M, gamma), PointwiseModel(M, delta)
+    return DenseMatrix.from_columns(
+        [dst.reduce_vector([int(g == i) for g in dst.live_rows])
+         for i in src.basis_rows], dst.dim, M.field)
 
 
 def connected_components(M):

@@ -62,7 +62,8 @@ def integral_dim(bt, B):
     B = as_degree(B)
     for d in bt.all_degrees():
         if not deg_leq(d, B):
-            raise ValueError("bound %s is below the Betti degree %s" % (B, d))
+            raise ValueError("bound (%s, %s) is below the Betti degree "
+                             "(%s, %s)" % (*B, *d))
     total = Fraction(0)
     for degs, sign in ((bt.b0, 1), (bt.b1, -1), (bt.b2, 1)):
         for g in degs:
@@ -105,11 +106,11 @@ class Staircase:
             for a, b in zip(rels, rels[1:]):
                 if not (a[0] < b[0] and a[1] > b[1]):
                     raise ValueError("relations do not form an antichain: "
-                                     "%s, %s" % (a, b))
+                                     "(%s, %s), (%s, %s)" % (*a, *b))
             for r in rels:
                 if not deg_leq(self.gen, r):
-                    raise ValueError("relation %s below generator %s"
-                                     % (r, self.gen))
+                    raise ValueError("relation (%s, %s) below generator "
+                                     "(%s, %s)" % (*r, *self.gen))
             if rels and rels[0] == self.gen:
                 raise ValueError(EMPTY_STAIRCASE)
         self.rels = rels
@@ -365,7 +366,7 @@ def slope_at(M, alpha):
     alpha = as_degree(alpha)
     N = grmat.fiber_submodule(M, alpha)
     if N is None:
-        raise ValueError("zero module at %s" % (alpha,))
+        raise ValueError("zero module at (%s, %s)" % alpha)
     return Fraction(N.nrows) / integral_of(N)
 
 

@@ -76,7 +76,7 @@ class EngineFailure(RuntimeError):
     """An HN engine failed at a specific base degree."""
 
     def __init__(self, alpha, cause):
-        super().__init__("engine failure at %s: %s" % (alpha, cause))
+        super().__init__("engine failure at (%s, %s): %s" % (*alpha, cause))
         self.alpha = alpha
         self.cause = cause
 
@@ -107,7 +107,8 @@ def clip_to_box(M, box):
     for i, (gx, gy) in enumerate(M.row_degrees):
         rx, ry = row_rk[i]
         if not (lx <= rx < hx and ly <= ry < hy):
-            raise ValueError("generator %d at %s outside the box" % (i, (gx, gy)))
+            raise ValueError("generator %d at (%s, %s) outside the box"
+                             % (i, gx, gy))
         col_degs.append((x1, gy))
         cols.append([(i, one)])
         col_degs.append((gx, y1))

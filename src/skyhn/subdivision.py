@@ -329,8 +329,8 @@ class SubdivTree:
                     nxt = child
                     break
             if nxt is None:
-                raise ValueError("point %s outside the subdivided cell"
-                                 % (beta,))
+                raise ValueError("point (%s, %s) outside the subdivided cell"
+                                 % beta)
             out.append(nxt)
             node = nxt
         return out

@@ -115,9 +115,10 @@ def core_all_rows(blow, ucols):
 
 
 def a_alpha_spaces():
-    """Matrix spaces that build_A_alpha builds for the fixtures."""
+    """Matrix spaces that build_A_alpha builds for the fixtures' fiber
+    submodules."""
     G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
-    return [build_A_alpha(M, G, alpha)[0]
+    return [build_A_alpha(grmat.fiber_submodule(M, alpha), G, alpha)[0]
             for M, alpha in [(cross_module(), (Fr(0), Fr(1))),
                              (stable_module(), (Fr(0), Fr(0))),
                              (stable_module(), (Fr(1), Fr(0)))]]
@@ -164,6 +165,11 @@ def test_shrunk_matches_exhaustive_small_spaces(rng):
         assert same_span(F2, got, [list(r) for r in want_rows], sp.ncols)
 
 
+def _floor(coords, c):
+    """The index of the last of the sorted coords that is <= c."""
+    return max(i for i, x in enumerate(coords) if x <= c)
+
+
 def _build_A_alpha_per_beta(M, G, alpha):
     """build_A_alpha with one fiber model and structure map built afresh
     for every grid point above alpha: (basis data, p0, q0, betas)."""
@@ -191,10 +197,11 @@ def _build_A_alpha_per_beta(M, G, alpha):
 
 
 def test_build_A_alpha_matches_per_beta_construction():
-    """The same basis, p0, q0 and betas as a fresh fiber model per point:
-    fiber submodules on their regular grid and on a grid of spacing 1/3
-    (where points share their live rows and active columns), and clipped
-    modules whose generators do not all lie at alpha."""
+    """The same basis, p0, q0 and betas as a fresh fiber model per point,
+    on fiber submodules on their regular grid and on a grid of spacing 1/3
+    (where several points lie in one fiber class and share its map);
+    clipped modules whose generators do not all lie at alpha raise
+    ValueError."""
     rng = random.Random(6010)
     modules = [random_bounded_module(rng, F, rng.randrange(1, 4), dmax=3)
                for F in (F2, F3) * 4]
@@ -212,18 +219,21 @@ def test_build_A_alpha_matches_per_beta_construction():
             if grmat.pointwise_model(Mc, alpha).dim == 0:
                 continue
             sub = grmat.fiber_submodule(Mc, alpha)
-            inputs = [(sub, pipeline.regular_grid(Mc, [alpha], box)),
-                      (sub, fine)]
+            regular = pipeline.regular_grid(Mc, [alpha], box)
             if set(Mc.row_degrees) != {alpha}:
-                inputs.append((Mc, pipeline.regular_grid(Mc, [alpha], box)))
+                with pytest.raises(ValueError, match="generated at"):
+                    build_A_alpha(Mc, regular, alpha)
                 mixed += 1
-            for N, G in inputs:
-                space, p0, q0, betas = build_A_alpha(N, G, alpha)
+            fc = hn_core.fiber_classes(sub)
+            for G in (regular, fine):
+                space, p0, q0, betas = build_A_alpha(sub, G, alpha)
                 assert ([B.data for B in space.basis], p0, q0, betas) == \
-                    _build_A_alpha_per_beta(N, G, alpha)
+                    _build_A_alpha_per_beta(sub, G, alpha)
                 assert (space.nrows, space.ncols) == (q0, p0)
-                maps = grmat.structure_maps(N, alpha, betas)[1]
-                shared += len({id(T) for T in maps}) < len(maps)
+                classes = [fc.point_class[_floor(fc.xs, x), _floor(fc.ys, y)]
+                           for x, y in betas]
+                classes = [c for c in classes if c >= 0]
+                shared += len(set(classes)) < len(classes)
     assert shared >= 20 and mixed >= 10
 
 
@@ -399,7 +409,9 @@ def test_wong_matches_fresh_reduction(monkeypatch, rng):
 
 def test_build_A_alpha_cross(cross):
     G = grmat.induced_grid(cross)
-    space, p0, q0, betas = build_A_alpha(cross, G, (Fr(0), Fr(1)))
+    alpha = (Fr(0), Fr(1))
+    space, p0, q0, betas = build_A_alpha(grmat.fiber_submodule(cross, alpha),
+                                         G, alpha)
     assert p0 == 2
     assert len(betas) == len([b for b in G.points()
                               if grmat.deg_leq((Fr(0), Fr(1)), b)]) - 1
@@ -458,9 +470,11 @@ def test_hn_cheng_matches_brute_random(rng):
 
 
 def test_shrunk_failure_carries_alpha():
-    exc = ShrunkFailure((Fr(0), Fr(0)), 8)
-    assert exc.alpha == (Fr(0), Fr(0))
+    exc = ShrunkFailure((Fr(0), Fr(1, 2)), 8)
+    assert exc.alpha == (Fr(0), Fr(1, 2))
     assert exc.attempts == 8
+    assert str(exc) == "no certified shrunk subspace at (0, 1/2) after 8 " \
+        "attempts"
 
 
 def _echelon_transform(F, cols):
@@ -651,7 +665,7 @@ def test_split_nodes_match_old_presentations(monkeypatch):
         old, p0, old_q0, betas = build_A_alpha(P, G, alpha)
         assert (len(top), q0) == (p0, old_q0)
         assert (space.ncols, space.nrows) == (p0, q0)
-        dims = [T.rows for T in grmat.structure_maps(P, alpha, betas)[1]]
+        dims = [grmat.structure_map(P, alpha, b).rows for b in betas]
         ranks = []
         for T in state["root_maps"]:
             imgs = [matvec(T, v) for v in lo + top]
@@ -683,7 +697,8 @@ def test_split_nodes_match_old_presentations(monkeypatch):
     for k, (M, alpha) in enumerate(cases):
         cur = grmat.fiber_submodule(M, alpha)
         betas = build_A_alpha(cur, G, alpha)[3]
-        state["root_maps"] = grmat.structure_maps(cur, alpha, betas)[1]
+        state["root_maps"] = [grmat.structure_map(cur, alpha, b)
+                              for b in betas]
         state["stack"] = [cur]
         assert hn_cheng(M, G, alpha, seed=k) == \
             hn_core.hn_filtration_at(M, alpha), k
@@ -694,9 +709,11 @@ def test_split_nodes_match_old_presentations(monkeypatch):
 def test_hn_cheng_builds_one_space_and_no_presentation(monkeypatch):
     """One build_A_alpha per call and no presentation algebra beyond the
     fiber submodule, whose join path costs one minimize on modules
-    generated at alpha; the splits happen on subquotients."""
+    generated at alpha; the splits happen on subquotients, and A_alpha is
+    read off the fiber classes, so no fiber model is built."""
     calls = {"build_A_alpha": 0, "minimize": 0, "kernel": 0,
-             "submodule_presentation": 0, "quotient_presentation": 0}
+             "submodule_presentation": 0, "quotient_presentation": 0,
+             "PointwiseModel": 0}
 
     def counting(owner, name):
         real = getattr(owner, name)
@@ -707,7 +724,7 @@ def test_hn_cheng_builds_one_space_and_no_presentation(monkeypatch):
         monkeypatch.setattr(owner, name, wrapped)
     counting(cheng, "build_A_alpha")
     for name in ("minimize", "kernel", "submodule_presentation",
-                 "quotient_presentation"):
+                 "quotient_presentation", "PointwiseModel"):
         counting(grmat, name)
     G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
     rng = random.Random(1414)
@@ -719,4 +736,5 @@ def test_hn_cheng_builds_one_space_and_no_presentation(monkeypatch):
         split += len(fl.factors) > 1
     assert split >= 3
     assert calls == {"build_A_alpha": runs, "minimize": runs, "kernel": 0,
-                     "submodule_presentation": 0, "quotient_presentation": 0}
+                     "submodule_presentation": 0, "quotient_presentation": 0,
+                     "PointwiseModel": 0}

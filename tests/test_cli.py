@@ -7,13 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skyhn import cli, grmat, invariants, pipeline
+from skyhn import cheng, cli, grmat, invariants, pipeline
 from skyhn.cli import (ParseError, emit_store, main, parse_presentation,
                        parse_store)
 from skyhn.field import PrimeField
 from skyhn.pipeline import ScanConfig, approx_skyscraper, bounding_box
 
-from conftest import cross_module, hidden_corpus, random_bounded_module
+from conftest import (cross_module, hidden_corpus, random_bounded_module,
+                      stable_module)
 
 
 CROSS_TEXT = """\
@@ -178,8 +179,7 @@ def test_cli_check_same_report_on_both_presentations(tmp_path, capsys):
         assert main(["--out", str(tmp_path), "check", str(p)]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
-    assert "non-interval factor at (Fraction(0, 1), Fraction(0, 1)) " \
-        "index 0 thickness 2" in reports[0]
+    assert "non-interval factor at (0, 0) index 0 thickness 2" in reports[0]
 
 
 def _skypres(M):
@@ -256,8 +256,65 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert main(["hn", str(p), "--at", "0,0"]) == 2
 
 
-def test_cli_field_mismatch(cross_file):
+def test_cli_field_mismatch(cross_file, tmp_path, capsys):
+    """--field names the field line's own number, after comments and
+    blank lines, in the parser's error and in the CLI's message."""
     assert main(["--field", "3", "hn", cross_file, "--at", "0,1"]) == 2
+    assert "cross.skypres:3: field 2 does not match --field 3" in \
+        _one_line_error(capsys)
+    p = tmp_path / "c.txt"
+    p.write_text("# a comment\n\nskypres v1\nfield 2\ngenerators 0\n"
+                 "relations 0\n")
+    with pytest.raises(ParseError) as ei:
+        parse_presentation(str(p), 3)
+    assert ei.value.lineno == 4
+    assert parse_presentation(str(p), 2).field.q == 2
+    assert main(["--field", "3", "--out", str(tmp_path), "exact",
+                 str(p)]) == 2
+    assert "c.txt:4: field 2 does not match --field 3" in \
+        _one_line_error(capsys)
+
+
+def test_cli_field_too_large_exits_2(tmp_path, capsys):
+    """A field order past 2^16, here the prime 2^61 - 1, is a parse error
+    on its line (it once hung in the primality test)."""
+    p = tmp_path / "big.skypres"
+    p.write_text("skypres v1\nfield 2305843009213693951\ngenerators 0\n"
+                 "relations 0\n")
+    assert main(["--out", str(tmp_path), "exact", str(p)]) == 2
+    err = _one_line_error(capsys)
+    assert "big.skypres:2: field order too large" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_messages_write_degrees_as_rationals(cross_file, tmp_path,
+                                                 capsys, monkeypatch):
+    """Degrees in error messages read (0, 1) and (1/2, 0), and no stderr
+    line holds a Fraction's repr: an inhomogeneous entry, a generator
+    outside --box, and an engine failure (every draw failing on a
+    thickness-2 semistable module)."""
+    inh = tmp_path / "inh.skypres"
+    inh.write_text("skypres v1\nfield 3\ngenerators 1\n0 1\nrelations 1\n"
+                   "1/2 0 : 0 1\n")
+    stable = tmp_path / "stable.skypres"
+    stable.write_text(_skypres(stable_module()))
+    cases = [
+        (["hn", str(inh), "--at", "0,1"], 2,
+         "inh.skypres:6: inhomogeneous entry: row degree (0, 1) above "
+         "column degree (1/2, 0)"),
+        (["--box", "1/2,0,4,4", "hn", cross_file, "--at", "1,1"], 2,
+         "error: generator 0 at (0, 0) outside the box"),
+        (["hn", str(stable), "--at", "0,0", "--engine", "cheng"], 3,
+         "engine failure: engine failure at (0, 0): no certified shrunk "
+         "subspace at (0, 0) after 8 attempts"),
+    ]
+    monkeypatch.setattr(cheng, "shrunk_subspace_random",
+                        lambda *a, **k: None)
+    for argv, code, msg in cases:
+        assert main(["--out", str(tmp_path)] + argv) == code, msg
+        err = _one_line_error(capsys)
+        assert msg in err
+        assert not [line for line in err.splitlines() if "Fraction(" in line]
 
 
 def test_cli_exact(cross_file, tmp_path):

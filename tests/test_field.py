@@ -21,6 +21,22 @@ def test_prime_field_rejects_composite():
         PrimeField(1)
 
 
+def test_prime_field_checks_its_bound_before_primality(monkeypatch):
+    """2^61 - 1 is prime, and trial division up to its square root does
+    not finish in any reasonable time: the 2^16 bound rejects it first,
+    without a primality test; 65,521 = the largest prime below 2^16 is
+    accepted."""
+    tested = []
+    real = fieldmod._is_prime
+    monkeypatch.setattr(fieldmod, "_is_prime",
+                        lambda n: tested.append(n) or real(n))
+    for q in (2 ** 61 - 1, (1 << 16) + 1):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(q)
+    assert tested == []
+    assert PrimeField(65521).q == 65521 and tested == [65521]
+
+
 @given(st.integers(0, 4), st.integers(0, 4))
 def test_f5_ring_axioms(a, b):
     assert F5.add(a, b) == (a + b) % 5

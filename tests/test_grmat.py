@@ -369,19 +369,23 @@ class _EchelonReference:
         return self._reduce(list(v)) is None
 
 
-def test_echelon_matches_reference():
+def test_echelon_matches_reference(monkeypatch):
     """The merged echelon returns the reference's remainders, pivots and
     membership answers, and insert its independence flag; over GF(2) its
-    bitmask path and its ``% q`` list path (forced by clearing the f2 flag)
-    store the same columns."""
+    bitmask form and its ``% q`` list form (forced by building one echelon
+    while _vector_form gives fieldmod._ListVectors) store the same
+    columns."""
     rng = random.Random(31)
     for F in [F2, F3, PrimeField(7)]:
         els = list(F.elements())
         for _ in range(60):
             n = rng.randrange(0, 6)
             got, want = grmat._Echelon(F, n), _EchelonReference(F, n)
-            lists, flags = grmat._Echelon(F, n), grmat._Echelon(F, n)
-            lists.f2 = False
+            flags = grmat._Echelon(F, n)
+            with monkeypatch.context() as mp:
+                mp.setattr(fieldmod, "_vector_form", fieldmod._ListVectors)
+                lists = grmat._Echelon(F, n)
+            assert isinstance(lists.form, fieldmod._ListVectors)
             for _ in range(rng.randrange(0, 9)):
                 v = [rng.choice(els) if rng.random() < 0.5 else F.zero
                      for _ in range(n)]
@@ -396,6 +400,8 @@ def test_echelon_matches_reference():
                 assert got.pivots.keys() == want.pivots.keys()
                 assert flags.pivots == got.pivots
                 assert lists.pivots == want.pivots
+                assert [got.form.unpack(v, n) for v in got.reduced_basis()] \
+                    == lists.reduced_basis()
 
 
 def test_echelon_reduce_clears_pivots():

@@ -700,3 +700,4 @@ def test_interval_check_cross_clean_stable_flagged(cross, stable):
 def test_engine_failure_has_alpha():
     exc = pipeline.EngineFailure((Fr(1), Fr(2)), RuntimeError("x"))
     assert exc.alpha == (Fr(1), Fr(2))
+    assert str(exc) == "engine failure at (1, 2): x"
