@@ -4,32 +4,33 @@ subdivision store, the cache-friendly grid scan, filtered landscapes, and
 the interval-factor diagnostic.
 
 All drivers first clip the module to a bounding box by appending cap
-relations, so every integral is finite, minimize it once and split it into
+relations, so every integral is finite, minimize it and split it into
 connected blocks (``_clipped_blocks``).  Brute force and the exact cells
 then run on the direct summands that ``grmat.decompose`` finds in each
-block, once per block per driver call; the cheng engine runs on each block
-whole.  In the sweeps and the exact store, a summand of one generator is
-an interval module and reaches no engine: one ``_Interval`` per summand
-reads it from its staircase, where the HN filtration at every point of
-the support is the interval above the point, at slope 1/area.  Most
-summands that decompose finds have one generator, so there the engines
-run on the few that have more.  ``hn_at`` stays the reference that the
-staircase reads are checked against: it runs brute force on every
-summand.  One ``invariants.merge_factors`` per point joins the factors of
-every piece, equal slopes into one, so the answer does not depend on how
-the presentation falls into blocks.  ``approx_skyscraper`` and
-``parallel_grid_scan`` are one colexicographic sweep of the epsilon
-lattice (``_sweep``) with two per-point strategies: HN engine runs, or the
-lazily built cells of an ``ExactStore``.  A module is constant on each
-cell of its induced grid, and one per-cell cache (``_Cells``) serves both:
-the brute-force sweep builds the fiber submodule of a piece of two or
-more generators once per cell, at the cell's lower corner (_Fiber), and
-reads every lattice point of the cell from it, as the HN loop memoizes
-its linear algebra on it; an ``ExactStore`` builds a summand's
-subdivision trees once per cell.  ``_sweep`` is the one place that evicts
-cells: it tells every cache which lattice row it enters, and each drops
-the cells of its other grid rows.  ``store.work`` counts per connected
-block.
+block (``_Block``); the cheng engine runs on each block whole.  Both are
+kept on the module for its latest box (``_prepared``), so every driver call
+shares them; cells, stores and work counts stay per call.  In the sweeps
+and the exact store, a summand of one generator is an interval module and
+reaches no engine: one ``_Interval`` per summand reads it from its
+staircase, where the HN filtration at every point of the support is the
+interval above the point, at slope 1/area.  Most summands that decompose
+finds have one generator, so there the engines run on the few that have
+more.  ``hn_at`` stays the reference that the staircase reads are checked
+against: it runs brute force on every summand.  One
+``invariants.merge_factors`` per point joins the factors of every piece,
+equal slopes into one, so the answer does not depend on how the
+presentation falls into blocks.  ``approx_skyscraper`` and
+``parallel_grid_scan`` are one colexicographic sweep of the epsilon lattice
+(``_sweep``) with two per-point strategies: HN engine runs, or the lazily
+built cells of an ``ExactStore``.  A module is constant on each cell of its
+induced grid, and one per-cell cache (``_Cells``) serves both: the
+brute-force sweep builds the fiber submodule of a piece of two or more
+generators once per cell, at the cell's lower corner (_Fiber), and reads
+every lattice point of the cell from it, as the HN loop memoizes its linear
+algebra on it; an ``ExactStore`` builds a summand's subdivision trees once
+per cell.  ``_sweep`` is the one place that evicts cells: it tells every
+cache which lattice row it enters, and each drops the cells of its other
+grid rows.  ``store.work`` counts per connected block.
 """
 
 from __future__ import annotations
@@ -161,20 +162,46 @@ def _blocks(M):
             for rows, cols in grmat.connected_components(M) if rows]
 
 
+class _Block:
+    """A connected block (module) of a clipped minimal presentation and
+    what drivers read of it, each built at its first read: its decompose
+    pieces, their readers (_Interval or the piece) and its induced grid.
+    Kept off the module: a block that does not split is its own piece,
+    and would make a reference cycle."""
+
+    def __init__(self, module):
+        self.module = module
+
+    @functools.cached_property
+    def pieces(self):
+        return tuple(grmat.decompose(self.module))
+
+    @functools.cached_property
+    def readers(self):
+        return tuple(_Interval(p) if p.nrows == 1 else p
+                     for p in self.pieces)
+
+    @functools.cached_property
+    def grid(self):
+        return grmat.induced_grid(self.module)
+
+
+def _prepared(M, box):
+    """The _Blocks of the minimal presentation of M clipped to the box:
+    what every driver runs on, kept on M for the latest box alone
+    (M._clipped)."""
+    box = tuple(box)
+    if getattr(M, "_clipped", (None,))[0] != box:
+        M._clipped = (box, tuple(map(_Block, _blocks(
+            grmat.minimize(clip_to_box(M, box))))))
+    return M._clipped[1]
+
+
 def _clipped_blocks(M, box):
     """The connected blocks of the minimal presentation of M clipped to
-    the box: what every driver runs on.  The blocks of a minimal
+    the box (the modules of _prepared).  The blocks of a minimal
     presentation are minimal, and none of them presents zero."""
-    return _blocks(grmat.minimize(clip_to_box(M, box)))
-
-
-def _engine_pieces(blocks, engine):
-    """What the engine runs on, per connected block: the block whole for
-    cheng, the summands that grmat.decompose finds in it for brute force."""
-    _check_engine(engine)
-    if engine == "cheng":
-        return [[block] for block in blocks]
-    return [grmat.decompose(block) for block in blocks]
+    return tuple(b.module for b in _prepared(M, box))
 
 
 class _Interval:
@@ -182,7 +209,7 @@ class _Interval:
     its staircase: at every point beta of the support the module
     generated there is the interval above beta, which is semistable, so
     its one factor is that interval at slope 1/area [FJNT24].  Built once
-    per piece where a driver prepares its pieces."""
+    per piece, with the readers of its block (_Block)."""
 
     __slots__ = ("stair",)
 
@@ -243,8 +270,9 @@ def _fiber_cell(piece, corner):
 def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
                cell=_fiber_cell):
     """HN filtration at alpha of the direct sum of the connected blocks:
-    one read per piece of a block (pieces from _engine_pieces, or their
-    readers), and the factors of every piece merged (merge_factors).
+    one read per piece of a block (the block itself for cheng, its pieces
+    or their readers for brute force), and the factors of every piece
+    merged (merge_factors).
     cheng_grid(i) is the grid of block i for the cheng engine, asked for
     only when the fiber is non-zero.  Brute force reads cell(piece,
     alpha), an _Interval or the _Fiber of alpha's cell, or None on a zero
@@ -274,14 +302,17 @@ def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
     per summand found by grmat.decompose, one-generator summands included,
     so that it is the reference for the staircase reads that the sweeps
     and the exact store make of those (_Interval); cheng runs per connected
-    block, and the results are merged (merge_factors).  The cheng engine
-    runs on cheng_grid, or else on the regular grid of each block and
-    alpha."""
+    block, and the results are merged (merge_factors); both read the
+    blocks kept on M (_prepared).  The cheng engine runs on cheng_grid,
+    or else on the regular grid of each block and alpha."""
     alpha = as_degree(alpha)
+    _check_engine(engine)
     box = box or bounding_box(M)
     blocks = _clipped_blocks(M, box)
+    pieces = ([[b] for b in blocks] if engine == "cheng"
+              else [b.pieces for b in _prepared(M, box)])
     return _hn_blocks(
-        _engine_pieces(blocks, engine), alpha, engine, seed,
+        pieces, alpha, engine, seed,
         lambda i: (regular_grid(blocks[i], [alpha], box)
                    if cheng_grid is None else cheng_grid))
 
@@ -351,23 +382,22 @@ def _sweep(box, epsilon, hn_of, caches=()):
 def approx_skyscraper(M, cfg):
     """Store of HN filtrations at every epsilon-lattice point of the
     support; an epsilon-approximation of the true invariant in erosion
-    distance.  Brute force reads a one-generator piece from its _Interval,
-    and builds any other piece's _Fiber once per cell of the piece's
-    induced grid, in one _Cells cache per piece that _sweep evicts row by
-    row, and reads every lattice point of the cell from it (_Cells.at),
-    so each HN step's linear algebra runs once per cell; the cheng engine
-    runs on each block whole at every point, on the regular grid of the
-    block and the point, as hn_at does.  store.work counts,
-    per connected block, the lattice points where its pieces' reads found
-    a non-zero fiber."""
+    distance.  Brute force reads a one-generator piece from its _Interval
+    (the readers kept on each _Block), and builds any other piece's _Fiber
+    once per cell of the piece's induced grid, in one _Cells cache per
+    piece and call that _sweep evicts row by row, and reads every lattice
+    point of the cell from it (_Cells.at), so each HN step's linear
+    algebra runs once per cell; the cheng engine runs on each block whole
+    at every point, on the regular grid of the block and the point, as
+    hn_at does.  store.work counts, per connected block, the lattice
+    points where its pieces' reads found a non-zero fiber."""
     box = cfg.box or bounding_box(M)
     blocks = _clipped_blocks(M, box)
-    pieces = _engine_pieces(blocks, cfg.engine)
-    cell, caches = _fiber_cell, []
+    pieces, cell, caches = [[b] for b in blocks], _fiber_cell, []
     if cfg.engine == "brute":
-        pieces = [[_Interval(p) if p.nrows == 1 else _Cells(
-            grmat.induced_grid(p), functools.partial(_fiber_cell, p))
-                   for p in ps] for ps in pieces]
+        pieces = [[r if type(r) is _Interval else _Cells(
+            grmat.induced_grid(r), functools.partial(_fiber_cell, r))
+                   for r in b.readers] for b in _prepared(M, box)]
         cell = _read_at
         caches = [c for ps in pieces for c in ps if type(c) is _Cells]
     work = [0] * len(blocks)
@@ -417,7 +447,8 @@ class ExactStore:
     cache); its pieces are the summands that grmat.decompose finds in it,
     and each cell holds the _Intervals of the one-generator pieces live
     there and the trees of the fiber submodules of the others
-    (_cell_trees)."""
+    (_cell_trees).  The grid, pieces and readers are those kept on the
+    _Block; the cells belong to the store."""
 
     def __init__(self, box):
         self.box = box
@@ -426,13 +457,12 @@ class ExactStore:
         self.summands = []
         self.pieces = []        # the decompose pieces of every summand
 
-    def _add_summand(self, module):
-        grid = grmat.induced_grid(module)
-        pieces = grmat.decompose(module)
-        self.pieces += pieces
-        build = functools.partial(_cell_trees, [
-            _Interval(p) if p.nrows == 1 else p for p in pieces], grid)
-        self.summands.append((module, grid, _Cells(grid, build)))
+    def _add_summand(self, block):
+        """Add a _Block of the clipped module."""
+        grid = block.grid
+        self.pieces += block.pieces
+        build = functools.partial(_cell_trees, block.readers, grid)
+        self.summands.append((block.module, grid, _Cells(grid, build)))
 
     @property
     def work(self):
@@ -473,7 +503,7 @@ def exact_skyscraper(M, box=None, eager=True):
     else each cell at its first query)."""
     box = box or bounding_box(M)
     store = ExactStore(box)
-    for block in _clipped_blocks(M, box):
+    for block in _prepared(M, box):
         store._add_summand(block)
     if eager:
         for _, grid, cells in store.summands:

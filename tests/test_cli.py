@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from skyhn import field as fieldmod
 from skyhn import cheng, cli, grmat, invariants, pipeline
 from skyhn.cli import (ParseError, emit_store, main, parse_presentation,
                        parse_store)
@@ -134,6 +135,32 @@ def test_cli_landscape(cross_file, tmp_path):
 def test_cli_check_ok(cross_file, capsys):
     assert main(["check", cross_file]) == 0
     assert "check ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_check_rank_reads_one_fiber_model(monkeypatch, q):
+    """skyhn check takes the rank of V(a -> b) from one fiber model, at b
+    (cli._map_rank): it equals the rank of grmat.structure_map(M, a, b),
+    which builds a model at each end, on random pairs a <= b of random
+    clipped modules, including pairs with a zero fiber at either end."""
+    F, rng = PrimeField(q), random.Random(40 + q)
+    model, models = grmat.pointwise_model, []
+    monkeypatch.setattr(grmat, "pointwise_model",
+                        lambda M, g: models.append(g) or model(M, g))
+    ranks = set()
+    for _ in range(30):
+        M = random_bounded_module(rng, F, rng.randrange(1, 5), dmax=4)
+        Mc = pipeline.clip_to_box(M, bounding_box(M))
+        for _ in range(40):
+            a = (Fr(rng.randrange(-1, 9), 2), Fr(rng.randrange(-1, 9), 2))
+            b = (a[0] + Fr(rng.randrange(0, 5), 2),
+                 a[1] + Fr(rng.randrange(0, 5), 2))
+            want = fieldmod.reduce(grmat.structure_map(Mc, a, b))[0]
+            del models[:]
+            assert cli._map_rank(Mc, a, b) == want, (a, b)
+            assert models == [b]
+            ranks.add(want)
+    assert {0, 1, 2} <= ranks
 
 
 # I + I, I one generator at (0,0) killed at (1,0) and (0,1) over GF(2), and

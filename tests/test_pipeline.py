@@ -6,7 +6,8 @@ from fractions import Fraction as Fr
 import pytest
 
 from skyhn import field as fieldmod
-from skyhn import cheng, grmat, hn_core, invariants, pipeline, subdivision
+from skyhn import (cheng, cli, grmat, hn_core, invariants, pipeline,
+                   subdivision)
 from skyhn.grmat import NEG_INF, Grid
 from skyhn.invariants import SkyscraperStore, merge_factors
 from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
@@ -701,3 +702,120 @@ def test_engine_failure_has_alpha():
     exc = pipeline.EngineFailure((Fr(1), Fr(2)), RuntimeError("x"))
     assert exc.alpha == (Fr(1), Fr(2))
     assert str(exc) == "engine failure at (1, 2): x"
+
+
+def _fresh(M):
+    """A new presentation object equal to M, with nothing kept on it."""
+    return grmat.GradedMatrix(M.field, M.row_degrees, M.col_degrees,
+                              M.columns)
+
+
+def _memo_modules():
+    """Modules of one and of several blocks, some blocks hidden direct
+    sums, over GF(2), GF(3) and GF(5)."""
+    rng = random.Random(2222)
+    return ([random_bounded_module(rng, F2 if i % 2 else F3, 2 + i % 2,
+                                   dmax=3) for i in range(4)]
+            + [M for _, _, M in hidden_corpus(n=4, seed=2223,
+                                              max_thickness=4)])
+
+
+def _load_this(monkeypatch, M):
+    """Make cli commands run on the module object M, whatever file they
+    name."""
+    monkeypatch.setattr(cli, "parse_presentation", lambda path, field=None: M)
+
+
+def test_drivers_decompose_each_block_once(monkeypatch, tmp_path, capsys):
+    """hn_at, approx_skyscraper, parallel_grid_scan, exact_skyscraper and
+    skyhn check, all on one module object, call grmat.decompose once per
+    block of its clipped minimal presentation: the preparation is kept on
+    the module."""
+    decompose, calls = grmat.decompose, []
+    monkeypatch.setattr(grmat, "decompose",
+                        lambda B: calls.append(B) or decompose(B))
+    for i, M in enumerate(_memo_modules()):
+        del calls[:]
+        _load_this(monkeypatch, M)
+        for alpha in sorted(set(M.row_degrees)):
+            hn_at(M, alpha)
+        for eps in (Fr(1), Fr(1, 2)):
+            approx_skyscraper(M, ScanConfig(epsilon=eps))
+            parallel_grid_scan(M, ScanConfig(epsilon=eps))
+        exact_skyscraper(M)
+        exact_skyscraper(M, eager=False).factors_at(M.row_degrees[0])
+        assert cli.main(["--out", str(tmp_path), "check", "m"]) == 0, i
+        blocks = pipeline._clipped_blocks(M, bounding_box(M))
+        assert sorted(map(id, calls)) == sorted(map(id, blocks)), i
+    capsys.readouterr()
+
+
+def test_cheng_engine_never_decomposes(monkeypatch):
+    """The cheng engine runs on each block whole: neither hn_at nor
+    approx_skyscraper with engine cheng calls grmat.decompose, on a fresh
+    module or on one whose blocks brute force has split."""
+    modules = _memo_modules()
+    split = [_fresh(M) for M in modules]
+    for M in split:
+        approx_skyscraper(M, ScanConfig(epsilon=1))
+
+    def refuse(B):
+        raise AssertionError("cheng decomposed a block")
+    monkeypatch.setattr(grmat, "decompose", refuse)
+    for i, M in enumerate(modules + split):
+        hn_at(M, M.row_degrees[0], engine="cheng", seed=i)
+        approx_skyscraper(M, ScanConfig(epsilon=1, engine="cheng", seed=i))
+
+
+def test_second_box_replaces_the_memo():
+    """The preparation is kept for the latest box alone: a call with
+    another box replaces it, and every driver answers as on a fresh copy,
+    with each box, in any order.  The third box cuts into the support."""
+    for i, M in enumerate(_memo_modules()):
+        x0, y0, x1, y1 = bounding_box(M)
+        gx, gy = (max(d[k] for d in M.row_degrees) for k in (0, 1))
+        boxes = [(x0, y0, x1, y1), (x0 - 1, y0, x1 + Fr(1, 2), y1 + 2),
+                 (x0, y0, gx + Fr(1, 2), gy + Fr(1, 2))]
+        for box in boxes + boxes[:1] + boxes[2:]:
+            cfg = ScanConfig(epsilon=Fr(1, 2), box=box)
+            got = [approx_skyscraper(M, cfg), parallel_grid_scan(M, cfg),
+                   exact_skyscraper(M, box).snapshot(
+                       approx_skyscraper(M, cfg).keys()),
+                   hn_at(M, M.row_degrees[0], box=box)]
+            assert M._clipped[0] == box
+            F = _fresh(M)
+            want = [approx_skyscraper(F, cfg), parallel_grid_scan(_fresh(M),
+                                                                  cfg),
+                    exact_skyscraper(_fresh(M), box).snapshot(
+                        approx_skyscraper(F, cfg).keys()),
+                    hn_at(_fresh(M), M.row_degrees[0], box=box)]
+            assert got == want, (i, box)
+            assert got[0].work == want[0].work
+            assert got[1].work == want[1].work
+
+
+def test_reused_module_writes_the_csvs_of_fresh_copies(monkeypatch,
+                                                       tmp_path, capsys):
+    """On the acceptance-5 corpus (GF(3) and GF(2)), the approx, scan and
+    exact CSVs of one module object that every command runs on are
+    byte-identical to those of a fresh copy per command."""
+    rng = random.Random(5)
+    modules = [random_bounded_module(rng, F2 if i % 2 else F3,
+                                     rng.randrange(1, 3), dmax=3)
+               for i in range(50)]
+    commands = [["check", "m"], ["hn", "m", "--at", "0,0"],
+                ["approx", "m", "--epsilon", "1/2"],
+                ["scan", "m", "--epsilon", "1/2"], ["exact", "m"],
+                ["query", "m", "--theta", "0", "--from", "0,0",
+                 "--to", "1,1"]]
+    for i, M in enumerate(modules):
+        for reuse in (True, False):
+            out = str(tmp_path / ("%d-%d" % (i, reuse)))
+            for argv in commands:
+                _load_this(monkeypatch, M if reuse else _fresh(M))
+                assert cli.main(["--out", out] + argv) == 0, (i, argv)
+        for name in ("store.csv", "scan.csv", "exact.csv"):
+            got, want = ((tmp_path / ("%d-%d" % (i, r)) / name).read_bytes()
+                         for r in (True, False))
+            assert got == want, (i, name)
+    capsys.readouterr()

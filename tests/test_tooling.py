@@ -359,3 +359,46 @@ def test_no_private_reads_across_layers():
         with open(path, encoding="utf-8") as fh:
             sources[os.path.basename(path)] = fh.read()
     assert _private_cross_reads(sources) == []
+
+
+# the calls that prepare a module for the drivers, and the one pipeline
+# helper each may sit in
+_PREPARATION = {"clip_to_box": "_prepared", "minimize": "_prepared",
+                "decompose": "_Block"}
+
+
+def _stray_preparation_calls(source):
+    """(function, call) for every call of a name of _PREPARATION, bare or
+    as an attribute (grmat.decompose), that a top-level function or class
+    of the module source makes outside the helper named for it."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            if name in _PREPARATION and _PREPARATION[name] != node.name:
+                out.append((node.name, name))
+    return out
+
+
+def test_pipeline_prepares_a_module_in_one_place():
+    """pipeline clips, minimizes and decomposes a module only in the
+    preparation that the module keeps (_prepared and its _Blocks), so no
+    driver prepares a module again per call."""
+    assert _stray_preparation_calls(
+        "def _prepared(M, box):\n    return minimize(clip_to_box(M))\n"
+        "class _Block:\n    def pieces(self):\n"
+        "        return grmat.decompose(self.module)\n"
+        "def hn_at(M):\n    return [grmat.decompose(b) for b in M]\n"
+        "class ExactStore:\n    def add(self, M):\n"
+        "        self.m = grmat.minimize(M)\n"
+        "def clip_to_box(M, box):\n    return M\n"
+        "x = grmat.decompose(1)\n") == [
+            ("hn_at", "decompose"), ("ExactStore", "minimize")]
+    with open(pipeline.__file__, encoding="utf-8") as fh:
+        assert _stray_preparation_calls(fh.read()) == []
