@@ -11,12 +11,12 @@ Vectors have one internal form per field, _vector_form(q): F_2 bitmask ints
 one loop per form for each of insert, full reduction and the reduced
 basis, and each form has the few coarse primitives that other modules
 need to work on internal vectors without reading them: pack, unpack,
-place, slice, lift, combine and apply a list of rows.  Other modules reach
-elimination through _vector_form, _Echelon (lists through insert, internal
-vectors through add; it holds its form and never branches on the field)
-and ColumnReduction (internal columns; reduce_columns and reduce take
-lists), and never read a bitmask.  Module-level sparsity is handled
-upstream.
+place, slice, lift, combine, multiply a list of columns and apply a list
+of rows.  Other modules reach elimination through _vector_form, _Echelon
+(lists through insert, internal vectors through add; it holds its form and
+never branches on the field) and ColumnReduction (internal columns;
+reduce_columns and reduce take lists), and never read a bitmask.
+Module-level sparsity is handled upstream.
 """
 
 from __future__ import annotations
@@ -393,6 +393,15 @@ class _F2Vectors:
         return out
 
     @staticmethod
+    def times(cols, v, n):
+        out = 0
+        while v:
+            low = v & -v
+            out ^= cols[low.bit_length() - 1]
+            v ^= low
+        return out
+
+    @staticmethod
     def apply(rows, v, n):
         out = 0
         for a, row in rows:
@@ -465,6 +474,14 @@ class _ListVectors:
                     out[a] = (out[a] + c * y) % q
         return out
 
+    def times(self, cols, v, n):
+        q = self.q
+        out = [0] * n
+        for c, col in zip(v, cols):
+            if c:
+                out = [x + c * y for x, y in zip(out, col)]
+        return [x % q for x in out]
+
     def apply(self, rows, v, n):
         q = self.q
         out = [0] * n
@@ -517,6 +534,10 @@ def _vector_form(q):
       slice(v, lo, hi)        entries lo..hi-1 of v
       combine(terms, n)       sum of c * place(v, off, n) over the
                               (c, off, v) of terms, c an element of F_q
+      times(cols, v, n)       the product of the matrix whose columns
+                              are the vectors cols, of length n, with
+                              v, of length len(cols): the sum of v's
+                              entry k times cols[k]
       apply(rows, v, n)       the vector of length n with entry a the
                               product row . v, for each (a, row) of rows,
                               and 0 elsewhere

@@ -12,15 +12,17 @@ positions of each coordinate among the matrix's sorted distinct ones.
 Every matrix has its ranks from the moment it is built and is validated
 once, on them: the constructor computes them from the degrees, and
 ``_from_ranks`` hands over the ranks that an operation already holds.
-All elimination runs in field (_Echelon, reduce_columns, kernel_combos);
-grmat._Echelon is field's class, imported.
+All elimination runs in field (_Echelon, ColumnReduction, reduce_columns,
+kernel_combos); grmat._Echelon is field's class, imported.  decompose
+holds every matrix as a list of columns in field's internal vector form
+and multiplies them with its times primitive, so it has one code path for
+every prime field: bitmasks over F_2, lists otherwise.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -585,56 +587,64 @@ _SPLIT_SEED = 0      # every run draws the same endomorphisms
 _SPLIT_TRIES = 8     # failed draws before a piece is taken as indecomposable
 
 
-def _matmul(q, A, B):
-    """Product of row-major square matrices over F_q."""
-    cols = list(zip(*B))
-    return [[sum(map(operator.mul, row, col)) % q for col in cols]
-            for row in A]
+def _product(form, A, B, n):
+    """The product A.B of column lists, A with columns of length n."""
+    times = form.times
+    return [times(A, b, n) for b in B]
 
 
-def _inverse(F, A):
-    """Inverse of a row-major square matrix over F: the kernel combos of
-    the columns of [A | I] are (-A^-1 e_k, e_k), one per k, exactly when A
-    is invertible."""
-    t, q = len(A), F.q
-    cols = [list(c) for c in zip(*A)] + [
-        [int(i == k) for i in range(t)] for k in range(t)]
-    kern = fieldmod.kernel_combos(F, cols, t)
-    if any(c[t + k] != 1 for k, c in enumerate(kern)):
+def _identity(form, n):
+    return [form.lift(form.zero(0), n, j) for j in range(n)]
+
+
+def _invert(F, B):
+    """The inverse of the square column list B over F: the kernel combos
+    of the columns of [B | -I] are (B^-1 e_k, e_k), one per k, exactly
+    when B is invertible."""
+    form, n = fieldmod._vector_form(F.q), len(B)
+    units = _identity(form, n)
+    kern = fieldmod.ColumnReduction(
+        F, B + [form.combine([(F.q - 1, 0, e)], n) for e in units], n).kernel
+    if any(form.slice(c, n, 2 * n) != e for c, e in zip(kern, units)):
         raise AssertionError("decompose: singular base change")
-    return [[-c[i] % q for c in kern] for i in range(t)]
+    return [form.slice(c, 0, n) for c in kern]
 
 
 def _endomorphisms(M):
-    """Basis of End(M)_0, as row-major generator matrices X: X[a][b] != 0
-    only where g_a <= g_b, and X.p_j in R<=r_j = span{p_k : r_k <= r_j}
-    for every relation column p_j.  The second condition is y.X.p_j = 0
-    for y in the annihilator of R<=d, one annihilator per distinct
-    relation degree d; the basis is the nullspace of these equations."""
+    """Basis of End(M)_0, as column lists of generator matrices X: X[a][b]
+    != 0 only where g_a <= g_b, and X.p_j in R<=r_j = span{p_k : r_k <=
+    r_j} for every relation column p_j.  The second condition is y.X.p_j =
+    0 for y in the annihilator of R<=r_j, one annihilator per distinct
+    relation degree; the basis is the nullspace of these equations over
+    the unknowns X[a][b], in the order of (a, b).  The equations of
+    unknown X[a][b] form one vector: the sum over the relations j of
+    p_j[b] times the a-th entries of the annihilator of R<=r_j."""
     F, t = M.field, M.nrows
-    q = F.q
+    form = fieldmod._vector_form(F.q)
     _, _, gd, rd = M._ranks
     P = [M.dense_column(j) for j in range(M.ncols)]
+    ann = {}    # d -> (size, (y[a] for y in the annihilator of R<=d) per a)
+    for d in set(rd):
+        below = [p for p, r in zip(P, rd) if deg_leq(r, d)]
+        ys = fieldmod.kernel_combos(F, [list(row) for row in zip(*below)],
+                                    len(below))
+        ann[d] = len(ys), [form.pack(list(col)) for col in zip(*ys)]
+    rels, n = [], 0     # (offset, p_j, annihilator of R<=r_j)
+    for p, r in zip(P, rd):
+        size, ys = ann[r]
+        if size:
+            rels.append((n, p, ys))
+            n += size
     unknowns = [(a, b) for a in range(t) for b in range(t)
                 if deg_leq(gd[a], gd[b])]
-    eqs = []
-    for d in sorted(set(rd)):
-        below = [k for k, r in enumerate(rd) if deg_leq(r, d)]
-        ann = fieldmod.kernel_combos(
-            F, [[P[k][a] for k in below] for a in range(t)], len(below))
-        for j, r in enumerate(rd):
-            if r == d:
-                p = P[j]
-                eqs += [[y[a] * p[b] % q for a, b in unknowns] for y in ann]
-    eqs = [e for e in eqs if any(e)]
-    combos = fieldmod.kernel_combos(
-        F, [[e[u] for e in eqs] for u in range(len(unknowns))], len(eqs))
-    out = []
-    for c in combos:
-        X = [[0] * t for _ in range(t)]
-        for (a, b), x in zip(unknowns, c):
-            X[a][b] = x
-        out.append(X)
+    eqs = [form.combine([(p[b], off, ys[a]) for off, p, ys in rels if p[b]],
+                        n) for a, b in unknowns]
+    # unknown (a, b) is entry b*t + a of X as one vector, column by column
+    at, one, out = [b * t + a for a, b in unknowns], form.pack([1]), []
+    for c in fieldmod.ColumnReduction(F, eqs, n).kernel:
+        X = form.combine(zip(form.unpack(c, len(at)), at, [one] * len(at)),
+                         t * t)
+        out.append([form.slice(X, b, b + t) for b in range(0, t * t, t)])
     return out
 
 
@@ -655,77 +665,78 @@ def _eigenvalue(F, f, rng):
     return -g[0] % q if len(g) == 2 else None
 
 
-def _eigen_split(F, draw, E, r, rng):
-    """Two graded idempotents E.P and E - E.P that split the idempotent E
-    of rank r, with their ranks, or None after _SPLIT_TRIES failed draws.
+def _eigen_split(F, draw, U, W, rng):
+    """Split the idempotent E = U.W of rank r in its corner, U (t x r) a
+    basis of im E and W (r x t) its coordinates, W.U = I: the pairs (U',
+    W') of two graded idempotents that sum to E, E.P first, or None after
+    _SPLIT_TRIES failed draws.  Matrices are column lists in the vector
+    form of F.
 
-    Y = E.X.E for X = draw(), uniform in End(M)_0, is uniform in the
-    corner E.End.E, and Y is 0 on im(I - E).  c is a root of the monic f
-    of least degree with f(Y).v = 0 for a random v in im E, so an
-    eigenvalue of Y there.  P is the Fitting projection of Y - c, onto the
-    image of Z = (Y - c)^k along its kernel (k >= r), a polynomial in Y.
-    rank E.P is rank Z, less t - r when c != 0, as Y - c is then
-    invertible on im(I - E) and E.P = P - (I - E).
+    Y = W.X.U for X = draw(), uniform in End(M)_0, is uniform in the
+    corner E.End.E, read in the basis U.  c is a root of the monic f of
+    least degree with f(Y).v = 0 for a random v = W.w, so an eigenvalue
+    of Y.  P is the Fitting projection of Y - c, onto the image of Z =
+    (Y - c)^k along its kernel (k >= r), a polynomial in Y.  With B the
+    basis of Z's image and then its kernel, the children are U.B and
+    B^-1.W, cut after the image, and rank E.P = rank Z.
 
-    The draw fails when rank E.P = 0: c is Y's one eigenvalue on im E, and
-    N = Y - c.E is nilpotent there.  When N != 0 the next Y is E.X.E.N,
-    singular on im E, so the root 0 splits it unless it is nilpotent too;
-    that draw is not counted.  Two isomorphic summands make the corner hold
-    a matrix ring, where a uniform Y often has one eigenvalue and such an
-    N."""
-    q, t = F.q, len(E)
+    The draw fails when rank Z = 0: c is Y's one eigenvalue, and N = Y -
+    c is nilpotent.  When N != 0 the next Y is W.X.U.N, singular, so the
+    root 0 splits it unless it is nilpotent too; that draw is not
+    counted.  Two isomorphic summands make the corner hold a matrix ring,
+    where a uniform Y often has one eigenvalue and such an N."""
+    form, q = fieldmod._vector_form(F.q), F.q
+    times, pack, zero = form.times, form.pack, form.zero
+    t, r = len(W), len(U)
+    ident = _identity(form, r)
     fresh, N = 0, None
     while fresh < _SPLIT_TRIES:
         Y = draw()
         if r < t:
-            Y = _matmul(q, _matmul(q, E, Y), E)
-        follow = N is not None      # the follow-up draw E.X.E.N
+            Y = _product(form, W, _product(form, Y, U, t), r)
+        follow = N is not None      # the follow-up draw W.X.U.N
         if follow:
-            Y, N = _matmul(q, Y, N), None
+            Y, N = _product(form, Y, N, r), None
         else:
             fresh += 1
-        vs = [[0]]
-        while not any(vs[0]):   # v = E.w != 0
-            w = [rng.randrange(q) for _ in range(t)]
-            vs = [[sum(map(operator.mul, row, w)) % q for row in E]]
-        for _ in range(r):      # v, Y.v, ..., Y^r.v
-            vs.append([sum(map(operator.mul, row, vs[-1])) % q for row in Y])
-        f = fieldmod.kernel_combos(F, vs, t)[0]
+        v = zero(r)
+        while v == zero(r):         # v = W.w != 0
+            v = times(W, pack([rng.randrange(q) for _ in range(t)]), r)
+        vs = [v]
+        for _ in range(r):          # v, Y.v, ..., Y^r.v
+            vs.append(times(Y, vs[-1], r))
+        f = list(form.unpack(fieldmod.ColumnReduction(F, vs, r).kernel[0],
+                             r + 1))
         while not f[-1]:
             f.pop()
         c = _eigenvalue(F, f, rng)
         if c is None:
             continue
-        Z = [[(y - c) % q if a == b else y for b, y in enumerate(row)]
-             for a, row in enumerate(Y)]
-        k = 1
-        while k < r:
-            Z = _matmul(q, Z, Z)
-            k *= 2
-        rank, image, kern = fieldmod.reduce_columns(
-            F, [list(col) for col in zip(*Z)], t)
-        n = rank - (t - r if c else 0)
-        if n == 0:
-            if not follow:
-                N = [[(y - c * e) % q for y, e in zip(*rows)]
-                     for rows in zip(Y, E)]
-                N = N if any(map(any, N)) else None
-            continue
-        B = [list(row) for row in zip(*(image + kern))]
-        P = _matmul(q, [row[:rank] + [0] * (t - rank) for row in B],
-                    _inverse(F, B))
         if c:
-            P = [[(x + e - (a == b)) % q
-                  for b, (x, e) in enumerate(zip(*rows))]
-                 for a, rows in enumerate(zip(P, E))]
-        return [(P, n), ([[(e - x) % q for x, e in zip(*rows)]
-                          for rows in zip(P, E)], r - n)]
+            Y = [form.combine([(1, 0, y), (q - c, 0, e)], r)
+                 for y, e in zip(Y, ident)]
+        Z, k = Y, 1
+        while k < r:
+            Z = _product(form, Z, Z, r)
+            k *= 2
+        red = fieldmod.ColumnReduction(F, Z, r)
+        n = red.rank
+        if n == 0:
+            if not follow and any(y != zero(r) for y in Y):
+                N = Y
+            continue
+        B = red.basis + red.kernel
+        BW = _product(form, _invert(F, B), W, r)
+        cut = form.slice
+        return [(_product(form, U, B[:n], t), [cut(x, 0, n) for x in BW]),
+                (_product(form, U, B[n:], t), [cut(x, n, r) for x in BW])]
     return None
 
 
 def _split(M, idempotents):
-    """The pieces of M along orthogonal graded idempotents of End(M)_0 that
-    sum to the identity, minimized, without the zero ones.
+    """The pieces of M along orthogonal graded idempotents of End(M)_0,
+    column lists that sum to the identity, minimized, without the zero
+    ones.
 
     T's columns are generators of each idempotent's image, picked per
     generator degree modulo the picks strictly below it, and block i of the
@@ -735,34 +746,35 @@ def _split(M, idempotents):
     r_j: then the block parts generate the relations, and the pieces' direct
     sum presents M."""
     F, t = M.field, M.nrows
-    q = F.q
+    form = fieldmod._vector_form(F.q)
     xs, ys, gd, rd = M._ranks
     picks, bounds = [], [0]   # (generator index, column); block boundaries
     for E in idempotents:
-        cols = [list(col) for col in zip(*E)]
         mine = []
         for d in sorted(set(gd)):
             ech = _Echelon(F, t)
             for b, col in mine:
                 if gd[b] != d and deg_leq(gd[b], d):
-                    ech.insert(col)
-            mine += [(b, cols[b]) for b in range(t)
-                     if gd[b] == d and ech.insert(cols[b])]
+                    ech.add(col)
+            mine += [(b, E[b]) for b in range(t)
+                     if gd[b] == d and ech.add(E[b])]
         picks += mine
         bounds.append(len(picks))
     if len(picks) != t:
         raise AssertionError("decompose: %d generators for %d"
                              % (len(picks), t))
-    T = [list(row) for row in zip(*(col for _, col in picks))]
-    Tinv = _inverse(F, T)
+    T = [col for _, col in picks]
+    Tinv = _invert(F, T)
     nd = [gd[b] for b, _ in picks]
     if any(x and not deg_leq(gd[a], nd[k])
-           for a, row in enumerate(T) for k, x in enumerate(row)) or \
+           for k, col in enumerate(T)
+           for a, x in enumerate(form.unpack(col, t))) or \
             any(x and not deg_leq(nd[k], gd[a])
-                for k, row in enumerate(Tinv) for a, x in enumerate(row)):
+                for a, col in enumerate(Tinv)
+                for k, x in enumerate(form.unpack(col, t))):
         raise AssertionError("decompose: the base change is not graded")
-    Pn = [[sum(map(operator.mul, row, p)) % q for row in Tinv]
-          for p in map(M.dense_column, range(M.ncols))]
+    Pn = [form.unpack(form.times(Tinv, form.pack(M.dense_column(j)), t), t)
+          for j in range(M.ncols)]
     blocks = list(zip(bounds, bounds[1:]))
     # a relation within one block is its own block part; in a relation
     # with several, the last part is the relation less the others
@@ -795,18 +807,18 @@ def _split(M, idempotents):
 
 def decompose(M):
     """Direct summands of the block M, from orthogonal idempotents of
-    End(M)_0, found by eigenvalue splits in M's own coordinates.
+    End(M)_0, found by eigenvalue splits, each in its idempotent's corner
+    (``_eigen_split``), on column lists in the vector form of M's field.
 
-    End(M)_0 is computed once (``_endomorphisms``).  Starting from E = I,
-    each idempotent E is split by ``_eigen_split``: a random X from a
-    constant seed gives Y = E.X.E, and the Fitting projection of Y - c, for
-    an eigenvalue c of Y in F_q, cuts E in two.  c is a root of a divisor
-    of Y's minimal polynomial, found by gcds with x^q - x, so one rule
-    serves every prime field.  A piece of one generator is not drawn
-    on, and after _SPLIT_TRIES failed draws a piece is kept whole: a missed
-    split costs speed only.  M is presented again once, along all the
-    idempotents, and that split is checked (``_split``).  Returns the
-    non-zero pieces, minimized, or [M] when no split is found.
+    End(M)_0 is computed once (``_endomorphisms``) and packed into
+    vectors of length t^2, so a draw from a constant seed is one product.
+    A node of the split tree is an idempotent E = U.W, U a basis of its
+    image and W its coordinates, starting from U = W = I.  A piece of one
+    generator is not drawn on, and after _SPLIT_TRIES failed draws a
+    piece is kept whole: a missed split costs speed only.  M is presented
+    again once, along the t x t idempotents U.W of all the final pieces,
+    and that split is checked (``_split``).  Returns the non-zero pieces,
+    minimized, or [M] when no split is found.
     """
     if M.nrows <= 1:
         return [M]
@@ -814,24 +826,25 @@ def decompose(M):
     if len(ends) == 1:      # End(M)_0 is the scalars
         return [M]
     F, t = M.field, M.nrows
+    form = fieldmod._vector_form(F.q)
     rng = random.Random(_SPLIT_SEED)
-    # each entry of X that some basis matrix sets, with its basis values
-    entries = [(a, b, [B[a][b] for B in ends])
-               for a in range(t) for b in range(t)
-               if any(B[a][b] for B in ends)]
+    # basis matrix i as one vector, its column b at entries b*t..b*t+t-1
+    flat = [form.combine([(1, b * t, col) for b, col in enumerate(X)], t * t)
+            for X in ends]
 
     def draw():
-        coef = [rng.randrange(F.q) for _ in ends]
-        X = [[0] * t for _ in range(t)]
-        for a, b, vals in entries:
-            X[a][b] = sum(map(operator.mul, coef, vals)) % F.q
-        return X
-    done, todo = [], [([[int(a == b) for b in range(t)] for a in range(t)], t)]
+        X = form.times(flat, form.pack([rng.randrange(F.q) for _ in ends]),
+                       t * t)
+        return [form.slice(X, b, b + t) for b in range(0, t * t, t)]
+    ident = _identity(form, t)
+    done, todo = [], [(ident, ident)]
     while todo:
-        E, r = todo.pop()
-        parts = _eigen_split(F, draw, E, r, rng) if r > 1 else None
+        U, W = todo.pop()
+        parts = _eigen_split(F, draw, U, W, rng) if len(U) > 1 else None
         if parts is None:
-            done.append(E)
+            done.append((U, W))
         else:
             todo += reversed(parts)
-    return [M] if len(done) == 1 else _split(M, done)
+    if len(done) == 1:
+        return [M]
+    return _split(M, [_product(form, U, W, t) for U, W in done])

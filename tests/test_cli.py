@@ -137,6 +137,41 @@ def test_cli_check_ok(cross_file, capsys):
     assert "check ok" in capsys.readouterr().out
 
 
+def test_cli_check_clips_once(cross_file, tmp_path, monkeypatch, capsys):
+    """skyhn check clips the module once, in the preparation its three
+    drivers share, and takes its rank checks on the parsed module: they
+    probe points b strictly below the box's upper edges, where no cap
+    relation of clip_to_box is <= b, so the ranks there equal those of
+    the clipped module."""
+    clip, calls = pipeline.clip_to_box, []
+    monkeypatch.setattr(pipeline, "clip_to_box",
+                        lambda M, box: calls.append(box) or clip(M, box))
+    rng = random.Random(43)
+    files = [cross_file]
+    for i in range(4):
+        M = random_bounded_module(rng, PrimeField((2, 3)[i % 2]),
+                                  rng.randrange(1, 4), dmax=4)
+        path = tmp_path / ("m%d.skypres" % i)
+        path.write_text(_skypres(M))
+        files.append(str(path))
+    for path in files:
+        del calls[:]
+        assert main(["check", path]) == 0
+        assert "check ok" in capsys.readouterr().out
+        assert len(calls) == 1
+    for _ in range(40):
+        M = random_bounded_module(rng, PrimeField(rng.choice((2, 3))),
+                                  rng.randrange(1, 4), dmax=4)
+        x0, y0, x1, y1 = box = bounding_box(M)
+        Mc = clip(M, box)
+        for _ in range(10):
+            a = (x0 + (x1 - x0) * Fr(rng.randrange(0, 8), 8),
+                 y0 + (y1 - y0) * Fr(rng.randrange(0, 8), 8))
+            b = (a[0] + (x1 - a[0]) * Fr(rng.randrange(0, 8), 8),
+                 a[1] + (y1 - a[1]) * Fr(rng.randrange(0, 8), 8))
+            assert cli._map_rank(M, a, b) == cli._map_rank(Mc, a, b)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_check_rank_reads_one_fiber_model(monkeypatch, q):
     """skyhn check takes the rank of V(a -> b) from one fiber model, at b

@@ -339,3 +339,27 @@ def test_reduce_columns_matches_reference():
             assert got == _reference_reduce(M)
             assert fieldmod.reduce_columns(F, cols, nrows) == \
                 (got[0], got[1].columns(), got[2].columns())
+
+
+def test_times_matches_list_product():
+    """times(cols, v, n) of _vector_form is the matrix-vector product of
+    the columns cols with v, on GF(2), GF(3) and GF(5): against a list
+    reference, with zero vectors, zero and repeated columns, vectors of
+    length 1 and 0 columns, and its arguments left unchanged."""
+    rng = random.Random(61)
+    for F in [F2, F3, F5]:
+        form = fieldmod._vector_form(F.q)
+        shapes = [(1, 1), (1, 3), (3, 1), (2, 0), (0, 2)] + [
+            (rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(80)]
+        for n, k in shapes:
+            cols = _random_columns(rng, F, n, k)
+            for v in ([0] * k, [1] * k,
+                      [rng.randrange(F.q) for _ in range(k)]):
+                want = [sum(c * col[a] for c, col in zip(v, cols)) % F.q
+                        for a in range(n)]
+                packed = [form.pack(c) for c in cols]
+                pv = form.pack(v)
+                got = form.times(packed, pv, n)
+                assert form.unpack(got, n) == want
+                assert [form.unpack(c, n) for c in packed] == cols
+                assert form.unpack(pv, k) == v

@@ -1,3 +1,4 @@
+import collections
 import functools
 import random
 from fractions import Fraction as Fr
@@ -474,23 +475,81 @@ def test_decompose_mixed_degree_block():
     assert _dims(pieces, induced_grid(M)) == _dims([M], induced_grid(M))
 
 
+def _moved(M, g):
+    """M translated so that its first generator lies at the degree g."""
+    dx, dy = g[0] - M.row_degrees[0][0], g[1] - M.row_degrees[0][1]
+    return gm(M.field, [(x + dx, y + dy) for x, y in M.row_degrees],
+              [((x + dx, y + dy), col)
+               for (x, y), col in zip(M.col_degrees, M.columns)])
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 31])
-def test_decompose_splits_one_generator_parts(q):
+def test_decompose_splits_one_generator_parts(q, monkeypatch):
     """A disguised direct sum of 2-4 one-generator parts comes back as
     many non-zero pieces as it has non-zero parts, over every prime field
     (each part is indecomposable, so every split was found), and the
-    pieces add up to it pointwise."""
+    pieces add up to it pointwise.  So do sums of 5-7 parts all generated
+    at one degree, whose split trees run three or more levels deep: a
+    split hands each corner on to its children."""
     F = PrimeField(q)
     rng = random.Random(2027)
-    for _ in range(60):
-        parts = [(random_bounded_module if rng.random() < 0.5
-                  else random_unigen_module)(rng, F, 1, dmax=3)
-                 for _ in range(rng.randrange(2, 5))]
+    depth, deepest = {}, []
+    real = grmat._eigen_split
+
+    def split(F, draw, U, W, rng):
+        level = depth.setdefault(id(U), 0)
+        parts = real(F, draw, U, W, rng)
+        for child, _ in parts or ():
+            depth[id(child)] = level + 1
+            deepest.append(level + 1)
+        return parts
+    monkeypatch.setattr(grmat, "_eigen_split", split)
+
+    def check(parts):
         M = disguise(rng, functools.reduce(grmat.direct_sum, parts))
+        depth.clear()
         pieces = grmat.decompose(M)
         assert sum(grmat.minimize(p).nrows > 0 for p in pieces) == \
             sum(grmat.minimize(p).nrows > 0 for p in parts)
         assert _dims(pieces, induced_grid(M)) == _dims([M], induced_grid(M))
+    for _ in range(60):
+        check([(random_bounded_module if rng.random() < 0.5
+                else random_unigen_module)(rng, F, 1, dmax=3)
+               for _ in range(rng.randrange(2, 5))])
+    del deepest[:]
+    for _ in range(6):
+        g = (Fr(rng.randrange(3)), Fr(rng.randrange(3)))
+        check([_moved(random_unigen_module(rng, F, 1, dmax=4), g)
+               for _ in range(rng.randrange(5, 8))])
+    assert max(deepest) >= 3
+
+
+def test_gf2_decompose_runs_no_list_primitive(monkeypatch):
+    """A GF(2) block is decomposed on bitmasks alone: no list vector form
+    is asked for and no _ListVectors primitive runs."""
+    rng = random.Random(2029)
+    blocks = [M for F, _, M in hidden_corpus(n=12, seed=33) if F == F2]
+    for _ in range(4):
+        parts = [_moved(random_unigen_module(rng, F2, 1, dmax=4), (0, 0))
+                 for _ in range(6)]
+        blocks.append(disguise(rng, functools.reduce(grmat.direct_sum,
+                                                     parts)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a list vector primitive ran on GF(2)")
+    for name in ("pack", "unpack", "zero", "place", "lift", "slice",
+                 "combine", "times", "apply", "reduce", "reduced"):
+        monkeypatch.setattr(fieldmod._ListVectors, name, refuse)
+    monkeypatch.setattr(fieldmod, "_insert_generic", refuse)
+    forms = fieldmod._vector_form
+
+    def form_of(q):
+        assert q == 2
+        return forms(q)
+    monkeypatch.setattr(fieldmod, "_vector_form", form_of)
+    pieces = [len(grmat.decompose(M)) for M in blocks]
+    assert sum(n > 1 for n in pieces[:-4]) >= 2
+    assert pieces[-4:] == [6] * 4
 
 
 def test_decompose_splits_isomorphic_summands(monkeypatch):
@@ -507,17 +566,24 @@ def test_decompose_splits_isomorphic_summands(monkeypatch):
     assert missed <= 10
 
 
+def _columns(F, rows):
+    """The column list, in the vector form of F, of a row-major matrix."""
+    form = fieldmod._vector_form(F.q)
+    return [form.pack(list(col)) for col in zip(*rows)]
+
+
 def test_split_checks_every_projection(stable, cross):
     """_split raises on idempotents whose images do not give t generators,
     on a change of generators that is not graded, and on pieces whose
     block parts leave the relations below a relation's degree."""
-    one, two = [[1, 0], [0, 0]], [[0, 0], [0, 1]]
+    one, two = _columns(F2, [[1, 0], [0, 0]]), _columns(F2, [[0, 0], [0, 1]])
     with pytest.raises(AssertionError, match="1 generators for 2"):
         grmat._split(stable, [one])
     with pytest.raises(AssertionError, match="4 generators for 2"):
         grmat._split(stable, [one, two, one, two])
     with pytest.raises(AssertionError, match="not graded"):
-        grmat._split(cross, [[[0, 0], [1, 1]], [[1, 0], [1, 0]]])
+        grmat._split(cross, [_columns(F2, [[0, 0], [1, 1]]),
+                             _columns(F2, [[1, 0], [1, 0]])])
     with pytest.raises(AssertionError, match="leaves R<=d"):
         grmat._split(stable, [one, two])
     # the graded idempotents of the cross module split it
@@ -525,29 +591,47 @@ def test_split_checks_every_projection(stable, cross):
         == [[(Fr(0), Fr(0))], [(Fr(0), Fr(1))]]
 
 
+class _BasisInt(int):
+    """A GF(2) column of an End(M)_0 basis matrix, told apart by type:
+    every operation on it returns a plain int."""
+
+
+class _BasisList(list):
+    """The same for a column over a larger field."""
+
+
 def test_decompose_presents_once_and_conjugates_no_basis(monkeypatch):
     """All splitting happens among idempotents in M's coordinates: the
     final split runs at most once per decompose call, exactly when M does
     not come back whole, and no basis matrix of End(M)_0 enters a matrix
-    product."""
-    splits, basis = [], []
-    real_split, real_ends, real_matmul = (
-        grmat._split, grmat._endomorphisms, grmat._matmul)
+    product, as the columns (the left factor) or as a column of the right
+    factor of the vector form's times, on GF(2), GF(3) and GF(5)."""
+    splits, basis, products = [], [], collections.Counter()
+    real_split, real_ends = grmat._split, grmat._endomorphisms
 
     def split(M, idempotents):
         splits.append(len(idempotents))
         return real_split(M, idempotents)
 
     def ends(M):
-        basis[:] = real_ends(M)
+        tag = _BasisInt if M.field.q == 2 else _BasisList
+        basis[:] = [[tag(col) for col in X] for X in real_ends(M)]
         return basis
 
-    def matmul(q, A, B):
-        assert not any(X is A or X is B for X in basis)
-        return real_matmul(q, A, B)
+    def spy(q, times):
+        def product(cols, v, n):
+            assert not any(X is cols for X in basis)
+            assert not isinstance(v, (_BasisInt, _BasisList))
+            products[q] += 1
+            return times(cols, v, n)
+        return product
     monkeypatch.setattr(grmat, "_split", split)
     monkeypatch.setattr(grmat, "_endomorphisms", ends)
-    monkeypatch.setattr(grmat, "_matmul", matmul)
+    monkeypatch.setattr(fieldmod._F2Vectors, "times",
+                        staticmethod(spy(2, fieldmod._F2Vectors.times)))
+    for q in (3, 5):
+        form = fieldmod._vector_form(q)
+        monkeypatch.setattr(form, "times", spy(q, form.times))
     multi = 0
     for _, _, M in hidden_corpus(n=18, seed=31):
         del splits[:]
@@ -558,6 +642,7 @@ def test_decompose_presents_once_and_conjugates_no_basis(monkeypatch):
         assert (len(splits) == 1) == (pieces != [M])
         multi += len(pieces) > 2
     assert multi >= 3
+    assert all(products[q] for q in (2, 3, 5))
 
 
 def test_eigenvalue_finds_a_root_when_there_is_one():
@@ -583,40 +668,52 @@ def test_eigenvalue_finds_a_root_when_there_is_one():
 
 def test_endomorphisms_of_a_direct_sum():
     """End of a hidden direct sum contains the identity, and every basis
-    element maps each relation into the relations of degree below it."""
+    element, a column list in the vector form, is graded and maps each
+    relation into the relations of degree below it."""
     for F, _, M in hidden_corpus(n=9, seed=7):
+        t, form = M.nrows, fieldmod._vector_form(F.q)
         ends = grmat._endomorphisms(M)
-        ech = grmat._Echelon(F, M.nrows * M.nrows)
+        ech = grmat._Echelon(F, t * t)
         for X in ends:
-            assert ech.insert([x for row in X for x in row])
+            cols = [form.unpack(col, t) for col in X]
+            assert len(cols) == t
+            assert all(not x or deg_leq(M.row_degrees[a], M.row_degrees[b])
+                       for b, col in enumerate(cols)
+                       for a, x in enumerate(col))
+            assert ech.insert([x for col in cols for x in col])
             for j, d in enumerate(M.col_degrees):
-                below = grmat._Echelon(F, M.nrows)
+                below = grmat._Echelon(F, t)
                 for k, e in enumerate(M.col_degrees):
                     if deg_leq(e, d):
                         below.insert(M.dense_column(k))
                 p = M.dense_column(j)
-                assert below.contains([sum(x * y for x, y in zip(row, p))
-                                       % F.q for row in X])
-        ident = [int(a == b) for a in range(M.nrows) for b in range(M.nrows)]
+                assert below.contains([sum(col[a] * y
+                                           for col, y in zip(cols, p)) % F.q
+                                       for a in range(t)])
+        ident = [int(a == b) for b in range(t) for a in range(t)]
         assert ech.contains(ident)
 
 
 def test_inverse_of_base_changes():
-    """_inverse returns A^-1 for invertible A and raises on a singular
-    one, so a degenerate change of generators can never split a block."""
+    """_invert returns B^-1 for an invertible column list B and raises on
+    a singular one, so a degenerate change of generators can never split
+    a block."""
     rng = random.Random(11)
     for F in [F2, F3, PrimeField(5)]:
+        form = fieldmod._vector_form(F.q)
         for _ in range(60):
             n = rng.randrange(1, 6)
             A = [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)]
+            B = [form.pack(col) for col in A]
             ident = [[int(i == j) for j in range(n)] for i in range(n)]
             if fieldmod.reduce_columns(F, A, n)[0] < n:
                 with pytest.raises(AssertionError, match="singular"):
-                    grmat._inverse(F, A)
+                    grmat._invert(F, B)
                 continue
-            Ai = grmat._inverse(F, A)
-            assert grmat._matmul(F.q, A, Ai) == ident
-            assert grmat._matmul(F.q, Ai, A) == ident
+            Bi = grmat._invert(F, B)
+            for X, Y in ((B, Bi), (Bi, B)):
+                assert [form.unpack(c, n) for c in
+                        grmat._product(form, X, Y, n)] == ident
 
 
 def _fiber_submodule_by_kernel(M, alpha):

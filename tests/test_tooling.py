@@ -296,6 +296,30 @@ def test_only_field_reads_a_bitmask():
         assert _bitmask_names(fh.read()) == _BITMASK_NAMES
 
 
+def _imported_modules(source):
+    """The top-level names of the modules a source imports, by import or
+    from-import, relative imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_grmat_keeps_no_row_product():
+    """decompose multiplies its matrices only through the times primitive
+    of field._vector_form: grmat imports no operator module, so no
+    row-by-column product of its own is left beside it."""
+    assert _imported_modules(
+        "import operator as op\nfrom operator import mul\n"
+        "import os.path\nfrom . import field\n# import math\n") == {
+            "operator", "os"}
+    with open(grmat.__file__, encoding="utf-8") as fh:
+        assert "operator" not in _imported_modules(fh.read())
+
+
 _SHARED_BASE = {"field", "grmat"}
 
 
