@@ -43,11 +43,11 @@ onto U* stay packed; only U is unpacked, at the end of the draw.  The
 random coefficients X_k stay lists, as the draw reads them entry by entry
 to weight the blocks.
 
-Four module constants fix the search schedule of ``hn_cheng``:
+Three module constants fix the search schedule of ``hn_cheng``:
 ``_FAREY_BUDGET`` Farey probes (p, q) with p*q <= ``_FAREY_CAP`` are tried
 before the exact (p0, q0) blow-up, each with up to ``_MAX_RETRIES`` draws,
-and every draw's extension degree is its default plus ``_G_EXTRA`` (plus
-what the retry schedule adds).
+and every draw's extension degree is its default plus what the retry
+schedule adds.
 """
 
 from __future__ import annotations
@@ -388,7 +388,6 @@ def build_A_alpha(M, G, alpha):
 # ---------------------------------------------------------------------------
 # HN driver: Farey probes, retries, split-and-recurse
 
-_G_EXTRA = 0          # extension degrees added to every draw's default
 _MAX_RETRIES = 8      # draws per blow-up before ShrunkFailure
 _FAREY_BUDGET = 6     # Farey probes tried before the exact (p0, q0) one
 _FAREY_CAP = 36       # largest p*q of a Farey probe
@@ -411,24 +410,23 @@ def _farey_probes(rp, rq, budget, cap):
     return out
 
 
-def _shrunk_with_retries(space, p, q, alpha, seed, g_extra, max_retries,
-                         p_cap):
+def _shrunk_with_retries(space, p, q, alpha, seed, p_cap):
     """Retry schedule: fresh deterministic seed each attempt, alternately
     enlarging the field extension and the blow-up scale (ratio preserved,
     p capped by p_cap).  Over tiny base fields the default extension leaves
     a random matrix singular too often, so the extension degree must grow
     with the attempts."""
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         m = 1 << (attempt // 2)
         while m > 1 and m * p > p_cap:
             m >>= 1
-        extra = g_extra + (attempt + 1) // 2
+        extra = (attempt + 1) // 2
         sub_seed = hash((seed, alpha, p, q, attempt)) & 0x7FFFFFFF
         U = shrunk_subspace_random(space, m * p, sub_seed, q=m * q,
                                    g_extra=extra)
         if U is not None:
             return U
-    raise ShrunkFailure(alpha, max_retries)
+    raise ShrunkFailure(alpha, _MAX_RETRIES)
 
 
 def _split_fiber(space, p0, q0, alpha, seed):
@@ -447,12 +445,10 @@ def _split_fiber(space, p0, q0, alpha, seed):
     rp, rq = p0 // g, q0 // g
     p_cap = p0 * q0
     for (p, q) in _farey_probes(rp, rq, _FAREY_BUDGET, _FAREY_CAP):
-        U = _shrunk_with_retries(space, p, q, alpha, seed, _G_EXTRA,
-                                 _MAX_RETRIES, p_cap)
+        U = _shrunk_with_retries(space, p, q, alpha, seed, p_cap)
         if 0 < U.cols < p0:
             return U
-    U = _shrunk_with_retries(space, rp, rq, alpha, seed, _G_EXTRA,
-                             _MAX_RETRIES, p_cap)
+    U = _shrunk_with_retries(space, rp, rq, alpha, seed, p_cap)
     if U.cols in (0, p0):
         return None
     return U

@@ -16,8 +16,16 @@ staircase, where the HN filtration at every point of the support is the
 interval above the point, at slope 1/area.  Most summands that decompose
 finds have one generator, so there the engines run on the few that have
 more.  ``hn_at`` stays the reference that the staircase reads are checked
-against: it runs brute force on every summand.  One
-``invariants.merge_factors`` per point joins the factors of every piece,
+against: it runs brute force on every summand.
+
+Every per-point read is a function of the point that returns an
+``HNFactorList``, empty on a zero fiber.  ``hn_at`` and
+``approx_skyscraper`` build their reads once per call, a list per
+connected block: ``hn_core.hn_filtration_at`` on each piece (``hn_at``,
+brute force), ``_cheng_read`` of each block (cheng), or, in the
+brute-force sweep, ``_Interval.factors_at`` and the HN loop on the cell
+fibers of the other pieces.  ``_merged`` calls them at each point and
+joins the factors of every read with one ``invariants.merge_factors``,
 equal slopes into one, so the answer does not depend on how the
 presentation falls into blocks.  ``approx_skyscraper`` and
 ``parallel_grid_scan`` are one colexicographic sweep of the epsilon lattice
@@ -25,12 +33,13 @@ presentation falls into blocks.  ``approx_skyscraper`` and
 built cells of an ``ExactStore``.  A module is constant on each cell of its
 induced grid, and one per-cell cache (``_Cells``) serves both: the
 brute-force sweep builds the fiber submodule of a piece of two or more
-generators once per cell, at the cell's lower corner (_Fiber), and reads
-every lattice point of the cell from it, as the HN loop memoizes its linear
-algebra on it; an ``ExactStore`` builds a summand's subdivision trees once
-per cell.  ``_sweep`` is the one place that evicts cells: it tells every
-cache which lattice row it enters, and each drops the cells of its other
-grid rows.  ``store.work`` counts per connected block.
+generators once per cell, at the cell's lower corner, and reads every
+lattice point of the cell from it (``hn_core.hn_filtration_of``), as the HN
+loop memoizes its linear algebra on it; an ``ExactStore`` builds a
+summand's subdivision trees once per cell.  ``_sweep`` is the one place
+that evicts cells: it tells every cache which lattice row it enters, and
+each drops the cells of its other grid rows.  ``store.work`` counts per
+connected block.
 """
 
 from __future__ import annotations
@@ -227,14 +236,12 @@ class _Interval:
         self.stair = Staircase(piece.row_degrees[0],
                                [(xs[x], ys[y]) for x, y in rels], check=False)
 
-    def at(self, beta):
-        """The reader itself where beta lies in the support, else None."""
-        return self if staircase_contains(self.stair, beta) else None
-
     def factors_at(self, beta):
-        """The HN filtration at a point beta of the support: the staircase
+        """The HN filtration at beta, empty off the support: the staircase
         transported to beta, its area a sum of rectangles on ints over the
         lcm L of the denominators, and one Fraction."""
+        if not staircase_contains(self.stair, beta):
+            return HNFactorList(beta, [])
         S = staircase_at(self.stair, beta)
         L = math.lcm(*(c.denominator for r in S.rels for c in r))
         pts = [(x.numerator * (L // x.denominator),
@@ -244,53 +251,30 @@ class _Interval:
         return HNFactorList(beta, [HNFactor([S], Fraction(L * L, area))])
 
 
-class _Fiber:
-    """The fiber submodule <V_c> of a piece over one cell, c the cell's
-    lower corner: brute force runs the HN loop on it at each point of the
-    cell (hn_core.hn_filtration_of), which memoizes the loop's linear
-    algebra on it."""
-
-    __slots__ = ("sub",)
-
-    def __init__(self, sub):
-        self.sub = sub
-
-    def factors_at(self, beta):
-        return hn_core.hn_filtration_of(self.sub, beta)
-
-
-def _fiber_cell(piece, corner):
-    """The _Fiber of a piece over the cell with lower corner `corner` of
-    its induced grid, or of a grid refining it; None where the fiber at
-    the corner is zero."""
-    sub = grmat.fiber_submodule(piece, corner)
-    return None if sub is None else _Fiber(sub)
+def _cheng_read(module, seed, grid):
+    """The cheng engine's read of a connected block, a function of the
+    point alpha: hn_cheng on the block whole, on grid(module, alpha),
+    which it asks for only where the fiber at alpha is non-zero; a
+    ShrunkFailure is raised as EngineFailure at alpha."""
+    def read(alpha):
+        try:
+            return cheng.hn_cheng(module, functools.partial(grid, module,
+                                                            alpha),
+                                  alpha, seed=seed)
+        except cheng.ShrunkFailure as exc:
+            raise EngineFailure(alpha, exc)
+    return read
 
 
-def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
-               cell=_fiber_cell):
+def _merged(reads, alpha, work=None):
     """HN filtration at alpha of the direct sum of the connected blocks:
-    one read per piece of a block (the block itself for cheng, its pieces
-    or their readers for brute force), and the factors of every piece
-    merged (merge_factors).
-    cheng_grid(i) is the grid of block i for the cheng engine, asked for
-    only when the fiber is non-zero.  Brute force reads cell(piece,
-    alpha), an _Interval or the _Fiber of alpha's cell, or None on a zero
-    fiber, whose list is empty; work[i] counts the points where some
-    piece of block i gave a non-empty one."""
+    reads holds, per block, the functions of the point that read its
+    pieces (the block itself for cheng), and the factors of every read
+    are merged once (merge_factors); work[i] counts the points where some
+    read of block i is non-empty."""
     lists = []
-    for i, block_pieces in enumerate(pieces):
-        if engine == "cheng":
-            try:
-                fls = [cheng.hn_cheng(p, functools.partial(cheng_grid, i),
-                                      alpha, seed=seed)
-                       for p in block_pieces]
-            except cheng.ShrunkFailure as exc:
-                raise EngineFailure(alpha, exc)
-        else:
-            fls = [HNFactorList(alpha, []) if c is None
-                   else c.factors_at(alpha)
-                   for c in (cell(p, alpha) for p in block_pieces)]
+    for i, block_reads in enumerate(reads):
+        fls = [read(alpha) for read in block_reads]
         lists += fls
         if work is not None and any(fl.factors for fl in fls):
             work[i] += 1
@@ -299,22 +283,26 @@ def _hn_blocks(pieces, alpha, engine, seed, cheng_grid, work=None,
 
 def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
     """HN filtration of <V_alpha> of the clipped module: brute force runs
-    per summand found by grmat.decompose, one-generator summands included,
-    so that it is the reference for the staircase reads that the sweeps
-    and the exact store make of those (_Interval); cheng runs per connected
-    block, and the results are merged (merge_factors); both read the
-    blocks kept on M (_prepared).  The cheng engine runs on cheng_grid,
-    or else on the regular grid of each block and alpha."""
+    hn_core.hn_filtration_at once per summand found by grmat.decompose,
+    one-generator summands included, so that it is the reference for the
+    staircase reads that the sweeps and the exact store make of those
+    (_Interval); cheng runs once per connected block (_cheng_read); both
+    read the blocks kept on M (_prepared), and _merged joins the reads.
+    The cheng engine runs on cheng_grid, or else on the regular grid of
+    each block and alpha."""
     alpha = as_degree(alpha)
     _check_engine(engine)
     box = box or bounding_box(M)
-    blocks = _clipped_blocks(M, box)
-    pieces = ([[b] for b in blocks] if engine == "cheng"
-              else [b.pieces for b in _prepared(M, box)])
-    return _hn_blocks(
-        pieces, alpha, engine, seed,
-        lambda i: (regular_grid(blocks[i], [alpha], box)
-                   if cheng_grid is None else cheng_grid))
+    if engine == "cheng":
+        def grid(block, a):
+            return (regular_grid(block, [a], box) if cheng_grid is None
+                    else cheng_grid)
+        reads = [[_cheng_read(b, seed, grid)]
+                 for b in _clipped_blocks(M, box)]
+    else:
+        reads = [[functools.partial(hn_core.hn_filtration_at, p)
+                  for p in b.pieces] for b in _prepared(M, box)]
+    return _merged(reads, alpha)
 
 
 def _eps_points(box, epsilon):
@@ -382,36 +370,38 @@ def _sweep(box, epsilon, hn_of, caches=()):
 def approx_skyscraper(M, cfg):
     """Store of HN filtrations at every epsilon-lattice point of the
     support; an epsilon-approximation of the true invariant in erosion
-    distance.  Brute force reads a one-generator piece from its _Interval
-    (the readers kept on each _Block), and builds any other piece's _Fiber
-    once per cell of the piece's induced grid, in one _Cells cache per
-    piece and call that _sweep evicts row by row, and reads every lattice
-    point of the cell from it (_Cells.at), so each HN step's linear
-    algebra runs once per cell; the cheng engine runs on each block whole
-    at every point, on the regular grid of the block and the point, as
+    distance.  The reads are built once per call and merged at each point
+    (_merged).  Brute force reads a one-generator piece from its _Interval
+    (the readers kept on each _Block), and builds any other piece's fiber
+    submodule once per cell of the piece's induced grid, in one _Cells
+    cache per piece and call that _sweep evicts row by row, and runs the
+    HN loop on it at every lattice point of the cell
+    (hn_core.hn_filtration_of), so each HN step's linear algebra runs once
+    per cell; the cheng engine runs on each block whole at every point
+    (_cheng_read), on the regular grid of the block and the point, as
     hn_at does.  store.work counts, per connected block, the lattice
     points where its pieces' reads found a non-zero fiber."""
     box = cfg.box or bounding_box(M)
-    blocks = _clipped_blocks(M, box)
-    pieces, cell, caches = [[b] for b in blocks], _fiber_cell, []
-    if cfg.engine == "brute":
-        pieces = [[r if type(r) is _Interval else _Cells(
-            grmat.induced_grid(r), functools.partial(_fiber_cell, r))
-                   for r in b.readers] for b in _prepared(M, box)]
-        cell = _read_at
-        caches = [c for ps in pieces for c in ps if type(c) is _Cells]
-    work = [0] * len(blocks)
-    store = _sweep(box, cfg.epsilon, lambda alpha: _hn_blocks(
-        pieces, alpha, cfg.engine, cfg.seed,
-        lambda i: regular_grid(blocks[i], [alpha], box), work, cell),
-        caches)
+    caches = []
+
+    def cell_read(piece):
+        cells = _Cells(grmat.induced_grid(piece),
+                       functools.partial(grmat.fiber_submodule, piece))
+        caches.append(cells)
+        return lambda alpha: hn_core.hn_filtration_of(cells.at(alpha), alpha)
+
+    if cfg.engine == "cheng":
+        reads = [[_cheng_read(b, cfg.seed,
+                              lambda m, a: regular_grid(m, [a], box))]
+                 for b in _clipped_blocks(M, box)]
+    else:
+        reads = [[r.factors_at if type(r) is _Interval else cell_read(r)
+                  for r in b.readers] for b in _prepared(M, box)]
+    work = [0] * len(reads)
+    store = _sweep(box, cfg.epsilon,
+                   functools.partial(_merged, reads, work=work), caches)
     store.work = work
     return store
-
-
-def _read_at(reader, alpha):
-    """What reader (an _Interval or a _Cells) reads alpha from, or None."""
-    return reader.at(alpha)
 
 
 def _cell_trees(readers, grid, corner):
@@ -428,7 +418,7 @@ def _cell_trees(readers, grid, corner):
     out = []
     for p in readers:
         if type(p) is _Interval:
-            if p.at(corner):
+            if staircase_contains(p.stair, corner):
                 out.append(p)
             continue
         sub = grmat.fiber_submodule(p, corner)
@@ -527,12 +517,6 @@ def parallel_grid_scan(M, cfg):
     return store
 
 
-def _query_fn(store):
-    if isinstance(store, ExactStore):
-        return store.query
-    return lambda theta, a, b: invariants.skyscraper_query(store, theta, a, b)
-
-
 def filtered_landscape(store, k, theta, eval_points, resolution=8,
                        anchor="center"):
     """lambda_k^theta at each evaluation point: the largest diagonal reach h
@@ -544,11 +528,12 @@ def filtered_landscape(store, k, theta, eval_points, resolution=8,
     if anchor not in ("center", "source"):
         raise ValueError("anchor must be 'center' or 'source', got %r"
                          % (anchor,))
-    q = _query_fn(store)
     if isinstance(store, ExactStore):
+        q = store.query
         x0, y0, x1, y1 = store.box
         hmax = max(x1 - x0, y1 - y0)
     else:
+        q = functools.partial(invariants.skyscraper_query, store)
         ks = store.keys()
         if not ks:
             hmax = Fraction(1)

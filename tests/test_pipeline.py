@@ -298,10 +298,10 @@ def test_interval_cells_match_every_engine():
     against all three engines: every one-generator piece of _sweep_pieces
     and the pieces of rescaled one-generator modules (negative degrees
     over denominators 2 and 3) over GF(2), GF(3) and GF(5).  At every
-    probe point alpha of the piece's grid, the reader's at(alpha) is None
-    exactly where the fiber is zero, and otherwise its factors at alpha
-    equal brute force on fiber_submodule(piece, alpha), the read of
-    exact_hnf_cell's tree of alpha's grid cell and hn_cheng."""
+    probe point alpha of the piece's grid, the reader's factors at alpha
+    are empty exactly where the fiber is zero, and otherwise equal brute
+    force on fiber_submodule(piece, alpha), the read of exact_hnf_cell's
+    tree of alpha's grid cell and hn_cheng."""
     rng = random.Random(91)
     pieces = [p for p in _sweep_pieces() if p.nrows == 1]
     n_sweep = len(pieces)
@@ -316,13 +316,12 @@ def test_interval_cells_match_every_engine():
         grid, box = grmat.induced_grid(piece), bounding_box(piece)
         reader = pipeline._Interval(piece)
         for alpha in _probe_points(grid):
-            live = reader.at(alpha)
-            sub = grmat.fiber_submodule(piece, alpha)
-            assert (live is None) == (sub is None), alpha
-            if live is None:
-                continue
-            assert live is reader
             got = reader.factors_at(alpha)
+            sub = grmat.fiber_submodule(piece, alpha)
+            assert (not got.factors) == (sub is None), alpha
+            assert got.alpha == alpha
+            if sub is None:
+                continue
             assert len(got.factors) == 1 and type(got.factors[0].slope) is Fr
             assert got == hn_core.hn_filtration_of(sub, alpha), alpha
             tree, = fiber_trees(piece, grid, grid.floor(alpha))
@@ -389,6 +388,28 @@ def test_only_hn_at_runs_engines_on_interval_pieces(monkeypatch, cross,
         hn_at(M, M.row_degrees[0])
         assert calls["search"] > 0 and not calls["cell"]
         assert calls["fiber %d" % n_gens[0]] > 0
+
+
+def test_brute_hn_at_runs_hn_filtration_at_once_per_piece(monkeypatch,
+                                                         cross, stable):
+    """hn_at with brute force reads each decompose piece through one
+    hn_core.hn_filtration_at call per piece and call: the cross has two
+    pieces of one generator each, the stable module is one piece."""
+    calls = []
+    hn_filtration_at = hn_core.hn_filtration_at
+    monkeypatch.setattr(hn_core, "hn_filtration_at", lambda M, alpha: (
+        calls.append(M) or hn_filtration_at(M, alpha)))
+    for M, n_pieces in ((cross, 2), (stable, 1)):
+        pieces = [p for b in pipeline._prepared(M, bounding_box(M))
+                  for p in b.pieces]
+        assert len(pieces) == n_pieces
+        for alpha in (M.row_degrees[0], (Fr(1, 2), Fr(3, 2))):
+            calls.clear()
+            got = hn_at(M, alpha)
+            assert len(calls) == n_pieces, alpha
+            assert all(a is b for a, b in zip(calls, pieces)), alpha
+            assert got == merge_factors(alpha, [
+                hn_filtration_at(p, alpha) for p in pieces])
 
 
 def test_sweep_runs_each_hn_step_algebra_once_per_cell(monkeypatch):

@@ -426,3 +426,43 @@ def test_pipeline_prepares_a_module_in_one_place():
             ("hn_at", "decompose"), ("ExactStore", "minimize")]
     with open(pipeline.__file__, encoding="utf-8") as fh:
         assert _stray_preparation_calls(fh.read()) == []
+
+
+# the engine entry points, each of which one top-level pipeline function
+# may name
+_ENTRY_POINTS = ("hn_cheng", "hn_filtration_at", "hn_filtration_of",
+                 "exact_hnf_cell")
+
+
+def _entry_point_sites(source):
+    """For every name of _ENTRY_POINTS, the top-level functions and
+    classes of the module source that name it, bare or as an attribute
+    (cheng.hn_cheng), called or not (a functools.partial of it counts);
+    any other top-level statement that names it counts as "<module>"."""
+    sites = {name: [] for name in _ENTRY_POINTS}
+    for node in ast.parse(source).body:
+        named = {n.attr if isinstance(n, ast.Attribute) else n.id
+                 for n in ast.walk(node)
+                 if isinstance(n, (ast.Attribute, ast.Name))}
+        for name in sites:
+            if name in named:
+                sites[name].append(getattr(node, "name", "<module>"))
+    return sites
+
+
+def test_pipeline_names_each_engine_entry_point_in_one_place():
+    """pipeline reads each engine through one function of the point, so
+    each engine entry point is named in one top-level function only."""
+    assert _entry_point_sites(
+        "def _read(m):\n    return cheng.hn_cheng(m, 1)\n"
+        "def hn_at(ps):\n"
+        "    return [functools.partial(hn_core.hn_filtration_at, p)\n"
+        "            for p in ps]\n"
+        "def approx(M):\n    f = hn_filtration_at\n"
+        "    return hn_core.hn_filtration_of(M, 0)\n"
+        "x = exact_hnf_cell\n") == {
+            "hn_cheng": ["_read"], "hn_filtration_at": ["hn_at", "approx"],
+            "hn_filtration_of": ["approx"], "exact_hnf_cell": ["<module>"]}
+    with open(pipeline.__file__, encoding="utf-8") as fh:
+        sites = _entry_point_sites(fh.read())
+    assert all(len(funcs) == 1 for funcs in sites.values()), sites
