@@ -17,9 +17,9 @@ an extension field, run its Wong sequence, and certify the answer when the
 limit lands inside the image of A.  The Wong image steps exploit the block
 structure of blow-ups (the whole limit has the form k^p tensor S): S is
 spanned by the basis matrices applied to a basis of the span of the
-preimage's column blocks, multiplying only their nonzero rows, found once
-per space; A is sparsified beforehand by invertible column operations that
-stay inside the blow-up span.
+preimage's column blocks, multiplying only their nonzero rows, which is
+all a space keeps of a basis matrix; A is sparsified beforehand by
+invertible column operations that stay inside the blow-up span.
 
 No algebra is repeated where its result is known.  The fiber submodule
 of a block whose generators all lie below alpha is the block with its
@@ -35,7 +35,8 @@ Extension elements exist only as g x g blocks over the module's prime field
 prime-field work on the vectors of field._vector_form: GF(2) bitmask ints,
 lists otherwise, which this module moves through field's primitives
 (place, slice, combine, apply a list of rows) and never reads.  A space
-packs its basis once, on its first draw (MatrixSpace.vectors).  A is
+packs its basis once, on its first draw (MatrixSpace.vectors), and a
+shrunk subspace leaves a draw as a list of basis vectors.  A is
 built column by column in that form: column (j, b) of sum_k X_k (x) A_k
 is the sum over k and i of X_k[i][j] times column b of A_k placed at
 block i.  Its reduction, the preimages, the cores S and the projection
@@ -61,7 +62,7 @@ from fractions import Fraction
 
 from . import field as fieldmod
 from . import grmat
-from .field import DenseMatrix, embed_phi, ext_field_build
+from .field import embed_phi, ext_field_build
 from .grmat import _Echelon, as_degree
 from .hn_core import fiber_classes
 from .invariants import HNFactor, HNFactorList
@@ -83,21 +84,26 @@ class ShrunkFailure(RuntimeError):
 
 
 class MatrixSpace:
-    """A subspace of k^{nrows x ncols} given by an independent basis."""
+    """A subspace of k^{nrows x ncols} given by an independent basis.  Each
+    basis matrix is kept as its nonzero rows: a list of (row index, row),
+    indices ascending, each row a list of length ncols."""
 
     def __init__(self, field, nrows, ncols, basis):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.basis = list(basis)
-        # per basis matrix, its nonzero rows as (row index, row)
-        self.nonzero_rows = [[(a, row) for a, row in enumerate(B.data)
-                              if any(row)] for B in self.basis]
         span = _Echelon(field, nrows * ncols)
         for B in self.basis:
-            if B.rows != nrows or B.cols != ncols or B.field != field:
-                raise ValueError("basis matrix shape/field mismatch")
-            if not span.insert([x for row in B.data for x in row]):
+            flat, prev = [0] * (nrows * ncols), -1
+            for a, row in B:
+                if not prev < a < nrows:
+                    raise ValueError("basis row index out of range or order")
+                if len(row) != ncols:
+                    raise ValueError("basis row length is not ncols")
+                flat[a * ncols:(a + 1) * ncols] = row
+                prev = a
+            if not span.insert(flat):
                 raise ValueError("basis matrices are not independent")
 
     @functools.cached_property
@@ -108,14 +114,14 @@ class MatrixSpace:
         band, its rows lo through its last nonzero row; rows[k] lists the
         nonzero rows of basis matrix k as (row index, row)."""
         pack = fieldmod._vector_form(self.field.q).pack
-        cols = [[] for _ in range(self.ncols)]
-        for k, (B, nz) in enumerate(zip(self.basis, self.nonzero_rows)):
-            lo = nz[0][0]
-            for b, c in enumerate(zip(*B.data[lo:nz[-1][0] + 1])):
+        cols, zero = [[] for _ in range(self.ncols)], [0] * self.ncols
+        for k, B in enumerate(self.basis):
+            lo, at = B[0][0], dict(B)
+            band = [at.get(a, zero) for a in range(lo, B[-1][0] + 1)]
+            for b, c in enumerate(zip(*band)):
                 if any(c):
                     cols[b].append((k, lo, pack(list(c))))
-        rows = [[(a, pack(row)) for a, row in nz]
-                for nz in self.nonzero_rows]
+        rows = [[(a, pack(row)) for a, row in B] for B in self.basis]
         return cols, rows
 
     @property
@@ -261,10 +267,11 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
     matrices over the extension, embeds them as g x g blocks, partially
     column-reduces, and runs the Wong sequence.  When the limit lies in
     Im A the preimage is the certified minimal shrunk subspace of the
-    blow-up, of the form k^{gq} tensor U*; the projection U* (a DenseMatrix
-    whose columns span a subspace of k^ncols) is returned.  Returns None
-    when the certificate fails (caller retries with a fresh seed or a
-    larger blow-up).
+    blow-up, of the form k^{gq} tensor U*; the projection U* is returned
+    as a basis, a list of vectors of length ncols (the unit vectors when
+    the space or its matrices are trivial).  Returns None when the
+    certificate fails (caller retries with a fresh seed or a larger
+    blow-up).
     """
     if q is None:
         q = p
@@ -272,7 +279,7 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
     Np = space.ncols
     if space.ell == 0 or space.nrows == 0:
         # every vector shrinks to nothing: the whole space is minimal
-        return DenseMatrix.identity(Np, F)
+        return [[int(i == j) for i in range(Np)] for j in range(Np)]
     if p <= 1:
         g = 1
     else:
@@ -288,7 +295,7 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
         for i in range(p):
             for j in range(q):
                 x = [rng.randrange(F.q) for _ in range(g)]
-                blk = embed_phi(x, ext).data if ext else [x]
+                blk = embed_phi(x, ext) if ext else [x]
                 for a in range(g):
                     X[i * g + a][j * g:(j + 1) * g] = blk[a]
         xmats.append(X)
@@ -318,7 +325,7 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
         # the preimage does not have the tensor shape the scaling law
         # demands; treat as a failed draw rather than returning junk
         return None
-    return DenseMatrix.from_columns(span.basis_columns(), Np, F)
+    return span.basis_columns()
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +333,15 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
 
 def _stacked_space(F, ncols, blocks):
     """The matrix space whose rows stack the blocks (lists of rows of
-    length ncols), with one basis matrix per nonzero block, carrying that
-    block in its rows and zeros elsewhere."""
-    q0 = sum(map(len, blocks))
+    length ncols), with one basis matrix per nonzero block: the block's
+    nonzero rows at their stacked row indices, zeros elsewhere."""
     basis, off = [], 0
     for rows in blocks:
-        if any(map(any, rows)):
-            B = DenseMatrix.zero(q0, ncols, F)
-            B.data[off:off + len(rows)] = [list(r) for r in rows]
-            basis.append(B)
+        nz = [(a, r) for a, r in enumerate(rows, off) if any(r)]
+        if nz:
+            basis.append(nz)
         off += len(rows)
-    return MatrixSpace(F, q0, ncols, basis)
+    return MatrixSpace(F, off, ncols, basis)
 
 
 def build_A_alpha(M, G, alpha):
@@ -446,10 +451,10 @@ def _split_fiber(space, p0, q0, alpha, seed):
     p_cap = p0 * q0
     for (p, q) in _farey_probes(rp, rq, _FAREY_BUDGET, _FAREY_CAP):
         U = _shrunk_with_retries(space, p, q, alpha, seed, p_cap)
-        if 0 < U.cols < p0:
+        if 0 < len(U) < p0:
             return U
     U = _shrunk_with_retries(space, rp, rq, alpha, seed, p_cap)
-    if U.cols in (0, p0):
+    if len(U) in (0, p0):
         return None
     return U
 
@@ -477,7 +482,7 @@ class _Subquotients:
         if p0 != cur.nrows:
             raise AssertionError("hn_cheng: the fiber at alpha is not k^t")
         # per root basis matrix, the nonzero rows of its structure map
-        self.maps = [[r for _, r in rows] for rows in self.root.nonzero_rows]
+        self.maps = [[r for _, r in B] for B in self.root.basis]
         self.fc = fiber_classes(cur)
         self.weights = self.fc.at(self.fc.alpha)
 
@@ -509,13 +514,12 @@ class _Subquotients:
         U = _split_fiber(space, len(top), q0, self.alpha, seed)
         if U is None:
             return [self.semistable(lo, top)]
-        ucols = [U.column(j) for j in range(U.cols)]
         ech = _Echelon(self.field, len(top))
-        for u in ucols:
+        for u in U:
             ech.insert(u)
         q = self.field.q
         lift = [[sum(map(operator.mul, u, coord)) % q for coord in zip(*top)]
-                for u in ucols]
+                for u in U]
         rest = [c for i, c in enumerate(top) if i not in ech.pivots]
         mid = lo + lift
         return (self.factors(lo, lift, *self.space(lo, lift), hash((seed, 1)))

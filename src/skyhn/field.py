@@ -1,10 +1,11 @@
-"""Exact arithmetic over prime fields and dense matrices over them.
+"""Exact arithmetic over prime fields, and elimination on vectors over them.
 
-Field elements are plain ints in [0, q) for a prime q, and every matrix
-operation inlines its ``% q``.  Extension fields F_{q^g} appear only inside
-the randomized engine: ext_field_build picks the modulus and embed_phi turns
-an element (g base-field coefficients, constant term first) into a g x g
-block over F_q, so no extension arithmetic exists.
+Field elements are plain ints in [0, q) for a prime q, and every operation
+inlines its ``% q``.  Extension fields F_{q^g} appear only inside the
+randomized engine: ext_field_build picks the modulus and embed_phi turns an
+element (g base-field coefficients, constant term first) into the g rows of
+a block over F_q, so no extension arithmetic exists.  DenseMatrix is left
+only behind reduce, kron and grmat.structure_map.
 
 Vectors have one internal form per field, _vector_form(q): F_2 bitmask ints
 (_F2Vectors) or lists with inlined ``% q`` (_ListVectors).  Elimination is
@@ -215,12 +216,13 @@ def ext_field_build(q, g):
 
 def embed_phi(x, ext):
     """Embed an extension-field element (g coefficients, constant first) as
-    a g x g base-field matrix.
+    the g rows of a g x g base-field matrix.
 
     phi(x) = sum_j x_j * companion^j, a ring homomorphism L -> k^{g x g}.
     Its column k is companion^k applied to x (phi(x) commutes with the
     companion and sends e_0 to x), so column 0 is x and each next column
-    is the companion times the one before.
+    is the companion times the one before; the rows are read off the
+    columns.
     """
     g, q, comp = ext.g, ext.base.q, ext.companion
     cols = [[a % q for a in x]]
@@ -229,7 +231,7 @@ def embed_phi(x, ext):
         top = v[-1]
         cols.append([((v[i - 1] if i else 0) + comp[i][g - 1] * top) % q
                      for i in range(g)])
-    return DenseMatrix.from_columns(cols, g, ext.base)
+    return [list(row) for row in zip(*cols)]
 
 
 class DenseMatrix:
@@ -246,13 +248,6 @@ class DenseMatrix:
     @classmethod
     def zero(cls, rows, cols, field):
         return cls(rows, cols, field)
-
-    @classmethod
-    def identity(cls, n, field):
-        m = cls(n, n, field)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
 
     @classmethod
     def from_columns(cls, cols, nrows, field):

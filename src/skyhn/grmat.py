@@ -27,8 +27,8 @@ import random
 from fractions import Fraction
 
 from . import field as fieldmod
-from .field import (DenseMatrix, PrimeField, _Echelon, _inverses, _poly_gcd,
-                    _poly_powmod, _poly_sub)
+from .field import (PrimeField, _Echelon, _inverses, _poly_gcd, _poly_powmod,
+                    _poly_sub)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -382,28 +382,28 @@ def submodule_presentation(M, S):
     return GradedMatrix(F, S.col_degrees, out_degs, out_cols)
 
 
-def quotient_presentation(M_alpha, B):
+def quotient_presentation(M_alpha, basis):
     """Presentation of coker(M_alpha) / <W> for a subspace W of the fiber at
-    the common generator degree alpha, given by basis columns B (DenseMatrix
-    over the generators).
+    the common generator degree alpha, given by `basis`, a list of
+    independent vectors of length t over the generators.
 
-    Column-echelonizes B, reduces the relation columns at the pivot rows,
-    deletes those rows, and fully minimizes.
+    Column-echelonizes the basis, reduces the relation columns at the pivot
+    rows, deletes those rows, and fully minimizes.
     """
     F = M_alpha.field
     xs, ys, row_rk, col_rk = M_alpha._ranks
     if len(set(row_rk)) > 1:
         raise ValueError("module is not uniquely generated")
     t = M_alpha.nrows
-    if B.cols == 0:
+    if not basis:
         return M_alpha
-    if B.rows != t:
-        raise ValueError("basis height mismatch")
-    # column echelon of B, pivot = last nonzero row
+    # column echelon of the basis, pivot = last nonzero row
     ech = _Echelon(F, t)
-    for j in range(B.cols):
-        if not ech.insert(B.column(j)):
-            raise ValueError("degenerate basis: columns not independent")
+    for v in basis:
+        if len(v) != t:
+            raise ValueError("basis vector length mismatch")
+        if not ech.insert(v):
+            raise ValueError("degenerate basis: vectors not independent")
     keep = [i for i in range(t) if i not in ech.pivots]
     new_cols = []
     for j in range(M_alpha.ncols):
@@ -514,7 +514,7 @@ def structure_map(M, gamma, delta):
     if not deg_leq(gamma, delta):
         raise ValueError("structure map requires gamma <= delta")
     src, dst = PointwiseModel(M, gamma), PointwiseModel(M, delta)
-    return DenseMatrix.from_columns(
+    return fieldmod.DenseMatrix.from_columns(
         [dst.reduce_vector([int(g == i) for g in dst.live_rows])
          for i in src.basis_rows], dst.dim, M.field)
 

@@ -30,7 +30,7 @@ import operator
 from fractions import Fraction
 
 from . import grmat, invariants
-from .field import DenseMatrix, _vector_form
+from .field import _vector_form
 from .invariants import HNFactor, HNFactorList
 
 __all__ = ["SlopeRecord", "brute_force_max_slope", "hn_filtration_at",
@@ -225,12 +225,14 @@ def gaussian_line_count(q, k):
 
 
 class SlopeRecord:
-    """A maximizing subspace: basis columns over the generators at alpha,
-    its per-class ranks, and its inverse slope (integral per dimension)."""
+    """A maximizing subspace: its basis, a list of vectors of length t over
+    the generators at alpha (shared with _FiberClasses.stratum, so never
+    mutated), its per-class ranks, and its inverse slope (integral per
+    dimension)."""
 
     def __init__(self, alpha, basis, dim, integral, ranks):
         self.alpha = alpha
-        self.basis = basis            # DenseMatrix t x dim
+        self.basis = basis            # dim vectors of length t
         self.dim = dim
         self.integral = integral
         self.ranks = ranks
@@ -296,8 +298,7 @@ def brute_force_max_slope(M, use_filter=True, largest=False, alpha=None):
                 best, best_dim, best_int = sub, k, integ
 
     ranks, rows = best
-    basis = DenseMatrix.from_columns(rows, t, F)
-    return SlopeRecord(alpha, basis, best_dim, Fraction(best_int, w.den),
+    return SlopeRecord(alpha, rows, best_dim, Fraction(best_int, w.den),
                        ranks)
 
 
@@ -336,7 +337,7 @@ def hn_filtration_of(cur, alpha, use_filter=True):
                                 rec.slope))
         if rec.dim == cur.nrows:
             break           # semistable: the quotient is zero
-        key = tuple(map(tuple, rec.basis.data))
+        key = tuple(map(tuple, rec.basis))
         quot = fc.quotients.get(key)
         if quot is None:
             quot = fc.quotients[key] = grmat.quotient_presentation(

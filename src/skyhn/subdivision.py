@@ -23,7 +23,6 @@ import operator
 from fractions import Fraction
 
 from . import grmat, invariants
-from .field import DenseMatrix
 from .grmat import as_degree
 from .hn_core import fiber_classes
 from .invariants import HNFactor, HNFactorList, staircase_at
@@ -272,18 +271,13 @@ def all_max_slope(M, C):
     """Envelope faces of a module uniquely generated at alpha over the
     rectangle C = (x0, y0, x1, y1) in absolute coordinates; C must lie in
     the first induced-grid cell above alpha.  Returns a list of
-    (ConvexRegion, basis DenseMatrix, SlopePoly)."""
+    (ConvexRegion, basis, SlopePoly), the basis a list of vectors of length
+    t over the generators, shared with _FiberClasses.stratum."""
     fc, cands = _subspace_candidates(M)
     base = ConvexRegion.rectangle(*C)
     entries = [(i, poly) for i, (_, poly) in enumerate(cands)]
     faces = _envelope_regions(entries, base, fc.alpha)
-    F = M.field
-    t = M.nrows
-    out = []
-    for ident, region in faces:
-        rows, poly = cands[ident]
-        out.append((region, DenseMatrix.from_columns(rows, t, F), poly))
-    return out
+    return [(region, *cands[ident]) for ident, region in faces]
 
 
 class SubdivNode:
@@ -377,21 +371,23 @@ def _build(cur, region, alpha, parent):
         parent.children.append(node)
         if d == cur.nrows:
             continue        # semistable: the quotient is zero
-        _build(grmat.quotient_presentation(
-            cur, DenseMatrix.from_columns(rows, cur.nrows, cur.field)),
-            face, alpha, node)
+        _build(grmat.quotient_presentation(cur, rows), face, alpha, node)
 
 
 def exact_hnf_cell(M, C):
     """Nested slope subdivision of the rectangle C for a bounded module
-    uniquely generated at alpha; C must lie inside the first induced-grid
-    cell above alpha.  Each envelope face spawns a child carrying the
-    face's factor, and the quotient recurses on the face region."""
-    cur = grmat.minimize(M)
-    degs = set(cur.row_degrees)
-    if len(degs) != 1:
+    uniquely generated at alpha, presented by M with no nonzero relation
+    at alpha (else ValueError), as grmat.fiber_submodule presents <V_alpha>;
+    a redundant relation changes no class rank.  C must lie inside the
+    first induced-grid cell above alpha.  Each envelope face spawns a child
+    carrying the face's factor, and the quotient recurses on the face
+    region."""
+    _, _, row_rk, col_rk = M._ranks
+    if len(set(row_rk)) != 1:
         raise ValueError("module is not uniquely generated")
-    alpha = next(iter(degs))
+    alpha = M.row_degrees[0]
+    if any(col for rk, col in zip(col_rk, M.columns) if rk == row_rk[0]):
+        raise ValueError("relation at the generator degree (%s, %s)" % alpha)
     root = SubdivNode(ConvexRegion.rectangle(*C), [], None)
-    _build(cur, root.region, alpha, root)
+    _build(M, root.region, alpha, root)
     return SubdivTree(alpha, tuple(Fraction(c) for c in C), root)

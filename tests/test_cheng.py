@@ -31,11 +31,23 @@ def random_space(rng, F, N, Np, ell, sparse=False):
     while len(basis) < ell:
         lo = rng.randrange(N) if sparse else 0
         hi = rng.randrange(lo + 1, N + 1) if sparse else N
-        B = DenseMatrix(N, Np, F, [[rng.randrange(F.q) if lo <= a < hi else 0
-                                    for _ in range(Np)] for a in range(N)])
-        if span.insert([x for row in B.data for x in row]):
-            basis.append(B)
+        B = [[rng.randrange(F.q) if lo <= a < hi else 0 for _ in range(Np)]
+             for a in range(N)]
+        if span.insert([x for row in B for x in row]):
+            basis.append([(a, row) for a, row in enumerate(B) if any(row)])
     return MatrixSpace(F, N, Np, basis)
+
+
+def placed(space):
+    """The basis matrices of the space as DenseMatrix, each with its
+    nonzero rows placed back among zero rows."""
+    out = []
+    for B in space.basis:
+        data = [[0] * space.ncols for _ in range(space.nrows)]
+        for a, row in B:
+            data[a] = list(row)
+        out.append(DenseMatrix(space.nrows, space.ncols, space.field, data))
+    return out
 
 
 def all_subspace_bases(F, n):
@@ -46,12 +58,12 @@ def all_subspace_bases(F, n):
 
 def min_shrunk_exhaustive(space):
     """Smallest subspace maximizing dim U - dim(span of A.U)."""
-    F = space.field
+    F, mats = space.field, placed(space)
     best = None
     for rows in all_subspace_bases(F, space.ncols):
         span = grmat._Echelon(F, space.nrows)
         for u in rows:
-            for A in space.basis:
+            for A in mats:
                 span.insert(matvec(A, list(u)))
         defect = len(rows) - span.rank
         key = (-defect, len(rows))
@@ -82,7 +94,7 @@ def image_naive(blow, ucols):
     for u in ucols:
         for j in range(blow.q):
             blk = u[j * Np:(j + 1) * Np]
-            for A in sp.basis:
+            for A in placed(sp):
                 w0 = matvec(A, blk)
                 for i in range(blow.p):
                     w = [F.zero] * (blow.p * N)
@@ -92,9 +104,22 @@ def image_naive(blow, ucols):
 
 
 def test_matrix_space_rejects_dependent_basis():
-    B = DenseMatrix(2, 2, F2, [[1, 0], [0, 1]])
+    B = [(0, [1, 0]), (1, [0, 1])]
     with pytest.raises(ValueError):
         MatrixSpace(F2, 2, 2, [B, B])
+
+
+def test_matrix_space_rejects_malformed_rows():
+    """A basis matrix is its nonzero rows, indices ascending and in range,
+    each row of length ncols; a zero matrix is a dependent one."""
+    assert MatrixSpace(F2, 3, 2, [[(0, [1, 0]), (2, [0, 1])]]).ell == 1
+    for B, what in [([(3, [1, 0])], "index"), ([(-1, [1, 0])], "index"),
+                    ([(2, [1, 0]), (0, [0, 1])], "index"),
+                    ([(1, [1, 0]), (1, [0, 1])], "index"),
+                    ([(0, [1])], "length"), ([(0, [1, 0, 1])], "length"),
+                    ([], "independent")]:
+        with pytest.raises(ValueError, match=what):
+            MatrixSpace(F2, 3, 2, [B])
 
 
 def core_all_rows(blow, ucols):
@@ -109,7 +134,7 @@ def core_all_rows(blow, ucols):
         for j in range(blow.q):
             blk = u[j * Np:(j + 1) * Np]
             if any(blk):
-                for A in sp.basis:
+                for A in placed(sp):
                     span.insert(matvec(A, blk))
     return span.reduced_basis()
 
@@ -150,7 +175,7 @@ def test_blowup_core_matches_naive(rng):
 def test_shrunk_identity_for_zero_space():
     sp = MatrixSpace(F2, 2, 3, [])
     U = shrunk_subspace_random(sp, 1, seed=0)
-    assert U.cols == 3
+    assert U == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_shrunk_matches_exhaustive_small_spaces(rng):
@@ -158,9 +183,8 @@ def test_shrunk_matches_exhaustive_small_spaces(rng):
         sp = random_space(rng, F2, rng.randrange(1, 5), rng.randrange(1, 5),
                           rng.randrange(1, 5))
         want_rows, want_defect = min_shrunk_exhaustive(sp)
-        U = cheng._shrunk_with_retries(sp, 1, 1, None, seed=trial,
-                                       p_cap=64)
-        got = [U.column(j) for j in range(U.cols)]
+        got = cheng._shrunk_with_retries(sp, 1, 1, None, seed=trial,
+                                         p_cap=64)
         assert len(got) == len(want_rows), trial
         assert same_span(F2, got, [list(r) for r in want_rows], sp.ncols)
 
@@ -227,7 +251,7 @@ def test_build_A_alpha_matches_per_beta_construction():
             fc = hn_core.fiber_classes(sub)
             for G in (regular, fine):
                 space, p0, q0, betas = build_A_alpha(sub, G, alpha)
-                assert ([B.data for B in space.basis], p0, q0, betas) == \
+                assert ([A.data for A in placed(space)], p0, q0, betas) == \
                     _build_A_alpha_per_beta(sub, G, alpha)
                 assert (space.nrows, space.ncols) == (q0, p0)
                 classes = [fc.point_class[_floor(fc.xs, x), _floor(fc.ys, y)]
@@ -296,7 +320,7 @@ def _draw_reference(space, p, seed, q=None, g_extra=0):
         q = p
     F, Np, N = space.field, space.ncols, space.nrows
     if space.ell == 0 or N == 0:
-        return DenseMatrix.identity(Np, F)
+        return [[int(i == j) for i in range(Np)] for j in range(Np)]
     g = _extension_degree(F, p, g_extra)
     rng = random.Random(seed)
     ext = fieldmod.ext_field_build(F.q, g) if g > 1 else None
@@ -307,14 +331,14 @@ def _draw_reference(space, p, seed, q=None, g_extra=0):
         for i in range(p):
             for j in range(q):
                 x = [rng.randrange(F.q) for _ in range(g)]
-                blk = fieldmod.embed_phi(x, ext).data if ext else [x]
+                blk = fieldmod.embed_phi(x, ext) if ext else [x]
                 for a in range(g):
                     X[i * g + a][j * g:(j + 1) * g] = blk[a]
         xmats.append(X)
     C = _echelon_transform(
         F, [[row[b] for X in xmats for row in X] for b in range(Q)])
     A = DenseMatrix.zero(P * N, Q * Np, F)
-    for X, B in zip(xmats, space.basis):
+    for X, B in zip(xmats, placed(space)):
         XC = DenseMatrix(P, Q, F, [[sum(row[k] * C[j][k] for k in range(Q))
                                     % F.q for j in range(Q)] for row in X])
         K = fieldmod.kron(XC, B)
@@ -328,7 +352,7 @@ def _draw_reference(space, p, seed, q=None, g_extra=0):
         span.insert(c[:Np])
     if span.rank * Q != len(ref.last_preimage):
         return None
-    return DenseMatrix.from_columns(span.basis_columns(), Np, F)
+    return span.basis_columns()
 
 
 def _draw_cases(rng):
@@ -633,10 +657,9 @@ def _old_children(P, U, alpha):
     """The presentations hn_cheng once recursed on after a split by the
     shrunk subspace U of P's fiber at alpha: the submodule that U
     generates and the quotient by it."""
-    ucols = [U.column(j) for j in range(U.cols)]
-    S = grmat.GradedMatrix(P.field, P.row_degrees, [alpha] * U.cols,
+    S = grmat.GradedMatrix(P.field, P.row_degrees, [alpha] * len(U),
                            [[(i, v) for i, v in enumerate(c) if v]
-                            for c in ucols])
+                            for c in U])
     return (grmat.minimize(grmat.submodule_presentation(P, S)),
             grmat.quotient_presentation(P, U))
 
@@ -672,7 +695,7 @@ def test_split_nodes_match_old_presentations(monkeypatch):
             ranks.append(_rank(F, imgs, T.rows)
                          - _rank(F, imgs[:len(lo)], T.rows))
         assert ranks == dims
-        assert [len(rows) for rows in space.nonzero_rows] == \
+        assert [len(B) for B in space.basis] == \
             [r for r in ranks if r]
         state["node"] = P
         state["nodes"] += 1

@@ -134,15 +134,16 @@ def test_embed_phi_is_multiplicative():
         for a in els[:6]:
             for b in els[-6:]:
                 pa, pb = embed_phi(a, E), embed_phi(b, E)
-                assert pa.matmul(pb).data == embed_phi(_ext_mul(E, a, b),
-                                                       E).data
+                ma, mb = (DenseMatrix(g, g, E.base, p) for p in (pa, pb))
+                assert ma.matmul(mb).data == embed_phi(_ext_mul(E, a, b), E)
                 # phi(x) is sum_j x_j companion^j
-                want = DenseMatrix.zero(g, g, E.base)
-                pw = DenseMatrix.identity(g, E.base)
+                want = [[0] * g for _ in range(g)]
+                pw = DenseMatrix(g, g, E.base, [[int(i == j) for j in range(g)]
+                                                for i in range(g)])
                 comp = DenseMatrix(g, g, E.base, E.companion)
                 for x in a:
-                    want.data = [[(w + x * y) % q for w, y in zip(wr, pr)]
-                                 for wr, pr in zip(want.data, pw.data)]
+                    want = [[(w + x * y) % q for w, y in zip(wr, pr)]
+                            for wr, pr in zip(want, pw.data)]
                     pw = comp.matmul(pw)
                 assert pa == want
 

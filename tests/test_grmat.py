@@ -113,12 +113,8 @@ def test_submodule_presentation_vertical_slice(cross):
 
 def test_quotient_presentation_horizontal_factor(cross):
     sub = grmat.fiber_submodule(cross, (Fr(0), Fr(1)))
-    # quotient by the vertical line e_v
-    ev = next(j for j in range(sub.nrows))
-    B = DenseMatrix.from_columns([[1, 0]], 2, F2) \
-        if sub.nrows == 2 else None
-    # identify which generator spans the vertical piece: its relations are
-    # at (1,1) and (0,3)
+    # quotient by the vertical line e_v; identify which generator spans the
+    # vertical piece: its relations are at (1,1) and (0,3)
     cols_for = {i: sorted(sub.col_degrees[j] for j in range(sub.ncols)
                           if any(r == i for r, _ in sub.columns[j]))
                 for i in range(sub.nrows)}
@@ -126,8 +122,7 @@ def test_quotient_presentation_horizontal_factor(cross):
                 if (Fr(1), Fr(1)) in degs)
     vec = [0] * sub.nrows
     vec[vrow] = 1
-    B = DenseMatrix.from_columns([vec], sub.nrows, F2)
-    Q = grmat.quotient_presentation(sub, B)
+    Q = grmat.quotient_presentation(sub, [vec])
     assert Q.nrows == 1
     assert sorted(Q.col_degrees[j] for j in range(Q.ncols)) == \
         [(Fr(0), Fr(2)), (Fr(3), Fr(1))]
@@ -135,9 +130,11 @@ def test_quotient_presentation_horizontal_factor(cross):
 
 def test_quotient_rejects_degenerate_basis(cross):
     sub = grmat.fiber_submodule(cross, (Fr(0), Fr(1)))
-    B = DenseMatrix.from_columns([[1, 1], [1, 1]], 2, F2)
-    with pytest.raises(ValueError):
-        grmat.quotient_presentation(sub, B)
+    with pytest.raises(ValueError, match="independent"):
+        grmat.quotient_presentation(sub, [[1, 1], [1, 1]])
+    for basis in ([[1, 0, 1]], [[1, 0], [1]]):
+        with pytest.raises(ValueError, match="length"):
+            grmat.quotient_presentation(sub, basis)
 
 
 def test_pointwise_dims_and_structure_map(cross):

@@ -199,7 +199,7 @@ def test_integer_scoring_matches_fraction_reference():
         for largest in (False, True):
             rec = brute_force_max_slope(M, largest=largest)
             rows, dim, integ = _reference_max_slope(M, largest)
-            assert rec.basis.columns() == rows
+            assert rec.basis == rows
             assert (rec.dim, rec.integral) == (dim, integ)
             assert type(rec.integral) is Fr
 

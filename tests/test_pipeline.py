@@ -421,11 +421,11 @@ def test_sweep_runs_each_hn_step_algebra_once_per_cell(monkeypatch):
     quotient, classes = grmat.quotient_presentation, hn_core._FiberClasses
     quotients, built, keep = [], [], []     # keep: no id is reused
 
-    def counted_quotient(M, B):
-        assert B.cols < M.nrows, "quotient by the whole fiber"
+    def counted_quotient(M, basis):
+        assert len(basis) < M.nrows, "quotient by the whole fiber"
         keep.append(M)
-        quotients.append((id(M), tuple(map(tuple, B.data))))
-        return quotient(M, B)
+        quotients.append((id(M), tuple(map(tuple, basis))))
+        return quotient(M, basis)
 
     class Counted(classes):
         def __init__(self, M):

@@ -192,6 +192,24 @@ def test_exact_tree_stable_destabilizes_in_first_cell(stable):
     assert fl == hn_core.hn_filtration_at(stable, beta)
 
 
+def test_exact_tree_reads_a_minimal_fiber(stable):
+    """exact_hnf_cell takes the fiber at alpha as its input presents it: a
+    nonzero relation at the generator degree, which would shrink that
+    fiber, raises ValueError; a redundant relation above alpha changes no
+    class rank, so the tree reads the same everywhere."""
+    rels = list(zip(stable.col_degrees, stable.columns))
+    at_alpha = gm(F2, [(0, 0), (0, 0)], rels + [((0, 0), [(0, 1)])])
+    with pytest.raises(ValueError, match="relation at the generator degree"):
+        exact_hnf_cell(at_alpha, (0, 0, 1, 1))
+    redundant = gm(F2, [(0, 0), (0, 0)], rels + [((3, 3), [(0, 1)])])
+    want = exact_hnf_cell(stable, (0, 0, 1, 1))
+    got = exact_hnf_cell(redundant, (0, 0, 1, 1))
+    for i in range(4):
+        for j in range(4):
+            beta = (Fr(i, 4), Fr(j, 4))
+            assert got.factors_at(beta) == want.factors_at(beta), beta
+
+
 def test_exact_tree_cross_structure(cross):
     sub = fiber_submodule(cross, (Fr(0), Fr(1)))
     tree = exact_hnf_cell(sub, (0, 1, 1, 2))

@@ -434,16 +434,18 @@ _ENTRY_POINTS = ("hn_cheng", "hn_filtration_at", "hn_filtration_of",
                  "exact_hnf_cell")
 
 
-def _entry_point_sites(source):
-    """For every name of _ENTRY_POINTS, the top-level functions and
-    classes of the module source that name it, bare or as an attribute
-    (cheng.hn_cheng), called or not (a functools.partial of it counts);
-    any other top-level statement that names it counts as "<module>"."""
-    sites = {name: [] for name in _ENTRY_POINTS}
+def _entry_point_sites(source, names=_ENTRY_POINTS):
+    """For every name of `names`, the top-level functions and classes of
+    the module source that name it, bare or as an attribute
+    (cheng.hn_cheng), called, imported or neither (a functools.partial of
+    it counts); any other top-level statement that names it, a module-level
+    import among them, counts as "<module>"."""
+    sites = {name: [] for name in names}
     for node in ast.parse(source).body:
-        named = {n.attr if isinstance(n, ast.Attribute) else n.id
+        named = {n.attr if isinstance(n, ast.Attribute) else
+                 n.name if isinstance(n, ast.alias) else n.id
                  for n in ast.walk(node)
-                 if isinstance(n, (ast.Attribute, ast.Name))}
+                 if isinstance(n, (ast.Attribute, ast.Name, ast.alias))}
         for name in sites:
             if name in named:
                 sites[name].append(getattr(node, "name", "<module>"))
@@ -466,3 +468,44 @@ def test_pipeline_names_each_engine_entry_point_in_one_place():
     with open(pipeline.__file__, encoding="utf-8") as fh:
         sites = _entry_point_sites(fh.read())
     assert all(len(funcs) == 1 for funcs in sites.values()), sites
+
+
+# the top-level sites besides field.py that may name DenseMatrix: the
+# package's export and grmat.structure_map, which the layer tracer wraps
+_DENSE_MATRIX_SITES = {"__init__.py": ["<module>"],
+                       "grmat.py": ["structure_map"]}
+
+
+def _dense_matrix_strays(sources):
+    """(file, site) for every top-level site of a file of sources,
+    {file: text}, that names DenseMatrix (_entry_point_sites) where
+    _DENSE_MATRIX_SITES does not allow it; field.py may name it anywhere."""
+    out = []
+    for fname, text in sorted(sources.items()):
+        if fname != "field.py":
+            allowed = _DENSE_MATRIX_SITES.get(fname, [])
+            out += [(fname, site) for site in _entry_point_sites(
+                text, ("DenseMatrix",))["DenseMatrix"] if site not in allowed]
+    return out
+
+
+def test_dense_matrix_stays_in_field():
+    """Subspaces pass between modules as lists of basis vectors and a
+    matrix space keeps its basis matrices as their nonzero rows, so no
+    engine names DenseMatrix: only field, the package's export and
+    grmat.structure_map do."""
+    assert _dense_matrix_strays({
+        "field.py": "class DenseMatrix:\n    pass\n",
+        "__init__.py": "from .field import DenseMatrix\n",
+        "grmat.py": "from . import field\n"
+                    "def structure_map(M):\n    return field.DenseMatrix(M)\n"
+                    "def quotient(M, B):\n    return B.DenseMatrix\n",
+        "cheng.py": "from .field import DenseMatrix as D, embed_phi\n"
+                    "def draw():\n    return embed_phi\n"}) == [
+            ("cheng.py", "<module>"), ("grmat.py", "quotient")]
+    src = os.path.dirname(pipeline.__file__)
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert _dense_matrix_strays(sources) == []
