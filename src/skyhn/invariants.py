@@ -397,8 +397,9 @@ class SkyscraperStore:
 
     def locate(self, alpha):
         alpha = as_degree(alpha)
-        if alpha in self.entries:
-            return self.entries[alpha]
+        entry = self.entries.get(alpha)
+        if entry is not None:
+            return entry
         if self.epsilon is not None:
             e = self.epsilon
             key = ((alpha[0] // e) * e, (alpha[1] // e) * e)
@@ -455,7 +456,9 @@ def erosion_distance(r, s, theta, probe_grid):
     unshifted counts r(a, b) and s(a, b) are shared by all shifts, and at
     e = 0 the two conditions reduce to r(a, b) == s(a, b), which holds at
     every pair, with no pair visited, where both stores locate the same
-    theta-staircases at every probe point.
+    theta-staircases at every probe point.  What only the pair loop and
+    the shifts read is built at their first read: the probe pairs, and per
+    shift e > 0 the shifted probe points.
 
     Below the store lookups everything is an int: the probe points, their
     spacing and the shifts lie on the lattice (1/D)Z^2, D the lcm of the
@@ -473,8 +476,12 @@ def erosion_distance(r, s, theta, probe_grid):
     h = Fraction(H, D)
     pts = list(probe_grid.points())
     idx = [(ix, iy) for iy in range(len(ys)) for ix in range(len(xs))]
-    pairs = [(i, j) for i, (ai, bi) in enumerate(idx)
-             for j, (aj, bj) in enumerate(idx) if ai <= aj and bi <= bj]
+
+    @functools.lru_cache(maxsize=None)
+    def pairs():
+        return [(i, j) for i, (ai, bi) in enumerate(idx)
+                for j, (aj, bj) in enumerate(idx) if ai <= aj and bi <= bj]
+
     scaled = {}     # id(entry) -> its theta staircases on the 1/D lattice
     stores = (r, s)
 
@@ -498,9 +505,12 @@ def erosion_distance(r, s, theta, probe_grid):
 
     def counter(k):
         """count(n, i, j) = query of stores[n] at (pts[i] - e, pts[j] + e)
-        for e = k*h, locating each shifted point of each store once."""
-        e, E = k * h, k * H
-        lo = [(x - e, y - e) for x, y in pts]
+        for e = k*h, locating each shifted point of each store once; at
+        k = 0 the unshifted entries (located)."""
+        if k:
+            e = k * h
+            lo = [(x - e, y - e) for x, y in pts]
+        E = k * H
         hi = [(X[ix] + E, Y[iy] + E) for ix, iy in idx]
 
         @functools.lru_cache(maxsize=None)
@@ -528,9 +538,10 @@ def erosion_distance(r, s, theta, probe_grid):
             # scaled to the lattice only when the pairs must be visited
             return (all(stairs_at(located(0, i)) == stairs_at(located(1, i))
                         for i in range(len(pts)))
-                    or all(base(1, i, j) == base(0, i, j) for i, j in pairs))
+                    or all(base(1, i, j) == base(0, i, j)
+                           for i, j in pairs()))
         count = counter(k)
-        for i, j in pairs:
+        for i, j in pairs():
             if count(1, i, j) > base(0, i, j):
                 return False
             if count(0, i, j) > base(1, i, j):

@@ -30,7 +30,12 @@ equal slopes into one, so the answer does not depend on how the
 presentation falls into blocks.  ``approx_skyscraper`` and
 ``parallel_grid_scan`` are one colexicographic sweep of the epsilon lattice
 (``_sweep``) with two per-point strategies: HN engine runs, or the lazily
-built cells of an ``ExactStore``.  A module is constant on each cell of its
+built cells of an ``ExactStore``.  The sweep visits only the support's
+lattice points: per lattice row, the columns where some read can be
+non-zero, found once per call on ints (``_row_columns``), exactly for an
+``_Interval`` and from the least generator at or below the row for any
+other piece or cheng block; every other point lies in a cell where every
+piece is zero, so it adds no work.  A module is constant on each cell of its
 induced grid, and one per-cell cache (``_Cells``) serves both: the
 brute-force sweep builds the fiber submodule of a piece of two or more
 generators once per cell, at the cell's lower corner, and reads every
@@ -52,7 +57,7 @@ from fractions import Fraction
 from . import cheng, grmat, hn_core, invariants, subdivision
 from .grmat import GradedMatrix, Grid, as_degree, deg_leq
 from .invariants import (HNFactor, HNFactorList, SkyscraperStore, Staircase,
-                         count_containing, merge_factors, staircase_at,
+                         count_containing, merge_factors,
                          staircase_contains, theta_staircases)
 
 __all__ = ["ScanConfig", "EngineFailure", "bounding_box", "clip_to_box",
@@ -218,9 +223,11 @@ class _Interval:
     its staircase: at every point beta of the support the module
     generated there is the interval above beta, which is semistable, so
     its one factor is that interval at slope 1/area [FJNT24].  Built once
-    per piece, with the readers of its block (_Block)."""
+    per piece, with the readers of its block (_Block).  It keeps the
+    staircase as Fractions (stair) and as ints over one denominator, den,
+    the lcm of the staircase's denominators (gen, rels)."""
 
-    __slots__ = ("stair",)
+    __slots__ = ("stair", "den", "gen", "rels")
 
     def __init__(self, piece):
         """Checked on the piece's coordinate ranks: the relations of a
@@ -235,20 +242,55 @@ class _Interval:
             raise ValueError("module is not bounded: infinite inverse slope")
         self.stair = Staircase(piece.row_degrees[0],
                                [(xs[x], ys[y]) for x, y in rels], check=False)
+        pts = [self.stair.gen] + self.stair.rels
+        L = self.den = math.lcm(*(c.denominator for p in pts for c in p))
+        self.gen, *self.rels = [(x.numerator * (L // x.denominator),
+                                 y.numerator * (L // y.denominator))
+                                for x, y in pts]
+
+    def steps(self, index):
+        """The support on the lattice rows: (J, lo, hi) per relation r, from
+        the highest, where from row J = index(r_y) on the support is the
+        columns lo = index(gen_x) <= k < index(r_x); index(n, d) is the
+        first lattice index at or above n/d.  Below the first J, the
+        generator's row, the support is empty."""
+        L = self.den
+        lo = index(self.gen[0], L)
+        return [(index(ry, L), lo, index(rx, L))
+                for rx, ry in reversed(self.rels)]
 
     def factors_at(self, beta):
-        """The HN filtration at beta, empty off the support: the staircase
-        transported to beta, its area a sum of rectangles on ints over the
-        lcm L of the denominators, and one Fraction."""
-        if not staircase_contains(self.stair, beta):
+        """The HN filtration at beta, empty off the support: one pass over
+        the relations on ints, beta's x over L*xd and its y over L*yd,
+        decides membership and transports the staircase to beta (as
+        invariants.staircase_at does) from beta's and the relations'
+        Fractions, and sums its area as rectangles; the slope is the one
+        Fraction built."""
+        bx, by = beta
+        xn, xd = bx.as_integer_ratio()
+        yn, yd = by.as_integer_ratio()
+        L = self.den
+        X, Y = xn * L, yn * L
+        if self.gen[0] * xd > X or self.gen[1] * yd > Y:
             return HNFactorList(beta, [])
-        S = staircase_at(self.stair, beta)
-        L = math.lcm(*(c.denominator for r in S.rels for c in r))
-        pts = [(x.numerator * (L // x.denominator),
-                y.numerator * (L // y.denominator)) for x, y in S.rels]
-        Y = pts[-1][1]          # beta's y; the first relation has its x
+        out, pts = [], []
+        last_xb = last_yb = False
+        for (rx, ry), (RX, RY) in zip(self.stair.rels, self.rels):
+            RX, RY = RX * xd, RY * yd
+            xb, yb = RX <= X, RY <= Y
+            if xb and yb:
+                return HNFactorList(beta, [])
+            if last_xb and xb:
+                out[-1], pts[-1] = (bx, ry), (X, RY)
+            elif not (last_yb and yb):
+                out.append((bx if xb else rx, by if yb else ry))
+                pts.append((X if xb else RX, Y if yb else RY))
+            last_xb, last_yb = xb, yb
+        # the first point has beta's x and the last beta's y (box caps)
         area = sum((b[0] - a[0]) * (a[1] - Y) for a, b in zip(pts, pts[1:]))
-        return HNFactorList(beta, [HNFactor([S], Fraction(L * L, area))])
+        S = Staircase(beta, out, check=False)
+        return HNFactorList(beta, [HNFactor([S], Fraction(L * L * xd * yd,
+                                                         area))])
 
 
 def _cheng_read(module, seed, grid):
@@ -305,15 +347,54 @@ def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
     return _merged(reads, alpha)
 
 
+def _lattice_index(epsilon):
+    """index(n, d): the least k with k*epsilon >= n/d (d > 0), on ints."""
+    en, ed = epsilon.as_integer_ratio()
+    return lambda n, d: -(-n * ed // (d * en))
+
+
+def _box_indices(box, epsilon):
+    """(k0, j0, k1, j1): the box's lattice columns are k0 <= k < k1 and its
+    rows j0 <= j < j1 (the half-open box)."""
+    index = _lattice_index(epsilon)
+    return tuple(index(*c.as_integer_ratio()) for c in box)
+
+
 def _eps_points(box, epsilon):
     """x and y coordinates of the epsilon-lattice points inside the
     half-open box."""
-    x0, y0, x1, y1 = box
+    k0, j0, k1, j1 = _box_indices(box, epsilon)
+    return ([k * epsilon for k in range(k0, k1)],
+            [j * epsilon for j in range(j0, j1)])
 
-    def axis(lo, hi):
-        return [k * epsilon for k in range(math.ceil(lo / epsilon),
-                                           math.ceil(hi / epsilon))]
-    return axis(x0, x1), axis(y0, y1)
+
+def _row_columns(readers, box, epsilon):
+    """Per epsilon-lattice row of the box, bottom up, the sorted positions
+    in the row (column k - k0) outside which every read of the readers is
+    zero, on ints.  An _Interval is non-zero exactly on its support
+    (_Interval.steps); any other reader, a piece of two or more generators
+    or a cheng block, is zero left of its generators at or below the row,
+    and may be non-zero from the least of their columns to the row's
+    end."""
+    index = _lattice_index(epsilon)
+    k0, j0, k1, j1 = _box_indices(box, epsilon)
+    rows = [set() for _ in range(j0, j1)]
+    for r in readers:
+        if type(r) is _Interval:
+            steps = r.steps(index)
+        else:
+            steps, lo = [], k1
+            for J, K in sorted((index(*gy.as_integer_ratio()),
+                                index(*gx.as_integer_ratio()))
+                               for gx, gy in r.row_degrees):
+                lo = min(lo, K)
+                steps.append((J, lo, k1))
+        # a step holds from its row J up to the next step's
+        for (J, lo, hi), (J_up, *_) in zip(steps, steps[1:] + [(j1,)]):
+            cols = range(max(lo, k0) - k0, min(hi, k1) - k0)
+            for row in rows[max(J - j0, 0):max(J_up - j0, 0)]:
+                row.update(cols)
+    return [sorted(row) for row in rows]
 
 
 class _Cells(dict):
@@ -344,24 +425,27 @@ class _Cells(dict):
         return data
 
     def keep_row(self, y):
-        iy = self.grid._floor(1, y)[0]
+        iy = grmat._count_leq(self.grid.ys, y)     # on ints
         if iy != self.row:
             self.row = iy
             self.clear()
 
 
-def _sweep(box, epsilon, hn_of, caches=()):
+def _sweep(box, epsilon, hn_of, readers, caches=()):
     """Store of the non-empty filtrations hn_of(alpha) at the epsilon-lattice
-    points alpha of the box, visited colexicographically.  Each of the
-    caches (_Cells) is told the lattice row the sweep enters, and keeps
-    only that row's cells."""
+    points alpha of the box, visited colexicographically, where alpha lies
+    in the columns of its row outside which every read of the readers is
+    zero (_row_columns): hn_of reads only the support, and any other
+    lattice point lies in a cell where every piece is zero.  Each of
+    the caches (_Cells) is told every lattice row the sweep enters, and
+    keeps only that row's cells."""
     xs, ys = _eps_points(box, epsilon)
     store = SkyscraperStore(epsilon)
-    for y in ys:
+    for y, cols in zip(ys, _row_columns(readers, box, epsilon)):
         for cells in caches:
             cells.keep_row(y)
-        for x in xs:
-            fl = hn_of((x, y))
+        for k in cols:
+            fl = hn_of((xs[k], y))
             if fl.factors:
                 store.insert(fl)
     return store
@@ -370,12 +454,13 @@ def _sweep(box, epsilon, hn_of, caches=()):
 def approx_skyscraper(M, cfg):
     """Store of HN filtrations at every epsilon-lattice point of the
     support; an epsilon-approximation of the true invariant in erosion
-    distance.  The reads are built once per call and merged at each point
-    (_merged).  Brute force reads a one-generator piece from its _Interval
-    (the readers kept on each _Block), and builds any other piece's fiber
-    submodule once per cell of the piece's induced grid, in one _Cells
-    cache per piece and call that _sweep evicts row by row, and runs the
-    HN loop on it at every lattice point of the cell
+    distance.  The sweep (_sweep) visits only the lattice points where some
+    read can be non-zero.  The reads are built once per call and merged at
+    each point (_merged).  Brute force reads a one-generator piece from its
+    _Interval (the readers kept on each _Block), and builds any other
+    piece's fiber submodule once per cell of the piece's induced grid, in
+    one _Cells cache per piece and call that _sweep evicts row by row, and
+    runs the HN loop on it at every lattice point of the cell
     (hn_core.hn_filtration_of), so each HN step's linear algebra runs once
     per cell; the cheng engine runs on each block whole at every point
     (_cheng_read), on the regular grid of the block and the point, as
@@ -391,15 +476,19 @@ def approx_skyscraper(M, cfg):
         return lambda alpha: hn_core.hn_filtration_of(cells.at(alpha), alpha)
 
     if cfg.engine == "cheng":
+        readers = _clipped_blocks(M, box)
         reads = [[_cheng_read(b, cfg.seed,
                               lambda m, a: regular_grid(m, [a], box))]
-                 for b in _clipped_blocks(M, box)]
+                 for b in readers]
     else:
+        blocks = _prepared(M, box)
+        readers = [r for b in blocks for r in b.readers]
         reads = [[r.factors_at if type(r) is _Interval else cell_read(r)
-                  for r in b.readers] for b in _prepared(M, box)]
+                  for r in b.readers] for b in blocks]
     work = [0] * len(reads)
     store = _sweep(box, cfg.epsilon,
-                   functools.partial(_merged, reads, work=work), caches)
+                   functools.partial(_merged, reads, work=work), readers,
+                   caches)
     store.work = work
     return store
 
@@ -503,15 +592,17 @@ def exact_skyscraper(M, box=None, eager=True):
 
 
 def parallel_grid_scan(M, cfg):
-    """The epsilon-lattice sweep of approx_skyscraper answered from the
-    lazily built cells of an ExactStore: a summand's trees serve every
-    lattice point of one grid row, and _sweep evicts its cells when it
+    """The epsilon-lattice sweep of approx_skyscraper, over the same
+    support's lattice points (the columns of the pieces' readers), answered
+    from the lazily built cells of an ExactStore: a summand's trees serve
+    every lattice point of one grid row, and _sweep evicts its cells when it
     leaves their row.  Produces the same store as approx_skyscraper;
     store.work counts tree computations per summand (never more than the
     engine runs of approx)."""
     box = cfg.box or bounding_box(M)
     ex = exact_skyscraper(M, box, eager=False)
     store = _sweep(box, cfg.epsilon, ex.factors_at,
+                   [r for b in _prepared(M, box) for r in b.readers],
                    [cells for _, _, cells in ex.summands])
     store.work = ex.work
     return store

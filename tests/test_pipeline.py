@@ -298,10 +298,12 @@ def test_interval_cells_match_every_engine():
     against all three engines: every one-generator piece of _sweep_pieces
     and the pieces of rescaled one-generator modules (negative degrees
     over denominators 2 and 3) over GF(2), GF(3) and GF(5).  At every
-    probe point alpha of the piece's grid, the reader's factors at alpha
-    are empty exactly where the fiber is zero, and otherwise equal brute
-    force on fiber_submodule(piece, alpha), the read of exact_hnf_cell's
-    tree of alpha's grid cell and hn_cheng."""
+    probe point alpha of the piece's grid and every point of the
+    epsilon-lattice of its box for epsilon = 2/7, whose denominators share
+    nothing with the staircases', the reader's factors at alpha are empty
+    exactly where the fiber is zero, and otherwise equal brute force on
+    fiber_submodule(piece, alpha), the read of exact_hnf_cell's tree of
+    alpha's grid cell and hn_cheng."""
     rng = random.Random(91)
     pieces = [p for p in _sweep_pieces() if p.nrows == 1]
     n_sweep = len(pieces)
@@ -310,12 +312,14 @@ def test_interval_cells_match_every_engine():
                                            dmax=4))
         pieces += [p for b in pipeline._clipped_blocks(M, bounding_box(M))
                    for p in grmat.decompose(b)]
-    n_reads = n_inside = 0
+    n_reads = n_inside = n_lattice = 0
     for piece in pieces:
         assert piece.nrows == 1
         grid, box = grmat.induced_grid(piece), bounding_box(piece)
         reader = pipeline._Interval(piece)
-        for alpha in _probe_points(grid):
+        xs, ys = pipeline._eps_points(box, Fr(2, 7))
+        probes = _probe_points(grid)
+        for k, alpha in enumerate(probes + [(x, y) for y in ys for x in xs]):
             got = reader.factors_at(alpha)
             sub = grmat.fiber_submodule(piece, alpha)
             assert (not got.factors) == (sub is None), alpha
@@ -330,8 +334,67 @@ def test_interval_cells_match_every_engine():
                 piece, pipeline.regular_grid(piece, [alpha], box), alpha)
             n_reads += 1
             n_inside += alpha not in grid
+            n_lattice += k >= len(probes)
     assert n_sweep > 50 and len(pieces) >= n_sweep + 10
-    assert n_reads > 300 and n_inside > 200
+    assert n_reads > 300 and n_inside > 200 and n_lattice > 1000
+
+
+def test_sweep_reads_only_the_support(monkeypatch):
+    """The sweep visits, per lattice row, only the columns where some read
+    can be non-zero (pipeline._row_columns).  On the stable module and
+    random modules, rescaled (negative degrees over denominators 2 and
+    3), three of them with a piece of two generators, and on the modules
+    of _sweep_pieces, with epsilon 1, 1/2, 1/3 and 2/5 and the three boxes
+    of test_second_box_replaces_the_memo, brute approx, cheng approx
+    (every eighth module, the stable one first) and the scan give the
+    stores and work of their references, which visit every lattice point.
+    On a module whose pieces all have one generator the columns are the
+    support: no point that brute approx or the scan visits merges to an
+    empty filtration."""
+    rng = random.Random(303)
+    modules = [rescaled(stable_module())]
+    modules += [rescaled(random_bounded_module(rng, (F2, F3, F5)[i % 3],
+                                               2 + i % 2, dmax=3))
+                for i in range(12)]
+    modules += _sweep_pieces(n_random=6, n_hidden=6)
+    empty, watching = [], [False]
+    merge = pipeline.merge_factors
+
+    def watched(alpha, lists):
+        fl = merge(alpha, lists)
+        if watching[0] and not fl.factors:
+            empty.append(alpha)
+        return fl
+    monkeypatch.setattr(pipeline, "merge_factors", watched)
+    n_cheng = n_unigen = 0
+    for i, M in enumerate(modules):
+        x0, y0, x1, y1 = bounding_box(M)
+        gx, gy = (max(d[k] for d in M.row_degrees) for k in (0, 1))
+        boxes = [(x0, y0, x1, y1), (x0 - 1, y0, x1 + Fr(1, 2), y1 + 2),
+                 (x0, y0, gx + Fr(1, 2), gy + Fr(1, 2))]
+        unigen = all(p.nrows == 1 for b in pipeline._prepared(M, boxes[0])
+                     for p in b.pieces)
+        n_unigen += unigen
+        engines = ("brute", "cheng") if i % 8 == 0 else ("brute",)
+        for box in boxes:
+            for eps in (Fr(1), Fr(1, 2), Fr(1, 3), Fr(2, 5)):
+                for engine in engines:
+                    cfg = ScanConfig(eps, engine, i, box)
+                    watching[0] = unigen and engine == "brute"
+                    got = approx_skyscraper(M, cfg)
+                    watching[0] = False
+                    want = _approx_reference(M, cfg)
+                    assert got == want and got.work == want.work, \
+                        (i, box, eps, engine)
+                    n_cheng += engine == "cheng" and sum(got.work) > 0
+                cfg = ScanConfig(eps, box=box)
+                watching[0] = unigen
+                got = parallel_grid_scan(M, cfg)
+                watching[0] = False
+                want = _scan_reference(M, cfg)
+                assert got == want and got.work == want.work, (i, box, eps)
+                assert not empty, (i, box, eps, empty)
+    assert n_cheng >= 6 and 10 <= n_unigen <= len(modules) - 3
 
 
 def test_only_hn_at_runs_engines_on_interval_pieces(monkeypatch, cross,

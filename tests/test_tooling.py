@@ -9,10 +9,10 @@ import random
 import sys
 from fractions import Fraction as Fr
 
-from skyhn import grmat, invariants, pipeline, subdivision
+from skyhn import grmat, hn_core, invariants, pipeline, subdivision
 
-from conftest import (F2, count_fraction_comparisons, hidden_direct_sum,
-                      store_trees)
+from conftest import (F2, F3, count_fraction_comparisons, hidden_direct_sum,
+                      random_bounded_module, store_trees)
 
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              os.pardir, "perfbench"))
@@ -154,6 +154,44 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
     # equal-slope factors merge
     assert any(0 < hi < grmat.POS_INF for _, hi in brackets)
     assert len(reads) > 20 and merged and len(interval_reads) > 20
+
+
+def test_lattice_sweeps_compare_no_fractions(cross, monkeypatch):
+    """Outside the per-point reads, the merge and the store's insert, the
+    lattice sweeps make no Fraction comparison: approx_skyscraper and
+    parallel_grid_scan on the cross fixture and on five modules of the
+    acceptance-5 corpus, at epsilon 1 and 1/2, find the lattice rows, the
+    support's columns and each cache's grid row on ints.  Each module runs
+    as a fresh copy per epsilon, and before each counted call a call of
+    the driver with the same config prepares the copy for its box (clip,
+    minimize, decompose; the copy keeps them), and is not counted."""
+    rng = random.Random(5)
+    modules = [cross] + [random_bounded_module(rng, F2 if i % 2 else F3,
+                                               rng.randrange(1, 3), dmax=3)
+                         for i in range(5)]
+    counts, pause = count_fraction_comparisons(monkeypatch)
+    pause(pipeline._Interval, "factors_at")
+    pause(pipeline._Cells, "at")
+    pause(hn_core, "hn_filtration_of")
+    pause(pipeline.ExactStore, "factors_at")
+    pause(pipeline, "merge_factors")
+    pause(invariants.SkyscraperStore, "insert")
+    stores, n = [], 0
+    for M in modules:
+        for eps in (Fr(1), Fr(1, 2)):
+            M = grmat.GradedMatrix(M.field, M.row_degrees, M.col_degrees,
+                                   M.columns)       # nothing kept on it
+            cfg = pipeline.ScanConfig(eps, box=pipeline.bounding_box(M))
+            for driver in (pipeline.approx_skyscraper,
+                           pipeline.parallel_grid_scan):
+                driver(M, cfg)
+                before = counts["n"]
+                stores.append(driver(M, cfg))
+                n += counts["n"] - before
+    assert n == 0
+    monkeypatch.undo()
+    assert all(len(s) > 0 for s in stores)
+    assert sum(sum(s.work) for s in stores[::2]) > 0
 
 
 def test_graded_matrix_from_degrees_compares_no_fractions(monkeypatch):
