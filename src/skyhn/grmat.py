@@ -118,12 +118,6 @@ class GradedMatrix:
             self.nrows, self.ncols, self.field)
 
 
-def from_dense_columns(field, row_degrees, col_degrees, dense_cols):
-    cols = [[(i, v) for i, v in enumerate(c) if v != field.zero]
-            for c in dense_cols]
-    return GradedMatrix(field, row_degrees, col_degrees, cols)
-
-
 def _from_ranks(field, xs, ys, row_rk, col_rk, cols):
     """GradedMatrix with degrees (xs[rx], ys[ry]) given by integer ranks
     into the sorted distinct coordinates xs and ys: the ranks (compressed
@@ -454,16 +448,18 @@ def pointwise_model(M, gamma):
 
 
 def fiber_submodule(M, alpha):
-    """Minimized presentation of <V_alpha>, the submodule generated by the
-    fiber at alpha, or None when the fiber vanishes.
+    """Presentation of <V_alpha>, the submodule generated by the fiber at
+    alpha, or None when the fiber vanishes; minimal when M is.
 
     When every generator lies <= alpha, <V_alpha> is M with its degrees
     joined with alpha (join_degrees), minimized, and no kernel is computed:
     A[alpha]^t -> M has image <V_alpha>, and at each d >= alpha its kernel
     is spanned by the relations c_j <= d, which are exactly the columns at
-    c_j v alpha.  Otherwise the relations of the fiber's basis generators
-    come from a kernel (submodule_presentation).  No fiber model is built
-    when no generator lies below alpha."""
+    c_j v alpha.  When M is generated at alpha with no relation there, the
+    join moves no degree and M itself is returned.  Otherwise the
+    relations of the fiber's basis generators come from a kernel
+    (submodule_presentation).  No fiber model is built when no generator
+    lies below alpha."""
     alpha = as_degree(alpha)
     xs, ys, row_rk, col_rk = M._ranks
     # ranks of the largest coordinates <= alpha
@@ -479,6 +475,8 @@ def fiber_submodule(M, alpha):
             if (x <= ax and y <= ay and ech.insert(M.dense_column(j))
                     and ech.rank == M.nrows):
                 return None
+        if not ech.rank and (xs[0], ys[0]) == alpha:
+            return M        # generated at alpha, no relation there
         return minimize(join_degrees(M, alpha))
     pm = pointwise_model(M, alpha)
     if pm.dim == 0:
@@ -735,8 +733,8 @@ def _eigen_split(F, draw, U, W, rng):
 
 def _split(M, idempotents):
     """The pieces of M along orthogonal graded idempotents of End(M)_0,
-    column lists that sum to the identity, minimized, without the zero
-    ones.
+    column lists that sum to the identity, minimized: on a minimal M that
+    prunes relations only, as the pieces' minimal presentations sum to M's.
 
     T's columns are generators of each idempotent's image, picked per
     generator degree modulo the picks strictly below it, and block i of the
@@ -799,9 +797,7 @@ def _split(M, idempotents):
             if part:
                 cols.append(part)
                 cdegs.append(r)
-        N = minimize(_from_ranks(F, xs, ys, nd[lo:hi], cdegs, cols))
-        if N.nrows:
-            out.append(N)
+        out.append(minimize(_from_ranks(F, xs, ys, nd[lo:hi], cdegs, cols)))
     return out
 
 
@@ -817,8 +813,8 @@ def decompose(M):
     generator is not drawn on, and after _SPLIT_TRIES failed draws a
     piece is kept whole: a missed split costs speed only.  M is presented
     again once, along the t x t idempotents U.W of all the final pieces,
-    and that split is checked (``_split``).  Returns the non-zero pieces,
-    minimized, or [M] when no split is found.
+    and that split is checked (``_split``).  Returns the pieces of M, a
+    minimal block, each minimal and non-zero, or [M] when none is found.
     """
     if M.nrows <= 1:
         return [M]

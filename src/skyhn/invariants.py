@@ -45,10 +45,10 @@ class BettiTable:
 
 
 def betti_numbers(M):
-    """Graded Betti numbers of coker M: minimize, then take the minimal
-    kernel of the minimal presentation for b2."""
+    """Graded Betti numbers of coker M: minimize, then take the kernel of
+    the minimal presentation for b2, which is minimal already."""
     Mmin = grmat.minimize(M)
-    K = grmat.minimize(grmat.kernel(Mmin))
+    K = grmat.kernel(Mmin)
     return BettiTable(Mmin.row_degrees, Mmin.col_degrees, K.col_degrees)
 
 

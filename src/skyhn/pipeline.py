@@ -9,10 +9,12 @@ connected blocks (``_clipped_blocks``).  Brute force and the exact cells
 then run on the direct summands that ``grmat.decompose`` finds in each
 block (``_Block``); the cheng engine runs on each block whole.  Both are
 kept on the module for its latest box (``_prepared``), so every driver call
-shares them; cells, stores and work counts stay per call.  In the sweeps
-and the exact store, a summand of one generator is an interval module and
-reaches no engine: one ``_Interval`` per summand reads it from its
-staircase, where the HN filtration at every point of the support is the
+shares them; cells, stores and work counts stay per call.  Every
+presentation an engine sees is minimal by construction, as the blocks and
+pieces are: ``grmat`` minimizes only where an operation can break it.  In
+the sweeps and the exact store, a summand of one generator is an interval
+module and reaches no engine: one ``_Interval`` per summand reads it from
+its staircase, where the HN filtration at every point of the support is the
 interval above the point, at slope 1/area.  Most summands that decompose
 finds have one generator, so there the engines run on the few that have
 more.  ``hn_at`` stays the reference that the staircase reads are checked

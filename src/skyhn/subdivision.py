@@ -358,8 +358,6 @@ class SubdivTree:
 
 
 def _build(cur, region, alpha, parent):
-    if cur.nrows == 0:
-        return
     fc, cands = _subspace_candidates(cur)
     entries = [(i, poly) for i, (_, poly) in enumerate(cands)]
     faces = _envelope_regions(entries, region, alpha)

@@ -116,7 +116,8 @@ def disguise(rng, M):
         if j != k and M.col_degrees[j] == M.col_degrees[k]:
             c = rng.randrange(q)
             cols[j] = [(x + c * y) % q for x, y in zip(cols[j], cols[k])]
-    return grmat.from_dense_columns(F, g, M.col_degrees, cols)
+    return grmat.GradedMatrix(F, g, M.col_degrees,
+                              [list(enumerate(c)) for c in cols])
 
 
 def hidden_corpus(n=36, seed=4242, max_thickness=6):

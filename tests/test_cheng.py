@@ -12,7 +12,7 @@ from skyhn.cheng import (BlowUp, MatrixSpace, ShrunkFailure, build_A_alpha,
 from skyhn.field import DenseMatrix, PrimeField
 from skyhn.grmat import Grid
 
-from conftest import (F2, F3, cross_module, gm, hidden_corpus,
+from conftest import (F2, F3, cross_module, deg_join, gm, hidden_corpus,
                       random_bounded_module, random_unigen_module,
                       stable_module)
 
@@ -729,11 +729,35 @@ def test_split_nodes_match_old_presentations(monkeypatch):
     assert state["splits"] >= 10 and state["nodes"] > 2 * state["splits"]
 
 
+def test_non_minimal_module_generated_at_alpha():
+    """A module generated at alpha that carries a redundant relation on G
+    is handed on by fiber_submodule as it is; hn_filtration_at and
+    hn_cheng on it agree with the same calls on its minimal presentation,
+    since a redundant relation changes no class rank."""
+    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
+    rng = random.Random(2730)
+    split = 0
+    for k in range(16):
+        M = random_unigen_module(rng, F3 if k % 2 else F2, rng.randrange(2, 5))
+        rels = list(zip(M.col_degrees, M.columns))
+        (d1, col), (d2, _) = rng.sample(rels, 2)
+        N = gm(M.field, M.row_degrees, rels + [(deg_join(d1, d2), col)])
+        alpha, small = N.row_degrees[0], grmat.minimize(N)
+        assert small.ncols < N.ncols and grmat.fiber_submodule(N, alpha) is N
+        want = hn_core.hn_filtration_at(small, alpha)
+        assert hn_core.hn_filtration_at(N, alpha) == want, k
+        assert hn_cheng(N, G, alpha, seed=k) == \
+            hn_cheng(small, G, alpha, seed=k) == want, k
+        split += len(want.factors) > 1
+    assert split >= 8
+
+
 def test_hn_cheng_builds_one_space_and_no_presentation(monkeypatch):
-    """One build_A_alpha per call and no presentation algebra beyond the
-    fiber submodule, whose join path costs one minimize on modules
-    generated at alpha; the splits happen on subquotients, and A_alpha is
-    read off the fiber classes, so no fiber model is built."""
+    """One build_A_alpha per call and no presentation algebra: on a module
+    generated at alpha with no relation there, the fiber submodule is the
+    module itself, with no join and no minimize; the splits happen on
+    subquotients, and A_alpha is read off the fiber classes, so no fiber
+    model is built."""
     calls = {"build_A_alpha": 0, "minimize": 0, "kernel": 0,
              "submodule_presentation": 0, "quotient_presentation": 0,
              "PointwiseModel": 0}
@@ -758,6 +782,6 @@ def test_hn_cheng_builds_one_space_and_no_presentation(monkeypatch):
         runs += 1
         split += len(fl.factors) > 1
     assert split >= 3
-    assert calls == {"build_A_alpha": runs, "minimize": runs, "kernel": 0,
+    assert calls == {"build_A_alpha": runs, "minimize": 0, "kernel": 0,
                      "submodule_presentation": 0, "quotient_presentation": 0,
                      "PointwiseModel": 0}

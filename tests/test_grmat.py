@@ -249,7 +249,8 @@ def _minimize_reference(M):
                 del col_degs[j]
                 changed = True
                 break
-    return grmat.from_dense_columns(F, row_degs, col_degs, cols)
+    return grmat.GradedMatrix(F, row_degs, col_degs,
+                              [list(enumerate(c)) for c in cols])
 
 
 _COORDS = [Fr(k, den) for den in (1, 2, 3) for k in range(0, 3 * den + 1)]
@@ -293,8 +294,8 @@ def _random_presentation(rng, F):
                 col = [F.mul(rng.randrange(1, F.q), x) for x in col]
     order = list(range(len(cols)))
     rng.shuffle(order)
-    return grmat.from_dense_columns(F, rows, [col_degs[j] for j in order],
-                                    [cols[j] for j in order])
+    return grmat.GradedMatrix(F, rows, [col_degs[j] for j in order],
+                              [list(enumerate(cols[j])) for j in order])
 
 
 def _submodule_inputs(rng, F):
@@ -433,12 +434,14 @@ def _dims(modules, G):
 
 
 def test_decompose_hidden_direct_sums():
-    """The pieces of a hidden direct sum add up to it pointwise on its
-    induced grid, the same input gives the same pieces, and most inputs
-    split into at least as many pieces as summands were hidden."""
+    """The pieces of the minimal presentation of a hidden direct sum are
+    non-zero and add up to it pointwise on its induced grid, the same input
+    gives the same pieces, and most inputs split into at least as many
+    pieces as summands were hidden."""
     corpus = hidden_corpus()
     found = 0
     for F, k, M in corpus:
+        M = grmat.minimize(M)       # decompose takes a minimal block
         pieces = grmat.decompose(M)
         assert all(p.field == F and p.nrows for p in pieces)
         assert _dims(pieces, induced_grid(M)) == _dims([M], induced_grid(M))
@@ -631,11 +634,12 @@ def test_decompose_presents_once_and_conjugates_no_basis(monkeypatch):
         monkeypatch.setattr(form, "times", spy(q, form.times))
     multi = 0
     for _, _, M in hidden_corpus(n=18, seed=31):
+        M = grmat.minimize(M)
         del splits[:]
         pieces = grmat.decompose(M)
-        # zero pieces are dropped after the split
+        # a minimal block has no zero piece
         assert len(splits) <= 1
-        assert len(pieces) <= (splits[0] if splits else 1)
+        assert len(pieces) == (splits[0] if splits else 1)
         assert (len(splits) == 1) == (pieces != [M])
         multi += len(pieces) > 2
     assert multi >= 3
@@ -737,6 +741,29 @@ def _points_above_generators(rng, M):
     return pts + off + [(G.xs[-1] + Fr(1, 2), G.ys[-1] + 1)]
 
 
+def test_fiber_submodule_minimizes_a_relation_at_alpha():
+    """A module generated at alpha is its own <V_alpha> only when no
+    relation lies at alpha: one that does, with the fiber non-zero, is
+    still minimized, to fewer generators, as the join path does it."""
+    rng = random.Random(2729)
+    cases = [gm(F3, [(1, 1)] * 3,
+                [((1, 1), [(0, 1), (1, 2)]), ((2, 2), [(2, 1)])] +
+                [(d, [(i, 1)]) for i in range(3) for d in ((4, 1), (1, 4))])]
+    for k in range(20):
+        M = random_unigen_module(rng, (F2, F3, F5)[k % 3],
+                                 rng.randrange(2, 5))
+        t, alpha = M.nrows, M.row_degrees[0]
+        rel = [(i, rng.randrange(1, M.field.q)) for i in range(t - 1)
+               if rng.random() < 0.7] or [(0, 1)]
+        cases.append(gm(M.field, M.row_degrees,
+                        list(zip(M.col_degrees, M.columns)) + [(alpha, rel)]))
+    for M in cases:
+        alpha = M.row_degrees[0]
+        sub = grmat.fiber_submodule(M, alpha)
+        assert sub is not None and 0 < sub.nrows < M.nrows
+        assert sub == grmat.minimize(grmat.join_degrees(M, alpha))
+
+
 def test_fiber_submodule_join_path_matches_kernel_path(monkeypatch):
     """Where every generator lies <= alpha, fiber_submodule joins the
     degrees with alpha and computes no kernel; its result presents the
@@ -749,7 +776,7 @@ def test_fiber_submodule_join_path_matches_kernel_path(monkeypatch):
                for i in range(15)]
     for _, _, M in hidden_corpus(n=9, seed=908, max_thickness=4):
         modules.append(M)
-        modules += grmat.decompose(M)
+        modules += grmat.decompose(grmat.minimize(M))
     cases = [(M, alpha, _fiber_submodule_by_kernel(M, alpha))
              for M in modules for alpha in _points_above_generators(rng, M)]
 

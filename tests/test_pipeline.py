@@ -522,26 +522,32 @@ def test_sweep_runs_each_hn_step_algebra_once_per_cell(monkeypatch):
 def test_zero_fiber_shortcut_matches_join_path(monkeypatch):
     """Where every generator lies below alpha, fiber_submodule returns None
     exactly where minimize(join_degrees(M, alpha)) has no rows, and then
-    joins and minimizes nothing."""
+    joins and minimizes nothing.  Where the piece is generated at alpha and
+    the fiber is non-zero, it returns the piece itself, again with no join
+    and no minimize: a piece is minimal, so no relation lies at alpha."""
     join, minimize = grmat.join_degrees, grmat.minimize
     calls = []
     monkeypatch.setattr(grmat, "join_degrees",
                         lambda N, a: calls.append(a) or join(N, a))
     monkeypatch.setattr(grmat, "minimize",
                         lambda N: calls.append(N) or minimize(N))
-    n_zero = n_nonzero = 0
+    n_zero = n_at = n_joined = 0
     for piece in _sweep_pieces():
         for alpha in _probe_points(grmat.induced_grid(piece)):
             if not all(grmat.deg_leq(g, alpha) for g in piece.row_degrees):
                 continue
-            zero = minimize(join(piece, alpha)).nrows == 0
+            want = minimize(join(piece, alpha))
+            zero = want.nrows == 0
+            at = not zero and set(piece.row_degrees) == {alpha}
             calls.clear()
             got = grmat.fiber_submodule(piece, alpha)
             assert (got is None) == zero, alpha
-            assert len(calls) == (0 if zero else 2), alpha
+            assert len(calls) == (0 if zero or at else 2), alpha
+            assert (got is piece) == at and (zero or got == want), alpha
             n_zero += zero
-            n_nonzero += not zero
-    assert n_zero > 50 and n_nonzero > 50
+            n_at += at
+            n_joined += not zero and not at
+    assert n_zero > 50 and n_at > 20 and n_joined > 50
 
 
 def test_sweep_builds_each_cell_fiber_once(monkeypatch):
@@ -903,3 +909,43 @@ def test_reused_module_writes_the_csvs_of_fresh_copies(monkeypatch,
                          for r in (True, False))
             assert got == want, (i, name)
     capsys.readouterr()
+
+
+def test_presentations_are_minimal_by_construction():
+    """Every presentation the engines see is minimal, each equal to its own
+    minimize, though only the sites that can break minimality run it: the
+    blocks of _prepared, their decompose pieces, the fiber submodules of
+    the pieces at their grid points and the quotients of those by every
+    stratum basis, on random bounded modules and hidden direct sums.  The
+    kernel of a minimal presentation is minimal too (what betti_numbers
+    reads)."""
+    def minimal(N):
+        return grmat.minimize(N) == N
+    rng = random.Random(2727)
+    modules = [random_bounded_module(rng, (F2, F3, F5)[i % 3],
+                                     rng.randrange(1, 6))
+               for i in range(24)]
+    modules += [M for _, _, M in hidden_corpus(n=24, seed=2728)]
+    modules.append(stable_module())     # a piece of two generators
+    seen = collections.Counter()
+    for M in modules:
+        assert minimal(grmat.kernel(grmat.minimize(M)))
+        for block in pipeline._prepared(M, bounding_box(M)):
+            assert minimal(block.module)
+            for piece in block.pieces:
+                assert minimal(piece) and piece.nrows
+                seen["pieces"] += 1
+                for alpha in grmat.induced_grid(piece).points():
+                    sub = grmat.fiber_submodule(piece, alpha)
+                    if sub is None:
+                        continue
+                    assert minimal(sub), alpha
+                    seen["fibers"] += 1
+                    fc = hn_core.fiber_classes(sub)
+                    for k in range(1, sub.nrows):
+                        for _, basis in fc.stratum(k):
+                            assert minimal(grmat.quotient_presentation(
+                                sub, basis)), (alpha, basis)
+                            seen["quotients"] += 1
+    assert seen["pieces"] > 100 and seen["fibers"] > 150 and \
+        seen["quotients"] > 100

@@ -208,6 +208,16 @@ def test_graded_matrix_from_degrees_compares_no_fractions(monkeypatch):
     assert sum(len(c) for c in M.columns) == 25
 
 
+def _src_sources():
+    """{file name: source text} of every module of src/skyhn, by name."""
+    src = os.path.dirname(pipeline.__file__)
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)] = fh.read()
+    return sources
+
+
 def _unused_imports(source):
     """Names the module source imports and never reads: not a Name node
     anywhere in it, not listed in its __all__, and not imported by a
@@ -240,13 +250,11 @@ def test_no_unused_imports_in_src():
     assert _unused_imports("from __future__ import annotations\n"
                            "import os.path\nfrom a import (b,  # noqa: F401\n"
                            "    c)\n__all__ = ['os']\n") == []
-    src = os.path.dirname(pipeline.__file__)
     found = {}
-    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            names = _unused_imports(fh.read())
+    for fname, text in _src_sources().items():
+        names = _unused_imports(text)
         if names:
-            found[os.path.basename(path)] = names
+            found[fname] = names
     assert found == {}
 
 
@@ -288,12 +296,7 @@ def test_no_dead_private_names_in_src():
                 "def _g():\n    return _X\nclass _C:\n    pass\n",
         "b.py": "import a\na._g()\n"}) == [
             ("a.py", "_Y"), ("a.py", "_f"), ("a.py", "_C")]
-    src = os.path.dirname(pipeline.__file__)
-    sources = {}
-    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            sources[os.path.basename(path)] = fh.read()
-    assert _dead_private_names(sources) == []
+    assert _dead_private_names(_src_sources()) == []
 
 
 _BITMASK_NAMES = {"_pack_f2", "_unpack_f2", "_insert_f2", "bit_count",
@@ -322,16 +325,10 @@ def test_only_field_reads_a_bitmask():
         "from .field import _pack_f2 as p\nv.bit_length()\n"
         "x = bit_count\n# _insert_f2\n") == {"_pack_f2", "bit_length",
                                             "bit_count"}
-    src = os.path.dirname(pipeline.__file__)
-    found = {}
-    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            names = _bitmask_names(fh.read())
-        if names and os.path.basename(path) != "field.py":
-            found[os.path.basename(path)] = names
-    assert found == {}
-    with open(os.path.join(src, "field.py"), encoding="utf-8") as fh:
-        assert _bitmask_names(fh.read()) == _BITMASK_NAMES
+    found = {fname: _bitmask_names(text)
+             for fname, text in _src_sources().items()}
+    assert found.pop("field.py") == _BITMASK_NAMES
+    assert {fname: names for fname, names in found.items() if names} == {}
 
 
 def _imported_modules(source):
@@ -415,44 +412,48 @@ def test_no_private_reads_across_layers():
         "d.py": "from skyhn import c\nfrom skyhn.a import _X\nc._g\n"}) == [
             ("b.py", "a._X"), ("b.py", "a._X"), ("c.py", "b._f"),
             ("grmat.py", "a._X"), ("d.py", "a._X"), ("d.py", "c._g")]
-    src = os.path.dirname(pipeline.__file__)
-    sources = {}
-    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            sources[os.path.basename(path)] = fh.read()
-    assert _private_cross_reads(sources) == []
+    assert _private_cross_reads(_src_sources()) == []
 
 
 # the calls that prepare a module for the drivers, and the one pipeline
 # helper each may sit in
-_PREPARATION = {"clip_to_box": "_prepared", "minimize": "_prepared",
-                "decompose": "_Block"}
+_PREPARATION = {"clip_to_box": ["_prepared"], "minimize": ["_prepared"],
+                "decompose": ["_Block"]}
+
+# the top-level functions of src/ that call minimize, by file: those whose
+# input comes from outside (_prepared, betti_numbers) and those whose
+# operation can break minimality; every other presentation is minimal
+# because what it is derived from is
+_MINIMIZE_SITES = {
+    "grmat.py": ["quotient_presentation", "fiber_submodule", "_split"],
+    "invariants.py": ["betti_numbers"],
+    "pipeline.py": ["_prepared"]}
 
 
-def _stray_preparation_calls(source):
-    """(function, call) for every call of a name of _PREPARATION, bare or
-    as an attribute (grmat.decompose), that a top-level function or class
-    of the module source makes outside the helper named for it."""
-    out = []
+def _call_sites(source, names):
+    """{name: the top-level functions and classes of the module source that
+    call it, bare or as an attribute (grmat.decompose), in source order}
+    for every name of `names` that is called; a call in any other
+    top-level statement counts as "<module>"."""
+    sites = {}
     for node in ast.parse(source).body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            continue
+        site = getattr(node, "name", "<module>")
         for call in ast.walk(node):
             if not isinstance(call, ast.Call):
                 continue
             f = call.func
             name = f.attr if isinstance(f, ast.Attribute) else getattr(
                 f, "id", None)
-            if name in _PREPARATION and _PREPARATION[name] != node.name:
-                out.append((node.name, name))
-    return out
+            if name in names and site not in sites.setdefault(name, []):
+                sites[name].append(site)
+    return sites
 
 
 def test_pipeline_prepares_a_module_in_one_place():
     """pipeline clips, minimizes and decomposes a module only in the
     preparation that the module keeps (_prepared and its _Blocks), so no
     driver prepares a module again per call."""
-    assert _stray_preparation_calls(
+    assert _call_sites(
         "def _prepared(M, box):\n    return minimize(clip_to_box(M))\n"
         "class _Block:\n    def pieces(self):\n"
         "        return grmat.decompose(self.module)\n"
@@ -460,10 +461,35 @@ def test_pipeline_prepares_a_module_in_one_place():
         "class ExactStore:\n    def add(self, M):\n"
         "        self.m = grmat.minimize(M)\n"
         "def clip_to_box(M, box):\n    return M\n"
-        "x = grmat.decompose(1)\n") == [
-            ("hn_at", "decompose"), ("ExactStore", "minimize")]
-    with open(pipeline.__file__, encoding="utf-8") as fh:
-        assert _stray_preparation_calls(fh.read()) == []
+        "x = grmat.decompose(1)\n", _PREPARATION) == {
+            "minimize": ["_prepared", "ExactStore"],
+            "clip_to_box": ["_prepared"],
+            "decompose": ["_Block", "hn_at", "<module>"]}
+    assert _call_sites(_src_sources()["pipeline.py"],
+                       _PREPARATION) == _PREPARATION
+
+
+def _minimize_sites(sources):
+    """{file: the top-level sites that call minimize (_call_sites)} over
+    sources, {file: text}, for the files that call it at all."""
+    calls = {fname: _call_sites(text, ("minimize",))
+             for fname, text in sources.items()}
+    return {fname: c["minimize"] for fname, c in calls.items() if c}
+
+
+def test_minimize_runs_where_minimality_can_break():
+    """Every module the engines see is a minimal presentation by
+    construction, so only the sites of _MINIMIZE_SITES call minimize."""
+    assert _minimize_sites({
+        "grmat.py": "def minimize(M):\n    return M\n"
+                    "def kernel(M):\n    return M\n"
+                    "def _split(M):\n    return [minimize(M), minimize(M)]\n",
+        "__init__.py": "from .grmat import minimize\n",
+        "pipeline.py": "m = grmat.minimize(1)\n"
+                       "class ExactStore:\n    def add(self, M):\n"
+                       "        self.m = grmat.minimize(M)\n"}) == {
+            "grmat.py": ["_split"], "pipeline.py": ["<module>", "ExactStore"]}
+    assert _minimize_sites(_src_sources()) == _MINIMIZE_SITES
 
 
 # the engine entry points, each of which one top-level pipeline function
@@ -541,9 +567,4 @@ def test_dense_matrix_stays_in_field():
         "cheng.py": "from .field import DenseMatrix as D, embed_phi\n"
                     "def draw():\n    return embed_phi\n"}) == [
             ("cheng.py", "<module>"), ("grmat.py", "quotient")]
-    src = os.path.dirname(pipeline.__file__)
-    sources = {}
-    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            sources[os.path.basename(path)] = fh.read()
-    assert _dense_matrix_strays(sources) == []
+    assert _dense_matrix_strays(_src_sources()) == []
