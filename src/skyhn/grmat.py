@@ -151,6 +151,9 @@ class Grid:
         self.ys = _axis(ys)
         # per axis: a coordinate's (numerator, denominator) -> its _floor
         self._memo = ({}, {})
+        # per axis, built at its first _floor: (den, the coordinates * den),
+        # den the lcm of the axis's denominators
+        self._scaled = [None, None]
 
     def points(self):
         for y in self.ys:
@@ -170,12 +173,19 @@ class Grid:
 
     def _floor(self, axis, v):
         """(i, exact): the index of the largest coordinate <= v on the axis
-        (0: x, 1: y) and whether it equals v, entered in the memo."""
-        coords = self.ys if axis else self.xs
-        key = v.as_integer_ratio()
-        i = bisect.bisect_right(coords, v) - 1
-        hit = self._memo[axis][key] = (
-            i, i >= 0 and coords[i].as_integer_ratio() == key)
+        (0: x, 1: y) and whether it equals v, entered in the memo.  Found
+        on ints: a coordinate c*den <= v*den exactly when it is <= the
+        floor of v*den."""
+        scaled = self._scaled[axis]
+        if scaled is None:
+            coords = self.ys if axis else self.xs
+            den = math.lcm(*(c.denominator for c in coords))
+            scaled = self._scaled[axis] = (
+                den, [c.numerator * (den // c.denominator) for c in coords])
+        den, ints = scaled
+        key = n, d = v.as_integer_ratio()
+        i = bisect.bisect_right(ints, n * den // d) - 1
+        hit = self._memo[axis][key] = (i, i >= 0 and ints[i] * d == n * den)
         return hit
 
     def floor(self, d):

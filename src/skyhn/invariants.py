@@ -7,22 +7,28 @@ Fractions at the API, ints below: staircases, factor lists, store keys and
 erosion brackets are exact rationals, while staircase membership
 (``staircase_contains``) and transport to a higher generator
 (``staircase_at``) compare cross-multiplied ints, superlevel staircases
-are swept over grid indices (``grid_staircases``) and erosion_distance
-tests staircase membership on an integer lattice.  At shift 0, erosion_distance
-compares the staircases the two stores locate at each probe point, and
-visits the probe pairs only where they differ somewhere.
+are swept over grid indices (``grid_staircases``), equal-slope factors are
+joined by a threshold merge of their relations on ints (``renormalize``)
+and erosion_distance tests staircase membership on an integer lattice.
+A store keys its entries by their integer ratios inside, and hands out
+Fractions at ``keys``, ``locate`` and ``entries``.  At shift 0,
+erosion_distance compares the staircases the two stores locate at each
+probe point, and visits the probe pairs only where they differ somewhere.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
+import operator
+import types
 from fractions import Fraction
 
 from . import grmat
 from .grmat import (GradedMatrix, Grid, as_degree, deg_leq, induced_grid,
-                    NEG_INF, POS_INF)
+                    POS_INF)
 
 
 class BettiTable:
@@ -246,26 +252,40 @@ def grid_staircases(xs, ys, origin, dims, thickness, alpha):
 
 
 def renormalize(stairs, alpha):
-    """Superlevel staircases of the summed Hilbert function of staircases
-    all generated at alpha (the canonical form of a joined factor), swept
-    over the ranks of alpha's and the relations' coordinates: alpha has
-    rank (0, 0), and in column ix a staircase holds the rows below the
-    least rank y of its relations with rank x <= ix."""
-    rels = [r for S in stairs for r in S.rels]
-    xs, ys, rk = grmat._rank_degrees([alpha] + rels)
-    dims = {}
-    k = 1
-    for S in stairs:
-        srk = rk[k:k + len(S.rels)]
-        k += len(S.rels)
-        p, low = 0, len(ys)
-        for ix in range(len(xs)):
-            while p < len(srk) and srk[p][0] <= ix:
-                low = min(low, srk[p][1])
-                p += 1
-            for iy in range(low):
-                dims[ix, iy] = dims.get((ix, iy), 0) + 1
-    return grid_staircases(xs, ys, (0, 0), dims, len(stairs), alpha)
+    """The superlevel staircases of the summed Hilbert function of
+    staircases all generated at alpha (the canonical form of a joined
+    factor), in the order of grid_staircases, as a threshold merge of
+    their relations on ints over one lcm denominator.  At x, staircase i
+    holds the points below its threshold h_i(x), the y of its last
+    relation at or left of x (infinite left of its first), so the
+    summed dim is < j exactly at or above the j-th largest threshold: the
+    level-j staircase has a relation wherever that threshold drops, as x
+    runs over the relations' distinct x coordinates."""
+    D = math.lcm(alpha[0].denominator, alpha[1].denominator,
+                 *(c.denominator for S in stairs for r in S.rels for c in r))
+    events = sorted(((r[0].numerator * (D // r[0].denominator),
+                      r[1].numerator * (D // r[1].denominator), i, r)
+                     for i, S in enumerate(stairs) for r in S.rels),
+                    key=operator.itemgetter(0))
+    A = (alpha[0].numerator * (D // alpha[0].denominator),
+         alpha[1].numerator * (D // alpha[1].denominator))
+    if any(e[:2] == A for e in events):
+        raise ValueError(EMPTY_STAIRCASE)
+    T = len(stairs)
+    h = {}              # staircase -> (Y, y) of its threshold, once finite
+    last = [None] * T   # per level: its threshold Y so far, None above all
+    out = [[] for _ in range(T)]
+    for _, group in itertools.groupby(events, key=operator.itemgetter(0)):
+        for _, Y, i, r in group:
+            h[i] = (Y, r[1])
+        # the T - len(h) infinite thresholds are the largest
+        for j, (Y, y) in enumerate(sorted(h.values(), reverse=True,
+                                          key=operator.itemgetter(0)),
+                                   T - len(h)):
+            if last[j] is None or Y < last[j]:
+                last[j] = Y
+                out[j].append((r[0], y))
+    return [Staircase(alpha, rels, check=False) for rels in out]
 
 
 def superlevel_staircases(M):
@@ -341,14 +361,19 @@ def merge_factors(alpha, lists):
     """The HN filtration at alpha of a direct sum, from its summands'
     factor lists at alpha: the factors sorted by decreasing slope, those
     of one slope joined into one factor in canonical superlevel form
-    (renormalize), so the slopes strictly decrease.  No lists: the empty
-    list."""
+    (renormalize), so the slopes strictly decrease.  The one non-empty
+    list, where there is one, is returned as it is; none: the empty list
+    at alpha."""
     alpha = as_degree(alpha)
-    factors = []
+    full = []
     for l in lists:
         if l.alpha != alpha:
             raise ValueError("mismatched base degrees in merge")
-        factors += l.factors
+        if l.factors:
+            full.append(l)
+    if len(full) == 1:
+        return full[0]
+    factors = [f for l in full for f in l.factors]
     factors.sort(key=lambda f: f.slope, reverse=True)
     out = []
     for f in factors:
@@ -373,54 +398,88 @@ def slope_at(M, alpha):
 class SkyscraperStore:
     """Dictionary alpha -> HNFactorList with a provenance grid for snapping.
 
-    Queries at non-key points snap by componentwise floor onto the grid of
-    stored keys; misses return the empty entry.
+    Queries at non-key points snap by componentwise floor, onto the
+    epsilon-lattice when the store has an epsilon and else onto the grid
+    of stored keys; misses return None.  The one dict is keyed by each
+    key's integer ratios, x.as_integer_ratio() + y.as_integer_ratio(), so
+    that insert, locate, equality and keys hash and compare ints.  The
+    Fractions stay at the API: keys and locate return the entries' own
+    alphas and factor lists, and entries is a read-only mapping by
+    Fraction key, built at its first read after an insert.
     """
 
     def __init__(self, epsilon=None):
         self.epsilon = Fraction(epsilon) if epsilon is not None else None
-        self.entries = {}
-        self._key_grid = None    # grid of the keys, built on demand
+        self._entries = {}      # integer ratios of alpha -> HNFactorList
+        self._view = None       # entries, built on demand
+        self._key_grid = None   # grid of the keys, built on demand
+
+    @property
+    def entries(self):
+        """alpha -> HNFactorList, read-only."""
+        if self._view is None:
+            self._view = types.MappingProxyType(
+                {fl.alpha: fl for fl in self._entries.values()})
+        return self._view
 
     def insert(self, factor_list):
-        self.entries[factor_list.alpha] = factor_list
-        self._key_grid = None
+        x, y = factor_list.alpha
+        self._entries[x.as_integer_ratio() + y.as_integer_ratio()] = \
+            factor_list
+        self._view = self._key_grid = None
 
     def keys(self):
         """The keys in lexicographic order, sorted as ints: numerators over
         the lcm of each axis's denominators."""
-        dx = math.lcm(*{k[0].denominator for k in self.entries})
-        dy = math.lcm(*{k[1].denominator for k in self.entries})
-        return sorted(self.entries, key=lambda k: (
-            k[0].numerator * (dx // k[0].denominator),
-            k[1].numerator * (dy // k[1].denominator)))
+        dx = math.lcm(*{k[1] for k in self._entries})
+        dy = math.lcm(*{k[3] for k in self._entries})
+        return [self._entries[k].alpha for k in sorted(
+            self._entries, key=lambda k: (k[0] * (dx // k[1]),
+                                          k[2] * (dy // k[3])))]
 
     def locate(self, alpha):
-        alpha = as_degree(alpha)
-        entry = self.entries.get(alpha)
+        """The entry at alpha's floor, on ints; None where it has none."""
+        x, y = as_degree(alpha)
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        key = (xn, xd, yn, yd)
+        entry = self._entries.get(key)
         if entry is not None:
             return entry
         if self.epsilon is not None:
-            e = self.epsilon
-            key = ((alpha[0] // e) * e, (alpha[1] // e) * e)
+            en, ed = self.epsilon.as_integer_ratio()
+            floor = (_lattice_ratio(xn * ed // (xd * en), en, ed)
+                     + _lattice_ratio(yn * ed // (yd * en), en, ed))
         else:
-            if not self.entries:
+            if not self._entries:
                 return None
             if self._key_grid is None:
-                self._key_grid = Grid([k[0] for k in self.entries],
-                                      [k[1] for k in self.entries])
-            key = self._key_grid.floor(alpha)
-            if key[0] == NEG_INF or key[1] == NEG_INF:
+                self._key_grid = Grid(
+                    [fl.alpha[0] for fl in self._entries.values()],
+                    [fl.alpha[1] for fl in self._entries.values()])
+            ix, iy, _ = self._key_grid.index((x, y))
+            if ix < 0 or iy < 0:
                 return None
-        return self.entries.get(key)
+            floor = (self._key_grid.xs[ix].as_integer_ratio()
+                     + self._key_grid.ys[iy].as_integer_ratio())
+        if floor == key:
+            return None
+        return self._entries.get(floor)
 
     def __eq__(self, other):
         if not isinstance(other, SkyscraperStore):
             return NotImplemented
-        return self.entries == other.entries
+        return self._entries == other._entries
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._entries)
+
+
+def _lattice_ratio(k, en, ed):
+    """The integer ratio of the lattice coordinate k * en/ed, reduced as a
+    Fraction's is."""
+    g = math.gcd(k * en, ed)
+    return k * en // g, ed // g
 
 
 def theta_staircases(factors, theta):

@@ -366,8 +366,9 @@ def _eps_points(box, epsilon):
     """x and y coordinates of the epsilon-lattice points inside the
     half-open box."""
     k0, j0, k1, j1 = _box_indices(box, epsilon)
-    return ([k * epsilon for k in range(k0, k1)],
-            [j * epsilon for j in range(j0, j1)])
+    en, ed = epsilon.as_integer_ratio()
+    return ([Fraction(k * en, ed) for k in range(k0, k1)],
+            [Fraction(j * en, ed) for j in range(j0, j1)])
 
 
 def _row_columns(readers, box, epsilon):

@@ -247,6 +247,17 @@ def count_fraction_comparisons(monkeypatch):
     return counts, pause
 
 
+def count_fraction_hashes(monkeypatch):
+    """Count the Fraction hashes taken from now on; returns the counts."""
+    counts = {"n": 0}
+
+    def counted(self, _orig=Fraction.__hash__):
+        counts["n"] += 1
+        return _orig(self)
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    return counts
+
+
 @pytest.fixture
 def cross():
     return cross_module()

@@ -228,6 +228,84 @@ def test_merge_factors_sorted():
     assert merge_factors((0, 0), []) == HNFactorList(alpha, [])
 
 
+def test_merge_factors_returns_the_one_non_empty_read():
+    alpha = (Fr(1, 2), Fr(1, 3))
+    s = Staircase(alpha, [(Fr(3, 2), Fr(1, 3)), (Fr(1, 2), Fr(4, 3))])
+    one = HNFactorList(alpha, [HNFactor([s], Fr(2, 5))])
+    empty = HNFactorList(alpha, [])
+    assert merge_factors(alpha, [empty, one, empty]) is one
+    assert merge_factors(alpha, [one]) is one
+    none = merge_factors(alpha, [empty, empty])
+    assert none.alpha == alpha and none.factors == []
+    with pytest.raises(ValueError, match="mismatched"):
+        merge_factors(alpha, [one, HNFactorList((Fr(0), Fr(0)), [])])
+
+
+def _random_stairs(rng, alpha):
+    """2-4 staircases generated at alpha whose relations are antichains
+    drawn from a few off-integer coordinates per axis (alpha's among
+    them), so that x's and y's are shared; a staircase may repeat an
+    earlier one, contain it (its relations moved up) or have one or no
+    relation."""
+    ax, ay = alpha
+    px = [ax + Fr(k, 7) for k in range(6)]
+    py = [ay + Fr(k, 4) for k in range(6)]
+    stairs = []
+    for _ in range(rng.randrange(2, 5)):
+        kind = rng.randrange(5) if stairs else 0
+        if kind == 1:
+            stairs.append(rng.choice(stairs))
+        elif kind == 2:
+            S = rng.choice(stairs)
+            d = Fr(rng.randrange(1, 3), 4)
+            stairs.append(Staircase(alpha, [(x, y + d) for x, y in S.rels]))
+        else:
+            m = rng.choice([0, 1, 1, 2, 3, 4])
+            xs = sorted(rng.sample(px, m))
+            ys = sorted(rng.sample(py, m), reverse=True)
+            rels = [r for r in zip(xs, ys) if r != alpha]
+            stairs.append(Staircase(alpha, rels))
+    return stairs
+
+
+def test_renormalize_matches_summed_indicator_reference():
+    """renormalize equals the superlevel staircases of the staircases'
+    summed indicator on the grid of their coordinates, staircase for
+    staircase and in order, and raises the empty-staircase error exactly
+    where the sweep of that dim function (staircases_from_dims) does."""
+    rng = random.Random(2828)
+    seen = {"shared x": 0, "shared y": 0, "identical": 0, "one rel": 0,
+            "empty": 0}
+    for trial in range(300):
+        alpha = (Fr(rng.randrange(-5, 5), 3), Fr(rng.randrange(-5, 5), 5))
+        stairs = _random_stairs(rng, alpha)
+        if trial % 10 == 0:
+            # a relation at alpha: the staircase is empty
+            i = rng.randrange(len(stairs))
+            stairs[i] = Staircase(alpha, [alpha], check=False)
+        pts = [alpha] + [r for S in stairs for r in S.rels]
+        G = Grid([p[0] for p in pts], [p[1] for p in pts])
+        dims = {p: invariants.count_containing(stairs, p)
+                for p in G.points()}
+        try:
+            invariants.staircases_from_dims(G, dims, alpha, len(stairs))
+        except ValueError as exc:
+            assert str(exc) == invariants.EMPTY_STAIRCASE
+            seen["empty"] += 1
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                invariants.renormalize(stairs, alpha)
+            continue
+        assert invariants.renormalize(stairs, alpha) == \
+            reference_staircases_from_dims(G, dims, alpha, len(stairs))
+        xs = [x for S in stairs for x in {x for x, _ in S.rels}]
+        ys = [y for S in stairs for y in {y for _, y in S.rels}]
+        seen["shared x"] += len(set(xs)) < len(xs)
+        seen["shared y"] += len(set(ys)) < len(ys)
+        seen["identical"] += len(set(stairs)) < len(stairs)
+        seen["one rel"] += any(len(S.rels) == 1 for S in stairs)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_factor_list_equality_is_canonical():
     alpha = (Fr(0), Fr(0))
     s1 = Staircase(alpha, [(Fr(1), Fr(0))])
@@ -387,7 +465,8 @@ class _CountingStore(SkyscraperStore):
 
     def __init__(self, store):
         super().__init__(store.epsilon)
-        self.entries = dict(store.entries)
+        for fl in store.entries.values():
+            self.insert(fl)
         self.locates = 0
 
     def locate(self, alpha):
@@ -399,7 +478,8 @@ def _moved(store, rng):
     """A copy of store with the relations of one staircase moved up by
     (k, k), k in 1..3, so that erosion needs a shift e > 0."""
     out = SkyscraperStore(store.epsilon)
-    out.entries = dict(store.entries)
+    for fl in store.entries.values():
+        out.insert(fl)
     alpha = rng.choice(store.keys())
     fl = store.entries[alpha]
     fi = rng.randrange(len(fl.factors))
@@ -411,7 +491,7 @@ def _moved(store, rng):
     stairs = f.staircases[:si] + [moved] + f.staircases[si + 1:]
     factors = list(fl.factors)
     factors[fi] = HNFactor(stairs, f.slope)
-    out.entries[alpha] = HNFactorList(alpha, factors)
+    out.insert(HNFactorList(alpha, factors))
     return out
 
 

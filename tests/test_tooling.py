@@ -11,7 +11,8 @@ from fractions import Fraction as Fr
 
 from skyhn import grmat, hn_core, invariants, pipeline, subdivision
 
-from conftest import (F2, F3, count_fraction_comparisons, hidden_direct_sum,
+from conftest import (F2, F3, count_fraction_comparisons,
+                      count_fraction_hashes, hidden_direct_sum,
                       random_bounded_module, store_trees)
 
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -94,14 +95,15 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
     snap = ex.snapshot(sa.keys())
     # a copy with one staircase's relations moved up, so shifts e > 0 run
     moved = invariants.SkyscraperStore(snap.epsilon)
-    moved.entries = dict(snap.entries)
+    for entry in snap.entries.values():
+        moved.insert(entry)
     alpha = sa.keys()[0]
     fl = snap.entries[alpha]
     f = fl.factors[0]
     S = f.staircases[0]
-    moved.entries[alpha] = invariants.HNFactorList(alpha, [invariants.HNFactor(
+    moved.insert(invariants.HNFactorList(alpha, [invariants.HNFactor(
         [invariants.Staircase(S.gen, [(x + 2, y + 2) for x, y in S.rels])]
-        + f.staircases[1:], f.slope)] + fl.factors[1:])
+        + f.staircases[1:], f.slope)] + fl.factors[1:]))
     keys = sa.keys()
     G = grmat.Grid([k[0] for k in keys], [k[1] for k in keys])
     # the trees of the cells the store reads in closed form, and the
@@ -157,26 +159,29 @@ def test_erosion_pair_loop_and_tree_reads_compare_no_fractions(
 
 
 def test_lattice_sweeps_compare_no_fractions(cross, monkeypatch):
-    """Outside the per-point reads, the merge and the store's insert, the
-    lattice sweeps make no Fraction comparison: approx_skyscraper and
-    parallel_grid_scan on the cross fixture and on five modules of the
-    acceptance-5 corpus, at epsilon 1 and 1/2, find the lattice rows, the
-    support's columns and each cache's grid row on ints.  Each module runs
-    as a fresh copy per epsilon, and before each counted call a call of
-    the driver with the same config prepares the copy for its box (clip,
-    minimize, decompose; the copy keeps them), and is not counted."""
+    """Outside the per-point reads and the merge, the lattice sweeps make
+    no Fraction comparison, and they, the exact store's snapshot at their
+    keys and erosion_distance between the two take no Fraction hash:
+    approx_skyscraper and parallel_grid_scan on the cross fixture and on
+    five modules of the acceptance-5 corpus, at epsilon 1 and 1/2, find
+    the lattice rows, the support's columns and each cache's grid row on
+    ints, and the stores key, locate and sort their entries on ints.  Each
+    module runs as a fresh copy per epsilon, and before each counted call
+    a call of the driver with the same config prepares the copy for its
+    box (clip, minimize, decompose; the copy keeps them), and is not
+    counted, nor is building the exact store."""
     rng = random.Random(5)
     modules = [cross] + [random_bounded_module(rng, F2 if i % 2 else F3,
                                                rng.randrange(1, 3), dmax=3)
                          for i in range(5)]
     counts, pause = count_fraction_comparisons(monkeypatch)
+    hashes = count_fraction_hashes(monkeypatch)
     pause(pipeline._Interval, "factors_at")
     pause(pipeline._Cells, "at")
     pause(hn_core, "hn_filtration_of")
     pause(pipeline.ExactStore, "factors_at")
     pause(pipeline, "merge_factors")
-    pause(invariants.SkyscraperStore, "insert")
-    stores, n = [], 0
+    stores, n, h, erosions = [], 0, 0, []
     for M in modules:
         for eps in (Fr(1), Fr(1, 2)):
             M = grmat.GradedMatrix(M.field, M.row_degrees, M.col_degrees,
@@ -185,13 +190,24 @@ def test_lattice_sweeps_compare_no_fractions(cross, monkeypatch):
             for driver in (pipeline.approx_skyscraper,
                            pipeline.parallel_grid_scan):
                 driver(M, cfg)
-                before = counts["n"]
+                before, hashed = counts["n"], hashes["n"]
                 stores.append(driver(M, cfg))
                 n += counts["n"] - before
+                h += hashes["n"] - hashed
+            ex = pipeline.exact_skyscraper(M, cfg.box)
+            hashed = hashes["n"]
+            keys = stores[-2].keys()
+            snap = ex.snapshot(keys, eps)
+            G = grmat.Grid([k[0] for k in keys], [k[1] for k in keys])
+            erosions.append((eps, invariants.erosion_distance(
+                stores[-2], snap, Fr(0), G)))
+            h += hashes["n"] - hashed
     assert n == 0
+    assert h == 0
     monkeypatch.undo()
     assert all(len(s) > 0 for s in stores)
     assert sum(sum(s.work) for s in stores[::2]) > 0
+    assert all(hi <= eps for eps, (_, hi) in erosions)
 
 
 def test_graded_matrix_from_degrees_compares_no_fractions(monkeypatch):
