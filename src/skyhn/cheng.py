@@ -548,15 +548,13 @@ def _check_grid(cur, G, alpha):
     ones.  Coordinates compare as (numerator, denominator) pairs."""
     for name, axis, coords in (("x", G.xs, cur._ranks[0]),
                                ("y", G.ys, cur._ranks[1])):
-        ratios = [c.as_integer_ratio() for c in axis]
-        have = set(ratios)
+        have = {c.as_integer_ratio() for c in axis}
         for c in coords:
             if c.as_integer_ratio() not in have:
                 raise ValueError(
                     "cheng grid lacks %s = %s, a degree of the module "
                     "generated at (%s, %s)" % ((name, c) + alpha))
-        den = math.lcm(*(d for _, d in ratios))
-        ints = [n * (den // d) for n, d in ratios]
+        _, ints = grmat._over_lcm(axis)
         if len({b - a for a, b in zip(ints, ints[1:])}) > 1:
             raise ValueError("cheng grid is not evenly spaced in " + name)
     fc = fiber_classes(cur)

@@ -289,7 +289,7 @@ def build_parser():
     p = sub.add_parser("hn", help="HN filtration at one degree")
     p.add_argument("input")
     p.add_argument("--at", type=_pair, required=True)
-    p.add_argument("--engine", choices=["brute", "cheng"], default="brute")
+    p.add_argument("--engine", choices=pipeline.ENGINES, default="brute")
     p.add_argument("--grid", type=_grid_size, default=None,
                    help="NX,NY override for the cheng engine grid: evenly "
                    "spaced over the box, it must hold --at and the degrees "
@@ -299,7 +299,7 @@ def build_parser():
     p = sub.add_parser("approx", help="epsilon-approximate store")
     p.add_argument("input")
     p.add_argument("--epsilon", type=_fraction, required=True)
-    p.add_argument("--engine", choices=["brute", "cheng"], default="brute")
+    p.add_argument("--engine", choices=pipeline.ENGINES, default="brute")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("exact", help="exact store snapshot on the grid")

@@ -12,8 +12,13 @@ positions of each coordinate among the matrix's sorted distinct ones.
 Every matrix has its ranks from the moment it is built and is validated
 once, on them: the constructor computes them from the degrees, and
 ``_from_ranks`` hands over the ranks that an operation already holds.
-All elimination runs in field (_Echelon, ColumnReduction, reduce_columns,
-kernel_combos); grmat._Echelon is field's class, imported.  decompose
+Every module puts its lists of Fractions on ints over one common
+denominator through ``_over_lcm``; only ``_sorted_distinct``, which runs
+on every matrix built, scales the ratio keys it already holds.
+The echelon forms, kernels and column reductions run in field (_Echelon,
+ColumnReduction, reduce_columns, kernel_combos; grmat._Echelon is field's
+class, imported); minimize's unit-pivot cancellation is its own loop of
+modulo-q row operations on dense columns.  decompose
 holds every matrix as a list of columns in field's internal vector form
 and multiplies them with its times primitive, so it has one code path for
 every prime field: bitmasks over F_2, lists otherwise.
@@ -178,10 +183,8 @@ class Grid:
         floor of v*den."""
         scaled = self._scaled[axis]
         if scaled is None:
-            coords = self.ys if axis else self.xs
-            den = math.lcm(*(c.denominator for c in coords))
-            scaled = self._scaled[axis] = (
-                den, [c.numerator * (den // c.denominator) for c in coords])
+            scaled = self._scaled[axis] = _over_lcm(
+                self.ys if axis else self.xs)
         den, ints = scaled
         key = n, d = v.as_integer_ratio()
         i = bisect.bisect_right(ints, n * den // d) - 1
@@ -208,11 +211,22 @@ def _axis(coords):
         [c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
+def _over_lcm(frs):
+    """(den, ints): the rationals frs over one common denominator, den the
+    lcm of their denominators, and ints their numerators over den, in the
+    order of frs; (1, []) for none.  Each one's integer ratio is read
+    once; ints are taken as they are."""
+    ratios = [c.as_integer_ratio() for c in frs]
+    den = math.lcm(*(d for _, d in ratios))
+    return den, [n * (den // d) for n, d in ratios]
+
+
 def _sorted_distinct(frs):
     """The distinct values of a list of Fractions, sorted, without Fraction
     hashes or comparisons: duplicates are found by (numerator,
     denominator) and the order by the numerators over the lcm of the
-    denominators.  The last of equal Fractions is kept."""
+    denominators, on the ratio keys already in hand (it runs on every
+    GradedMatrix built).  The last of equal Fractions is kept."""
     byk = {c.as_integer_ratio(): c for c in frs}
     den = math.lcm(*(d for _, d in byk))
     return [byk[k] for k in sorted(byk, key=lambda k: k[0] * (den // k[1]))]

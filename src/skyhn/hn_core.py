@@ -25,7 +25,6 @@ alpha of the cell, so the linear algebra of a cell runs once per HN step.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from fractions import Fraction
 
@@ -40,8 +39,7 @@ __all__ = ["SlopeRecord", "brute_force_max_slope", "hn_filtration_at",
 def _scaled_gaps(coords):
     """(gaps, scale): the coordinate gaps as ints over scale, the lcm of the
     denominators; the last coordinate's unbounded cell gets gap 0."""
-    scale = math.lcm(*(c.denominator for c in coords))
-    ints = [c.numerator * (scale // c.denominator) for c in coords]
+    scale, ints = grmat._over_lcm(coords)
     return [b - a for a, b in zip(ints, ints[1:])] + [0], scale
 
 

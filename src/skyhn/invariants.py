@@ -261,15 +261,13 @@ def renormalize(stairs, alpha):
     summed dim is < j exactly at or above the j-th largest threshold: the
     level-j staircase has a relation wherever that threshold drops, as x
     runs over the relations' distinct x coordinates."""
-    D = math.lcm(alpha[0].denominator, alpha[1].denominator,
-                 *(c.denominator for S in stairs for r in S.rels for c in r))
-    events = sorted(((r[0].numerator * (D // r[0].denominator),
-                      r[1].numerator * (D // r[1].denominator), i, r)
-                     for i, S in enumerate(stairs) for r in S.rels),
+    owned = [(i, r) for i, S in enumerate(stairs) for r in S.rels]
+    _, (AX, AY, *ints) = grmat._over_lcm(
+        [*alpha, *(c for _, r in owned for c in r)])
+    events = sorted(((X, Y, i, r) for (i, r), X, Y
+                     in zip(owned, ints[0::2], ints[1::2])),
                     key=operator.itemgetter(0))
-    A = (alpha[0].numerator * (D // alpha[0].denominator),
-         alpha[1].numerator * (D // alpha[1].denominator))
-    if any(e[:2] == A for e in events):
+    if any(e[:2] == (AX, AY) for e in events):
         raise ValueError(EMPTY_STAIRCASE)
     T = len(stairs)
     h = {}              # staircase -> (Y, y) of its threshold, once finite
@@ -429,13 +427,11 @@ class SkyscraperStore:
         self._view = self._key_grid = None
 
     def keys(self):
-        """The keys in lexicographic order, sorted as ints: numerators over
-        the lcm of each axis's denominators."""
-        dx = math.lcm(*{k[1] for k in self._entries})
-        dy = math.lcm(*{k[3] for k in self._entries})
-        return [self._entries[k].alpha for k in sorted(
-            self._entries, key=lambda k: (k[0] * (dx // k[1]),
-                                          k[2] * (dy // k[3])))]
+        """The keys in lexicographic order, sorted as ints: by their
+        coordinate ranks (grmat._rank_degrees), distinct per key."""
+        alphas = [fl.alpha for fl in self._entries.values()]
+        _, _, ranks = grmat._rank_degrees(alphas)
+        return [a for _, a in sorted(zip(ranks, alphas))]
 
     def locate(self, alpha):
         """The entry at alpha's floor, on ints; None where it has none."""
@@ -526,9 +522,8 @@ def erosion_distance(r, s, theta, probe_grid):
     <= an integer B exactly when g <= B/D.
     """
     xs, ys = probe_grid.xs, probe_grid.ys
-    D = math.lcm(*(c.denominator for c in xs + ys))
-    X = [x.numerator * (D // x.denominator) for x in xs]
-    Y = [y.numerator * (D // y.denominator) for y in ys]
+    D, ints = grmat._over_lcm(xs + ys)
+    X, Y = ints[:len(xs)], ints[len(xs):]
     steps = ([b - a for a, b in zip(X, X[1:])] +
              [b - a for a, b in zip(Y, Y[1:])])
     H = min(steps) if steps else D      # the spacing h = H/D

@@ -133,15 +133,12 @@ def clip_to_box(M, box):
     return GradedMatrix(M.field, list(M.row_degrees), col_degs, cols)
 
 
-def _progression(ratios, lo, hi):
+def _progression(coords, lo, hi):
     """The evenly spaced coordinates from lo to hi with the largest step
-    that hits every coordinate given by its (numerator, denominator) pair
-    in ratios, all of them between lo and hi; computed on integers over
-    the lcm of the denominators."""
-    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    den = math.lcm(ld, hd, *(d for _, d in ratios))
-    base, top = ln * (den // ld), hn * (den // hd)
-    step = math.gcd(top - base, *(n * (den // d) - base for n, d in ratios))
+    that hits every one of coords, all of them between lo and hi;
+    computed on integers over the lcm of the denominators."""
+    den, (base, top, *ints) = grmat._over_lcm([lo, hi, *coords])
+    step = math.gcd(top - base, *(n - base for n in ints))
     if not step:
         return [lo]
     return [Fraction(base + k * step, den)
@@ -152,24 +149,21 @@ def regular_grid(M, extra_points, box):
     """Evenly spaced grid covering the box and containing every degree of M
     and every extra point inside the box; on such a grid discrete slopes
     are proportional to the exact area-weighted ones.  M's degrees are read
-    as coordinate ranks (M._ranks), and every coordinate is kept as a
-    (numerator, denominator) pair."""
+    as coordinate ranks (M._ranks)."""
     x0, y0, x1, y1 = box
     xs, ys, row_rk, col_rk = M._ranks
     lx, hx = bisect.bisect_left(xs, x0), bisect.bisect_right(xs, x1)
     ly, hy = bisect.bisect_left(ys, y0), bisect.bisect_right(ys, y1)
-    ratx = [c.as_integer_ratio() for c in xs]
-    raty = [c.as_integer_ratio() for c in ys]
-    px, py = set(), set()   # the kept coordinates' (numerator, denominator)
+    px, py = [], []     # the kept coordinates
     for rx, ry in row_rk + col_rk:
         if lx <= rx < hx and ly <= ry < hy:
-            px.add(ratx[rx])
-            py.add(raty[ry])
+            px.append(xs[rx])
+            py.append(ys[ry])
     for d in extra_points:
         x, y = as_degree(d)
         if x0 <= x <= x1 and y0 <= y <= y1:
-            px.add(x.as_integer_ratio())
-            py.add(y.as_integer_ratio())
+            px.append(x)
+            py.append(y)
     return Grid(_progression(px, x0, x1), _progression(py, y0, y1))
 
 
@@ -245,10 +239,8 @@ class _Interval:
         self.stair = Staircase(piece.row_degrees[0],
                                [(xs[x], ys[y]) for x, y in rels], check=False)
         pts = [self.stair.gen] + self.stair.rels
-        L = self.den = math.lcm(*(c.denominator for p in pts for c in p))
-        self.gen, *self.rels = [(x.numerator * (L // x.denominator),
-                                 y.numerator * (L // y.denominator))
-                                for x, y in pts]
+        self.den, ints = grmat._over_lcm([c for p in pts for c in p])
+        self.gen, *self.rels = zip(ints[0::2], ints[1::2])
 
     def steps(self, index):
         """The support on the lattice rows: (J, lo, hi) per relation r, from
@@ -295,16 +287,17 @@ class _Interval:
                                                          area))])
 
 
-def _cheng_read(module, seed, grid):
+def _cheng_read(module, seed, box, grid=None):
     """The cheng engine's read of a connected block, a function of the
-    point alpha: hn_cheng on the block whole, on grid(module, alpha),
-    which it asks for only where the fiber at alpha is non-zero; a
-    ShrunkFailure is raised as EngineFailure at alpha."""
+    point alpha: hn_cheng on the block whole, on the given grid, else on
+    the block's regular grid at alpha in the box, which it builds only
+    where the fiber at alpha is non-zero; a ShrunkFailure is raised as
+    EngineFailure at alpha."""
     def read(alpha):
+        G = (functools.partial(regular_grid, module, [alpha], box)
+             if grid is None else grid)
         try:
-            return cheng.hn_cheng(module, functools.partial(grid, module,
-                                                            alpha),
-                                  alpha, seed=seed)
+            return cheng.hn_cheng(module, G, alpha, seed=seed)
         except cheng.ShrunkFailure as exc:
             raise EngineFailure(alpha, exc)
     return read
@@ -338,10 +331,7 @@ def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
     _check_engine(engine)
     box = box or bounding_box(M)
     if engine == "cheng":
-        def grid(block, a):
-            return (regular_grid(block, [a], box) if cheng_grid is None
-                    else cheng_grid)
-        reads = [[_cheng_read(b, seed, grid)]
+        reads = [[_cheng_read(b, seed, box, cheng_grid)]
                  for b in _clipped_blocks(M, box)]
     else:
         reads = [[functools.partial(hn_core.hn_filtration_at, p)
@@ -480,9 +470,7 @@ def approx_skyscraper(M, cfg):
 
     if cfg.engine == "cheng":
         readers = _clipped_blocks(M, box)
-        reads = [[_cheng_read(b, cfg.seed,
-                              lambda m, a: regular_grid(m, [a], box))]
-                 for b in readers]
+        reads = [[_cheng_read(b, cfg.seed, box)] for b in readers]
     else:
         blocks = _prepared(M, box)
         readers = [r for b in blocks for r in b.readers]

@@ -13,12 +13,16 @@ point's denominators against integer half-plane coefficients, each slope
 is one Fraction of the polynomial evaluated on the offset's numerators
 and denominators, and staircases are transported on integer comparisons
 (``invariants.staircase_at``) and joined on a wall by
-``invariants.renormalize``.
+``invariants.renormalize``.  The half-planes, the polynomial coefficients
+and the vertices of the area test are put on ints by ``grmat._over_lcm``:
+a region's half-planes once, at its first point location, and a
+polynomial's coefficients at each read, since the envelope builds far more
+polynomials than a sweep reads.  Each face's staircases come from the
+class ranks its candidate subspace was enumerated with.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
@@ -48,9 +52,7 @@ class SlopePoly:
         """The slope 1/p(d) at the offset d = (n1/d1, n2/d2), from ints:
         with c0, cx and cy as C0, CX and CY over their common denominator
         D, p(d) * D*d1*d2 = C0*d1*d2 - CY*n1*d2 - CX*n2*d1 + D*n1*n2."""
-        cs = (self.c0, self.cx, self.cy)
-        D = math.lcm(*(c.denominator for c in cs))
-        c0, cx, cy = (c.numerator * (D // c.denominator) for c in cs)
+        D, (c0, cx, cy) = grmat._over_lcm((self.c0, self.cx, self.cy))
         return Fraction(D * d1 * d2, c0 * d1 * d2 - cy * n1 * d2
                         - cx * n2 * d1 + D * n1 * n2)
 
@@ -131,9 +133,8 @@ class ConvexRegion:
         vs = self.vertices
         if len(vs) < 3:
             return False
-        den = math.lcm(*(c.denominator for v in vs for c in v))
-        pts = [(x.numerator * (den // x.denominator),
-                y.numerator * (den // y.denominator)) for x, y in vs]
+        _, ints = grmat._over_lcm([c for v in vs for c in v])
+        pts = list(zip(ints[0::2], ints[1::2]))
         return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
                    in zip(pts, pts[1:] + pts[:1])) > 0
 
@@ -144,7 +145,7 @@ class ConvexRegion:
         multiple (A, B, C) of (a, b, c), computed once per region."""
         planes = self._int_planes
         if planes is None:
-            planes = self._int_planes = [_int_plane(*h)
+            planes = self._int_planes = [grmat._over_lcm(h)[1]
                                          for h in self.halfplanes]
         x, y = as_degree(point)
         p, q = x.numerator, x.denominator
@@ -156,15 +157,6 @@ class ConvexRegion:
 
     def __repr__(self):
         return "ConvexRegion(%d vertices)" % len(self.vertices)
-
-
-def _int_plane(a, b, c):
-    """(a, b, c) times the lcm of their denominators: integers."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    L = math.lcm(a.denominator, b.denominator, c.denominator)
-    return (a.numerator * (L // a.denominator),
-            b.numerator * (L // b.denominator),
-            c.numerator * (L // c.denominator))
 
 
 def _poly_from_ranks(w, dim, ranks):
@@ -238,7 +230,8 @@ def lower_envelope(polys, cell):
 def _subspace_candidates(M):
     """Enumerate all nonzero fiber subspaces, compute their slope data, and
     dedup by the polynomial, keeping the largest dimension.  Returns the
-    fiber classes and the (rows, poly) pairs in first-seen order.
+    fiber classes and the (rows, poly, class ranks) triples in first-seen
+    order.
 
     Subspaces sharing a truncated polynomial attain the same slope wherever
     one of them is maximal, and their sum (also in the class) is the unique
@@ -260,10 +253,10 @@ def _subspace_candidates(M):
             key = poly.key()
             prev = by_poly.get(key)
             if prev is None:
-                by_poly[key] = (rows, poly)
+                by_poly[key] = (rows, poly, ranks)
                 order.append(key)
             elif k > len(prev[0]):
-                by_poly[key] = (rows, poly)
+                by_poly[key] = (rows, poly, ranks)
     return fc, [by_poly[key] for key in order]
 
 
@@ -275,9 +268,9 @@ def all_max_slope(M, C):
     t over the generators, shared with _FiberClasses.stratum."""
     fc, cands = _subspace_candidates(M)
     base = ConvexRegion.rectangle(*C)
-    entries = [(i, poly) for i, (_, poly) in enumerate(cands)]
+    entries = [(i, poly) for i, (_, poly, _) in enumerate(cands)]
     faces = _envelope_regions(entries, base, fc.alpha)
-    return [(region, *cands[ident]) for ident, region in faces]
+    return [(region, *cands[ident][:2]) for ident, region in faces]
 
 
 class SubdivNode:
@@ -359,12 +352,12 @@ class SubdivTree:
 
 def _build(cur, region, alpha, parent):
     fc, cands = _subspace_candidates(cur)
-    entries = [(i, poly) for i, (_, poly) in enumerate(cands)]
+    entries = [(i, poly) for i, (_, poly, _) in enumerate(cands)]
     faces = _envelope_regions(entries, region, alpha)
     for ident, face in faces:
-        rows, poly = cands[ident]
+        rows, poly, ranks = cands[ident]
         d = len(rows)
-        stairs = fc.staircases(fc.ranks(fc.to_internal(rows)), d, alpha)
+        stairs = fc.staircases(ranks, d, alpha)
         node = SubdivNode(face, stairs, poly)
         parent.children.append(node)
         if d == cur.nrows:

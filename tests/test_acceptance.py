@@ -51,8 +51,8 @@ def test_acceptance_1():
     p = subdivision.slope_polynomial(M)
     assert (p.c0, p.cx, p.cy) == (Fr(9, 2), Fr(5, 2), Fr(5, 2))
     fc, cands = subdivision._subspace_candidates(M)
-    lines = [(poly.cy, poly.cx) for rows, poly in cands if len(rows) == 1]
-    assert all(poly.c0 == 5 for rows, poly in cands if len(rows) == 1)
+    lines = [(poly.cy, poly.cx) for rows, poly, _ in cands if len(rows) == 1]
+    assert all(poly.c0 == 5 for rows, poly, _ in cands if len(rows) == 1)
     assert sorted(lines) == [(Fr(2), Fr(3)), (Fr(3), Fr(2)), (Fr(3), Fr(3))]
     assert time.time() - t0 < 1.0
 

@@ -2,6 +2,7 @@ import collections
 import functools
 import random
 from fractions import Fraction as Fr
+from math import lcm
 
 import pytest
 
@@ -75,6 +76,23 @@ def test_grid_coordinates_match_fraction_sets():
     G = grmat.Grid([half], [half, 1])
     assert G.xs[0] is half and G.ys[0] is half
     assert grmat.Grid([], []).xs == []
+
+
+def test_over_lcm_puts_fractions_on_one_denominator():
+    # each case against den = lcm of the denominators and n/d * den
+    cases = [[Fr(-3, 4), Fr(0), Fr(5, 6), Fr(-1, 3)],
+             [Fr(1, 2), Fr(1, 3), Fr(1, 5), Fr(7, 10)],
+             [Fr(-7, 9)], [Fr(0)], [Fr(2), Fr(-1)],
+             [Fr(5, 6), Fr(1, 4), Fr(5, 6), Fr(-1, 4)]]
+    for frs in cases:
+        den, ints = grmat._over_lcm(frs)
+        assert den == lcm(*(c.denominator for c in frs))
+        assert all(type(n) is int for n in ints)
+        assert [Fr(n, den) for n in ints] == frs       # in the given order
+    assert grmat._over_lcm([Fr(-3, 4), Fr(0), Fr(5, 6)]) == (12, [-9, 0, 10])
+    assert grmat._over_lcm([Fr(-7, 9)]) == (9, [-7])
+    assert grmat._over_lcm([Fr(1, 3), Fr(-1, 2), Fr(1, 3)]) == (6, [2, -3, 2])
+    assert grmat._over_lcm([]) == (1, [])
 
 
 def test_kernel_two_vertical_columns(cross):

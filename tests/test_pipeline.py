@@ -732,27 +732,34 @@ def test_erosion_approx_vs_exact(cross):
         assert hi <= eps
 
 
+def _landscape_stores(M):
+    """Both kinds of store filtered_landscape reads: the exact store, and
+    the approximations at epsilon 1 and 1/2 (SkyscraperStore)."""
+    return [exact_skyscraper(M)] + [
+        approx_skyscraper(M, ScanConfig(epsilon=e)) for e in (1, Fr(1, 2))]
+
+
 def test_landscape_positive_inside_support(cross):
-    ex = exact_skyscraper(cross)
     pts = [(Fr(1, 4), Fr(5, 4))]
-    lam = filtered_landscape(ex, 1, Fr(0), pts)
-    assert lam[pts[0]] > 0
+    for store in _landscape_stores(cross):
+        lam = filtered_landscape(store, 1, Fr(0), pts)
+        assert lam[pts[0]] > 0
 
 
 def test_landscape_monotone_in_theta_and_k(cross):
-    ex = exact_skyscraper(cross)
     pts = [(Fr(1, 4), Fr(5, 4)), (Fr(1, 2), Fr(3, 2))]
-    prev = None
-    for theta in (Fr(0), Fr(2, 5), Fr(3, 5), Fr(10)):
-        lam = filtered_landscape(ex, 1, theta, pts)
-        if prev is not None:
-            for p in pts:
-                assert lam[p] <= prev[p]
-        prev = lam
-    l1 = filtered_landscape(ex, 1, Fr(0), pts)
-    l2 = filtered_landscape(ex, 2, Fr(0), pts)
-    for p in pts:
-        assert l2[p] <= l1[p]
+    for store in _landscape_stores(cross):
+        prev = None
+        for theta in (Fr(0), Fr(2, 5), Fr(3, 5), Fr(10)):
+            lam = filtered_landscape(store, 1, theta, pts)
+            if prev is not None:
+                for p in pts:
+                    assert lam[p] <= prev[p]
+            prev = lam
+        l1 = filtered_landscape(store, 1, Fr(0), pts)
+        l2 = filtered_landscape(store, 2, Fr(0), pts)
+        for p in pts:
+            assert l2[p] <= l1[p]
 
 
 def test_landscape_rejects_k_below_one(cross):
@@ -765,10 +772,10 @@ def test_landscape_rejects_k_below_one(cross):
 
 
 def test_landscape_source_anchor(cross):
-    ex = exact_skyscraper(cross)
     pts = [(Fr(0), Fr(1))]
-    lam = filtered_landscape(ex, 1, Fr(0), pts, anchor="source")
-    assert lam[pts[0]] > 0
+    for store in _landscape_stores(cross):
+        lam = filtered_landscape(store, 1, Fr(0), pts, anchor="source")
+        assert lam[pts[0]] > 0
 
 
 def test_landscape_rejects_unknown_anchor(cross):

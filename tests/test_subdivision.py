@@ -41,10 +41,10 @@ def test_slope_polynomial_stable(stable):
 
 def test_slope_polynomial_stable_lines(stable):
     fc, cands = subdivision._subspace_candidates(stable)
-    line_polys = sorted((poly.cy, poly.cx) for rows, poly in cands
+    line_polys = sorted((poly.cy, poly.cx) for rows, poly, _ in cands
                         if len(rows) == 1)
     assert line_polys == [(Fr(2), Fr(3)), (Fr(3), Fr(2)), (Fr(3), Fr(3))]
-    assert all(poly.c0 == 5 for rows, poly in cands if len(rows) == 1)
+    assert all(poly.c0 == 5 for rows, poly, _ in cands if len(rows) == 1)
 
 
 def test_slope_polynomial_cross_vertical(cross):
@@ -321,9 +321,8 @@ def test_subspace_candidates_match_fraction_reference():
                 M = random_unigen_module(rng, F, t)
             for N in (M, _warp(M)):
                 fc, cands = subdivision._subspace_candidates(N)
-                got = [(rows, poly.key(),
-                        class_dims(fc, fc.ranks(fc.to_internal(rows))))
-                       for rows, poly in cands]
+                got = [(rows, poly.key(), class_dims(fc, ranks))
+                       for rows, poly, ranks in cands]
                 assert got == _reference_candidates(N)
 
 

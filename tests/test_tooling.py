@@ -510,6 +510,46 @@ def test_minimize_runs_where_minimality_can_break():
 
 # the engine entry points, each of which one top-level pipeline function
 # may name
+def _lcm_calls(source):
+    """The lines of a module source that call math.lcm: as an attribute of
+    the math module under any name it is imported as, or by any name that
+    a from-import binds it to."""
+    mods, funcs = set(), set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods.update(a.asname or a.name for a in node.names
+                        if a.name == "math")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            funcs.update(a.asname or a.name for a in node.names
+                         if a.name == "lcm")
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if ((isinstance(f, ast.Attribute) and f.attr == "lcm"
+             and isinstance(f.value, ast.Name) and f.value.id in mods)
+                or (isinstance(f, ast.Name) and f.id in funcs)):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_only_grmat_takes_an_lcm():
+    """Fractions go over one common denominator in grmat alone: every other
+    module of src/ calls grmat._over_lcm, and grmat's only other lcm is
+    _sorted_distinct's, on the ratio keys it already holds."""
+    assert _lcm_calls(
+        "import math as m\nfrom math import lcm as L, gcd\nimport math\n"
+        "a = m.lcm(1, 2)\nb = L(3)\nc = math.lcm(*x)\nd = gcd(1, 2)\n"
+        "e = math.gcd(2, 4)\nf = np.lcm(1, 2)\ng = lcm(1)\n"
+        "# math.lcm(1)\n") == [4, 5, 6]
+    found = {fname: _lcm_calls(text)
+             for fname, text in _src_sources().items()}
+    assert len(found.pop("grmat.py")) == 2
+    assert {fname: lines for fname, lines in found.items() if lines} == {}
+
+
 _ENTRY_POINTS = ("hn_cheng", "hn_filtration_at", "hn_filtration_of",
                  "exact_hnf_cell")
 
