@@ -193,7 +193,8 @@ def emit_store(store, path):
 
 
 def parse_store(path, epsilon=None):
-    """Rebuild a SkyscraperStore from an emitted CSV (exact round trip)."""
+    """Rebuild a SkyscraperStore from an emitted CSV (exact round trip); a
+    malformed row is reported with its CSV line number."""
     groups = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
@@ -201,16 +202,23 @@ def parse_store(path, epsilon=None):
         if header != STORE_FIELDS:
             raise ParseError(path, 1, "bad store CSV header")
         for row in r:
-            ax, ay, j = Fraction(row[0]), Fraction(row[1]), int(row[2])
-            slope = Fraction(int(row[3]), int(row[4]))
-            gen = (Fraction(row[5]), Fraction(row[6]))
-            rels = []
-            if row[7]:
-                for tok in row[7].split(";"):
-                    x, y = tok.split(":")
-                    rels.append((Fraction(x), Fraction(y)))
+            if len(row) != len(STORE_FIELDS):
+                raise ParseError(path, r.line_num, "expected %d fields, got %d"
+                                 % (len(STORE_FIELDS), len(row)))
+            try:
+                ax, ay, j = Fraction(row[0]), Fraction(row[1]), int(row[2])
+                slope = Fraction(int(row[3]), int(row[4]))
+                gen = (Fraction(row[5]), Fraction(row[6]))
+                rels = []
+                if row[7]:
+                    for tok in row[7].split(";"):
+                        x, y = tok.split(":")
+                        rels.append((Fraction(x), Fraction(y)))
+                stair = Staircase(gen, rels)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(path, r.line_num, "bad store row: %s" % exc)
             groups.setdefault((ax, ay), {}).setdefault(
-                (j, slope), []).append(Staircase(gen, rels))
+                (j, slope), []).append(stair)
     store = SkyscraperStore(epsilon)
     for alpha in sorted(groups):
         factors = [HNFactor(groups[alpha][k], k[1])

@@ -35,7 +35,6 @@ from . import field as fieldmod
 from .field import (PrimeField, _Echelon, _inverses, _poly_gcd, _poly_powmod,
                     _poly_sub)
 
-NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
@@ -190,15 +189,6 @@ class Grid:
         i = bisect.bisect_right(ints, n * den // d) - 1
         hit = self._memo[axis][key] = (i, i >= 0 and ints[i] * d == n * den)
         return hit
-
-    def floor(self, d):
-        """Largest grid point <= d componentwise; -inf sentinel per axis."""
-        ix, iy, _ = self.index(d)
-        return (self.xs[ix] if ix >= 0 else NEG_INF,
-                self.ys[iy] if iy >= 0 else NEG_INF)
-
-    def __contains__(self, d):
-        return self.index(d)[2]
 
     def __repr__(self):
         return "Grid(%d x %d)" % (len(self.xs), len(self.ys))

@@ -27,8 +27,7 @@ import types
 from fractions import Fraction
 
 from . import grmat
-from .grmat import (GradedMatrix, Grid, as_degree, deg_leq, induced_grid,
-                    POS_INF)
+from .grmat import Grid, as_degree, deg_leq, induced_grid, POS_INF
 
 
 class BettiTable:
@@ -132,22 +131,6 @@ class Staircase:
 
     def __repr__(self):
         return "Staircase(gen=%s, rels=%s)" % (self.gen, self.rels)
-
-    def betti(self):
-        """Minimal resolution degrees: syzygies sit at the joins of
-        consecutive relations."""
-        b2 = [(b[0], a[1]) for a, b in zip(self.rels, self.rels[1:])]
-        return BettiTable([self.gen], self.rels, b2)
-
-    def area(self):
-        bt = self.betti()
-        degs = bt.all_degrees()
-        B = (max(d[0] for d in degs), max(d[1] for d in degs))
-        return integral_dim(bt, B)
-
-    def to_presentation(self, field):
-        cols = [[(0, field.one)] for _ in self.rels]
-        return GradedMatrix(field, [self.gen], list(self.rels), cols)
 
 
 def staircase_contains(S, beta):
@@ -300,8 +283,7 @@ def superlevel_staircases(M):
         return []
     alpha = next(iter(degs))
     G = induced_grid(M)
-    dims = {pt: grmat.pointwise_model(M, pt).dim for pt in G.points()}
-    return staircases_from_dims(G, dims, alpha)
+    return staircases_from_dims(G, hilbert_function(M, G), alpha)
 
 
 class HNFactor:

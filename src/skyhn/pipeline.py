@@ -517,22 +517,20 @@ class ExactStore:
     cache); its pieces are the summands that grmat.decompose finds in it,
     and each cell holds the _Intervals of the one-generator pieces live
     there and the trees of the fiber submodules of the others
-    (_cell_trees).  The grid, pieces and readers are those kept on the
-    _Block; the cells belong to the store."""
+    (_cell_trees).  The store is built from the module and the box: its
+    summands are the _Blocks of _prepared(M, box), whose grid, pieces and
+    readers it shares; the cells belong to the store."""
 
-    def __init__(self, box):
+    def __init__(self, M, box):
         self.box = box
         # (module, grid, _Cells of [SubdivTree or _Interval] or None), one
         # per summand
         self.summands = []
         self.pieces = []        # the decompose pieces of every summand
-
-    def _add_summand(self, block):
-        """Add a _Block of the clipped module."""
-        grid = block.grid
-        self.pieces += block.pieces
-        build = functools.partial(_cell_trees, block.readers, grid)
-        self.summands.append((block.module, grid, _Cells(grid, build)))
+        for b in _prepared(M, box):
+            build = functools.partial(_cell_trees, b.readers, b.grid)
+            self.summands.append((b.module, b.grid, _Cells(b.grid, build)))
+            self.pieces += b.pieces
 
     @property
     def work(self):
@@ -572,9 +570,7 @@ def exact_skyscraper(M, box=None, eager=True):
     of the one-generator pieces live there (all cells now when eager,
     else each cell at its first query)."""
     box = box or bounding_box(M)
-    store = ExactStore(box)
-    for block in _prepared(M, box):
-        store._add_summand(block)
+    store = ExactStore(M, box)
     if eager:
         for _, grid, cells in store.summands:
             for corner in grid.points():

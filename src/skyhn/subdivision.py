@@ -56,12 +56,6 @@ class SlopePoly:
         return Fraction(D * d1 * d2, c0 * d1 * d2 - cy * n1 * d2
                         - cx * n2 * d1 + D * n1 * n2)
 
-    def truncated(self, delta):
-        return self.c0 - self.cy * delta[0] - self.cx * delta[1]
-
-    def inverse_slope(self, delta):
-        return self.truncated(delta) + delta[0] * delta[1]
-
     def key(self):
         return (self.c0, self.cx, self.cy)
 

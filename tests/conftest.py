@@ -152,6 +152,15 @@ def deg_join(a, b):
     return (max(a[0], b[0]), max(a[1], b[1]))
 
 
+def grid_floor(grid, d):
+    """The largest point of grid <= d componentwise, or None where d lies
+    below the grid on some axis."""
+    ix, iy, _ = grid.index(d)
+    if ix < 0 or iy < 0:
+        return None
+    return (grid.xs[ix], grid.ys[iy])
+
+
 def fiber_trees(module, grid, corner):
     """subdivision.exact_hnf_cell on each connected block of <V_corner> of
     the module, over the cell of grid with that lower corner; [] on a zero

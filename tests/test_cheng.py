@@ -486,7 +486,7 @@ def test_hn_cheng_matches_brute_random(rng):
         F = F2 if trial % 2 else F3
         M = random_bounded_module(rng, F, rng.randrange(1, 4))
         pts = [p for p in grmat.induced_grid(M).points()
-               if p in G]
+               if G.index(p)[2]]
         beta = pts[rng.randrange(len(pts))]
         a = hn_cheng(M, G, beta, seed=trial)
         b = hn_core.hn_filtration_at(M, beta)
@@ -638,8 +638,8 @@ def test_hn_cheng_on_user_grids_is_exact_or_refuses():
             want = pipeline.hn_at(M, alpha, box=box)
             if not want.factors:
                 continue
-            cover = alpha in G and all(
-                d in G for d in Mc.row_degrees + Mc.col_degrees
+            cover = G.index(alpha)[2] and all(
+                G.index(d)[2] for d in Mc.row_degrees + Mc.col_degrees
                 if x0 <= d[0] <= x1 and y0 <= d[1] <= y1)
             seen["cover"] += cover
             try:

@@ -97,6 +97,27 @@ def test_store_csv_round_trip(tmp_path, cross):
     assert open(path).read() == open(path2).read()
 
 
+def test_parse_store_errors_carry_line_numbers(tmp_path):
+    """A malformed store row is a ParseError at its CSV line, as in
+    parse_presentation: a short or long row, a zero slope denominator, a
+    relation token without ':', a bad rational and relations that are no
+    antichain."""
+    head = ",".join(cli.STORE_FIELDS) + "\n0,0,0,1,2,0,0,0:1;1:0\n"
+    for row, msg in (("0,0,0,1", "expected 8 fields, got 4"),
+                     ("0,0,0,1,0,0,0,1:0", "bad store row"),
+                     ("0,0,0,1,2,0,0,2", "bad store row"),
+                     ("x,0,0,1,2,0,0,1:0", "bad store row"),
+                     ("0,0,0,1,2,0,0,1:1;2:2", "antichain"),
+                     ("0,0,0,1,2,0,0,1:0,9", "expected 8 fields, got 9")):
+        p = tmp_path / "bad.csv"
+        p.write_text(head + row + "\n")
+        with pytest.raises(ParseError, match=msg) as ei:
+            parse_store(str(p))
+        assert ei.value.lineno == 3, row
+    p.write_text(head)
+    assert parse_store(str(p)).keys() == [(Fr(0), Fr(0))]
+
+
 def test_cli_hn(cross_file, tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "hn", cross_file, "--at", "0,1"])
     assert rc == 0

@@ -9,7 +9,7 @@ import pytest
 from skyhn import field as fieldmod
 from skyhn import grmat, hn_core
 from skyhn.field import DenseMatrix, PrimeField
-from skyhn.grmat import NEG_INF, deg_leq, induced_grid
+from skyhn.grmat import deg_leq, induced_grid
 
 from conftest import (F2, F3, F5, deg_join, disguise, gm, hidden_corpus,
                       random_bounded_module, random_unigen_module)
@@ -54,9 +54,13 @@ def test_induced_grid_cross(cross):
 
 
 def test_grid_floor_ceil(cross):
+    """Grid.index: per axis the index of the largest coordinate <= the
+    point's (-1 below them all), and whether the point is a grid point."""
     G = induced_grid(cross)
-    assert G.floor((Fr(1, 2), Fr(17, 10))) == (Fr(0), Fr(1))
-    assert G.floor((Fr(-1), Fr(0)))[0] is NEG_INF
+    assert G.index((Fr(1, 2), Fr(17, 10))) == (0, 1, False)
+    assert G.index((Fr(3), Fr(2))) == (2, 2, True)
+    assert G.index((Fr(1), Fr(7, 2))) == (1, 3, False)
+    assert G.index((Fr(-1), Fr(0))) == (-1, 0, False)
 
 
 def test_grid_coordinates_match_fraction_sets():

@@ -15,8 +15,9 @@ from skyhn.invariants import (HNFactor, HNFactorList, SkyscraperStore,
 from skyhn.pipeline import ScanConfig, approx_skyscraper, exact_skyscraper
 
 from conftest import (F2, F3, count_fraction_comparisons, cross_module, gm,
-                      random_bounded_module, reference_minimal_points,
-                      reference_staircases_from_dims, rescaled)
+                      grid_floor, random_bounded_module,
+                      reference_minimal_points, reference_staircases_from_dims,
+                      rescaled)
 
 
 def vertical_block():
@@ -107,11 +108,6 @@ def test_staircase_antichain_validation():
         Staircase((0, 0), [(1, 1), (2, 2)])
 
 
-def test_staircase_area():
-    S = Staircase((Fr(0), Fr(0)), [(Fr(1), Fr(0)), (Fr(0), Fr(3))])
-    assert S.area() == 3
-
-
 def test_superlevel_staircases_at_base(cross):
     sub = grmat.fiber_submodule(cross, (Fr(0), Fr(1)))
     stairs = superlevel_staircases(sub)
@@ -185,7 +181,7 @@ def test_store_locate_key_grid_follows_inserts():
 
     def fresh(alpha):
         ks = store.keys()
-        key = Grid([k[0] for k in ks], [k[1] for k in ks]).floor(alpha)
+        key = grid_floor(Grid([k[0] for k in ks], [k[1] for k in ks]), alpha)
         return store.entries.get(key)
 
     store.insert(HNFactorList((Fr(0), Fr(0)), []))

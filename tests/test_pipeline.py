@@ -8,7 +8,7 @@ import pytest
 from skyhn import field as fieldmod
 from skyhn import (cheng, cli, grmat, hn_core, invariants, pipeline,
                    subdivision)
-from skyhn.grmat import NEG_INF, Grid
+from skyhn.grmat import Grid
 from skyhn.invariants import SkyscraperStore, merge_factors
 from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
                             clip_to_box, exact_skyscraper,
@@ -16,8 +16,8 @@ from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
                             hn_at, parallel_grid_scan)
 
 from conftest import (F2, F3, F5, deg_join, disguise, fiber_trees, gm,
-                      hidden_corpus, hidden_direct_sum, random_bounded_module,
-                      rescaled, stable_module)
+                      grid_floor, hidden_corpus, hidden_direct_sum,
+                      random_bounded_module, rescaled, stable_module)
 
 
 def test_scan_config_validation():
@@ -187,8 +187,8 @@ def _scan_reference(M, cfg):
             alpha = (x, y)
             lists = []
             for i, (module, grid, cells) in enumerate(summands):
-                corner = grid.floor(alpha)
-                if corner[0] == NEG_INF or corner[1] == NEG_INF:
+                corner = grid_floor(grid, alpha)
+                if corner is None:
                     continue
                 if pointer_y[i] != corner[1]:
                     cells.clear()
@@ -285,7 +285,8 @@ def test_cell_fibers_match_fiber_submodule():
                 continue
             on_x, on_y = alpha[0] in cells.grid.xs, alpha[1] in cells.grid.ys
             kinds.add((on_x, on_y))
-            assert sub.row_degrees == [cells.grid.floor(alpha)] * sub.nrows
+            assert sub.row_degrees == \
+                [grid_floor(cells.grid, alpha)] * sub.nrows
             assert hn_core.hn_filtration_of(sub, alpha) == \
                 hn_core.hn_filtration_at(piece, alpha), alpha
     # non-zero fibers at grid points, inside cells and on one line each
@@ -328,12 +329,12 @@ def test_interval_cells_match_every_engine():
                 continue
             assert len(got.factors) == 1 and type(got.factors[0].slope) is Fr
             assert got == hn_core.hn_filtration_of(sub, alpha), alpha
-            tree, = fiber_trees(piece, grid, grid.floor(alpha))
+            tree, = fiber_trees(piece, grid, grid_floor(grid, alpha))
             assert got == tree.factors_at(alpha), alpha
             assert got == cheng.hn_cheng(
                 piece, pipeline.regular_grid(piece, [alpha], box), alpha)
             n_reads += 1
-            n_inside += alpha not in grid
+            n_inside += not grid.index(alpha)[2]
             n_lattice += k >= len(probes)
     assert n_sweep > 50 and len(pieces) >= n_sweep + 10
     assert n_reads > 300 and n_inside > 200 and n_lattice > 1000
@@ -584,7 +585,7 @@ def test_sweep_builds_each_cell_fiber_once(monkeypatch):
             approx_skyscraper(M, ScanConfig(epsilon=eps))
             cells = [(id(N), c) for N, c in built]
             assert len(cells) == len(set(cells)), eps
-            assert all(c in grmat.induced_grid(N) for N, c in built)
+            assert all(grmat.induced_grid(N).index(c)[2] for N, c in built)
             n_built += len(built)
     assert n_built > 0
     assert bad_models == []
@@ -867,12 +868,15 @@ def test_cheng_engine_never_decomposes(monkeypatch):
 def test_second_box_replaces_the_memo():
     """The preparation is kept for the latest box alone: a call with
     another box replaces it, and every driver answers as on a fresh copy,
-    with each box, in any order.  The third box cuts into the support."""
+    with each box, in any order.  The third box cuts into the support.  A
+    lazy exact store built before the calls with the next box reads, after
+    them, as a fresh copy's store for its own box."""
     for i, M in enumerate(_memo_modules()):
         x0, y0, x1, y1 = bounding_box(M)
         gx, gy = (max(d[k] for d in M.row_degrees) for k in (0, 1))
         boxes = [(x0, y0, x1, y1), (x0 - 1, y0, x1 + Fr(1, 2), y1 + 2),
                  (x0, y0, gx + Fr(1, 2), gy + Fr(1, 2))]
+        lazy = None
         for box in boxes + boxes[:1] + boxes[2:]:
             cfg = ScanConfig(epsilon=Fr(1, 2), box=box)
             got = [approx_skyscraper(M, cfg), parallel_grid_scan(M, cfg),
@@ -889,6 +893,11 @@ def test_second_box_replaces_the_memo():
             assert got == want, (i, box)
             assert got[0].work == want[0].work
             assert got[1].work == want[1].work
+            if lazy is not None:
+                ex, old_box, keys = lazy
+                assert ex.snapshot(keys) == exact_skyscraper(
+                    _fresh(M), old_box).snapshot(keys), (i, old_box, box)
+            lazy = (exact_skyscraper(M, box, eager=False), box, got[0].keys())
 
 
 def test_reused_module_writes_the_csvs_of_fresh_copies(monkeypatch,

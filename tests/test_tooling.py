@@ -224,14 +224,18 @@ def test_graded_matrix_from_degrees_compares_no_fractions(monkeypatch):
     assert sum(len(c) for c in M.columns) == 25
 
 
-def _src_sources():
-    """{file name: source text} of every module of src/skyhn, by name."""
-    src = os.path.dirname(pipeline.__file__)
+def _sources(directory):
+    """{file name: source text} of every Python file of the directory."""
     sources = {}
-    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             sources[os.path.basename(path)] = fh.read()
     return sources
+
+
+def _src_sources():
+    """{file name: source text} of every module of src/skyhn, by name."""
+    return _sources(os.path.dirname(pipeline.__file__))
 
 
 def _unused_imports(source):
@@ -313,6 +317,60 @@ def test_no_dead_private_names_in_src():
         "b.py": "import a\na._g()\n"}) == [
             ("a.py", "_Y"), ("a.py", "_f"), ("a.py", "_C")]
     assert _dead_private_names(_src_sources()) == []
+
+
+def _dead_methods(sources, outside):
+    """(file, "Class.method") of every method (a def in a class body,
+    dunders left out) of sources, {file: text}, that no file of sources
+    reads as an attribute outside the method's own body, and that no file
+    of outside reads as an attribute or names in a string constant (the
+    layer tracer wraps methods by name)."""
+    defs, reads, named = [], [], set()
+    for fname, text in sources.items():
+        tree = ast.parse(text)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                defs += [(fname, cls.name, node.name, node.lineno,
+                          node.end_lineno) for node in cls.body
+                         if isinstance(node, ast.FunctionDef)
+                         and not node.name.startswith("__")]
+        reads += [(fname, node.attr, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)]
+    for text in outside.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and type(node.value) is str:
+                named.add(node.value)
+    return [(fname, cls + "." + name) for fname, cls, name, lo, hi in defs
+            if name not in named
+            and not any(n == name and (f != fname or not lo <= line <= hi)
+                        for f, n, line in reads)]
+
+
+def test_no_dead_methods_in_src():
+    """Every method of src/ is read as an attribute somewhere in src/
+    outside its own body, or by the benchmark (perfbench/), so no method
+    outlives its callers (the tests are no caller); a helper method goes
+    with the last method that called it."""
+    src = {"a.py": "class A:\n    def __len__(self):\n        return 0\n"
+                   "    def f(self, n):\n        return self.f(n - 1)\n"
+                   "    def g(self):\n        return self.h()\n"
+                   "    def h(self):\n        pass\n"
+                   "    def k(self):\n        pass\n"
+                   "    def m(self):\n        pass\n",
+           "b.py": "def k():\n    pass\n"}
+    bench = {"run.py": "import a\na.A().k()\nTARGETS = ['m', 'g h']\n"}
+    assert _dead_methods(src, bench) == [("a.py", "A.f"), ("a.py", "A.g")]
+    # without g, its helper h has no reader left
+    src["a.py"] = src["a.py"].replace("self.h()", "None")
+    assert _dead_methods(src, bench) == [("a.py", "A.f"), ("a.py", "A.g"),
+                                         ("a.py", "A.h")]
+    assert _dead_methods(src, {}) == [("a.py", "A.f"), ("a.py", "A.g"),
+                                      ("a.py", "A.h"), ("a.py", "A.k"),
+                                      ("a.py", "A.m")]
+    assert _dead_methods(_src_sources(), _sources(
+        os.path.dirname(layertrace.__file__))) == []
 
 
 _BITMASK_NAMES = {"_pack_f2", "_unpack_f2", "_insert_f2", "bit_count",
