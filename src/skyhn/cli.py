@@ -21,6 +21,7 @@ import argparse
 import csv
 import functools
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -417,11 +418,13 @@ def _cmd_landscape(args):
     M = _load(args)
     box = _box(args, M)
     ex = pipeline.exact_skyscraper(M, box=box, eager=False)
-    x0, y0, x1, y1 = box
-    R = args.resolution
-    pts = [(x0 + (x1 - x0) * Fraction(i, R - 1),
-            y0 + (y1 - y0) * Fraction(j, R - 1))
-           for i in range(R) for j in range(R)]
+    # R evenly spaced points per axis from the box's lower to its upper
+    # corner, x0 + (x1 - x0) * i/(R - 1), on ints over (R - 1)*D
+    D, (x0, y0, x1, y1) = grmat._over_lcm(box)
+    n = args.resolution - 1
+    pts = [(Fraction(n * x0 + (x1 - x0) * i, n * D),
+            Fraction(n * y0 + (y1 - y0) * j, n * D))
+           for i in range(n + 1) for j in range(n + 1)]
     rows = []
     for k in args.k:
         for theta in args.theta:
@@ -437,16 +440,29 @@ def _cmd_landscape(args):
 
 def _map_rank(M, a, b):
     """Rank of V(a -> b) from one fiber model, at b: the rank of the
-    images there of the generators <= a, which span V_a."""
-    pm = grmat.pointwise_model(M, b)
-    return fieldmod.reduce_columns(M.field, [
-        pm.reduce_vector([int(g == i) for g in pm.live_rows])
-        for i, d in enumerate(M.row_degrees) if grmat.deg_leq(d, a)],
-        pm.dim)[0]
+    images there of the generators <= a, which span V_a; both picked on
+    M's coordinate ranks."""
+    below, _ = grmat._leq_ranks(M, a)
+    return grmat.pointwise_model(M, b).image_rank(
+        [i for i, live in enumerate(below) if live])
+
+
+def _probe_pairs(box):
+    """check's 25 probe pairs a <= b, drawn from random.Random(0) four
+    draws i, j, k, l in 0..7 per pair: a = (x0 + (x1 - x0)*i/8, y0 + (y1 -
+    y0)*j/8) and b = (a_x + (x1 - a_x)*k/8, a_y + (y1 - a_y)*l/8), on ints
+    over the box's common denominator D, a over 8*D and b over 64*D."""
+    rng = random.Random(0)
+    D, (x0, y0, x1, y1) = grmat._over_lcm(box)
+    for _ in range(25):
+        i, j, k, l = (rng.randrange(0, 8) for _ in range(4))
+        ax, ay = 8 * x0 + (x1 - x0) * i, 8 * y0 + (y1 - y0) * j
+        yield ((Fraction(ax, 8 * D), Fraction(ay, 8 * D)),
+               (Fraction(8 * ax + (8 * x1 - ax) * k, 64 * D),
+                Fraction(8 * ay + (8 * y1 - ay) * l, 64 * D)))
 
 
 def _cmd_check(args):
-    import random
     M = _load(args)
     box = _box(args, M)
     cfg = pipeline.ScanConfig(epsilon=args.epsilon, box=box)
@@ -456,20 +472,18 @@ def _cmd_check(args):
     if approx != scan:
         failures.append("scan store differs from approx store")
     for alpha in approx.keys():
-        slopes = [f.slope for f in approx.entries[alpha].factors]
-        if any(a <= b for a, b in zip(slopes, slopes[1:])):
+        slopes = [f.slope.as_integer_ratio()
+                  for f in approx.entries[alpha].factors]
+        if any(an * bd <= bn * ad
+               for (an, ad), (bn, bd) in zip(slopes, slopes[1:])):
             failures.append("slopes do not strictly decrease at (%s, %s)"
                             % alpha)
-    ex = pipeline.exact_skyscraper(M, box=box, eager=False)
+    # the drivers' box object: the store finds their preparation on M by
+    # identity, with no Fraction comparison
+    ex = pipeline.exact_skyscraper(M, box=cfg.box, eager=False)
     # every probe point b lies strictly below the box's upper edges, where
     # no cap relation of clip_to_box is <= b: the ranks are those of M
-    rng = random.Random(0)
-    x0, y0, x1, y1 = box
-    for _ in range(25):
-        a = (x0 + (x1 - x0) * Fraction(rng.randrange(0, 8), 8),
-             y0 + (y1 - y0) * Fraction(rng.randrange(0, 8), 8))
-        b = (a[0] + (x1 - a[0]) * Fraction(rng.randrange(0, 8), 8),
-             a[1] + (y1 - a[1]) * Fraction(rng.randrange(0, 8), 8))
+    for a, b in _probe_pairs(box):
         if ex.query(Fraction(0), a, b) != _map_rank(M, a, b):
             failures.append("theta=0 query differs from rank at (%s, %s) -> "
                             "(%s, %s)" % (*a, *b))

@@ -211,6 +211,11 @@ def _over_lcm(frs):
     return den, [n * (den // d) for n, d in ratios]
 
 
+def _ratios(d):
+    """The integer ratios (xn, xd, yn, yd) of a degree's coordinates."""
+    return d[0].as_integer_ratio() + d[1].as_integer_ratio()
+
+
 def _sorted_distinct(frs):
     """The distinct values of a list of Fractions, sorted, without Fraction
     hashes or comparisons: duplicates are found by (numerator,
@@ -243,13 +248,26 @@ def _rank_degrees(degs):
 
 def _count_leq(coords, v):
     """How many of the sorted Fractions coords are <= the Fraction v: a
-    linear scan of short lists on cross-multiplied ints."""
-    n, d = v.numerator, v.denominator
+    linear scan of short lists on cross-multiplied ints, each Fraction's
+    integer ratio read once."""
+    n, d = v.as_integer_ratio()
     k = 0
-    while k < len(coords) and \
-            coords[k].numerator * d <= n * coords[k].denominator:
+    for c in coords:
+        cn, cd = c.as_integer_ratio()
+        if cn * d > n * cd:
+            break
         k += 1
     return k
+
+
+def _leq_ranks(M, d):
+    """Per generator and per relation of M, whether its degree is <= the
+    degree d: decided on the coordinate ranks, against how many of M's
+    coordinates are <= d's on each axis (_count_leq)."""
+    xs, ys, row_rk, col_rk = M._ranks
+    kx, ky = _count_leq(xs, d[0]), _count_leq(ys, d[1])
+    return ([x < kx and y < ky for x, y in row_rk],
+            [x < kx and y < ky for x, y in col_rk])
 
 
 def kernel(M):
@@ -425,7 +443,8 @@ def quotient_presentation(M_alpha, basis):
 class PointwiseModel:
     """The fiber V_gamma = (A[G]/Im M)_gamma with a chosen basis, built from
     the generators <= gamma (live_rows) and the relations <= gamma, whose
-    echelon it keeps.
+    echelon it keeps.  Both are picked on M's coordinate ranks (_leq_ranks),
+    with no Fraction comparison.
 
     basis_rows are the generator rows (global indices) whose classes form a
     basis; reduce_vector sends a vector over the live rows to coordinates in
@@ -433,14 +452,13 @@ class PointwiseModel:
     """
 
     def __init__(self, M, gamma):
-        gamma = as_degree(gamma)
-        self.live_rows = [i for i, d in enumerate(M.row_degrees)
-                          if deg_leq(d, gamma)]
+        rows, cols = _leq_ranks(M, as_degree(gamma))
+        self.live_rows = [i for i, live in enumerate(rows) if live]
         self._pos = {g: k for k, g in enumerate(self.live_rows)}
         n = len(self.live_rows)
         ech = _Echelon(M.field, n)
-        for j, d in enumerate(M.col_degrees):
-            if deg_leq(d, gamma):
+        for j, live in enumerate(cols):
+            if live:
                 col = [0] * n
                 for i, v in M.columns[j]:
                     col[self._pos[i]] = v
@@ -454,6 +472,18 @@ class PointwiseModel:
         """Reduce a vector over live_rows to coordinates in basis_rows."""
         v = self._ech.reduce(v)
         return [v[self._pos[g]] for g in self.basis_rows]
+
+    def image_rank(self, rows):
+        """The dimension of the span of the classes of the generators rows
+        (live here) in the fiber: how many of their unit vectors stay
+        independent as they go into a copy of the relations' echelon."""
+        ech, n = self._ech.copy(), len(self.live_rows)
+        rank = 0
+        for i in rows:
+            e = [0] * n
+            e[self._pos[i]] = 1
+            rank += bool(ech.insert(e))
+        return rank
 
 
 def pointwise_model(M, gamma):
@@ -475,20 +505,17 @@ def fiber_submodule(M, alpha):
     (submodule_presentation).  No fiber model is built when no generator
     lies below alpha."""
     alpha = as_degree(alpha)
-    xs, ys, row_rk, col_rk = M._ranks
-    # ranks of the largest coordinates <= alpha
-    ax = _count_leq(xs, alpha[0]) - 1
-    ay = _count_leq(ys, alpha[1]) - 1
-    below = [x <= ax and y <= ay for x, y in row_rk]
+    below, cols_below = _leq_ranks(M, alpha)
     if not any(below):
         return None
     if all(below):
         # the fiber is zero when the relations <= alpha have rank nrows
         ech = _Echelon(M.field, M.nrows)
-        for j, (x, y) in enumerate(col_rk):
-            if (x <= ax and y <= ay and ech.insert(M.dense_column(j))
+        for j, live in enumerate(cols_below):
+            if (live and ech.insert(M.dense_column(j))
                     and ech.rank == M.nrows):
                 return None
+        xs, ys, _, _ = M._ranks
         if not ech.rank and (xs[0], ys[0]) == alpha:
             return M        # generated at alpha, no relation there
         return minimize(join_degrees(M, alpha))

@@ -322,9 +322,21 @@ class HNFactorList:
     def canonical(self):
         return (self.alpha, tuple(sorted(f.key() for f in self.factors)))
 
+    def _ratio_form(self):
+        """canonical() with every Fraction as its integer ratio, the
+        factors in the order of their ratio keys: equal exactly when
+        canonical() is (a Fraction's ratio is normalized), and compared,
+        sorted and built on ints."""
+        pt = grmat._ratios
+        return (pt(self.alpha), sorted(
+            (f.slope.as_integer_ratio(),
+             sorted((pt(s.gen), [pt(r) for r in s.rels])
+                    for s in f.staircases))
+            for f in self.factors))
+
     def __eq__(self, other):
         return (isinstance(other, HNFactorList)
-                and self.canonical() == other.canonical())
+                and self._ratio_form() == other._ratio_form())
 
     def __iter__(self):
         return iter(self.factors)
@@ -461,8 +473,12 @@ def _lattice_ratio(k, en, ed):
 
 
 def theta_staircases(factors, theta):
-    """The staircases of the factors of slope >= theta, in factor order."""
-    return [s for f in factors if f.slope >= theta for s in f.staircases]
+    """The staircases of the factors of slope >= theta, in factor order;
+    each slope is compared with theta as cross-multiplied ints."""
+    tn, td = theta.as_integer_ratio()
+    return [s for f in factors
+            if f.slope.numerator * td >= tn * f.slope.denominator
+            for s in f.staircases]
 
 
 def count_containing(staircases, beta):

@@ -47,6 +47,16 @@ summand's subdivision trees once per cell.  ``_sweep`` is the one place
 that evicts cells: it tells every cache which lattice row it enters, and
 each drops the cells of its other grid rows.  ``store.work`` counts per
 connected block.
+
+Rank queries run on ints and build no factor list: ``ExactStore.query``
+sums, over the pieces live in beta's cells, each piece's count of the
+theta-staircases at beta that hold gamma, which is the count over the
+merged filtration, since merge_factors only joins equal slopes and keeps
+their summed indicator.  An ``_Interval`` counts on the integer ratios of
+beta, gamma and theta (``_Interval.count``, with the transport it shares
+with its factors_at), a subdivision tree from its read at beta.
+``filtered_landscape`` bisects over integer reaches, every point over one
+denominator per evaluation point.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ import math
 from fractions import Fraction
 
 from . import cheng, grmat, hn_core, invariants, subdivision
-from .grmat import GradedMatrix, Grid, as_degree, deg_leq
+from .grmat import GradedMatrix, Grid, as_degree
 from .invariants import (HNFactor, HNFactorList, SkyscraperStore, Staircase,
                          count_containing, merge_factors,
                          staircase_contains, theta_staircases)
@@ -81,7 +91,7 @@ class ScanConfig:
 
     def __init__(self, epsilon=1, engine="brute", seed=0, box=None):
         self.epsilon = Fraction(epsilon)
-        if self.epsilon <= 0:
+        if self.epsilon.numerator <= 0:
             raise ValueError("epsilon must be positive")
         _check_engine(engine)
         self.engine = engine
@@ -113,11 +123,15 @@ def clip_to_box(M, box):
     """Append cap relations killing every generator at the box's upper
     edges, making the cokernel bounded (supported inside the box).  The
     generators are checked on their coordinate ranks against the ranks
-    where the box's edges fall."""
-    x0, y0, x1, y1 = (Fraction(c) for c in box)
+    where the box's edges fall, found on ints over one denominator with
+    the coordinates."""
+    box = [Fraction(c) for c in box]
+    x1, y1 = box[2:]
     xs, ys, row_rk, _ = M._ranks
-    lx, hx = bisect.bisect_left(xs, x0), bisect.bisect_left(xs, x1)
-    ly, hy = bisect.bisect_left(ys, y0), bisect.bisect_left(ys, y1)
+    _, (X0, Y0, X1, Y1, *ints) = grmat._over_lcm([*box, *xs, *ys])
+    X, Y = ints[:len(xs)], ints[len(xs):]
+    lx, hx = bisect.bisect_left(X, X0), bisect.bisect_left(X, X1)
+    ly, hy = bisect.bisect_left(Y, Y0), bisect.bisect_left(Y, Y1)
     cols = [list(c) for c in M.columns]
     col_degs = list(M.col_degrees)
     one = M.field.one
@@ -253,27 +267,28 @@ class _Interval:
         return [(index(ry, L), lo, index(rx, L))
                 for rx, ry in reversed(self.rels)]
 
-    def factors_at(self, beta):
-        """The HN filtration at beta, empty off the support: one pass over
-        the relations on ints, beta's x over L*xd and its y over L*yd,
-        decides membership and transports the staircase to beta (as
-        invariants.staircase_at does) from beta's and the relations'
-        Fractions, and sums its area as rectangles; the slope is the one
-        Fraction built."""
+    def _transport(self, beta, b):
+        """The one pass on ints over the relations that both reads of the
+        interval share, at beta with integer ratios b = (xn, xd, yn, yd),
+        any positive denominators: None off the support; on it, (rels,
+        area), the relations of the staircase transported to beta (as
+        invariants.staircase_at transports it), made of beta's and the
+        relations' Fractions, and its area over L*xd * L*yd (L the den),
+        summed as rectangles.  beta's x goes over L*xd and its y over
+        L*yd."""
         bx, by = beta
-        xn, xd = bx.as_integer_ratio()
-        yn, yd = by.as_integer_ratio()
+        xn, xd, yn, yd = b
         L = self.den
         X, Y = xn * L, yn * L
         if self.gen[0] * xd > X or self.gen[1] * yd > Y:
-            return HNFactorList(beta, [])
+            return None
         out, pts = [], []
         last_xb = last_yb = False
         for (rx, ry), (RX, RY) in zip(self.stair.rels, self.rels):
             RX, RY = RX * xd, RY * yd
             xb, yb = RX <= X, RY <= Y
             if xb and yb:
-                return HNFactorList(beta, [])
+                return None
             if last_xb and xb:
                 out[-1], pts[-1] = (bx, ry), (X, RY)
             elif not (last_yb and yb):
@@ -281,10 +296,44 @@ class _Interval:
                 pts.append((X if xb else RX, Y if yb else RY))
             last_xb, last_yb = xb, yb
         # the first point has beta's x and the last beta's y (box caps)
-        area = sum((b[0] - a[0]) * (a[1] - Y) for a, b in zip(pts, pts[1:]))
-        S = Staircase(beta, out, check=False)
-        return HNFactorList(beta, [HNFactor([S], Fraction(L * L * xd * yd,
-                                                         area))])
+        return out, sum((q[0] - p[0]) * (p[1] - Y)
+                        for p, q in zip(pts, pts[1:]))
+
+    def factors_at(self, beta):
+        """The HN filtration at beta, empty off the support, from the
+        transport on ints (_transport); the slope is the one Fraction
+        built."""
+        b = beta[0].as_integer_ratio() + beta[1].as_integer_ratio()
+        at = self._transport(beta, b)
+        if at is None:
+            return HNFactorList(beta, [])
+        out, area = at
+        L = self.den
+        return HNFactorList(beta, [HNFactor(
+            [Staircase(beta, out, check=False)],
+            Fraction(L * L * b[1] * b[3], area))])
+
+    def count(self, beta, b, g, tn, td):
+        """The interval's term of s^theta(beta, gamma), theta = tn/td, for
+        beta <= gamma given by integer ratios b and g (any positive
+        denominators), beta on the support, as it is for every interval
+        of beta's cells (_cell_trees): its one staircase at beta holds
+        gamma exactly when no relation is <= gamma (the relations at beta
+        are their joins with beta, and beta <= gamma), and its slope
+        L*xd * L*yd / area is >= theta exactly when L*xd * L*yd * td >=
+        tn * area, always when theta <= 0."""
+        gxn, gxd, gyn, gyd = g
+        L = self.den
+        GX, GY = gxn * L, gyn * L
+        for RX, RY in self.rels:
+            if RX * gxd > GX:       # this and every later one right of gamma
+                break
+            if RY * gyd <= GY:
+                return 0
+        if tn <= 0:
+            return 1
+        _, area = self._transport(beta, b)
+        return int(L * L * b[1] * b[3] * td >= tn * area)
 
 
 def _cheng_read(module, seed, box, grid=None):
@@ -545,12 +594,36 @@ class ExactStore:
 
     def query(self, theta, beta, gamma):
         """s^theta(beta, gamma): staircase memberships of gamma among HN
-        factors at beta of slope >= theta."""
+        factors at beta of slope >= theta, summed over the pieces live in
+        beta's cells (_count), with no factor list built; beta <= gamma is
+        tested on their integer ratios.  The sum is the count over the
+        merged list that factors_at returns: counting the theta-staircases
+        that hold gamma sums the indicator functions of the factors of
+        slope >= theta at gamma, and merge_factors only joins factors of
+        one slope, whose summed indicator renormalize keeps."""
         beta, gamma = as_degree(beta), as_degree(gamma)
-        if not deg_leq(beta, gamma):
+        b, g = grmat._ratios(beta), grmat._ratios(gamma)
+        if b[0] * g[1] > g[0] * b[1] or b[2] * g[3] > g[2] * b[3]:
             raise ValueError("query requires beta <= gamma")
-        return count_containing(
-            theta_staircases(self.factors_at(beta).factors, theta), gamma)
+        return self._count(theta, beta, b, g, gamma)
+
+    def _count(self, theta, beta, b, g, gamma=None):
+        """query for beta <= gamma, with beta's integer ratios b and
+        gamma's g (any positive denominators): an _Interval counts on ints
+        (_Interval.count), a tree counts the staircases of its factors at
+        beta, for which gamma's Fractions are built when not given."""
+        tn, td = theta.as_integer_ratio()
+        n = 0
+        for _, _, cells in self.summands:
+            for t in cells.at(beta) or ():
+                if type(t) is _Interval:
+                    n += t.count(beta, b, g, tn, td)
+                    continue
+                if gamma is None:
+                    gamma = (Fraction(g[0], g[1]), Fraction(g[2], g[3]))
+                n += count_containing(theta_staircases(
+                    t.factors_at(beta).factors, theta), gamma)
+        return n
 
     def snapshot(self, keys, epsilon=None):
         """SkyscraperStore of the exact filtrations at the given keys."""
@@ -600,53 +673,66 @@ def filtered_landscape(store, k, theta, eval_points, resolution=8,
     """lambda_k^theta at each evaluation point: the largest diagonal reach h
     with s^theta(alpha - h*1, alpha + h*1) >= k (anchor 'center'), or
     s^theta(alpha, alpha + h*1) >= k (anchor 'source'), found by bisection
-    to resolution hmax / 2^resolution; k is an integer >= 1."""
+    to resolution hmax / 2^resolution; k is an integer >= 1.
+
+    The bisection runs on ints: the reaches are h = m*step, step =
+    hmax / 2^resolution, and per evaluation point, alpha and step go over
+    one denominator E (grmat._over_lcm), so every point a level reads is
+    a pair of int numerators over E.  An exact store counts on them
+    (ExactStore._count), and only a moving beta (anchor 'center') becomes
+    Fractions, for the lookup of its cells; a SkyscraperStore gets the
+    Fraction points of its query."""
     if k < 1:
         raise ValueError("k must be at least 1, got %r" % (k,))
     if anchor not in ("center", "source"):
         raise ValueError("anchor must be 'center' or 'source', got %r"
                          % (anchor,))
-    if isinstance(store, ExactStore):
-        q = store.query
-        x0, y0, x1, y1 = store.box
-        hmax = max(x1 - x0, y1 - y0)
+    # the reaches h = m * step, 0 <= m <= 2**resolution, hmax = H/D
+    exact = isinstance(store, ExactStore)
+    if exact:
+        D, (x0, y0, x1, y1) = grmat._over_lcm(store.box)
+        H = max(x1 - x0, y1 - y0)
     else:
-        q = functools.partial(invariants.skyscraper_query, store)
         ks = store.keys()
-        if not ks:
-            hmax = Fraction(1)
-        else:
-            hmax = max(max(b[0] for b in ks) - min(b[0] for b in ks),
-                       max(b[1] for b in ks) - min(b[1] for b in ks))
-            hmax += store.epsilon or Fraction(1)
-    if hmax <= 0:
-        hmax = Fraction(1)
-
-    def level(alpha, h):
-        if anchor == "center":
-            lo = (alpha[0] - h, alpha[1] - h)
-        else:
-            lo = alpha
-        hi = (alpha[0] + h, alpha[1] + h)
-        return q(theta, lo, hi)
+        D, ints = grmat._over_lcm(
+            [c for b in ks for c in b] + [store.epsilon or 1])
+        H = (max(max(ints[0:-1:2]) - min(ints[0:-1:2]),
+                 max(ints[1:-1:2]) - min(ints[1:-1:2])) + ints[-1]
+             if ks else 0)
+    if H <= 0:
+        H, D = 1, 1
+    step = Fraction(H, D << resolution)
 
     out = {}
     for alpha in eval_points:
         alpha = as_degree(alpha)
-        if level(alpha, Fraction(0)) < k:
-            out[alpha] = Fraction(0)
-            continue
-        lo, hi = Fraction(0), Fraction(hmax)
-        if level(alpha, hi) >= k:
-            out[alpha] = hi
-            continue
-        for _ in range(resolution):
-            mid = (lo + hi) / 2
-            if level(alpha, mid) >= k:
+        E, (AX, AY, S) = grmat._over_lcm([*alpha, step])
+
+        def level(m):
+            """s^theta(alpha - h*1, alpha + h*1) (center) or s^theta(alpha,
+            alpha + h*1) (source) at h = m*step, every point over E."""
+            b = ((AX, E, AY, E) if anchor == "source"
+                 else (AX - m * S, E, AY - m * S, E))
+            g = (AX + m * S, E, AY + m * S, E)
+            beta = (alpha if anchor == "source"
+                    else (Fraction(b[0], E), Fraction(b[2], E)))
+            if exact:
+                return store._count(theta, beta, b, g)
+            return invariants.skyscraper_query(
+                store, theta, beta, (Fraction(g[0], E), Fraction(g[2], E)))
+
+        lo, hi = 0, 1 << resolution
+        if level(0) < k:
+            lo = hi = 0
+        elif level(hi) >= k:
+            lo = hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if level(mid) >= k:
                 lo = mid
             else:
                 hi = mid
-        out[alpha] = lo
+        out[alpha] = Fraction(lo * S, E)
     return out
 
 

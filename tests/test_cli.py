@@ -219,6 +219,42 @@ def test_check_rank_reads_one_fiber_model(monkeypatch, q):
     assert {0, 1, 2} <= ranks
 
 
+def _probe_pairs_reference(box):
+    """skyhn check's probe pairs as they were computed, by Fraction
+    arithmetic on the box's corners."""
+    rng = random.Random(0)
+    x0, y0, x1, y1 = box
+    out = []
+    for _ in range(25):
+        a = (x0 + (x1 - x0) * Fr(rng.randrange(0, 8), 8),
+             y0 + (y1 - y0) * Fr(rng.randrange(0, 8), 8))
+        b = (a[0] + (x1 - a[0]) * Fr(rng.randrange(0, 8), 8),
+             a[1] + (y1 - a[1]) * Fr(rng.randrange(0, 8), 8))
+        out.append((a, b))
+    return out
+
+
+def test_check_probe_pairs_match_the_fraction_formula():
+    """skyhn check's probe pairs, built on ints over the box's common
+    denominator (cli._probe_pairs), are the pairs of the Fraction formula,
+    in the same draw order of random.Random(0), on 200 random boxes with
+    mixed denominators, negative corners and an empty side now and then;
+    so are the failure messages, which print them with str."""
+    rng = random.Random(31)
+    dens = (1, 2, 3, 4, 5, 6, 7, 9, 12, 35)
+    for _ in range(200):
+        x0 = Fr(rng.randrange(-40, 40), rng.choice(dens))
+        y0 = Fr(rng.randrange(-40, 40), rng.choice(dens))
+        box = (x0, y0, x0 + Fr(rng.randrange(0, 30), rng.choice(dens)),
+               y0 + Fr(rng.randrange(0, 30), rng.choice(dens)))
+        got = list(cli._probe_pairs(box))
+        want = _probe_pairs_reference(box)
+        assert got == want, box
+        assert [str(c) for a, b in got for c in a + b] == \
+            [str(c) for a, b in want for c in a + b]
+        assert all(type(c) is Fr for a, b in got for c in a + b)
+
+
 # I + I, I one generator at (0,0) killed at (1,0) and (0,1) over GF(2), and
 # the same module with a third generator cancelled by a relation at (0,0),
 # which makes the presentation one connected block

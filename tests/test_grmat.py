@@ -12,7 +12,7 @@ from skyhn.field import DenseMatrix, PrimeField
 from skyhn.grmat import deg_leq, induced_grid
 
 from conftest import (F2, F3, F5, deg_join, disguise, gm, hidden_corpus,
-                      random_bounded_module, random_unigen_module)
+                      random_bounded_module, random_unigen_module, rescaled)
 
 
 def test_degree_lattice():
@@ -835,3 +835,75 @@ def test_fiber_submodule_join_path_matches_kernel_path(monkeypatch):
                 assert grmat.fiber_submodule(M, alpha) == \
                     _fiber_submodule_by_kernel(M, alpha)
     assert partial >= 20
+
+
+class _FractionModel:
+    """grmat.PointwiseModel as it was: the generators and relations <= gamma
+    picked with Fraction deg_leq."""
+
+    def __init__(self, M, gamma):
+        gamma = grmat.as_degree(gamma)
+        self.live_rows = [i for i, d in enumerate(M.row_degrees)
+                          if deg_leq(d, gamma)]
+        self._pos = {g: k for k, g in enumerate(self.live_rows)}
+        n = len(self.live_rows)
+        ech = fieldmod._Echelon(M.field, n)
+        for j, d in enumerate(M.col_degrees):
+            if deg_leq(d, gamma):
+                col = [0] * n
+                for i, v in M.columns[j]:
+                    col[self._pos[i]] = v
+                ech.insert(col)
+        self._ech = ech
+        self.basis_rows = [g for g in self.live_rows
+                           if self._pos[g] not in ech.pivots]
+        self.dim = n - ech.rank
+
+    def reduce_vector(self, v):
+        v = self._ech.reduce(v)
+        return [v[self._pos[g]] for g in self.basis_rows]
+
+
+def test_pointwise_model_on_ranks_matches_fraction_selection():
+    """PointwiseModel picks the generators and relations <= gamma on M's
+    coordinate ranks: its live_rows, basis_rows, dim and reduce_vector on
+    random vectors equal those of a model that picks them with Fraction
+    deg_leq, and image_rank of random live generators is the rank of
+    their reduced unit vectors there, at gamma on, between, below and
+    beyond M's grid coordinates,
+    on random bounded modules with integer degrees and their rescaled
+    copies (negative degrees over halves and thirds), at gammas over
+    thirds, halves and sevenths."""
+    def around(cs):
+        """The coordinates, their midpoints, and points below and beyond
+        them all."""
+        mids = [(a + b) / 2 for a, b in zip(cs, cs[1:])]
+        return cs + mids + [cs[0] - 1, cs[-1] + 1, cs[0] - Fr(1, 3),
+                            cs[-1] + Fr(2, 7)]
+    rng = random.Random(17)
+    cases = 0
+    for i in range(24):
+        F = (F2, F3, F5)[i % 3]
+        M = random_bounded_module(rng, F, rng.randrange(1, 5), dmax=4)
+        for N in (M, rescaled(M)):
+            xs, ys, _, _ = N._ranks
+            gx = around(xs) + [Fr(rng.randrange(-9, 15), 3)
+                               for _ in range(3)]
+            gy = around(ys) + [Fr(rng.randrange(-9, 15), 2)
+                               for _ in range(3)]
+            for gamma in [(x, y) for x in gx for y in gy]:
+                got, want = grmat.pointwise_model(N, gamma), \
+                    _FractionModel(N, gamma)
+                assert got.live_rows == want.live_rows, gamma
+                assert got.basis_rows == want.basis_rows, gamma
+                assert got.dim == want.dim, gamma
+                for _ in range(2):
+                    v = [rng.randrange(F.q) for _ in got.live_rows]
+                    assert got.reduce_vector(v) == want.reduce_vector(v)
+                    rows = [g for g in got.live_rows if rng.random() < 0.6]
+                    assert got.image_rank(rows) == fieldmod.reduce_columns(
+                        F, [want.reduce_vector([int(g == i)
+                                                for g in want.live_rows])
+                            for i in rows], want.dim)[0]
+                cases += 1
+    assert cases > 1000

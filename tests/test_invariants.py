@@ -311,6 +311,74 @@ def test_factor_list_equality_is_canonical():
     assert a == b
 
 
+def test_factor_list_equality_agrees_with_canonical():
+    """HNFactorList equality, compared on integer ratios, holds exactly
+    when canonical() equality does: on random factor lists against copies
+    made of fresh Fractions, with the factors of one slope and the
+    staircases of a factor reordered, and against lists changed in one
+    coordinate of a late relation, of a generator or of alpha, in the
+    denominator of one slope, or by one more staircase."""
+    rng = random.Random(29)
+
+    def fr():
+        return Fr(rng.randrange(0, 12), rng.choice((1, 2, 3)))
+
+    def stair(alpha):
+        xs = sorted({fr() for _ in range(4)} - {Fr(0)})
+        ys = sorted({fr() for _ in range(len(xs))} - {Fr(0)},
+                    reverse=True)[:len(xs)]
+        return Staircase(alpha, [(alpha[0] + x, alpha[1] + y)
+                                 for x, y in zip(xs, ys)])
+
+    def copy(fl, **change):
+        """fl rebuilt from fresh Fractions, equal-slope factors and each
+        factor's staircases shuffled, with one change."""
+        def new(c):
+            return Fr(c.numerator, c.denominator)
+        alpha = tuple(map(new, fl.alpha))
+        if change.get("alpha"):
+            alpha = (alpha[0], alpha[1] + Fr(1, 7))
+        factors = []
+        for k, f in enumerate(fl.factors):
+            stairs = [Staircase(tuple(map(new, S.gen)),
+                                [tuple(map(new, r)) for r in S.rels])
+                      for S in f.staircases]
+            if k == 0 and change.get("rel"):
+                S = stairs[0]
+                last = S.rels[-1]
+                stairs[0] = Staircase(S.gen, S.rels[:-1] + [
+                    (last[0] + Fr(1, 5), last[1])])
+            if k == 0 and change.get("gen"):
+                S = stairs[0]
+                stairs[0] = Staircase((S.gen[0], S.gen[1] - Fr(1, 9)),
+                                      S.rels)
+            if k == 0 and change.get("extra"):
+                stairs.append(stairs[0])
+            rng.shuffle(stairs)
+            slope = new(f.slope)
+            if k == 0 and change.get("slope"):   # the numerator kept
+                slope = Fr(slope.numerator, slope.denominator + 1)
+            factors.append(HNFactor(stairs, slope))
+        rng.shuffle(factors)
+        return HNFactorList(alpha, factors)
+
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        alpha = (fr(), fr())
+        fl = HNFactorList(alpha, [
+            HNFactor([stair(alpha) for _ in range(rng.randrange(1, 4))],
+                     Fr(rng.randrange(1, 4), rng.randrange(1, 5)))
+            for _ in range(rng.randrange(1, 4))])
+        for change in ({}, {"alpha": 1}, {"rel": 1}, {"gen": 1},
+                       {"slope": 1}, {"extra": 1}):
+            other = copy(fl, **change)
+            want = fl.canonical() == other.canonical()
+            assert (fl == other) is want
+            assert (other == fl) is want
+            seen[want] += 1
+    assert min(seen.values()) >= 200, seen
+
+
 def test_erosion_distance_identical_stores():
     store = _cross_store()
     G = Grid([Fr(0)], [Fr(1)])

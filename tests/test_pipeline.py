@@ -15,9 +15,10 @@ from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
                             factor_interval_check, filtered_landscape,
                             hn_at, parallel_grid_scan)
 
-from conftest import (F2, F3, F5, deg_join, disguise, fiber_trees, gm,
-                      grid_floor, hidden_corpus, hidden_direct_sum,
-                      random_bounded_module, rescaled, stable_module)
+from conftest import (F2, F3, F5, cross_module, deg_join, disguise,
+                      fiber_trees, gm, grid_floor, hidden_corpus,
+                      hidden_direct_sum, random_bounded_module, rescaled,
+                      stable_module)
 
 
 def test_scan_config_validation():
@@ -965,3 +966,161 @@ def test_presentations_are_minimal_by_construction():
                             seen["quotients"] += 1
     assert seen["pieces"] > 100 and seen["fibers"] > 150 and \
         seen["quotients"] > 100
+
+
+def _query_reference(fl, theta, gamma):
+    """ExactStore.query as it was, on Fractions: among the factors of the
+    merged list fl at beta of slope >= theta, the staircases that hold
+    gamma (gen <= gamma and no relation <= gamma, relations closed)."""
+    return sum(1 for f in fl.factors if f.slope >= theta
+               for S in f.staircases
+               if grmat.deg_leq(S.gen, gamma)
+               and not any(grmat.deg_leq(r, gamma) for r in S.rels))
+
+
+def _query_modules(tmp_path):
+    """The cross fixture, I + I of test_cli (two interval pieces whose
+    equal slopes merge), three hidden direct sums with a decompose piece
+    of two or more generators (two of hidden_corpus, and the stable
+    module plus the cross in disguise), and five modules of the
+    acceptance-5 corpus."""
+    from test_cli import I_PLUS_I
+    path = tmp_path / "i_plus_i.skypres"
+    path.write_text(I_PLUS_I)
+    thick = [M for _, _, M in hidden_corpus(n=14, seed=4243)
+             if any(p.nrows > 1 for p in exact_skyscraper(
+                 _fresh(M), eager=False).pieces)]
+    thick.append(disguise(random.Random(3), grmat.direct_sum(
+        stable_module(), cross_module())))
+    rng = random.Random(5)
+    return [cross_module(), cli.parse_presentation(str(path))] + thick + [
+        random_bounded_module(rng, F2 if i % 2 else F3, rng.randrange(1, 3),
+                              dmax=3) for i in range(5)]
+
+
+def test_query_sums_per_piece_counts(tmp_path):
+    """ExactStore.query, summed per piece of beta's cells with no factor
+    list built, equals the count over the merged factor list at beta
+    (_query_reference), on lazy and eager stores.  theta: -1, 0, every
+    slope at beta exactly (the >= boundary), the midpoints between them
+    and above the largest; beta on and between the summands' grid lines,
+    below the grid, on the box's upper edges and outside the box; gamma
+    >= beta on the relation corners of the clipped module (relations
+    are closed), on the box's upper edges and off the grid."""
+    rng = random.Random(23)
+    seen = collections.Counter()
+    for M in _query_modules(tmp_path):
+        x0, y0, x1, y1 = bounding_box(M)
+        stores = [exact_skyscraper(_fresh(M)),
+                  exact_skyscraper(_fresh(M), eager=False)]
+        corners = {d for module, _, _ in stores[0].summands
+                   for d in module.col_degrees}
+        seen["tree"] += any(p.nrows > 1 for p in stores[0].pieces)
+
+        def around(cs, lo, hi):
+            mids = [(a + b) / 2 for a, b in zip(cs, cs[1:])]
+            return sorted(set(cs + mids + [lo - 1, hi, hi + Fr(1, 3)]))
+        bxs = around(sorted({x for _, g, _ in stores[0].summands
+                             for x in g.xs}), x0, x1)
+        bys = around(sorted({y for _, g, _ in stores[0].summands
+                             for y in g.ys}), y0, y1)
+        betas = [(x, y) for x in bxs for y in bys]
+        betas = rng.sample(betas, min(len(betas), 60))
+        for beta in betas:
+            fl = stores[0].factors_at(beta)
+            slopes = sorted({f.slope for f in fl.factors})
+            thetas = [Fr(-1), Fr(0)] + slopes + [
+                (a + b) / 2 for a, b in zip(slopes, slopes[1:])] + [
+                slopes[-1] + Fr(1, 7) if slopes else Fr(1)]
+            gammas = {(x1, beta[1]), (beta[0], y1), (x1, y1), beta,
+                      (beta[0] + Fr(1, 2), beta[1] + Fr(1, 3))}
+            gammas |= set(corners)
+            gammas = [g for g in gammas if grmat.deg_leq(beta, g)]
+            for theta in thetas:
+                for gamma in gammas:
+                    want = _query_reference(fl, theta, gamma)
+                    for ex in stores:
+                        assert ex.query(theta, beta, gamma) == want, \
+                            (M, theta, beta, gamma)
+                    seen["positive"] += want > 0
+                    seen["on a slope"] += want > 0 and theta in slopes
+                    seen["on a corner"] += want == 0 and gamma in corners \
+                        and bool(fl.factors)
+    assert seen.pop("tree") >= 3
+    assert min(seen.values()) > 100, seen
+
+
+def _landscape_reference(store, k, theta, pts, resolution, anchor):
+    """filtered_landscape as it was: bisection on Fraction reaches h, from
+    0 to hmax (the box's wider side on an exact store; on a
+    SkyscraperStore the keys' wider span plus epsilon, or 1), with the
+    store's Fraction query at (alpha - h*1 or alpha, alpha + h*1)."""
+    if isinstance(store, pipeline.ExactStore):
+        q = store.query
+        x0, y0, x1, y1 = store.box
+        hmax = max(x1 - x0, y1 - y0)
+    else:
+        q = functools.partial(invariants.skyscraper_query, store)
+        ks = store.keys()
+        hmax = Fr(1)
+        if ks:
+            hmax = max(max(b[0] for b in ks) - min(b[0] for b in ks),
+                       max(b[1] for b in ks) - min(b[1] for b in ks))
+            hmax += store.epsilon or Fr(1)
+    if hmax <= 0:
+        hmax = Fr(1)
+
+    def level(alpha, h):
+        lo = (alpha[0] - h, alpha[1] - h) if anchor == "center" else alpha
+        return q(theta, lo, (alpha[0] + h, alpha[1] + h))
+    out = {}
+    for alpha in pts:
+        if level(alpha, Fr(0)) < k:
+            out[alpha] = Fr(0)
+            continue
+        lo, hi = Fr(0), hmax
+        if level(alpha, hi) >= k:
+            out[alpha] = hi
+            continue
+        for _ in range(resolution):
+            mid = (lo + hi) / 2
+            if level(alpha, mid) >= k:
+                lo = mid
+            else:
+                hi = mid
+        out[alpha] = lo
+    return out
+
+
+def test_landscape_bisects_as_on_fractions(tmp_path):
+    """filtered_landscape, bisecting on ints over one denominator per
+    evaluation point, equals the Fraction bisection it replaces
+    (_landscape_reference), value for value, on exact stores,
+    approximations and a store without epsilon, at both anchors, at
+    theta -1, 0 and 2/5 and k 1 and 2: on the query modules and rescaled
+    copies (negative degrees over halves and thirds), at evaluation points
+    on, between and outside the grid."""
+    modules = _query_modules(tmp_path)[:6]
+    modules += [rescaled(M) for M in modules[:3]]
+    hit = collections.Counter()
+    for M in modules:
+        x0, y0, x1, y1 = bounding_box(M)
+        pts = [(x0 + (x1 - x0) * Fr(i, 5), y0 + (y1 - y0) * Fr(j, 7))
+               for i in range(-1, 7) for j in (-1, 0, 2, 3, 5, 7)]
+        ex = exact_skyscraper(M, eager=False)
+        sa = approx_skyscraper(M, ScanConfig(epsilon=Fr(1, 2)))
+        snap = ex.snapshot(sa.keys())
+        for store in (ex, sa, snap, SkyscraperStore(Fr(1, 3))):
+            for anchor in ("center", "source"):
+                for theta in (Fr(-1), Fr(0), Fr(2, 5)):
+                    for k in (1, 2):
+                        got = filtered_landscape(store, k, theta, pts, 5,
+                                                 anchor)
+                        want = _landscape_reference(store, k, theta, pts,
+                                                    5, anchor)
+                        assert list(got.items()) == list(want.items())
+                        assert all(type(v) is Fr for v in got.values())
+                        hit["inner"] += sum(0 < v < max(want.values())
+                                            for v in want.values())
+                        hit["zero"] += sum(v == 0 for v in want.values())
+    assert min(hit.values()) > 100, hit

@@ -9,7 +9,7 @@ import random
 import sys
 from fractions import Fraction as Fr
 
-from skyhn import grmat, hn_core, invariants, pipeline, subdivision
+from skyhn import cli, grmat, hn_core, invariants, pipeline, subdivision
 
 from conftest import (F2, F3, count_fraction_comparisons,
                       count_fraction_hashes, hidden_direct_sum,
@@ -208,6 +208,51 @@ def test_lattice_sweeps_compare_no_fractions(cross, monkeypatch):
     assert all(len(s) > 0 for s in stores)
     assert sum(sum(s.work) for s in stores[::2]) > 0
     assert all(hi <= eps for eps, (_, hi) in erosions)
+
+
+def test_rank_queries_compare_no_fractions(cross, stable, monkeypatch,
+                                           tmp_path, capsys):
+    """skyhn check and skyhn landscape answer their rank queries on ints:
+    on the cross fixture, the stable module (a piece of two generators,
+    read from subdivision trees) and random bounded modules, outside
+    parsing, the approx and scan drivers, cell builds, SubdivTree reads
+    and file output, they make no Fraction rich comparison.  That covers
+    check's probe pairs, its store comparison and slope test, the exact
+    store's preparation and queries, the fiber model of each rank, and
+    filtered_landscape's bisection at both anchors and a positive
+    theta."""
+    from test_cli import _skypres
+    rng = random.Random(7)
+    modules = [cross, stable] + [
+        random_bounded_module(rng, F2 if i % 2 else F3, 1 + i % 3, dmax=3)
+        for i in range(6)]
+    paths = []
+    for i, M in enumerate(modules):
+        paths.append(tmp_path / ("m%d.skypres" % i))
+        paths[-1].write_text(_skypres(M))
+    counts, pause = count_fraction_comparisons(monkeypatch)
+    pause(cli, "parse_presentation")
+    pause(pipeline, "approx_skyscraper")
+    pause(pipeline, "parallel_grid_scan")
+    pause(pipeline, "_cell_trees")
+    pause(subdivision.SubdivTree, "factors_at")
+    pause(cli, "emit_store")
+    pause(cli, "emit_landscape")
+    reads = {"n": 0}
+    tree_read = subdivision.SubdivTree.factors_at
+    monkeypatch.setattr(subdivision.SubdivTree, "factors_at",
+                        lambda t, b: reads.update(n=reads["n"] + 1)
+                        or tree_read(t, b))
+    out = str(tmp_path / "out")
+    for p in map(str, paths):
+        for argv in (["check", p], ["landscape", p, "--resolution", "4"],
+                     ["landscape", p, "--anchor", "source", "--theta",
+                      "0,1/3", "--k", "1,2", "--resolution", "3"]):
+            assert cli.main(["--out", out] + argv) == 0
+    assert counts["n"] == 0
+    monkeypatch.undo()
+    assert reads["n"] > 0
+    assert "check ok" in capsys.readouterr().out
 
 
 def test_graded_matrix_from_degrees_compares_no_fractions(monkeypatch):
