@@ -44,11 +44,15 @@ onto U* stay packed; only U is unpacked, at the end of the draw.  The
 random coefficients X_k stay lists, as the draw reads them entry by entry
 to weight the blocks.
 
-Three module constants fix the search schedule of ``hn_cheng``:
-``_FAREY_BUDGET`` Farey probes (p, q) with p*q <= ``_FAREY_CAP`` are tried
-before the exact (p0, q0) blow-up, each with up to ``_MAX_RETRIES`` draws,
-and every draw's extension degree is its default plus what the retry
-schedule adds.
+The search schedule of ``hn_cheng`` spends no draw that cannot certify
+a split.  A node of reduced ratio 1/rq goes straight to the exact (1, rq)
+blow-up: every cheaper p = 1 probe lies above its slope.  Any other node
+first probes the two p = 1 ratios that bracket its own, then the Farey
+probes (p, q) with p >= 2 among the first ``_FAREY_BUDGET`` of the mediant
+descent with p*q <= ``_FAREY_CAP``, then the exact (p0, q0) blow-up
+(_probe_order).  Each probe gets up to ``_MAX_RETRIES`` draws, and every
+draw starts over an extension of at least ``_MIN_FIELD`` elements, to
+which the retry schedule adds degrees.
 """
 
 from __future__ import annotations
@@ -263,15 +267,16 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
     """One randomized attempt at the minimal shrunk subspace of `space`.
 
     Blows the space up by (p, q) (q defaults to p), extends the field by
-    degree g = max(1, ceil(log^2_|k| p)) + g_extra, draws random coefficient
-    matrices over the extension, embeds them as g x g blocks, partially
-    column-reduces, and runs the Wong sequence.  When the limit lies in
-    Im A the preimage is the certified minimal shrunk subspace of the
-    blow-up, of the form k^{gq} tensor U*; the projection U* is returned
-    as a basis, a list of vectors of length ncols (the unit vectors when
-    the space or its matrices are trivial).  Returns None when the
-    certificate fails (caller retries with a fresh seed or a larger
-    blow-up).
+    degree g = max(1, ceil(log^2_|k| p)), raised until |k|^g >= _MIN_FIELD
+    (over GF(2) and GF(3) at g = 1 most draws fail their certificate), plus
+    g_extra; draws random coefficient matrices over the extension, embeds
+    them as g x g blocks, partially column-reduces, and runs the Wong
+    sequence.  When the limit lies in Im A the preimage is the certified
+    minimal shrunk subspace of the blow-up, of the form k^{gq} tensor U*;
+    the projection U* is returned as a basis, a list of vectors of length
+    ncols (the unit vectors when the space or its matrices are trivial).
+    Returns None when the certificate fails (caller retries with a fresh
+    seed or a larger blow-up).
     """
     if q is None:
         q = p
@@ -280,10 +285,9 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
     if space.ell == 0 or space.nrows == 0:
         # every vector shrinks to nothing: the whole space is minimal
         return [[int(i == j) for i in range(Np)] for j in range(Np)]
-    if p <= 1:
-        g = 1
-    else:
-        g = max(1, math.ceil(math.log(p, F.q) ** 2))
+    g = 1 if p <= 1 else max(1, math.ceil(math.log(p, F.q) ** 2))
+    while F.q ** g < _MIN_FIELD:
+        g += 1
     g += g_extra
     rng = random.Random(seed)
     ext = ext_field_build(F.q, g) if g > 1 else None
@@ -396,6 +400,7 @@ def build_A_alpha(M, G, alpha):
 _MAX_RETRIES = 8      # draws per blow-up before ShrunkFailure
 _FAREY_BUDGET = 6     # Farey probes tried before the exact (p0, q0) one
 _FAREY_CAP = 36       # largest p*q of a Farey probe
+_MIN_FIELD = 4        # least field size a draw starts over
 
 
 def _farey_probes(rp, rq, budget, cap):
@@ -413,6 +418,24 @@ def _farey_probes(rp, rq, budget, cap):
             lo = m
         out.append(m)
     return out
+
+
+def _probe_order(rp, rq, budget, cap):
+    """The probes tried before the exact (rp, rq) one, for rp/rq reduced.
+
+    No probe at rp = 1: every Farey probe (1, k), k < rq, lies above the
+    node's slope, and the exact probe, itself a p = 1 draw, finds any
+    split they find.  Otherwise the two p = 1 ratios that bracket rq/rp,
+    (1, ceil) then (1, floor) when floor >= 1, and after them the p >= 2
+    probes of _farey_probes.  A probe above the node's slope never returns
+    the whole fiber and one below never returns 0, and the probe threshold
+    falls as k grows, so when both bracket answers are trivial every other
+    p = 1 answer is too."""
+    if rp == 1:
+        return []
+    lo, hi = -(-rq // rp), rq // rp
+    return ([(1, lo)] + [(1, hi)] * (hi >= 1)
+            + [m for m in _farey_probes(rp, rq, budget, cap) if m[0] > 1])
 
 
 def _shrunk_with_retries(space, p, q, alpha, seed, p_cap):
@@ -440,8 +463,10 @@ def _split_fiber(space, p0, q0, alpha, seed):
 
     The shrunk subspace of a (p, q)-blow-up of the space is the fiber of
     the largest filtration member whose factors all have discrete slope
-    above p/(p+q); probing small ratios near p0/q0 often yields a usable
-    split long before the exact (and large) (p0, q0) computation.
+    above p/(p+q).  The probes of _probe_order are smaller than the exact
+    (rp, rq) blow-up and often split first; at rp = 1 there are none, as
+    the exact probe is itself a p = 1 draw and is the only one that can
+    certify the node semistable.
     """
     if q0 == 0 or space.ell == 0 or p0 == 1:
         # a one-dimensional fiber has no proper nonzero subspace
@@ -449,7 +474,7 @@ def _split_fiber(space, p0, q0, alpha, seed):
     g = math.gcd(p0, q0)
     rp, rq = p0 // g, q0 // g
     p_cap = p0 * q0
-    for (p, q) in _farey_probes(rp, rq, _FAREY_BUDGET, _FAREY_CAP):
+    for (p, q) in _probe_order(rp, rq, _FAREY_BUDGET, _FAREY_CAP):
         U = _shrunk_with_retries(space, p, q, alpha, seed, p_cap)
         if 0 < len(U) < p0:
             return U

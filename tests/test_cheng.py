@@ -12,9 +12,9 @@ from skyhn.cheng import (BlowUp, MatrixSpace, ShrunkFailure, build_A_alpha,
 from skyhn.field import DenseMatrix, PrimeField
 from skyhn.grmat import Grid
 
-from conftest import (F2, F3, cross_module, deg_join, gm, hidden_corpus,
-                      random_bounded_module, random_unigen_module,
-                      stable_module)
+from conftest import (F2, F3, F5, cross_module, deg_join, gm,
+                      hidden_corpus, random_bounded_module,
+                      random_unigen_module, stable_module)
 
 
 def matvec(A, v):
@@ -307,8 +307,12 @@ def _run_reference(acols, blow):
 
 
 def _extension_degree(F, p, g_extra):
-    return (1 if p <= 1 else max(1, math.ceil(math.log(p, F.q) ** 2))) \
-        + g_extra
+    """The draw's default degree for p, raised until the extension has at
+    least 4 elements, then g_extra more."""
+    g = 1 if p <= 1 else max(1, math.ceil(math.log(p, F.q) ** 2))
+    while F.q ** g < 4:
+        g += 1
+    return g + g_extra
 
 
 def _draw_reference(space, p, seed, q=None, g_extra=0):
@@ -356,28 +360,41 @@ def _draw_reference(space, p, seed, q=None, g_extra=0):
 
 
 def _draw_cases(rng):
-    """Random dense and row-sparse spaces over GF(2) and GF(3), and
+    """Random dense and row-sparse spaces over GF(2), GF(3) and GF(5), and
     build_A_alpha's spaces, each with (p, q, g_extra) blow-ups whose
-    extension degree is 1 and more than 1."""
+    extension degree is 1 (GF(5) only) and more than 1."""
     spaces = [random_space(rng, F3 if k % 2 else F2, rng.randrange(1, 4),
                            rng.randrange(1, 4), rng.randrange(1, 4),
                            sparse=k % 4 > 1)
               for k in range(24)]
     spaces += a_alpha_spaces()
     G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
-    for F, t in ((F2, 4), (F3, 3), (F2, 5), (F3, 4)):
+    for F, t in ((F2, 4), (F3, 3), (F2, 5), (F3, 4), (F5, 3), (F5, 4)):
         M = random_unigen_module(rng, F, t)
         spaces.append(build_A_alpha(M, G, M.row_degrees[0])[0])
+    spaces += [random_space(rng, F5, rng.randrange(1, 4), rng.randrange(1, 4),
+                            rng.randrange(1, 4), sparse=k % 2)
+               for k in range(12)]
     return [(sp, draw_p, q, g_extra) for sp in spaces
             for draw_p, q, g_extra in [(1, 1, 0), (1, 2, 0), (2, 1, 1),
                                        (3, 2, 0), (2, 3, 0)]]
 
 
+# (field size, whether the extension degree is > 1) for the draws: a draw
+# over GF(2) or GF(3) always extends the field, to at least 4 elements
+_DEGREE_KINDS = {(2, True), (3, True), (5, False), (5, True)}
+# where the draws must see both certificate outcomes
+_CERTIFIED_KINDS = {(q, big, fails) for q, big in
+                    [(2, True), (3, True), (5, False)]
+                    for fails in (False, True)}
+
+
 def test_draws_match_list_reference(rng):
-    """Every randomized draw, over GF(2) and GF(3), on random and
-    build_A_alpha spaces, for extension degree g = 1 and g > 1, returns
-    exactly the U (or None) of the list-form reference, and both
-    certificate outcomes occur in each field at both kinds of degree."""
+    """Every randomized draw, over GF(2), GF(3) and GF(5), on random and
+    build_A_alpha spaces, returns exactly the U (or None) of the list-form
+    reference; both certificate outcomes occur at extension degree g = 1
+    (GF(5)) and g > 1 (GF(2) and GF(3)), and no draw over GF(2) or GF(3)
+    has g = 1."""
     outcomes = set()
     for k, (sp, draw_p, q, g_extra) in enumerate(_draw_cases(rng)):
         got = shrunk_subspace_random(sp, draw_p, seed=k, q=q,
@@ -386,15 +403,16 @@ def test_draws_match_list_reference(rng):
         assert got == want, (k, sp, draw_p, q, g_extra)
         g = _extension_degree(sp.field, draw_p, g_extra)
         outcomes.add((sp.field.q, g > 1, got is None))
-    assert outcomes == set(itertools.product((2, 3), (False, True),
-                                             (False, True)))
+    assert {(q, big) for q, big, _ in outcomes} == _DEGREE_KINDS
+    assert _CERTIFIED_KINDS <= outcomes
 
 
 def test_wong_matches_fresh_reduction(monkeypatch, rng):
     """Every Wong run of the randomized draws, step by step against the
     reference on the unpacked columns: the same preimages, cores and
-    certificate, for extension degree g = 1 and g > 1, over GF(2) and
-    GF(3)."""
+    certificate, over GF(2), GF(3) and GF(5), with both certificate
+    outcomes at extension degree g = 1 (GF(5)) and g > 1 (GF(2) and
+    GF(3))."""
     outcomes = set()
 
     def checked(acols, blow):
@@ -415,20 +433,23 @@ def test_wong_matches_fresh_reduction(monkeypatch, rng):
         assert st.contained == ref.contained
         assert st.rank_a == ref.rank_a
         # blow.p is g times the draw's p
-        outcomes.add((F.q, blow.p > draw_p, st.contained))
+        outcomes.add((F.q, blow.p > draw_p, not st.contained))
         return st
     monkeypatch.setattr(cheng, "_run_wong", checked)
     spaces = [random_space(rng, F3 if k % 2 else F2, rng.randrange(1, 4),
                            rng.randrange(1, 4), rng.randrange(1, 4),
                            sparse=k % 2)
               for k in range(24)]
+    spaces += [random_space(rng, F5 if k % 2 else F3, rng.randrange(1, 4),
+                            rng.randrange(1, 4), rng.randrange(1, 4),
+                            sparse=k % 4 > 1)
+               for k in range(24)]
     for k, sp in enumerate(spaces + a_alpha_spaces()):
         for draw_p, q, g_extra in [(1, 1, 0), (1, 2, 0), (2, 1, 1),
                                    (3, 2, 0)]:
             shrunk_subspace_random(sp, draw_p, seed=k, q=q, g_extra=g_extra)
-    assert {(g, c) for _, g, c in outcomes} == {
-        (False, True), (False, False), (True, True), (True, False)}
-    assert {q for q, _, _ in outcomes} == {2, 3}
+    assert {(q, big) for q, big, _ in outcomes} == _DEGREE_KINDS
+    assert _CERTIFIED_KINDS <= outcomes
 
 
 def test_build_A_alpha_cross(cross):
@@ -447,6 +468,117 @@ def test_farey_probe_sequence():
     assert probes[0] == (1, 1)
     for p, q in probes:
         assert p * q <= 36 and (p, q) != (3, 5)
+
+
+def test_probe_order():
+    """No probe before the exact one at rp = 1; at rp >= 2 the two p = 1
+    ratios that bracket rq/rp, ceiling first and the floor only when it is
+    >= 1, then the Farey probes with p >= 2 within the budget and cap."""
+    assert cheng._probe_order(3, 5, 6, 36) == [(1, 2), (1, 1), (2, 3)]
+    assert cheng._probe_order(3, 2, 6, 36) == [(1, 1), (2, 1)]
+    # the whole budget of 6 goes to (1, 1) ... (1, 6): nothing with p >= 2
+    assert cheng._probe_order(2, 15, 6, 36) == [(1, 8), (1, 7)]
+    for budget, cap in [(6, 36), (12, 36), (3, 10)]:
+        for rq in range(1, 40):
+            assert cheng._probe_order(1, rq, budget, cap) == []
+        for rp, rq in itertools.product(range(2, 12), range(1, 40)):
+            if math.gcd(rp, rq) > 1:
+                continue
+            probes = cheng._probe_order(rp, rq, budget, cap)
+            lo, hi = -(-rq // rp), rq // rp
+            brackets = [(1, lo)] + [(1, hi)] * (hi > 0)
+            assert probes[:len(brackets)] == brackets
+            rest = probes[len(brackets):]
+            assert rest == [m for m in cheng._farey_probes(rp, rq, budget,
+                                                           cap) if m[0] > 1]
+            assert all(p >= 2 and p * q <= cap and (p, q) != (rp, rq)
+                       for p, q in rest) and len(rest) <= budget
+
+
+def _span_rank(space, vecs):
+    """dim of the span of A_k . v over the basis matrices and vectors."""
+    span = grmat._Echelon(space.field, space.nrows)
+    for A in placed(space):
+        for v in vecs:
+            span.insert(matvec(A, list(v)))
+    return span.rank
+
+
+def test_p1_probes_are_dropped_soundly():
+    """The drop rule behind _probe_order, on random spaces and on the
+    spaces of random fiber submodules: with mu = p0/(p0 + r) the space's
+    own slope (r the dim of its image) and tau = 1/(1 + k), a certified
+    (1, k) probe above mu is never the whole fiber, one below mu is never
+    0, and when both bracket probes are trivial (0 or the whole fiber),
+    so is every other (1, k)."""
+    rng = random.Random(3232)
+    spaces = [random_space(rng, (F2, F3, F5)[k % 3], rng.randrange(1, 6),
+                           rng.randrange(2, 5), rng.randrange(1, 5),
+                           sparse=k % 2)
+              for k in range(60)]
+    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
+    for k in range(30):
+        M = random_unigen_module(rng, F3 if k % 2 else F2, rng.randrange(2, 6))
+        alpha = M.row_degrees[0]
+        spaces.append(build_A_alpha(grmat.fiber_submodule(M, alpha), G,
+                                    alpha)[0])
+    seen = {"dropped": 0, "split": 0}
+    for n, sp in enumerate(spaces):
+        p0 = sp.ncols
+        r = _span_rank(sp, [[int(i == j) for i in range(p0)]
+                            for j in range(p0)])
+        if r == 0:
+            continue
+        g = math.gcd(p0, r)
+        rp, rq = p0 // g, r // g
+        sizes = {}
+        ks = range(1, -(-rq // rp) + 4)     # up to 3 past the ceiling
+        for k in ks:
+            U = cheng._shrunk_with_retries(sp, 1, k, None, seed=n, p_cap=64)
+            sizes[k] = len(U)
+            if k * rp < rq:         # tau above mu
+                assert len(U) < p0, (n, k)
+            elif k * rp > rq:       # tau below mu
+                assert len(U) > 0, (n, k)
+        assert all(sizes[k] <= sizes[k + 1] for k in ks[:-1])
+        if rp < 2:
+            continue
+        brackets = [k for p, k in cheng._probe_order(rp, rq, 6, 36) if p == 1]
+        if all(sizes[k] in (0, p0) for k in brackets):
+            assert all(s in (0, p0) for s in sizes.values()), n
+            seen["dropped"] += 1
+        else:
+            seen["split"] += 1
+    assert seen["dropped"] >= 5 and seen["split"] >= 5, seen
+
+
+def test_found_module_draws_only_exact_p1_blowups(monkeypatch):
+    """A GF(3) module with 8 generators at (0, 0) whose nodes all have
+    ratio 1/rq, the slow case of the earlier probe schedule (75 draws and
+    a (7, 52) blow-up over seeds 0 and 1): cheng equals brute force with
+    at most 20 draws, none of them with p > 1."""
+    M = gm(F3, [(0, 0)] * 8,
+           [((2, 2), [(1, 1), (3, 1), (4, 1), (5, 2), (6, 2), (7, 2)]),
+            ((1, 2), [(0, 1), (1, 1), (2, 1), (4, 2), (5, 1)]),
+            ((2, 2), [(0, 1), (1, 1), (2, 1), (3, 2), (4, 1), (5, 1),
+                      (6, 1), (7, 1)]),
+            ((1, 1), [(0, 1), (2, 1), (4, 1), (5, 1), (6, 1)])]
+           + [(d, [(i, 1)]) for i in range(8) for d in ((3, 0), (0, 3))])
+    real = cheng.shrunk_subspace_random
+    draws = []
+
+    def counting(space, p, seed, q=None, g_extra=0):
+        draws.append((p, q))
+        if p > 1 or len(draws) > 20:
+            raise AssertionError("draw %d at (%d, %s)" % (len(draws), p, q))
+        return real(space, p, seed, q=q, g_extra=g_extra)
+    monkeypatch.setattr(cheng, "shrunk_subspace_random", counting)
+    alpha = (Fr(0), Fr(0))
+    want = pipeline.hn_at(M, alpha)
+    assert len(want.factors) == 4
+    for seed in (0, 1):
+        assert pipeline.hn_at(M, alpha, "cheng", seed) == want
+    assert draws
 
 
 def test_hn_cheng_matches_brute_cross(cross):
