@@ -27,22 +27,30 @@ degrees joined with alpha (grmat.fiber_submodule, no kernel).  Its fiber
 classes (hn_core.fiber_classes) are the call's one fiber model: they check
 the grid, give A_alpha one structure map per class (build_A_alpha), and
 give a leaf its slope and staircases.  A's columns
-are reduced once per draw (field.ColumnReduction): that reduction gives
-rank A, and each Wong step continues it with the columns of W alone.
+are reduced once per draw (field.ColumnReduction, one loop over the
+columns): that reduction gives rank A, and each Wong step continues it
+with the columns of W alone.
 
 Extension elements exist only as g x g blocks over the module's prime field
 (field.embed_phi), so blow-ups, Wong steps and certificates are all
 prime-field work on the vectors of field._vector_form: GF(2) bitmask ints,
 lists otherwise, which this module moves through field's primitives
-(place, slice, combine, apply a list of rows) and never reads.  A space
-packs its basis once, on its first draw (MatrixSpace.vectors), and a
-shrunk subspace leaves a draw as a list of basis vectors.  A is
-built column by column in that form: column (j, b) of sum_k X_k (x) A_k
-is the sum over k and i of X_k[i][j] times column b of A_k placed at
-block i.  Its reduction, the preimages, the cores S and the projection
-onto U* stay packed; only U is unpacked, at the end of the draw.  The
-random coefficients X_k stay lists, as the draw reads them entry by entry
-to weight the blocks.
+(place, slice, combine, apply a list of rows) and never reads.  A node's
+space is computed in that form: the root's structure maps are packed once
+per call, a child's T.U2 is reduced modulo T.U1 by field's apply, add and
+reduce, and only the reduced columns are unpacked, to pick the rows of
+its block.  A space packs its basis columns and rows when it is first
+drawn on (MatrixSpace.vectors), so a node that is never drawn on packs
+nothing, and a shrunk subspace leaves a draw as a list of basis vectors.
+A draw writes each random coefficient, a g x g block embedded once per
+element of the extension field (field.embed_phi's memo), straight into
+the stacked columns that _partial_reduce reduces, in the order of the
+random stream, and builds A column by column in field's vector form:
+column (j, b) of sum_k X_k (x) A_k is the sum over k and i of X_k[i][j]
+times column b of A_k placed at block i.  Its reduction, the preimages,
+the cores S and the projection onto U* stay packed; only U is unpacked,
+at the end of the draw.  The stacked coefficients stay lists, as the
+draw reads them entry by entry to weight the blocks.
 
 The search schedule of ``hn_cheng`` spends no draw that cannot certify
 a split.  A node of reduced ratio 1/rq goes straight to the exact (1, rq)
@@ -112,21 +120,20 @@ class MatrixSpace:
 
     @functools.cached_property
     def vectors(self):
-        """The basis in field's vector form, packed on the first draw:
-        (cols, rows).  cols[b] has one (k, lo, v) per basis matrix k whose
-        column b is nonzero, v that column cut to the matrix's nonzero
-        band, its rows lo through its last nonzero row; rows[k] lists the
-        nonzero rows of basis matrix k as (row index, row)."""
+        """The basis in field's vector form, packed on the first draw: per
+        basis matrix, (lo, cols, rows), with cols a (b, v) for each of its
+        nonzero columns b, v that column cut to the matrix's nonzero band,
+        its rows lo through its last nonzero row, and rows its nonzero
+        rows as (row index, row)."""
         pack = fieldmod._vector_form(self.field.q).pack
-        cols, zero = [[] for _ in range(self.ncols)], [0] * self.ncols
-        for k, B in enumerate(self.basis):
+        out, zero = [], [0] * self.ncols
+        for B in self.basis:
             lo, at = B[0][0], dict(B)
             band = [at.get(a, zero) for a in range(lo, B[-1][0] + 1)]
-            for b, c in enumerate(zip(*band)):
-                if any(c):
-                    cols[b].append((k, lo, pack(list(c))))
-        rows = [[(a, pack(row)) for a, row in B] for B in self.basis]
-        return cols, rows
+            out.append((lo, [(b, pack(list(c)))
+                             for b, c in enumerate(zip(*band)) if any(c)],
+                        [(a, pack(row)) for a, row in B]))
+        return out
 
     @property
     def ell(self):
@@ -154,23 +161,23 @@ class BlowUp:
         tensor S, because every block position i is reachable through some
         E_{ij} tensor A_k.  S depends only on the span T of the blocks, of
         dim at most ncols, so the blocks are echelonized first and A_k is
-        applied to a basis of T.  Returns S's reduced column echelon basis
-        (_Echelon.reduced_basis)."""
+        applied to a basis of T, until S is all of k^nrows.  Returns S's
+        reduced column echelon basis (field._vector_form's reduced)."""
         sp = self.space
         Np, N = sp.ncols, sp.nrows
         form = fieldmod._vector_form(sp.field.q)
-        cut, apply = form.slice, form.apply
-        blocks = _Echelon(sp.field, Np)
+        cut, apply, insert = form.slice, form.apply, form.insert
+        blocks = {}
         for blk in (cut(u, j * Np, (j + 1) * Np) for u in ucols
                     for j in range(self.q)):
-            if blocks.add(blk) and blocks.rank == Np:
+            if insert(blocks, blocks, blk) and len(blocks) == Np:
                 break
-        span = _Echelon(sp.field, N)
-        add, rowsets = span.add, sp.vectors[1]
-        for t in blocks.columns():
-            for rows in rowsets:
-                add(apply(rows, t, N))
-        return span.reduced_basis()
+        span = {}
+        for t in blocks.values():
+            for _, _, rows in sp.vectors:
+                if insert(span, span, apply(rows, t, N)) and len(span) == N:
+                    return form.reduced(span)
+        return form.reduced(span)
 
 
 class WongState:
@@ -244,23 +251,20 @@ def _run_wong(acols, blow):
 # ---------------------------------------------------------------------------
 # randomized minimal shrunk subspace
 
-def _partial_reduce(F, xmats):
-    """Sparsify the coefficient matrices (lists of rows) before forming A.
+def _partial_reduce(F, stack):
+    """Sparsify the coefficient matrices before forming A.
 
-    Stacking all X_k vertically gives the scalar matrix whose column j
-    collects the coefficients of A's block-column j.  A common invertible
+    stack holds the columns of all X_k stacked vertically: column j
+    collects the coefficients of A's block-column j, entry k*P + i being
+    entry (i, j) of X_k, for P the rows of each X_k.  A common invertible
     right factor C (column echelon of the stack) maps each X_k to X_k . C;
     the resulting A picks up zero block-columns while staying in the span
     of the blow-up, since only the X coefficients changed.  Column j of
     the stack times C is the echelon's remainder of column j (zero for a
-    dependent column).  Returns these remainders: entry k*P + i of column
-    j is entry (i, j) of X_k . C, for P the rows of each X_k.
+    dependent column).  Returns these remainders, laid out as the stack.
     """
-    n = len(xmats[0]) * len(xmats)
-    ech = _Echelon(F, n)
-    return [ech.insert_reduced([row[j] for X in xmats for row in X])
-            or [0] * n
-            for j in range(len(xmats[0][0]))]
+    ech = _Echelon(F, len(stack[0]))
+    return [ech.insert_reduced(col) or [0] * ech.nrows for col in stack]
 
 
 def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
@@ -271,12 +275,14 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
     (over GF(2) and GF(3) at g = 1 most draws fail their certificate), plus
     g_extra; draws random coefficient matrices over the extension, embeds
     them as g x g blocks, partially column-reduces, and runs the Wong
-    sequence.  When the limit lies in Im A the preimage is the certified
-    minimal shrunk subspace of the blow-up, of the form k^{gq} tensor U*;
-    the projection U* is returned as a basis, a list of vectors of length
-    ncols (the unit vectors when the space or its matrices are trivial).
-    Returns None when the certificate fails (caller retries with a fresh
-    seed or a larger blow-up).
+    sequence.  The coefficients are drawn X_k by X_k, row by row of
+    blocks, and each block is written straight into the stacked columns
+    that _partial_reduce reduces.  When the limit lies in Im A the
+    preimage is the certified minimal shrunk subspace of the blow-up, of
+    the form k^{gq} tensor U*; the projection U* is returned as a basis, a
+    list of vectors of length ncols (the unit vectors when the space or
+    its matrices are trivial).  Returns None when the certificate fails
+    (caller retries with a fresh seed or a larger blow-up).
     """
     if q is None:
         q = p
@@ -290,34 +296,36 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
         g += 1
     g += g_extra
     rng = random.Random(seed)
+    draw = rng.randrange
     ext = ext_field_build(F.q, g) if g > 1 else None
     P, Q = g * p, g * q
-    xmats = []
-    for _ in range(space.ell):
-        # a p x q array of random extension elements as g x g blocks
-        X = [[0] * Q for _ in range(P)]
-        for i in range(p):
-            for j in range(q):
-                x = [rng.randrange(F.q) for _ in range(g)]
-                blk = embed_phi(x, ext) if ext else [x]
-                for a in range(g):
-                    X[i * g + a][j * g:(j + 1) * g] = blk[a]
-        xmats.append(X)
+    # X_k is a p x q array of random extension elements as g x g blocks:
+    # entry (a, b) of its block (i, j) is entry r + a = k*P + i*g + a of
+    # stacked column c + b = j*g + b
+    stack = [[0] * (space.ell * P) for _ in range(Q)]
+    for r in range(0, space.ell * P, g):
+        for c in range(0, Q, g):
+            x = [draw(F.q) for _ in range(g)]
+            if ext is None:
+                stack[c][r] = x[0]
+                continue
+            for b, col in enumerate(zip(*embed_phi(x, ext)), c):
+                stack[b][r:r + g] = col
     # A = sum_k X_k (x) A_k: column (j, b) sums X_k[i][j] times column b
     # of A_k placed at block i, over the k where that column is nonzero
-    N = space.nrows
+    N, vecs = space.nrows, space.vectors
     form = fieldmod._vector_form(F.q)
-    cols = space.vectors[0]
+    combine, n = form.combine, P * N
     acols = []
-    for xcol in _partial_reduce(F, xmats):
-        xs = [[] for _ in xmats]    # per k, (X_k[i][j], offset of block i)
+    for xcol in _partial_reduce(F, stack):
+        terms = [[] for _ in range(Np)]     # per column b of the space
         for r, x in enumerate(xcol):
             if x:
-                xs[r // P].append((x, r % P * N))
-        for bcols in cols:
-            acols.append(form.combine([(x, off + lo, c)
-                                       for k, lo, c in bcols
-                                       for x, off in xs[k]], P * N))
+                k, i = divmod(r, P)
+                lo, kcols, _ = vecs[k]
+                for b, c in kcols:
+                    terms[b].append((x, i * N + lo, c))
+        acols += [combine(t, n) for t in terms]
     st = _run_wong(acols, BlowUp(space, P, Q))
     if not st.contained:
         return None
@@ -338,14 +346,18 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
 def _stacked_space(F, ncols, blocks):
     """The matrix space whose rows stack the blocks (lists of rows of
     length ncols), with one basis matrix per nonzero block: the block's
-    nonzero rows at their stacked row indices, zeros elsewhere."""
+    nonzero rows at their stacked row indices, zeros elsewhere.  Nonzero
+    matrices on disjoint rows are independent, so MatrixSpace's check is
+    skipped."""
     basis, off = [], 0
     for rows in blocks:
         nz = [(a, r) for a, r in enumerate(rows, off) if any(r)]
         if nz:
             basis.append(nz)
         off += len(rows)
-    return MatrixSpace(F, off, ncols, basis)
+    space = MatrixSpace.__new__(MatrixSpace)
+    space.field, space.nrows, space.ncols, space.basis = F, off, ncols, basis
+    return space
 
 
 def build_A_alpha(M, G, alpha):
@@ -366,7 +378,7 @@ def build_A_alpha(M, G, alpha):
     stacked dimension, betas = all grid points above alpha.
     """
     alpha = as_degree(alpha)
-    if set(M.row_degrees) != {alpha}:
+    if len(set(M._ranks[2])) != 1 or M.row_degrees[0] != alpha:
         raise ValueError("build_A_alpha needs a module generated at "
                          "(%s, %s)" % alpha)
     t, form, fc = M.nrows, fieldmod._vector_form(M.field.q), fiber_classes(M)
@@ -484,11 +496,6 @@ def _split_fiber(space, p0, q0, alpha, seed):
     return U
 
 
-def _apply(T, v, q):
-    """T . v for T given by its rows."""
-    return [sum(map(operator.mul, row, v)) % q for row in T]
-
-
 class _Subquotients:
     """The recursion of hn_cheng on subquotients of the fiber at alpha.
 
@@ -506,8 +513,11 @@ class _Subquotients:
         self.root, p0, self.q0, _ = build_A_alpha(cur, G, alpha)
         if p0 != cur.nrows:
             raise AssertionError("hn_cheng: the fiber at alpha is not k^t")
-        # per root basis matrix, the nonzero rows of its structure map
-        self.maps = [[r for _, r in B] for B in self.root.basis]
+        # per root basis matrix, the nonzero rows of its structure map,
+        # packed once, numbered within the block
+        self.form = form = fieldmod._vector_form(self.field.q)
+        self.maps = [[(a, form.pack(r)) for a, (_, r) in enumerate(B)]
+                     for B in self.root.basis]
         self.fc = fiber_classes(cur)
         self.weights = self.fc.at(self.fc.alpha)
 
@@ -517,18 +527,23 @@ class _Subquotients:
         T.top reduced modulo the span of T.lo, placed in the block's rows
         as build_A_alpha places the maps of a presentation of the node
         generated in the node's coordinates; the two agree up to
-        invertible row operations within each block."""
-        F = self.field
-        q, p = F.q, len(top)
+        invertible row operations within each block.  T is applied to
+        packed vectors (field._vector_form's apply) and reduced in field's
+        internal form; only the reduced columns are unpacked, to read
+        their rows."""
+        form = self.form
+        pack, insert, apply, reduce, unpack = (
+            form.pack, form.insert, form.apply, form.reduce, form.unpack)
+        lo, top = [pack(v) for v in lo], [pack(c) for c in top]
         blocks = []
         for T in self.maps:
-            ech = _Echelon(F, len(T))
+            n, ech, keep = len(T), {}, {}
             for v in lo:
-                ech.insert(_apply(T, v, q))
-            red = [ech.reduce(_apply(T, c, q)) for c in top]
-            keep = _Echelon(F, p)
-            blocks.append([r for r in map(list, zip(*red)) if keep.insert(r)])
-        space = _stacked_space(F, p, blocks)
+                insert(ech, ech, apply(T, v, n))
+            red = [unpack(reduce(ech, apply(T, c, n)), n) for c in top]
+            blocks.append([r for r in map(list, zip(*red))
+                           if insert(keep, keep, pack(r))])
+        space = _stacked_space(self.field, len(top), blocks)
         return space, space.nrows
 
     def factors(self, lo, top, space, q0, seed):

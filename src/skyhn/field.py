@@ -9,14 +9,15 @@ only behind reduce, kron and grmat.structure_map.
 
 Vectors have one internal form per field, _vector_form(q): F_2 bitmask ints
 (_F2Vectors) or lists with inlined ``% q`` (_ListVectors).  Elimination is
-one loop per form for each of insert, full reduction and the reduced
-basis, and each form has the few coarse primitives that other modules
-need to work on internal vectors without reading them: pack, unpack,
-place, slice, lift, combine, multiply a list of columns and apply a list
-of rows.  Other modules reach elimination through _vector_form, _Echelon
-(lists through insert, internal vectors through add; it holds its form and
-never branches on the field) and ColumnReduction (internal columns;
-reduce_columns and reduce take lists), and never read a bitmask.
+one loop per form for each of insert, full reduction, the reduced basis
+and column reduction with tracked tails, and each form has the few
+coarse primitives that other modules need to work on internal vectors
+without reading them: pack, unpack, place, slice, lift, combine,
+multiply a list of columns and apply a list of rows.  Other modules
+reach elimination through _vector_form, _Echelon (lists through insert,
+internal vectors through add; it holds its form and never branches on
+the field) and ColumnReduction (internal columns; reduce_columns and
+reduce take lists), and never read a bitmask.
 Module-level sparsity is handled upstream.
 """
 
@@ -187,6 +188,7 @@ class FieldExt:
         for i in range(g):
             comp[i][g - 1] = (-self.modulus[i]) % base.q
         self.companion = comp
+        self._phi = {}      # embed_phi's memo: element tuple -> rows
 
     def __repr__(self):
         return "FieldExt(q=%d, g=%d)" % (self.base.q, self.g)
@@ -222,16 +224,22 @@ def embed_phi(x, ext):
     Its column k is companion^k applied to x (phi(x) commutes with the
     companion and sends e_0 to x), so column 0 is x and each next column
     is the companion times the one before; the rows are read off the
-    columns.
+    columns.  Memoized per element on ext, so the memo holds at most the
+    q^g elements of L; the rows are shared between calls, and no caller
+    mutates them.
     """
-    g, q, comp = ext.g, ext.base.q, ext.companion
-    cols = [[a % q for a in x]]
-    for _ in range(g - 1):
-        v = cols[-1]
-        top = v[-1]
-        cols.append([((v[i - 1] if i else 0) + comp[i][g - 1] * top) % q
-                     for i in range(g)])
-    return [list(row) for row in zip(*cols)]
+    key = tuple(x)
+    rows = ext._phi.get(key)
+    if rows is None:
+        g, q, comp = ext.g, ext.base.q, ext.companion
+        cols = [[a % q for a in x]]
+        for _ in range(g - 1):
+            v = cols[-1]
+            top = v[-1]
+            cols.append([((v[i - 1] if i else 0) + comp[i][g - 1] * top) % q
+                         for i in range(g)])
+        rows = ext._phi[key] = [list(row) for row in zip(*cols)]
+    return rows
 
 
 class DenseMatrix:
@@ -412,6 +420,25 @@ class _F2Vectors:
         return v
 
     @staticmethod
+    def eliminate(base, fresh, cols, n, tracked):
+        kernel = []
+        for j, v in enumerate(cols):
+            v <<= n
+            if tracked:
+                v |= 1 << j
+            while True:
+                piv = v.bit_length() - 1
+                if piv < n:
+                    kernel.append(v)
+                    break
+                pc = base.get(piv) or fresh.get(piv)
+                if pc is None:
+                    fresh[piv] = v
+                    break
+                v ^= pc
+        return kernel
+
+    @staticmethod
     def reduced(pivots):
         out = {}
         for piv in sorted(pivots):
@@ -497,6 +524,33 @@ class _ListVectors:
                         v[r] = (v[r] - c * pc[r]) % q
         return v
 
+    def eliminate(self, base, fresh, cols, n, tracked):
+        q = self.q
+        inv = _inverses(q)
+        kernel = []
+        for j, col in enumerate(cols):
+            v = [0] * n + col
+            if tracked:
+                v[j] = 1
+            piv = len(v) - 1
+            while True:
+                while piv >= n and not v[piv]:
+                    piv -= 1
+                if piv < n:
+                    kernel.append(v[:n])
+                    break
+                pc = base.get(piv) or fresh.get(piv)
+                if pc is None:
+                    fresh[piv] = v
+                    break
+                c = v[piv] * inv[pc[piv]] % q
+                for r in range(piv):
+                    b = pc[r]
+                    if b:
+                        v[r] = (v[r] - c * b) % q
+                v[piv] = 0
+        return kernel
+
     def reduced(self, pivots):
         q = self.q
         inv = _inverses(q)
@@ -543,6 +597,15 @@ def _vector_form(q):
                               span of `pivots`, which depends on the span
                               alone: per pivot row, ascending, a column
                               with 1 there and 0 at the other pivot rows
+      eliminate(base, fresh, cols, n, tracked)
+                              ColumnReduction's loop: each column of cols
+                              after n leading tail entries (0, but for a
+                              1 at entry j for the j-th column when
+                              tracked) reduced against `base` and then
+                              `fresh`; one whose pivot stays >= n is
+                              stored in `fresh`, any other gives its
+                              tail, entries 0..n-1, as a kernel combo.
+                              Returns the kernel combos
     No primitive mutates its arguments, and no caller mutates an internal
     vector (a list packs to itself), so internal vectors may be shared."""
     if q == 2:
@@ -604,11 +667,6 @@ class _Echelon:
         return [list(self._unpack(v, self.nrows))
                 for v in self.pivots.values()]
 
-    def reduced_basis(self):
-        """The reduced column echelon basis of the span, internal (see
-        _vector_form's reduced)."""
-        return self.form.reduced(self.pivots)
-
     @property
     def rank(self):
         return len(self.pivots)
@@ -626,14 +684,18 @@ class ColumnReduction:
     extensions.  Their tails start at zero: a combo it returns is the part
     on `cols` of the kernel combo that reduce_columns(F, cols + more,
     nrows) gives for the same column, and the rank it returns is that
-    reduction's rank.
+    reduction's rank.  The reduction and every extension are one call of
+    the form's eliminate, one loop over their columns that lifts each
+    column and eliminates it inline, so a column costs its elimination
+    and no call, copy or pivot lookup besides.
     """
 
     def __init__(self, F, cols, nrows):
         self.F, self.nrows, self.n = F, nrows, len(cols)
         self.form = _vector_form(F.q)
         self._pivots = {}   # pivot row >= n -> tail, then reduced column
-        self.kernel = self._reduce(self._pivots, cols, True)
+        self.kernel = self.form.eliminate(self._pivots, self._pivots, cols,
+                                          self.n, True)
         self.rank = len(self._pivots)
 
     @property
@@ -647,27 +709,8 @@ class ColumnReduction:
         """(rank, combos over the first columns) of the reduction continued
         with the columns `more`; the saved state is left unchanged."""
         fresh = {}
-        kernel = self._reduce(fresh, more, False)
+        kernel = self.form.eliminate(self._pivots, fresh, more, self.n, False)
         return self.rank + len(fresh), kernel
-
-    def _reduce(self, fresh, cols, tracked):
-        """Insert each column, its tail in front of it in coordinates
-        0..n-1, into `fresh` over the saved pivots; a tail starts at the
-        identity column when tracked, else at zero.  A column that reduces
-        to zero leaves its tail as a pivot below n, which is popped out as
-        its kernel combo (a zero vector is a zero combo).  Returns the
-        kernel combos."""
-        n, form, pivots = self.n, self.form, self._pivots
-        insert, lift, cut = form.insert, form.lift, form.slice
-        kernel = []
-        for j, col in enumerate(cols):
-            if not insert(pivots, fresh, lift(col, n, j if tracked else None)):
-                kernel.append(form.zero(n))
-                continue
-            piv = next(reversed(fresh))
-            if piv < n:
-                kernel.append(cut(fresh.pop(piv), 0, n))
-        return kernel
 
 
 def reduce_columns(F, cols, nrows):

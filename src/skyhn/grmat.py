@@ -329,8 +329,12 @@ def minimize(M):
     strictly below d, the greedy basis of the columns at d from the highest
     index down.  That is what "delete the first redundant column, restart"
     keeps: a deletion changes the span at no degree, and within one degree
-    that loop is reverse-delete, whose result is this greedy basis.  Costs
-    O(#degrees * n) echelon inserts; degrees compare as integer ranks.
+    that loop is reverse-delete, whose result is this greedy basis.  The
+    degrees run in lexicographic order, which extends the componentwise
+    one, so the span below d is that of the columns already kept below d,
+    and at a d where it is all of k^rows nothing is kept.  Costs
+    O(#degrees * kept) echelon inserts on columns packed once; degrees
+    compare as integer ranks.
     """
     F = M.field
     q = F.q
@@ -340,8 +344,10 @@ def minimize(M):
 
     # (a) unit-pivot cancellation
     while True:
-        hit = None
+        hit, gens = None, set(row_degs)
         for j, cd in enumerate(col_degs):
+            if cd not in gens:
+                continue
             for i, v in enumerate(cols[j]):
                 if v and row_degs[i] == cd:
                     hit = (i, j)
@@ -368,14 +374,21 @@ def minimize(M):
         del row_degs[i]
 
     # (b) redundant-column pruning, one pass per distinct column degree
+    form, full = fieldmod._vector_form(q), len(row_degs)
+    packed, insert = list(map(form.pack, cols)), form.insert
+    at = {}
+    for j, d in enumerate(col_degs):
+        at.setdefault(d, []).append(j)
     keep = []
-    for d in set(col_degs):
-        ech = _Echelon(F, len(row_degs))
-        for j, (cx, cy) in enumerate(col_degs):
-            if cx <= d[0] and cy <= d[1] and (cx, cy) != d:
-                ech.insert(cols[j])
-        keep += [j for j in range(len(cols) - 1, -1, -1)
-                 if col_degs[j] == d and ech.insert(cols[j])]
+    for dx, dy in sorted(at):
+        ech = {}
+        for j in keep:
+            cx, cy = col_degs[j]
+            if cx <= dx and cy <= dy:
+                insert(ech, ech, packed[j])
+        if len(ech) < full:
+            keep += [j for j in reversed(at[dx, dy])
+                     if insert(ech, ech, packed[j])]
     keep.sort()
     return _from_ranks(F, xs, ys, row_degs, [col_degs[j] for j in keep],
                        [[(i, v) for i, v in enumerate(cols[j]) if v]
@@ -598,13 +611,13 @@ def connected_components(M):
 
 
 def extract_block(M, rows, cols):
-    """The sub-presentation on the given rows/columns (a direct summand)."""
+    """The sub-presentation on the given rows/columns (a direct summand),
+    built on M's coordinate ranks (_from_ranks)."""
     pos = {g: k for k, g in enumerate(rows)}
-    new_cols = [[(pos[i], v) for i, v in M.columns[j]] for j in cols]
-    return GradedMatrix(M.field,
-                        [M.row_degrees[i] for i in rows],
-                        [M.col_degrees[j] for j in cols],
-                        new_cols)
+    xs, ys, row_rk, col_rk = M._ranks
+    return _from_ranks(M.field, xs, ys, [row_rk[i] for i in rows],
+                       [col_rk[j] for j in cols],
+                       [[(pos[i], v) for i, v in M.columns[j]] for j in cols])
 
 
 def direct_sum(M1, M2):

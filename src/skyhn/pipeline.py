@@ -67,7 +67,7 @@ import math
 from fractions import Fraction
 
 from . import cheng, grmat, hn_core, invariants, subdivision
-from .grmat import GradedMatrix, Grid, as_degree
+from .grmat import Grid, as_degree
 from .invariants import (HNFactor, HNFactorList, SkyscraperStore, Staircase,
                          count_containing, merge_factors,
                          staircase_contains, theta_staircases)
@@ -121,64 +121,63 @@ def bounding_box(M):
 
 def clip_to_box(M, box):
     """Append cap relations killing every generator at the box's upper
-    edges, making the cokernel bounded (supported inside the box).  The
-    generators are checked on their coordinate ranks against the ranks
-    where the box's edges fall, found on ints over one denominator with
-    the coordinates."""
+    edges, making the cokernel bounded (supported inside the box).  Built
+    on M's coordinate ranks (grmat._from_ranks): the box's edges are
+    placed among M's coordinates on ints over one denominator, each upper
+    edge is a coordinate of M or enters as a new one, and the generators
+    are checked and the caps placed on their ranks."""
     box = [Fraction(c) for c in box]
     x1, y1 = box[2:]
-    xs, ys, row_rk, _ = M._ranks
+    xs, ys, row_rk, col_rk = M._ranks
     _, (X0, Y0, X1, Y1, *ints) = grmat._over_lcm([*box, *xs, *ys])
     X, Y = ints[:len(xs)], ints[len(xs):]
     lx, hx = bisect.bisect_left(X, X0), bisect.bisect_left(X, X1)
     ly, hy = bisect.bisect_left(Y, Y0), bisect.bisect_left(Y, Y1)
-    cols = [list(c) for c in M.columns]
-    col_degs = list(M.col_degrees)
-    one = M.field.one
-    for i, (gx, gy) in enumerate(M.row_degrees):
-        rx, ry = row_rk[i]
+    for i, (rx, ry) in enumerate(row_rk):
         if not (lx <= rx < hx and ly <= ry < hy):
             raise ValueError("generator %d at (%s, %s) outside the box"
-                             % (i, gx, gy))
-        col_degs.append((x1, gy))
-        cols.append([(i, one)])
-        col_degs.append((gx, y1))
-        cols.append([(i, one)])
-    return GradedMatrix(M.field, list(M.row_degrees), col_degs, cols)
-
-
-def _progression(coords, lo, hi):
-    """The evenly spaced coordinates from lo to hi with the largest step
-    that hits every one of coords, all of them between lo and hi;
-    computed on integers over the lcm of the denominators."""
-    den, (base, top, *ints) = grmat._over_lcm([lo, hi, *coords])
-    step = math.gcd(top - base, *(n - base for n in ints))
-    if not step:
-        return [lo]
-    return [Fraction(base + k * step, den)
-            for k in range((top - base) // step + 1)]
+                             % (i, *M.row_degrees[i]))
+    # a new upper edge shifts the coordinates from its rank on up by one;
+    # every generator lies below it
+    sx = hx == len(X) or X[hx] != X1
+    sy = hy == len(Y) or Y[hy] != Y1
+    if sx:
+        xs = xs[:hx] + [x1] + xs[hx:]
+    if sy:
+        ys = ys[:hy] + [y1] + ys[hy:]
+    col_rk = [(x + (sx and x >= hx), y + (sy and y >= hy)) for x, y in col_rk]
+    cols = list(M.columns)
+    one = M.field.one
+    for i, (rx, ry) in enumerate(row_rk):
+        col_rk += [(hx, ry), (rx, hy)]
+        cols += [[(i, one)], [(i, one)]]
+    return grmat._from_ranks(M.field, xs, ys, list(row_rk), col_rk, cols)
 
 
 def regular_grid(M, extra_points, box):
     """Evenly spaced grid covering the box and containing every degree of M
     and every extra point inside the box; on such a grid discrete slopes
-    are proportional to the exact area-weighted ones.  M's degrees are read
-    as coordinate ranks (M._ranks)."""
-    x0, y0, x1, y1 = box
+    are proportional to the exact area-weighted ones.  Per axis, the step
+    is the largest that hits every such coordinate from the box's lower
+    edge on.  Computed on ints: per axis the box's edges, M's coordinates
+    (M._ranks) and the extra points over one denominator."""
+    extra = [as_degree(d) for d in extra_points]
     xs, ys, row_rk, col_rk = M._ranks
-    lx, hx = bisect.bisect_left(xs, x0), bisect.bisect_right(xs, x1)
-    ly, hy = bisect.bisect_left(ys, y0), bisect.bisect_right(ys, y1)
-    px, py = [], []     # the kept coordinates
-    for rx, ry in row_rk + col_rk:
-        if lx <= rx < hx and ly <= ry < hy:
-            px.append(xs[rx])
-            py.append(ys[ry])
-    for d in extra_points:
-        x, y = as_degree(d)
-        if x0 <= x <= x1 and y0 <= y <= y1:
-            px.append(x)
-            py.append(y)
-    return Grid(_progression(px, x0, x1), _progression(py, y0, y1))
+    # per axis: den, the edges and the ints of M's and the extra coordinates
+    axes = [grmat._over_lcm([box[k], box[k + 2], *coords,
+                             *(d[k] for d in extra)])
+            for k, coords in enumerate((xs, ys))]
+    (_, (x0, x1, *X)), (_, (y0, y1, *Y)) = axes
+    pts = [(X[rx], Y[ry]) for rx, ry in row_rk + col_rk]
+    pts += zip(X[len(xs):], Y[len(ys):])
+    pts = [(x, y) for x, y in pts if x0 <= x <= x1 and y0 <= y <= y1]
+    out = []
+    for k, (den, (lo, hi, *_)) in enumerate(axes):
+        step = math.gcd(hi - lo, *(p[k] - lo for p in pts))
+        out.append([Fraction(lo + i * step, den)
+                    for i in range((hi - lo) // step + 1)]
+                   if step else [Fraction(lo, den)])
+    return Grid(*out)
 
 
 def _blocks(M):

@@ -136,7 +136,7 @@ def core_all_rows(blow, ucols):
             if any(blk):
                 for A in placed(sp):
                     span.insert(matvec(A, blk))
-    return span.reduced_basis()
+    return span.form.reduced(span.pivots)
 
 
 def a_alpha_spaces():
@@ -679,11 +679,11 @@ def test_partial_reduce_matches_echelon_transform():
                 for X in xmats:
                     for row in X:
                         row[-1] = row[0]
-            C = _echelon_transform(
-                F, [[row[b] for X in xmats for row in X] for b in range(Q)])
+            stack = [[row[b] for X in xmats for row in X] for b in range(Q)]
+            C = _echelon_transform(F, stack)
             want = [[[sum(row[k] * C[j][k] for k in range(Q)) % F.q
                       for j in range(Q)] for row in X] for X in xmats]
-            got = cheng._partial_reduce(F, xmats)
+            got = cheng._partial_reduce(F, stack)
             # column j of the stacked X_k . C
             assert got == [[row[j] for X in want for row in X]
                            for j in range(Q)]
@@ -859,6 +859,75 @@ def test_split_nodes_match_old_presentations(monkeypatch):
             hn_core.hn_filtration_at(M, alpha), k
         assert state["stack"] == []
     assert state["splits"] >= 10 and state["nodes"] > 2 * state["splits"]
+
+
+def _node_space_from_lists(sq, lo, top):
+    """_Subquotients.space as it was built on lists: per root basis
+    matrix, its nonzero rows T applied to lo and top by list dot products,
+    T.top reduced modulo T.lo in a list echelon, and the independent rows
+    of the reduced columns kept from the top down; the blocks stacked into
+    a MatrixSpace through its checking constructor."""
+    F, p = sq.field, len(top)
+    blocks = []
+    for B in sq.root.basis:
+        T = [row for _, row in B]
+        ech = grmat._Echelon(F, len(T))
+        for v in lo:
+            ech.insert([sum(a * b for a, b in zip(row, v)) % F.q
+                        for row in T])
+        red = [ech.reduce([sum(a * b for a, b in zip(row, c)) % F.q
+                           for row in T]) for c in top]
+        keep = grmat._Echelon(F, p)
+        blocks.append([r for r in map(list, zip(*red)) if keep.insert(r)])
+    basis, off = [], 0
+    for rows in blocks:
+        nz = [(a, r) for a, r in enumerate(rows, off) if any(r)]
+        if nz:
+            basis.append(nz)
+        off += len(rows)
+    return MatrixSpace(F, off, p, basis), off
+
+
+def test_packed_node_spaces_match_list_construction(monkeypatch):
+    """_Subquotients.space, built on packed structure maps, against the
+    list construction it replaced (kept above): the same basis and q0 at
+    every node of real split recursions over GF(2), GF(3) and GF(5), and
+    at random nodes <lo + top>/<lo> over the spaces build_A_alpha builds
+    for the same modules.  The reference stacks through MatrixSpace's
+    checking constructor, so the stacked bases are independent."""
+    real_factors = cheng._Subquotients.factors
+    seen = {"nodes": set(), "splits": set()}
+
+    def factors(self, lo, top, space, q0, seed):
+        want = _node_space_from_lists(self, lo, top)
+        assert (space.basis, q0) == (want[0].basis, want[1])
+        assert (space.nrows, space.ncols) == (want[0].nrows, len(top))
+        seen["nodes"].add(self.field.q)
+        if lo:
+            seen["splits"].add(self.field.q)
+        return real_factors(self, lo, top, space, q0, seed)
+    monkeypatch.setattr(cheng._Subquotients, "factors", factors)
+    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
+    rng = random.Random(3307)
+    random_nodes = 0
+    for k in range(24):
+        F = (F2, F3, F5)[k % 3]
+        M = random_unigen_module(rng, F, rng.randrange(2, 6))
+        alpha = M.row_degrees[0]
+        assert hn_cheng(M, G, alpha, seed=k) == \
+            hn_core.hn_filtration_at(M, alpha), k
+        sq = cheng._Subquotients(grmat.fiber_submodule(M, alpha), G, alpha)
+        t = sq.root.ncols
+        for _ in range(4):
+            k1 = rng.randrange(t)
+            vecs = [[rng.randrange(F.q) for _ in range(t)]
+                    for _ in range(t)]
+            lo, top = vecs[:k1], vecs[k1:rng.randrange(k1 + 1, t + 1)]
+            got, want = sq.space(lo, top), _node_space_from_lists(sq, lo, top)
+            assert (got[0].basis, got[1]) == (want[0].basis, want[1])
+            random_nodes += bool(got[0].basis)
+    assert seen["nodes"] == seen["splits"] == {2, 3, 5}
+    assert random_nodes >= 60
 
 
 def test_non_minimal_module_generated_at_alpha():

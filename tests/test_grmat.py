@@ -421,8 +421,9 @@ def test_echelon_matches_reference(monkeypatch):
                 assert got.pivots.keys() == want.pivots.keys()
                 assert flags.pivots == got.pivots
                 assert lists.pivots == want.pivots
-                assert [got.form.unpack(v, n) for v in got.reduced_basis()] \
-                    == lists.reduced_basis()
+                assert [got.form.unpack(v, n)
+                        for v in got.form.reduced(got.pivots)] \
+                    == lists.form.reduced(lists.pivots)
 
 
 def test_echelon_reduce_clears_pivots():

@@ -50,6 +50,68 @@ def test_clip_rejects_outside_generator(cross):
         clip_to_box(cross, (1, 1, 4, 4))   # generator (0,0) falls outside
 
 
+def _clip_from_fractions(M, box):
+    """clip_to_box as it was built from Fraction degrees: the cap
+    relations appended to M's degrees, which GradedMatrix ranks afresh."""
+    x1, y1 = Fr(box[2]), Fr(box[3])
+    col_degs, cols = list(M.col_degrees), [list(c) for c in M.columns]
+    for i, (gx, gy) in enumerate(M.row_degrees):
+        col_degs += [(x1, gy), (gx, y1)]
+        cols += [[(i, 1)], [(i, 1)]]
+    return grmat.GradedMatrix(M.field, M.row_degrees, col_degs, cols)
+
+
+def _same_presentation(A, B):
+    return (A.field == B.field and A.row_degrees == B.row_degrees
+            and A.col_degrees == B.col_degrees and A._ranks == B._ranks
+            and A.columns == B.columns)
+
+
+def test_preparation_on_ranks_matches_fraction_built():
+    """clip_to_box and extract_block, built on coordinate ranks, equal the
+    GradedMatrix built from the same Fraction degrees (same degrees,
+    ranks and columns): clip_to_box(M, box) for the bounding box and for
+    user boxes whose upper edges are new coordinates, existing ones or
+    non-integer rationals, some leaving relations beyond the box, and
+    every extract_block of the minimized clip; on the acceptance-5
+    corpus, the cross and hidden_corpus."""
+    rng = random.Random(5)
+    modules = [random_bounded_module(rng, F2 if i % 2 else F3,
+                                     rng.randrange(1, 3), dmax=3)
+               for i in range(50)]
+    modules += [cross_module()] + [M for _, _, M in hidden_corpus()]
+    seen = collections.Counter()
+    for M in modules:
+        xs, ys, row_rk, col_rk = M._ranks
+        # the least coordinates above every generator
+        ax = xs[max(x for x, _ in row_rk) + 1]
+        ay = ys[max(y for _, y in row_rk) + 1]
+        boxes = [bounding_box(M),
+                 (xs[0], ys[0], xs[-1] + 2, ys[-1] + Fr(1, 3)),
+                 (xs[0] - Fr(1, 2), ys[0] - 1, ax, ay),
+                 (xs[0], ys[0], ax - Fr(1, 3), ay + Fr(2, 7)),
+                 (xs[0], ys[0] - Fr(5, 3), xs[-1], ys[-1] + Fr(1, 2))]
+        for box in boxes:
+            Mc = clip_to_box(M, box)
+            assert _same_presentation(Mc, _clip_from_fractions(M, box))
+            seen["new"] += box[2] not in xs or box[3] not in ys
+            seen["existing"] += box[2] in xs and box[3] in ys
+            seen["rational"] += Fr(box[2]).denominator > 1
+            seen["beyond"] += any(not (x < box[2] and y < box[3])
+                                  for x, y in M.col_degrees)
+            Mm = grmat.minimize(Mc)
+            for rows, cols in grmat.connected_components(Mm):
+                want = grmat.GradedMatrix(
+                    Mm.field, [Mm.row_degrees[i] for i in rows],
+                    [Mm.col_degrees[j] for j in cols],
+                    [[(rows.index(i), v) for i, v in Mm.columns[j]]
+                     for j in cols])
+                assert _same_presentation(
+                    grmat.extract_block(Mm, rows, cols), want)
+                seen["blocks"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_hn_at_engines_agree(cross):
     a = hn_at(cross, (Fr(0), Fr(1)), engine="brute")
     b = hn_at(cross, (Fr(0), Fr(1)), engine="cheng", seed=5)
