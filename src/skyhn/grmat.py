@@ -324,17 +324,8 @@ def minimize(M):
     Two reductions, neither of which changes the cokernel: (a) cancel unit
     pivots (nonzero entries with equal row and column degree), deleting the
     generator and relation involved; (b) drop relation columns lying in the
-    span of the other columns at their own degree.  (b) runs once per
-    distinct column degree d and keeps, modulo the span of the columns
-    strictly below d, the greedy basis of the columns at d from the highest
-    index down.  That is what "delete the first redundant column, restart"
-    keeps: a deletion changes the span at no degree, and within one degree
-    that loop is reverse-delete, whose result is this greedy basis.  The
-    degrees run in lexicographic order, which extends the componentwise
-    one, so the span below d is that of the columns already kept below d,
-    and at a d where it is all of k^rows nothing is kept.  Costs
-    O(#degrees * kept) echelon inserts on columns packed once; degrees
-    compare as integer ranks.
+    span of the other columns at their own degree (_pruned, which _split
+    runs on its pieces too).
     """
     F = M.field
     q = F.q
@@ -373,26 +364,46 @@ def minimize(M):
             del col[i]
         del row_degs[i]
 
-    # (b) redundant-column pruning, one pass per distinct column degree
-    form, full = fieldmod._vector_form(q), len(row_degs)
-    packed, insert = list(map(form.pack, cols)), form.insert
+    # (b) redundant-column pruning
+    form = fieldmod._vector_form(q)
+    keep = _pruned(form, len(row_degs), col_degs, list(map(form.pack, cols)))
+    return _from_ranks(F, xs, ys, row_degs, [col_degs[j] for j in keep],
+                       [[(i, v) for i, v in enumerate(cols[j]) if v]
+                        for j in keep])
+
+
+def _pruned(form, nrows, degs, packed):
+    """The indices, ascending, of the relation columns that minimize keeps
+    in its step (b): packed are the columns, of length nrows in the vector
+    form `form`, and degs their degrees as integer rank pairs.
+
+    It runs once per distinct column degree d and keeps, modulo the span
+    of the columns strictly below d, the greedy basis of the columns at d
+    from the highest index down.  That is what "delete the first redundant
+    column, restart" keeps: a deletion changes the span at no degree, and
+    within one degree that loop is reverse-delete, whose result is this
+    greedy basis.  The degrees run in lexicographic order, which extends
+    the componentwise one, so the span below d is that of the columns
+    already kept below d, and at a d where it is all of k^nrows nothing is
+    kept.  Zero columns are never kept.  Costs O(#degrees * kept) echelon
+    inserts; the result depends on the order of the ranks alone, so ranks
+    before and after a _compress keep the same columns."""
+    insert = form.insert
     at = {}
-    for j, d in enumerate(col_degs):
+    for j, d in enumerate(degs):
         at.setdefault(d, []).append(j)
     keep = []
     for dx, dy in sorted(at):
         ech = {}
         for j in keep:
-            cx, cy = col_degs[j]
+            cx, cy = degs[j]
             if cx <= dx and cy <= dy:
                 insert(ech, ech, packed[j])
-        if len(ech) < full:
+        if len(ech) < nrows:
             keep += [j for j in reversed(at[dx, dy])
                      if insert(ech, ech, packed[j])]
     keep.sort()
-    return _from_ranks(F, xs, ys, row_degs, [col_degs[j] for j in keep],
-                       [[(i, v) for i, v in enumerate(cols[j]) if v]
-                        for j in keep])
+    return keep
 
 
 def submodule_presentation(M, S):
@@ -670,7 +681,9 @@ def _endomorphisms(M):
     relation degree; the basis is the nullspace of these equations over
     the unknowns X[a][b], in the order of (a, b).  The equations of
     unknown X[a][b] form one vector: the sum over the relations j of
-    p_j[b] times the a-th entries of the annihilator of R<=r_j."""
+    p_j[b] times the a-th entries of the annihilator of R<=r_j.  A basis
+    matrix is its kernel combo scattered into the t^2 entries, with no
+    arithmetic, and packed once per column."""
     F, t = M.field, M.nrows
     form = fieldmod._vector_form(F.q)
     _, _, gd, rd = M._ranks
@@ -691,12 +704,13 @@ def _endomorphisms(M):
                 if deg_leq(gd[a], gd[b])]
     eqs = [form.combine([(p[b], off, ys[a]) for off, p, ys in rels if p[b]],
                         n) for a, b in unknowns]
-    # unknown (a, b) is entry b*t + a of X as one vector, column by column
-    at, one, out = [b * t + a for a, b in unknowns], form.pack([1]), []
+    # unknown (a, b) is entry b*t + a of X, column by column
+    at, pack, out = [b * t + a for a, b in unknowns], form.pack, []
     for c in fieldmod.ColumnReduction(F, eqs, n).kernel:
-        X = form.combine(zip(form.unpack(c, len(at)), at, [one] * len(at)),
-                         t * t)
-        out.append([form.slice(X, b, b + t) for b in range(0, t * t, t)])
+        X = [0] * (t * t)
+        for k, x in zip(at, form.unpack(c, len(at))):
+            X[k] = x
+        out.append([pack(X[b:b + t]) for b in range(0, t * t, t)])
     return out
 
 
@@ -730,7 +744,9 @@ def _eigen_split(F, draw, U, W, rng):
     of Y.  P is the Fitting projection of Y - c, onto the image of Z =
     (Y - c)^k along its kernel (k >= r), a polynomial in Y.  With B the
     basis of Z's image and then its kernel, the children are U.B and
-    B^-1.W, cut after the image, and rank E.P = rank Z.
+    B^-1.W, cut after the image, and rank E.P = rank Z.  c, Y - c and B
+    come from _fitting, or at r = 2 from its closed form _fitting2, which
+    gives the same from the same draws.
 
     The draw fails when rank Z = 0: c is Y's one eigenvalue, and N = Y -
     c is nilpotent.  When N != 0 the next Y is W.X.U.N, singular, so the
@@ -740,7 +756,7 @@ def _eigen_split(F, draw, U, W, rng):
     form, q = fieldmod._vector_form(F.q), F.q
     times, pack, zero = form.times, form.pack, form.zero
     t, r = len(W), len(U)
-    ident = _identity(form, r)
+    fitting = _fitting2 if r == 2 else _fitting
     fresh, N = 0, None
     while fresh < _SPLIT_TRIES:
         Y = draw()
@@ -754,41 +770,99 @@ def _eigen_split(F, draw, U, W, rng):
         v = zero(r)
         while v == zero(r):         # v = W.w != 0
             v = times(W, pack([rng.randrange(q) for _ in range(t)]), r)
-        vs = [v]
-        for _ in range(r):          # v, Y.v, ..., Y^r.v
-            vs.append(times(Y, vs[-1], r))
-        f = list(form.unpack(fieldmod.ColumnReduction(F, vs, r).kernel[0],
-                             r + 1))
-        while not f[-1]:
-            f.pop()
-        c = _eigenvalue(F, f, rng)
+        c, Y, fit = fitting(F, Y, v, rng)
         if c is None:
             continue
-        if c:
-            Y = [form.combine([(1, 0, y), (q - c, 0, e)], r)
-                 for y, e in zip(Y, ident)]
-        Z, k = Y, 1
-        while k < r:
-            Z = _product(form, Z, Z, r)
-            k *= 2
-        red = fieldmod.ColumnReduction(F, Z, r)
-        n = red.rank
-        if n == 0:
+        if fit is None:
             if not follow and any(y != zero(r) for y in Y):
                 N = Y
             continue
-        B = red.basis + red.kernel
-        BW = _product(form, _invert(F, B), W, r)
-        cut = form.slice
-        return [(_product(form, U, B[:n], t), [cut(x, 0, n) for x in BW]),
-                (_product(form, U, B[n:], t), [cut(x, n, r) for x in BW])]
+        im, ker, Binv = fit
+        n, BW, cut = len(im), _product(form, Binv, W, r), form.slice
+        return [(_product(form, U, im, t), [cut(x, 0, n) for x in BW]),
+                (_product(form, U, ker, t), [cut(x, n, r) for x in BW])]
     return None
+
+
+def _fitting(F, Y, v, rng):
+    """(c, Y - c, split) for the r x r column list Y and a vector v != 0:
+    c is a root of the monic f of least degree with f(Y).v = 0, found
+    from the Krylov vectors v, Y.v, ..., Y^r.v (_eigenvalue); split is
+    (im, ker, B^-1), im a basis of the image of Z = (Y - c)^k (k >= r) and
+    ker of its kernel, B = im + ker, or None when Z = 0 (Y - c is
+    nilpotent).  (None, None, None) when f has no root in F_q."""
+    form, q = fieldmod._vector_form(F.q), F.q
+    r, one = len(Y), form.pack([1])
+    vs = [v]
+    for _ in range(r):          # v, Y.v, ..., Y^r.v
+        vs.append(form.times(Y, vs[-1], r))
+    f = list(form.unpack(fieldmod.ColumnReduction(F, vs, r).kernel[0], r + 1))
+    while not f[-1]:
+        f.pop()
+    c = _eigenvalue(F, f, rng)
+    if c is None:
+        return None, None, None
+    if c:
+        Y = [form.combine([(1, 0, y), (q - c, b, one)], r)
+             for b, y in enumerate(Y)]
+    Z, k = Y, 1
+    while k < r:
+        Z = _product(form, Z, Z, r)
+        k *= 2
+    red = fieldmod.ColumnReduction(F, Z, r)
+    if red.rank == 0:
+        return c, Y, None
+    im, ker = red.basis, red.kernel
+    return c, Y, (im, ker, _invert(F, im + ker))
+
+
+def _fitting2(F, Y, v, rng):
+    """_fitting for r = 2 in closed form: the same result from the same
+    draws of rng.  With Y.v = a.v, f = x - a and c = a; otherwise f is
+    Y's characteristic polynomial x^2 - tr.x + det, whose root _eigenvalue
+    picks; over F_2 it draws nothing there, and the root is 0 when det = 0,
+    else 1 when tr = 0.  Y - c has the eigenvalues 0 and delta = tr(Y - c).
+    delta = 0 is the nilpotent case.  Otherwise Z = (Y - c)^2 = delta.(Y -
+    c) has rank 1, and ColumnReduction would give im = Z's first non-zero
+    column and ker = (-lambda, 1) for Z's second column lambda times its
+    first, or (1, 0) when the first is zero; B^-1 is the 2 x 2 adjugate
+    over the determinant."""
+    form, q = fieldmod._vector_form(F.q), F.q
+    inv, pack = _inverses(q), form.pack
+    (y00, y10), (y01, y11) = form.unpack(Y[0], 2), form.unpack(Y[1], 2)
+    v0, v1 = form.unpack(v, 2)
+    w0, w1 = (y00 * v0 + y01 * v1) % q, (y10 * v0 + y11 * v1) % q
+    if (v0 * w1 - v1 * w0) % q == 0:        # Y.v = c.v
+        c = w1 * inv[v1] % q if v1 else w0 * inv[v0] % q
+    else:
+        tr, det = (y00 + y11) % q, (y00 * y11 - y01 * y10) % q
+        if q > 2:
+            c = _eigenvalue(F, [det, -tr % q, 1], rng)
+        else:
+            c = 1 if det and not tr else None if det else 0
+        if c is None:
+            return None, None, None
+    s00, s11 = (y00 - c) % q, (y11 - c) % q
+    if c:
+        Y = [pack([s00, y10]), pack([y01, s11])]
+    delta = (s00 + s11) % q
+    if not delta:
+        return c, Y, None
+    if s00 or y10:
+        im = s00, y10
+        k0, k1 = -(s11 * inv[y10] if y10 else y01 * inv[s00]) % q, 1
+    else:
+        im, (k0, k1) = (y01, s11), (1, 0)
+    b0, b1 = delta * im[0] % q, delta * im[1] % q
+    d = inv[(b0 * k1 - k0 * b1) % q]
+    return c, Y, ([pack([b0, b1])], [pack([k0, k1])],
+                  [pack([k1 * d % q, -b1 * d % q]),
+                   pack([-k0 * d % q, b0 * d % q])])
 
 
 def _split(M, idempotents):
     """The pieces of M along orthogonal graded idempotents of End(M)_0,
-    column lists that sum to the identity, minimized: on a minimal M that
-    prunes relations only, as the pieces' minimal presentations sum to M's.
+    column lists that sum to the identity, each minimal when M is.
 
     T's columns are generators of each idempotent's image, picked per
     generator degree modulo the picks strictly below it, and block i of the
@@ -796,7 +870,16 @@ def _split(M, idempotents):
     generators, T and T^-1 are graded, and every block part of every
     relation p_j lies in R<=r_j, the span of the relations of degree <=
     r_j: then the block parts generate the relations, and the pieces' direct
-    sum presents M."""
+    sum presents M.
+
+    One pass on the vectors T^-1 p_j: the check is one echelon per degree
+    of a relation with parts in two or more blocks, each part reduced
+    against it without being stored, and each piece keeps the block parts
+    that minimize's step (b) keeps (_pruned) and is built once on M's
+    ranks.  Step (a) has nothing to cancel: T^-1 is graded, so a part's
+    entry at a generator of the relation's own degree comes from an entry
+    of p_j at a generator of that degree, which a minimal M does not have.
+    So the pieces' minimal presentations sum to M's."""
     F, t = M.field, M.nrows
     form = fieldmod._vector_form(F.q)
     xs, ys, gd, rd = M._ranks
@@ -825,33 +908,40 @@ def _split(M, idempotents):
                 for a, col in enumerate(Tinv)
                 for k, x in enumerate(form.unpack(col, t))):
         raise AssertionError("decompose: the base change is not graded")
-    Pn = [form.unpack(form.times(Tinv, form.pack(M.dense_column(j)), t), t)
+    Pn = [form.times(Tinv, form.pack(M.dense_column(j)), t)
           for j in range(M.ncols)]
     blocks = list(zip(bounds, bounds[1:]))
-    # a relation within one block is its own block part; in a relation
-    # with several, the last part is the relation less the others
-    mixed = {}
-    for p, r in zip(Pn, rd):
-        parts = [(lo, hi) for lo, hi in blocks if any(p[lo:hi])]
-        if len(parts) > 1:
-            mixed.setdefault(r, []).append((p, parts[:-1]))
-    for d, rels in mixed.items():
-        ech = _Echelon(F, t)
+    cut, insert, unpack = form.slice, form.insert, form.unpack
+    zeros = [form.zero(hi - lo) for lo, hi in blocks]
+    # parts[i]: (relation index, block part) of each non-zero part in block i
+    parts, mixed = [[] for _ in blocks], {}
+    for j, p in enumerate(Pn):
+        mine = []
+        for i, (lo, hi) in enumerate(blocks):
+            v = cut(p, lo, hi)
+            if v != zeros[i]:
+                mine.append((i, v))
+                parts[i].append((j, v))
+        # a relation within one block is its own block part; in a relation
+        # with several, the last part is the relation less the others
+        if len(mine) > 1:
+            mixed.setdefault(rd[j], []).extend(
+                form.place(v, blocks[i][0], t) for i, v in mine[:-1])
+    for d, placed in mixed.items():
+        ech = {}
         for p, r in zip(Pn, rd):
             if deg_leq(r, d):
-                ech.insert(p)
-        if not all(ech.contains([0] * lo + p[lo:hi] + [0] * (t - hi))
-                   for p, parts in rels for lo, hi in parts):
+                insert(ech, ech, p)
+        if any(insert(ech, {}, v) for v in placed):
             raise AssertionError("decompose: a block part leaves R<=d")
     out = []
-    for lo, hi in blocks:
-        cols, cdegs = [], []
-        for p, r in zip(Pn, rd):
-            part = [(i - lo, p[i]) for i in range(lo, hi) if p[i]]
-            if part:
-                cols.append(part)
-                cdegs.append(r)
-        out.append(minimize(_from_ranks(F, xs, ys, nd[lo:hi], cdegs, cols)))
+    for (lo, hi), mine in zip(blocks, parts):
+        keep = _pruned(form, hi - lo, [rd[j] for j, _ in mine],
+                       [v for _, v in mine])
+        out.append(_from_ranks(
+            F, xs, ys, nd[lo:hi], [rd[mine[k][0]] for k in keep],
+            [[(i, x) for i, x in enumerate(unpack(mine[k][1], hi - lo)) if x]
+             for k in keep]))
     return out
 
 

@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import random
 from fractions import Fraction as Fr
 from math import lcm
@@ -579,7 +580,10 @@ def test_decompose_splits_isomorphic_summands(monkeypatch):
     """Two copies of one interval module: End(M)_0 is M_2(F_2), where a
     uniform draw splits with probability 3/8 only, so 8 draws miss the
     split for about 2.3% of seeds.  The follow-up draw E.X.E.(Y - c.E)
-    after a draw with one eigenvalue brings that below 0.5%."""
+    after a draw with one eigenvalue brings that below 0.5%.  Over GF(3),
+    where _eigenvalue draws, two copies take the rank-2 closed form's
+    nilpotent branch and follow-up draw, and miss the split for 1 seed of
+    the 2000, as the general Fitting path did."""
     M = gm(F2, [(0, 0), (0, 0)], [((1, 0), [(0, 1)]), ((0, 1), [(0, 1)]),
                                   ((1, 0), [(1, 1)]), ((0, 1), [(1, 1)])])
     missed = 0
@@ -587,6 +591,20 @@ def test_decompose_splits_isomorphic_summands(monkeypatch):
         monkeypatch.setattr(grmat, "_SPLIT_SEED", seed)
         missed += len(grmat.decompose(M)) < 2
     assert missed <= 10
+    M = gm(F3, M.row_degrees, list(zip(M.col_degrees, M.columns)))
+    nilpotent, real = [], grmat._fitting2
+
+    def fitting2(F, Y, v, rng):
+        c, Y, fit = real(F, Y, v, rng)
+        nilpotent.append(c is not None and fit is None)
+        return c, Y, fit
+    monkeypatch.setattr(grmat, "_fitting2", fitting2)
+    missed = 0
+    for seed in range(2000):
+        monkeypatch.setattr(grmat, "_SPLIT_SEED", seed)
+        missed += len(grmat.decompose(M)) < 2
+    assert missed <= 1
+    assert any(nilpotent)
 
 
 def _columns(F, rows):
@@ -612,6 +630,105 @@ def test_split_checks_every_projection(stable, cross):
     # the graded idempotents of the cross module split it
     assert sorted(p.row_degrees for p in grmat._split(cross, [one, two])) \
         == [[(Fr(0), Fr(0))], [(Fr(0), Fr(1))]]
+
+
+def _split_reference(M, idempotents):
+    """_split as it was before it ran in one pass: each piece built from
+    unpacked block parts and minimized, each block part checked with
+    _Echelon.contains."""
+    F, t = M.field, M.nrows
+    form = fieldmod._vector_form(F.q)
+    xs, ys, gd, rd = M._ranks
+    picks, bounds = [], [0]
+    for E in idempotents:
+        mine = []
+        for d in sorted(set(gd)):
+            ech = grmat._Echelon(F, t)
+            for b, col in mine:
+                if gd[b] != d and deg_leq(gd[b], d):
+                    ech.add(col)
+            mine += [(b, E[b]) for b in range(t)
+                     if gd[b] == d and ech.add(E[b])]
+        picks += mine
+        bounds.append(len(picks))
+    assert len(picks) == t
+    T = [col for _, col in picks]
+    Tinv = grmat._invert(F, T)
+    nd = [gd[b] for b, _ in picks]
+    Pn = [form.unpack(form.times(Tinv, form.pack(M.dense_column(j)), t), t)
+          for j in range(M.ncols)]
+    blocks = list(zip(bounds, bounds[1:]))
+    mixed = {}
+    for p, r in zip(Pn, rd):
+        parts = [(lo, hi) for lo, hi in blocks if any(p[lo:hi])]
+        if len(parts) > 1:
+            mixed.setdefault(r, []).append((p, parts[:-1]))
+    for d, rels in mixed.items():
+        ech = grmat._Echelon(F, t)
+        for p, r in zip(Pn, rd):
+            if deg_leq(r, d):
+                ech.insert(p)
+        assert all(ech.contains([0] * lo + p[lo:hi] + [0] * (t - hi))
+                   for p, parts in rels for lo, hi in parts)
+    out = []
+    for lo, hi in blocks:
+        cols, cdegs = [], []
+        for p, r in zip(Pn, rd):
+            part = [(i - lo, p[i]) for i in range(lo, hi) if p[i]]
+            if part:
+                cols.append(part)
+                cdegs.append(r)
+        out.append(grmat.minimize(
+            grmat._from_ranks(F, xs, ys, nd[lo:hi], cdegs, cols)))
+    return out
+
+
+def _exactly(pieces):
+    """Everything a piece holds: degrees, columns and coordinate ranks."""
+    return [(p.field, p.row_degrees, p.col_degrees, p.columns, p._ranks)
+            for p in pieces]
+
+
+def test_split_matches_reference(monkeypatch, stable):
+    """_split gives byte-identical pieces to the reference on every split
+    that decompose makes of hidden sums, disguised sums of one-generator
+    parts over GF(2), GF(3) and GF(5), a disguised stable + interval +
+    interval, whose stable piece has two generators and relations to
+    choose between, and the mixed-degree fixture."""
+    real, calls = grmat._split, []
+
+    def split(M, idempotents):
+        pieces = real(M, idempotents)
+        ref = _split_reference(M, idempotents)
+        assert _exactly(pieces) == _exactly(ref)
+        calls.append(pieces)
+        return pieces
+    monkeypatch.setattr(grmat, "_split", split)
+    rng = random.Random(2031)
+    blocks = [grmat.minimize(M) for seed in (4242, 4243, 4244)
+              for _, _, M in hidden_corpus(n=24, seed=seed)]
+    for F in (F2, F3, F5):
+        for _ in range(8):
+            parts = [random_unigen_module(rng, F, 1, dmax=4)
+                     for _ in range(rng.randrange(2, 5))]
+            blocks.append(grmat.minimize(
+                disguise(rng, functools.reduce(grmat.direct_sum, parts))))
+    intervals = [gm(F2, [(0, 0)], [((2, 0), [(0, 1)]), ((0, 1), [(0, 1)])]),
+                 gm(F2, [(1, 0)], [((3, 0), [(0, 1)]), ((1, 2), [(0, 1)])])]
+    for _ in range(4):
+        blocks.append(grmat.minimize(disguise(rng, functools.reduce(
+            grmat.direct_sum, [stable] + intervals))))
+    M = gm(F3, [(0, 1), (0, 0)],
+           [((1, 3), [(0, 2), (1, 1)]), ((2, 1), [(0, 1), (1, 1)]),
+            ((3, 1), [(0, 1)]), ((0, 3), [(0, 1)]), ((3, 0), [(1, 1)]),
+            ((0, 3), [(1, 1)]), ((4, 1), [(0, 1)]), ((0, 4), [(0, 1)]),
+            ((4, 0), [(1, 1)]), ((0, 4), [(1, 1)])])
+    for M in blocks + [M]:
+        grmat.decompose(M)
+    assert len(calls) >= 40
+    # the stable piece came back with two generators each time
+    assert sum(sorted(p.nrows for p in pieces) == [1, 1, 2]
+               for pieces in calls) >= 4
 
 
 class _BasisInt(int):
@@ -667,6 +784,89 @@ def test_decompose_presents_once_and_conjugates_no_basis(monkeypatch):
         multi += len(pieces) > 2
     assert multi >= 3
     assert all(products[q] for q in (2, 3, 5))
+
+
+def _rank2_cases(q, rng):
+    """(Y as four entries, column by column, and v != 0): every pair over
+    GF(2) and GF(3); over larger fields random matrices, scalars plus a
+    nilpotent, triangular ones and ones with a zero first column, with v
+    random or e_0."""
+    if q <= 3:
+        for y in itertools.product(range(q), repeat=4):
+            for v in itertools.product(range(q), repeat=2):
+                if any(v):
+                    yield y, v
+        return
+    for _ in range(300):
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        u0, u1, s = (rng.randrange(q) for _ in range(3))
+        n = [u0 * -u1 * s, u1 * -u1 * s, u0 * u0 * s, u1 * u0 * s]
+        y = rng.choice([[rng.randrange(q) for _ in range(4)],
+                        [a + n[0], n[1], n[2], a + n[3]],
+                        [a, 0, b, c], [a, 0, b, a], [0, 0, b, c]])
+        v = rng.choice([(1, 0), (rng.randrange(1, q), rng.randrange(q))])
+        yield [x % q for x in y], v
+
+
+def _rank2_children(form, fit):
+    """The idempotents U'.W' of the two children that _eigen_split cuts
+    from a split of the 2 x 2 identity."""
+    im, ker, Binv = fit
+    n = len(im)
+    return [grmat._product(form, B, [form.slice(x, lo, hi) for x in Binv], 2)
+            for B, lo, hi in ((im, 0, n), (ker, n, 2))]
+
+
+def test_rank2_closed_form_matches_fitting():
+    """_fitting2 gives what the general Fitting path _fitting gives on
+    every 2 x 2 matrix Y with every v != 0 over GF(2) and GF(3), and on
+    random ones over GF(5), GF(7) and GF(65521): the same c, the same
+    decision (no root, nilpotent with the same N = Y - c, or a split with
+    the same bases and inverse, so the same children in the same order
+    and the same idempotents), and the same state of rng after it.  The
+    split's idempotents are idempotents that sum to the identity."""
+    seen = collections.Counter()
+    for q in (2, 3, 5, 7, 65521):
+        F, form = PrimeField(q), fieldmod._vector_form(q)
+        rng = random.Random(q)
+        ident = [form.pack([1, 0]), form.pack([0, 1])]
+        for y, v in _rank2_cases(q, rng):
+            Y, v = [form.pack(list(y[:2])), form.pack(list(y[2:]))], \
+                form.pack(list(v))
+            seed, got = rng.random(), []
+            for fitting in (grmat._fitting2, grmat._fitting):
+                r = random.Random(seed)
+                out = fitting(F, Y, v, r)
+                got.append((out, r.getstate(), out[2] and
+                            _rank2_children(form, out[2])))
+            assert got[0] == got[1]
+            (c, _, fit), _, children = got[0]
+            seen[q, c is None, fit is None] += 1
+            if children:
+                e1, e2 = children
+                assert grmat._product(form, e1, e1, 2) == e1
+                assert [form.combine([(1, 0, x), (1, 0, y)], 2)
+                        for x, y in zip(e1, e2)] == ident
+    # every field sees a failed draw, a nilpotent Y - c and a split
+    assert all(seen[q, False, nil] for q in (2, 3, 5, 7, 65521)
+               for nil in (False, True))
+    assert all(seen[q, True, True] for q in (2, 3, 5, 7, 65521))
+
+
+def test_decompose_without_the_rank2_closed_form(monkeypatch):
+    """decompose gives byte-identical pieces with _fitting in place of
+    the closed form _fitting2, which it calls."""
+    blocks = [grmat.minimize(M) for _, _, M in hidden_corpus(n=24)]
+    calls, real = [], grmat._fitting2
+
+    def fitting2(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(grmat, "_fitting2", fitting2)
+    pieces = [_exactly(grmat.decompose(M)) for M in blocks]
+    assert calls
+    monkeypatch.setattr(grmat, "_fitting2", grmat._fitting)
+    assert [_exactly(grmat.decompose(M)) for M in blocks] == pieces
 
 
 def test_eigenvalue_finds_a_root_when_there_is_one():

@@ -544,7 +544,7 @@ _PREPARATION = {"clip_to_box": ["_prepared"], "minimize": ["_prepared"],
 # operation can break minimality; every other presentation is minimal
 # because what it is derived from is
 _MINIMIZE_SITES = {
-    "grmat.py": ["quotient_presentation", "fiber_submodule", "_split"],
+    "grmat.py": ["quotient_presentation", "fiber_submodule"],
     "invariants.py": ["betti_numbers"],
     "pipeline.py": ["_prepared"]}
 
