@@ -40,8 +40,12 @@ POS_INF = float("inf")
 
 def as_degree(d):
     """Coerce a pair of numbers/strings to an exact rational degree;
-    coordinates that already are Fractions are kept as they are."""
+    coordinates that already are Fractions are kept as they are, and a
+    tuple of two Fractions is returned itself, so that every object built
+    at one point shares its tuple."""
     x, y = d
+    if type(x) is Fraction and type(y) is Fraction:
+        return d if type(d) is tuple else (x, y)
     return (x if type(x) is Fraction else Fraction(x),
             y if type(y) is Fraction else Fraction(y))
 
@@ -674,7 +678,8 @@ def _invert(F, B):
 
 
 def _endomorphisms(M):
-    """Basis of End(M)_0, as column lists of generator matrices X: X[a][b]
+    """Basis of End(M)_0, each generator matrix X packed as one vector of
+    length t^2, its column b at entries b*t..b*t+t-1: X[a][b]
     != 0 only where g_a <= g_b, and X.p_j in R<=r_j = span{p_k : r_k <=
     r_j} for every relation column p_j.  The second condition is y.X.p_j =
     0 for y in the annihilator of R<=r_j, one annihilator per distinct
@@ -683,7 +688,7 @@ def _endomorphisms(M):
     unknown X[a][b] form one vector: the sum over the relations j of
     p_j[b] times the a-th entries of the annihilator of R<=r_j.  A basis
     matrix is its kernel combo scattered into the t^2 entries, with no
-    arithmetic, and packed once per column."""
+    arithmetic, and packed once."""
     F, t = M.field, M.nrows
     form = fieldmod._vector_form(F.q)
     _, _, gd, rd = M._ranks
@@ -705,12 +710,12 @@ def _endomorphisms(M):
     eqs = [form.combine([(p[b], off, ys[a]) for off, p, ys in rels if p[b]],
                         n) for a, b in unknowns]
     # unknown (a, b) is entry b*t + a of X, column by column
-    at, pack, out = [b * t + a for a, b in unknowns], form.pack, []
+    at, out = [b * t + a for a, b in unknowns], []
     for c in fieldmod.ColumnReduction(F, eqs, n).kernel:
         X = [0] * (t * t)
         for k, x in zip(at, form.unpack(c, len(at))):
             X[k] = x
-        out.append([pack(X[b:b + t]) for b in range(0, t * t, t)])
+        out.append(form.pack(X))
     return out
 
 
@@ -950,8 +955,8 @@ def decompose(M):
     End(M)_0, found by eigenvalue splits, each in its idempotent's corner
     (``_eigen_split``), on column lists in the vector form of M's field.
 
-    End(M)_0 is computed once (``_endomorphisms``) and packed into
-    vectors of length t^2, so a draw from a constant seed is one product.
+    End(M)_0 is computed once (``_endomorphisms``), as vectors of length
+    t^2, so a draw from a constant seed is one product.
     A node of the split tree is an idempotent E = U.W, U a basis of its
     image and W its coordinates, starting from U = W = I.  A piece of one
     generator is not drawn on, and after _SPLIT_TRIES failed draws a
@@ -968,12 +973,9 @@ def decompose(M):
     F, t = M.field, M.nrows
     form = fieldmod._vector_form(F.q)
     rng = random.Random(_SPLIT_SEED)
-    # basis matrix i as one vector, its column b at entries b*t..b*t+t-1
-    flat = [form.combine([(1, b * t, col) for b, col in enumerate(X)], t * t)
-            for X in ends]
 
     def draw():
-        X = form.times(flat, form.pack([rng.randrange(F.q) for _ in ends]),
+        X = form.times(ends, form.pack([rng.randrange(F.q) for _ in ends]),
                        t * t)
         return [form.slice(X, b, b + t) for b in range(0, t * t, t)]
     ident = _identity(form, t)

@@ -104,6 +104,8 @@ class Staircase:
     (they check emptiness on integer indices).
     """
 
+    __slots__ = ("gen", "rels")
+
     def __init__(self, gen, rels, check=True):
         self.gen = as_degree(gen)
         if check:
@@ -160,13 +162,15 @@ def staircase_at(S, beta):
     One pass over the x-sorted antichain: the joins' x coordinates are
     beta's for a prefix of it and their y coordinates beta's for a suffix,
     so among equal x the last join is minimal and among equal y the first;
-    coordinates compare as cross-multiplied ints."""
+    coordinates compare as cross-multiplied ints.  A relation that beta
+    does not move is kept as the same tuple."""
     bx, by = beta
     xn, xd = bx.numerator, bx.denominator
     yn, yd = by.numerator, by.denominator
     out = []
     last_xb = last_yb = False
-    for rx, ry in S.rels:
+    for r in S.rels:
+        rx, ry = r
         xb = rx.numerator * xd <= xn * rx.denominator      # rx <= bx
         yb = ry.numerator * yd <= yn * ry.denominator      # ry <= by
         if xb and yb:
@@ -174,7 +178,7 @@ def staircase_at(S, beta):
         if last_xb and xb:
             out[-1] = (bx, ry)
         elif not (last_yb and yb):
-            out.append((bx if xb else rx, by if yb else ry))
+            out.append((bx, ry) if xb else (rx, by) if yb else r)
         last_xb, last_yb = xb, yb
     return Staircase(beta, out, check=False)
 
@@ -289,6 +293,8 @@ def superlevel_staircases(M):
 class HNFactor:
     """One HN factor: its Hilbert function as staircases, and its slope."""
 
+    __slots__ = ("staircases", "slope")
+
     def __init__(self, staircases, slope):
         self.staircases = list(staircases)
         self.slope = slope if type(slope) is Fraction else Fraction(slope)
@@ -314,6 +320,8 @@ class HNFactorList:
     Equality is canonical: factors with equal slope are compared as a
     multiset (their relative order carries no information).
     """
+
+    __slots__ = ("alpha", "factors")
 
     def __init__(self, alpha, factors):
         self.alpha = as_degree(alpha)

@@ -234,9 +234,13 @@ class _Interval:
     its one factor is that interval at slope 1/area [FJNT24].  Built once
     per piece, with the readers of its block (_Block).  It keeps the
     staircase as Fractions (stair) and as ints over one denominator, den,
-    the lcm of the staircase's denominators (gen, rels)."""
+    the lcm of the staircase's denominators (gen, rels), and the corners
+    that its reads have made, so that every read on one lattice column or
+    row shares them: (beta_x, r_y) keyed on beta_x's integer ratio and
+    r's index + 1 (cols), (r_x, beta_y) on r's index and beta_y's ratio
+    (rows)."""
 
-    __slots__ = ("stair", "den", "gen", "rels")
+    __slots__ = ("stair", "den", "gen", "rels", "cols", "rows")
 
     def __init__(self, piece):
         """Checked on the piece's coordinate ranks: the relations of a
@@ -254,6 +258,7 @@ class _Interval:
         pts = [self.stair.gen] + self.stair.rels
         self.den, ints = grmat._over_lcm([c for p in pts for c in p])
         self.gen, *self.rels = zip(ints[0::2], ints[1::2])
+        self.cols, self.rows = {}, {}
 
     def steps(self, index):
         """The support on the lattice rows: (J, lo, hi) per relation r, from
@@ -266,53 +271,64 @@ class _Interval:
         return [(index(ry, L), lo, index(rx, L))
                 for rx, ry in reversed(self.rels)]
 
-    def _transport(self, beta, b):
+    def _transport(self, b):
         """The one pass on ints over the relations that both reads of the
         interval share, at beta with integer ratios b = (xn, xd, yn, yd),
-        any positive denominators: None off the support; on it, (rels,
-        area), the relations of the staircase transported to beta (as
-        invariants.staircase_at transports it), made of beta's and the
-        relations' Fractions, and its area over L*xd * L*yd (L the den),
-        summed as rectangles.  beta's x goes over L*xd and its y over
-        L*yd."""
-        bx, by = beta
+        any positive denominators: None off the support; on it, (p, s,
+        area).  The relations i < p lie left of beta (r_x <= beta_x) and
+        those i >= s below it (r_y <= beta_y), so the staircase transported
+        to beta (as invariants.staircase_at transports it) has the
+        relations (beta_x, r_y) of i = p - 1, those of p <= i < s as they
+        are, and (r_x, beta_y) of i = s; the box caps make p >= 1 and s <
+        len(rels).  area is its area over L*xd * L*yd (L the den), summed
+        as rectangles."""
         xn, xd, yn, yd = b
-        L = self.den
+        L, rels = self.den, self.rels
         X, Y = xn * L, yn * L
         if self.gen[0] * xd > X or self.gen[1] * yd > Y:
             return None
-        out, pts = [], []
-        last_xb = last_yb = False
-        for (rx, ry), (RX, RY) in zip(self.stair.rels, self.rels):
-            RX, RY = RX * xd, RY * yd
-            xb, yb = RX <= X, RY <= Y
-            if xb and yb:
-                return None
-            if last_xb and xb:
-                out[-1], pts[-1] = (bx, ry), (X, RY)
-            elif not (last_yb and yb):
-                out.append((bx if xb else rx, by if yb else ry))
-                pts.append((X if xb else RX, Y if yb else RY))
-            last_xb, last_yb = xb, yb
-        # the first point has beta's x and the last beta's y (box caps)
-        return out, sum((q[0] - p[0]) * (p[1] - Y)
-                        for p, q in zip(pts, pts[1:]))
+        n = len(rels)
+        p, s = 1, n - 1     # rels[0] has the generator's x, rels[-1] its y
+        while p < n and rels[p][0] * xd <= X:
+            p += 1
+        while s and rels[s - 1][1] * yd <= Y:
+            s -= 1
+        if s < p:       # a relation <= beta
+            return None
+        px, py = X, rels[p - 1][1] * yd
+        area = 0
+        for RX, RY in rels[p:s]:
+            RX *= xd
+            area += (RX - px) * (py - Y)
+            px, py = RX, RY * yd
+        return p, s, area + (rels[s][0] * xd - px) * (py - Y)
 
     def factors_at(self, beta):
         """The HN filtration at beta, empty off the support, from the
         transport on ints (_transport); the slope is the one Fraction
-        built."""
+        built, and the two moved corners are the ones kept for beta's
+        column and row (cols, rows)."""
         b = beta[0].as_integer_ratio() + beta[1].as_integer_ratio()
-        at = self._transport(beta, b)
+        at = self._transport(b)
         if at is None:
             return HNFactorList(beta, [])
-        out, area = at
-        L = self.den
+        p, s, area = at
+        rels, L = self.stair.rels, self.den
+        key = (b[0], b[1], p)
+        first = self.cols.get(key)
+        if first is None:
+            first = self.cols[key] = (beta[0], rels[p - 1][1])
+        key = (s, b[2], b[3])
+        last = self.rows.get(key)
+        if last is None:
+            last = self.rows[key] = (rels[s][0], beta[1])
+        out = rels[p - 1:s + 1]
+        out[0], out[-1] = first, last
         return HNFactorList(beta, [HNFactor(
             [Staircase(beta, out, check=False)],
             Fraction(L * L * b[1] * b[3], area))])
 
-    def count(self, beta, b, g, tn, td):
+    def count(self, b, g, tn, td):
         """The interval's term of s^theta(beta, gamma), theta = tn/td, for
         beta <= gamma given by integer ratios b and g (any positive
         denominators), beta on the support, as it is for every interval
@@ -331,7 +347,7 @@ class _Interval:
                 return 0
         if tn <= 0:
             return 1
-        _, area = self._transport(beta, b)
+        area = self._transport(b)[2]
         return int(L * L * b[1] * b[3] * td >= tn * area)
 
 
@@ -616,7 +632,7 @@ class ExactStore:
         for _, _, cells in self.summands:
             for t in cells.at(beta) or ():
                 if type(t) is _Interval:
-                    n += t.count(beta, b, g, tn, td)
+                    n += t.count(b, g, tn, td)
                     continue
                 if gamma is None:
                     gamma = (Fraction(g[0], g[1]), Fraction(g[2], g[3]))

@@ -158,6 +158,48 @@ def test_cli_check_ok(cross_file, capsys):
     assert "check ok" in capsys.readouterr().out
 
 
+def test_cli_check_reports_each_failure(cross_file, monkeypatch, capsys):
+    """With drivers that disagree, check exits 4 and writes one FAIL line
+    per failure to stderr, with no traceback: a scan store that differs
+    from the approx store, an entry whose slopes do not strictly decrease,
+    and a theta=0 query that differs from the rank at each of the 25 probe
+    pairs."""
+    approx = pipeline.approx_skyscraper
+
+    def bad_approx(M, cfg):
+        store = approx(M, cfg)
+        fl = store.entries[store.keys()[0]]
+        store.insert(invariants.HNFactorList(fl.alpha, fl.factors * 2))
+        return store
+    monkeypatch.setattr(pipeline, "approx_skyscraper", bad_approx)
+    monkeypatch.setattr(pipeline, "parallel_grid_scan",
+                        lambda M, cfg: invariants.SkyscraperStore(cfg.epsilon))
+    monkeypatch.setattr(cli, "_map_rank", lambda M, a, b: -1)
+    assert main(["check", cross_file]) == 4
+    out, err = capsys.readouterr()
+    assert "check ok" not in out and "Traceback" not in err
+    lines = err.splitlines()
+    assert all(line.startswith("FAIL: ") for line in lines)
+    assert lines[0] == "FAIL: scan store differs from approx store"
+    assert lines[1] == "FAIL: slopes do not strictly decrease at (0, 0)"
+    assert len(lines) == 27
+    assert all("query differs from rank" in line for line in lines[2:])
+
+
+def test_cli_io_errors_exit_2(cross_file, tmp_path, capsys):
+    """A missing input file, an input path that is a directory and an
+    --out below a regular file each end in exit 2 with one i/o error
+    line."""
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    for argv in (["approx", str(tmp_path / "missing.skypres")],
+                 ["approx", str(tmp_path)],
+                 ["--out", str(plain / "out"), "approx", cross_file]):
+        assert main(argv + ["--epsilon", "1"]) == 2, argv
+        err = _one_line_error(capsys)
+        assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
+
+
 def test_cli_check_clips_once(cross_file, tmp_path, monkeypatch, capsys):
     """skyhn check clips the module once, in the preparation its three
     drivers share, and takes its rank checks on the parsed module: they

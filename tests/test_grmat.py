@@ -509,12 +509,12 @@ def _moved(M, g):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 31])
 def test_decompose_splits_one_generator_parts(q, monkeypatch):
-    """A disguised direct sum of 2-4 one-generator parts comes back as
-    many non-zero pieces as it has non-zero parts, over every prime field
-    (each part is indecomposable, so every split was found), and the
-    pieces add up to it pointwise.  So do sums of 5-7 parts all generated
-    at one degree, whose split trees run three or more levels deep: a
-    split hands each corner on to its children."""
+    """The minimal presentation of a disguised direct sum of 2-4
+    one-generator parts comes back as many non-zero pieces as it has
+    non-zero parts, over every prime field (each part is indecomposable,
+    so every split was found), and the pieces add up to it pointwise.  So do sums of 5-7 parts all generated at one degree,
+    whose split trees run three or more levels deep: a split hands each
+    corner on to its children."""
     F = PrimeField(q)
     rng = random.Random(2027)
     depth, deepest = {}, []
@@ -530,10 +530,12 @@ def test_decompose_splits_one_generator_parts(q, monkeypatch):
     monkeypatch.setattr(grmat, "_eigen_split", split)
 
     def check(parts):
-        M = disguise(rng, functools.reduce(grmat.direct_sum, parts))
+        # decompose takes a minimal block
+        M = grmat.minimize(disguise(rng, functools.reduce(grmat.direct_sum,
+                                                          parts)))
         depth.clear()
         pieces = grmat.decompose(M)
-        assert sum(grmat.minimize(p).nrows > 0 for p in pieces) == \
+        assert sum(p.nrows > 0 for p in pieces) == \
             sum(grmat.minimize(p).nrows > 0 for p in parts)
         assert _dims(pieces, induced_grid(M)) == _dims([M], induced_grid(M))
     for _ in range(60):
@@ -732,22 +734,24 @@ def test_split_matches_reference(monkeypatch, stable):
 
 
 class _BasisInt(int):
-    """A GF(2) column of an End(M)_0 basis matrix, told apart by type:
-    every operation on it returns a plain int."""
+    """A GF(2) End(M)_0 basis matrix, packed as one vector, told apart by
+    type: every operation on it returns a plain int."""
 
 
 class _BasisList(list):
-    """The same for a column over a larger field."""
+    """The same for a basis matrix over a larger field."""
 
 
 def test_decompose_presents_once_and_conjugates_no_basis(monkeypatch):
     """All splitting happens among idempotents in M's coordinates: the
     final split runs at most once per decompose call, exactly when M does
     not come back whole, and no basis matrix of End(M)_0 enters a matrix
-    product, as the columns (the left factor) or as a column of the right
-    factor of the vector form's times, on GF(2), GF(3) and GF(5)."""
+    product of the vector form's times but a draw's, whose columns (the
+    left factor) are the whole basis: none is the right factor or a
+    column of any other product, on GF(2), GF(3) and GF(5)."""
     splits, basis, products = [], [], collections.Counter()
     real_split, real_ends = grmat._split, grmat._endomorphisms
+    tags = (_BasisInt, _BasisList)
 
     def split(M, idempotents):
         splits.append(len(idempotents))
@@ -755,13 +759,14 @@ def test_decompose_presents_once_and_conjugates_no_basis(monkeypatch):
 
     def ends(M):
         tag = _BasisInt if M.field.q == 2 else _BasisList
-        basis[:] = [[tag(col) for col in X] for X in real_ends(M)]
+        basis[:] = [tag(X) for X in real_ends(M)]
         return basis
 
     def spy(q, times):
         def product(cols, v, n):
-            assert not any(X is cols for X in basis)
-            assert not isinstance(v, (_BasisInt, _BasisList))
+            assert cols is basis or not any(isinstance(c, tags)
+                                            for c in cols)
+            assert not isinstance(v, tags)
             products[q] += 1
             return times(cols, v, n)
         return product
@@ -890,16 +895,22 @@ def test_eigenvalue_finds_a_root_when_there_is_one():
                 assert at(c) == 0
 
 
+def _basis_columns(form, X, t):
+    """The column list, in the vector form, of a t x t matrix X packed as
+    one vector, column b at entries b*t..b*t+t-1."""
+    return [form.slice(X, b, b + t) for b in range(0, t * t, t)]
+
+
 def test_endomorphisms_of_a_direct_sum():
     """End of a hidden direct sum contains the identity, and every basis
-    element, a column list in the vector form, is graded and maps each
-    relation into the relations of degree below it."""
+    element, one vector of length t^2 in the vector form, is graded and
+    maps each relation into the relations of degree below it."""
     for F, _, M in hidden_corpus(n=9, seed=7):
         t, form = M.nrows, fieldmod._vector_form(F.q)
         ends = grmat._endomorphisms(M)
         ech = grmat._Echelon(F, t * t)
         for X in ends:
-            cols = [form.unpack(col, t) for col in X]
+            cols = [form.unpack(col, t) for col in _basis_columns(form, X, t)]
             assert len(cols) == t
             assert all(not x or deg_leq(M.row_degrees[a], M.row_degrees[b])
                        for b, col in enumerate(cols)

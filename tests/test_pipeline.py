@@ -1,6 +1,9 @@
 import collections
 import functools
+import gc
 import random
+import sys
+import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
@@ -842,6 +845,28 @@ def test_landscape_source_anchor(cross):
         assert lam[pts[0]] > 0
 
 
+def test_landscape_saturates_on_a_staircase_without_relations(
+        tmp_path, monkeypatch):
+    """A store read from a CSV whose one staircase has no relations holds
+    every point above its key: from the key, lambda is the whole reach
+    hmax (here 1, the keys' span plus one), found from the two end levels
+    alone, with no bisection step."""
+    path = tmp_path / "free.csv"
+    path.write_text(",".join(cli.STORE_FIELDS) + "\n0,0,0,1,1,0,0,\n")
+    store = cli.parse_store(str(path))
+    assert store.entries[(Fr(0), Fr(0))].factors[0].staircases[0].rels == []
+    query, calls = invariants.skyscraper_query, []
+    monkeypatch.setattr(invariants, "skyscraper_query",
+                        lambda *args: calls.append(args) or query(*args))
+    pt = (Fr(0), Fr(0))
+    for resolution in (1, 4, 8):
+        del calls[:]
+        lam = filtered_landscape(store, 1, Fr(0), [pt],
+                                 resolution=resolution, anchor="source")
+        assert lam == {pt: Fr(1)}
+        assert len(calls) == 2
+
+
 def test_landscape_rejects_unknown_anchor(cross):
     # any anchor but 'center' acted as 'source', so a typo gave wrong lambda
     ex = exact_skyscraper(cross)
@@ -1186,3 +1211,57 @@ def test_landscape_bisects_as_on_fractions(tmp_path):
                                             for v in want.values())
                         hit["zero"] += sum(v == 0 for v in want.values())
     assert min(hit.values()) > 100, hit
+
+
+def test_store_entries_share_their_tuples(cross):
+    """A stored HN filtration holds only the objects that are its own: the
+    value classes have no __dict__, an interval read at a lattice point
+    keeps the sweep's point tuple as its alpha and its staircase's
+    generator, and the corners that the transport to beta makes are shared
+    by the reads on beta's lattice column, (beta_x, r_y), and row, (r_x,
+    beta_y), in the approx and the scan store alike.  The points lie in
+    the cross fixture's vertical interval [0, 1) x [0, 3) alone, above the
+    horizontal one."""
+    fl = hn_at(cross, (0, 0))
+    values = [fl, fl.factors[0], fl.factors[0].staircases[0]]
+    for v in values:
+        assert not hasattr(v, "__dict__")
+        with pytest.raises(AttributeError):
+            v.extra = None
+    cfg = ScanConfig(epsilon=Fr(1, 4))
+    for store in (approx_skyscraper(cross, cfg),
+                  parallel_grid_scan(cross, cfg)):
+        def stair(x, y):
+            fl = store.entries[(x, y)]
+            (f,) = fl.factors
+            (S,) = f.staircases
+            assert fl.alpha is S.gen
+            assert S.rels == [(x, Fr(3)), (Fr(1), y)]
+            return S
+        a, b = stair(Fr(1, 2), Fr(9, 4)), stair(Fr(1, 2), Fr(5, 2))
+        c = stair(Fr(1, 4), Fr(9, 4))
+        assert a.rels[0] is b.rels[0] and a.rels[1] is not b.rels[1]
+        assert a.rels[1] is c.rels[1] and a.rels[0] is not c.rels[0]
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython"
+                    or sys.version_info[:2] != (3, 11),
+                    reason="object sizes are those of CPython 3.11")
+def test_store_bytes_per_entry():
+    """An approx store of the cross fixture at epsilon 1/32 (5,120
+    entries) holds at most 800 bytes per entry under tracemalloc, the
+    module's preparation included: each entry is its key, its factor list,
+    factor, staircase, their lists and its slope, and shares its point and
+    corner tuples (about 1,014 bytes when each entry copied them)."""
+    M = cross_module()
+    approx_skyscraper(M, ScanConfig(epsilon=1))     # the preparation
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = approx_skyscraper(M, ScanConfig(epsilon=Fr(1, 32)))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 5120
+    assert held / len(store) <= 800
