@@ -65,7 +65,6 @@ which the retry schedule adds degrees.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -393,13 +392,15 @@ def build_A_alpha(M, G, alpha):
         maps.append([[c[r] for c in cols] for r in range(t) if r not in ech])
     maps.append([])     # maps[-1]: the points of class -1, the zero fiber
     # the grid points >= alpha, from the first coordinate >= alpha's on
-    # each axis, in colexicographic order; alpha is the first when on G
-    xs = G.xs[bisect.bisect_left(G.xs, alpha[0]):]
-    ys = G.ys[bisect.bisect_left(G.ys, alpha[1]):]
+    # each axis, in colexicographic order; alpha is the first when on G.
+    # Each is floored on ints, in G's axes and in M's (grmat.Axis)
+    (gx, ex), (gy, ey) = (a.floor(c) for a, c in zip(G.axes, alpha))
+    xs, ys = G.xs[gx + (not ex):], G.ys[gy + (not ey):]
     betas = [(x, y) for y in ys for x in xs]
-    ixs = [bisect.bisect_right(fc.xs, x) - 1 for x in xs]
-    classes = [fc.point_class[ix, iy] for iy in
-               (bisect.bisect_right(fc.ys, y) - 1 for y in ys) for ix in ixs]
+    fx, fy = grmat.Axis(fc.xs), grmat.Axis(fc.ys)
+    ixs = [fx.floor(x)[0] for x in xs]
+    classes = [fc.point_class[ix, iy]
+               for iy in (fy.floor(y)[0] for y in ys) for ix in ixs]
     if betas and betas[0] == alpha:
         del betas[0], classes[0]
     space = _stacked_space(M.field, len(units), [maps[c] for c in classes])
@@ -585,17 +586,15 @@ def _check_grid(cur, G, alpha):
     is a coordinate of G, and cur vanishes past its last coordinates.
     Then <V_alpha> is constant on the equal cells of G and zero on its
     last row and column, so the discrete slopes on G are the area-weighted
-    ones.  Coordinates compare as (numerator, denominator) pairs."""
-    for name, axis, coords in (("x", G.xs, cur._ranks[0]),
-                               ("y", G.ys, cur._ranks[1])):
-        have = {c.as_integer_ratio() for c in axis}
+    ones.  Both are read on the ints of G's axes (grmat.Axis): a
+    coordinate is one of G's where its floor is exact."""
+    for name, axis, coords in zip("xy", G.axes, cur._ranks):
         for c in coords:
-            if c.as_integer_ratio() not in have:
+            if not axis.floor(c)[1]:
                 raise ValueError(
                     "cheng grid lacks %s = %s, a degree of the module "
                     "generated at (%s, %s)" % ((name, c) + alpha))
-        _, ints = grmat._over_lcm(axis)
-        if len({b - a for a, b in zip(ints, ints[1:])}) > 1:
+        if len({b - a for a, b in zip(axis.ints, axis.ints[1:])}) > 1:
             raise ValueError("cheng grid is not evenly spaced in " + name)
     fc = fiber_classes(cur)
     ax, ay = fc.origin

@@ -196,6 +196,7 @@ def emit_store(store, path):
 def parse_store(path, epsilon=None):
     """Rebuild a SkyscraperStore from an emitted CSV (exact round trip); a
     malformed row is reported with its CSV line number."""
+    store = SkyscraperStore(epsilon)
     groups = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
@@ -220,7 +221,6 @@ def parse_store(path, epsilon=None):
                 raise ParseError(path, r.line_num, "bad store row: %s" % exc)
             groups.setdefault((ax, ay), {}).setdefault(
                 (j, slope), []).append(stair)
-    store = SkyscraperStore(epsilon)
     for alpha in sorted(groups):
         factors = [HNFactor(groups[alpha][k], k[1])
                    for k in sorted(groups[alpha])]

@@ -12,9 +12,11 @@ positions of each coordinate among the matrix's sorted distinct ones.
 Every matrix has its ranks from the moment it is built and is validated
 once, on them: the constructor computes them from the degrees, and
 ``_from_ranks`` hands over the ranks that an operation already holds.
-Every module puts its lists of Fractions on ints over one common
-denominator through ``_over_lcm``; only ``_sorted_distinct``, which runs
-on every matrix built, scales the ratio keys it already holds.
+Sorted coordinates live in an ``Axis``, which holds them as Fractions and
+as ints over one denominator and floors a point on the ints; an
+epsilon-lattice is a ``Lattice``, whose indices are ints.  A ``Grid`` is
+a pair of axes.  Every other list of Fractions goes on one denominator
+once, through ``_over_lcm``.
 The echelon forms, kernels and column reductions run in field (_Echelon,
 ColumnReduction, reduce_columns, kernel_combos; grmat._Echelon is field's
 class, imported); minimize's unit-pivot cancellation is its own loop of
@@ -151,17 +153,89 @@ def _compress(xs, ys, rk):
             [(mx[x], my[y]) for x, y in rk])
 
 
+class Axis:
+    """Sorted distinct coordinates on one axis: as Fractions (coords), as
+    their integer ratios (keys) and, from the first floor on, as ints over
+    den, the lcm of their denominators (ints).  Built on the ratio keys,
+    without Fraction hashes or comparisons (it runs on every GradedMatrix
+    built); the last of equal Fractions is kept."""
+
+    __slots__ = ("den", "keys", "coords", "memo", "_ints")
+
+    def __init__(self, frs):
+        byk = {c.as_integer_ratio(): c for c in frs}
+        den = self.den = math.lcm(*(d for _, d in byk))
+        self.keys = sorted(byk, key=lambda k: k[0] * (den // k[1]))
+        self.coords = [byk[k] for k in self.keys]
+        self.memo = {}      # a coordinate's integer ratio -> its floor
+        self._ints = None
+
+    @property
+    def ints(self):
+        if self._ints is None:
+            self._ints = [n * (self.den // d) for n, d in self.keys]
+        return self._ints
+
+    def floor(self, v):
+        """(i, exact): the index of the largest coordinate <= v (-1 below
+        them all) and whether it equals v, memoized per v.  Found on ints:
+        a coordinate c*den <= v*den exactly when it is <= the floor of
+        v*den."""
+        key = n, d = v.as_integer_ratio()
+        hit = self.memo.get(key)
+        if hit is None:
+            ints, den = self.ints, self.den
+            i = bisect.bisect_right(ints, n * den // d) - 1
+            hit = self.memo[key] = (i, i >= 0 and ints[i] * d == n * den)
+        return hit
+
+
+class Lattice:
+    """The lattice epsilon*Z of an epsilon > 0, indexed on ints: the
+    lattice point k*epsilon has index k, and for n/d (d > 0) ceil(n, d) is
+    the least k with k*epsilon >= n/d and floor(n, d) the greatest with
+    k*epsilon <= n/d."""
+
+    def __init__(self, epsilon):
+        self.epsilon = Fraction(epsilon)
+        self.en, self.ed = self.epsilon.as_integer_ratio()
+        if self.en <= 0:
+            raise ValueError("epsilon must be positive")
+
+    def ceil(self, n, d):
+        return -(-n * self.ed // (d * self.en))
+
+    def floor(self, n, d):
+        return n * self.ed // (d * self.en)
+
+    def ratio(self, k):
+        """The integer ratio of k*epsilon, reduced as a Fraction's is."""
+        g = math.gcd(k * self.en, self.ed)
+        return k * self.en // g, self.ed // g
+
+    def indices(self, box):
+        """(k0, j0, k1, j1): the box's lattice columns are k0 <= k < k1 and
+        its rows j0 <= j < j1 (the half-open box)."""
+        return tuple(self.ceil(*c.as_integer_ratio()) for c in box)
+
+    def points(self, indices):
+        """The x and y coordinates of the lattice points of the half-open
+        box given by its indices."""
+        k0, j0, k1, j1 = indices
+        return ([Fraction(k * self.en, self.ed) for k in range(k0, k1)],
+                [Fraction(j * self.en, self.ed) for j in range(j0, j1)])
+
+
 class Grid:
-    """Product grid: strictly increasing x and y coordinate lists."""
+    """Product grid of an x and a y Axis (axes); xs and ys are their
+    strictly increasing coordinates, and coordinates that already are
+    Fractions are kept as they are."""
 
     def __init__(self, xs, ys):
-        self.xs = _axis(xs)
-        self.ys = _axis(ys)
-        # per axis: a coordinate's (numerator, denominator) -> its _floor
-        self._memo = ({}, {})
-        # per axis, built at its first _floor: (den, the coordinates * den),
-        # den the lcm of the axis's denominators
-        self._scaled = [None, None]
+        self.axes = ax, ay = (
+            Axis([c if type(c) is Fraction else Fraction(c) for c in xs]),
+            Axis([c if type(c) is Fraction else Fraction(c) for c in ys]))
+        self.xs, self.ys = ax.coords, ay.coords
 
     def points(self):
         for y in self.ys:
@@ -171,38 +245,16 @@ class Grid:
     def index(self, d):
         """(ix, iy, on_grid): per axis the index of the largest grid
         coordinate <= d's (-1 below them all), and whether d is a grid
-        point.  Memoized per coordinate: a lattice sweep asks for few
-        distinct ones."""
+        point.  A memo hit (Axis.floor) is read inline: a lattice sweep
+        asks for few distinct coordinates."""
         x, y = d
-        mx, my = self._memo
-        hx = mx.get(x.as_integer_ratio()) or self._floor(0, x)
-        hy = my.get(y.as_integer_ratio()) or self._floor(1, y)
+        ax, ay = self.axes
+        hx = ax.memo.get(x.as_integer_ratio()) or ax.floor(x)
+        hy = ay.memo.get(y.as_integer_ratio()) or ay.floor(y)
         return hx[0], hy[0], hx[1] and hy[1]
-
-    def _floor(self, axis, v):
-        """(i, exact): the index of the largest coordinate <= v on the axis
-        (0: x, 1: y) and whether it equals v, entered in the memo.  Found
-        on ints: a coordinate c*den <= v*den exactly when it is <= the
-        floor of v*den."""
-        scaled = self._scaled[axis]
-        if scaled is None:
-            scaled = self._scaled[axis] = _over_lcm(
-                self.ys if axis else self.xs)
-        den, ints = scaled
-        key = n, d = v.as_integer_ratio()
-        i = bisect.bisect_right(ints, n * den // d) - 1
-        hit = self._memo[axis][key] = (i, i >= 0 and ints[i] * d == n * den)
-        return hit
 
     def __repr__(self):
         return "Grid(%d x %d)" % (len(self.xs), len(self.ys))
-
-
-def _axis(coords):
-    """Sorted distinct coordinates as Fractions.  Coordinates that already
-    are Fractions are kept (see _sorted_distinct)."""
-    return _sorted_distinct(
-        [c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
 def _over_lcm(frs):
@@ -220,34 +272,23 @@ def _ratios(d):
     return d[0].as_integer_ratio() + d[1].as_integer_ratio()
 
 
-def _sorted_distinct(frs):
-    """The distinct values of a list of Fractions, sorted, without Fraction
-    hashes or comparisons: duplicates are found by (numerator,
-    denominator) and the order by the numerators over the lcm of the
-    denominators, on the ratio keys already in hand (it runs on every
-    GradedMatrix built).  The last of equal Fractions is kept."""
-    byk = {c.as_integer_ratio(): c for c in frs}
-    den = math.lcm(*(d for _, d in byk))
-    return [byk[k] for k in sorted(byk, key=lambda k: k[0] * (den // k[1]))]
-
-
 def induced_grid(M):
-    """Smallest grid containing all row and column degrees of M."""
-    xs = [d[0] for d in M.row_degrees] + [d[0] for d in M.col_degrees]
-    ys = [d[1] for d in M.row_degrees] + [d[1] for d in M.col_degrees]
+    """Smallest grid containing all row and column degrees of M: on the
+    sorted distinct coordinates that M keeps (M._ranks)."""
+    xs, ys, _, _ = M._ranks
     return Grid(xs or [Fraction(0)], ys or [Fraction(0)])
 
 
 def _rank_degrees(degs):
     """Coordinate compression: the sorted distinct x and y coordinates of
-    degs and every degree's pair of integer ranks in them, looked up by
-    (numerator, denominator), which hashes far faster than a Fraction."""
-    xs = _sorted_distinct([d[0] for d in degs])
-    ys = _sorted_distinct([d[1] for d in degs])
-    xr = {x.as_integer_ratio(): r for r, x in enumerate(xs)}
-    yr = {y.as_integer_ratio(): r for r, y in enumerate(ys)}
-    return xs, ys, [(xr[x.as_integer_ratio()], yr[y.as_integer_ratio()])
-                    for x, y in degs]
+    degs (each an Axis) and every degree's pair of integer ranks in them,
+    looked up by (numerator, denominator), which hashes far faster than a
+    Fraction."""
+    ax, ay = Axis([d[0] for d in degs]), Axis([d[1] for d in degs])
+    xr = {k: r for r, k in enumerate(ax.keys)}
+    yr = {k: r for r, k in enumerate(ay.keys)}
+    return ax.coords, ay.coords, [
+        (xr[x.as_integer_ratio()], yr[y.as_integer_ratio()]) for x, y in degs]
 
 
 def _count_leq(coords, v):

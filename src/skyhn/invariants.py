@@ -21,13 +21,12 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 import operator
 import types
 from fractions import Fraction
 
 from . import grmat
-from .grmat import Grid, as_degree, deg_leq, induced_grid, POS_INF
+from .grmat import Grid, Lattice, as_degree, deg_leq, induced_grid, POS_INF
 
 
 class BettiTable:
@@ -399,17 +398,18 @@ class SkyscraperStore:
     """Dictionary alpha -> HNFactorList with a provenance grid for snapping.
 
     Queries at non-key points snap by componentwise floor, onto the
-    epsilon-lattice when the store has an epsilon and else onto the grid
-    of stored keys; misses return None.  The one dict is keyed by each
-    key's integer ratios, x.as_integer_ratio() + y.as_integer_ratio(), so
-    that insert, locate, equality and keys hash and compare ints.  The
+    store's epsilon-lattice (lattice, a grmat.Lattice) when it has an
+    epsilon and else onto the grid of stored keys; misses return None.
+    The one dict is keyed by each key's integer ratios (xn, xd, yn, yd),
+    so that insert, locate, equality and keys hash and compare ints.  The
     Fractions stay at the API: keys and locate return the entries' own
     alphas and factor lists, and entries is a read-only mapping by
     Fraction key, built at its first read after an insert.
     """
 
     def __init__(self, epsilon=None):
-        self.epsilon = Fraction(epsilon) if epsilon is not None else None
+        self.lattice = Lattice(epsilon) if epsilon is not None else None
+        self.epsilon = self.lattice.epsilon if self.lattice else None
         self._entries = {}      # integer ratios of alpha -> HNFactorList
         self._view = None       # entries, built on demand
         self._key_grid = None   # grid of the keys, built on demand
@@ -438,19 +438,14 @@ class SkyscraperStore:
     def locate(self, alpha):
         """The entry at alpha's floor, on ints; None where it has none."""
         x, y = as_degree(alpha)
-        xn, xd = x.as_integer_ratio()
-        yn, yd = y.as_integer_ratio()
-        key = (xn, xd, yn, yd)
+        key = xn, xd, yn, yd = x.as_integer_ratio() + y.as_integer_ratio()
         entry = self._entries.get(key)
         if entry is not None:
             return entry
-        if self.epsilon is not None:
-            en, ed = self.epsilon.as_integer_ratio()
-            floor = (_lattice_ratio(xn * ed // (xd * en), en, ed)
-                     + _lattice_ratio(yn * ed // (yd * en), en, ed))
+        lat = self.lattice
+        if lat is not None:
+            floor = lat.ratio(lat.floor(xn, xd)) + lat.ratio(lat.floor(yn, yd))
         else:
-            if not self._entries:
-                return None
             if self._key_grid is None:
                 self._key_grid = Grid(
                     [fl.alpha[0] for fl in self._entries.values()],
@@ -458,8 +453,8 @@ class SkyscraperStore:
             ix, iy, _ = self._key_grid.index((x, y))
             if ix < 0 or iy < 0:
                 return None
-            floor = (self._key_grid.xs[ix].as_integer_ratio()
-                     + self._key_grid.ys[iy].as_integer_ratio())
+            ax, ay = self._key_grid.axes
+            floor = ax.keys[ix] + ay.keys[iy]
         if floor == key:
             return None
         return self._entries.get(floor)
@@ -471,13 +466,6 @@ class SkyscraperStore:
 
     def __len__(self):
         return len(self._entries)
-
-
-def _lattice_ratio(k, en, ed):
-    """The integer ratio of the lattice coordinate k * en/ed, reduced as a
-    Fraction's is."""
-    g = math.gcd(k * en, ed)
-    return k * en // g, ed // g
 
 
 def theta_staircases(factors, theta):

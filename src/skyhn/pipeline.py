@@ -67,7 +67,7 @@ import math
 from fractions import Fraction
 
 from . import cheng, grmat, hn_core, invariants, subdivision
-from .grmat import Grid, as_degree
+from .grmat import Grid, Lattice, as_degree
 from .invariants import (HNFactor, HNFactorList, SkyscraperStore, Staircase,
                          count_containing, merge_factors,
                          staircase_contains, theta_staircases)
@@ -90,9 +90,7 @@ class ScanConfig:
     the randomized engine, and clipping box (the bounding box when None)."""
 
     def __init__(self, epsilon=1, engine="brute", seed=0, box=None):
-        self.epsilon = Fraction(epsilon)
-        if self.epsilon.numerator <= 0:
-            raise ValueError("epsilon must be positive")
+        self.epsilon = Lattice(epsilon).epsilon
         _check_engine(engine)
         self.engine = engine
         self.seed = seed
@@ -260,17 +258,6 @@ class _Interval:
         self.gen, *self.rels = zip(ints[0::2], ints[1::2])
         self.cols, self.rows = {}, {}
 
-    def steps(self, index):
-        """The support on the lattice rows: (J, lo, hi) per relation r, from
-        the highest, where from row J = index(r_y) on the support is the
-        columns lo = index(gen_x) <= k < index(r_x); index(n, d) is the
-        first lattice index at or above n/d.  Below the first J, the
-        generator's row, the support is empty."""
-        L = self.den
-        lo = index(self.gen[0], L)
-        return [(index(ry, L), lo, index(rx, L))
-                for rx, ry in reversed(self.rels)]
-
     def _transport(self, b):
         """The one pass on ints over the relations that both reads of the
         interval share, at beta with integer ratios b = (xn, xd, yn, yd),
@@ -403,50 +390,31 @@ def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
     return _merged(reads, alpha)
 
 
-def _lattice_index(epsilon):
-    """index(n, d): the least k with k*epsilon >= n/d (d > 0), on ints."""
-    en, ed = epsilon.as_integer_ratio()
-    return lambda n, d: -(-n * ed // (d * en))
-
-
-def _box_indices(box, epsilon):
-    """(k0, j0, k1, j1): the box's lattice columns are k0 <= k < k1 and its
-    rows j0 <= j < j1 (the half-open box)."""
-    index = _lattice_index(epsilon)
-    return tuple(index(*c.as_integer_ratio()) for c in box)
-
-
-def _eps_points(box, epsilon):
-    """x and y coordinates of the epsilon-lattice points inside the
-    half-open box."""
-    k0, j0, k1, j1 = _box_indices(box, epsilon)
-    en, ed = epsilon.as_integer_ratio()
-    return ([Fraction(k * en, ed) for k in range(k0, k1)],
-            [Fraction(j * en, ed) for j in range(j0, j1)])
-
-
-def _row_columns(readers, box, epsilon):
-    """Per epsilon-lattice row of the box, bottom up, the sorted positions
-    in the row (column k - k0) outside which every read of the readers is
-    zero, on ints.  An _Interval is non-zero exactly on its support
-    (_Interval.steps); any other reader, a piece of two or more generators
-    or a cheng block, is zero left of its generators at or below the row,
-    and may be non-zero from the least of their columns to the row's
-    end."""
-    index = _lattice_index(epsilon)
-    k0, j0, k1, j1 = _box_indices(box, epsilon)
+def _row_columns(readers, lat, bounds):
+    """Per row of the Lattice lat in the box of the lattice indices bounds
+    (Lattice.indices), bottom up, the sorted positions in the row (column
+    k - k0) outside which every read of the readers is zero, on ints, as
+    steps (J, lo, hi): from row J up to the next step's the columns lo <=
+    k < hi.  An _Interval is non-zero exactly on its support, a step per
+    relation r from the highest, from row ceil(r_y) on the columns
+    ceil(gen_x) <= k < ceil(r_x); any other reader, a piece of two or more
+    generators or a cheng block, is zero left of its generators at or
+    below the row, and may be non-zero from the least of their columns to
+    the row's end."""
+    k0, j0, k1, j1 = bounds
     rows = [set() for _ in range(j0, j1)]
     for r in readers:
         if type(r) is _Interval:
-            steps = r.steps(index)
+            lo = lat.ceil(r.gen[0], r.den)
+            steps = [(lat.ceil(ry, r.den), lo, lat.ceil(rx, r.den))
+                     for rx, ry in reversed(r.rels)]
         else:
             steps, lo = [], k1
-            for J, K in sorted((index(*gy.as_integer_ratio()),
-                                index(*gx.as_integer_ratio()))
+            for J, K in sorted((lat.ceil(*gy.as_integer_ratio()),
+                                lat.ceil(*gx.as_integer_ratio()))
                                for gx, gy in r.row_degrees):
                 lo = min(lo, K)
                 steps.append((J, lo, k1))
-        # a step holds from its row J up to the next step's
         for (J, lo, hi), (J_up, *_) in zip(steps, steps[1:] + [(j1,)]):
             cols = range(max(lo, k0) - k0, min(hi, k1) - k0)
             for row in rows[max(J - j0, 0):max(J_up - j0, 0)]:
@@ -482,7 +450,7 @@ class _Cells(dict):
         return data
 
     def keep_row(self, y):
-        iy = grmat._count_leq(self.grid.ys, y)     # on ints
+        iy = self.grid.axes[1].floor(y)[0]     # the row index at finds
         if iy != self.row:
             self.row = iy
             self.clear()
@@ -495,10 +463,13 @@ def _sweep(box, epsilon, hn_of, readers, caches=()):
     zero (_row_columns): hn_of reads only the support, and any other
     lattice point lies in a cell where every piece is zero.  Each of
     the caches (_Cells) is told every lattice row the sweep enters, and
-    keeps only that row's cells."""
-    xs, ys = _eps_points(box, epsilon)
+    keeps only that row's cells.  The store's Lattice gives the lattice
+    indices of the box, once."""
     store = SkyscraperStore(epsilon)
-    for y, cols in zip(ys, _row_columns(readers, box, epsilon)):
+    lat = store.lattice
+    bounds = lat.indices(box)
+    xs, ys = lat.points(bounds)
+    for y, cols in zip(ys, _row_columns(readers, lat, bounds)):
         for cells in caches:
             cells.keep_row(y)
         for k in cols:

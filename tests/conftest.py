@@ -152,6 +152,13 @@ def deg_join(a, b):
     return (max(a[0], b[0]), max(a[1], b[1]))
 
 
+def eps_points(box, epsilon):
+    """The x and y coordinates of the epsilon-lattice points inside the
+    half-open box."""
+    lat = grmat.Lattice(epsilon)
+    return lat.points(lat.indices(box))
+
+
 def grid_floor(grid, d):
     """The largest point of grid <= d componentwise, or None where d lies
     below the grid on some axis."""

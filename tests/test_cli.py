@@ -515,6 +515,17 @@ def _one_line_error(capsys):
     return err
 
 
+def test_cli_refuses_nonpositive_epsilon(cross_file, tmp_path, capsys):
+    """approx, scan and check exit 2 on an epsilon <= 0 with one line,
+    the message of ScanConfig, and no traceback."""
+    for cmd in ("approx", "scan", "check"):
+        for eps in (["--epsilon", "0"], ["--epsilon=-1/2"]):
+            assert main(["--out", str(tmp_path), cmd, cross_file]
+                        + eps) == 2, (cmd, eps)
+            assert _one_line_error(capsys) == \
+                "error: epsilon must be positive", (cmd, eps)
+
+
 def test_cli_generators_not_an_integer(tmp_path, capsys):
     p = tmp_path / "gx.skypres"
     p.write_text("skypres v1\nfield 2\ngenerators x\n")

@@ -1,6 +1,8 @@
+import bisect
 import collections
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction as Fr
 from math import lcm
@@ -81,6 +83,61 @@ def test_grid_coordinates_match_fraction_sets():
     G = grmat.Grid([half], [half, 1])
     assert G.xs[0] is half and G.ys[0] is half
     assert grmat.Grid([], []).xs == []
+
+
+def _random_rational(rng):
+    return Fr(rng.randrange(-12, 13), rng.choice([1, 2, 3, 4, 6, 7, 12]))
+
+
+def test_axis_floor_matches_bisect_on_fractions():
+    """Axis.floor against bisect_right on the sorted set of Fractions:
+    axes of random rationals with negatives and duplicates, the empty axis
+    among them, floored at their own coordinates (exact hits), at values
+    below every coordinate and at random rationals, each twice (the second
+    a memo hit)."""
+    rng = random.Random(37)
+    for trial in range(300):
+        frs = [_random_rational(rng) for _ in range(rng.randrange(0, 9))]
+        frs += rng.sample(frs, len(frs) // 2)           # duplicates
+        ref = sorted(set(frs))
+        axis = grmat.Axis(frs)
+        assert axis.coords == ref, trial
+        assert axis.ints == [c * axis.den for c in ref], trial
+        probes = list(frs) + [_random_rational(rng) for _ in range(8)]
+        probes.append((ref[0] if ref else Fr(0)) - Fr(1, 5))     # below all
+        for v in probes + probes:
+            i = bisect.bisect_right(ref, v) - 1
+            assert axis.floor(v) == (i, i >= 0 and ref[i] == v), (trial, v)
+    assert grmat.Axis([]).floor(Fr(3)) == (-1, False)
+
+
+def test_lattice_indices_match_fraction_arithmetic():
+    """Lattice.ceil and floor against math.ceil and math.floor of v/eps,
+    and Lattice.ratio(k) against Fraction(k*eps).as_integer_ratio(), for
+    random positive eps and rationals v of either sign, lattice points
+    among them; a lattice of eps <= 0 is refused."""
+    rng = random.Random(41)
+    for trial in range(300):
+        eps = Fr(rng.randrange(1, 13), rng.randrange(1, 13))
+        lat = grmat.Lattice(eps)
+        assert lat.epsilon == eps
+        for v in [_random_rational(rng) for _ in range(6)] + [
+                rng.randrange(-9, 10) * eps]:
+            n, d = v.as_integer_ratio()
+            assert lat.ceil(n, d) == math.ceil(v / eps), (eps, v)
+            assert lat.floor(n, d) == math.floor(v / eps), (eps, v)
+            # the same on an unreduced ratio of v
+            assert lat.floor(3 * n, 3 * d) == math.floor(v / eps), (eps, v)
+        for k in range(-6, 7):
+            assert lat.ratio(k) == Fr(k * eps).as_integer_ratio(), (eps, k)
+    box = (Fr(-1, 2), Fr(0), Fr(3, 2), Fr(1))
+    lat = grmat.Lattice(Fr(1, 2))
+    assert lat.indices(box) == (-1, 0, 3, 2)
+    assert lat.points(lat.indices(box)) == (
+        [Fr(-1, 2), Fr(0), Fr(1, 2), Fr(1)], [Fr(0), Fr(1, 2)])
+    for bad in (0, Fr(-1, 2), -1, "0"):
+        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+            grmat.Lattice(bad)
 
 
 def test_over_lcm_puts_fractions_on_one_denominator():

@@ -172,6 +172,28 @@ def test_store_locate_snapping():
     assert store.locate((Fr(-1), Fr(0))) is None
 
 
+def test_store_refuses_nonpositive_epsilon(tmp_path):
+    """A store snaps to the lattice of a positive epsilon only: at epsilon
+    0 a locate off the keys divided by zero, and at a negative epsilon it
+    took the ceiling for the floor.  The store and parse_store refuse
+    both with the message of ScanConfig."""
+    from skyhn.cli import emit_store, parse_store
+    store = SkyscraperStore(Fr(1))
+    store.insert(HNFactorList((Fr(1), Fr(1)), [HNFactor(
+        [Staircase((Fr(1), Fr(1)), [(Fr(1), Fr(2)), (Fr(2), Fr(1))])],
+        Fr(1))]))
+    assert store.locate((Fr(3, 2), Fr(3, 2))).alpha == (Fr(1), Fr(1))
+    assert store.locate((Fr(1, 2), Fr(1, 2))) is None
+    path = str(tmp_path / "store.csv")
+    emit_store(store, path)
+    for eps in (Fr(0), Fr(-1, 2), -1):
+        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+            SkyscraperStore(eps)
+        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+            parse_store(path, eps)
+    assert parse_store(path, Fr(1)) == store
+
+
 def test_store_locate_key_grid_follows_inserts():
     # a grid-snapped store reuses its key grid between inserts; every
     # insert must drop it, so off-key points see later keys

@@ -19,14 +19,15 @@ from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
                             hn_at, parallel_grid_scan)
 
 from conftest import (F2, F3, F5, cross_module, deg_join, disguise,
-                      fiber_trees, gm, grid_floor, hidden_corpus,
+                      eps_points, fiber_trees, gm, grid_floor, hidden_corpus,
                       hidden_direct_sum, random_bounded_module, rescaled,
                       stable_module)
 
 
 def test_scan_config_validation():
-    with pytest.raises(ValueError):
-        ScanConfig(epsilon=0)
+    for eps in (0, -1, Fr(-1, 2)):
+        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+            ScanConfig(epsilon=eps)
     with pytest.raises(ValueError):
         ScanConfig(engine="magic")
 
@@ -213,7 +214,7 @@ def _approx_reference(M, cfg):
     by a pointwise-model check, every other block runs its engine."""
     box = cfg.box or bounding_box(M)
     blocks = pipeline._clipped_blocks(M, box)
-    xs, ys = pipeline._eps_points(box, cfg.epsilon)
+    xs, ys = eps_points(box, cfg.epsilon)
     store = SkyscraperStore(cfg.epsilon)
     store.work = [0] * len(blocks)
     grids = [None] * len(blocks)
@@ -244,7 +245,7 @@ def _scan_reference(M, cfg):
     box = cfg.box or bounding_box(M)
     summands = [(b, grmat.induced_grid(b), {})
                 for b in pipeline._clipped_blocks(M, box)]
-    xs, ys = pipeline._eps_points(box, cfg.epsilon)
+    xs, ys = eps_points(box, cfg.epsilon)
     out = SkyscraperStore(cfg.epsilon)
     out.work = [0] * len(summands)
     pointer_y = [None] * len(summands)
@@ -384,7 +385,7 @@ def test_interval_cells_match_every_engine():
         assert piece.nrows == 1
         grid, box = grmat.induced_grid(piece), bounding_box(piece)
         reader = pipeline._Interval(piece)
-        xs, ys = pipeline._eps_points(box, Fr(2, 7))
+        xs, ys = eps_points(box, Fr(2, 7))
         probes = _probe_points(grid)
         for k, alpha in enumerate(probes + [(x, y) for y in ys for x in xs]):
             got = reader.factors_at(alpha)
@@ -717,7 +718,7 @@ def test_drivers_match_undecomposed_reference():
         cfg = ScanConfig(epsilon=1)
         got, want = approx_skyscraper(M, cfg), _approx_reference(M, cfg)
         assert got == want and got.work == want.work, i
-        xs, ys = pipeline._eps_points(box, cfg.epsilon)
+        xs, ys = eps_points(box, cfg.epsilon)
         snap = exact_skyscraper(M).snapshot(
             [(x, y) for y in ys for x in xs], cfg.epsilon)
         assert snap == _scan_reference(M, cfg), i
@@ -748,7 +749,7 @@ def _with_cancelling_pairs(rng, M, n=2):
 def _invariance_stores(N, box, eps, seed):
     """Brute and cheng approx, the scan and the exact snapshot of N at the
     epsilon-lattice points of the box."""
-    xs, ys = pipeline._eps_points(box, eps)
+    xs, ys = eps_points(box, eps)
     out = [approx_skyscraper(N, ScanConfig(eps, engine, seed, box))
            for engine in ("brute", "cheng")]
     out.append(parallel_grid_scan(N, ScanConfig(eps, box=box)))

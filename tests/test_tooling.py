@@ -640,8 +640,9 @@ def _lcm_calls(source):
 
 def test_only_grmat_takes_an_lcm():
     """Fractions go over one common denominator in grmat alone: every other
-    module of src/ calls grmat._over_lcm, and grmat's only other lcm is
-    _sorted_distinct's, on the ratio keys it already holds."""
+    module of src/ calls grmat._over_lcm or reads a grmat.Axis, and
+    grmat's only other lcm is Axis's, on the ratio keys it already
+    holds."""
     assert _lcm_calls(
         "import math as m\nfrom math import lcm as L, gcd\nimport math\n"
         "a = m.lcm(1, 2)\nb = L(3)\nc = math.lcm(*x)\nd = gcd(1, 2)\n"
@@ -650,6 +651,33 @@ def test_only_grmat_takes_an_lcm():
     found = {fname: _lcm_calls(text)
              for fname, text in _src_sources().items()}
     assert len(found.pop("grmat.py")) == 2
+    assert {fname: lines for fname, lines in found.items() if lines} == {}
+
+
+def _epsilon_ratio_calls(source):
+    """The lines of a module source that call as_integer_ratio on a name or
+    an attribute called epsilon (epsilon.as_integer_ratio(),
+    cfg.epsilon.as_integer_ratio())."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "as_integer_ratio"
+        and (getattr(node.func.value, "id", None) == "epsilon"
+             or getattr(node.func.value, "attr", None) == "epsilon"))
+
+
+def test_only_grmat_takes_epsilon_apart():
+    """The epsilon-lattice arithmetic is grmat.Lattice's: no module of src/
+    but grmat reads the integer ratio of an epsilon."""
+    assert _epsilon_ratio_calls(
+        "a = epsilon.as_integer_ratio()\nb = cfg.epsilon.as_integer_ratio()\n"
+        "c = eps.as_integer_ratio()\nd = epsilon.numerator\n"
+        "e = self.lattice.epsilon.as_integer_ratio()\n"
+        "f = x.epsilon_k.as_integer_ratio()\n") == [1, 2, 5]
+    found = {fname: _epsilon_ratio_calls(text)
+             for fname, text in _src_sources().items()}
+    assert found.pop("grmat.py")
     assert {fname: lines for fname, lines in found.items() if lines} == {}
 
 
