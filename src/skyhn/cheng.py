@@ -393,14 +393,13 @@ def build_A_alpha(M, G, alpha):
     maps.append([])     # maps[-1]: the points of class -1, the zero fiber
     # the grid points >= alpha, from the first coordinate >= alpha's on
     # each axis, in colexicographic order; alpha is the first when on G.
-    # Each is floored on ints, in G's axes and in M's (grmat.Axis)
+    # Each is floored on ints, in G's axes and in M's (fc.axes, no memo)
     (gx, ex), (gy, ey) = (a.floor(c) for a, c in zip(G.axes, alpha))
     xs, ys = G.xs[gx + (not ex):], G.ys[gy + (not ey):]
     betas = [(x, y) for y in ys for x in xs]
-    fx, fy = grmat.Axis(fc.xs), grmat.Axis(fc.ys)
-    ixs = [fx.floor(x)[0] for x in xs]
-    classes = [fc.point_class[ix, iy]
-               for iy in (fy.floor(y)[0] for y in ys) for ix in ixs]
+    ixs, iys = ([a.floor_ratio(*c.as_integer_ratio())[0] for c in cs]
+                for a, cs in zip(fc.axes, (xs, ys)))
+    classes = [fc.point_class[ix, iy] for iy in iys for ix in ixs]
     if betas and betas[0] == alpha:
         del betas[0], classes[0]
     space = _stacked_space(M.field, len(units), [maps[c] for c in classes])
@@ -588,8 +587,8 @@ def _check_grid(cur, G, alpha):
     last row and column, so the discrete slopes on G are the area-weighted
     ones.  Both are read on the ints of G's axes (grmat.Axis): a
     coordinate is one of G's where its floor is exact."""
-    for name, axis, coords in zip("xy", G.axes, cur._ranks):
-        for c in coords:
+    for name, axis, own in zip("xy", G.axes, cur._ranks):
+        for c in own.coords:
             if not axis.floor(c)[1]:
                 raise ValueError(
                     "cheng grid lacks %s = %s, a degree of the module "
@@ -598,8 +597,8 @@ def _check_grid(cur, G, alpha):
             raise ValueError("cheng grid is not evenly spaced in " + name)
     fc = fiber_classes(cur)
     ax, ay = fc.origin
-    if (fc.point_class[len(fc.xs) - 1, ay] >= 0
-            or fc.point_class[ax, len(fc.ys) - 1] >= 0):
+    if (fc.point_class[len(fc.axes[0].coords) - 1, ay] >= 0
+            or fc.point_class[ax, len(fc.axes[1].coords) - 1] >= 0):
         raise ValueError("module is not bounded at (%s, %s)" % alpha)
 
 

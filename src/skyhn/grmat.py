@@ -9,14 +9,14 @@ Fractions at the API, ints below: every degree that enters or leaves this
 module is a pair of exact rationals (fractions.Fraction), and the loops
 inside compare, hash and sort integer coordinate ranks (``_ranks``), the
 positions of each coordinate among the matrix's sorted distinct ones.
-Every matrix has its ranks from the moment it is built and is validated
-once, on them: the constructor computes them from the degrees, and
-``_from_ranks`` hands over the ranks that an operation already holds.
-Sorted coordinates live in an ``Axis``, which holds them as Fractions and
-as ints over one denominator and floors a point on the ints; an
-epsilon-lattice is a ``Lattice``, whose indices are ints.  A ``Grid`` is
-a pair of axes.  Every other list of Fractions goes on one denominator
-once, through ``_over_lcm``.
+An ``Axis`` holds sorted coordinates as Fractions and as ints over one
+denominator and floors a point on the ints.  Every matrix has its two
+axes and its ranks from the moment it is built, and is validated once,
+on them: the constructor computes them from the degrees, and
+``_from_ranks`` hands over what an operation already holds, the axes cut
+to the coordinates in use.  An epsilon-lattice is a ``Lattice``, whose
+indices are ints.  A ``Grid`` is a pair of axes.  Every other list of
+Fractions goes on one denominator once, through ``_over_lcm``.
 The echelon forms, kernels and column reductions run in field (_Echelon,
 ColumnReduction, reduce_columns, kernel_combos; grmat._Echelon is field's
 class, imported); minimize's unit-pivot cancellation is its own loop of
@@ -62,19 +62,19 @@ class GradedMatrix:
     columns[j] is a sparse list of (row index, nonzero field element),
     sorted by row index.  Every module is over a PrimeField: this is the one
     place that is checked, and everything below computes modulo field.q.
-    ``_ranks`` is (xs, ys, row ranks, column ranks): the sorted distinct
-    coordinates of the degrees (the induced grid, when there is a degree)
-    and each row's and column's pair of integer ranks in them.  They are
-    computed when the matrix is built, and homogeneity is validated on
-    them.
+    ``_ranks`` is (ax, ay, row ranks, column ranks): the x and y Axis of
+    the sorted distinct coordinates of the degrees (the induced grid, when
+    there is a degree) and each row's and column's pair of integer ranks
+    in them.  They are computed when the matrix is built, and homogeneity
+    is validated on them.
     """
 
     def __init__(self, field, row_degrees, col_degrees, columns):
         row_degrees = [as_degree(d) for d in row_degrees]
         col_degrees = [as_degree(d) for d in col_degrees]
-        xs, ys, rk = _rank_degrees(row_degrees + col_degrees)
+        ax, ay, rk = _rank_degrees(row_degrees + col_degrees)
         self._init(field, row_degrees, col_degrees, columns,
-                   (xs, ys, rk[:len(row_degrees)], rk[len(row_degrees):]))
+                   (ax, ay, rk[:len(row_degrees)], rk[len(row_degrees):]))
 
     def _init(self, field, row_degrees, col_degrees, columns, ranks):
         """Set the fields from degrees and their ranks (see _ranks), and
@@ -128,37 +128,34 @@ class GradedMatrix:
             self.nrows, self.ncols, self.field)
 
 
-def _from_ranks(field, xs, ys, row_rk, col_rk, cols):
-    """GradedMatrix with degrees (xs[rx], ys[ry]) given by integer ranks
-    into the sorted distinct coordinates xs and ys: the ranks (compressed
-    to the coordinates in use) are handed over, not computed again."""
-    xs, ys, rk = _compress(xs, ys, row_rk + col_rk)
-    row_rk, col_rk = rk[:len(row_rk)], rk[len(row_rk):]
+def _from_ranks(field, ax, ay, row_rk, col_rk, cols):
+    """GradedMatrix with degrees (ax.coords[rx], ay.coords[ry]) given by
+    integer ranks into the axes ax and ay: the axes are cut to the
+    coordinates in use (Axis.sub) and the ranks renumbered, and both are
+    handed over, not computed again."""
+    rk = row_rk + col_rk
+    ux, uy = sorted({x for x, _ in rk}), sorted({y for _, y in rk})
+    if len(ux) < len(ax.keys) or len(uy) < len(ay.keys):
+        mx = {r: k for k, r in enumerate(ux)}
+        my = {r: k for k, r in enumerate(uy)}
+        ax, ay = ax.sub(ux), ay.sub(uy)
+        row_rk = [(mx[x], my[y]) for x, y in row_rk]
+        col_rk = [(mx[x], my[y]) for x, y in col_rk]
+    xs, ys = ax.coords, ay.coords
     M = GradedMatrix.__new__(GradedMatrix)
     M._init(field, [(xs[x], ys[y]) for x, y in row_rk],
             [(xs[x], ys[y]) for x, y in col_rk], cols,
-            (xs, ys, row_rk, col_rk))
+            (ax, ay, row_rk, col_rk))
     return M
-
-
-def _compress(xs, ys, rk):
-    """Drop the coordinates that no rank pair in rk uses, renumbering."""
-    ux = sorted({x for x, _ in rk})
-    uy = sorted({y for _, y in rk})
-    if len(ux) == len(xs) and len(uy) == len(ys):
-        return xs, ys, rk
-    mx = {r: k for k, r in enumerate(ux)}
-    my = {r: k for k, r in enumerate(uy)}
-    return ([xs[r] for r in ux], [ys[r] for r in uy],
-            [(mx[x], my[y]) for x, y in rk])
 
 
 class Axis:
     """Sorted distinct coordinates on one axis: as Fractions (coords), as
     their integer ratios (keys) and, from the first floor on, as ints over
-    den, the lcm of their denominators (ints).  Built on the ratio keys,
-    without Fraction hashes or comparisons (it runs on every GradedMatrix
-    built); the last of equal Fractions is kept."""
+    den, the lcm of their denominators or of those of the axis it was cut
+    from (sub).  Built on the ratio keys, without Fraction hashes or
+    comparisons (every GradedMatrix has two); the last of equal Fractions
+    is kept."""
 
     __slots__ = ("den", "keys", "coords", "memo", "_ints")
 
@@ -170,23 +167,39 @@ class Axis:
         self.memo = {}      # a coordinate's integer ratio -> its floor
         self._ints = None
 
+    def sub(self, used):
+        """The axis of the coordinates at the ascending indices used, over
+        this axis's den; this axis itself when used are all of them."""
+        if len(used) == len(self.keys):
+            return self
+        out = Axis.__new__(Axis)
+        out.den, out.memo, out._ints = self.den, {}, None
+        out.keys = [self.keys[i] for i in used]
+        out.coords = [self.coords[i] for i in used]
+        return out
+
     @property
     def ints(self):
         if self._ints is None:
             self._ints = [n * (self.den // d) for n, d in self.keys]
         return self._ints
 
+    def floor_ratio(self, n, d):
+        """(i, exact): the index of the largest coordinate <= n/d (d > 0;
+        -1 below them all) and whether it equals n/d, with no memo.  Found
+        on ints: a coordinate c*den <= v*den exactly when it is <= the
+        floor of v*den."""
+        ints, den = self._ints or self.ints, self.den
+        i = bisect.bisect_right(ints, n * den // d) - 1
+        return i, i >= 0 and ints[i] * d == n * den
+
     def floor(self, v):
-        """(i, exact): the index of the largest coordinate <= v (-1 below
-        them all) and whether it equals v, memoized per v.  Found on ints:
-        a coordinate c*den <= v*den exactly when it is <= the floor of
-        v*den."""
-        key = n, d = v.as_integer_ratio()
+        """floor_ratio of the Fraction v, memoized per v: for the points
+        of a grid, which are few."""
+        key = v.as_integer_ratio()
         hit = self.memo.get(key)
         if hit is None:
-            ints, den = self.ints, self.den
-            i = bisect.bisect_right(ints, n * den // d) - 1
-            hit = self.memo[key] = (i, i >= 0 and ints[i] * d == n * den)
+            hit = self.memo[key] = self.floor_ratio(*key)
         return hit
 
 
@@ -274,43 +287,29 @@ def _ratios(d):
 
 def induced_grid(M):
     """Smallest grid containing all row and column degrees of M: on the
-    sorted distinct coordinates that M keeps (M._ranks)."""
-    xs, ys, _, _ = M._ranks
-    return Grid(xs or [Fraction(0)], ys or [Fraction(0)])
+    sorted distinct coordinates of M's axes (M._ranks)."""
+    ax, ay, _, _ = M._ranks
+    return Grid(ax.coords or [Fraction(0)], ay.coords or [Fraction(0)])
 
 
 def _rank_degrees(degs):
-    """Coordinate compression: the sorted distinct x and y coordinates of
-    degs (each an Axis) and every degree's pair of integer ranks in them,
-    looked up by (numerator, denominator), which hashes far faster than a
-    Fraction."""
+    """Coordinate compression: the x and y Axis of the coordinates of degs
+    and every degree's pair of integer ranks in them, looked up by
+    (numerator, denominator), which hashes far faster than a Fraction."""
     ax, ay = Axis([d[0] for d in degs]), Axis([d[1] for d in degs])
     xr = {k: r for r, k in enumerate(ax.keys)}
     yr = {k: r for r, k in enumerate(ay.keys)}
-    return ax.coords, ay.coords, [
+    return ax, ay, [
         (xr[x.as_integer_ratio()], yr[y.as_integer_ratio()]) for x, y in degs]
-
-
-def _count_leq(coords, v):
-    """How many of the sorted Fractions coords are <= the Fraction v: a
-    linear scan of short lists on cross-multiplied ints, each Fraction's
-    integer ratio read once."""
-    n, d = v.as_integer_ratio()
-    k = 0
-    for c in coords:
-        cn, cd = c.as_integer_ratio()
-        if cn * d > n * cd:
-            break
-        k += 1
-    return k
 
 
 def _leq_ranks(M, d):
     """Per generator and per relation of M, whether its degree is <= the
-    degree d: decided on the coordinate ranks, against how many of M's
-    coordinates are <= d's on each axis (_count_leq)."""
-    xs, ys, row_rk, col_rk = M._ranks
-    kx, ky = _count_leq(xs, d[0]), _count_leq(ys, d[1])
+    degree d: decided on the coordinate ranks, against the floors of d's
+    coordinates on M's axes (Axis.floor_ratio, no memo: d is any point)."""
+    ax, ay, row_rk, col_rk = M._ranks
+    kx = ax.floor_ratio(*d[0].as_integer_ratio())[0] + 1
+    ky = ay.floor_ratio(*d[1].as_integer_ratio())[0] + 1
     return ([x < kx and y < ky for x, y in row_rk],
             [x < kx and y < ky for x, y in col_rk])
 
@@ -324,18 +323,18 @@ def kernel(M):
     recorded as new syzygies at that degree.  The sweep, the active sets
     and the "earlier generator <= delta" test run on integer coordinate
     ranks; the result is a graded matrix with row degrees = col degrees of
-    M and Fraction column degrees.
+    M, built on those ranks (_from_ranks).
     """
     F = M.field
     n = M.ncols
     if n == 0:
         return GradedMatrix(F, [], [], [])
-    xs, ys, rk = _rank_degrees(M.col_degrees)
+    ax, ay, rk = _rank_degrees(M.col_degrees)
     dense_cols = [M.dense_column(j) for j in range(n)]
     gens = []   # (rank pair, dense coefficient vector over ncols)
     seen_active = set()
-    for ry in range(len(ys)):
-        for rx in range(len(xs)):
+    for ry in range(len(ay.keys)):
+        for rx in range(len(ax.keys)):
             J = tuple(j for j in range(n)
                       if rk[j][0] <= rx and rk[j][1] <= ry)
             if not J or J in seen_active:
@@ -359,8 +358,7 @@ def kernel(M):
                     gens.append(((rx, ry), full))
     cols = [[(i, v) for i, v in enumerate(gvec) if v != F.zero]
             for _, gvec in gens]
-    return GradedMatrix(F, list(M.col_degrees),
-                        [(xs[rx], ys[ry]) for (rx, ry), _ in gens], cols)
+    return _from_ranks(F, ax, ay, rk, [r for r, _ in gens], cols)
 
 
 def minimize(M):
@@ -374,7 +372,7 @@ def minimize(M):
     """
     F = M.field
     q = F.q
-    xs, ys, row_degs, col_degs = M._ranks
+    ax, ay, row_degs, col_degs = M._ranks
     row_degs, col_degs = list(row_degs), list(col_degs)
     cols = [M.dense_column(j) for j in range(M.ncols)]
 
@@ -412,7 +410,7 @@ def minimize(M):
     # (b) redundant-column pruning
     form = fieldmod._vector_form(q)
     keep = _pruned(form, len(row_degs), col_degs, list(map(form.pack, cols)))
-    return _from_ranks(F, xs, ys, row_degs, [col_degs[j] for j in keep],
+    return _from_ranks(F, ax, ay, row_degs, [col_degs[j] for j in keep],
                        [[(i, v) for i, v in enumerate(cols[j]) if v]
                         for j in keep])
 
@@ -432,7 +430,7 @@ def _pruned(form, nrows, degs, packed):
     already kept below d, and at a d where it is all of k^nrows nothing is
     kept.  Zero columns are never kept.  Costs O(#degrees * kept) echelon
     inserts; the result depends on the order of the ranks alone, so ranks
-    before and after a _compress keep the same columns."""
+    before and after _from_ranks cuts the axes keep the same columns."""
     insert = form.insert
     at = {}
     for j, d in enumerate(degs):
@@ -486,7 +484,7 @@ def quotient_presentation(M_alpha, basis):
     rows, deletes those rows, and fully minimizes.
     """
     F = M_alpha.field
-    xs, ys, row_rk, col_rk = M_alpha._ranks
+    ax, ay, row_rk, col_rk = M_alpha._ranks
     if len(set(row_rk)) > 1:
         raise ValueError("module is not uniquely generated")
     t = M_alpha.nrows
@@ -505,7 +503,7 @@ def quotient_presentation(M_alpha, basis):
         col = ech.reduce(M_alpha.dense_column(j))
         # minimize drops zero columns
         new_cols.append([(k, col[i]) for k, i in enumerate(keep) if col[i]])
-    return minimize(_from_ranks(F, xs, ys, [row_rk[i] for i in keep],
+    return minimize(_from_ranks(F, ax, ay, [row_rk[i] for i in keep],
                                 col_rk, new_cols))
 
 
@@ -584,8 +582,8 @@ def fiber_submodule(M, alpha):
             if (live and ech.insert(M.dense_column(j))
                     and ech.rank == M.nrows):
                 return None
-        xs, ys, _, _ = M._ranks
-        if not ech.rank and (xs[0], ys[0]) == alpha:
+        ax, ay, _, _ = M._ranks
+        if not ech.rank and (ax.coords[0], ay.coords[0]) == alpha:
             return M        # generated at alpha, no relation there
         return minimize(join_degrees(M, alpha))
     pm = pointwise_model(M, alpha)
@@ -601,17 +599,18 @@ def join_degrees(N, alpha):
 
     When every generator of N lies <= alpha, the result presents <V_alpha>
     (see fiber_submodule).  The join acts on N's coordinate ranks: every
-    coordinate <= alpha's becomes alpha's, and the others keep their order
-    above it."""
+    coordinate <= alpha's (floored on N's axes) becomes alpha's, and the
+    others keep their order above it."""
     alpha = as_degree(alpha)
-    xs, ys, row_rk, col_rk = N._ranks
-    kx = _count_leq(xs, alpha[0])      # coordinates joining to alpha
-    ky = _count_leq(ys, alpha[1])
+    ax, ay, row_rk, col_rk = N._ranks
+    kx = ax.floor_ratio(*alpha[0].as_integer_ratio())[0] + 1
+    ky = ay.floor_ratio(*alpha[1].as_integer_ratio())[0] + 1
 
     def join(rk):
         return [(x - kx + 1 if x >= kx else 0, y - ky + 1 if y >= ky else 0)
                 for x, y in rk]
-    return _from_ranks(N.field, [alpha[0]] + xs[kx:], [alpha[1]] + ys[ky:],
+    return _from_ranks(N.field, Axis([alpha[0]] + ax.coords[kx:]),
+                       Axis([alpha[1]] + ay.coords[ky:]),
                        join(row_rk), join(col_rk), N.columns)
 
 
@@ -670,8 +669,8 @@ def extract_block(M, rows, cols):
     """The sub-presentation on the given rows/columns (a direct summand),
     built on M's coordinate ranks (_from_ranks)."""
     pos = {g: k for k, g in enumerate(rows)}
-    xs, ys, row_rk, col_rk = M._ranks
-    return _from_ranks(M.field, xs, ys, [row_rk[i] for i in rows],
+    ax, ay, row_rk, col_rk = M._ranks
+    return _from_ranks(M.field, ax, ay, [row_rk[i] for i in rows],
                        [col_rk[j] for j in cols],
                        [[(pos[i], v) for i, v in M.columns[j]] for j in cols])
 
@@ -928,7 +927,7 @@ def _split(M, idempotents):
     So the pieces' minimal presentations sum to M's."""
     F, t = M.field, M.nrows
     form = fieldmod._vector_form(F.q)
-    xs, ys, gd, rd = M._ranks
+    ax, ay, gd, rd = M._ranks
     picks, bounds = [], [0]   # (generator index, column); block boundaries
     for E in idempotents:
         mine = []
@@ -985,7 +984,7 @@ def _split(M, idempotents):
         keep = _pruned(form, hi - lo, [rd[j] for j, _ in mine],
                        [v for _, v in mine])
         out.append(_from_ranks(
-            F, xs, ys, nd[lo:hi], [rd[mine[k][0]] for k in keep],
+            F, ax, ay, nd[lo:hi], [rd[mine[k][0]] for k in keep],
             [[(i, x) for i, x in enumerate(unpack(mine[k][1], hi - lo)) if x]
              for k in keep]))
     return out

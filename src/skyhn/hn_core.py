@@ -53,7 +53,7 @@ class _FiberClasses:
     moves, and the classes and weights are those of the presentation
     joined with alpha.
 
-    Grid points are index pairs (ix, iy) into the induced grid's xs and ys,
+    Grid points are index pairs (ix, iy) into the module's axes (`axes`),
     and every degree comparison is one of integer ranks.  `ranks` gives
     the per-class ranks of one subspace.  Two memos serve the HN steps at
     every point of a cell: `stratum(k)`, the k-subspaces with their ranks,
@@ -64,11 +64,11 @@ class _FiberClasses:
         form = _vector_form(F.q)
         self._pack, self._insert = form.pack, form.insert
         t = self.t = M.nrows
-        xs, ys, row_rk, col_rk = M._ranks
+        fx, fy, row_rk, col_rk = M._ranks
         if len(set(row_rk)) != 1:
             raise ValueError("module is not uniquely generated")
         self.alpha = M.row_degrees[0]
-        self.xs, self.ys = xs, ys
+        self.axes = fx, fy
         self.origin = ax, ay = row_rk[0]     # alpha's index pair
         dense = self.to_internal(M.dense_column(j) for j in range(M.ncols))
         class_by_J = {}
@@ -76,8 +76,8 @@ class _FiberClasses:
         self.point_class = {}
         self.echs = []          # per class: echelon dict of relation columns
         self.coranks = []       # per class: fiber dimension, > 0
-        for iy in range(len(ys)):
-            for ix in range(len(xs)):
+        for iy in range(len(fy.coords)):
+            for ix in range(len(fx.coords)):
                 if ix < ax or iy < ay:
                     self.point_class[ix, iy] = -1
                     continue
@@ -103,7 +103,7 @@ class _FiberClasses:
 
     def axes_at(self, alpha):
         """The grid coordinates with the generator's replaced by alpha's."""
-        (ax, ay), xs, ys = self.origin, self.xs, self.ys
+        (ax, ay), (xs, ys) = self.origin, (a.coords for a in self.axes)
         return (xs[:ax] + [alpha[0]] + xs[ax + 1:],
                 ys[:ay] + [alpha[1]] + ys[ay + 1:])
 

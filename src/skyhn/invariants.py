@@ -450,10 +450,10 @@ class SkyscraperStore:
                 self._key_grid = Grid(
                     [fl.alpha[0] for fl in self._entries.values()],
                     [fl.alpha[1] for fl in self._entries.values()])
-            ix, iy, _ = self._key_grid.index((x, y))
+            ax, ay = self._key_grid.axes
+            ix, iy = ax.floor_ratio(xn, xd)[0], ay.floor_ratio(yn, yd)[0]
             if ix < 0 or iy < 0:
                 return None
-            ax, ay = self._key_grid.axes
             floor = ax.keys[ix] + ay.keys[iy]
         if floor == key:
             return None

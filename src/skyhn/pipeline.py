@@ -61,7 +61,6 @@ denominator per evaluation point.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from fractions import Fraction
@@ -109,47 +108,47 @@ class EngineFailure(RuntimeError):
 def bounding_box(M):
     """Axis-aligned box covering all presentation degrees, reaching one
     unit past the largest degree on each axis: read off the sorted
-    distinct coordinates that M keeps (M._ranks)."""
-    xs, ys, _, _ = M._ranks
-    if not xs:
+    distinct coordinates of M's axes (M._ranks)."""
+    ax, ay, _, _ = M._ranks
+    if not ax.coords:
         z = Fraction(0)
         return (z, z, z, z)
-    return (xs[0], ys[0], xs[-1] + 1, ys[-1] + 1)
+    return (ax.coords[0], ay.coords[0], ax.coords[-1] + 1, ay.coords[-1] + 1)
 
 
 def clip_to_box(M, box):
     """Append cap relations killing every generator at the box's upper
     edges, making the cokernel bounded (supported inside the box).  Built
     on M's coordinate ranks (grmat._from_ranks): the box's edges are
-    placed among M's coordinates on ints over one denominator, each upper
-    edge is a coordinate of M or enters as a new one, and the generators
-    are checked and the caps placed on their ranks."""
+    floored on M's axes, each upper edge is a coordinate of M or enters
+    its axis as a new one, and the generators are checked and the caps
+    placed on their ranks."""
     box = [Fraction(c) for c in box]
-    x1, y1 = box[2:]
-    xs, ys, row_rk, col_rk = M._ranks
-    _, (X0, Y0, X1, Y1, *ints) = grmat._over_lcm([*box, *xs, *ys])
-    X, Y = ints[:len(xs)], ints[len(xs):]
-    lx, hx = bisect.bisect_left(X, X0), bisect.bisect_left(X, X1)
-    ly, hy = bisect.bisect_left(Y, Y0), bisect.bisect_left(Y, Y1)
+    ax, ay, row_rk, col_rk = M._ranks
+    # per edge, how many of its axis's coordinates lie below it, and
+    # whether it is one of them
+    (lx, _), (ly, _), (hx, ex), (hy, ey) = (
+        (i + 1 - exact, exact) for i, exact in
+        (a.floor_ratio(*c.as_integer_ratio())
+         for a, c in zip((ax, ay, ax, ay), box)))
     for i, (rx, ry) in enumerate(row_rk):
         if not (lx <= rx < hx and ly <= ry < hy):
             raise ValueError("generator %d at (%s, %s) outside the box"
                              % (i, *M.row_degrees[i]))
     # a new upper edge shifts the coordinates from its rank on up by one;
     # every generator lies below it
-    sx = hx == len(X) or X[hx] != X1
-    sy = hy == len(Y) or Y[hy] != Y1
-    if sx:
-        xs = xs[:hx] + [x1] + xs[hx:]
-    if sy:
-        ys = ys[:hy] + [y1] + ys[hy:]
-    col_rk = [(x + (sx and x >= hx), y + (sy and y >= hy)) for x, y in col_rk]
+    if not ex:
+        ax = grmat.Axis(ax.coords + [box[2]])
+    if not ey:
+        ay = grmat.Axis(ay.coords + [box[3]])
+    col_rk = [(x + (not ex and x >= hx), y + (not ey and y >= hy))
+              for x, y in col_rk]
     cols = list(M.columns)
     one = M.field.one
     for i, (rx, ry) in enumerate(row_rk):
         col_rk += [(hx, ry), (rx, hy)]
         cols += [[(i, one)], [(i, one)]]
-    return grmat._from_ranks(M.field, xs, ys, list(row_rk), col_rk, cols)
+    return grmat._from_ranks(M.field, ax, ay, list(row_rk), col_rk, cols)
 
 
 def regular_grid(M, extra_points, box):
@@ -160,14 +159,14 @@ def regular_grid(M, extra_points, box):
     edge on.  Computed on ints: per axis the box's edges, M's coordinates
     (M._ranks) and the extra points over one denominator."""
     extra = [as_degree(d) for d in extra_points]
-    xs, ys, row_rk, col_rk = M._ranks
+    ax, ay, row_rk, col_rk = M._ranks
     # per axis: den, the edges and the ints of M's and the extra coordinates
     axes = [grmat._over_lcm([box[k], box[k + 2], *coords,
                              *(d[k] for d in extra)])
-            for k, coords in enumerate((xs, ys))]
+            for k, coords in enumerate((ax.coords, ay.coords))]
     (_, (x0, x1, *X)), (_, (y0, y1, *Y)) = axes
     pts = [(X[rx], Y[ry]) for rx, ry in row_rk + col_rk]
-    pts += zip(X[len(xs):], Y[len(ys):])
+    pts += zip(X[len(ax.coords):], Y[len(ay.coords):])
     pts = [(x, y) for x, y in pts if x0 <= x <= x1 and y0 <= y <= y1]
     out = []
     for k, (den, (lo, hi, *_)) in enumerate(axes):
@@ -244,7 +243,7 @@ class _Interval:
         """Checked on the piece's coordinate ranks: the relations of a
         minimal one-generator presentation are an antichain, and the box
         caps bound it on both axes."""
-        xs, ys, (gen,), rels = piece._ranks
+        ax, ay, (gen,), rels = piece._ranks
         rels = sorted(rels)
         if not all(a[0] < b[0] and a[1] > b[1]
                    for a, b in zip(rels, rels[1:])):
@@ -252,7 +251,8 @@ class _Interval:
         if not rels or rels[0][0] != gen[0] or rels[-1][1] != gen[1]:
             raise ValueError("module is not bounded: infinite inverse slope")
         self.stair = Staircase(piece.row_degrees[0],
-                               [(xs[x], ys[y]) for x, y in rels], check=False)
+                               [(ax.coords[x], ay.coords[y]) for x, y in rels],
+                               check=False)
         pts = [self.stair.gen] + self.stair.rels
         self.den, ints = grmat._over_lcm([c for p in pts for c in p])
         self.gen, *self.rels = zip(ints[0::2], ints[1::2])

@@ -146,6 +146,44 @@ def rescaled(M):
                               [move(d) for d in M.col_degrees], M.columns)
 
 
+def plain_ranks(M):
+    """M._ranks with each axis read as its coordinates and ratio keys."""
+    ax, ay, rows, cols = M._ranks
+    return ax.coords, ax.keys, ay.coords, ay.keys, rows, cols
+
+
+def cut_presentations(rng, F):
+    """(operation, source, result) for minimize, extract_block (of every
+    block of the minimized source), join_degrees (at a point of the
+    source's grid) and quotient_presentation (by a random line) run on a
+    random bounded and a random unigen module over F and on their rescaled
+    copies: results whose axes the operation may have cut from the
+    source's (Axis.sub).  The rescaled sources are floored first, as a
+    fiber model leaves them, so that their axes hold their ints when they
+    are cut.  Results with no generator are left out."""
+    def floored(N):
+        for a in N._ranks[:2]:
+            a.floor_ratio(0, 1)
+        return N
+    out = []
+    M = random_bounded_module(rng, F, rng.randrange(1, 4))
+    U = random_unigen_module(rng, F, rng.randrange(2, 4))
+    for N, V in ((M, U), (floored(rescaled(M)), floored(rescaled(U)))):
+        Nm = grmat.minimize(N)
+        if N is not M:
+            floored(Nm)
+        out.append(("minimize", N, Nm))
+        out += [("extract_block", Nm, grmat.extract_block(Nm, rows, cols))
+                for rows, cols in grmat.connected_components(Nm) if rows]
+        alpha = tuple(rng.choice(a.coords) for a in N._ranks[:2])
+        out.append(("join_degrees", N, grmat.join_degrees(N, alpha)))
+        line = [rng.randrange(F.q) for _ in range(V.nrows)]
+        if any(line):
+            out.append(("quotient_presentation", V,
+                        grmat.quotient_presentation(V, [line])))
+    return [(op, src, R) for op, src, R in out if R.nrows]
+
+
 def deg_join(a, b):
     """The componentwise maximum of two degrees, as exact Fractions."""
     a, b = grmat.as_degree(a), grmat.as_degree(b)
@@ -201,7 +239,8 @@ def store_trees(ex):
 def class_dims(fc, ranks):
     """The dim at every grid point (a Fraction pair) of a subspace with
     these per-class ranks; 0 where the fiber is zero or not above alpha."""
-    return {(fc.xs[ix], fc.ys[iy]): ranks[cid] if cid >= 0 else 0
+    xs, ys = (a.coords for a in fc.axes)
+    return {(xs[ix], ys[iy]): ranks[cid] if cid >= 0 else 0
             for (ix, iy), cid in fc.point_class.items()}
 
 

@@ -254,7 +254,8 @@ def test_build_A_alpha_matches_per_beta_construction():
                 assert ([A.data for A in placed(space)], p0, q0, betas) == \
                     _build_A_alpha_per_beta(sub, G, alpha)
                 assert (space.nrows, space.ncols) == (q0, p0)
-                classes = [fc.point_class[_floor(fc.xs, x), _floor(fc.ys, y)]
+                xs, ys = (a.coords for a in fc.axes)
+                classes = [fc.point_class[_floor(xs, x), _floor(ys, y)]
                            for x, y in betas]
                 classes = [c for c in classes if c >= 0]
                 shared += len(set(classes)) < len(classes)

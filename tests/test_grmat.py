@@ -14,8 +14,9 @@ from skyhn import grmat, hn_core
 from skyhn.field import DenseMatrix, PrimeField
 from skyhn.grmat import deg_leq, induced_grid
 
-from conftest import (F2, F3, F5, deg_join, disguise, gm, hidden_corpus,
-                      random_bounded_module, random_unigen_module, rescaled)
+from conftest import (F2, F3, F5, cut_presentations, deg_join, disguise, gm,
+                      hidden_corpus, plain_ranks, random_bounded_module,
+                      random_unigen_module, rescaled)
 
 
 def test_degree_lattice():
@@ -43,10 +44,10 @@ def test_homogeneity_validated():
     with pytest.raises(ValueError, match="inhomogeneous"):
         gm(F2, [(0, 1)], [((0, 0), [(0, 1)])])
     # matrices built from integer ranks are validated on the ranks
-    xs, ys = [Fr(-1, 2), Fr(1, 3)], [Fr(0), Fr(5, 2)]
+    ax, ay = grmat.Axis([Fr(-1, 2), Fr(1, 3)]), grmat.Axis([Fr(0), Fr(5, 2)])
     with pytest.raises(ValueError, match="inhomogeneous"):
-        grmat._from_ranks(F2, xs, ys, [(0, 1)], [(1, 0)], [[(0, 1)]])
-    M = grmat._from_ranks(F2, xs, ys, [(0, 0)], [(1, 1)], [[(0, 1)]])
+        grmat._from_ranks(F2, ax, ay, [(0, 1)], [(1, 0)], [[(0, 1)]])
+    M = grmat._from_ranks(F2, ax, ay, [(0, 0)], [(1, 1)], [[(0, 1)]])
     assert M == gm(F2, [(Fr(-1, 2), 0)], [((Fr(1, 3), Fr(5, 2)), [(0, 1)])])
 
 
@@ -109,6 +110,48 @@ def test_axis_floor_matches_bisect_on_fractions():
             i = bisect.bisect_right(ref, v) - 1
             assert axis.floor(v) == (i, i >= 0 and ref[i] == v), (trial, v)
     assert grmat.Axis([]).floor(Fr(3)) == (-1, False)
+
+
+def _around(cs):
+    """The coordinates, their midpoints, and points below and beyond them
+    all."""
+    mids = [(a + b) / 2 for a, b in zip(cs, cs[1:])]
+    return cs + mids + [cs[0] - 1, cs[-1] + 1, cs[0] - Fr(1, 3),
+                        cs[-1] + Fr(2, 7)]
+
+
+def test_cut_axes_floor_as_fresh_ones():
+    """An axis that _from_ranks cuts (Axis.sub) keeps the den of the axis
+    it was cut from, a multiple of the lcm of its own denominators, and
+    one it drops nothing from is the source's own; its
+    floors, memoized or not, equal those of a fresh Axis of its
+    coordinates at points below, between, on and above them, and its
+    coordinates, keys and ranks are those of the matrix built afresh from
+    the same degrees: on what minimize, extract_block, join_degrees and
+    quotient_presentation make of random modules over GF(2) and GF(3) and
+    of their rescaled copies (cut_presentations)."""
+    rng = random.Random(38)
+    seen = collections.Counter()
+    for i in range(60):
+        for op, src, N in cut_presentations(rng, (F2, F3)[i % 2]):
+            fresh = grmat.GradedMatrix(N.field, N.row_degrees,
+                                       N.col_degrees, N.columns)
+            assert plain_ranks(N) == plain_ranks(fresh), op
+            for a, b, s in zip(N._ranks, fresh._ranks, src._ranks[:2]):
+                seen[op] += len(a.coords) < len(s.coords)
+                seen["den above the lcm"] += a.den != b.den
+                if len(a.coords) == len(s.coords) and op != "join_degrees":
+                    assert a is s, op       # nothing dropped: shared
+                    seen["shared"] += 1
+                assert a.den % b.den == 0, op
+                probes = _around(a.coords) + [
+                    Fr(rng.randrange(-12, 13), rng.choice([1, 2, 3, 6]))
+                    for _ in range(4)]
+                for v in probes + probes:
+                    want = b.floor(v)
+                    assert a.floor_ratio(*v.as_integer_ratio()) == want, op
+                    assert a.floor(v) == want, op
+    assert min(seen.values()) >= 20, seen
 
 
 def test_lattice_indices_match_fraction_arithmetic():
@@ -697,7 +740,7 @@ def _split_reference(M, idempotents):
     _Echelon.contains."""
     F, t = M.field, M.nrows
     form = fieldmod._vector_form(F.q)
-    xs, ys, gd, rd = M._ranks
+    ax, ay, gd, rd = M._ranks
     picks, bounds = [], [0]
     for E in idempotents:
         mine = []
@@ -738,13 +781,14 @@ def _split_reference(M, idempotents):
                 cols.append(part)
                 cdegs.append(r)
         out.append(grmat.minimize(
-            grmat._from_ranks(F, xs, ys, nd[lo:hi], cdegs, cols)))
+            grmat._from_ranks(F, ax, ay, nd[lo:hi], cdegs, cols)))
     return out
 
 
 def _exactly(pieces):
-    """Everything a piece holds: degrees, columns and coordinate ranks."""
-    return [(p.field, p.row_degrees, p.col_degrees, p.columns, p._ranks)
+    """Everything a piece holds: degrees, columns and coordinate ranks, with
+    the coordinates and keys of its axes."""
+    return [(p.field, p.row_degrees, p.col_degrees, p.columns, plain_ranks(p))
             for p in pieces]
 
 
@@ -1141,25 +1185,25 @@ def test_pointwise_model_on_ranks_matches_fraction_selection():
     their reduced unit vectors there, at gamma on, between, below and
     beyond M's grid coordinates,
     on random bounded modules with integer degrees and their rescaled
-    copies (negative degrees over halves and thirds), at gammas over
-    thirds, halves and sevenths."""
-    def around(cs):
-        """The coordinates, their midpoints, and points below and beyond
-        them all."""
-        mids = [(a + b) / 2 for a, b in zip(cs, cs[1:])]
-        return cs + mids + [cs[0] - 1, cs[-1] + 1, cs[0] - Fr(1, 3),
-                            cs[-1] + Fr(2, 7)]
-    rng = random.Random(17)
+    copies (negative degrees over halves and thirds), and on matrices
+    whose axes minimize, extract_block, join_degrees or
+    quotient_presentation cut (cut_presentations), at gammas over thirds,
+    halves and sevenths."""
+    rng, cut = random.Random(17), random.Random(38)
     cases = 0
     for i in range(24):
         F = (F2, F3, F5)[i % 3]
         M = random_bounded_module(rng, F, rng.randrange(1, 5), dmax=4)
-        for N in (M, rescaled(M)):
-            xs, ys, _, _ = N._ranks
-            gx = around(xs) + [Fr(rng.randrange(-9, 15), 3)
-                               for _ in range(3)]
-            gy = around(ys) + [Fr(rng.randrange(-9, 15), 2)
-                               for _ in range(3)]
+        # the cut matrices draw from their own generator, so the others
+        # see the same draws as without them
+        more = cut_presentations(cut, F) if i < 6 else []
+        for r, N in [(rng, M), (rng, rescaled(M))] + [
+                (cut, R) for _, _, R in more]:
+            xs, ys = (a.coords for a in N._ranks[:2])
+            gx = _around(xs) + [Fr(r.randrange(-9, 15), 3)
+                                for _ in range(3)]
+            gy = _around(ys) + [Fr(r.randrange(-9, 15), 2)
+                                for _ in range(3)]
             for gamma in [(x, y) for x in gx for y in gy]:
                 got, want = grmat.pointwise_model(N, gamma), \
                     _FractionModel(N, gamma)
@@ -1167,9 +1211,9 @@ def test_pointwise_model_on_ranks_matches_fraction_selection():
                 assert got.basis_rows == want.basis_rows, gamma
                 assert got.dim == want.dim, gamma
                 for _ in range(2):
-                    v = [rng.randrange(F.q) for _ in got.live_rows]
+                    v = [r.randrange(F.q) for _ in got.live_rows]
                     assert got.reduce_vector(v) == want.reduce_vector(v)
-                    rows = [g for g in got.live_rows if rng.random() < 0.6]
+                    rows = [g for g in got.live_rows if r.random() < 0.6]
                     assert got.image_rank(rows) == fieldmod.reduce_columns(
                         F, [want.reduce_vector([int(g == i)
                                                 for g in want.live_rows])

@@ -297,9 +297,10 @@ def test_fiber_classes_match_fraction_reference():
     n_subspaces = n_errors = 0
     for M in _fiber_class_modules():
         fc, ref = hn_core._FiberClasses(M), _ReferenceFiberClasses(M)
-        assert (fc.xs, fc.ys) == (ref.grid.xs, ref.grid.ys)
+        xs, ys = (a.coords for a in fc.axes)
+        assert (xs, ys) == (ref.grid.xs, ref.grid.ys)
         assert fc.alpha == ref.alpha
-        assert {(fc.xs[ix], fc.ys[iy]): cid for (ix, iy), cid
+        assert {(xs[ix], ys[iy]): cid for (ix, iy), cid
                 in fc.point_class.items()} == ref.point_class
         assert (fc.echs, fc.coranks) == (ref.echs, ref.coranks)
         w = fc.at(fc.alpha)

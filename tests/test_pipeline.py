@@ -20,8 +20,8 @@ from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
 
 from conftest import (F2, F3, F5, cross_module, deg_join, disguise,
                       eps_points, fiber_trees, gm, grid_floor, hidden_corpus,
-                      hidden_direct_sum, random_bounded_module, rescaled,
-                      stable_module)
+                      hidden_direct_sum, plain_ranks, random_bounded_module,
+                      rescaled, stable_module)
 
 
 def test_scan_config_validation():
@@ -67,8 +67,8 @@ def _clip_from_fractions(M, box):
 
 def _same_presentation(A, B):
     return (A.field == B.field and A.row_degrees == B.row_degrees
-            and A.col_degrees == B.col_degrees and A._ranks == B._ranks
-            and A.columns == B.columns)
+            and A.col_degrees == B.col_degrees
+            and plain_ranks(A) == plain_ranks(B) and A.columns == B.columns)
 
 
 def test_preparation_on_ranks_matches_fraction_built():
@@ -86,7 +86,8 @@ def test_preparation_on_ranks_matches_fraction_built():
     modules += [cross_module()] + [M for _, _, M in hidden_corpus()]
     seen = collections.Counter()
     for M in modules:
-        xs, ys, row_rk, col_rk = M._ranks
+        x_axis, y_axis, row_rk, col_rk = M._ranks
+        xs, ys = x_axis.coords, y_axis.coords
         # the least coordinates above every generator
         ax = xs[max(x for x, _ in row_rk) + 1]
         ay = ys[max(y for _, y in row_rk) + 1]
@@ -1212,6 +1213,23 @@ def test_landscape_bisects_as_on_fractions(tmp_path):
                                             for v in want.values())
                         hit["zero"] += sum(v == 0 for v in want.values())
     assert min(hit.values()) > 100, hit
+
+
+def test_key_grid_floors_leave_no_memo(cross):
+    """A store without epsilon floors a point off its keys on the axes of
+    its key grid without their memo (Axis.floor_ratio): after a landscape
+    over 256 points on the exact snapshot of the cross fixture at its
+    pieces' grid points, the key grid's axes hold no memo entry, and the
+    landscape equals the Fraction bisection (_landscape_reference)."""
+    ex = exact_skyscraper(cross, box=(0, 0, 4, 4))
+    snap = ex.snapshot([p for _, grid, _ in ex.summands
+                        for p in grid.points()])
+    assert len(snap) == 3
+    pts = [(Fr(i, 5), Fr(j, 5)) for i in range(16) for j in range(16)]
+    got = filtered_landscape(snap, 1, Fr(0), pts, resolution=10)
+    assert [a.memo for a in snap._key_grid.axes] == [{}, {}]
+    assert got == _landscape_reference(snap, 1, Fr(0), pts, 10, "center")
+    assert any(got.values())
 
 
 def test_store_entries_share_their_tuples(cross):

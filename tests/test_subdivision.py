@@ -289,8 +289,8 @@ def _reference_candidates(M):
         for rows in hn_core.subspaces_of_dim(M.field, M.nrows, k):
             iv = fc.to_internal(rows)
             dims = class_dims(fc, fc.ranks(iv))
-            ys = [y for y in fc.ys if y >= ay]
-            xs = [x for x in fc.xs if x >= ax]
+            ys = [y for y in fc.axes[1].coords if y >= ay]
+            xs = [x for x in fc.axes[0].coords if x >= ax]
             poly = SlopePoly(class_integral(fc, iv) / k,
                              ray(xs, lambda x: (x, ay)) / k,
                              ray(ys, lambda y: (ax, y)) / k)

@@ -681,6 +681,39 @@ def test_only_grmat_takes_epsilon_apart():
     assert {fname: lines for fname, lines in found.items() if lines} == {}
 
 
+def _axis_sites(source):
+    """The top-level functions and classes of the module source that call
+    Axis, bare or as an attribute (grmat.Axis); any other top-level
+    statement that calls it counts as "<module>"."""
+    return [getattr(node, "name", "<module>")
+            for node in ast.parse(source).body
+            if any(isinstance(n, ast.Call)
+                   and getattr(n.func, "attr", getattr(n.func, "id", None))
+                   == "Axis" for n in ast.walk(node))]
+
+
+# the sites outside grmat that build a grmat.Axis: the upper box edges that
+# clip_to_box adds to a module's axes.  Every other axis of a module is
+# built, cut or read by grmat
+_AXIS_SITES = {"pipeline.py": ["clip_to_box"]}
+
+
+def test_axes_are_built_in_grmat_and_clip_to_box():
+    """Modules keep their axes (GradedMatrix._ranks), so no engine builds
+    one: outside grmat, only the sites of _AXIS_SITES construct a
+    grmat.Axis, and cheng and hn_core none."""
+    assert _axis_sites(
+        "from .grmat import Axis\nA = Axis([1])\n"
+        "def f(M):\n    return grmat.Axis(M.xs)\n"
+        "class C:\n    def m(self):\n        return [Axis(x) for x in y]\n"
+        "def g(M):\n    return M.axes, grmat.Axis\n") == ["<module>", "f", "C"]
+    found = {fname: _axis_sites(text)
+             for fname, text in _src_sources().items() if fname != "grmat.py"}
+    assert found["cheng.py"] == found["hn_core.py"] == []
+    assert {fname: sites for fname, sites in found.items() if sites} \
+        == _AXIS_SITES
+
+
 _ENTRY_POINTS = ("hn_cheng", "hn_filtration_at", "hn_filtration_of",
                  "exact_hnf_cell")
 
