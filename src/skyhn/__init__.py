@@ -22,11 +22,11 @@ from .grmat import (GradedMatrix, Grid, direct_sum, induced_grid, kernel,
 from .invariants import (HNFactor, HNFactorList, SkyscraperStore, Staircase,
                          betti_numbers, erosion_distance, hilbert_function,
                          integral_dim, merge_factors, skyscraper_query,
-                         slope_at, superlevel_staircases)
+                         slope_at)
 from .hn_core import brute_force_max_slope, hn_filtration_at
 from .cheng import MatrixSpace, ShrunkFailure, hn_cheng, shrunk_subspace_random
 from .subdivision import (ConvexRegion, SlopePoly, SubdivTree, all_max_slope,
-                          exact_hnf_cell, lower_envelope, slope_polynomial)
+                          exact_hnf_cell, slope_polynomial)
 from .pipeline import (EngineFailure, ScanConfig, approx_skyscraper,
                        exact_skyscraper, factor_interval_check,
                        filtered_landscape, hn_at, parallel_grid_scan)
@@ -38,11 +38,10 @@ __all__ = ["DenseMatrix", "FieldExt", "PrimeField", "ext_field_build",
            "HNFactorList", "SkyscraperStore", "Staircase", "betti_numbers",
            "erosion_distance", "hilbert_function", "integral_dim",
            "merge_factors", "skyscraper_query", "slope_at",
-           "superlevel_staircases", "brute_force_max_slope",
-           "hn_filtration_at", "MatrixSpace", "ShrunkFailure", "hn_cheng",
-           "shrunk_subspace_random", "ConvexRegion", "SlopePoly",
-           "SubdivTree", "all_max_slope", "exact_hnf_cell", "lower_envelope",
-           "slope_polynomial", "EngineFailure", "ScanConfig",
+           "brute_force_max_slope", "hn_filtration_at", "MatrixSpace",
+           "ShrunkFailure", "hn_cheng", "shrunk_subspace_random",
+           "ConvexRegion", "SlopePoly", "SubdivTree", "all_max_slope",
+           "exact_hnf_cell", "slope_polynomial", "EngineFailure", "ScanConfig",
            "approx_skyscraper", "exact_skyscraper", "factor_interval_check",
            "filtered_landscape", "hn_at", "parallel_grid_scan"]
 

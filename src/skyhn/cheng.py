@@ -53,12 +53,12 @@ at the end of the draw.  The stacked coefficients stay lists, as the
 draw reads them entry by entry to weight the blocks.
 
 The search schedule of ``hn_cheng`` spends no draw that cannot certify
-a split.  A node of reduced ratio 1/rq goes straight to the exact (1, rq)
-blow-up: every cheaper p = 1 probe lies above its slope.  Any other node
-first probes the two p = 1 ratios that bracket its own, then the Farey
-probes (p, q) with p >= 2 among the first ``_FAREY_BUDGET`` of the mediant
-descent with p*q <= ``_FAREY_CAP``, then the exact (p0, q0) blow-up
-(_probe_order).  Each probe gets up to ``_MAX_RETRIES`` draws, and every
+a split.  The exact (rp, rq) blow-up at a node's reduced ratio alone
+decides whether the node splits or is semistable.  A node of ratio 1/rq
+draws only that probe, itself a p = 1 draw; any other node first draws
+the p = 1 ceiling probe (1, ceil(rq/rp)), far smaller, which decides
+most splits, and the exact one only when the ceiling answer is trivial
+(_split_fiber).  Each probe gets up to ``_MAX_RETRIES`` draws, and every
 draw starts over an extension of at least ``_MIN_FIELD`` elements, to
 which the retry schedule adds degrees.
 """
@@ -407,47 +407,10 @@ def build_A_alpha(M, G, alpha):
 
 
 # ---------------------------------------------------------------------------
-# HN driver: Farey probes, retries, split-and-recurse
+# HN driver: probes, retries, split-and-recurse
 
 _MAX_RETRIES = 8      # draws per blow-up before ShrunkFailure
-_FAREY_BUDGET = 6     # Farey probes tried before the exact (p0, q0) one
-_FAREY_CAP = 36       # largest p*q of a Farey probe
 _MIN_FIELD = 4        # least field size a draw starts over
-
-
-def _farey_probes(rp, rq, budget, cap):
-    """Mediant descent from 0/1, 1/0 toward rp/rq: the probe ratios in
-    visiting order, skipping the target itself, capped by p*q <= cap."""
-    lo, hi = (0, 1), (1, 0)
-    out = []
-    while len(out) < budget:
-        m = (lo[0] + hi[0], lo[1] + hi[1])
-        if m == (rp, rq) or m[0] * m[1] > cap:
-            break
-        if m[0] * rq > m[1] * rp:
-            hi = m
-        else:
-            lo = m
-        out.append(m)
-    return out
-
-
-def _probe_order(rp, rq, budget, cap):
-    """The probes tried before the exact (rp, rq) one, for rp/rq reduced.
-
-    No probe at rp = 1: every Farey probe (1, k), k < rq, lies above the
-    node's slope, and the exact probe, itself a p = 1 draw, finds any
-    split they find.  Otherwise the two p = 1 ratios that bracket rq/rp,
-    (1, ceil) then (1, floor) when floor >= 1, and after them the p >= 2
-    probes of _farey_probes.  A probe above the node's slope never returns
-    the whole fiber and one below never returns 0, and the probe threshold
-    falls as k grows, so when both bracket answers are trivial every other
-    p = 1 answer is too."""
-    if rp == 1:
-        return []
-    lo, hi = -(-rq // rp), rq // rp
-    return ([(1, lo)] + [(1, hi)] * (hi >= 1)
-            + [m for m in _farey_probes(rp, rq, budget, cap) if m[0] > 1])
 
 
 def _shrunk_with_retries(space, p, q, alpha, seed, p_cap):
@@ -475,10 +438,10 @@ def _split_fiber(space, p0, q0, alpha, seed):
 
     The shrunk subspace of a (p, q)-blow-up of the space is the fiber of
     the largest filtration member whose factors all have discrete slope
-    above p/(p+q).  The probes of _probe_order are smaller than the exact
-    (rp, rq) blow-up and often split first; at rp = 1 there are none, as
-    the exact probe is itself a p = 1 draw and is the only one that can
-    certify the node semistable.
+    above p/(p+q), so only the exact (rp, rq) blow-up can certify the node
+    semistable.  At rp >= 2 the ceiling probe (1, ceil(rq/rp)) is drawn
+    first, and the exact one only when its answer is trivial (0 or the
+    whole fiber); at rp = 1 the exact probe is itself a p = 1 draw.
     """
     if q0 == 0 or space.ell == 0 or p0 == 1:
         # a one-dimensional fiber has no proper nonzero subspace
@@ -486,8 +449,8 @@ def _split_fiber(space, p0, q0, alpha, seed):
     g = math.gcd(p0, q0)
     rp, rq = p0 // g, q0 // g
     p_cap = p0 * q0
-    for (p, q) in _probe_order(rp, rq, _FAREY_BUDGET, _FAREY_CAP):
-        U = _shrunk_with_retries(space, p, q, alpha, seed, p_cap)
+    if rp > 1:
+        U = _shrunk_with_retries(space, 1, -(-rq // rp), alpha, seed, p_cap)
         if 0 < len(U) < p0:
             return U
     U = _shrunk_with_retries(space, rp, rq, alpha, seed, p_cap)

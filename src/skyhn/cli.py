@@ -259,10 +259,6 @@ def _frac_list(text):
     return [_fraction(p) for p in text.split(",")]
 
 
-def _int_list(text):
-    return [int(p) for p in text.split(",")]
-
-
 def _k_list(text):
     parts = text.split(",")
     if not all(p.isdigit() and int(p) >= 1 for p in parts):
@@ -271,7 +267,7 @@ def _k_list(text):
 
 
 def _grid_size(text):
-    parts = _int_list(text)
+    parts = [int(p) for p in text.split(",")]
     if len(parts) != 2 or min(parts) < 2:
         raise argparse.ArgumentTypeError("expected NX,NY, both >= 2")
     return parts

@@ -12,7 +12,7 @@ Vectors have one internal form per field, _vector_form(q): F_2 bitmask ints
 one loop per form for each of insert, full reduction, the reduced basis
 and column reduction with tracked tails, and each form has the few
 coarse primitives that other modules need to work on internal vectors
-without reading them: pack, unpack, place, slice, lift, combine,
+without reading them: pack, unpack, place, slice, combine,
 multiply a list of columns and apply a list of rows.  Other modules
 reach elimination through _vector_form, _Echelon (lists through insert,
 internal vectors through add; it holds its form and never branches on
@@ -379,11 +379,6 @@ class _F2Vectors:
         return v << off
 
     @staticmethod
-    def lift(v, n, j):
-        v <<= n
-        return v if j is None else v | 1 << j
-
-    @staticmethod
     def slice(v, lo, hi):
         return v >> lo & (1 << hi - lo) - 1
 
@@ -474,13 +469,6 @@ class _ListVectors:
     def place(v, off, n):
         out = [0] * n
         out[off:off + len(v)] = v
-        return out
-
-    @staticmethod
-    def lift(v, n, j):
-        out = [0] * n + v
-        if j is not None:
-            out[j] = 1
         return out
 
     @staticmethod
@@ -578,8 +566,6 @@ def _vector_form(q):
                               `tmp` under its pivot; True if independent
       zero(n)                 the zero vector of length n
       place(v, off, n)        v at entries off.. of a vector of length n
-      lift(v, n, j)           v after n new leading entries, which are
-                              0 but for a 1 at entry j unless j is None
       slice(v, lo, hi)        entries lo..hi-1 of v
       combine(terms, n)       sum of c * place(v, off, n) over the
                               (c, off, v) of terms, c an element of F_q

@@ -701,7 +701,7 @@ def _product(form, A, B, n):
 
 
 def _identity(form, n):
-    return [form.lift(form.zero(0), n, j) for j in range(n)]
+    return [form.pack([int(i == j) for i in range(n)]) for j in range(n)]
 
 
 def _invert(F, B):

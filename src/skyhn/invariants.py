@@ -26,7 +26,7 @@ import types
 from fractions import Fraction
 
 from . import grmat
-from .grmat import Grid, Lattice, as_degree, deg_leq, induced_grid, POS_INF
+from .grmat import Grid, Lattice, as_degree, deg_leq, POS_INF
 
 
 class BettiTable:
@@ -270,23 +270,6 @@ def renormalize(stairs, alpha):
                 last[j] = Y
                 out[j].append((r[0], y))
     return [Staircase(alpha, rels, check=False) for rels in out]
-
-
-def superlevel_staircases(M):
-    """Decompose dim coker M into staircases for a uniquely generated M.
-
-    Valid because the dim of a uniquely generated module never grows along
-    the order (every fiber is a quotient of the fiber at the generator
-    degree), so each superlevel set is a staircase region.
-    """
-    degs = set(M.row_degrees)
-    if len(degs) > 1:
-        raise ValueError("module is not uniquely generated")
-    if not degs:
-        return []
-    alpha = next(iter(degs))
-    G = induced_grid(M)
-    return staircases_from_dims(G, hilbert_function(M, G), alpha)
 
 
 class HNFactor:

@@ -32,7 +32,7 @@ from .hn_core import fiber_classes
 from .invariants import HNFactor, HNFactorList, staircase_at
 
 __all__ = ["SlopePoly", "ConvexRegion", "SubdivNode", "SubdivTree",
-           "slope_polynomial", "lower_envelope", "all_max_slope",
+           "slope_polynomial", "all_max_slope",
            "exact_hnf_cell"]
 
 
@@ -206,19 +206,6 @@ def _envelope_regions(entries, base_region, origin):
         if (whole if region is base_region else region.has_area()):
             out.append((ident, region))
     return out
-
-
-def lower_envelope(polys, cell):
-    """Minimization diagram of truncated slope polynomials on a rectangle.
-
-    polys is a list of (id, SlopePoly) in offset coordinates; cell is
-    (x0, y0, x1, y1) in the same coordinates.  Returns (id, ConvexRegion)
-    for every plane owning a region of positive area; ties on walls resolve
-    to the lexicographically least id via first-match point location.
-    """
-    base = ConvexRegion.rectangle(*cell)
-    entries = sorted(polys, key=lambda e: e[0])
-    return _envelope_regions(entries, base, (Fraction(0), Fraction(0)))
 
 
 def _subspace_candidates(M):

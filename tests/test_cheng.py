@@ -1,4 +1,4 @@
-import itertools
+import collections
 import math
 import random
 from fractions import Fraction as Fr
@@ -464,36 +464,82 @@ def test_build_A_alpha_cross(cross):
     assert space.ncols == 2 and space.nrows == q0
 
 
-def test_farey_probe_sequence():
-    probes = cheng._farey_probes(3, 5, budget=6, cap=36)
-    assert probes[0] == (1, 1)
-    for p, q in probes:
-        assert p * q <= 36 and (p, q) != (3, 5)
+def _probe_spaces(rng):
+    """Random spaces and the spaces of random fiber submodules."""
+    spaces = [random_space(rng, (F2, F3, F5)[k % 3], rng.randrange(1, 6),
+                           rng.randrange(2, 5), rng.randrange(1, 5),
+                           sparse=k % 2)
+              for k in range(60)]
+    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
+    for k in range(30):
+        M = random_unigen_module(rng, F3 if k % 2 else F2, rng.randrange(2, 6))
+        alpha = M.row_degrees[0]
+        spaces.append(build_A_alpha(grmat.fiber_submodule(M, alpha), G,
+                                    alpha)[0])
+    return spaces
 
 
-def test_probe_order():
-    """No probe before the exact one at rp = 1; at rp >= 2 the two p = 1
-    ratios that bracket rq/rp, ceiling first and the floor only when it is
-    >= 1, then the Farey probes with p >= 2 within the budget and cap."""
-    assert cheng._probe_order(3, 5, 6, 36) == [(1, 2), (1, 1), (2, 3)]
-    assert cheng._probe_order(3, 2, 6, 36) == [(1, 1), (2, 1)]
-    # the whole budget of 6 goes to (1, 1) ... (1, 6): nothing with p >= 2
-    assert cheng._probe_order(2, 15, 6, 36) == [(1, 8), (1, 7)]
-    for budget, cap in [(6, 36), (12, 36), (3, 10)]:
-        for rq in range(1, 40):
-            assert cheng._probe_order(1, rq, budget, cap) == []
-        for rp, rq in itertools.product(range(2, 12), range(1, 40)):
-            if math.gcd(rp, rq) > 1:
-                continue
-            probes = cheng._probe_order(rp, rq, budget, cap)
-            lo, hi = -(-rq // rp), rq // rp
-            brackets = [(1, lo)] + [(1, hi)] * (hi > 0)
-            assert probes[:len(brackets)] == brackets
-            rest = probes[len(brackets):]
-            assert rest == [m for m in cheng._farey_probes(rp, rq, budget,
-                                                           cap) if m[0] > 1]
-            assert all(p >= 2 and p * q <= cap and (p, q) != (rp, rq)
-                       for p, q in rest) and len(rest) <= budget
+def _recording_probes(monkeypatch):
+    """Wrap _split_fiber and _shrunk_with_retries: returns the list that
+    gets one (p0, q0, whether the node draws at all, probes) per node,
+    probes its (p, q, len(U)) in drawing order."""
+    real_split, real_retry = cheng._split_fiber, cheng._shrunk_with_retries
+    nodes = []
+
+    def split(space, p0, q0, alpha, seed):
+        nodes.append((p0, q0, q0 > 0 and space.ell > 0 and p0 > 1, []))
+        return real_split(space, p0, q0, alpha, seed)
+
+    def retry(space, p, q, alpha, seed, p_cap):
+        U = real_retry(space, p, q, alpha, seed, p_cap)
+        nodes[-1][3].append((p, q, len(U)))
+        return U
+    monkeypatch.setattr(cheng, "_split_fiber", split)
+    monkeypatch.setattr(cheng, "_shrunk_with_retries", retry)
+    return nodes
+
+
+def _check_schedule(p0, q0, draws, probes):
+    """probes are the node's ceiling probe (1, ceil(rq/rp)) when rp >= 2,
+    then its exact (rp, rq) probe only when the ceiling answer is trivial;
+    none when the node cannot draw.  Returns the node's kind."""
+    if not draws:
+        assert probes == []
+        return "none"
+    g = math.gcd(p0, q0)
+    rp, rq = p0 // g, q0 // g
+    got = [(p, q) for p, q, _ in probes]
+    if rp == 1:
+        assert got == [(1, rq)]
+        return "exact at rp = 1"
+    assert got[0] == (1, -(-rq // rp))
+    if 0 < probes[0][2] < p0:
+        assert len(got) == 1
+        return "ceiling split"
+    assert got[1:] == [(rp, rq)]
+    return "exact after ceiling"
+
+
+def test_probe_order(monkeypatch):
+    """_split_fiber's schedule on random spaces: no draw where the node
+    cannot split, the exact (1, rq) probe alone at rp = 1, and at rp >= 2
+    the ceiling probe (1, ceil(rq/rp)), then the exact (rp, rq) probe only
+    when the ceiling answer is 0 or the whole fiber; the node splits by
+    the last probe's answer exactly when that answer is proper."""
+    spaces = _probe_spaces(random.Random(3233))
+    nodes = _recording_probes(monkeypatch)
+    seen = collections.Counter()
+    for n, sp in enumerate(spaces):
+        U = cheng._split_fiber(sp, sp.ncols, sp.nrows, None, n)
+        p0, q0, draws, probes = nodes[-1]
+        seen[_check_schedule(p0, q0, draws, probes)] += 1
+        if U is None:
+            assert not probes or probes[-1][2] in (0, p0)
+        else:
+            assert 0 < len(U) == probes[-1][2] < p0
+    assert len(nodes) == len(spaces)
+    assert all(seen[k] >= 3 for k in ("exact at rp = 1", "ceiling split",
+                                      "exact after ceiling")), seen
 
 
 def _span_rank(space, vecs):
@@ -506,23 +552,14 @@ def _span_rank(space, vecs):
 
 
 def test_p1_probes_are_dropped_soundly():
-    """The drop rule behind _probe_order, on random spaces and on the
-    spaces of random fiber submodules: with mu = p0/(p0 + r) the space's
-    own slope (r the dim of its image) and tau = 1/(1 + k), a certified
-    (1, k) probe above mu is never the whole fiber, one below mu is never
-    0, and when both bracket probes are trivial (0 or the whole fiber),
-    so is every other (1, k)."""
-    rng = random.Random(3232)
-    spaces = [random_space(rng, (F2, F3, F5)[k % 3], rng.randrange(1, 6),
-                           rng.randrange(2, 5), rng.randrange(1, 5),
-                           sparse=k % 2)
-              for k in range(60)]
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
-    for k in range(30):
-        M = random_unigen_module(rng, F3 if k % 2 else F2, rng.randrange(2, 6))
-        alpha = M.row_degrees[0]
-        spaces.append(build_A_alpha(grmat.fiber_submodule(M, alpha), G,
-                                    alpha)[0])
+    """The p = 1 probes around _split_fiber's ceiling probe, on random
+    spaces and on the spaces of random fiber submodules: with
+    mu = p0/(p0 + r) the space's own slope (r the dim of its image) and
+    tau = 1/(1 + k), a certified (1, k) probe above mu is never the whole
+    fiber, one below mu is never 0, and when both bracket probes
+    (1, ceil(rq/rp)) and (1, floor(rq/rp)) are trivial (0 or the whole
+    fiber), so is every other (1, k)."""
+    spaces = _probe_spaces(random.Random(3232))
     seen = {"dropped": 0, "split": 0}
     for n, sp in enumerate(spaces):
         p0 = sp.ncols
@@ -544,7 +581,7 @@ def test_p1_probes_are_dropped_soundly():
         assert all(sizes[k] <= sizes[k + 1] for k in ks[:-1])
         if rp < 2:
             continue
-        brackets = [k for p, k in cheng._probe_order(rp, rq, 6, 36) if p == 1]
+        brackets = [-(-rq // rp)] + [rq // rp] * (rq >= rp)
         if all(sizes[k] in (0, p0) for k in brackets):
             assert all(s in (0, p0) for s in sizes.values()), n
             seen["dropped"] += 1
@@ -580,6 +617,54 @@ def test_found_module_draws_only_exact_p1_blowups(monkeypatch):
     for seed in (0, 1):
         assert pipeline.hn_at(M, alpha, "cheng", seed) == want
     assert draws
+
+
+def _gf2_rels(t, rels):
+    """GF(2) relations given by their degree and the rows of their 1s,
+    then a (3, 0) and a (0, 3) relation on each of the t generators."""
+    return ([(d, [(i, 1) for i in rows]) for d, rows in rels]
+            + [(d, [(i, 1)]) for i in range(t) for d in ((3, 0), (0, 3))])
+
+
+# two GF(2) modules with 10 generators at (0, 0) on which an earlier
+# schedule, after both p = 1 brackets came back trivial, split nodes of
+# ratio 3/10 and 5/16 with (2, 7) blow-ups
+_P2_SPLIT_MODULES = [
+    gm(F2, [(0, 0)] * 10, _gf2_rels(10, [
+        ((1, 2), [0, 2, 3, 4, 5, 6, 8]), ((2, 1), [0, 6, 7, 8, 9]),
+        ((1, 1), [0, 7, 8]), ((2, 0), [2, 3, 4, 6, 8]),
+        ((1, 0), [0, 1, 3, 4, 8, 9]), ((0, 1), [1, 2, 5, 6, 9]),
+        ((2, 0), [2, 4, 6, 7, 8, 9]), ((0, 1), [1, 2, 4, 5, 7]),
+        ((1, 1), [0, 1, 2, 3, 4, 5, 6, 7]), ((0, 1), [4, 5, 7, 8, 9]),
+        ((0, 2), [3, 6, 9]), ((2, 1), [1, 5, 7, 8, 9]),
+        ((1, 1), [2, 4, 7])])),
+    gm(F2, [(0, 0)] * 10, _gf2_rels(10, [
+        ((1, 1), [1, 2, 3, 6]), ((0, 1), [0, 1, 3, 4, 7]),
+        ((2, 1), [5, 6, 9]), ((2, 0), [0, 1, 4, 6, 7]),
+        ((1, 1), [1, 3, 4, 6, 7]), ((2, 1), [2, 3, 4, 9]),
+        ((1, 1), [2, 4, 5, 6, 8, 9]), ((2, 0), [0, 1, 2, 4, 6, 7, 8, 9]),
+        ((1, 1), [2, 5, 8]), ((1, 2), [5]), ((0, 2), [2, 5, 6, 7]),
+        ((2, 1), [0, 1, 3, 4, 6, 8]), ((2, 2), [0, 3, 4, 5, 6, 8]),
+        ((0, 1), [2, 3, 5, 6, 8, 9]), ((2, 1), [0, 1, 3, 5, 7, 9]),
+        ((2, 0), [4, 6, 7, 8]), ((0, 2), [0, 1, 2, 3, 5, 6, 7, 8, 9]),
+        ((0, 1), [0, 1, 4, 7, 8]), ((1, 0), [0, 1, 2, 4, 5, 6, 7]),
+        ((0, 2), [1, 2, 6, 8, 9])])),
+]
+
+
+def test_found_modules_draw_only_ceiling_and_exact_probes(monkeypatch):
+    """On _P2_SPLIT_MODULES cheng equals brute force at seeds 0 and 1, and
+    every node draws its ceiling probe (1, ceil(rq/rp)) when rp >= 2 and
+    then, only when that answer is trivial, its exact (rp, rq) probe."""
+    alpha = (Fr(0), Fr(0))
+    wants = [pipeline.hn_at(M, alpha) for M in _P2_SPLIT_MODULES]
+    assert [len(w.factors) for w in wants] == [6, 4]
+    nodes = _recording_probes(monkeypatch)
+    for M, want in zip(_P2_SPLIT_MODULES, wants):
+        for seed in (0, 1):
+            assert pipeline.hn_at(M, alpha, "cheng", seed) == want
+    kinds = collections.Counter(_check_schedule(*node) for node in nodes)
+    assert kinds["exact after ceiling"] >= 4, kinds
 
 
 def test_hn_cheng_matches_brute_cross(cross):

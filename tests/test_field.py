@@ -364,3 +364,143 @@ def test_times_matches_list_product():
                 assert form.unpack(got, n) == want
                 assert [form.unpack(c, n) for c in packed] == cols
                 assert form.unpack(pv, k) == v
+
+
+_PRIMITIVES = {"pack", "unpack", "insert", "zero", "place", "slice",
+               "combine", "times", "apply", "reduce", "reduced", "eliminate"}
+
+
+def test_vector_forms_expose_the_same_primitives():
+    """_F2Vectors and every _ListVectors(q) have the primitives that
+    _vector_form documents, and no other public name but the list form's
+    q."""
+    assert {n for n in dir(fieldmod._F2Vectors)
+            if not n.startswith("_")} == _PRIMITIVES
+    for q in (3, 5, 7):
+        form = fieldmod._ListVectors(q)
+        assert {n for n in dir(form) if not n.startswith("_")} == \
+            _PRIMITIVES | {"q"}
+
+
+def _ref_echelon_step(q, echs, v, lo):
+    """v (a list) reduced against the echelons echs (dicts of lists, pivot
+    = last nonzero entry), in order, until its last nonzero entry at or
+    past lo is no pivot of theirs: (v, that entry), or (v, None) when v
+    is zero from lo on."""
+    v = list(v)
+    while True:
+        piv = max((a for a in range(lo, len(v)) if v[a]), default=None)
+        pc = next((e[piv] for e in echs if piv in e), None)
+        if pc is None:
+            return v, piv
+        c = v[piv] * pow(pc[piv], q - 2, q) % q
+        v = [(x - c * y) % q for x, y in zip(v, pc)]
+
+
+def _ref_rank(q, vecs):
+    ech = {}
+    for v in vecs:
+        v, piv = _ref_echelon_step(q, [ech], v, 0)
+        if piv is not None:
+            ech[piv] = v
+    return len(ech)
+
+
+def _packed(form, ech, n):
+    return {piv: form.unpack(v, n) for piv, v in ech.items()}
+
+
+def test_vector_form_primitives_match_list_references():
+    """Every primitive of _vector_form but times (see above) on GF(2),
+    GF(3) and GF(5), against list references on random vectors with zero
+    and repeated ones: zero, place, slice, combine, apply, insert, reduce,
+    reduced and eliminate, with their arguments left unchanged."""
+    rng = random.Random(62)
+    for F in [F2, F3, F5]:
+        q, form = F.q, fieldmod._vector_form(F.q)
+        pack, unpack = form.pack, form.unpack
+        for _ in range(60):
+            n, k = rng.randrange(1, 9), rng.randrange(0, 9)
+            cols = _random_columns(rng, F, n, k)
+            packed = [pack(c) for c in cols]
+            assert unpack(form.zero(n), n) == [0] * n
+            for v, pv in zip(cols, packed):
+                lo = rng.randrange(n + 1)
+                hi = rng.randrange(lo, n + 1)
+                assert unpack(form.slice(pv, lo, hi), hi - lo) == v[lo:hi]
+                off = rng.randrange(4)
+                assert unpack(form.place(pv, off, n + off), n + off) == \
+                    [0] * off + v
+            # combine: sum of c * v placed at off, over a length m
+            m = n + 3
+            terms = [(rng.randrange(q), rng.randrange(4), i)
+                     for i in range(k)]
+            want = [0] * m
+            for c, off, i in terms:
+                for a, y in enumerate(cols[i], off):
+                    want[a] = (want[a] + c * y) % q
+            got = form.combine([(c, off, packed[i]) for c, off, i in terms],
+                               m)
+            assert unpack(got, m) == want
+            # apply: entry a is row . v for each (a, row), 0 elsewhere
+            v = [rng.randrange(q) for _ in range(n)]
+            at = sorted(rng.sample(range(m), min(k, m)))
+            rows = list(zip(at, packed))
+            want = [0] * m
+            for a, row in zip(at, cols):
+                want[a] = sum(x * y for x, y in zip(row, v)) % q
+            assert unpack(form.apply(rows, pack(v), m), m) == want
+            # insert: into tmp over base, True exactly when the rank grows
+            base, tmp = {}, {}
+            for c in cols[:k // 2]:
+                form.insert(base, base, pack(c))
+            frozen = _packed(form, base, n)
+            seen = cols[:k // 2]
+            for c, pc in zip(cols[k // 2:], packed[k // 2:]):
+                red, piv = _ref_echelon_step(
+                    q, [_packed(form, base, n), _packed(form, tmp, n)], c, 0)
+                assert form.insert(base, tmp, pc) == (piv is not None)
+                if piv is not None:
+                    assert unpack(tmp[piv], n) == red
+                assert _ref_rank(q, seen + [c]) == len(base) + len(tmp)
+                seen.append(c)
+            assert _packed(form, base, n) == frozen
+            # reduce: clear every pivot row of v, from the top down
+            ech = {**base, **tmp}
+            lists = _packed(form, ech, n)
+            want = list(v)
+            for piv in sorted(lists, reverse=True):
+                c = want[piv] * pow(lists[piv][piv], q - 2, q) % q
+                want = [(x - c * y) % q for x, y in zip(want, lists[piv])]
+            assert unpack(form.reduce(ech, pack(v)), n) == want
+            assert all(want[piv] == 0 for piv in lists)
+            assert _ref_rank(q, list(lists.values())
+                             + [[(x - y) % q for x, y in zip(v, want)]]) \
+                == len(lists)
+            # reduced: per pivot, ascending, 1 there and 0 at the others
+            got = [unpack(c, n) for c in form.reduced(ech)]
+            assert len(got) == len(lists)
+            for c, piv in zip(got, sorted(lists)):
+                assert [c[p] for p in sorted(lists)] == \
+                    [int(p == piv) for p in sorted(lists)]
+            assert _ref_rank(q, got + list(lists.values())) == len(lists)
+            assert _packed(form, ech, n) == lists
+            # eliminate: each column after k tail entries, reduced against
+            # base and then fresh on its entries >= k
+            for tracked in (False, True):
+                fresh, want_kernel, want_fresh = {}, [], {}
+                for j, c in enumerate(cols):
+                    w = [int(tracked and a == j) for a in range(k)] + c
+                    w, piv = _ref_echelon_step(
+                        q, [{p + k: [0] * k + b for p, b in frozen.items()},
+                            want_fresh], w, k)
+                    if piv is None:
+                        want_kernel.append(w[:k])
+                    else:
+                        want_fresh[piv] = w
+                got = form.eliminate({p + k: form.place(b, k, n + k)
+                                      for p, b in base.items()},
+                                     fresh, packed, k, tracked)
+                assert [unpack(c, k) for c in got] == want_kernel
+                assert _packed(form, fresh, n + k) == want_fresh
+            assert [unpack(c, n) for c in packed] == cols

@@ -663,8 +663,8 @@ def test_gf2_decompose_runs_no_list_primitive(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("a list vector primitive ran on GF(2)")
-    for name in ("pack", "unpack", "zero", "place", "lift", "slice",
-                 "combine", "times", "apply", "reduce", "reduced"):
+    for name in ("pack", "unpack", "zero", "place", "slice", "combine",
+                 "times", "apply", "reduce", "reduced"):
         monkeypatch.setattr(fieldmod._ListVectors, name, refuse)
     monkeypatch.setattr(fieldmod, "_insert_generic", refuse)
     forms = fieldmod._vector_form

@@ -11,7 +11,7 @@ from skyhn.invariants import (HNFactor, HNFactorList, SkyscraperStore,
                               Staircase, betti_numbers, hilbert_function,
                               integral_dim, integral_of, merge_factors,
                               skyscraper_query, slope_at, staircase_contains,
-                              staircases_from_dims, superlevel_staircases)
+                              staircases_from_dims)
 from skyhn.pipeline import ScanConfig, approx_skyscraper, exact_skyscraper
 
 from conftest import (F2, F3, count_fraction_comparisons, cross_module, gm,
@@ -109,8 +109,10 @@ def test_staircase_antichain_validation():
 
 
 def test_superlevel_staircases_at_base(cross):
-    sub = grmat.fiber_submodule(cross, (Fr(0), Fr(1)))
-    stairs = superlevel_staircases(sub)
+    alpha = (Fr(0), Fr(1))
+    sub = grmat.fiber_submodule(cross, alpha)
+    G = induced_grid(sub)
+    stairs = staircases_from_dims(G, hilbert_function(sub, G), alpha)
     assert len(stairs) == 2
     # level 1: union shape; level 2: the overlap rectangle [0,1)x[1,2)
     assert stairs[1].rels == [(Fr(0), Fr(2)), (Fr(1), Fr(1))]

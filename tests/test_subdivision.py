@@ -7,8 +7,7 @@ import pytest
 from skyhn import grmat, hn_core, pipeline, subdivision
 from skyhn.grmat import fiber_submodule
 from skyhn.subdivision import (ConvexRegion, SlopePoly, all_max_slope,
-                               exact_hnf_cell, lower_envelope,
-                               slope_polynomial)
+                               exact_hnf_cell, slope_polynomial)
 
 from skyhn.invariants import Staircase, staircase_at
 
@@ -110,6 +109,16 @@ def test_region_has_area_matches_area():
             R = R.clip(rng.randrange(-2, 3), rng.randrange(-2, 3),
                        Fr(rng.randrange(-9, 9), rng.randrange(1, 5)))
         assert R.has_area() == (R.area() > 0)
+
+
+def lower_envelope(polys, cell):
+    """The (id, region) faces of the minimization diagram of the (id,
+    SlopePoly) planes polys on the rectangle cell = (x0, y0, x1, y1), in
+    the offset coordinates of both, read off subdivision._envelope_regions
+    with the planes in id order."""
+    return subdivision._envelope_regions(
+        sorted(polys, key=lambda e: e[0]), ConvexRegion.rectangle(*cell),
+        (Fr(0), Fr(0)))
 
 
 def test_envelope_tests_area_of_clipped_regions_only(monkeypatch):

@@ -4,11 +4,13 @@ or reads is renamed or removed.  A source scan keeps imports honest."""
 
 import ast
 import glob
+import importlib
 import os
 import random
 import sys
 from fractions import Fraction as Fr
 
+import skyhn
 from skyhn import cli, grmat, hn_core, invariants, pipeline, subdivision
 
 from conftest import (F2, F3, count_fraction_comparisons,
@@ -788,3 +790,23 @@ def test_dense_matrix_stays_in_field():
                     "def draw():\n    return embed_phi\n"}) == [
             ("cheng.py", "<module>"), ("grmat.py", "quotient")]
     assert _dense_matrix_strays(_src_sources()) == []
+
+
+def test_every_exported_name_resolves():
+    """Every name in the __all__ of skyhn and of each of its modules is
+    bound there, and ``from skyhn import *`` binds them all."""
+    names = sorted(os.path.splitext(f)[0] for f in _src_sources())
+    assert "__init__" in names and "cheng" in names
+    checked = 0
+    for name in names:
+        mod = importlib.import_module(
+            "skyhn" if name == "__init__" else "skyhn." + name)
+        exported = getattr(mod, "__all__", [])
+        assert len(set(exported)) == len(exported), name
+        missing = [n for n in exported if not hasattr(mod, n)]
+        assert missing == [], (name, missing)
+        checked += bool(exported)
+    assert checked >= 6
+    scope = {}
+    exec("from skyhn import *", scope)
+    assert set(skyhn.__all__) <= set(scope)
