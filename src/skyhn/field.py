@@ -629,9 +629,6 @@ class _Echelon:
         return self._unpack(next(reversed(self.pivots.values())),  # newest
                             self.nrows)
 
-    def contains(self, v):
-        return not self._insert(self.pivots, {}, self._pack(v))
-
     def reduce(self, v):
         """Fully reduced copy of the list v (see _vector_form's reduce)."""
         return self._unpack(self._reduce(self.pivots, self._pack(v)),

@@ -8,7 +8,6 @@ from hypothesis import settings
 from skyhn import field as fieldmod
 from skyhn import grmat, pipeline, subdivision
 from skyhn.field import DenseMatrix, PrimeField
-from skyhn.invariants import Staircase
 
 # the same examples on every run, and no per-example deadline for a slow
 # or loaded machine to trip over
@@ -184,35 +183,13 @@ def cut_presentations(rng, F):
     return [(op, src, R) for op, src, R in out if R.nrows]
 
 
-def deg_join(a, b):
-    """The componentwise maximum of two degrees, as exact Fractions."""
-    a, b = grmat.as_degree(a), grmat.as_degree(b)
-    return (max(a[0], b[0]), max(a[1], b[1]))
-
-
-def eps_points(box, epsilon):
-    """The x and y coordinates of the epsilon-lattice points inside the
-    half-open box."""
-    lat = grmat.Lattice(epsilon)
-    return lat.points(lat.indices(box))
-
-
-def grid_floor(grid, d):
-    """The largest point of grid <= d componentwise, or None where d lies
-    below the grid on some axis."""
-    ix, iy, _ = grid.index(d)
-    if ix < 0 or iy < 0:
-        return None
-    return (grid.xs[ix], grid.ys[iy])
-
-
 def fiber_trees(module, grid, corner):
     """subdivision.exact_hnf_cell on each connected block of <V_corner> of
     the module, over the cell of grid with that lower corner; [] on a zero
     fiber or an unbounded cell.  One-generator fibers get trees too, though
     the drivers read them in closed form (pipeline._Interval), so that
     tree reads keep their coverage."""
-    ix, iy, _ = grid.index(corner)
+    ix, iy = grid.xs.index(corner[0]), grid.ys.index(corner[1])
     if ix + 1 == len(grid.xs) or iy + 1 == len(grid.ys):
         return []
     sub = grmat.fiber_submodule(module, corner)
@@ -249,31 +226,6 @@ def class_integral(fc, ivecs):
     the class weights at the generator degree."""
     w = fc.at(fc.alpha)
     return Fraction(w.scaled_integral(fc.ranks(ivecs)), w.den)
-
-
-# ---------------------------------------------------------------------------
-# Fraction references for the integer superlevel staircases
-
-def reference_minimal_points(points):
-    """Minimal elements of a set of degrees, by pairwise comparison."""
-    pts = sorted(set(points))
-    mins = []
-    for p in pts:
-        if not any(grmat.deg_leq(m, p) for m in mins):
-            mins.append(p)
-    return mins
-
-
-def reference_staircases_from_dims(grid, dims, alpha, thickness=None):
-    """invariants.staircases_from_dims on Fraction points: per level, the
-    minimal grid points >= alpha where the dim drops below it."""
-    alpha = grmat.as_degree(alpha)
-    pts = [p for p in grid.points() if grmat.deg_leq(alpha, p)]
-    if thickness is None:
-        thickness = max((dims.get(p, 0) for p in pts), default=0)
-    return [Staircase(alpha, reference_minimal_points(
-                [p for p in pts if dims.get(p, 0) < j]))
-            for j in range(1, thickness + 1)]
 
 
 # ---------------------------------------------------------------------------

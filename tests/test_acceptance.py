@@ -3,12 +3,11 @@ to the terminal so they appear regardless of capture)."""
 
 import functools
 import random
-import sys
 import time
 from fractions import Fraction as Fr
 
 from skyhn import cheng, field as fieldmod, grmat, hn_core, invariants, \
-    pipeline, subdivision
+    subdivision
 from skyhn.grmat import Grid
 from skyhn.invariants import erosion_distance
 from skyhn.pipeline import (ScanConfig, approx_skyscraper, clip_to_box,
@@ -16,7 +15,9 @@ from skyhn.pipeline import (ScanConfig, approx_skyscraper, clip_to_box,
 
 from conftest import (F2, F3, class_integral, cross_module,
                       random_bounded_module, random_unigen_module,
-                      reference_minimal_points, stable_module)
+                      stable_module)
+
+import reference
 
 
 RESULTS = []   # (n, "PASS"/"FAIL", desc, seconds); printed by conftest
@@ -221,7 +222,7 @@ def test_acceptance_8():
             while len(pts) < rng.randrange(1, 4):
                 pts.add((gen[0] + rng.randrange(0, 4),
                          gen[1] + rng.randrange(0, 4)))
-            rels = reference_minimal_points(pts)
+            rels = reference.minimal_points(pts)
             if rels and rels[0] == gen:
                 continue
             stairs.append(invariants.Staircase(gen, rels))
@@ -258,13 +259,13 @@ def test_acceptance_9():
 @criterion(10, "randomized shrunk subspaces match exhaustive defect "
                "maximization on 50 random spaces")
 def test_acceptance_10():
-    from test_cheng import min_shrunk_exhaustive, random_space, same_span
+    from test_cheng import placed, random_space
     rng = random.Random(10)
     for trial in range(50):
         sp = random_space(rng, F2, rng.randrange(1, 5), rng.randrange(1, 5),
                           rng.randrange(1, 5))
-        want_rows, _ = min_shrunk_exhaustive(sp)
+        want_rows, _ = reference.shrunk_subspace(F2.q, placed(sp), sp.ncols)
         got = cheng._shrunk_with_retries(sp, 1, 1, None, seed=trial * 7 + 1,
                                          p_cap=64)
         assert len(got) == len(want_rows), trial
-        assert same_span(F2, got, [list(r) for r in want_rows], sp.ncols)
+        assert reference.same_span(F2.q, got, want_rows)

@@ -12,76 +12,38 @@ from skyhn.cheng import (BlowUp, MatrixSpace, ShrunkFailure, build_A_alpha,
 from skyhn.field import DenseMatrix, PrimeField
 from skyhn.grmat import Grid
 
-from conftest import (F2, F3, F5, cross_module, deg_join, gm,
-                      hidden_corpus, random_bounded_module,
-                      random_unigen_module, stable_module)
+from conftest import (F2, F3, F5, cross_module, gm, hidden_corpus,
+                      random_bounded_module, random_unigen_module,
+                      stable_module)
 
-
-def matvec(A, v):
-    q = A.field.q
-    return [sum(a * b for a, b in zip(row, v)) % q for row in A.data]
+import reference
 
 
 def random_space(rng, F, N, Np, ell, sparse=False):
     """Random independent basis; sparse: each matrix's nonzero entries lie
     in one random band of rows, as in the spaces build_A_alpha builds."""
     ell = min(ell, N * Np)
-    basis = []
-    span = grmat._Echelon(F, N * Np)
+    basis, span = [], {}
     while len(basis) < ell:
         lo = rng.randrange(N) if sparse else 0
         hi = rng.randrange(lo + 1, N + 1) if sparse else N
         B = [[rng.randrange(F.q) if lo <= a < hi else 0 for _ in range(Np)]
              for a in range(N)]
-        if span.insert([x for row in B for x in row]):
+        if reference.insert(F.q, span, [x for row in B for x in row]):
             basis.append([(a, row) for a, row in enumerate(B) if any(row)])
     return MatrixSpace(F, N, Np, basis)
 
 
 def placed(space):
-    """The basis matrices of the space as DenseMatrix, each with its
+    """The basis matrices of the space as lists of rows, each with its
     nonzero rows placed back among zero rows."""
     out = []
     for B in space.basis:
         data = [[0] * space.ncols for _ in range(space.nrows)]
         for a, row in B:
             data[a] = list(row)
-        out.append(DenseMatrix(space.nrows, space.ncols, space.field, data))
+        out.append(data)
     return out
-
-
-def all_subspace_bases(F, n):
-    for k in range(0, n + 1):
-        for rows in hn_core.subspaces_of_dim(F, n, k):
-            yield rows
-
-
-def min_shrunk_exhaustive(space):
-    """Smallest subspace maximizing dim U - dim(span of A.U)."""
-    F, mats = space.field, placed(space)
-    best = None
-    for rows in all_subspace_bases(F, space.ncols):
-        span = grmat._Echelon(F, space.nrows)
-        for u in rows:
-            for A in mats:
-                span.insert(matvec(A, list(u)))
-        defect = len(rows) - span.rank
-        key = (-defect, len(rows))
-        if best is None or key < best[0]:
-            best = (key, rows)
-    return best[1], -best[0][0]
-
-
-def same_span(F, avecs, bvecs, n):
-    ech = grmat._Echelon(F, n)
-    for v in avecs:
-        ech.insert(list(v))
-    if any(not ech.contains(list(v)) for v in bvecs):
-        return False
-    ech2 = grmat._Echelon(F, n)
-    for v in bvecs:
-        ech2.insert(list(v))
-    return all(ech2.contains(list(v)) for v in avecs)
 
 
 def image_naive(blow, ucols):
@@ -90,17 +52,14 @@ def image_naive(blow, ucols):
     sp = blow.space
     F = sp.field
     Np, N = sp.ncols, sp.nrows
-    span = grmat._Echelon(F, blow.p * N)
+    image = []
     for u in ucols:
         for j in range(blow.q):
-            blk = u[j * Np:(j + 1) * Np]
             for A in placed(sp):
-                w0 = matvec(A, blk)
-                for i in range(blow.p):
-                    w = [F.zero] * (blow.p * N)
-                    w[i * N:(i + 1) * N] = w0
-                    span.insert(w)
-    return span.basis_columns()
+                w = reference.matvec(F.q, A, u[j * Np:(j + 1) * Np])
+                image += [[0] * (i * N) + w + [0] * ((blow.p - i - 1) * N)
+                          for i in range(blow.p)]
+    return reference.basis(F.q, image)
 
 
 def test_matrix_space_rejects_dependent_basis():
@@ -125,18 +84,13 @@ def test_matrix_space_rejects_malformed_rows():
 def core_all_rows(blow, ucols):
     """image_core multiplying every row of every basis matrix by every
     column block of the lists ucols, in the same canonical form: the
-    reduced column echelon basis of the span (internal vectors), which is
-    the same list for any spanning set."""
+    reduced column echelon basis of the span, which is the same list for
+    any spanning set."""
     sp = blow.space
     Np = sp.ncols
-    span = grmat._Echelon(sp.field, sp.nrows)
-    for u in ucols:
-        for j in range(blow.q):
-            blk = u[j * Np:(j + 1) * Np]
-            if any(blk):
-                for A in placed(sp):
-                    span.insert(matvec(A, blk))
-    return span.form.reduced(span.pivots)
+    return reference.reduced_basis(sp.field.q, [
+        reference.matvec(sp.field.q, A, u[j * Np:(j + 1) * Np])
+        for u in ucols for j in range(blow.q) for A in placed(sp)])
 
 
 def a_alpha_spaces():
@@ -166,7 +120,7 @@ def test_blowup_core_matches_naive(rng):
         form = fieldmod._vector_form(sp.field.q)
         core = blow.image_core([form.pack(u) for u in ucols])
         assert [form.unpack(v, sp.nrows) for v in core] == \
-            [form.unpack(v, sp.nrows) for v in core_all_rows(blow, ucols)]
+            core_all_rows(blow, ucols)
         naive = image_naive(blow, ucols)
         # the naive image must be exactly k^p tensor the core
         assert len(naive) == p * len(core)
@@ -182,42 +136,34 @@ def test_shrunk_matches_exhaustive_small_spaces(rng):
     for trial in range(50):
         sp = random_space(rng, F2, rng.randrange(1, 5), rng.randrange(1, 5),
                           rng.randrange(1, 5))
-        want_rows, want_defect = min_shrunk_exhaustive(sp)
+        want_rows, want_defect = reference.shrunk_subspace(
+            F2.q, placed(sp), sp.ncols)
         got = cheng._shrunk_with_retries(sp, 1, 1, None, seed=trial,
                                          p_cap=64)
         assert len(got) == len(want_rows), trial
-        assert same_span(F2, got, [list(r) for r in want_rows], sp.ncols)
-
-
-def _floor(coords, c):
-    """The index of the last of the sorted coords that is <= c."""
-    return max(i for i, x in enumerate(coords) if x <= c)
+        assert reference.same_span(F2.q, got, want_rows)
 
 
 def _build_A_alpha_per_beta(M, G, alpha):
-    """build_A_alpha with one fiber model and structure map built afresh
-    for every grid point above alpha: (basis data, p0, q0, betas)."""
-    F = M.field
-    pm = grmat.pointwise_model(M, alpha)
-    betas = [b for b in G.points() if grmat.deg_leq(alpha, b) and b != alpha]
-    placed, q0 = [], 0
+    """build_A_alpha with the reference's fiber and structure map built
+    afresh for every grid point above alpha: (basis data, p0, q0, betas)."""
+    gens = reference.units(M.nrows, reference.basis_rows(
+        reference.fiber(M, alpha)))
+    betas = [b for b in G.points() if reference.leq(alpha, b) and b != alpha]
+    maps, q0 = [], 0
     for b in betas:
-        pd = grmat.pointwise_model(M, b)
-        cols = []
-        for g in pm.basis_rows:
-            v = [0] * len(pd.live_rows)
-            v[pd.live_rows.index(g)] = 1
-            cols.append(pd.reduce_vector(v))
-        T = DenseMatrix.from_columns(cols, pd.dim, F)
-        placed.append((q0, T))
-        q0 += T.rows
+        fib = reference.fiber(M, b)
+        T = [list(row) for row in
+             zip(*(reference.coordinates(fib, u) for u in gens))]
+        maps.append((q0, T))
+        q0 += len(T)
     basis = []
-    for off, T in placed:
-        if any(map(any, T.data)):
-            B = [[0] * pm.dim for _ in range(q0)]
-            B[off:off + T.rows] = T.data
+    for off, T in maps:
+        if any(map(any, T)):
+            B = [[0] * len(gens) for _ in range(q0)]
+            B[off:off + len(T)] = T
             basis.append(B)
-    return basis, pm.dim, q0, betas
+    return basis, len(gens), q0, betas
 
 
 def test_build_A_alpha_matches_per_beta_construction():
@@ -251,11 +197,12 @@ def test_build_A_alpha_matches_per_beta_construction():
             fc = hn_core.fiber_classes(sub)
             for G in (regular, fine):
                 space, p0, q0, betas = build_A_alpha(sub, G, alpha)
-                assert ([A.data for A in placed(space)], p0, q0, betas) == \
+                assert (placed(space), p0, q0, betas) == \
                     _build_A_alpha_per_beta(sub, G, alpha)
                 assert (space.nrows, space.ncols) == (q0, p0)
                 xs, ys = (a.coords for a in fc.axes)
-                classes = [fc.point_class[_floor(xs, x), _floor(ys, y)]
+                classes = [fc.point_class[reference.floor(xs, x),
+                                           reference.floor(ys, y)]
                            for x, y in betas]
                 classes = [c for c in classes if c >= 0]
                 shared += len(set(classes)) < len(classes)
@@ -270,30 +217,18 @@ class _WongReference:
         self.blow = blow
         self.s_basis, self.last_preimage = [], []
         self.acols = acols
-        self.nrows = blow.p * blow.space.nrows
-        self.rank_a = fieldmod.reduce_columns(blow.space.field, acols,
-                                              self.nrows)[0]
+        self.rank_a = reference.rank(blow.space.field.q, acols)
         self.contained = None
 
     def advance(self):
-        F, N, p = self.blow.space.field, self.blow.space.nrows, self.blow.p
-        unpack = fieldmod._vector_form(F.q).unpack
-        wcols = []
-        for a in range(p):
-            for s in self.s_basis:
-                w = [0] * (p * N)
-                w[a * N:(a + 1) * N] = s
-                wcols.append(w)
-        rank, _, combos = fieldmod.reduce_columns(F, self.acols + wcols,
-                                                  self.nrows)
+        q, N, p = self.blow.space.field.q, self.blow.space.nrows, self.blow.p
+        wcols = [[0] * (a * N) + s + [0] * ((p - a - 1) * N)
+                 for a in range(p) for s in self.s_basis]
+        rank, _, combos = reference.reduce_columns(q, self.acols + wcols)
         self.contained = rank == self.rank_a
         na = len(self.acols)
-        span = grmat._Echelon(F, na)
-        for c in combos:
-            span.insert(c[:na])
-        self.last_preimage = span.basis_columns()
-        new_s = [unpack(v, N)
-                 for v in core_all_rows(self.blow, self.last_preimage)]
+        self.last_preimage = reference.basis(q, [c[:na] for c in combos])
+        new_s = core_all_rows(self.blow, self.last_preimage)
         if len(new_s) == len(self.s_basis):
             return False
         self.s_basis = new_s
@@ -340,24 +275,22 @@ def _draw_reference(space, p, seed, q=None, g_extra=0):
                 for a in range(g):
                     X[i * g + a][j * g:(j + 1) * g] = blk[a]
         xmats.append(X)
-    C = _echelon_transform(
-        F, [[row[b] for X in xmats for row in X] for b in range(Q)])
+    C = [tail for tail, _ in reference.column_echelon(
+        F.q, [[row[b] for X in xmats for row in X] for b in range(Q)])]
     A = DenseMatrix.zero(P * N, Q * Np, F)
     for X, B in zip(xmats, placed(space)):
         XC = DenseMatrix(P, Q, F, [[sum(row[k] * C[j][k] for k in range(Q))
                                     % F.q for j in range(Q)] for row in X])
-        K = fieldmod.kron(XC, B)
+        K = fieldmod.kron(XC, DenseMatrix(N, Np, F, B))
         A.data = [[(x + y) % F.q for x, y in zip(ra, rk)]
                   for ra, rk in zip(A.data, K.data)]
     ref = _run_reference(A.columns(), cheng.BlowUp(space, P, Q))
     if not ref.contained:
         return None
-    span = grmat._Echelon(F, Np)
-    for c in ref.last_preimage:
-        span.insert(c[:Np])
-    if span.rank * Q != len(ref.last_preimage):
+    U = reference.basis(F.q, [c[:Np] for c in ref.last_preimage])
+    if len(U) * Q != len(ref.last_preimage):
         return None
-    return span.basis_columns()
+    return U
 
 
 def _draw_cases(rng):
@@ -542,15 +475,6 @@ def test_probe_order(monkeypatch):
                                       "exact after ceiling")), seen
 
 
-def _span_rank(space, vecs):
-    """dim of the span of A_k . v over the basis matrices and vectors."""
-    span = grmat._Echelon(space.field, space.nrows)
-    for A in placed(space):
-        for v in vecs:
-            span.insert(matvec(A, list(v)))
-    return span.rank
-
-
 def test_p1_probes_are_dropped_soundly():
     """The p = 1 probes around _split_fiber's ceiling probe, on random
     spaces and on the spaces of random fiber submodules: with
@@ -563,8 +487,9 @@ def test_p1_probes_are_dropped_soundly():
     seen = {"dropped": 0, "split": 0}
     for n, sp in enumerate(spaces):
         p0 = sp.ncols
-        r = _span_rank(sp, [[int(i == j) for i in range(p0)]
-                            for j in range(p0)])
+        r = reference.rank(sp.field.q, [
+            reference.matvec(sp.field.q, A, v) for A in placed(sp)
+            for v in reference.units(p0, range(p0))])
         if r == 0:
             continue
         g = math.gcd(p0, r)
@@ -719,38 +644,6 @@ def test_shrunk_failure_carries_alpha():
         "attempts"
 
 
-def _echelon_transform(F, cols):
-    """The invertible C with [cols] . C in column echelon form, computed as
-    the randomized engine's partial reduction once did: generic field
-    operations and one identity tail per column."""
-    n = len(cols)
-    work = [list(c) for c in cols]
-    trans = [[F.one if i == j else F.zero for i in range(n)]
-             for j in range(n)]
-    pivots = {}
-    for j in range(n):
-        col, tr = work[j], trans[j]
-        while True:
-            piv = None
-            for i in range(len(col) - 1, -1, -1):
-                if col[i] != F.zero:
-                    piv = i
-                    break
-            if piv is None or piv not in pivots:
-                break
-            pc, pt = work[pivots[piv]], trans[pivots[piv]]
-            c = F.mul(col[piv], F.inv(pc[piv]))
-            for r in range(piv + 1):
-                if pc[r] != F.zero:
-                    col[r] = F.sub(col[r], F.mul(c, pc[r]))
-            for r in range(n):
-                if pt[r] != F.zero:
-                    tr[r] = F.sub(tr[r], F.mul(c, pt[r]))
-        if piv is not None:
-            pivots[piv] = j
-    return trans    # the columns of C
-
-
 def test_partial_reduce_matches_echelon_transform():
     rng = random.Random(71)
     dependent = 0
@@ -766,7 +659,7 @@ def test_partial_reduce_matches_echelon_transform():
                     for row in X:
                         row[-1] = row[0]
             stack = [[row[b] for X in xmats for row in X] for b in range(Q)]
-            C = _echelon_transform(F, stack)
+            C = [tail for tail, _ in reference.column_echelon(F.q, stack)]
             want = [[[sum(row[k] * C[j][k] for k in range(Q)) % F.q
                       for j in range(Q)] for row in X] for X in xmats]
             got = cheng._partial_reduce(F, stack)
@@ -882,10 +775,6 @@ def _old_children(P, U, alpha):
             grmat.quotient_presentation(P, U))
 
 
-def _rank(F, vecs, n):
-    return fieldmod.reduce_columns(F, vecs, n)[0] if vecs else 0
-
-
 def test_split_nodes_match_old_presentations(monkeypatch):
     """Every node of the split recursion, a subquotient <lo + top>/<lo> of
     the fiber at alpha, against the presentation of the same module that
@@ -906,12 +795,12 @@ def test_split_nodes_match_old_presentations(monkeypatch):
         old, p0, old_q0, betas = build_A_alpha(P, G, alpha)
         assert (len(top), q0) == (p0, old_q0)
         assert (space.ncols, space.nrows) == (p0, q0)
-        dims = [grmat.structure_map(P, alpha, b).rows for b in betas]
+        dims = [reference.dim(P, b) for b in betas]
         ranks = []
         for T in state["root_maps"]:
-            imgs = [matvec(T, v) for v in lo + top]
-            ranks.append(_rank(F, imgs, T.rows)
-                         - _rank(F, imgs[:len(lo)], T.rows))
+            imgs = [reference.matvec(F.q, T.data, v) for v in lo + top]
+            ranks.append(reference.rank(F.q, imgs)
+                         - reference.rank(F.q, imgs[:len(lo)]))
         assert ranks == dims
         assert [len(B) for B in space.basis] == \
             [r for r in ranks if r]
@@ -954,17 +843,16 @@ def _node_space_from_lists(sq, lo, top):
     of the reduced columns kept from the top down; the blocks stacked into
     a MatrixSpace through its checking constructor."""
     F, p = sq.field, len(top)
-    blocks = []
+    q, blocks = F.q, []
     for B in sq.root.basis:
         T = [row for _, row in B]
-        ech = grmat._Echelon(F, len(T))
+        ech, keep = {}, {}
         for v in lo:
-            ech.insert([sum(a * b for a, b in zip(row, v)) % F.q
-                        for row in T])
-        red = [ech.reduce([sum(a * b for a, b in zip(row, c)) % F.q
-                           for row in T]) for c in top]
-        keep = grmat._Echelon(F, p)
-        blocks.append([r for r in map(list, zip(*red)) if keep.insert(r)])
+            reference.insert(q, ech, reference.matvec(q, T, v))
+        red = [reference.reduce(q, ech, reference.matvec(q, T, c))
+               for c in top]
+        blocks.append([r for r in map(list, zip(*red))
+                       if reference.insert(q, keep, r) is not None])
     basis, off = [], 0
     for rows in blocks:
         nz = [(a, r) for a, r in enumerate(rows, off) if any(r)]
@@ -1028,7 +916,8 @@ def test_non_minimal_module_generated_at_alpha():
         M = random_unigen_module(rng, F3 if k % 2 else F2, rng.randrange(2, 5))
         rels = list(zip(M.col_degrees, M.columns))
         (d1, col), (d2, _) = rng.sample(rels, 2)
-        N = gm(M.field, M.row_degrees, rels + [(deg_join(d1, d2), col)])
+        N = gm(M.field, M.row_degrees,
+               rels + [(reference.join(d1, d2), col)])
         alpha, small = N.row_degrees[0], grmat.minimize(N)
         assert small.ncols < N.ncols and grmat.fiber_submodule(N, alpha) is N
         want = hn_core.hn_filtration_at(small, alpha)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skyhn import field as fieldmod
 from skyhn import cheng, cli, grmat, invariants, pipeline
 from skyhn.cli import (ParseError, emit_store, main, parse_presentation,
                        parse_store)
@@ -16,6 +15,8 @@ from skyhn.pipeline import ScanConfig, approx_skyscraper, bounding_box
 
 from conftest import (cross_module, hidden_corpus, random_bounded_module,
                       stable_module)
+
+import reference
 
 
 CROSS_TEXT = """\
@@ -238,9 +239,9 @@ def test_cli_check_clips_once(cross_file, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("q", [2, 3])
 def test_check_rank_reads_one_fiber_model(monkeypatch, q):
     """skyhn check takes the rank of V(a -> b) from one fiber model, at b
-    (cli._map_rank): it equals the rank of grmat.structure_map(M, a, b),
-    which builds a model at each end, on random pairs a <= b of random
-    clipped modules, including pairs with a zero fiber at either end."""
+    (cli._map_rank): it equals the rank of V(a -> b) of the reference,
+    on random pairs a <= b of random clipped modules, including pairs with
+    a zero fiber at either end."""
     F, rng = PrimeField(q), random.Random(40 + q)
     model, models = grmat.pointwise_model, []
     monkeypatch.setattr(grmat, "pointwise_model",
@@ -253,7 +254,7 @@ def test_check_rank_reads_one_fiber_model(monkeypatch, q):
             a = (Fr(rng.randrange(-1, 9), 2), Fr(rng.randrange(-1, 9), 2))
             b = (a[0] + Fr(rng.randrange(0, 5), 2),
                  a[1] + Fr(rng.randrange(0, 5), 2))
-            want = fieldmod.reduce(grmat.structure_map(Mc, a, b))[0]
+            want = reference.map_rank(Mc, a, b)
             del models[:]
             assert cli._map_rank(Mc, a, b) == want, (a, b)
             assert models == [b]

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +7,8 @@ from hypothesis import given, strategies as st
 from skyhn import field as fieldmod
 from skyhn.field import (DenseMatrix, PrimeField, ext_field_build, embed_phi,
                          kron)
+
+import reference
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -218,7 +219,7 @@ def test_column_reduction_extend_matches_whole_reduction():
                                            m)
             assert (red.rank, [form.unpack(v, m) for v in red.basis],
                     [form.unpack(c, len(cols)) for c in red.kernel]) == \
-                fieldmod.reduce_columns(F, cols, m)
+                reference.reduce_columns(F.q, cols)
             return red
 
         def extended(red, more, m):
@@ -232,7 +233,7 @@ def test_column_reduction_extend_matches_whole_reduction():
             for _ in range(2):
                 more = [[rng.randrange(F.q) for _ in range(m)]
                         for _ in range(k)]
-                rank, _, combos = fieldmod.reduce_columns(F, cols + more, m)
+                rank, _, combos = reference.reduce_columns(F.q, cols + more)
                 assert extended(red, more, m) == (
                     rank, [c[:n] for c in combos[len(red.kernel):]])
         # sizes where a column's tail and its entries share bit positions;
@@ -246,49 +247,11 @@ def test_column_reduction_extend_matches_whole_reduction():
             for _ in range(2):
                 more = _random_columns(rng, F, m, rng.randrange(1, 8))
                 more = _with_dependent(rng, F, more + [[0] * m], 3)
-                rank, _, combos = fieldmod.reduce_columns(F, cols + more, m)
+                rank, _, combos = reference.reduce_columns(F.q, cols + more)
                 got = extended(red, more, m)
                 assert got == (rank,
                                [c[:n] for c in combos[len(red.kernel):]])
                 assert [0] * n in got[1]
-
-
-def _reference_reduce(M):
-    """field.reduce as it was before reduce_columns: generic F ops, one
-    inverse per collision, an identity tail per column."""
-    F = M.field
-    z = F.zero
-    ncols, nrows = M.cols, M.rows
-    cols = [M.column(j) for j in range(ncols)]
-    trans = [[F.one if i == j else z for i in range(ncols)]
-             for j in range(ncols)]
-    pivots = {}
-    basis_cols, kernel_cols = [], []
-    for j in range(ncols):
-        col, tr = cols[j], trans[j]
-        while True:
-            piv = None
-            for i in range(nrows - 1, -1, -1):
-                if col[i] != z:
-                    piv = i
-                    break
-            if piv is None or piv not in pivots:
-                break
-            pc, pt = cols[pivots[piv]], trans[pivots[piv]]
-            c = F.mul(col[piv], F.inv(pc[piv]))
-            for r in range(piv + 1):
-                if pc[r] != z:
-                    col[r] = F.sub(col[r], F.mul(c, pc[r]))
-            for r in range(ncols):
-                if pt[r] != z:
-                    tr[r] = F.sub(tr[r], F.mul(c, pt[r]))
-        if piv is None:
-            kernel_cols.append(tr)
-        else:
-            pivots[piv] = j
-            basis_cols.append(col)
-    return (len(basis_cols), DenseMatrix.from_columns(basis_cols, nrows, F),
-            DenseMatrix.from_columns(kernel_cols, ncols, F))
 
 
 def _random_columns(rng, F, nrows, ncols):
@@ -318,28 +281,21 @@ def _with_dependent(rng, F, cols, k):
 
 def test_reduce_columns_matches_reference():
     rng = random.Random(97)
-    for F in [F2, F3, PrimeField(7)]:
-        for _ in range(150):
-            nrows, ncols = rng.randrange(0, 5), rng.randrange(0, 10)
-            cols = _random_columns(rng, F, nrows, ncols)
-            snapshot = [list(c) for c in cols]
-            M = DenseMatrix.from_columns(cols, nrows, F)
-            got = fieldmod.reduce(M)
-            assert got == _reference_reduce(M)
-            rank, basis, combos = fieldmod.reduce_columns(F, cols, nrows)
-            assert cols == snapshot            # inputs are left unchanged
-            assert (rank, basis, combos) == (got[0], got[1].columns(),
-                                             got[2].columns())
-    for F in [F2, F3, F5]:      # tails and columns share bit positions
-        for _ in range(8):
-            nrows, ncols = rng.randrange(20, 41), rng.randrange(20, 41)
-            cols = _with_dependent(
-                rng, F, _random_columns(rng, F, nrows, ncols), 4)
-            M = DenseMatrix.from_columns(cols, nrows, F)
-            got = fieldmod.reduce(M)
-            assert got == _reference_reduce(M)
-            assert fieldmod.reduce_columns(F, cols, nrows) == \
-                (got[0], got[1].columns(), got[2].columns())
+    small = [(F, (0, 5), (0, 10), 0) for F in [F2, F3, PrimeField(7)]
+             for _ in range(150)]
+    wide = [(F, (20, 41), (20, 41), 4) for F in [F2, F3, F5]
+            for _ in range(8)]      # tails and columns share bit positions
+    for F, rr, cr, extra in small + wide:
+        nrows, ncols = rng.randrange(*rr), rng.randrange(*cr)
+        cols = _with_dependent(
+            rng, F, _random_columns(rng, F, nrows, ncols), extra)
+        snapshot = [list(c) for c in cols]
+        got = fieldmod.reduce(DenseMatrix.from_columns(cols, nrows, F))
+        r, basis, kernel = want = reference.reduce_columns(F.q, cols)
+        assert got == (r, DenseMatrix.from_columns(basis, nrows, F),
+                       DenseMatrix.from_columns(kernel, len(cols), F))
+        assert fieldmod.reduce_columns(F, cols, nrows) == want
+        assert cols == snapshot            # inputs are left unchanged
 
 
 def test_times_matches_list_product():
@@ -380,30 +336,6 @@ def test_vector_forms_expose_the_same_primitives():
         form = fieldmod._ListVectors(q)
         assert {n for n in dir(form) if not n.startswith("_")} == \
             _PRIMITIVES | {"q"}
-
-
-def _ref_echelon_step(q, echs, v, lo):
-    """v (a list) reduced against the echelons echs (dicts of lists, pivot
-    = last nonzero entry), in order, until its last nonzero entry at or
-    past lo is no pivot of theirs: (v, that entry), or (v, None) when v
-    is zero from lo on."""
-    v = list(v)
-    while True:
-        piv = max((a for a in range(lo, len(v)) if v[a]), default=None)
-        pc = next((e[piv] for e in echs if piv in e), None)
-        if pc is None:
-            return v, piv
-        c = v[piv] * pow(pc[piv], q - 2, q) % q
-        v = [(x - c * y) % q for x, y in zip(v, pc)]
-
-
-def _ref_rank(q, vecs):
-    ech = {}
-    for v in vecs:
-        v, piv = _ref_echelon_step(q, [ech], v, 0)
-        if piv is not None:
-            ech[piv] = v
-    return len(ech)
 
 
 def _packed(form, ech, n):
@@ -457,24 +389,21 @@ def test_vector_form_primitives_match_list_references():
             frozen = _packed(form, base, n)
             seen = cols[:k // 2]
             for c, pc in zip(cols[k // 2:], packed[k // 2:]):
-                red, piv = _ref_echelon_step(
+                red, piv = reference.eliminate(
                     q, [_packed(form, base, n), _packed(form, tmp, n)], c, 0)
                 assert form.insert(base, tmp, pc) == (piv is not None)
                 if piv is not None:
                     assert unpack(tmp[piv], n) == red
-                assert _ref_rank(q, seen + [c]) == len(base) + len(tmp)
+                assert reference.rank(q, seen + [c]) == len(base) + len(tmp)
                 seen.append(c)
             assert _packed(form, base, n) == frozen
             # reduce: clear every pivot row of v, from the top down
             ech = {**base, **tmp}
             lists = _packed(form, ech, n)
-            want = list(v)
-            for piv in sorted(lists, reverse=True):
-                c = want[piv] * pow(lists[piv][piv], q - 2, q) % q
-                want = [(x - c * y) % q for x, y in zip(want, lists[piv])]
+            want = reference.reduce(q, lists, v)
             assert unpack(form.reduce(ech, pack(v)), n) == want
             assert all(want[piv] == 0 for piv in lists)
-            assert _ref_rank(q, list(lists.values())
+            assert reference.rank(q, list(lists.values())
                              + [[(x - y) % q for x, y in zip(v, want)]]) \
                 == len(lists)
             # reduced: per pivot, ascending, 1 there and 0 at the others
@@ -483,7 +412,7 @@ def test_vector_form_primitives_match_list_references():
             for c, piv in zip(got, sorted(lists)):
                 assert [c[p] for p in sorted(lists)] == \
                     [int(p == piv) for p in sorted(lists)]
-            assert _ref_rank(q, got + list(lists.values())) == len(lists)
+            assert reference.rank(q, got + list(lists.values())) == len(lists)
             assert _packed(form, ech, n) == lists
             # eliminate: each column after k tail entries, reduced against
             # base and then fresh on its entries >= k
@@ -491,7 +420,7 @@ def test_vector_form_primitives_match_list_references():
                 fresh, want_kernel, want_fresh = {}, [], {}
                 for j, c in enumerate(cols):
                     w = [int(tracked and a == j) for a in range(k)] + c
-                    w, piv = _ref_echelon_step(
+                    w, piv = reference.eliminate(
                         q, [{p + k: [0] * k + b for p, b in frozen.items()},
                             want_fresh], w, k)
                     if piv is None:

@@ -1,4 +1,3 @@
-import bisect
 import collections
 import functools
 import itertools
@@ -11,12 +10,14 @@ import pytest
 
 from skyhn import field as fieldmod
 from skyhn import grmat, hn_core
-from skyhn.field import DenseMatrix, PrimeField
+from skyhn.field import PrimeField
 from skyhn.grmat import deg_leq, induced_grid
 
-from conftest import (F2, F3, F5, cut_presentations, deg_join, disguise, gm,
+from conftest import (F2, F3, F5, cut_presentations, disguise, gm,
                       hidden_corpus, plain_ranks, random_bounded_module,
                       random_unigen_module, rescaled)
+
+import reference
 
 
 def test_degree_lattice():
@@ -91,11 +92,11 @@ def _random_rational(rng):
 
 
 def test_axis_floor_matches_bisect_on_fractions():
-    """Axis.floor against bisect_right on the sorted set of Fractions:
-    axes of random rationals with negatives and duplicates, the empty axis
-    among them, floored at their own coordinates (exact hits), at values
-    below every coordinate and at random rationals, each twice (the second
-    a memo hit)."""
+    """Axis.floor against the reference floor on the sorted set of
+    Fractions: axes of random rationals with negatives and duplicates, the
+    empty axis among them, floored at their own coordinates (exact hits),
+    at values below every coordinate and at random rationals, each twice
+    (the second a memo hit)."""
     rng = random.Random(37)
     for trial in range(300):
         frs = [_random_rational(rng) for _ in range(rng.randrange(0, 9))]
@@ -107,7 +108,7 @@ def test_axis_floor_matches_bisect_on_fractions():
         probes = list(frs) + [_random_rational(rng) for _ in range(8)]
         probes.append((ref[0] if ref else Fr(0)) - Fr(1, 5))     # below all
         for v in probes + probes:
-            i = bisect.bisect_right(ref, v) - 1
+            i = reference.floor(ref, v)
             assert axis.floor(v) == (i, i >= 0 and ref[i] == v), (trial, v)
     assert grmat.Axis([]).floor(Fr(3)) == (-1, False)
 
@@ -264,9 +265,10 @@ def test_pointwise_dims_and_structure_map(cross):
     assert grmat.pointwise_model(cross, (Fr(0), Fr(1))).dim == 2
     assert grmat.pointwise_model(cross, (Fr(0), Fr(2))).dim == 1
     assert grmat.pointwise_model(cross, (Fr(5), Fr(5))).dim == 0
-    sm = grmat.structure_map(cross, (Fr(0), Fr(1)), (Fr(0), Fr(2)))
-    from skyhn import field as fieldmod
-    assert fieldmod.reduce(sm)[0] == 1
+    a, b = (Fr(0), Fr(1)), (Fr(0), Fr(2))
+    sm = grmat.structure_map(cross, a, b)
+    assert reference.rank(2, sm.columns()) == reference.map_rank(cross, a, b) \
+        == 1
 
 
 def test_connected_components(cross):
@@ -288,7 +290,7 @@ def test_direct_sum_dims(cross):
 def _kernel_reference(M):
     """kernel with the colex sweep and filters comparing Fraction degrees."""
     F = M.field
-    n = M.ncols
+    q, n = F.q, M.ncols
     if n == 0:
         return grmat.GradedMatrix(F, [], [], [])
     xs = sorted({d[0] for d in M.col_degrees})
@@ -299,20 +301,21 @@ def _kernel_reference(M):
     for y in ys:
         for x in xs:
             delta = (x, y)
-            J = tuple(j for j in range(n) if deg_leq(M.col_degrees[j], delta))
+            J = tuple(j for j in range(n)
+                      if reference.leq(M.col_degrees[j], delta))
             if not J or J in seen_active:
                 continue
             seen_active.add(J)
-            A = DenseMatrix.from_columns([dense_cols[j] for j in J], M.nrows, F)
-            _, _, kb = fieldmod.reduce(A)
-            if kb.cols == 0:
+            _, _, combos = reference.reduce_columns(
+                q, [dense_cols[j] for j in J])
+            if not combos:
                 continue
-            ech = grmat._Echelon(F, len(J))
+            ech = {}
             for gdeg, gvec in gens:
-                if deg_leq(gdeg, delta):
-                    ech.insert([gvec[j] for j in J])
-            for t in range(kb.cols):
-                rem = ech.insert_reduced(kb.column(t))
+                if reference.leq(gdeg, delta):
+                    reference.insert(q, ech, [gvec[j] for j in J])
+            for combo in combos:
+                rem = reference.insert(q, ech, combo)
                 if rem is not None:
                     full = [F.zero] * n
                     for idx, j in enumerate(J):
@@ -363,11 +366,9 @@ def _minimize_reference(M):
     while changed:
         changed = False
         for j in range(len(cols)):
-            others = grmat._Echelon(F, len(row_degs))
-            for j2 in range(len(cols)):
-                if j2 != j and deg_leq(col_degs[j2], col_degs[j]):
-                    others.insert(list(cols[j2]))
-            if others.contains(cols[j]):
+            others = [cols[j2] for j2 in range(len(cols))
+                      if j2 != j and reference.leq(col_degs[j2], col_degs[j])]
+            if reference.in_span(F.q, others, cols[j]):
                 del cols[j]
                 del col_degs[j]
                 changed = True
@@ -404,7 +405,7 @@ def _random_presentation(rng, F):
             deg = d
             comb = [0] * len(rows)
             for j in picks:
-                deg = deg_join(deg, col_degs[j])
+                deg = reference.join(deg, col_degs[j])
                 c = rng.randrange(F.q)
                 comb = [F.add(a, F.mul(c, b)) for a, b in zip(comb, cols[j])]
             add(deg, comb)
@@ -457,43 +458,9 @@ def test_kernel_and_minimize_match_reference():
     assert seen_pruned > 60
 
 
-class _EchelonReference:
-    """grmat._Echelon as it was before the inlined prime-field path."""
-
-    def __init__(self, F, nrows):
-        self.F, self.nrows, self.pivots = F, nrows, {}
-
-    def _reduce(self, v):
-        F, z = self.F, self.F.zero
-        while True:
-            piv = None
-            for i in range(self.nrows - 1, -1, -1):
-                if v[i] != z:
-                    piv = i
-                    break
-            if piv is None or piv not in self.pivots:
-                return piv
-            pc = self.pivots[piv]
-            c = F.mul(v[piv], F.inv(pc[piv]))
-            for r in range(piv + 1):
-                if pc[r] != z:
-                    v[r] = F.sub(v[r], F.mul(c, pc[r]))
-
-    def insert(self, v):
-        v = list(v)
-        piv = self._reduce(v)
-        if piv is None:
-            return None
-        self.pivots[piv] = v
-        return v
-
-    def contains(self, v):
-        return self._reduce(list(v)) is None
-
-
 def test_echelon_matches_reference(monkeypatch):
-    """The merged echelon returns the reference's remainders, pivots and
-    membership answers, and insert its independence flag; over GF(2) its
+    """The merged echelon returns the reference's remainders and pivots,
+    and insert its independence flag; over GF(2) its
     bitmask form and its ``% q`` list form (forced by building one echelon
     while _vector_form gives fieldmod._ListVectors) store the same
     columns."""
@@ -502,7 +469,7 @@ def test_echelon_matches_reference(monkeypatch):
         els = list(F.elements())
         for _ in range(60):
             n = rng.randrange(0, 6)
-            got, want = grmat._Echelon(F, n), _EchelonReference(F, n)
+            got, want = grmat._Echelon(F, n), {}
             flags = grmat._Echelon(F, n)
             with monkeypatch.context() as mp:
                 mp.setattr(fieldmod, "_vector_form", fieldmod._ListVectors)
@@ -511,17 +478,15 @@ def test_echelon_matches_reference(monkeypatch):
             for _ in range(rng.randrange(0, 9)):
                 v = [rng.choice(els) if rng.random() < 0.5 else F.zero
                      for _ in range(n)]
-                assert got.contains(v) == want.contains(v) == \
-                    lists.contains(v)
                 assert got.reduce(v) == lists.reduce(v)
-                rem = want.insert(v)
+                rem = reference.insert(F.q, want, v)
                 assert got.insert_reduced(v) == rem == lists.insert_reduced(v)
                 assert flags.insert(v) is (rem is not None)
-                assert got.basis_columns() == list(want.pivots.values()) \
+                assert got.basis_columns() == list(want.values()) \
                     == lists.basis_columns()
-                assert got.pivots.keys() == want.pivots.keys()
+                assert got.pivots.keys() == want.keys()
                 assert flags.pivots == got.pivots
-                assert lists.pivots == want.pivots
+                assert lists.pivots == want
                 assert [got.form.unpack(v, n)
                         for v in got.form.reduced(got.pivots)] \
                     == lists.form.reduced(lists.pivots)
@@ -541,7 +506,8 @@ def test_echelon_reduce_clears_pivots():
             v = [rng.choice(els) for _ in range(n)]
             r = ech.reduce(v)
             assert all(r[piv] == F.zero for piv in ech.pivots)
-            assert ech.contains([F.sub(a, b) for a, b in zip(v, r)])
+            assert reference.in_span(F.q, ech.basis_columns(),
+                                     [F.sub(a, b) for a, b in zip(v, r)])
 
 
 def test_graded_matrix_rejects_non_prime_fields():
@@ -550,11 +516,6 @@ def test_graded_matrix_rejects_non_prime_fields():
         grmat.GradedMatrix(E, [(0, 0)], [(1, 0)], [[(0, (1, 0))]])
     with pytest.raises(ValueError, match="prime field"):
         grmat.GradedMatrix(E, [], [], [])
-
-
-def _dims(modules, G):
-    return [sum(grmat.pointwise_model(M, pt).dim for M in modules)
-            for pt in G.points()]
 
 
 def test_decompose_hidden_direct_sums():
@@ -568,7 +529,8 @@ def test_decompose_hidden_direct_sums():
         M = grmat.minimize(M)       # decompose takes a minimal block
         pieces = grmat.decompose(M)
         assert all(p.field == F and p.nrows for p in pieces)
-        assert _dims(pieces, induced_grid(M)) == _dims([M], induced_grid(M))
+        pts = reference.points(*reference.axes(M))
+        assert reference.sum_dims(pieces, pts) == reference.sum_dims([M], pts)
         assert grmat.decompose(M) == pieces
         found += len(pieces) >= k
     assert found >= 0.8 * len(corpus)
@@ -584,19 +546,24 @@ def test_decompose_keeps_indecomposables_whole(stable, cross):
     assert sorted(p.nrows for p in grmat.decompose(M)) == [1, 1]
 
 
+def _mixed_degree_block():
+    return gm(F3, [(0, 1), (0, 0)],
+              [((1, 3), [(0, 2), (1, 1)]), ((2, 1), [(0, 1), (1, 1)]),
+               ((3, 1), [(0, 1)]), ((0, 3), [(0, 1)]), ((3, 0), [(1, 1)]),
+               ((0, 3), [(1, 1)]), ((4, 1), [(0, 1)]), ((0, 4), [(0, 1)]),
+               ((4, 0), [(1, 1)]), ((0, 4), [(1, 1)])])
+
+
 def test_decompose_mixed_degree_block():
     """A GF(3) block with generators at (0,1) and (0,0) whose split needs
     the graded change of generators: E's generator columns are picked per
     degree, modulo the picks strictly below it."""
-    M = gm(F3, [(0, 1), (0, 0)],
-           [((1, 3), [(0, 2), (1, 1)]), ((2, 1), [(0, 1), (1, 1)]),
-            ((3, 1), [(0, 1)]), ((0, 3), [(0, 1)]), ((3, 0), [(1, 1)]),
-            ((0, 3), [(1, 1)]), ((4, 1), [(0, 1)]), ((0, 4), [(0, 1)]),
-            ((4, 0), [(1, 1)]), ((0, 4), [(1, 1)])])
+    M = _mixed_degree_block()
     pieces = grmat.decompose(M)
     assert sorted(p.row_degrees for p in pieces) == [
         [(Fr(0), Fr(0))], [(Fr(0), Fr(1))]]
-    assert _dims(pieces, induced_grid(M)) == _dims([M], induced_grid(M))
+    pts = reference.points(*reference.axes(M))
+    assert reference.sum_dims(pieces, pts) == reference.sum_dims([M], pts)
 
 
 def _moved(M, g):
@@ -637,7 +604,8 @@ def test_decompose_splits_one_generator_parts(q, monkeypatch):
         pieces = grmat.decompose(M)
         assert sum(p.nrows > 0 for p in pieces) == \
             sum(grmat.minimize(p).nrows > 0 for p in parts)
-        assert _dims(pieces, induced_grid(M)) == _dims([M], induced_grid(M))
+        pts = reference.points(*reference.axes(M))
+        assert reference.sum_dims(pieces, pts) == reference.sum_dims([M], pts)
     for _ in range(60):
         check([(random_bounded_module if rng.random() < 0.5
                 else random_unigen_module)(rng, F, 1, dmax=3)
@@ -736,8 +704,8 @@ def test_split_checks_every_projection(stable, cross):
 
 def _split_reference(M, idempotents):
     """_split as it was before it ran in one pass: each piece built from
-    unpacked block parts and minimized, each block part checked with
-    _Echelon.contains."""
+    unpacked block parts and minimized, each block part checked for
+    membership in the span of the relations below."""
     F, t = M.field, M.nrows
     form = fieldmod._vector_form(F.q)
     ax, ay, gd, rd = M._ranks
@@ -745,12 +713,12 @@ def _split_reference(M, idempotents):
     for E in idempotents:
         mine = []
         for d in sorted(set(gd)):
-            ech = grmat._Echelon(F, t)
+            ech = {}
             for b, col in mine:
-                if gd[b] != d and deg_leq(gd[b], d):
-                    ech.add(col)
-            mine += [(b, E[b]) for b in range(t)
-                     if gd[b] == d and ech.add(E[b])]
+                if gd[b] != d and reference.leq(gd[b], d):
+                    reference.insert(F.q, ech, form.unpack(col, t))
+            mine += [(b, E[b]) for b in range(t) if gd[b] == d and
+                     reference.insert(F.q, ech, form.unpack(E[b], t))]
         picks += mine
         bounds.append(len(picks))
     assert len(picks) == t
@@ -766,11 +734,9 @@ def _split_reference(M, idempotents):
         if len(parts) > 1:
             mixed.setdefault(r, []).append((p, parts[:-1]))
     for d, rels in mixed.items():
-        ech = grmat._Echelon(F, t)
-        for p, r in zip(Pn, rd):
-            if deg_leq(r, d):
-                ech.insert(p)
-        assert all(ech.contains([0] * lo + p[lo:hi] + [0] * (t - hi))
+        below = [p for p, r in zip(Pn, rd) if reference.leq(r, d)]
+        assert all(reference.in_span(F.q, below,
+                                     [0] * lo + p[lo:hi] + [0] * (t - hi))
                    for p, parts in rels for lo, hi in parts)
     out = []
     for lo, hi in blocks:
@@ -821,12 +787,7 @@ def test_split_matches_reference(monkeypatch, stable):
     for _ in range(4):
         blocks.append(grmat.minimize(disguise(rng, functools.reduce(
             grmat.direct_sum, [stable] + intervals))))
-    M = gm(F3, [(0, 1), (0, 0)],
-           [((1, 3), [(0, 2), (1, 1)]), ((2, 1), [(0, 1), (1, 1)]),
-            ((3, 1), [(0, 1)]), ((0, 3), [(0, 1)]), ((3, 0), [(1, 1)]),
-            ((0, 3), [(1, 1)]), ((4, 1), [(0, 1)]), ((0, 4), [(0, 1)]),
-            ((4, 0), [(1, 1)]), ((0, 4), [(1, 1)])])
-    for M in blocks + [M]:
+    for M in blocks + [_mixed_degree_block()]:
         grmat.decompose(M)
     assert len(calls) >= 40
     # the stable piece came back with two generators each time
@@ -1009,25 +970,25 @@ def test_endomorphisms_of_a_direct_sum():
     for F, _, M in hidden_corpus(n=9, seed=7):
         t, form = M.nrows, fieldmod._vector_form(F.q)
         ends = grmat._endomorphisms(M)
-        ech = grmat._Echelon(F, t * t)
+        ech = {}
         for X in ends:
             cols = [form.unpack(col, t) for col in _basis_columns(form, X, t)]
             assert len(cols) == t
             assert all(not x or deg_leq(M.row_degrees[a], M.row_degrees[b])
                        for b, col in enumerate(cols)
                        for a, x in enumerate(col))
-            assert ech.insert([x for col in cols for x in col])
+            assert reference.insert(F.q, ech,
+                                    [x for col in cols for x in col])
             for j, d in enumerate(M.col_degrees):
-                below = grmat._Echelon(F, t)
-                for k, e in enumerate(M.col_degrees):
-                    if deg_leq(e, d):
-                        below.insert(M.dense_column(k))
+                below = [M.dense_column(k)
+                         for k, e in enumerate(M.col_degrees)
+                         if reference.leq(e, d)]
                 p = M.dense_column(j)
-                assert below.contains([sum(col[a] * y
-                                           for col, y in zip(cols, p)) % F.q
-                                       for a in range(t)])
+                assert reference.in_span(
+                    F.q, below, [sum(col[a] * y for col, y in zip(cols, p))
+                                 % F.q for a in range(t)])
         ident = [int(a == b) for b in range(t) for a in range(t)]
-        assert ech.contains(ident)
+        assert reference.in_span(F.q, list(ech.values()), ident)
 
 
 def test_inverse_of_base_changes():
@@ -1042,7 +1003,7 @@ def test_inverse_of_base_changes():
             A = [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)]
             B = [form.pack(col) for col in A]
             ident = [[int(i == j) for j in range(n)] for i in range(n)]
-            if fieldmod.reduce_columns(F, A, n)[0] < n:
+            if reference.rank(F.q, A) < n:
                 with pytest.raises(AssertionError, match="singular"):
                     grmat._invert(F, B)
                 continue
@@ -1130,9 +1091,10 @@ def test_fiber_submodule_join_path_matches_kernel_path(monkeypatch):
         assert set(sub.row_degrees) == {alpha}
         assert all(sub.row_degrees[i] != sub.col_degrees[j]
                    for j, col in enumerate(sub.columns) for i, _ in col)
-        G = grmat.Grid(induced_grid(sub).xs + induced_grid(want).xs,
-                       induced_grid(sub).ys + induced_grid(want).ys)
-        assert _dims([sub], G) == _dims([want], G)
+        (xa, ya), (xb, yb) = reference.axes(sub), reference.axes(want)
+        pts = reference.points(sorted(set(xa + xb)), sorted(set(ya + yb)))
+        assert reference.sum_dims([sub], pts) == \
+            reference.sum_dims([want], pts)
         assert hn_core.hn_filtration_of(sub, alpha) == \
             hn_core.hn_filtration_of(want, alpha)
         cut += sub.nrows < M.nrows
@@ -1151,30 +1113,21 @@ def test_fiber_submodule_join_path_matches_kernel_path(monkeypatch):
 
 
 class _FractionModel:
-    """grmat.PointwiseModel as it was: the generators and relations <= gamma
-    picked with Fraction deg_leq."""
+    """grmat.PointwiseModel read off the reference's fiber at gamma, whose
+    generators and relations <= gamma are picked with Fraction
+    comparisons."""
 
     def __init__(self, M, gamma):
-        gamma = grmat.as_degree(gamma)
-        self.live_rows = [i for i, d in enumerate(M.row_degrees)
-                          if deg_leq(d, gamma)]
-        self._pos = {g: k for k, g in enumerate(self.live_rows)}
-        n = len(self.live_rows)
-        ech = fieldmod._Echelon(M.field, n)
-        for j, d in enumerate(M.col_degrees):
-            if deg_leq(d, gamma):
-                col = [0] * n
-                for i, v in M.columns[j]:
-                    col[self._pos[i]] = v
-                ech.insert(col)
-        self._ech = ech
-        self.basis_rows = [g for g in self.live_rows
-                           if self._pos[g] not in ech.pivots]
-        self.dim = n - ech.rank
+        self.n, self.fib = M.nrows, reference.fiber(M, gamma)
+        self.live_rows = [i for i, ok in enumerate(self.fib[2]) if ok]
+        self.basis_rows = reference.basis_rows(self.fib)
+        self.dim = len(self.basis_rows)
 
     def reduce_vector(self, v):
-        v = self._ech.reduce(v)
-        return [v[self._pos[g]] for g in self.basis_rows]
+        full = [0] * self.n
+        for g, x in zip(self.live_rows, v):
+            full[g] = x
+        return reference.coordinates(self.fib, full)
 
 
 def test_pointwise_model_on_ranks_matches_fraction_selection():
@@ -1214,9 +1167,9 @@ def test_pointwise_model_on_ranks_matches_fraction_selection():
                     v = [r.randrange(F.q) for _ in got.live_rows]
                     assert got.reduce_vector(v) == want.reduce_vector(v)
                     rows = [g for g in got.live_rows if r.random() < 0.6]
-                    assert got.image_rank(rows) == fieldmod.reduce_columns(
-                        F, [want.reduce_vector([int(g == i)
-                                                for g in want.live_rows])
-                            for i in rows], want.dim)[0]
+                    assert got.image_rank(rows) == reference.rank(
+                        F.q, [want.reduce_vector([int(g == i)
+                                                  for g in want.live_rows])
+                              for i in rows])
                 cases += 1
     assert cases > 1000

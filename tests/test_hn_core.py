@@ -5,17 +5,14 @@ import pytest
 
 from skyhn import field as fieldmod
 from skyhn import grmat, hn_core
-from skyhn.field import DenseMatrix, PrimeField
+from skyhn.field import PrimeField
 from skyhn.hn_core import (brute_force_max_slope, gaussian_line_count,
                            hn_filtration_at, subspaces_of_dim)
 
-from conftest import (F2, F3, class_dims, class_integral, deg_join, gm,
-                      random_bounded_module, random_unigen_module,
-                      reference_staircases_from_dims, rescaled)
+from conftest import (F2, F3, class_dims, class_integral, gm,
+                      random_bounded_module, random_unigen_module, rescaled)
 
-
-def _count(field, t, k):
-    return sum(1 for _ in subspaces_of_dim(field, t, k))
+import reference
 
 
 def gaussian_binomial(q, n, k):
@@ -30,7 +27,9 @@ def test_subspace_enumeration_counts():
     for q, F in ((2, F2), (3, F3)):
         for t in range(1, 4):
             for k in range(0, t + 1):
-                assert _count(F, t, k) == gaussian_binomial(q, t, k)
+                rows = list(subspaces_of_dim(F, t, k))
+                assert rows == list(reference.subspaces(q, t, k))
+                assert len(rows) == gaussian_binomial(q, t, k)
 
 
 def test_subspaces_are_distinct():
@@ -139,47 +138,6 @@ def _mixed_unigen_module(rng, F, thickness):
     return gm(F, [g] * thickness, rels)
 
 
-def _reference_dims(M, rows):
-    """dim <span(rows)> at every grid point: rank of the active relation
-    columns with the rows, minus the rank of the relation columns alone."""
-    F = M.field
-    t = M.nrows
-    alpha = M.row_degrees[0]
-    out = {}
-    for pt in grmat.induced_grid(M).points():
-        if not grmat.deg_leq(alpha, pt):
-            out[pt] = 0
-            continue
-        act = [M.dense_column(j) for j in range(M.ncols)
-               if grmat.deg_leq(M.col_degrees[j], pt)]
-        both = DenseMatrix.from_columns(act + [list(r) for r in rows], t, F)
-        rels = DenseMatrix.from_columns(act, t, F)
-        out[pt] = fieldmod.reduce(both)[0] - fieldmod.reduce(rels)[0]
-    return out
-
-
-def _reference_integral(M, dims):
-    """Sum of dim times the Fraction cell area; the last grid line bounds
-    an unbounded cell and gets area 0."""
-    G = grmat.induced_grid(M)
-    wx = dict(zip(G.xs, [b - a for a, b in zip(G.xs, G.xs[1:])] + [0]))
-    wy = dict(zip(G.ys, [b - a for a, b in zip(G.ys, G.ys[1:])] + [0]))
-    return sum((d * wx[x] * wy[y] for (x, y), d in dims.items()), Fr(0))
-
-
-def _reference_max_slope(M, largest):
-    """Exhaustive search over every subspace with the documented ties."""
-    best = None
-    for k in range(1, M.nrows + 1):
-        for rows in subspaces_of_dim(M.field, M.nrows, k):
-            integ = _reference_integral(M, _reference_dims(M, rows))
-            if best is None or Fr(k) / integ > Fr(best[1]) / best[2] or (
-                    largest and Fr(k) / integ == Fr(best[1]) / best[2]
-                    and k > best[1]):
-                best = (rows, k, integ)
-    return best
-
-
 def test_integer_scoring_matches_fraction_reference():
     rng = random.Random(235)
     for trial in range(24):
@@ -188,17 +146,18 @@ def test_integer_scoring_matches_fraction_reference():
         M = _mixed_unigen_module(rng, F, t)
         fc = hn_core.fiber_classes(M)
         assert fc.at(fc.alpha).den > 1
+        at, area = reference.dims(M), reference.integral(M)
         for k in range(1, t + 1):
             for rows in subspaces_of_dim(F, t, k):
-                dims = _reference_dims(M, rows)
+                dims = at(rows)
                 iv = fc.to_internal(rows)
                 assert class_dims(fc, fc.ranks(iv)) == dims
                 integ = class_integral(fc, iv)
                 assert type(integ) is Fr
-                assert integ == _reference_integral(M, dims)
+                assert integ == area(dims)
         for largest in (False, True):
             rec = brute_force_max_slope(M, largest=largest)
-            rows, dim, integ = _reference_max_slope(M, largest)
+            rows, dim, integ = reference.max_slope(M, largest)
             assert rec.basis == rows
             assert (rec.dim, rec.integral) == (dim, integ)
             assert type(rec.integral) is Fr
@@ -214,30 +173,26 @@ class _ReferenceFiberClasses:
     def __init__(self, M):
         F = M.field
         t = M.nrows
-        G = self.grid = grmat.induced_grid(M)
+        self.xs, self.ys = xs, ys = reference.axes(M)
         self.alpha = ax, ay = M.row_degrees[0]
-        wx, sx = hn_core._scaled_gaps(G.xs)
-        wy, sy = hn_core._scaled_gaps(G.ys)
+        wx, sx = hn_core._scaled_gaps(xs)
+        wy, sy = hn_core._scaled_gaps(ys)
         self.scale, self.den = (sx, sy), sx * sy
-        dense = [M.dense_column(j) for j in range(M.ncols)]
-        if F.q == 2:
-            dense = [sum(1 << i for i, v in enumerate(c) if v) for c in dense]
-            insert = fieldmod._insert_f2
-        else:
-            def insert(base, tmp, v):
-                return fieldmod._insert_generic(F, base, tmp, list(v))
+        form = fieldmod._vector_form(F.q)
+        dense = [form.pack(M.dense_column(j)) for j in range(M.ncols)]
+        insert = form.insert
         class_by_J = {}
         self.point_class = {}
         self.echs, self.coranks, self.weights = [], [], []
         self.vert, self.horiz = [], []
-        for iy, y in enumerate(G.ys):
-            for ix, x in enumerate(G.xs):
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
                 pt = (x, y)
-                if not grmat.deg_leq(self.alpha, pt):
+                if not reference.leq(self.alpha, pt):
                     self.point_class[pt] = -1
                     continue
                 J = tuple(j for j in range(M.ncols)
-                          if grmat.deg_leq(M.col_degrees[j], pt))
+                          if reference.leq(M.col_degrees[j], pt))
                 cid = class_by_J.get(J)
                 if cid is None:
                     ech = {}
@@ -298,7 +253,7 @@ def test_fiber_classes_match_fraction_reference():
     for M in _fiber_class_modules():
         fc, ref = hn_core._FiberClasses(M), _ReferenceFiberClasses(M)
         xs, ys = (a.coords for a in fc.axes)
-        assert (xs, ys) == (ref.grid.xs, ref.grid.ys)
+        assert (xs, ys) == (ref.xs, ref.ys)
         assert fc.alpha == ref.alpha
         assert {(xs[ix], ys[iy]): cid for (ix, iy), cid
                 in fc.point_class.items()} == ref.point_class
@@ -317,8 +272,8 @@ def test_fiber_classes_match_fraction_reference():
         cases.append((fc.coranks, M.nrows + 1))
         for ranks, k in cases:
             got = _staircases_or_error(fc.staircases, ranks, k, fc.alpha)
-            want = _staircases_or_error(reference_staircases_from_dims,
-                                        ref.grid, ref.rank_dims(ranks),
+            want = _staircases_or_error(reference.superlevel_staircases,
+                                        ref.xs, ref.ys, ref.rank_dims(ranks),
                                         ref.alpha, k)
             assert got == want
             n_errors += type(got) is tuple
@@ -351,8 +306,8 @@ def test_first_cell_points_read_the_joined_presentation():
         fc = hn_core.fiber_classes(M)
         for alpha in _first_cell_points(M, rng):
             J = grmat.GradedMatrix(
-                F, [deg_join(d, alpha) for d in M.row_degrees],
-                [deg_join(d, alpha) for d in M.col_degrees], M.columns)
+                F, [reference.join(d, alpha) for d in M.row_degrees],
+                [reference.join(d, alpha) for d in M.col_degrees], M.columns)
             ref = _ReferenceFiberClasses(J)
             w = fc.at(alpha)
             assert (w.area, w.vert, w.horiz) == \
@@ -362,8 +317,8 @@ def test_first_cell_points_read_the_joined_presentation():
                 for rows in subspaces_of_dim(F, M.nrows, k):
                     ranks = fc.ranks(fc.to_internal(rows))
                     assert fc.staircases(ranks, k, alpha) == \
-                        reference_staircases_from_dims(
-                            ref.grid, ref.rank_dims(ranks), alpha, k)
+                        reference.superlevel_staircases(
+                            ref.xs, ref.ys, ref.rank_dims(ranks), alpha, k)
             for largest in (False, True):
                 got = brute_force_max_slope(M, largest=largest, alpha=alpha)
                 want = brute_force_max_slope(J, largest=largest)

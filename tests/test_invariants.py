@@ -1,4 +1,4 @@
-import bisect
+import collections
 import random
 import re
 from fractions import Fraction as Fr
@@ -14,10 +14,10 @@ from skyhn.invariants import (HNFactor, HNFactorList, SkyscraperStore,
                               staircases_from_dims)
 from skyhn.pipeline import ScanConfig, approx_skyscraper, exact_skyscraper
 
-from conftest import (F2, F3, count_fraction_comparisons, cross_module, gm,
-                      grid_floor, random_bounded_module,
-                      reference_minimal_points, reference_staircases_from_dims,
-                      rescaled)
+from conftest import (F2, F3, count_fraction_comparisons, cross_module,
+                      random_bounded_module, rescaled)
+
+import reference
 
 
 def vertical_block():
@@ -57,16 +57,6 @@ def test_staircase_contains_boundary():
     assert not staircase_contains(S, (Fr(0), Fr(3)))
 
 
-def _reference_contains(S, beta):
-    """staircase_contains as it was: gen <= beta on Fractions, then a
-    binary search of beta's x among the relations' x coordinates, whose
-    last relation at or left of beta decides."""
-    if not grmat.deg_leq(S.gen, beta):
-        return False
-    i = bisect.bisect_right([r[0] for r in S.rels], beta[0])
-    return i == 0 or S.rels[i - 1][1] > beta[1]
-
-
 def test_staircase_contains_matches_bisect_reference(monkeypatch):
     """The integer membership test against the Fraction one, on random
     staircases with negative coordinates over denominators 1, 2, 3 and 6,
@@ -79,7 +69,7 @@ def test_staircase_contains_matches_bisect_reference(monkeypatch):
     cases = []
     for _ in range(300):
         gen = (coord(), coord())
-        rels = reference_minimal_points(
+        rels = reference.minimal_points(
             [(gen[0] + abs(coord()), gen[1] + abs(coord()))
              for _ in range(rng.randrange(0, 5))])
         S = Staircase(gen, [r for r in rels if r != gen])
@@ -89,7 +79,7 @@ def test_staircase_contains_matches_bisect_reference(monkeypatch):
         my = [(a + b) / 2 for a, b in zip(ys, ys[1:])]
         px = xs + mx + [xs[0] - Fr(1, 6), xs[-1] + Fr(1, 5)]
         py = ys + my + [ys[0] - Fr(1, 6), ys[-1] + Fr(1, 5)]
-        cases += [(S, (x, y), _reference_contains(S, (x, y)))
+        cases += [(S, (x, y), reference.staircase_holds(S, (x, y)))
                   for x in px for y in py]
     counts, _ = count_fraction_comparisons(monkeypatch)
     got = [staircase_contains(S, beta) for S, beta, _ in cases]
@@ -203,11 +193,6 @@ def test_store_locate_key_grid_follows_inserts():
     store = SkyscraperStore()
     assert store.locate((Fr(1), Fr(1))) is None
 
-    def fresh(alpha):
-        ks = store.keys()
-        key = grid_floor(Grid([k[0] for k in ks], [k[1] for k in ks]), alpha)
-        return store.entries.get(key)
-
     store.insert(HNFactorList((Fr(0), Fr(0)), []))
     assert store.locate((Fr(3, 2), Fr(3, 2))).alpha == (Fr(0), Fr(0))
     store.insert(HNFactorList((Fr(1), Fr(1)), []))
@@ -217,7 +202,7 @@ def test_store_locate_key_grid_follows_inserts():
         store.insert(HNFactorList(key, []))
         for _ in range(10):
             p = (Fr(rng.randrange(-6, 10), 3), Fr(rng.randrange(-6, 10), 3))
-            assert store.locate(p) is fresh(p), p
+            assert store.locate(p) is reference.locator(store)(p), p
 
 
 def test_merge_factors_sorted():
@@ -305,7 +290,7 @@ def test_renormalize_matches_summed_indicator_reference():
             stairs[i] = Staircase(alpha, [alpha], check=False)
         pts = [alpha] + [r for S in stairs for r in S.rels]
         G = Grid([p[0] for p in pts], [p[1] for p in pts])
-        dims = {p: invariants.count_containing(stairs, p)
+        dims = {p: sum(reference.staircase_holds(S, p) for S in stairs)
                 for p in G.points()}
         try:
             invariants.staircases_from_dims(G, dims, alpha, len(stairs))
@@ -316,7 +301,8 @@ def test_renormalize_matches_summed_indicator_reference():
                 invariants.renormalize(stairs, alpha)
             continue
         assert invariants.renormalize(stairs, alpha) == \
-            reference_staircases_from_dims(G, dims, alpha, len(stairs))
+            reference.superlevel_staircases(G.xs, G.ys, dims, alpha,
+                                            len(stairs))
         xs = [x for S in stairs for x in {x for x, _ in S.rels}]
         ys = [y for S in stairs for y in {y for _, y in S.rels}]
         seen["shared x"] += len(set(xs)) < len(xs)
@@ -469,12 +455,12 @@ def test_staircases_from_dims_matches_fraction_reference():
         else:
             stairs = [Staircase(alpha, _minimal_points_of(rng, G, alpha))
                       for _ in range(rng.randrange(1, 4))]
-            dims = {p: sum(1 for s in stairs if staircase_contains(s, p))
+            dims = {p: sum(reference.staircase_holds(s, p) for s in stairs)
                     for p in G.points()}
         for thickness in (None, 1, 2, 4):
             try:
-                want = reference_staircases_from_dims(G, dims, alpha,
-                                                      thickness)
+                want = reference.superlevel_staircases(G.xs, G.ys, dims,
+                                                       alpha, thickness)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
                     staircases_from_dims(G, dims, alpha, thickness)
@@ -488,65 +474,12 @@ def _minimal_points_of(rng, G, alpha):
     """The minimal ones of a few random grid points above alpha, strictly
     above it on one axis."""
     pts = [p for p in G.points() if grmat.deg_leq(alpha, p) and p != alpha]
-    return reference_minimal_points(
+    return reference.minimal_points(
         rng.sample(pts, min(len(pts), rng.randrange(0, 4))))
 
 
 # ---------------------------------------------------------------------------
 # erosion_distance against the query-per-pair reference
-
-def _reference_query(store, theta, alpha, beta):
-    """skyscraper_query as it was before the staircase-count helpers."""
-    alpha, beta = grmat.as_degree(alpha), grmat.as_degree(beta)
-    if not grmat.deg_leq(alpha, beta):
-        raise ValueError("query requires alpha <= beta")
-    entry = store.locate(alpha)
-    if entry is None:
-        return 0
-    total = 0
-    for f in entry.factors:
-        if f.slope >= theta:
-            total += sum(1 for s in f.staircases if staircase_contains(s, beta))
-    return total
-
-
-def _reference_erosion(r, s, theta, probe_grid):
-    """erosion_distance as it was before the per-point resolution: four
-    queries per probe pair and shift."""
-    xs, ys = probe_grid.xs, probe_grid.ys
-    spacings = ([b - a for a, b in zip(xs, xs[1:])] +
-                [b - a for a, b in zip(ys, ys[1:])])
-    h = min(spacings) if spacings else Fr(1)
-    pts = list(probe_grid.points())
-    pairs = [(a, b) for a in pts for b in pts if grmat.deg_leq(a, b)]
-
-    def holds(e):
-        for a, b in pairs:
-            lo = (a[0] - e, a[1] - e)
-            hi = (b[0] + e, b[1] + e)
-            if _reference_query(s, theta, lo, hi) > \
-                    _reference_query(r, theta, a, b):
-                return False
-            if _reference_query(r, theta, lo, hi) > \
-                    _reference_query(s, theta, a, b):
-                return False
-        return True
-
-    span = max(xs[-1] - xs[0], ys[-1] - ys[0]) if pts else Fr(0)
-    kmax = int(span / h) + 2
-    if holds(Fr(0)):
-        return (Fr(0), Fr(0))
-    lo_k, hi_k = 0, kmax
-    if not holds(kmax * h):
-        return (kmax * h, grmat.POS_INF)
-    while hi_k - lo_k > 1:
-        mid = (lo_k + hi_k) // 2
-        if holds(mid * h):
-            hi_k = mid
-        else:
-            lo_k = mid
-    return (lo_k * h, hi_k * h)
-
 
 class _CountingStore(SkyscraperStore):
     """A copy of a store that counts its locate calls."""
@@ -590,11 +523,17 @@ def _key_grid(store):
 
 def _assert_same_erosion(r, s, theta, G):
     r1, s1 = _CountingStore(r), _CountingStore(s)
-    r2, s2 = _CountingStore(r), _CountingStore(s)
     got = invariants.erosion_distance(r1, s1, theta, G)
-    assert got == _reference_erosion(r2, s2, theta, G)
+    asked, locator = collections.Counter(), reference.locator
+
+    def counted(store):
+        locate = locator(store)
+        return lambda alpha: asked.update([id(store)]) or locate(alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference, "locator", counted)
+        assert got == reference.erosion(r, s, theta, G)
     # each store resolves each probe point at most as often as before
-    assert r1.locates <= r2.locates and s1.locates <= s2.locates
+    assert r1.locates <= asked[id(r)] and s1.locates <= asked[id(s)]
     return got
 
 

@@ -8,7 +8,6 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from skyhn import field as fieldmod
 from skyhn import (cheng, cli, grmat, hn_core, invariants, pipeline,
                    subdivision)
 from skyhn.grmat import Grid
@@ -18,10 +17,11 @@ from skyhn.pipeline import (ScanConfig, approx_skyscraper, bounding_box,
                             factor_interval_check, filtered_landscape,
                             hn_at, parallel_grid_scan)
 
-from conftest import (F2, F3, F5, cross_module, deg_join, disguise,
-                      eps_points, fiber_trees, gm, grid_floor, hidden_corpus,
-                      hidden_direct_sum, plain_ranks, random_bounded_module,
-                      rescaled, stable_module)
+from conftest import (F2, F3, F5, cross_module, disguise, fiber_trees, gm,
+                      hidden_corpus, hidden_direct_sum, plain_ranks,
+                      random_bounded_module, rescaled, stable_module)
+
+import reference
 
 
 def test_scan_config_validation():
@@ -45,8 +45,8 @@ def test_bounding_box_and_clip(cross):
     box = bounding_box(cross)
     assert box == (Fr(0), Fr(0), Fr(4), Fr(4))
     Mc = clip_to_box(cross, box)
-    assert grmat.pointwise_model(Mc, (Fr(4), Fr(0))).dim == 0
-    assert grmat.pointwise_model(Mc, (Fr(0), Fr(1))).dim == 2
+    assert reference.dim(Mc, (Fr(4), Fr(0))) == 0
+    assert reference.dim(Mc, (Fr(0), Fr(1))) == 2
 
 
 def test_clip_rejects_outside_generator(cross):
@@ -130,8 +130,7 @@ def test_approx_cross_entry(cross):
     assert [f.slope for f in entry.factors] == [Fr(1, 2), Fr(1, 3)]
     # keys are exactly the integer support points
     for k in store.keys():
-        assert grmat.pointwise_model(clip_to_box(
-            cross, bounding_box(cross)), k).dim > 0
+        assert reference.dim(clip_to_box(cross, bounding_box(cross)), k) > 0
 
 
 def test_approx_zero_module():
@@ -180,7 +179,7 @@ def test_exact_theta0_equals_rank(cross, rng):
         a = (Fr(rng.randrange(0, 16), 4), Fr(rng.randrange(0, 16), 4))
         b = (a[0] + Fr(rng.randrange(0, 8), 4),
              a[1] + Fr(rng.randrange(0, 8), 4))
-        rank = fieldmod.reduce(grmat.structure_map(Mc, a, b))[0]
+        rank = reference.map_rank(Mc, a, b)
         assert ex.query(Fr(0), a, b) == rank, (a, b)
 
 
@@ -215,16 +214,19 @@ def _approx_reference(M, cfg):
     by a pointwise-model check, every other block runs its engine."""
     box = cfg.box or bounding_box(M)
     blocks = pipeline._clipped_blocks(M, box)
-    xs, ys = eps_points(box, cfg.epsilon)
+    xs, ys = reference.lattice_points(box, cfg.epsilon)
     store = SkyscraperStore(cfg.epsilon)
     store.work = [0] * len(blocks)
     grids = [None] * len(blocks)
+    # a block's dim at alpha is its dim at alpha's floor on its grid
+    dims = [(reference.axes(b), reference.dims(b)()) for b in blocks]
     for y in ys:
         for x in xs:
             alpha = (x, y)
             lists = []
             for i, block in enumerate(blocks):
-                if grmat.pointwise_model(block, alpha).dim == 0:
+                (bx, by), at = dims[i]
+                if not at.get(reference.floor_point(bx, by, alpha)):
                     continue
                 if cfg.engine == "cheng":
                     if grids[i] is None:
@@ -246,7 +248,7 @@ def _scan_reference(M, cfg):
     box = cfg.box or bounding_box(M)
     summands = [(b, grmat.induced_grid(b), {})
                 for b in pipeline._clipped_blocks(M, box)]
-    xs, ys = eps_points(box, cfg.epsilon)
+    xs, ys = reference.lattice_points(box, cfg.epsilon)
     out = SkyscraperStore(cfg.epsilon)
     out.work = [0] * len(summands)
     pointer_y = [None] * len(summands)
@@ -255,7 +257,7 @@ def _scan_reference(M, cfg):
             alpha = (x, y)
             lists = []
             for i, (module, grid, cells) in enumerate(summands):
-                corner = grid_floor(grid, alpha)
+                corner = reference.floor_point(grid.xs, grid.ys, alpha)
                 if corner is None:
                     continue
                 if pointer_y[i] != corner[1]:
@@ -354,7 +356,8 @@ def test_cell_fibers_match_fiber_submodule():
             on_x, on_y = alpha[0] in cells.grid.xs, alpha[1] in cells.grid.ys
             kinds.add((on_x, on_y))
             assert sub.row_degrees == \
-                [grid_floor(cells.grid, alpha)] * sub.nrows
+                [reference.floor_point(cells.grid.xs, cells.grid.ys,
+                                       alpha)] * sub.nrows
             assert hn_core.hn_filtration_of(sub, alpha) == \
                 hn_core.hn_filtration_at(piece, alpha), alpha
     # non-zero fibers at grid points, inside cells and on one line each
@@ -386,7 +389,7 @@ def test_interval_cells_match_every_engine():
         assert piece.nrows == 1
         grid, box = grmat.induced_grid(piece), bounding_box(piece)
         reader = pipeline._Interval(piece)
-        xs, ys = eps_points(box, Fr(2, 7))
+        xs, ys = reference.lattice_points(box, Fr(2, 7))
         probes = _probe_points(grid)
         for k, alpha in enumerate(probes + [(x, y) for y in ys for x in xs]):
             got = reader.factors_at(alpha)
@@ -397,7 +400,8 @@ def test_interval_cells_match_every_engine():
                 continue
             assert len(got.factors) == 1 and type(got.factors[0].slope) is Fr
             assert got == hn_core.hn_filtration_of(sub, alpha), alpha
-            tree, = fiber_trees(piece, grid, grid_floor(grid, alpha))
+            tree, = fiber_trees(piece, grid, reference.floor_point(
+                grid.xs, grid.ys, alpha))
             assert got == tree.factors_at(alpha), alpha
             assert got == cheng.hn_cheng(
                 piece, pipeline.regular_grid(piece, [alpha], box), alpha)
@@ -719,7 +723,7 @@ def test_drivers_match_undecomposed_reference():
         cfg = ScanConfig(epsilon=1)
         got, want = approx_skyscraper(M, cfg), _approx_reference(M, cfg)
         assert got == want and got.work == want.work, i
-        xs, ys = eps_points(box, cfg.epsilon)
+        xs, ys = reference.lattice_points(box, cfg.epsilon)
         snap = exact_skyscraper(M).snapshot(
             [(x, y) for y in ys for x in xs], cfg.epsilon)
         assert snap == _scan_reference(M, cfg), i
@@ -739,7 +743,7 @@ def _with_cancelling_pairs(rng, M, n=2):
     rels = list(M.col_degrees)
     for _ in range(n):
         a, b = rng.randrange(M.nrows), rng.randrange(M.nrows)
-        d = deg_join(gens[a], gens[b])
+        d = reference.join(gens[a], gens[b])
         held = {a: 1 + rng.randrange(F.q - 1), b: 1 + rng.randrange(F.q - 1)}
         cols.append(sorted(held.items()) + [(len(gens), 1)])
         gens.append(d)
@@ -750,7 +754,7 @@ def _with_cancelling_pairs(rng, M, n=2):
 def _invariance_stores(N, box, eps, seed):
     """Brute and cheng approx, the scan and the exact snapshot of N at the
     epsilon-lattice points of the box."""
-    xs, ys = eps_points(box, eps)
+    xs, ys = reference.lattice_points(box, eps)
     out = [approx_skyscraper(N, ScanConfig(eps, engine, seed, box))
            for engine in ("brute", "cheng")]
     out.append(parallel_grid_scan(N, ScanConfig(eps, box=box)))
@@ -1057,16 +1061,6 @@ def test_presentations_are_minimal_by_construction():
         seen["quotients"] > 100
 
 
-def _query_reference(fl, theta, gamma):
-    """ExactStore.query as it was, on Fractions: among the factors of the
-    merged list fl at beta of slope >= theta, the staircases that hold
-    gamma (gen <= gamma and no relation <= gamma, relations closed)."""
-    return sum(1 for f in fl.factors if f.slope >= theta
-               for S in f.staircases
-               if grmat.deg_leq(S.gen, gamma)
-               and not any(grmat.deg_leq(r, gamma) for r in S.rels))
-
-
 def _query_modules(tmp_path):
     """The cross fixture, I + I of test_cli (two interval pieces whose
     equal slopes merge), three hidden direct sums with a decompose piece
@@ -1090,7 +1084,7 @@ def _query_modules(tmp_path):
 def test_query_sums_per_piece_counts(tmp_path):
     """ExactStore.query, summed per piece of beta's cells with no factor
     list built, equals the count over the merged factor list at beta
-    (_query_reference), on lazy and eager stores.  theta: -1, 0, every
+    (reference.held), on lazy and eager stores.  theta: -1, 0, every
     slope at beta exactly (the >= boundary), the midpoints between them
     and above the largest; beta on and between the summands' grid lines,
     below the grid, on the box's upper edges and outside the box; gamma
@@ -1127,7 +1121,7 @@ def test_query_sums_per_piece_counts(tmp_path):
             gammas = [g for g in gammas if grmat.deg_leq(beta, g)]
             for theta in thetas:
                 for gamma in gammas:
-                    want = _query_reference(fl, theta, gamma)
+                    want = reference.held(fl.factors, theta, gamma)
                     for ex in stores:
                         assert ex.query(theta, beta, gamma) == want, \
                             (M, theta, beta, gamma)
@@ -1139,52 +1133,10 @@ def test_query_sums_per_piece_counts(tmp_path):
     assert min(seen.values()) > 100, seen
 
 
-def _landscape_reference(store, k, theta, pts, resolution, anchor):
-    """filtered_landscape as it was: bisection on Fraction reaches h, from
-    0 to hmax (the box's wider side on an exact store; on a
-    SkyscraperStore the keys' wider span plus epsilon, or 1), with the
-    store's Fraction query at (alpha - h*1 or alpha, alpha + h*1)."""
-    if isinstance(store, pipeline.ExactStore):
-        q = store.query
-        x0, y0, x1, y1 = store.box
-        hmax = max(x1 - x0, y1 - y0)
-    else:
-        q = functools.partial(invariants.skyscraper_query, store)
-        ks = store.keys()
-        hmax = Fr(1)
-        if ks:
-            hmax = max(max(b[0] for b in ks) - min(b[0] for b in ks),
-                       max(b[1] for b in ks) - min(b[1] for b in ks))
-            hmax += store.epsilon or Fr(1)
-    if hmax <= 0:
-        hmax = Fr(1)
-
-    def level(alpha, h):
-        lo = (alpha[0] - h, alpha[1] - h) if anchor == "center" else alpha
-        return q(theta, lo, (alpha[0] + h, alpha[1] + h))
-    out = {}
-    for alpha in pts:
-        if level(alpha, Fr(0)) < k:
-            out[alpha] = Fr(0)
-            continue
-        lo, hi = Fr(0), hmax
-        if level(alpha, hi) >= k:
-            out[alpha] = hi
-            continue
-        for _ in range(resolution):
-            mid = (lo + hi) / 2
-            if level(alpha, mid) >= k:
-                lo = mid
-            else:
-                hi = mid
-        out[alpha] = lo
-    return out
-
-
 def test_landscape_bisects_as_on_fractions(tmp_path):
     """filtered_landscape, bisecting on ints over one denominator per
     evaluation point, equals the Fraction bisection it replaces
-    (_landscape_reference), value for value, on exact stores,
+    (reference.landscape), value for value, on exact stores,
     approximations and a store without epsilon, at both anchors, at
     theta -1, 0 and 2/5 and k 1 and 2: on the query modules and rescaled
     copies (negative degrees over halves and thirds), at evaluation points
@@ -1205,8 +1157,8 @@ def test_landscape_bisects_as_on_fractions(tmp_path):
                     for k in (1, 2):
                         got = filtered_landscape(store, k, theta, pts, 5,
                                                  anchor)
-                        want = _landscape_reference(store, k, theta, pts,
-                                                    5, anchor)
+                        want = reference.landscape(store, k, theta, pts, 5,
+                                                   anchor)
                         assert list(got.items()) == list(want.items())
                         assert all(type(v) is Fr for v in got.values())
                         hit["inner"] += sum(0 < v < max(want.values())
@@ -1220,7 +1172,7 @@ def test_key_grid_floors_leave_no_memo(cross):
     its key grid without their memo (Axis.floor_ratio): after a landscape
     over 256 points on the exact snapshot of the cross fixture at its
     pieces' grid points, the key grid's axes hold no memo entry, and the
-    landscape equals the Fraction bisection (_landscape_reference)."""
+    landscape equals the Fraction bisection (reference.landscape)."""
     ex = exact_skyscraper(cross, box=(0, 0, 4, 4))
     snap = ex.snapshot([p for _, grid, _ in ex.summands
                         for p in grid.points()])
@@ -1228,7 +1180,7 @@ def test_key_grid_floors_leave_no_memo(cross):
     pts = [(Fr(i, 5), Fr(j, 5)) for i in range(16) for j in range(16)]
     got = filtered_landscape(snap, 1, Fr(0), pts, resolution=10)
     assert [a.memo for a in snap._key_grid.axes] == [{}, {}]
-    assert got == _landscape_reference(snap, 1, Fr(0), pts, 10, "center")
+    assert got == reference.landscape(snap, 1, Fr(0), pts, 10, "center")
     assert any(got.values())
 
 

@@ -11,17 +11,18 @@ from skyhn.subdivision import (ConvexRegion, SlopePoly, all_max_slope,
 
 from skyhn.invariants import Staircase, staircase_at
 
-from conftest import (F2, F3, class_dims, class_integral, deg_join,
-                      fiber_trees, gm, random_bounded_module,
-                      random_unigen_module, reference_minimal_points,
-                      rescaled, store_trees)
+from conftest import (F2, F3, class_dims, fiber_trees, gm,
+                      random_bounded_module, random_unigen_module, rescaled,
+                      store_trees)
+
+import reference
 
 
 def shift_join(M, alpha):
     """M with every row and column degree replaced by its join with alpha."""
     return grmat.GradedMatrix(
-        M.field, [deg_join(d, alpha) for d in M.row_degrees],
-        [deg_join(d, alpha) for d in M.col_degrees], M.columns)
+        M.field, [reference.join(d, alpha) for d in M.row_degrees],
+        [reference.join(d, alpha) for d in M.col_degrees], M.columns)
 
 
 def _inverse_slope(p, d):
@@ -79,8 +80,8 @@ def test_slope_polynomial_matches_direct_slope(rng):
                      (ny - a[1]) * Fr(rng.randrange(0, 4), 4))
                 beta = (a[0] + d[0], a[1] + d[1])
                 sub_b = fiber_submodule(M, beta)
-                from skyhn.invariants import integral_of
-                direct = integral_of(sub_b) / sub_b.nrows
+                direct = reference.integral(sub_b)(
+                    reference.dims(sub_b)()) / sub_b.nrows
                 assert _inverse_slope(p, d) == direct, (trial, a, beta)
             break
 
@@ -283,34 +284,6 @@ def test_exact_tree_matches_brute_random(rng):
     assert checked > 100
 
 
-def _reference_candidates(M):
-    """Candidates from the dims and the Fraction ray integrals of the dim
-    function, deduplicated by polynomial keeping the largest dimension."""
-    fc = hn_core.fiber_classes(M)
-    ax, ay = fc.alpha
-
-    def ray(coords, point):
-        return sum((dims[point(c)] * (cn - c)
-                    for c, cn in zip(coords, coords[1:])), Fr(0))
-
-    by_poly, order = {}, []
-    for k in range(1, M.nrows + 1):
-        for rows in hn_core.subspaces_of_dim(M.field, M.nrows, k):
-            iv = fc.to_internal(rows)
-            dims = class_dims(fc, fc.ranks(iv))
-            ys = [y for y in fc.axes[1].coords if y >= ay]
-            xs = [x for x in fc.axes[0].coords if x >= ax]
-            poly = SlopePoly(class_integral(fc, iv) / k,
-                             ray(xs, lambda x: (x, ay)) / k,
-                             ray(ys, lambda y: (ax, y)) / k)
-            key = poly.key()
-            if key not in by_poly:
-                order.append(key)
-            if key not in by_poly or k > len(by_poly[key][0]):
-                by_poly[key] = (rows, dims)
-    return [(by_poly[key][0], key, by_poly[key][1]) for key in order]
-
-
 def _warp(M):
     """M with degrees moved by increasing maps of each axis onto
     coordinates over denominators 2, 3 and 5 (the module is unchanged up
@@ -339,19 +312,11 @@ def test_subspace_candidates_match_fraction_reference():
                 fc, cands = subdivision._subspace_candidates(N)
                 got = [(rows, poly.key(), class_dims(fc, ranks))
                        for rows, poly, ranks in cands]
-                assert got == _reference_candidates(N)
+                assert got == reference.candidates(N)
 
 
 # ---------------------------------------------------------------------------
 # integer reads of a tree against their Fraction references
-
-def _reference_staircase_at(S, beta):
-    """The transport of invariants.staircase_at as first written: the
-    joins with beta, their minimal points by pairwise comparison, and a
-    validated Staircase."""
-    return Staircase(beta, reference_minimal_points(
-        [deg_join(r, beta) for r in S.rels]))
-
 
 def _rational_axis(rng):
     """4-6 sorted distinct coordinates, negative and over denominators 1,
@@ -373,7 +338,7 @@ def test_staircase_at_matches_fraction_reference():
         xs, ys = _rational_axis(rng), _rational_axis(rng)
         alpha = (xs[0], ys[0])
         pts = [(x, y) for x in xs for y in ys if (x, y) != alpha]
-        S = Staircase(alpha, reference_minimal_points(
+        S = Staircase(alpha, reference.minimal_points(
             rng.sample(pts, rng.randrange(0, 5))))
         cx = [xs[0], (xs[0] + xs[1]) / 2, xs[1], xs[2],
               xs[0] + Fr(1, rng.choice((5, 7)))]
@@ -381,7 +346,7 @@ def test_staircase_at_matches_fraction_reference():
               ys[0] + Fr(1, rng.choice((5, 7)))]
         for beta in [(x, y) for x in cx for y in cy]:
             try:
-                want = _reference_staircase_at(S, beta)
+                want = reference.transport(S, beta)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
                     staircase_at(S, beta)
@@ -439,11 +404,6 @@ def test_tree_read_slopes_match_fraction_reference():
     assert n_reads > 100 and n_negative > 20 and n_steps > 0
 
 
-def _reference_contains(region, point):
-    x, y = Fr(point[0]), Fr(point[1])
-    return all(a * x + b * y <= c for a, b, c in region.halfplanes)
-
-
 def _tree_regions(rng):
     """Every region of the trees of the cells of the exact stores of
     rescaled random modules (negative degrees over denominators 2 and 3),
@@ -487,7 +447,7 @@ def test_region_contains_matches_fraction_reference():
         pts += [(rng.randrange(-2, 3), rng.randrange(-2, 3))
                 for _ in range(3)]
         for p in pts + rng.choice(regions).vertices:
-            want = _reference_contains(R, p)
+            want = reference.region_holds(R, p)
             assert R.contains(p) == want
             n_walls += want and any(a * p[0] + b * p[1] == c
                                     for a, b, c in R.halfplanes)

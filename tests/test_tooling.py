@@ -280,6 +280,9 @@ def _sources(directory):
     return sources
 
 
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
 def _src_sources():
     """{file name: source text} of every module of src/skyhn, by name."""
     return _sources(os.path.dirname(pipeline.__file__))
@@ -291,14 +294,15 @@ def _unused_imports(source):
     statement that carries ``# noqa: F401``."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    nodes = list(ast.walk(tree))
+    used = {n.id for n in nodes if isinstance(n, ast.Name)}
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__all__"
                         for t in node.targets)):
             used |= set(ast.literal_eval(node.value))
     out = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if getattr(node, "module", None) == "__future__" or any(
@@ -318,11 +322,49 @@ def test_no_unused_imports_in_src():
                            "import os.path\nfrom a import (b,  # noqa: F401\n"
                            "    c)\n__all__ = ['os']\n") == []
     found = {}
-    for fname, text in _src_sources().items():
-        names = _unused_imports(text)
-        if names:
-            found[fname] = names
+    for where, sources in (("src", _src_sources()),
+                           ("tests", _sources(_TESTS))):
+        for fname, text in sources.items():
+            names = _unused_imports(text)
+            if names:
+                found[where, fname] = names
     assert found == {}
+
+
+def _reference_leaks(source, exported):
+    """What a module source takes from skyhn beyond the names exported:
+    skyhn imports other than ``from skyhn import`` of those names, and
+    reads of names and attributes that start with an underscore."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [a.name for a in node.names
+                    if (a.name + ".").startswith("skyhn.")]
+        elif isinstance(node, ast.ImportFrom):
+            mod = "." * node.level + (node.module or "")
+            if mod == "skyhn":
+                out += [a.name for a in node.names if a.name not in exported]
+            elif node.level or mod.startswith("skyhn."):
+                out.append(mod)
+        elif isinstance(node, ast.Attribute) and node.attr[0] == "_":
+            out.append(node.attr)
+        elif (isinstance(node, ast.Name) and node.id[0] == "_"
+              and isinstance(node.ctx, ast.Load)):
+            out.append(node.id)
+    return out
+
+
+def test_reference_reads_no_internals():
+    """tests/reference.py, the tests' oracle, imports from skyhn only
+    exported names, through ``from skyhn import``, and reads no private
+    name or attribute, so it shares no code with what it checks."""
+    assert _reference_leaks(
+        "import math, skyhn.grmat\nfrom skyhn import grmat, Staircase\n"
+        "from skyhn.field import PrimeField\nfrom . import x\n"
+        "def f(M, _n):\n    _, m = M._ranks, _n.q\n", {"Staircase"}) == [
+            "skyhn.grmat", "grmat", "skyhn.field", ".", "_ranks", "_n"]
+    assert _reference_leaks(_sources(_TESTS)["reference.py"],
+                            set(skyhn.__all__)) == []
 
 
 def _dead_private_names(sources):
