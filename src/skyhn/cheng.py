@@ -1,16 +1,19 @@
 """Randomized shrunk-subspace engine for HN filtrations on finite grids.
 
-The fiber at alpha together with the structure maps into all higher grid
-points defines a matrix space A_alpha.  The minimal shrunk subspace of a
-(p, q)-blow-up of that space is exactly the fiber of a member of the HN
-filtration, so a shrunk-subspace oracle yields a split-and-recurse driver.
-As in Cheng's algorithm, the recursion works on the representation
-itself: every node is a subquotient <U2>/<U1> of the module generated at
-alpha, for subspaces U1 <= U2 of the fiber, and its matrix space is read
-off A_alpha's structure maps T by reducing T.U2 modulo T.U1.  A_alpha is
-built once per call, no presentation of a filtration member is computed,
-and a leaf's slope and staircases come from the ranks of U2 and U1 on the
-fiber classes of <V_alpha>.
+The fiber at alpha together with the structure maps into all higher
+points of a grid defines a matrix space A_alpha; the grid is the
+coarsest evenly spaced one that holds the coordinates of the module
+generated at alpha, which the engine derives itself (build_A_alpha).
+The minimal shrunk subspace of a (p, q)-blow-up of that space is exactly
+the fiber of a member of the HN filtration, so a shrunk-subspace oracle
+yields a split-and-recurse driver.  As in Cheng's algorithm, the
+recursion works on the representation itself: every node is a
+subquotient <U2>/<U1> of the module generated at alpha, for subspaces U1
+<= U2 of the fiber, and its matrix space is read off A_alpha's structure
+maps T by reducing T.U2 modulo T.U1.  A_alpha is built once per call, no
+presentation of a filtration member is computed, and a leaf's slope and
+staircases come from the ranks of U2 and U1 on the fiber classes of
+<V_alpha>.
 
 The oracle is randomized: draw a random matrix A in a blown-up space over
 an extension field, run its Wong sequence, and certify the answer when the
@@ -24,10 +27,10 @@ invertible column operations that stay inside the blow-up span.
 No algebra is repeated where its result is known.  The fiber submodule
 of a block whose generators all lie below alpha is the block with its
 degrees joined with alpha (grmat.fiber_submodule, no kernel).  Its fiber
-classes (hn_core.fiber_classes) are the call's one fiber model: they check
-the grid, give A_alpha one structure map per class (build_A_alpha), and
-give a leaf its slope and staircases.  A's columns
-are reduced once per draw (field.ColumnReduction, one loop over the
+classes (hn_core.fiber_classes) are the call's one fiber model: their
+axes give A_alpha its grid, their relations one structure map per class
+(build_A_alpha), and their ranks a leaf's slope and staircases.  A's
+columns are reduced once per draw (field.ColumnReduction, one loop over the
 columns): that reduction gives rank A, and each Wong step continues it
 with the columns of W alone.
 
@@ -359,22 +362,27 @@ def _stacked_space(F, ncols, blocks):
     return space
 
 
-def build_A_alpha(M, G, alpha):
+def build_A_alpha(M, alpha):
     """Matrix space of all structure maps out of the fiber at alpha, for M
-    generated at alpha (as grmat.fiber_submodule returns <V_alpha>); any
-    other module raises ValueError.
+    generated at alpha (as grmat.fiber_submodule returns <V_alpha>) and
+    bounded; any other module raises ValueError.
 
-    Rows are the stacked fibers at the grid points strictly above alpha
-    (colexicographic order, zero-dimensional fibers contribute no rows);
-    the basis has one matrix per point with a nonzero structure map,
-    carrying that map in its block and zeros elsewhere.  A point's map is
-    that of its fiber class (hn_core.fiber_classes), the class of its floor
-    on M's induced grid: column k is the k-th basis generator at alpha
+    The grid is M's own: per axis, the coarsest evenly spaced coordinates
+    from alpha's to M's last that hold every coordinate of M
+    (grmat.Axis.even).  M is constant on its cells and zero on its last
+    row and column, so the discrete slopes on it are the area-weighted
+    ones.  Rows are the stacked fibers at the grid points strictly above
+    alpha (colexicographic order, zero-dimensional fibers contribute no
+    rows); the basis has one matrix per point with a nonzero structure
+    map, carrying that map in its block and zeros elsewhere.  A point's
+    map is that of its fiber class (hn_core.fiber_classes), the class of
+    its floor on M's axes: column k is the k-th basis generator at alpha
     fully reduced modulo the class's relations (field._vector_form's
     reduce) on the rows that are not pivots, as in grmat.structure_map.
 
-    Returns (space, p0, q0, betas) with p0 = dim at alpha, q0 = total
-    stacked dimension, betas = all grid points above alpha.
+    Returns (space, betas), betas the grid points above alpha; the
+    space's ncols is the dimension at alpha and its nrows the total
+    stacked dimension.
     """
     alpha = as_degree(alpha)
     if len(set(M._ranks[2])) != 1 or M.row_degrees[0] != alpha:
@@ -384,6 +392,10 @@ def build_A_alpha(M, G, alpha):
     src = fc.point_class[fc.origin]
     if src < 0:
         raise ValueError("zero fiber at (%s, %s)" % alpha)
+    (ax, ay), (fx, fy) = fc.origin, fc.axes
+    if (fc.point_class[len(fx.coords) - 1, ay] >= 0
+            or fc.point_class[ax, len(fy.coords) - 1] >= 0):
+        raise ValueError("module is not bounded at (%s, %s)" % alpha)
     units = [form.pack([int(i == j) for j in range(t)])
              for i in range(t) if i not in fc.echs[src]]
     maps = []           # per class, its map as rows
@@ -391,19 +403,11 @@ def build_A_alpha(M, G, alpha):
         cols = [form.unpack(form.reduce(ech, u), t) for u in units]
         maps.append([[c[r] for c in cols] for r in range(t) if r not in ech])
     maps.append([])     # maps[-1]: the points of class -1, the zero fiber
-    # the grid points >= alpha, from the first coordinate >= alpha's on
-    # each axis, in colexicographic order; alpha is the first when on G.
-    # Each is floored on ints, in G's axes and in M's (fc.axes, no memo)
-    (gx, ex), (gy, ey) = (a.floor(c) for a, c in zip(G.axes, alpha))
-    xs, ys = G.xs[gx + (not ex):], G.ys[gy + (not ey):]
-    betas = [(x, y) for y in ys for x in xs]
-    ixs, iys = ([a.floor_ratio(*c.as_integer_ratio())[0] for c in cs]
-                for a, cs in zip(fc.axes, (xs, ys)))
-    classes = [fc.point_class[ix, iy] for iy in iys for ix in ixs]
-    if betas and betas[0] == alpha:
-        del betas[0], classes[0]
-    space = _stacked_space(M.field, len(units), [maps[c] for c in classes])
-    return space, len(units), space.nrows, betas
+    (xs, ixs), (ys, iys) = (zip(*a.even()) for a in fc.axes)
+    betas = [(x, y) for y in ys for x in xs][1:]
+    classes = [fc.point_class[ix, iy] for iy in iys for ix in ixs][1:]
+    return _stacked_space(M.field, len(units),
+                          [maps[c] for c in classes]), betas
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +436,10 @@ def _shrunk_with_retries(space, p, q, alpha, seed, p_cap):
     raise ShrunkFailure(alpha, _MAX_RETRIES)
 
 
-def _split_fiber(space, p0, q0, alpha, seed):
+def _split_fiber(space, alpha, seed):
     """Find the fiber of a proper nonzero HN filtration member, or None
-    when the module is certified semistable at alpha.
+    when the module is certified semistable at alpha; p0 and q0 are the
+    space's ncols, the dimension at alpha, and nrows.
 
     The shrunk subspace of a (p, q)-blow-up of the space is the fiber of
     the largest filtration member whose factors all have discrete slope
@@ -443,6 +448,7 @@ def _split_fiber(space, p0, q0, alpha, seed):
     first, and the exact one only when its answer is trivial (0 or the
     whole fiber); at rp = 1 the exact probe is itself a p = 1 draw.
     """
+    p0, q0 = space.ncols, space.nrows
     if q0 == 0 or space.ell == 0 or p0 == 1:
         # a one-dimensional fiber has no proper nonzero subspace
         return None
@@ -471,10 +477,10 @@ class _Subquotients:
     the root's A_alpha, which is built once (build_A_alpha), and the
     slopes and staircases of a leaf off cur's fiber classes."""
 
-    def __init__(self, cur, G, alpha):
+    def __init__(self, cur, alpha):
         self.field, self.alpha = cur.field, alpha
-        self.root, p0, self.q0, _ = build_A_alpha(cur, G, alpha)
-        if p0 != cur.nrows:
+        self.root = build_A_alpha(cur, alpha)[0]
+        if self.root.ncols != cur.nrows:
             raise AssertionError("hn_cheng: the fiber at alpha is not k^t")
         # per root basis matrix, the nonzero rows of its structure map,
         # packed once, numbered within the block
@@ -485,7 +491,7 @@ class _Subquotients:
         self.weights = self.fc.at(self.fc.alpha)
 
     def space(self, lo, top):
-        """(matrix space, q0) of the node: per root basis matrix, with T
+        """The matrix space of the node: per root basis matrix, with T
         the nonzero rows of its structure map, a basis of the rows of
         T.top reduced modulo the span of T.lo, placed in the block's rows
         as build_A_alpha places the maps of a presentation of the node
@@ -506,15 +512,14 @@ class _Subquotients:
             red = [unpack(reduce(ech, apply(T, c, n)), n) for c in top]
             blocks.append([r for r in map(list, zip(*red))
                            if insert(keep, keep, pack(r))])
-        space = _stacked_space(self.field, len(top), blocks)
-        return space, space.nrows
+        return _stacked_space(self.field, len(top), blocks)
 
-    def factors(self, lo, top, space, q0, seed):
+    def factors(self, lo, top, space, seed):
         """The HN factors of the node, split by a certified shrunk
         subspace U into <U1 + lift U>/<U1> and <U2>/<U1 + lift U>, whose
         coordinates are lift U and the node's coordinates off the pivot
         rows of U's echelon (as grmat.quotient_presentation picks them)."""
-        U = _split_fiber(space, len(top), q0, self.alpha, seed)
+        U = _split_fiber(space, self.alpha, seed)
         if U is None:
             return [self.semistable(lo, top)]
         ech = _Echelon(self.field, len(top))
@@ -525,8 +530,8 @@ class _Subquotients:
                 for u in U]
         rest = [c for i, c in enumerate(top) if i not in ech.pivots]
         mid = lo + lift
-        return (self.factors(lo, lift, *self.space(lo, lift), hash((seed, 1)))
-                + self.factors(mid, rest, *self.space(mid, rest),
+        return (self.factors(lo, lift, self.space(lo, lift), hash((seed, 1)))
+                + self.factors(mid, rest, self.space(mid, rest),
                                hash((seed, 2))))
 
     def semistable(self, lo, top):
@@ -542,56 +547,26 @@ class _Subquotients:
                         len(top) / integ)
 
 
-def _check_grid(cur, G, alpha):
-    """ValueError unless hn_cheng may read <V_alpha>, presented by cur,
-    on G: G is evenly spaced, every coordinate of cur (alpha's among them)
-    is a coordinate of G, and cur vanishes past its last coordinates.
-    Then <V_alpha> is constant on the equal cells of G and zero on its
-    last row and column, so the discrete slopes on G are the area-weighted
-    ones.  Both are read on the ints of G's axes (grmat.Axis): a
-    coordinate is one of G's where its floor is exact."""
-    for name, axis, own in zip("xy", G.axes, cur._ranks):
-        for c in own.coords:
-            if not axis.floor(c)[1]:
-                raise ValueError(
-                    "cheng grid lacks %s = %s, a degree of the module "
-                    "generated at (%s, %s)" % ((name, c) + alpha))
-        if len({b - a for a, b in zip(axis.ints, axis.ints[1:])}) > 1:
-            raise ValueError("cheng grid is not evenly spaced in " + name)
-    fc = fiber_classes(cur)
-    ax, ay = fc.origin
-    if (fc.point_class[len(fc.axes[0].coords) - 1, ay] >= 0
-            or fc.point_class[ax, len(fc.axes[1].coords) - 1] >= 0):
-        raise ValueError("module is not bounded at (%s, %s)" % alpha)
-
-
-def hn_cheng(M, G, alpha, seed=0):
+def hn_cheng(M, alpha, seed=0):
     """HN filtration at alpha via recursive shrunk-subspace splits.
 
-    G must be a regular grid containing alpha and the degrees of M inside
-    the support box, so that the discrete filtration transported from G
-    coincides with the continuous one; _check_grid checks exactly what
-    that needs and raises ValueError otherwise.  Slopes are computed
-    exactly with cell-area weighting, making the output directly
-    comparable with the brute-force search.  G may also be a function of
-    no arguments that returns the grid; it is called only when the fiber
-    at alpha is non-zero.
-
-    The splits run on subquotients of the fiber at alpha (_Subquotients):
-    A_alpha is built once per call, and no presentation of a filtration
-    member is computed.
+    The splits run on subquotients of the fiber at alpha (_Subquotients)
+    of the module <V_alpha> that M generates there, on its own evenly
+    spaced grid (build_A_alpha), so the discrete filtration there is the
+    continuous one; a <V_alpha> that is not bounded raises ValueError.
+    Slopes are computed exactly with cell-area weighting, making the
+    output directly comparable with the brute-force search.  A_alpha is
+    built once per call, and no presentation of a filtration member is
+    computed.
     """
     alpha = as_degree(alpha)
     cur = grmat.fiber_submodule(M, alpha)
     if cur is None:
         return HNFactorList(alpha, [])
-    if callable(G):
-        G = G()
-    _check_grid(cur, G, alpha)
-    sq = _Subquotients(cur, G, alpha)
+    sq = _Subquotients(cur, alpha)
     t = cur.nrows
     factors = sq.factors([], [[int(i == j) for i in range(t)]
-                              for j in range(t)], sq.root, sq.q0, seed)
+                              for j in range(t)], sq.root, seed)
     for a, b in zip(factors, factors[1:]):
         if not a.slope > b.slope:
             raise AssertionError("HN slopes not strictly decreasing")

@@ -266,13 +266,6 @@ def _k_list(text):
     return [int(p) for p in parts]
 
 
-def _grid_size(text):
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 2 or min(parts) < 2:
-        raise argparse.ArgumentTypeError("expected NX,NY, both >= 2")
-    return parts
-
-
 def _resolution(text):
     if not text.isdigit() or int(text) < 2:
         raise argparse.ArgumentTypeError("expected an integer >= 2")
@@ -295,10 +288,6 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--at", type=_pair, required=True)
     p.add_argument("--engine", choices=pipeline.ENGINES, default="brute")
-    p.add_argument("--grid", type=_grid_size, default=None,
-                   help="NX,NY override for the cheng engine grid: evenly "
-                   "spaced over the box, it must hold --at and the degrees "
-                   "of the module generated there")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("approx", help="epsilon-approximate store")
@@ -353,16 +342,8 @@ def _store_path(args, name):
 
 def _cmd_hn(args):
     M = _load(args)
-    box = _box(args, M)
-    cheng_grid = None
-    if args.grid and args.engine == "cheng":
-        nx, ny = args.grid
-        x0, y0, x1, y1 = box
-        cheng_grid = grmat.Grid(
-            [x0 + (x1 - x0) * Fraction(i, nx - 1) for i in range(nx)],
-            [y0 + (y1 - y0) * Fraction(j, ny - 1) for j in range(ny)])
     fl = pipeline.hn_at(M, args.at, engine=args.engine, seed=args.seed,
-                        box=box, cheng_grid=cheng_grid)
+                        box=_box(args, M))
     store = SkyscraperStore()
     store.insert(fl)
     emit_store(store, _store_path(args, "hn.csv"))

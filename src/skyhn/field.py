@@ -55,15 +55,6 @@ class PrimeField:
         self.zero = 0
         self.one = 1
 
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
-
     def inv(self, a):
         if a % self.q == 0:
             raise ZeroDivisionError("inverse of zero in F_%d" % self.q)

@@ -184,6 +184,19 @@ class Axis:
             self._ints = [n * (self.den // d) for n, d in self.keys]
         return self._ints
 
+    def even(self):
+        """The coarsest evenly spaced coordinates from the first to the
+        last that hold every coordinate (an axis of two or more), each
+        paired with its floor index on this axis: the step is the gcd of
+        the offsets from the first on ints."""
+        ints, den = self.ints, self.den
+        lo = ints[0]
+        out, i = [], -1
+        for v in range(lo, ints[-1] + 1, math.gcd(*(v - lo for v in ints))):
+            i += ints[i + 1] == v
+            out.append((Fraction(v, den), i))
+        return out
+
     def floor_ratio(self, n, d):
         """(i, exact): the index of the largest coordinate <= n/d (d > 0;
         -1 below them all) and whether it equals n/d, with no memo.  Found

@@ -62,17 +62,16 @@ denominator per evaluation point.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
 from . import cheng, grmat, hn_core, invariants, subdivision
-from .grmat import Grid, Lattice, as_degree
+from .grmat import Lattice, as_degree
 from .invariants import (HNFactor, HNFactorList, SkyscraperStore, Staircase,
                          count_containing, merge_factors,
                          staircase_contains, theta_staircases)
 
 __all__ = ["ScanConfig", "EngineFailure", "bounding_box", "clip_to_box",
-           "regular_grid", "hn_at", "approx_skyscraper", "ExactStore",
+           "hn_at", "approx_skyscraper", "ExactStore",
            "exact_skyscraper", "parallel_grid_scan", "filtered_landscape",
            "factor_interval_check"]
 
@@ -149,32 +148,6 @@ def clip_to_box(M, box):
         col_rk += [(hx, ry), (rx, hy)]
         cols += [[(i, one)], [(i, one)]]
     return grmat._from_ranks(M.field, ax, ay, list(row_rk), col_rk, cols)
-
-
-def regular_grid(M, extra_points, box):
-    """Evenly spaced grid covering the box and containing every degree of M
-    and every extra point inside the box; on such a grid discrete slopes
-    are proportional to the exact area-weighted ones.  Per axis, the step
-    is the largest that hits every such coordinate from the box's lower
-    edge on.  Computed on ints: per axis the box's edges, M's coordinates
-    (M._ranks) and the extra points over one denominator."""
-    extra = [as_degree(d) for d in extra_points]
-    ax, ay, row_rk, col_rk = M._ranks
-    # per axis: den, the edges and the ints of M's and the extra coordinates
-    axes = [grmat._over_lcm([box[k], box[k + 2], *coords,
-                             *(d[k] for d in extra)])
-            for k, coords in enumerate((ax.coords, ay.coords))]
-    (_, (x0, x1, *X)), (_, (y0, y1, *Y)) = axes
-    pts = [(X[rx], Y[ry]) for rx, ry in row_rk + col_rk]
-    pts += zip(X[len(ax.coords):], Y[len(ay.coords):])
-    pts = [(x, y) for x, y in pts if x0 <= x <= x1 and y0 <= y <= y1]
-    out = []
-    for k, (den, (lo, hi, *_)) in enumerate(axes):
-        step = math.gcd(hi - lo, *(p[k] - lo for p in pts))
-        out.append([Fraction(lo + i * step, den)
-                    for i in range((hi - lo) // step + 1)]
-                   if step else [Fraction(lo, den)])
-    return Grid(*out)
 
 
 def _blocks(M):
@@ -338,17 +311,13 @@ class _Interval:
         return int(L * L * b[1] * b[3] * td >= tn * area)
 
 
-def _cheng_read(module, seed, box, grid=None):
+def _cheng_read(module, seed):
     """The cheng engine's read of a connected block, a function of the
-    point alpha: hn_cheng on the block whole, on the given grid, else on
-    the block's regular grid at alpha in the box, which it builds only
-    where the fiber at alpha is non-zero; a ShrunkFailure is raised as
+    point alpha: hn_cheng on the block whole; a ShrunkFailure is raised as
     EngineFailure at alpha."""
     def read(alpha):
-        G = (functools.partial(regular_grid, module, [alpha], box)
-             if grid is None else grid)
         try:
-            return cheng.hn_cheng(module, G, alpha, seed=seed)
+            return cheng.hn_cheng(module, alpha, seed=seed)
         except cheng.ShrunkFailure as exc:
             raise EngineFailure(alpha, exc)
     return read
@@ -369,21 +338,18 @@ def _merged(reads, alpha, work=None):
     return merge_factors(alpha, lists)
 
 
-def hn_at(M, alpha, engine="brute", seed=0, box=None, cheng_grid=None):
+def hn_at(M, alpha, engine="brute", seed=0, box=None):
     """HN filtration of <V_alpha> of the clipped module: brute force runs
     hn_core.hn_filtration_at once per summand found by grmat.decompose,
     one-generator summands included, so that it is the reference for the
     staircase reads that the sweeps and the exact store make of those
     (_Interval); cheng runs once per connected block (_cheng_read); both
-    read the blocks kept on M (_prepared), and _merged joins the reads.
-    The cheng engine runs on cheng_grid, or else on the regular grid of
-    each block and alpha."""
+    read the blocks kept on M (_prepared), and _merged joins the reads."""
     alpha = as_degree(alpha)
     _check_engine(engine)
     box = box or bounding_box(M)
     if engine == "cheng":
-        reads = [[_cheng_read(b, seed, box, cheng_grid)]
-                 for b in _clipped_blocks(M, box)]
+        reads = [[_cheng_read(b, seed)] for b in _clipped_blocks(M, box)]
     else:
         reads = [[functools.partial(hn_core.hn_filtration_at, p)
                   for p in b.pieces] for b in _prepared(M, box)]
@@ -456,6 +422,11 @@ class _Cells(dict):
             self.clear()
 
 
+# the most epsilon-lattice points of a box that a sweep visits: 2048^2,
+# the cross fixture's [0, 4]^2 box at epsilon = 1/512
+_MAX_LATTICE_POINTS = 1 << 22
+
+
 def _sweep(box, epsilon, hn_of, readers, caches=()):
     """Store of the non-empty filtrations hn_of(alpha) at the epsilon-lattice
     points alpha of the box, visited colexicographically, where alpha lies
@@ -464,10 +435,17 @@ def _sweep(box, epsilon, hn_of, readers, caches=()):
     lattice point lies in a cell where every piece is zero.  Each of
     the caches (_Cells) is told every lattice row the sweep enters, and
     keeps only that row's cells.  The store's Lattice gives the lattice
-    indices of the box, once."""
+    indices of the box, once; a box of more than _MAX_LATTICE_POINTS
+    lattice points raises EngineFailure at its lower corner before any
+    row is built."""
     store = SkyscraperStore(epsilon)
     lat = store.lattice
-    bounds = lat.indices(box)
+    bounds = k0, j0, k1, j1 = lat.indices(box)
+    if (k1 - k0) * (j1 - j0) > _MAX_LATTICE_POINTS:
+        raise EngineFailure(box[:2], (
+            "the box holds %d epsilon-lattice points, more than the %d a "
+            "sweep visits; use a larger --epsilon or a smaller --box"
+            % ((k1 - k0) * (j1 - j0), _MAX_LATTICE_POINTS)))
     xs, ys = lat.points(bounds)
     for y, cols in zip(ys, _row_columns(readers, lat, bounds)):
         for cells in caches:
@@ -491,9 +469,8 @@ def approx_skyscraper(M, cfg):
     runs the HN loop on it at every lattice point of the cell
     (hn_core.hn_filtration_of), so each HN step's linear algebra runs once
     per cell; the cheng engine runs on each block whole at every point
-    (_cheng_read), on the regular grid of the block and the point, as
-    hn_at does.  store.work counts, per connected block, the lattice
-    points where its pieces' reads found a non-zero fiber."""
+    (_cheng_read), as hn_at does.  store.work counts, per connected block,
+    the lattice points where its pieces' reads found a non-zero fiber."""
     box = cfg.box or bounding_box(M)
     caches = []
 
@@ -505,7 +482,7 @@ def approx_skyscraper(M, cfg):
 
     if cfg.engine == "cheng":
         readers = _clipped_blocks(M, box)
-        reads = [[_cheng_read(b, cfg.seed, box)] for b in readers]
+        reads = [[_cheng_read(b, cfg.seed)] for b in readers]
     else:
         blocks = _prepared(M, box)
         readers = [r for b in blocks for r in b.readers]

@@ -102,7 +102,6 @@ def test_acceptance_3():
 def test_acceptance_4():
     t0 = time.time()
     rng = random.Random(4)
-    G5 = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
     mismatches = 0
     modules = 0
     while modules < 200:
@@ -136,7 +135,7 @@ def test_acceptance_4():
                         mismatches += 1
         # randomized engine on the smaller instances
         if thickness <= 3 and len(G.xs) <= 5 and len(G.ys) <= 5:
-            c = cheng.hn_cheng(M, G5, beta0, seed=modules)
+            c = cheng.hn_cheng(M, beta0, seed=modules)
             if c != a:
                 mismatches += 1
     assert mismatches == 0

@@ -10,7 +10,6 @@ from skyhn import field as fieldmod
 from skyhn.cheng import (BlowUp, MatrixSpace, ShrunkFailure, build_A_alpha,
                          hn_cheng, shrunk_subspace_random)
 from skyhn.field import DenseMatrix, PrimeField
-from skyhn.grmat import Grid
 
 from conftest import (F2, F3, F5, cross_module, gm, hidden_corpus,
                       random_bounded_module, random_unigen_module,
@@ -96,8 +95,7 @@ def core_all_rows(blow, ucols):
 def a_alpha_spaces():
     """Matrix spaces that build_A_alpha builds for the fixtures' fiber
     submodules."""
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
-    return [build_A_alpha(grmat.fiber_submodule(M, alpha), G, alpha)[0]
+    return [build_A_alpha(grmat.fiber_submodule(M, alpha), alpha)[0]
             for M, alpha in [(cross_module(), (Fr(0), Fr(1))),
                              (stable_module(), (Fr(0), Fr(0))),
                              (stable_module(), (Fr(1), Fr(0)))]]
@@ -144,12 +142,23 @@ def test_shrunk_matches_exhaustive_small_spaces(rng):
         assert reference.same_span(F2.q, got, want_rows)
 
 
-def _build_A_alpha_per_beta(M, G, alpha):
+def _even(coords):
+    """The coarsest evenly spaced coordinates from the first of the sorted
+    coords to the last that hold them all."""
+    lo, den = coords[0], math.lcm(*(c.denominator for c in coords))
+    step = Fr(math.gcd(*(int((c - lo) * den) for c in coords)), den)
+    return [lo + k * step for k in range(int((coords[-1] - lo) / step) + 1)]
+
+
+def _build_A_alpha_per_beta(M, alpha):
     """build_A_alpha with the reference's fiber and structure map built
-    afresh for every grid point above alpha: (basis data, p0, q0, betas)."""
+    afresh for every point above alpha of the coarsest evenly spaced grid
+    that holds M's coordinates (_even): (basis data, p0, q0, betas)."""
     gens = reference.units(M.nrows, reference.basis_rows(
         reference.fiber(M, alpha)))
-    betas = [b for b in G.points() if reference.leq(alpha, b) and b != alpha]
+    xs, ys = (_even(cs) for cs in reference.axes(M))
+    assert (xs[0], ys[0]) == alpha
+    betas = reference.points(xs, ys)[1:]
     maps, q0 = [], 0
     for b in betas:
         fib = reference.fiber(M, b)
@@ -167,11 +176,11 @@ def _build_A_alpha_per_beta(M, G, alpha):
 
 
 def test_build_A_alpha_matches_per_beta_construction():
-    """The same basis, p0, q0 and betas as a fresh fiber model per point,
-    on fiber submodules on their regular grid and on a grid of spacing 1/3
-    (where several points lie in one fiber class and share its map);
-    clipped modules whose generators do not all lie at alpha raise
-    ValueError."""
+    """The same basis, p0, q0 and betas as a fresh fiber model per point
+    of the grid, on fiber submodules at the points of the induced grid and
+    of the epsilon = 1/3 lattice, whose grids have
+    several points in one fiber class that share its map; clipped modules
+    whose generators do not all lie at alpha raise ValueError."""
     rng = random.Random(6010)
     modules = [random_bounded_module(rng, F, rng.randrange(1, 4), dmax=3)
                for F in (F2, F3) * 4]
@@ -182,30 +191,26 @@ def test_build_A_alpha_matches_per_beta_construction():
     for M in modules:
         box = pipeline.bounding_box(M)
         Mc = pipeline.clip_to_box(M, box)
-        x0, y0, x1, y1 = box
-        fine = Grid([x0 + Fr(k, 3) for k in range(3 * int(x1 - x0) + 1)],
-                    [y0 + Fr(k, 3) for k in range(3 * int(y1 - y0) + 1)])
-        for alpha in grmat.induced_grid(Mc).points():
+        lattice = reference.points(*reference.lattice_points(box, Fr(1, 3)))
+        for alpha in dict.fromkeys([*grmat.induced_grid(Mc).points(),
+                                    *lattice]):
             if grmat.pointwise_model(Mc, alpha).dim == 0:
                 continue
             sub = grmat.fiber_submodule(Mc, alpha)
-            regular = pipeline.regular_grid(Mc, [alpha], box)
             if set(Mc.row_degrees) != {alpha}:
                 with pytest.raises(ValueError, match="generated at"):
-                    build_A_alpha(Mc, regular, alpha)
+                    build_A_alpha(Mc, alpha)
                 mixed += 1
             fc = hn_core.fiber_classes(sub)
-            for G in (regular, fine):
-                space, p0, q0, betas = build_A_alpha(sub, G, alpha)
-                assert (placed(space), p0, q0, betas) == \
-                    _build_A_alpha_per_beta(sub, G, alpha)
-                assert (space.nrows, space.ncols) == (q0, p0)
-                xs, ys = (a.coords for a in fc.axes)
-                classes = [fc.point_class[reference.floor(xs, x),
-                                           reference.floor(ys, y)]
-                           for x, y in betas]
-                classes = [c for c in classes if c >= 0]
-                shared += len(set(classes)) < len(classes)
+            space, betas = build_A_alpha(sub, alpha)
+            assert (placed(space), space.ncols, space.nrows, betas) == \
+                _build_A_alpha_per_beta(sub, alpha)
+            xs, ys = (a.coords for a in fc.axes)
+            classes = [fc.point_class[reference.floor(xs, x),
+                                       reference.floor(ys, y)]
+                       for x, y in betas]
+            classes = [c for c in classes if c >= 0]
+            shared += len(set(classes)) < len(classes)
     assert shared >= 20 and mixed >= 10
 
 
@@ -302,10 +307,9 @@ def _draw_cases(rng):
                            sparse=k % 4 > 1)
               for k in range(24)]
     spaces += a_alpha_spaces()
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
     for F, t in ((F2, 4), (F3, 3), (F2, 5), (F3, 4), (F5, 3), (F5, 4)):
         M = random_unigen_module(rng, F, t)
-        spaces.append(build_A_alpha(M, G, M.row_degrees[0])[0])
+        spaces.append(build_A_alpha(M, M.row_degrees[0])[0])
     spaces += [random_space(rng, F5, rng.randrange(1, 4), rng.randrange(1, 4),
                             rng.randrange(1, 4), sparse=k % 2)
                for k in range(12)]
@@ -387,14 +391,15 @@ def test_wong_matches_fresh_reduction(monkeypatch, rng):
 
 
 def test_build_A_alpha_cross(cross):
-    G = grmat.induced_grid(cross)
+    """The cross fixture at (0, 1): the module generated there has x
+    coordinates 0, 1, 3 and y coordinates 1, 2, 3, so its grid is the unit
+    grid of [0, 3] x [1, 3], x = 2 included; its fiber is 2-dimensional,
+    and (1, 1), (2, 1) and (0, 2) carry one dimension each."""
     alpha = (Fr(0), Fr(1))
-    space, p0, q0, betas = build_A_alpha(grmat.fiber_submodule(cross, alpha),
-                                         G, alpha)
-    assert p0 == 2
-    assert len(betas) == len([b for b in G.points()
-                              if grmat.deg_leq((Fr(0), Fr(1)), b)]) - 1
-    assert space.ncols == 2 and space.nrows == q0
+    space, betas = build_A_alpha(grmat.fiber_submodule(cross, alpha), alpha)
+    assert betas == [(Fr(x), Fr(y)) for y in range(1, 4)
+                     for x in range(4)][1:]
+    assert (space.ncols, space.nrows, space.ell) == (2, 3, 3)
 
 
 def _probe_spaces(rng):
@@ -403,11 +408,10 @@ def _probe_spaces(rng):
                            rng.randrange(2, 5), rng.randrange(1, 5),
                            sparse=k % 2)
               for k in range(60)]
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
     for k in range(30):
         M = random_unigen_module(rng, F3 if k % 2 else F2, rng.randrange(2, 6))
         alpha = M.row_degrees[0]
-        spaces.append(build_A_alpha(grmat.fiber_submodule(M, alpha), G,
+        spaces.append(build_A_alpha(grmat.fiber_submodule(M, alpha),
                                     alpha)[0])
     return spaces
 
@@ -419,9 +423,10 @@ def _recording_probes(monkeypatch):
     real_split, real_retry = cheng._split_fiber, cheng._shrunk_with_retries
     nodes = []
 
-    def split(space, p0, q0, alpha, seed):
+    def split(space, alpha, seed):
+        p0, q0 = space.ncols, space.nrows
         nodes.append((p0, q0, q0 > 0 and space.ell > 0 and p0 > 1, []))
-        return real_split(space, p0, q0, alpha, seed)
+        return real_split(space, alpha, seed)
 
     def retry(space, p, q, alpha, seed, p_cap):
         U = real_retry(space, p, q, alpha, seed, p_cap)
@@ -463,7 +468,7 @@ def test_probe_order(monkeypatch):
     nodes = _recording_probes(monkeypatch)
     seen = collections.Counter()
     for n, sp in enumerate(spaces):
-        U = cheng._split_fiber(sp, sp.ncols, sp.nrows, None, n)
+        U = cheng._split_fiber(sp, None, n)
         p0, q0, draws, probes = nodes[-1]
         seen[_check_schedule(p0, q0, draws, probes)] += 1
         if U is None:
@@ -593,45 +598,25 @@ def test_found_modules_draw_only_ceiling_and_exact_probes(monkeypatch):
 
 
 def test_hn_cheng_matches_brute_cross(cross):
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
     for seed in range(10):
-        fl = hn_cheng(cross, G, (Fr(0), Fr(1)), seed=seed)
+        fl = hn_cheng(cross, (Fr(0), Fr(1)), seed=seed)
         assert fl == hn_core.hn_filtration_at(cross, (Fr(0), Fr(1)))
 
 
-def test_hn_cheng_asks_for_a_lazy_grid_on_nonzero_fibers(cross):
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
-    asked = []
-
-    def grid():
-        asked.append(1)
-        return G
-    below = (Fr(-1), Fr(-1))
-    assert hn_cheng(cross, grid, below, seed=0).factors == []
-    assert asked == []
-    alpha = (Fr(0), Fr(1))
-    assert hn_cheng(cross, grid, alpha, seed=0) == \
-        hn_cheng(cross, G, alpha, seed=0)
-    assert asked == [1]
-
-
 def test_hn_cheng_semistable_stable(stable):
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
-    fl = hn_cheng(stable, G, (Fr(0), Fr(0)), seed=1)
+    fl = hn_cheng(stable, (Fr(0), Fr(0)), seed=1)
     assert len(fl.factors) == 1
     assert fl.factors[0].slope == Fr(2, 9)
     assert len(fl.factors[0].staircases) == 2
 
 
 def test_hn_cheng_matches_brute_random(rng):
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
     for trial in range(30):
         F = F2 if trial % 2 else F3
         M = random_bounded_module(rng, F, rng.randrange(1, 4))
-        pts = [p for p in grmat.induced_grid(M).points()
-               if G.index(p)[2]]
+        pts = list(grmat.induced_grid(M).points())
         beta = pts[rng.randrange(len(pts))]
-        a = hn_cheng(M, G, beta, seed=trial)
+        a = hn_cheng(M, beta, seed=trial)
         b = hn_core.hn_filtration_at(M, beta)
         assert a == b, (trial, beta)
 
@@ -673,7 +658,6 @@ def test_partial_reduce_matches_echelon_transform():
 def test_one_dimensional_fiber_draws_nothing(monkeypatch, stable):
     """A one-dimensional fiber has no proper nonzero subspace, so it is
     semistable without a randomized draw."""
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
     staircase = gm(F2, [(0, 0)], [((3, 0), [(0, 1)]), ((0, 3), [(0, 1)])])
     calls = []
     real = cheng.shrunk_subspace_random
@@ -683,85 +667,65 @@ def test_one_dimensional_fiber_draws_nothing(monkeypatch, stable):
         return real(*a, **k)
     monkeypatch.setattr(cheng, "shrunk_subspace_random", counting)
     alpha = (Fr(0), Fr(0))
-    fl = hn_cheng(staircase, G, alpha, seed=0)
+    fl = hn_cheng(staircase, alpha, seed=0)
     assert fl == hn_core.hn_filtration_at(staircase, alpha)
     assert len(fl.factors) == 1 and calls == []
     # the patched name is the one the engine draws through: the
     # thickness-2 fixture's two-dimensional fiber does call it
-    assert hn_cheng(stable, G, alpha, seed=1) == \
+    assert hn_cheng(stable, alpha, seed=1) == \
         hn_core.hn_filtration_at(stable, alpha)
     assert calls
 
 
 def test_hn_cheng_checks_its_grid(cross):
-    """hn_cheng reads the fiber submodule on G only where that is exact:
-    G evenly spaced, alpha and every coordinate of the module generated at
-    alpha on G, and the module bounded; else ValueError."""
-    alpha = (Fr(0), Fr(1))
-    cases = [
-        (Grid([Fr(k) for k in range(5)], [Fr(0), Fr(2), Fr(4)]), "lacks y"),
-        (Grid([Fr(0), Fr(2), Fr(4)], [Fr(k) for k in range(5)]), "lacks x"),
-        (Grid([Fr(k) for k in range(5)] + [Fr(6)],
-              [Fr(k) for k in range(5)]), "evenly spaced"),
-        # ends before the module vanishes at x = 3
-        (Grid([Fr(k) for k in range(3)], [Fr(k) for k in range(5)]),
-         "lacks x"),
-    ]
-    for G, what in cases:
-        with pytest.raises(ValueError, match=what):
-            hn_cheng(cross, G, alpha, seed=0)
-    # a grid that ends where the module vanishes is enough
-    assert hn_cheng(cross, Grid([Fr(k) for k in range(4)],
-                                [Fr(k) for k in range(4)]), alpha, seed=0) \
-        == hn_core.hn_filtration_at(cross, alpha)
+    """hn_cheng reads the module generated at alpha on its own grid, which
+    ends where that module vanishes: a module that does not vanish past
+    its last coordinates raises ValueError, on an axis of one coordinate
+    too, and a zero fiber needs no grid at all."""
     line = gm(F2, [(0, 0)], [((1, 0), [(0, 1)])])   # [0, 1) x [0, inf)
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
-    with pytest.raises(ValueError, match="not bounded"):
-        hn_cheng(line, G, (Fr(0), Fr(0)), seed=0)
-    # a zero fiber needs no grid at all
-    assert hn_cheng(cross, cases[0][0], (Fr(-1), Fr(0)), seed=0).factors == []
+    # two generators, each killed on one axis only: both axes have two
+    # coordinates, and the fiber at (1, 0) and (0, 1) is not zero
+    corner = gm(F2, [(0, 0)] * 2, [((1, 0), [(0, 1)]), ((0, 1), [(1, 1)])])
+    for M in (line, corner):
+        with pytest.raises(ValueError, match="not bounded"):
+            hn_cheng(M, (Fr(0), Fr(0)), seed=0)
+        with pytest.raises(ValueError, match="not bounded"):
+            build_A_alpha(M, (Fr(0), Fr(0)))
+    assert hn_cheng(cross, (Fr(-1), Fr(0)), seed=0).factors == []
 
 
-def test_hn_cheng_on_user_grids_is_exact_or_refuses():
-    """Random bounded modules at random points of random evenly spaced
-    grids over their box, as ``skyhn hn --engine cheng --grid NX,NY``
-    builds them: where the grid holds alpha and every degree of the
-    clipped module inside its span, cheng equals brute force; elsewhere it
-    equals brute force or raises ValueError, and it does raise."""
+def test_hn_at_cheng_equals_brute_at_random_points():
+    """Random bounded modules at random points of their induced grid and
+    of random evenly spaced grids over their box, on and off the module's
+    coordinates: cheng, on the grid it derives itself, equals brute
+    force."""
     rng = random.Random(5)
-    seen = {"cover": 0, "refused": 0, "exact": 0}
+    seen = {"exact": 0, "off": 0}
     for m in range(60):
         M = random_bounded_module(rng, F2 if m % 2 else F3,
                                   rng.randrange(1, 4))
         box = pipeline.bounding_box(M)
         x0, y0, x1, y1 = box
-        Mc = pipeline.clip_to_box(M, box)
+        grid = grmat.induced_grid(M)
         for _ in range(2):
             if rng.random() < 0.5:
                 nx = int(x1 - x0) * rng.randrange(1, 3) + 1
                 ny = int(y1 - y0) * rng.randrange(1, 3) + 1
             else:
                 nx, ny = rng.randrange(2, 7), rng.randrange(2, 7)
-            G = Grid([x0 + (x1 - x0) * Fr(i, nx - 1) for i in range(nx)],
-                     [y0 + (y1 - y0) * Fr(j, ny - 1) for j in range(ny)])
-            pts = list(G.points()) + list(grmat.induced_grid(M).points())
+            pts = [(x0 + (x1 - x0) * Fr(i, nx - 1),
+                    y0 + (y1 - y0) * Fr(j, ny - 1))
+                   for j in range(ny) for i in range(nx)]
+            pts += grid.points()
             alpha = pts[rng.randrange(len(pts))]
             want = pipeline.hn_at(M, alpha, box=box)
             if not want.factors:
                 continue
-            cover = G.index(alpha)[2] and all(
-                G.index(d)[2] for d in Mc.row_degrees + Mc.col_degrees
-                if x0 <= d[0] <= x1 and y0 <= d[1] <= y1)
-            seen["cover"] += cover
-            try:
-                got = pipeline.hn_at(M, alpha, "cheng", m, box, G)
-            except ValueError:
-                assert not cover, (m, alpha)
-                seen["refused"] += 1
-                continue
-            assert got == want, (m, alpha)
+            assert pipeline.hn_at(M, alpha, "cheng", m, box) == want, \
+                (m, alpha)
             seen["exact"] += 1
-    assert seen["cover"] >= 10 and seen["refused"] >= 10, seen
+            seen["off"] += not grid.index(alpha)[2]
+    assert seen["exact"] >= 40 and seen["off"] >= 20, seen
 
 
 def _old_children(P, U, alpha):
@@ -779,23 +743,23 @@ def test_split_nodes_match_old_presentations(monkeypatch):
     """Every node of the split recursion, a subquotient <lo + top>/<lo> of
     the fiber at alpha, against the presentation of the same module that
     the engine once built with submodule_presentation and
-    quotient_presentation (kept here): build_A_alpha on it has the node's
-    p0 and q0, its fiber dims per grid point are the node's ranks
-    rank T(lo + top) - rank T(lo), and the node's matrix space has one
-    block of that many rows per grid point where it is nonzero.  On the
-    fixtures and on small unigen modules over GF(2) and GF(3)."""
+    quotient_presentation (kept here): on the root's grid, its fiber dims
+    are the node's ranks rank T(lo + top) - rank T(lo) and sum to the
+    node's q0, its dim at alpha is the node's p0, as build_A_alpha on it
+    has, and the node's matrix space has one block of that many rows per
+    grid point where it is nonzero.  On the fixtures and on small unigen
+    modules over GF(2) and GF(3)."""
     real_factors = cheng._Subquotients.factors
     real_split = cheng._split_fiber
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
     state = {"stack": [], "node": None, "splits": 0, "nodes": 0}
 
-    def factors(self, lo, top, space, q0, seed):
+    def factors(self, lo, top, space, seed):
         P = state["stack"].pop()
         F, alpha = self.field, self.alpha
-        old, p0, old_q0, betas = build_A_alpha(P, G, alpha)
-        assert (len(top), q0) == (p0, old_q0)
-        assert (space.ncols, space.nrows) == (p0, q0)
-        dims = [reference.dim(P, b) for b in betas]
+        dims = [reference.dim(P, b) for b in state["betas"]]
+        assert space.ncols == len(top) == reference.dim(P, alpha) == \
+            build_A_alpha(P, alpha)[0].ncols
+        assert space.nrows == sum(dims)
         ranks = []
         for T in state["root_maps"]:
             imgs = [reference.matvec(F.q, T.data, v) for v in lo + top]
@@ -806,10 +770,10 @@ def test_split_nodes_match_old_presentations(monkeypatch):
             [r for r in ranks if r]
         state["node"] = P
         state["nodes"] += 1
-        return real_factors(self, lo, top, space, q0, seed)
+        return real_factors(self, lo, top, space, seed)
 
-    def split(space, p0, q0, alpha, seed):
-        U = real_split(space, p0, q0, alpha, seed)
+    def split(space, alpha, seed):
+        U = real_split(space, alpha, seed)
         if U is not None:
             sub, quot = _old_children(state["node"], U, alpha)
             state["stack"] += [quot, sub]
@@ -826,11 +790,11 @@ def test_split_nodes_match_old_presentations(monkeypatch):
         cases.append((M, M.row_degrees[0]))
     for k, (M, alpha) in enumerate(cases):
         cur = grmat.fiber_submodule(M, alpha)
-        betas = build_A_alpha(cur, G, alpha)[3]
+        state["betas"] = build_A_alpha(cur, alpha)[1]
         state["root_maps"] = [grmat.structure_map(cur, alpha, b)
-                              for b in betas]
+                              for b in state["betas"]]
         state["stack"] = [cur]
-        assert hn_cheng(M, G, alpha, seed=k) == \
+        assert hn_cheng(M, alpha, seed=k) == \
             hn_core.hn_filtration_at(M, alpha), k
         assert state["stack"] == []
     assert state["splits"] >= 10 and state["nodes"] > 2 * state["splits"]
@@ -859,12 +823,12 @@ def _node_space_from_lists(sq, lo, top):
         if nz:
             basis.append(nz)
         off += len(rows)
-    return MatrixSpace(F, off, p, basis), off
+    return MatrixSpace(F, off, p, basis)
 
 
 def test_packed_node_spaces_match_list_construction(monkeypatch):
     """_Subquotients.space, built on packed structure maps, against the
-    list construction it replaced (kept above): the same basis and q0 at
+    list construction it replaced (kept above): the same basis and size at
     every node of real split recursions over GF(2), GF(3) and GF(5), and
     at random nodes <lo + top>/<lo> over the spaces build_A_alpha builds
     for the same modules.  The reference stacks through MatrixSpace's
@@ -872,25 +836,24 @@ def test_packed_node_spaces_match_list_construction(monkeypatch):
     real_factors = cheng._Subquotients.factors
     seen = {"nodes": set(), "splits": set()}
 
-    def factors(self, lo, top, space, q0, seed):
+    def factors(self, lo, top, space, seed):
         want = _node_space_from_lists(self, lo, top)
-        assert (space.basis, q0) == (want[0].basis, want[1])
-        assert (space.nrows, space.ncols) == (want[0].nrows, len(top))
+        assert space.basis == want.basis
+        assert (space.nrows, space.ncols) == (want.nrows, len(top))
         seen["nodes"].add(self.field.q)
         if lo:
             seen["splits"].add(self.field.q)
-        return real_factors(self, lo, top, space, q0, seed)
+        return real_factors(self, lo, top, space, seed)
     monkeypatch.setattr(cheng._Subquotients, "factors", factors)
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
     rng = random.Random(3307)
     random_nodes = 0
     for k in range(24):
         F = (F2, F3, F5)[k % 3]
         M = random_unigen_module(rng, F, rng.randrange(2, 6))
         alpha = M.row_degrees[0]
-        assert hn_cheng(M, G, alpha, seed=k) == \
+        assert hn_cheng(M, alpha, seed=k) == \
             hn_core.hn_filtration_at(M, alpha), k
-        sq = cheng._Subquotients(grmat.fiber_submodule(M, alpha), G, alpha)
+        sq = cheng._Subquotients(grmat.fiber_submodule(M, alpha), alpha)
         t = sq.root.ncols
         for _ in range(4):
             k1 = rng.randrange(t)
@@ -898,8 +861,8 @@ def test_packed_node_spaces_match_list_construction(monkeypatch):
                     for _ in range(t)]
             lo, top = vecs[:k1], vecs[k1:rng.randrange(k1 + 1, t + 1)]
             got, want = sq.space(lo, top), _node_space_from_lists(sq, lo, top)
-            assert (got[0].basis, got[1]) == (want[0].basis, want[1])
-            random_nodes += bool(got[0].basis)
+            assert (got.basis, got.nrows) == (want.basis, want.nrows)
+            random_nodes += bool(got.basis)
     assert seen["nodes"] == seen["splits"] == {2, 3, 5}
     assert random_nodes >= 60
 
@@ -909,7 +872,6 @@ def test_non_minimal_module_generated_at_alpha():
     is handed on by fiber_submodule as it is; hn_filtration_at and
     hn_cheng on it agree with the same calls on its minimal presentation,
     since a redundant relation changes no class rank."""
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
     rng = random.Random(2730)
     split = 0
     for k in range(16):
@@ -922,8 +884,8 @@ def test_non_minimal_module_generated_at_alpha():
         assert small.ncols < N.ncols and grmat.fiber_submodule(N, alpha) is N
         want = hn_core.hn_filtration_at(small, alpha)
         assert hn_core.hn_filtration_at(N, alpha) == want, k
-        assert hn_cheng(N, G, alpha, seed=k) == \
-            hn_cheng(small, G, alpha, seed=k) == want, k
+        assert hn_cheng(N, alpha, seed=k) == \
+            hn_cheng(small, alpha, seed=k) == want, k
         split += len(want.factors) > 1
     assert split >= 8
 
@@ -949,12 +911,11 @@ def test_hn_cheng_builds_one_space_and_no_presentation(monkeypatch):
     for name in ("minimize", "kernel", "submodule_presentation",
                  "quotient_presentation", "PointwiseModel"):
         counting(grmat, name)
-    G = Grid([Fr(k) for k in range(5)], [Fr(k) for k in range(5)])
     rng = random.Random(1414)
     runs = split = 0
     for k in range(12):
         M = random_unigen_module(rng, F3 if k % 2 else F2, rng.randrange(3, 6))
-        fl = hn_cheng(M, G, M.row_degrees[0], seed=k)
+        fl = hn_cheng(M, M.row_degrees[0], seed=k)
         runs += 1
         split += len(fl.factors) > 1
     assert split >= 3

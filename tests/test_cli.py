@@ -1,6 +1,7 @@
 import functools
 import os
 import random
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -527,6 +528,34 @@ def test_cli_refuses_nonpositive_epsilon(cross_file, tmp_path, capsys):
                 "error: epsilon must be positive", (cmd, eps)
 
 
+def test_cli_tiny_epsilon_exits_3(cross_file, tmp_path, capsys,
+                                  monkeypatch):
+    """approx (both engines), scan and check at epsilon = 1/1000000 on the
+    cross fixture, 1.6e13 lattice points of its box, exit 3 with one line
+    that names the bound and the way out, before the sweep builds a row;
+    at epsilon = 1/400, 2.56 M points, the sweep goes on to its rows."""
+    t0 = time.perf_counter()
+    for argv in (["approx"], ["approx", "--engine", "cheng"], ["scan"],
+                 ["check"]):
+        assert main(["--out", str(tmp_path), argv[0], cross_file,
+                     "--epsilon", "1/1000000"] + argv[1:]) == 3, argv
+        err = _one_line_error(capsys)
+        assert len(err.splitlines()) == 1, argv
+        assert all(w in err for w in (
+            "16000000000000", str(pipeline._MAX_LATTICE_POINTS), "--epsilon",
+            "--box")), err
+    assert time.perf_counter() - t0 < 1
+
+    class Rows(Exception):
+        pass
+
+    def rows(*args):
+        raise Rows
+    monkeypatch.setattr(pipeline, "_row_columns", rows)
+    with pytest.raises(Rows):
+        approx_skyscraper(cross_module(), ScanConfig(epsilon=Fr(1, 400)))
+
+
 def test_cli_generators_not_an_integer(tmp_path, capsys):
     p = tmp_path / "gx.skypres"
     p.write_text("skypres v1\nfield 2\ngenerators x\n")
@@ -584,28 +613,13 @@ def test_cli_box_without_generator(cross_file, tmp_path, capsys):
     assert len(_one_line_error(capsys).splitlines()) == 1
 
 
-def test_cli_cheng_grid_needs_two_lines_per_axis(cross_file, tmp_path,
-                                                 capsys):
-    with pytest.raises(SystemExit) as ei:
-        main(["--out", str(tmp_path), "hn", cross_file, "--at", "0,0",
-              "--engine", "cheng", "--grid", "1,1"])
-    assert ei.value.code == 2
-    assert "--grid" in _one_line_error(capsys).splitlines()[-1]
-
-
 def test_cli_cheng_grid_must_hold_the_degrees(cross_file, tmp_path, capsys):
-    """The cross fixture's box is [0, 4]^2: a 4 x 4 grid (spacing 4/3)
-    misses its degrees at 1, 2 and 3, and the answer would not be the
-    HN filtration, so hn exits 2 with one line; the 5 x 5 grid holds
-    them and agrees with brute force."""
+    """hn --engine cheng reads the module generated at --at on a grid that
+    holds its degrees, which the engine derives itself, so its stdout is
+    brute force's."""
     out = str(tmp_path)
     assert main(["--out", out, "hn", cross_file, "--at", "0,1",
-                 "--engine", "cheng", "--grid", "4,4"]) == 2
-    err = _one_line_error(capsys)
-    assert len(err.splitlines()) == 1 and "cheng grid" in err
-    assert not os.path.exists(os.path.join(out, "hn.csv"))
-    assert main(["--out", out, "hn", cross_file, "--at", "0,1",
-                 "--engine", "cheng", "--grid", "5,5"]) == 0
+                 "--engine", "cheng"]) == 0
     cheng_out = capsys.readouterr().out
     assert main(["--out", out, "hn", cross_file, "--at", "0,1"]) == 0
     assert capsys.readouterr().out == cheng_out

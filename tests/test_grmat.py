@@ -352,11 +352,11 @@ def _minimize_reference(M):
         for j2 in range(len(cols)):
             if j2 == j or cols[j2][i] == z:
                 continue
-            c = F.mul(cols[j2][i], piv_inv)
+            c = cols[j2][i] * piv_inv % F.q
             col2 = cols[j2]
             for r in range(len(row_degs)):
                 if piv[r] != z:
-                    col2[r] = F.sub(col2[r], F.mul(c, piv[r]))
+                    col2[r] = (col2[r] - c * piv[r]) % F.q
         del cols[j]
         del col_degs[j]
         for col in cols:
@@ -407,7 +407,7 @@ def _random_presentation(rng, F):
             for j in picks:
                 deg = reference.join(deg, col_degs[j])
                 c = rng.randrange(F.q)
-                comb = [F.add(a, F.mul(c, b)) for a, b in zip(comb, cols[j])]
+                comb = [(a + c * b) % F.q for a, b in zip(comb, cols[j])]
             add(deg, comb)
         else:
             col = [0] * len(rows)
@@ -415,7 +415,7 @@ def _random_presentation(rng, F):
                 col[i] = rng.randrange(F.q)
             for _ in range(rng.randrange(1, 4) if kind == 2 else 1):
                 add(d, list(col))
-                col = [F.mul(rng.randrange(1, F.q), x) for x in col]
+                col = [rng.randrange(1, F.q) * x % F.q for x in col]
     order = list(range(len(cols)))
     rng.shuffle(order)
     return grmat.GradedMatrix(F, rows, [col_degs[j] for j in order],
@@ -507,7 +507,7 @@ def test_echelon_reduce_clears_pivots():
             r = ech.reduce(v)
             assert all(r[piv] == F.zero for piv in ech.pivots)
             assert reference.in_span(F.q, ech.basis_columns(),
-                                     [F.sub(a, b) for a, b in zip(v, r)])
+                                     [(a - b) % F.q for a, b in zip(v, r)])
 
 
 def test_graded_matrix_rejects_non_prime_fields():

@@ -217,7 +217,6 @@ def _approx_reference(M, cfg):
     xs, ys = reference.lattice_points(box, cfg.epsilon)
     store = SkyscraperStore(cfg.epsilon)
     store.work = [0] * len(blocks)
-    grids = [None] * len(blocks)
     # a block's dim at alpha is its dim at alpha's floor on its grid
     dims = [(reference.axes(b), reference.dims(b)()) for b in blocks]
     for y in ys:
@@ -229,11 +228,7 @@ def _approx_reference(M, cfg):
                 if not at.get(reference.floor_point(bx, by, alpha)):
                     continue
                 if cfg.engine == "cheng":
-                    if grids[i] is None:
-                        grids[i] = pipeline.regular_grid(
-                            block, [(a, b) for a in xs for b in ys], box)
-                    lists.append(cheng.hn_cheng(block, grids[i], alpha,
-                                                seed=cfg.seed))
+                    lists.append(cheng.hn_cheng(block, alpha, seed=cfg.seed))
                 else:
                     lists.append(hn_core.hn_filtration_at(block, alpha))
                 store.work[i] += 1
@@ -403,8 +398,7 @@ def test_interval_cells_match_every_engine():
             tree, = fiber_trees(piece, grid, reference.floor_point(
                 grid.xs, grid.ys, alpha))
             assert got == tree.factors_at(alpha), alpha
-            assert got == cheng.hn_cheng(
-                piece, pipeline.regular_grid(piece, [alpha], box), alpha)
+            assert got == cheng.hn_cheng(piece, alpha)
             n_reads += 1
             n_inside += not grid.index(alpha)[2]
             n_lattice += k >= len(probes)

@@ -632,6 +632,43 @@ def test_pipeline_prepares_a_module_in_one_place():
                        _PREPARATION) == _PREPARATION
 
 
+def _grid_builders(sources):
+    """The files of sources, {file: text}, that call Grid (_call_sites),
+    bare or as grmat.Grid, sorted."""
+    return sorted(fname for fname, text in sources.items()
+                  if _call_sites(text, ("Grid",)))
+
+
+def _parameters(source, names):
+    """{name: its parameter names} for the top-level functions of the
+    module source named in `names`."""
+    return {node.name: [a.arg for a in node.args.args]
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name in names}
+
+
+def test_cheng_picks_its_own_grid():
+    """cheng derives the grid it reads a module on from the module
+    generated at alpha (build_A_alpha, grmat.Axis.even), so nothing hands
+    it one: no module but grmat and invariants constructs a Grid, and
+    neither hn_cheng nor build_A_alpha has a grid parameter."""
+    assert _grid_builders({
+        "grmat.py": "class Grid:\n    pass\n"
+                    "def induced_grid(M):\n    return Grid(M.xs, M.ys)\n",
+        "cli.py": "def _cmd_hn(a):\n    return grmat.Grid(a.xs, a.ys)\n",
+        "cheng.py": "def f(G, Grid):\n    return G.points()\n"}) \
+        == ["cli.py", "grmat.py"]
+    assert _grid_builders(_src_sources()) == ["grmat.py", "invariants.py"]
+    names = ("hn_cheng", "build_A_alpha")
+    assert _parameters(
+        "def hn_cheng(M, G, alpha, seed=0):\n    pass\n"
+        "def build_A_alpha(M, alpha):\n    pass\n", names) == {
+            "hn_cheng": ["M", "G", "alpha", "seed"],
+            "build_A_alpha": ["M", "alpha"]}
+    assert _parameters(_src_sources()["cheng.py"], names) == {
+        "hn_cheng": ["M", "alpha", "seed"], "build_A_alpha": ["M", "alpha"]}
+
+
 def _minimize_sites(sources):
     """{file: the top-level sites that call minimize (_call_sites)} over
     sources, {file: text}, for the files that call it at all."""
