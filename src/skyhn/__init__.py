@@ -21,8 +21,7 @@ from .grmat import (GradedMatrix, Grid, direct_sum, induced_grid, kernel,
                     structure_map, submodule_presentation)
 from .invariants import (HNFactor, HNFactorList, SkyscraperStore, Staircase,
                          betti_numbers, erosion_distance, hilbert_function,
-                         integral_dim, merge_factors, skyscraper_query,
-                         slope_at)
+                         integral_dim, merge_factors, skyscraper_query)
 from .hn_core import brute_force_max_slope, hn_filtration_at
 from .cheng import MatrixSpace, ShrunkFailure, hn_cheng, shrunk_subspace_random
 from .subdivision import (ConvexRegion, SlopePoly, SubdivTree, all_max_slope,
@@ -37,7 +36,7 @@ __all__ = ["DenseMatrix", "FieldExt", "PrimeField", "ext_field_build",
            "structure_map", "submodule_presentation", "HNFactor",
            "HNFactorList", "SkyscraperStore", "Staircase", "betti_numbers",
            "erosion_distance", "hilbert_function", "integral_dim",
-           "merge_factors", "skyscraper_query", "slope_at",
+           "merge_factors", "skyscraper_query",
            "brute_force_max_slope", "hn_filtration_at", "MatrixSpace",
            "ShrunkFailure", "hn_cheng", "shrunk_subspace_random",
            "ConvexRegion", "SlopePoly", "SubdivTree", "all_max_slope",

@@ -1,69 +1,22 @@
-"""Randomized shrunk-subspace engine for HN filtrations on finite grids.
+"""Randomized shrunk-subspace engine for HN filtrations (Cheng's
+algorithm).
 
-The fiber at alpha together with the structure maps into all higher
-points of a grid defines a matrix space A_alpha; the grid is the
-coarsest evenly spaced one that holds the coordinates of the module
-generated at alpha, which the engine derives itself (build_A_alpha).
-The minimal shrunk subspace of a (p, q)-blow-up of that space is exactly
-the fiber of a member of the HN filtration, so a shrunk-subspace oracle
-yields a split-and-recurse driver.  As in Cheng's algorithm, the
-recursion works on the representation itself: every node is a
-subquotient <U2>/<U1> of the module generated at alpha, for subspaces U1
-<= U2 of the fiber, and its matrix space is read off A_alpha's structure
-maps T by reducing T.U2 modulo T.U1.  A_alpha is built once per call, no
-presentation of a filtration member is computed, and a leaf's slope and
-staircases come from the ranks of U2 and U1 on the fiber classes of
-<V_alpha>.
+- ``build_A_alpha``: the matrix space A_alpha of the structure maps out of
+  the fiber at alpha of a module generated there, on the coarsest evenly
+  spaced grid that holds its coordinates.
+- ``shrunk_subspace_random``: one draw of the minimal shrunk subspace of a
+  (p, q)-blow-up of a ``MatrixSpace`` (``BlowUp``) over an extension
+  field, certified by its Wong sequence (``WongState``), or None.
+- ``hn_cheng``: the HN filtration at alpha, split at certified shrunk
+  subspaces and recursed on subquotients of <V_alpha> (``_Subquotients``),
+  with the probe schedule of ``_split_fiber``; ``ShrunkFailure`` when every
+  retry of a probe fails.
 
-The oracle is randomized: draw a random matrix A in a blown-up space over
-an extension field, run its Wong sequence, and certify the answer when the
-limit lands inside the image of A.  The Wong image steps exploit the block
-structure of blow-ups (the whole limit has the form k^p tensor S): S is
-spanned by the basis matrices applied to a basis of the span of the
-preimage's column blocks, multiplying only their nonzero rows, which is
-all a space keeps of a basis matrix; A is sparsified beforehand by
-invertible column operations that stay inside the blow-up span.
-
-No algebra is repeated where its result is known.  The fiber submodule
-of a block whose generators all lie below alpha is the block with its
-degrees joined with alpha (grmat.fiber_submodule, no kernel).  Its fiber
-classes (hn_core.fiber_classes) are the call's one fiber model: their
-axes give A_alpha its grid, their relations one structure map per class
-(build_A_alpha), and their ranks a leaf's slope and staircases.  A's
-columns are reduced once per draw (field.ColumnReduction, one loop over the
-columns): that reduction gives rank A, and each Wong step continues it
-with the columns of W alone.
-
-Extension elements exist only as g x g blocks over the module's prime field
-(field.embed_phi), so blow-ups, Wong steps and certificates are all
-prime-field work on the vectors of field._vector_form: GF(2) bitmask ints,
-lists otherwise, which this module moves through field's primitives
-(place, slice, combine, apply a list of rows) and never reads.  A node's
-space is computed in that form: the root's structure maps are packed once
-per call, a child's T.U2 is reduced modulo T.U1 by field's apply, add and
-reduce, and only the reduced columns are unpacked, to pick the rows of
-its block.  A space packs its basis columns and rows when it is first
-drawn on (MatrixSpace.vectors), so a node that is never drawn on packs
-nothing, and a shrunk subspace leaves a draw as a list of basis vectors.
-A draw writes each random coefficient, a g x g block embedded once per
-element of the extension field (field.embed_phi's memo), straight into
-the stacked columns that _partial_reduce reduces, in the order of the
-random stream, and builds A column by column in field's vector form:
-column (j, b) of sum_k X_k (x) A_k is the sum over k and i of X_k[i][j]
-times column b of A_k placed at block i.  Its reduction, the preimages,
-the cores S and the projection onto U* stay packed; only U is unpacked,
-at the end of the draw.  The stacked coefficients stay lists, as the
-draw reads them entry by entry to weight the blocks.
-
-The search schedule of ``hn_cheng`` spends no draw that cannot certify
-a split.  The exact (rp, rq) blow-up at a node's reduced ratio alone
-decides whether the node splits or is semistable.  A node of ratio 1/rq
-draws only that probe, itself a p = 1 draw; any other node first draws
-the p = 1 ceiling probe (1, ceil(rq/rp)), far smaller, which decides
-most splits, and the exact one only when the ceiling answer is trivial
-(_split_fiber).  Each probe gets up to ``_MAX_RETRIES`` draws, and every
-draw starts over an extension of at least ``_MIN_FIELD`` elements, to
-which the retry schedule adds degrees.
+Extension elements exist only as g x g blocks over the prime field
+(field.embed_phi), so every draw, Wong step and certificate is prime-field
+work on the vectors of field._vector_form, which this module moves
+through field's primitives and never reads.  A seed gives the same answer
+every time.
 """
 
 from __future__ import annotations
@@ -299,7 +252,7 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
     g += g_extra
     rng = random.Random(seed)
     draw = rng.randrange
-    ext = ext_field_build(F.q, g) if g > 1 else None
+    ext = ext_field_build(F.q, g)
     P, Q = g * p, g * q
     # X_k is a p x q array of random extension elements as g x g blocks:
     # entry (a, b) of its block (i, j) is entry r + a = k*P + i*g + a of
@@ -308,9 +261,6 @@ def shrunk_subspace_random(space, p, seed, q=None, g_extra=0):
     for r in range(0, space.ell * P, g):
         for c in range(0, Q, g):
             x = [draw(F.q) for _ in range(g)]
-            if ext is None:
-                stack[c][r] = x[0]
-                continue
             for b, col in enumerate(zip(*embed_phi(x, ext)), c):
                 stack[b][r:r + g] = col
     # A = sum_k X_k (x) A_k: column (j, b) sums X_k[i][j] times column b

@@ -85,15 +85,27 @@ def parse_presentation(path, field=None):
         except StopIteration:
             raise ParseError(path, len(raw) + 1, "missing %s" % what)
 
+    def word_line(word, sym):
+        no, text = take(word + " line")
+        parts = text.split()
+        if len(parts) != 2 or parts[0] != word:
+            raise ParseError(path, no, "expected '%s <%s>'" % (word, sym))
+        return no, parts[1]
+
+    def degree(no, parts, shape):
+        if len(parts) != 2:
+            raise ParseError(path, no, shape)
+        try:
+            return (_fraction(parts[0]), _fraction(parts[1]))
+        except argparse.ArgumentTypeError:
+            raise ParseError(path, no, "bad rational degree")
+
     no, text = take("header")
     if text != "skypres v1":
         raise ParseError(path, no, "expected 'skypres v1' header")
-    no, text = take("field line")
-    parts = text.split()
-    if len(parts) != 2 or parts[0] != "field":
-        raise ParseError(path, no, "expected 'field <q>'")
+    no, tok = word_line("field", "q")
     try:
-        q = int(parts[1])
+        q = int(tok)
     except ValueError:
         raise ParseError(path, no, "field order is not an integer")
     try:
@@ -104,27 +116,15 @@ def parse_presentation(path, field=None):
         raise ParseError(path, no, "field %d does not match --field %d"
                          % (q, field))
 
-    no, text = take("generators line")
-    parts = text.split()
-    if len(parts) != 2 or parts[0] != "generators":
-        raise ParseError(path, no, "expected 'generators <m>'")
-    m = _count(path, no, parts[1])
+    no, tok = word_line("generators", "m")
+    m = _count(path, no, tok)
     row_degs = []
     for _ in range(m):
         no, text = take("generator degree")
-        parts = text.split()
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected '<x> <y>'")
-        try:
-            row_degs.append((_fraction(parts[0]), _fraction(parts[1])))
-        except argparse.ArgumentTypeError:
-            raise ParseError(path, no, "bad rational degree")
+        row_degs.append(degree(no, text.split(), "expected '<x> <y>'"))
 
-    no, text = take("relations line")
-    parts = text.split()
-    if len(parts) != 2 or parts[0] != "relations":
-        raise ParseError(path, no, "expected 'relations <n>'")
-    n = _count(path, no, parts[1])
+    no, tok = word_line("relations", "n")
+    n = _count(path, no, tok)
     col_degs = []
     cols = []
     for _ in range(n):
@@ -132,13 +132,7 @@ def parse_presentation(path, field=None):
         if ":" not in text:
             raise ParseError(path, no, "expected '<x> <y> : i c ...'")
         head, tail = text.split(":", 1)
-        hp = head.split()
-        if len(hp) != 2:
-            raise ParseError(path, no, "expected two degree coordinates")
-        try:
-            d = (_fraction(hp[0]), _fraction(hp[1]))
-        except argparse.ArgumentTypeError:
-            raise ParseError(path, no, "bad rational degree")
+        d = degree(no, head.split(), "expected two degree coordinates")
         tp = tail.split()
         if len(tp) % 2:
             raise ParseError(path, no, "entries must be index/value pairs")
@@ -500,8 +494,9 @@ def main(argv=None):
         # domain errors: a box without generators, --from not <= --to, ...
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except (pipeline.EngineFailure,) as exc:
-        print("engine failure: %s" % exc, file=sys.stderr)
+    except pipeline.EngineFailure as exc:
+        # its message starts with "engine failure at (x, y)"
+        print(exc, file=sys.stderr)
         return EXIT_ENGINE
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)

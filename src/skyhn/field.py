@@ -16,8 +16,8 @@ without reading them: pack, unpack, place, slice, combine,
 multiply a list of columns and apply a list of rows.  Other modules
 reach elimination through _vector_form, _Echelon (lists through insert,
 internal vectors through add; it holds its form and never branches on
-the field) and ColumnReduction (internal columns; reduce_columns and
-reduce take lists), and never read a bitmask.
+the field) and ColumnReduction (internal columns; reduce and
+kernel_combos take lists), and never read a bitmask.
 Module-level sparsity is handled upstream.
 """
 
@@ -647,17 +647,18 @@ class _Echelon:
 
 
 class ColumnReduction:
-    """reduce_columns on internal vectors, kept open for more columns.
+    """Column reduction of internal vectors, kept open for more columns.
 
     ColumnReduction(F, cols, nrows) column-reduces cols, vectors of length
-    nrows in the internal form of _vector_form(F.q), as reduce_columns
-    does their lists, and keeps `rank` and `kernel` (internal combos);
-    `basis` is read off the saved pivots on demand.  extend(more)
-    continues the elimination with further columns over the saved pivots,
-    which it leaves unchanged, so one reduction serves any number of
-    extensions.  Their tails start at zero: a combo it returns is the part
-    on `cols` of the kernel combo that reduce_columns(F, cols + more,
-    nrows) gives for the same column, and the rank it returns is that
+    nrows in the internal form of _vector_form(F.q), pivot = last nonzero
+    row, with an identity tail tracking the column operations; it keeps
+    `rank` and `kernel` (internal combos over cols, one per dependent
+    column), and `basis` is read off the saved pivots on demand.
+    extend(more) continues the elimination with further columns over the
+    saved pivots, which it leaves unchanged, so one reduction serves any
+    number of extensions.  Their tails start at zero: a combo it returns is
+    the part on `cols` of the kernel combo that the reduction of
+    cols + more gives for the same column, and the rank it returns is that
     reduction's rank.  The reduction and every extension are one call of
     the form's eliminate, one loop over their columns that lifts each
     column and eliminates it inline, so a column costs its elimination
@@ -687,24 +688,8 @@ class ColumnReduction:
         return self.rank + len(fresh), kernel
 
 
-def reduce_columns(F, cols, nrows):
-    """Column-reduce dense columns of length nrows over the prime field F
-    (left unchanged).
-
-    Returns (rank, pivot_cols, combos): the reduced columns with a fresh
-    pivot, in input order, span the column space; each dependent column
-    gives one kernel combo, a dense coefficient vector over the input
-    columns.  The pivot of a column is its last nonzero row, and an
-    identity tail tracks the column operations (see ColumnReduction).
-    """
-    form = _vector_form(F.q)
-    red = ColumnReduction(F, [form.pack(c) for c in cols], nrows)
-    return (red.rank, [form.unpack(v, nrows) for v in red.basis],
-            [form.unpack(c, red.n) for c in red.kernel])
-
-
 def kernel_combos(F, cols, nrows):
-    """The kernel combos of reduce_columns(F, cols, nrows) alone."""
+    """ColumnReduction's kernel combos of the lists cols, as lists."""
     form = _vector_form(F.q)
     n, unpack = len(cols), form.unpack
     return [unpack(c, n) for c in
@@ -712,16 +697,21 @@ def kernel_combos(F, cols, nrows):
 
 
 def reduce(M):
-    """Column-reduce a dense matrix.
+    """Column-reduce a dense matrix (left unchanged).
 
-    Returns (rank, column_basis, kernel_basis): column_basis spans the column
-    space, kernel_basis spans the right null space; rank + kernel columns =
-    cols.  See reduce_columns.
+    Returns (rank, column_basis, kernel_basis): column_basis holds the
+    reduced columns with a fresh pivot, in input order, and spans the
+    column space; kernel_basis holds one kernel combo per dependent column
+    and spans the right null space; rank + kernel columns = cols.  See
+    ColumnReduction.
     """
-    F = M.field
-    rank, basis, kernel = reduce_columns(F, M.columns(), M.rows)
-    return (rank, DenseMatrix.from_columns(basis, M.rows, F),
-            DenseMatrix.from_columns(kernel, M.cols, F))
+    F, nrows = M.field, M.rows
+    form = _vector_form(F.q)
+    red = ColumnReduction(F, [form.pack(c) for c in M.columns()], nrows)
+    return (red.rank, DenseMatrix.from_columns(
+                [form.unpack(v, nrows) for v in red.basis], nrows, F),
+            DenseMatrix.from_columns(
+                [form.unpack(c, red.n) for c in red.kernel], M.cols, F))
 
 
 def kron(X, A):

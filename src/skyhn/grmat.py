@@ -18,7 +18,7 @@ to the coordinates in use.  An epsilon-lattice is a ``Lattice``, whose
 indices are ints.  A ``Grid`` is a pair of axes.  Every other list of
 Fractions goes on one denominator once, through ``_over_lcm``.
 The echelon forms, kernels and column reductions run in field (_Echelon,
-ColumnReduction, reduce_columns, kernel_combos; grmat._Echelon is field's
+ColumnReduction, reduce, kernel_combos; grmat._Echelon is field's
 class, imported); minimize's unit-pivot cancellation is its own loop of
 modulo-q row operations on dense columns.  decompose
 holds every matrix as a list of columns in field's internal vector form

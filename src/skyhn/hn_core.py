@@ -223,10 +223,10 @@ def gaussian_line_count(q, k):
 
 
 class SlopeRecord:
-    """A maximizing subspace: its basis, a list of vectors of length t over
-    the generators at alpha (shared with _FiberClasses.stratum, so never
-    mutated), its per-class ranks, and its inverse slope (integral per
-    dimension)."""
+    """The maximal subspace of maximal slope: its basis, a list of vectors
+    of length t over the generators at alpha (shared with
+    _FiberClasses.stratum, so never mutated), its per-class ranks, and its
+    inverse slope (integral per dimension)."""
 
     def __init__(self, alpha, basis, dim, integral, ranks):
         self.alpha = alpha
@@ -241,7 +241,7 @@ class SlopeRecord:
         return 1 / self.inv_slope
 
 
-def brute_force_max_slope(M, use_filter=True, largest=False, alpha=None):
+def brute_force_max_slope(M, use_filter=True, alpha=None):
     """Exhaustive highest-slope submodule search at alpha, a point of the
     first cell of M's induced grid above its generator degree (that
     degree when None), over the subspaces of the fiber at the generator.
@@ -254,11 +254,11 @@ def brute_force_max_slope(M, use_filter=True, largest=False, alpha=None):
     ranks tuple (_FiberClasses.stratum), whose first subspace is the one a
     scan of every subspace would keep.
 
-    Ties favor smaller dimension, then the earlier echelon pattern.  With
-    largest=True they favor the larger dimension instead, which returns the
-    unique maximal subspace of maximal slope -- the first member of the HN
-    filtration (the sum of two maximal-slope submodules again has maximal
-    slope, so the maximal one is unique and contains all others).
+    Ties favor the larger dimension, then the earlier echelon pattern, so
+    the result is the unique maximal subspace of maximal slope -- the
+    first member of the HN filtration (the sum of two maximal-slope
+    submodules again has maximal slope, so the maximal one is unique and
+    contains all others).
     """
     F = M.field
     t = M.nrows
@@ -289,10 +289,9 @@ def brute_force_max_slope(M, use_filter=True, largest=False, alpha=None):
             integ = w.scaled_integral(sub[0])
             if integ <= 0:
                 raise ValueError("unbounded or empty submodule integral")
-            # k/integ > best_dim/best_int
+            # k/integ > best_dim/best_int, or equal at a larger k
             if k * best_int > best_dim * integ or (
-                    largest and k * best_int == best_dim * integ
-                    and k > best_dim):
+                    k * best_int == best_dim * integ and k > best_dim):
                 best, best_dim, best_int = sub, k, integ
 
     ranks, rows = best
@@ -329,7 +328,7 @@ def hn_filtration_of(cur, alpha, use_filter=True):
         return HNFactorList(alpha, [])
     factors = []
     while cur.nrows > 0:
-        rec = brute_force_max_slope(cur, use_filter, True, alpha)
+        rec = brute_force_max_slope(cur, use_filter, alpha)
         fc = fiber_classes(cur)
         factors.append(HNFactor(fc.staircases(rec.ranks, rec.dim, alpha),
                                 rec.slope))

@@ -1,7 +1,7 @@
-"""Betti tables, Hilbert functions, integrals, slopes, staircases, the one
-merge rule for HN factor lists (``merge_factors``, which joins equal slopes
-with ``renormalize``), the Skyscraper store with theta-queries, and
-erosion distance.
+"""Betti tables, Hilbert functions, integrals, staircases, HN factor
+lists with the one equal-slope join (``HNFactorList.joined``, through
+``renormalize``) that ``merge_factors`` and the subdivision trees share,
+the Skyscraper store with theta-queries, and erosion distance.
 
 Fractions at the API, ints below: staircases, factor lists, store keys and
 erosion brackets are exact rationals, while staircase membership
@@ -73,16 +73,6 @@ def integral_dim(bt, B):
         for g in degs:
             total += sign * (B[0] - g[0]) * (B[1] - g[1])
     return total
-
-
-def integral_of(M):
-    """Integral of dim coker M (bounded modules), via betti_numbers."""
-    bt = betti_numbers(M)
-    degs = bt.all_degrees()
-    if not degs:
-        return Fraction(0)
-    B = (max(d[0] for d in degs), max(d[1] for d in degs))
-    return integral_dim(bt, B)
 
 
 def hilbert_function(M, G):
@@ -309,6 +299,23 @@ class HNFactorList:
         self.alpha = as_degree(alpha)
         self.factors = list(factors)
 
+    @classmethod
+    def joined(cls, alpha, factors):
+        """The list at alpha of factors given in non-increasing slope
+        order, each run of equal slopes, compared on their integer ratios,
+        joined into one factor in canonical superlevel form
+        (renormalize), so the slopes strictly decrease."""
+        out, last = [], None
+        for f in factors:
+            ratio = f.slope.as_integer_ratio()
+            if ratio == last:
+                out[-1] = HNFactor(renormalize(
+                    out[-1].staircases + f.staircases, alpha), f.slope)
+            else:
+                out.append(f)
+            last = ratio
+        return cls(alpha, out)
+
     def canonical(self):
         return (self.alpha, tuple(sorted(f.key() for f in self.factors)))
 
@@ -342,8 +349,7 @@ class HNFactorList:
 def merge_factors(alpha, lists):
     """The HN filtration at alpha of a direct sum, from its summands'
     factor lists at alpha: the factors sorted by decreasing slope, those
-    of one slope joined into one factor in canonical superlevel form
-    (renormalize), so the slopes strictly decrease.  The one non-empty
+    of one slope joined into one (HNFactorList.joined).  The one non-empty
     list, where there is one, is returned as it is; none: the empty list
     at alpha."""
     alpha = as_degree(alpha)
@@ -357,24 +363,7 @@ def merge_factors(alpha, lists):
         return full[0]
     factors = [f for l in full for f in l.factors]
     factors.sort(key=lambda f: f.slope, reverse=True)
-    out = []
-    for f in factors:
-        if out and out[-1].slope == f.slope:
-            out[-1] = HNFactor(renormalize(out[-1].staircases + f.staircases,
-                                           alpha), f.slope)
-        else:
-            out.append(f)
-    return HNFactorList(alpha, out)
-
-
-def slope_at(M, alpha):
-    """Slope of the submodule generated by the full fiber at alpha:
-    dim V_alpha / integral of dim <V_alpha>."""
-    alpha = as_degree(alpha)
-    N = grmat.fiber_submodule(M, alpha)
-    if N is None:
-        raise ValueError("zero module at (%s, %s)" % alpha)
-    return Fraction(N.nrows) / integral_of(N)
+    return HNFactorList.joined(alpha, factors)
 
 
 class SkyscraperStore:

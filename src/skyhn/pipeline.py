@@ -1,62 +1,28 @@
-"""End-to-end drivers: the HN filtration at one degree, the
-epsilon-approximation of the skyscraper invariant, the exact per-cell
-subdivision store, the cache-friendly grid scan, filtered landscapes, and
-the interval-factor diagnostic.
+"""End-to-end drivers: the HN filtration at one degree (``hn_at``), the
+epsilon-approximate store (``approx_skyscraper``), the exact per-cell
+subdivision store (``exact_skyscraper``, ``ExactStore``), the grid scan
+(``parallel_grid_scan``), filtered landscapes and the interval-factor
+diagnostic.
 
-All drivers first clip the module to a bounding box by appending cap
-relations, so every integral is finite, minimize it and split it into
-connected blocks (``_clipped_blocks``).  Brute force and the exact cells
-then run on the direct summands that ``grmat.decompose`` finds in each
-block (``_Block``); the cheng engine runs on each block whole.  Both are
-kept on the module for its latest box (``_prepared``), so every driver call
-shares them; cells, stores and work counts stay per call.  Every
-presentation an engine sees is minimal by construction, as the blocks and
-pieces are: ``grmat`` minimizes only where an operation can break it.  In
-the sweeps and the exact store, a summand of one generator is an interval
-module and reaches no engine: one ``_Interval`` per summand reads it from
-its staircase, where the HN filtration at every point of the support is the
-interval above the point, at slope 1/area.  Most summands that decompose
-finds have one generator, so there the engines run on the few that have
-more.  ``hn_at`` stays the reference that the staircase reads are checked
-against: it runs brute force on every summand.
+Every driver clips the module to a box with cap relations, so every
+integral is finite, and splits it into connected blocks
+(``_clipped_blocks``), kept on the module for its latest box
+(``_prepared``); cells, stores and work counts stay per call.  Brute force
+and the exact cells run on the direct summands that ``grmat.decompose``
+finds in a block (``_Block``), cheng on the block whole.  A summand of one
+generator is an interval module, read from its staircase (``_Interval``)
+and never by an engine; ``hn_at`` runs brute force on every summand and
+is the reference for those reads.
 
-Every per-point read is a function of the point that returns an
-``HNFactorList``, empty on a zero fiber.  ``hn_at`` and
-``approx_skyscraper`` build their reads once per call, a list per
-connected block: ``hn_core.hn_filtration_at`` on each piece (``hn_at``,
-brute force), ``_cheng_read`` of each block (cheng), or, in the
-brute-force sweep, ``_Interval.factors_at`` and the HN loop on the cell
-fibers of the other pieces.  ``_merged`` calls them at each point and
-joins the factors of every read with one ``invariants.merge_factors``,
-equal slopes into one, so the answer does not depend on how the
-presentation falls into blocks.  ``approx_skyscraper`` and
-``parallel_grid_scan`` are one colexicographic sweep of the epsilon lattice
-(``_sweep``) with two per-point strategies: HN engine runs, or the lazily
-built cells of an ``ExactStore``.  The sweep visits only the support's
-lattice points: per lattice row, the columns where some read can be
-non-zero, found once per call on ints (``_row_columns``), exactly for an
-``_Interval`` and from the least generator at or below the row for any
-other piece or cheng block; every other point lies in a cell where every
-piece is zero, so it adds no work.  A module is constant on each cell of its
-induced grid, and one per-cell cache (``_Cells``) serves both: the
-brute-force sweep builds the fiber submodule of a piece of two or more
-generators once per cell, at the cell's lower corner, and reads every
-lattice point of the cell from it (``hn_core.hn_filtration_of``), as the HN
-loop memoizes its linear algebra on it; an ``ExactStore`` builds a
-summand's subdivision trees once per cell.  ``_sweep`` is the one place
-that evicts cells: it tells every cache which lattice row it enters, and
-each drops the cells of its other grid rows.  ``store.work`` counts per
-connected block.
-
-Rank queries run on ints and build no factor list: ``ExactStore.query``
-sums, over the pieces live in beta's cells, each piece's count of the
-theta-staircases at beta that hold gamma, which is the count over the
-merged filtration, since merge_factors only joins equal slopes and keeps
-their summed indicator.  An ``_Interval`` counts on the integer ratios of
-beta, gamma and theta (``_Interval.count``, with the transport it shares
-with its factors_at), a subdivision tree from its read at beta.
-``filtered_landscape`` bisects over integer reaches, every point over one
-denominator per evaluation point.
+A per-point read is a function of the point that returns an
+``HNFactorList``, empty on a zero fiber, and ``_merged`` joins the reads
+of all blocks with one ``invariants.merge_factors``, so the answer does
+not depend on how the presentation falls into blocks.
+``approx_skyscraper`` and ``parallel_grid_scan`` are one sweep of the
+epsilon lattice (``_sweep``) over the support's lattice points
+(``_row_columns``), with engine runs or an ``ExactStore``'s cells per
+point; one per-cell cache (``_Cells``) serves both, and only ``_sweep``
+evicts cells.  ``store.work`` counts per connected block.
 """
 
 from __future__ import annotations

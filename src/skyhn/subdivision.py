@@ -13,12 +13,13 @@ point's denominators against integer half-plane coefficients, each slope
 is one Fraction of the polynomial evaluated on the offset's numerators
 and denominators, and staircases are transported on integer comparisons
 (``invariants.staircase_at``) and joined on a wall by
-``invariants.renormalize``.  The half-planes, the polynomial coefficients
-and the vertices of the area test are put on ints by ``grmat._over_lcm``:
-a region's half-planes once, at its first point location, and a
-polynomial's coefficients at each read, since the envelope builds far more
-polynomials than a sweep reads.  Each face's staircases come from the
-class ranks its candidate subspace was enumerated with.
+``invariants.HNFactorList.joined``.  The half-planes, the polynomial
+coefficients and the vertices of the area are put on ints by
+``grmat._over_lcm``: a region's half-planes once, at its first point
+location, and a polynomial's coefficients at each read, since the
+envelope builds far more polynomials than a sweep reads.  Each face's
+staircases come from the class ranks its candidate subspace was
+enumerated with.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from . import grmat, invariants
+from . import grmat
 from .grmat import as_degree
 from .hn_core import fiber_classes
 from .invariants import HNFactor, HNFactorList, staircase_at
@@ -109,28 +110,25 @@ class ConvexRegion:
             dedup.pop()
         return ConvexRegion(dedup, self.halfplanes + [(a, b, c)])
 
-    def area(self):
-        vs = self.vertices
-        n = len(vs)
-        if n < 3:
-            return Fraction(0)
-        tot = Fraction(0)
-        for i in range(n):
-            x0, y0 = vs[i]
-            x1, y1 = vs[(i + 1) % n]
-            tot += x0 * y1 - x1 * y0
-        return tot / 2
-
-    def has_area(self):
-        """area() > 0, decided on integers: the shoelace sum of the
-        vertices scaled to one common denominator."""
+    def _shoelace(self):
+        """(D, S): the area is S / (2 D^2), S the shoelace sum of the
+        vertices scaled to their common denominator D; (1, 0) below three
+        vertices."""
         vs = self.vertices
         if len(vs) < 3:
-            return False
-        _, ints = grmat._over_lcm([c for v in vs for c in v])
+            return 1, 0
+        D, ints = grmat._over_lcm([c for v in vs for c in v])
         pts = list(zip(ints[0::2], ints[1::2]))
-        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
-                   in zip(pts, pts[1:] + pts[:1])) > 0
+        return D, sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                      in zip(pts, pts[1:] + pts[:1]))
+
+    def area(self):
+        D, S = self._shoelace()
+        return Fraction(S, 2 * D * D)
+
+    def has_area(self):
+        """area() > 0, decided on integers."""
+        return self._shoelace()[1] > 0
 
     def contains(self, point):
         """Closed membership; half-open tiling semantics are realized by
@@ -314,21 +312,11 @@ class SubdivTree:
         n1 = bx.numerator * ax.denominator - ax.numerator * bx.denominator
         d2 = by.denominator * ay.denominator
         n2 = by.numerator * ay.denominator - ay.numerator * by.denominator
-        factors = []
-        for node in self.path(beta):
-            stairs = [staircase_at(s, beta) for s in node.staircases]
-            slope = node.poly.slope_at(n1, d1, n2, d2)
-            # Fractions are normalized: equal exactly when their ratios are
-            if (factors and factors[-1].slope.as_integer_ratio()
-                    == slope.as_integer_ratio()):
-                # on a wall consecutive steps share a slope: one factor,
-                # joined as invariants.merge_factors joins one slope
-                merged = invariants.renormalize(
-                    factors[-1].staircases + stairs, beta)
-                factors[-1] = HNFactor(merged, slope)
-            else:
-                factors.append(HNFactor(stairs, slope))
-        return HNFactorList(beta, factors)
+        # on a wall consecutive steps share a slope: one factor
+        return HNFactorList.joined(beta, [
+            HNFactor([staircase_at(s, beta) for s in node.staircases],
+                     node.poly.slope_at(n1, d1, n2, d2))
+            for node in self.path(beta)])
 
 
 def _build(cur, region, alpha, parent):

@@ -3,9 +3,10 @@
 Every function computes on plain ints mod q and on Fractions read off
 public fields (a presentation's field.q, row_degrees, col_degrees and
 columns; a store's epsilon and entries; a staircase's gen and rels; a
-region's halfplanes), and builds only public value types.  So it shares no
-code with what it checks, and a fault in skyhn's elimination, fiber
-classes, axes or rank comparisons cannot hide on both sides of a test.
+region's halfplanes and vertices), and builds only public value types.
+So it shares no code with what it checks, and a fault in skyhn's
+elimination, fiber classes, axes or rank comparisons cannot hide on both
+sides of a test.
 """
 
 import bisect
@@ -249,17 +250,17 @@ def integral(M):
                          Fraction(0))
 
 
-def max_slope(M, largest):
+def max_slope(M):
     """The first subspace of the fiber of M (generated at one degree) of
-    greatest slope dim/integral, ties to the smaller dim (the larger with
-    largest): (rows, dim, integral)."""
+    greatest slope dim/integral, ties to the larger dim: (rows, dim,
+    integral)."""
     best, at, area = None, dims(M), integral(M)
     for k in range(1, M.nrows + 1):
         for rows in subspaces(M.field.q, M.nrows, k):
             integ = area(at(rows))
             mu = Fraction(k) / integ
             if best is None or mu > best[3] or (
-                    largest and mu == best[3] and k > best[1]):
+                    mu == best[3] and k > best[1]):
                 best = (rows, k, integ, mu)
     return best[:3]
 
@@ -321,6 +322,13 @@ def transport(S, beta):
 def region_holds(region, point):
     x, y = Fraction(point[0]), Fraction(point[1])
     return all(a * x + b * y <= c for a, b, c in region.halfplanes)
+
+
+def region_area(region):
+    """The shoelace area of the region's vertices, on Fractions."""
+    vs = region.vertices
+    return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                in zip(vs, vs[1:] + vs[:1])), Fraction(0)) / 2
 
 
 # Stores: query, erosion and landscape.

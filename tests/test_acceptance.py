@@ -68,7 +68,7 @@ def test_acceptance_1():
 @criterion(2, "semistability: whole space slope 2/9, every line 1/5")
 def test_acceptance_2():
     M = stable_module()
-    rec = hn_core.brute_force_max_slope(M, largest=True)
+    rec = hn_core.brute_force_max_slope(M)
     assert rec.dim == 2 and rec.slope == Fr(2, 9)
     fc = hn_core.fiber_classes(M)
     for rows in hn_core.subspaces_of_dim(F2, 2, 1):

@@ -468,8 +468,8 @@ def test_cli_messages_write_degrees_as_rationals(cross_file, tmp_path,
         (["--box", "1/2,0,4,4", "hn", cross_file, "--at", "1,1"], 2,
          "error: generator 0 at (0, 0) outside the box"),
         (["hn", str(stable), "--at", "0,0", "--engine", "cheng"], 3,
-         "engine failure: engine failure at (0, 0): no certified shrunk "
-         "subspace at (0, 0) after 8 attempts"),
+         "engine failure at (0, 0): no certified shrunk subspace at "
+         "(0, 0) after 8 attempts"),
     ]
     monkeypatch.setattr(cheng, "shrunk_subspace_random",
                         lambda *a, **k: None)
@@ -477,6 +477,7 @@ def test_cli_messages_write_degrees_as_rationals(cross_file, tmp_path,
         assert main(["--out", str(tmp_path)] + argv) == code, msg
         err = _one_line_error(capsys)
         assert msg in err
+        assert err.count("engine failure") == (code == 3), err
         assert not [line for line in err.splitlines() if "Fraction(" in line]
 
 
@@ -541,6 +542,7 @@ def test_cli_tiny_epsilon_exits_3(cross_file, tmp_path, capsys,
                      "--epsilon", "1/1000000"] + argv[1:]) == 3, argv
         err = _one_line_error(capsys)
         assert len(err.splitlines()) == 1, argv
+        assert err.count("engine failure") == 1, err
         assert all(w in err for w in (
             "16000000000000", str(pipeline._MAX_LATTICE_POINTS), "--epsilon",
             "--box")), err

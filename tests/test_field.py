@@ -122,6 +122,12 @@ def test_ext_field_build_f9():
 
 
 def test_embed_phi_is_multiplicative():
+    # degree 1: phi(x) is the 1 x 1 block of x itself, so a draw over the
+    # base field goes through the extension path unchanged
+    for q in (5, 7):
+        E = ext_field_build(q, 1)
+        for x in range(q):
+            assert embed_phi([x], E) == [[x]]
     for q, g in ((2, 3), (3, 2), (5, 2), (2, 1)):
         E = ext_field_build(q, g)
         els = _ext_elements(E)
@@ -196,13 +202,13 @@ def test_dense_algebra_matches_definitions():
 
 
 # ---------------------------------------------------------------------------
-# reduce / reduce_columns against the elimination they replaced
+# reduce and ColumnReduction against the elimination they replaced
 
 def test_column_reduction_extend_matches_whole_reduction():
     """ColumnReduction(cols).extend(more), any number of times, on the
-    internal vectors of _vector_form, gives the rank of
-    reduce_columns(cols + more) on their lists and the parts on cols of
-    its kernel combos for the columns of more."""
+    internal vectors of _vector_form, gives the rank of the reference
+    reduction of cols + more on their lists and the parts on cols of its
+    kernel combos for the columns of more."""
     rng = random.Random(59)
     for F in [F2, F3, F5]:
         form = fieldmod._vector_form(F.q)
@@ -282,13 +288,13 @@ def test_reduce_columns_matches_reference():
         nrows, ncols = rng.randrange(*rr), rng.randrange(*cr)
         cols = _with_dependent(
             rng, F, _random_columns(rng, F, nrows, ncols), extra)
-        snapshot = [list(c) for c in cols]
-        got = fieldmod.reduce(DenseMatrix.from_columns(cols, nrows, F))
-        r, basis, kernel = want = reference.reduce_columns(F.q, cols)
+        M = DenseMatrix.from_columns(cols, nrows, F)
+        snapshot = [list(row) for row in M.data]
+        got = fieldmod.reduce(M)
+        r, basis, kernel = reference.reduce_columns(F.q, cols)
         assert got == (r, DenseMatrix.from_columns(basis, nrows, F),
                        DenseMatrix.from_columns(kernel, len(cols), F))
-        assert fieldmod.reduce_columns(F, cols, nrows) == want
-        assert cols == snapshot            # inputs are left unchanged
+        assert M.data == snapshot          # the input is left unchanged
 
 
 def test_times_matches_list_product():

@@ -46,7 +46,7 @@ def test_gaussian_line_count():
 
 
 def test_stable_whole_space_semistable(stable):
-    rec = brute_force_max_slope(stable, largest=True)
+    rec = brute_force_max_slope(stable)
     assert rec.dim == 2
     assert rec.inv_slope == Fr(9, 2)
     assert rec.slope == Fr(2, 9)
@@ -59,8 +59,8 @@ def test_stable_lines_all_slope_one_fifth(stable):
 
 
 def test_smallest_dim_tie_break_default(stable):
-    # without the largest flag ties resolve to lower dimension when the
-    # slopes coincide; STABLE has no tie (2/9 > 1/5) so both agree
+    # STABLE has no tie (2/9 > 1/5): the whole space is the unique
+    # subspace of maximal slope
     rec = brute_force_max_slope(stable)
     assert rec.dim == 2
 
@@ -70,8 +70,7 @@ def test_largest_flag_picks_maximal_on_tie():
     M = gm(F2, [(0, 0), (0, 0)],
            [((2, 0), [(0, 1)]), ((0, 2), [(0, 1)]),
             ((2, 0), [(1, 1)]), ((0, 2), [(1, 1)])])
-    assert brute_force_max_slope(M).dim == 1
-    assert brute_force_max_slope(M, largest=True).dim == 2
+    assert brute_force_max_slope(M).dim == 2
 
 
 def test_hn_filtration_cross(cross):
@@ -155,12 +154,11 @@ def test_integer_scoring_matches_fraction_reference():
                 integ = class_integral(fc, iv)
                 assert type(integ) is Fr
                 assert integ == area(dims)
-        for largest in (False, True):
-            rec = brute_force_max_slope(M, largest=largest)
-            rows, dim, integ = reference.max_slope(M, largest)
-            assert rec.basis == rows
-            assert (rec.dim, rec.integral) == (dim, integ)
-            assert type(rec.integral) is Fr
+        rec = brute_force_max_slope(M)
+        rows, dim, integ = reference.max_slope(M)
+        assert rec.basis == rows
+        assert (rec.dim, rec.integral) == (dim, integ)
+        assert type(rec.integral) is Fr
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +317,11 @@ def test_first_cell_points_read_the_joined_presentation():
                     assert fc.staircases(ranks, k, alpha) == \
                         reference.superlevel_staircases(
                             ref.xs, ref.ys, ref.rank_dims(ranks), alpha, k)
-            for largest in (False, True):
-                got = brute_force_max_slope(M, largest=largest, alpha=alpha)
-                want = brute_force_max_slope(J, largest=largest)
-                assert got.alpha == alpha
-                assert (got.basis, got.dim, got.integral) == \
-                    (want.basis, want.dim, want.integral), (trial, alpha)
+            got = brute_force_max_slope(M, alpha=alpha)
+            want = brute_force_max_slope(J)
+            assert got.alpha == alpha
+            assert (got.basis, got.dim, got.integral) == \
+                (want.basis, want.dim, want.integral), (trial, alpha)
             assert hn_core.hn_filtration_of(M, alpha) == \
                 hn_core.hn_filtration_of(J, alpha), (trial, alpha)
             n_off += alpha != M.row_degrees[0]

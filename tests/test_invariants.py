@@ -9,10 +9,10 @@ from skyhn import grmat, invariants
 from skyhn.grmat import Grid, induced_grid
 from skyhn.invariants import (HNFactor, HNFactorList, SkyscraperStore,
                               Staircase, betti_numbers, hilbert_function,
-                              integral_dim, integral_of, merge_factors,
-                              skyscraper_query, slope_at, staircase_contains,
-                              staircases_from_dims)
+                              integral_dim, merge_factors, skyscraper_query,
+                              staircase_contains, staircases_from_dims)
 from skyhn.pipeline import ScanConfig, approx_skyscraper, exact_skyscraper
+from skyhn.subdivision import slope_polynomial
 
 from conftest import (F2, F3, count_fraction_comparisons, cross_module,
                       random_bounded_module, rescaled)
@@ -118,11 +118,20 @@ def test_hilbert_function(cross):
 
 
 def test_slope_at(cross):
-    assert slope_at(cross, (Fr(0), Fr(1))) == Fr(2, 5)
+    """The slope of <V_alpha> at alpha = (0, 1) is 1 over its inverse-slope
+    polynomial's constant term: dim 2 over integral 5."""
+    N = grmat.fiber_submodule(cross, (Fr(0), Fr(1)))
+    assert 1 / slope_polynomial(N).c0 == Fr(2, 5)
 
 
 def test_integral_of_matches_area(cross):
-    assert integral_of(cross) == 6
+    """The Betti-number integral at the least bound above every Betti
+    degree equals the cell-area sum of the dims."""
+    bt = betti_numbers(cross)
+    degs = bt.all_degrees()
+    B = (max(d[0] for d in degs), max(d[1] for d in degs))
+    assert integral_dim(bt, B) == 6 == \
+        reference.integral(cross)(reference.dims(cross)())
 
 
 def _cross_store():

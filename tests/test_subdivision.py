@@ -98,8 +98,9 @@ def test_region_clip_and_area():
 
 
 def test_region_has_area_matches_area():
-    """has_area decides area() > 0 on integers, also for regions clipped
-    to a segment, a point or nothing, and for degenerate rectangles."""
+    """area() is the Fraction shoelace area and has_area decides area() > 0
+    on integers, also for regions clipped to a segment, a point or
+    nothing, and for degenerate rectangles."""
     rng = random.Random(14)
     for _ in range(300):
         x0, y0 = Fr(rng.randrange(-6, 6), rng.randrange(1, 4)), \
@@ -109,7 +110,8 @@ def test_region_has_area_matches_area():
         for _ in range(rng.randrange(0, 4)):
             R = R.clip(rng.randrange(-2, 3), rng.randrange(-2, 3),
                        Fr(rng.randrange(-9, 9), rng.randrange(1, 5)))
-        assert R.has_area() == (R.area() > 0)
+        assert R.area() == reference.region_area(R)
+        assert R.has_area() == (reference.region_area(R) > 0)
 
 
 def lower_envelope(polys, cell):
