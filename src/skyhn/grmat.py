@@ -340,8 +340,6 @@ def kernel(M):
     """
     F = M.field
     n = M.ncols
-    if n == 0:
-        return GradedMatrix(F, [], [], [])
     ax, ay, rk = _rank_degrees(M.col_degrees)
     dense_cols = [M.dense_column(j) for j in range(n)]
     gens = []   # (rank pair, dense coefficient vector over ncols)

@@ -7,9 +7,9 @@ Fractions at the API, ints below: staircases, factor lists, store keys and
 erosion brackets are exact rationals, while staircase membership
 (``staircase_contains``) and transport to a higher generator
 (``staircase_at``) compare cross-multiplied ints, superlevel staircases
-are swept over grid indices (``grid_staircases``), equal-slope factors are
-joined by a threshold merge of their relations on ints (``renormalize``)
-and erosion_distance tests staircase membership on an integer lattice.
+are swept over grid indices (``grid_staircases``) and equal-slope factors
+are joined by a threshold merge of their relations on ints
+(``renormalize``).
 A store keys its entries by their integer ratios inside, and hands out
 Fractions at ``keys``, ``locate`` and ``entries``.  At shift 0,
 erosion_distance compares the staircases the two stores locate at each
@@ -19,7 +19,6 @@ probe point, and visits the probe pairs only where they differ somewhere.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import operator
 import types
@@ -470,22 +469,13 @@ def erosion_distance(r, s, theta, probe_grid):
     """Bracket the erosion distance between two stores at a fixed theta.
 
     Checks both one-sided conditions s(a-e, b+e) <= r(a, b) and
-    r(a-e, b+e) <= s(a, b) at all probe pairs a <= b, over shifts e that are
-    multiples of the probe spacing.  Returns (lower, upper); the resolution
-    is the probe spacing.  Each distinct query is evaluated once: every
-    store locates a shifted probe point at most once per shift, the
-    unshifted counts r(a, b) and s(a, b) are shared by all shifts, and at
-    e = 0 the two conditions reduce to r(a, b) == s(a, b), which holds at
-    every pair, with no pair visited, where both stores locate the same
-    theta-staircases at every probe point.  What only the pair loop and
-    the shifts read is built at their first read: the probe pairs, and per
-    shift e > 0 the shifted probe points.
-
-    Below the store lookups everything is an int: the probe points, their
-    spacing and the shifts lie on the lattice (1/D)Z^2, D the lcm of the
-    probe coordinates' denominators, so b + e is tested against each
-    located staircase with every degree g replaced by ceil(g*D), which is
-    <= an integer B exactly when g <= B/D.
+    r(a-e, b+e) <= s(a, b) at all probe pairs a <= b, over shifts e that
+    are multiples of the probe spacing h, the least gap between two probe
+    coordinates (1 without one), up to the coordinates' span plus 2h.
+    Returns (lower, upper), lower = upper = 0 where e = 0 holds and
+    upper = inf where no shift does; the resolution is h.  Each store
+    locates each probe point at most once per shift, and the pair loop
+    compares no Fractions.
     """
     xs, ys = probe_grid.xs, probe_grid.ys
     D, ints = grmat._over_lcm(xs + ys)
@@ -497,85 +487,40 @@ def erosion_distance(r, s, theta, probe_grid):
     pts = list(probe_grid.points())
     idx = [(ix, iy) for iy in range(len(ys)) for ix in range(len(xs))]
 
-    @functools.lru_cache(maxsize=None)
-    def pairs():
-        return [(i, j) for i, (ai, bi) in enumerate(idx)
-                for j, (aj, bj) in enumerate(idx) if ai <= aj and bi <= bj]
+    seen = {}   # (k, n, i) -> theta-staircases of store n at pts[i] - k*h
 
-    scaled = {}     # id(entry) -> its theta staircases on the 1/D lattice
-    stores = (r, s)
-
-    def stairs_at(entry):
-        return theta_staircases(entry.factors, theta) if entry else []
-
-    def lattice_stairs(entry):
-        out = scaled.get(id(entry))
-        if out is None:
-            out = scaled[id(entry)] = [
-                (_ceil_scaled(S.gen[0], D), _ceil_scaled(S.gen[1], D),
-                 [_ceil_scaled(x, D) for x, _ in S.rels],
-                 [_ceil_scaled(y, D) for _, y in S.rels])
-                for S in stairs_at(entry)]
-        return out
-
-    @functools.lru_cache(maxsize=None)
-    def located(n, i):
-        """The entry of stores[n] at pts[i], unshifted."""
-        return stores[n].locate(pts[i])
-
-    def counter(k):
-        """count(n, i, j) = query of stores[n] at (pts[i] - e, pts[j] + e)
-        for e = k*h, locating each shifted point of each store once; at
-        k = 0 the unshifted entries (located)."""
-        if k:
-            e = k * h
-            lo = [(x - e, y - e) for x, y in pts]
-        E = k * H
-        hi = [(X[ix] + E, Y[iy] + E) for ix, iy in idx]
-
-        @functools.lru_cache(maxsize=None)
-        def stairs(n, i):
-            return lattice_stairs(stores[n].locate(lo[i]) if k
-                                  else located(n, i))
-
-        def count(n, i, j):
-            bx, by = hi[j]
-            c = 0
-            for gx, gy, rxs, rys in stairs(n, i):
-                if gx <= bx and gy <= by:
-                    p = bisect.bisect_right(rxs, bx)
-                    if not p or rys[p - 1] > by:
-                        c += 1
-            return c
-        return count
-
-    base = functools.lru_cache(maxsize=None)(counter(0))   # r(a,b), s(a,b)
+    def stairs_at(k, n, i):
+        got = seen.get((k, n, i))
+        if got is None:
+            x, y = pts[i]
+            entry = (r, s)[n].locate((x - k * h, y - k * h) if k else pts[i])
+            got = seen[k, n, i] = (theta_staircases(entry.factors, theta)
+                                   if entry else [])
+        return got
 
     def holds(k):
-        if not k:
-            # equal staircases at every probe point a give r(a, b) ==
-            # s(a, b) at every pair; they are compared as they are, and
-            # scaled to the lattice only when the pairs must be visited
-            return (all(stairs_at(located(0, i)) == stairs_at(located(1, i))
-                        for i in range(len(pts)))
-                    or all(base(1, i, j) == base(0, i, j)
-                           for i, j in pairs()))
-        count = counter(k)
-        for i, j in pairs():
-            if count(1, i, j) > base(0, i, j):
-                return False
-            if count(0, i, j) > base(1, i, j):
-                return False
-        return True
+        # at e = 0 the conditions read r(a, b) == s(a, b), which equal
+        # staircases at every probe point a give at every pair
+        if not k and all(stairs_at(0, 0, i) == stairs_at(0, 1, i)
+                         for i in range(len(pts))):
+            return True
+        E = k * H
+        hi = [(Fraction(X[ix] + E, D), Fraction(Y[iy] + E, D))
+              for ix, iy in idx]
+        return not any(
+            count_containing(stairs_at(k, n, i), hi[j])
+            > count_containing(stairs_at(0, 1 - n, i), pts[j])
+            for i, (ix, iy) in enumerate(idx)
+            for j, (jx, jy) in enumerate(idx) if ix <= jx and iy <= jy
+            for n in (1, 0))
 
-    span = max(X[-1] - X[0], Y[-1] - Y[0]) if pts else 0
-    kmax = span // H + 2
     if holds(0):
         return (Fraction(0), Fraction(0))
     # binary search the smallest multiple of h that works
-    lo_k, hi_k = 0, kmax
+    kmax = max(X[-1] - X[0], Y[-1] - Y[0]) // H + 2
     if not holds(kmax):
         return (kmax * h, POS_INF)
+    lo_k, hi_k = 0, kmax
     while hi_k - lo_k > 1:
         mid = (lo_k + hi_k) // 2
         if holds(mid):
@@ -583,8 +528,3 @@ def erosion_distance(r, s, theta, probe_grid):
         else:
             lo_k = mid
     return (lo_k * h, hi_k * h)
-
-
-def _ceil_scaled(c, D):
-    """ceil(c * D) for a Fraction c and a positive int D."""
-    return -(-c.numerator * D // c.denominator)

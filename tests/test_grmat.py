@@ -456,6 +456,11 @@ def test_kernel_and_minimize_match_reference():
             N = grmat.submodule_presentation(B, S)
             assert grmat.minimize(N) == _minimize_reference(N)
     assert seen_pruned > 60
+    # generators and no relations: the kernel is the empty matrix
+    for F in fields:
+        M = grmat.GradedMatrix(F, [(Fr(0), Fr(1)), (Fr(1, 2), Fr(0))], [], [])
+        assert grmat.kernel(M) == _kernel_reference(M) == \
+            grmat.GradedMatrix(F, [], [], [])
 
 
 def test_echelon_matches_reference(monkeypatch):

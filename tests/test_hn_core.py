@@ -58,14 +58,14 @@ def test_stable_lines_all_slope_one_fifth(stable):
         assert class_integral(fc, fc.to_internal(rows)) == 5
 
 
-def test_smallest_dim_tie_break_default(stable):
+def test_no_tie_whole_space_is_maximal(stable):
     # STABLE has no tie (2/9 > 1/5): the whole space is the unique
     # subspace of maximal slope
     rec = brute_force_max_slope(stable)
     assert rec.dim == 2
 
 
-def test_largest_flag_picks_maximal_on_tie():
+def test_ties_go_to_the_maximal_subspace():
     # two copies of one interval: every subspace has the same slope
     M = gm(F2, [(0, 0), (0, 0)],
            [((2, 0), [(0, 1)]), ((0, 2), [(0, 1)]),

@@ -589,15 +589,16 @@ def test_erosion_distance_matches_reference():
     assert any(0 < lo and hi < grmat.POS_INF for lo, hi in results)
 
 
-def test_erosion_scales_staircases_only_for_the_pair_loop(monkeypatch):
+def test_erosion_visits_pairs_only_where_staircases_differ(monkeypatch):
     """At shift 0 erosion_distance compares the located theta-staircases
-    as they are: equal stores scale no staircase to the lattice, and a
-    store that differs at one probe point scales its staircases for the
-    pair loop, with the reference's answer either way."""
-    scaled = []
-    ceil_scaled = invariants._ceil_scaled
-    monkeypatch.setattr(invariants, "_ceil_scaled",
-                        lambda c, D: scaled.append(c) or ceil_scaled(c, D))
+    as they are: equal stores visit no probe pair, and a store that
+    differs at one probe point counts staircases in the pair loop, with
+    the reference's answer either way."""
+    counted = []
+    count_containing = invariants.count_containing
+    monkeypatch.setattr(invariants, "count_containing",
+                        lambda st, b: counted.append(b) or
+                        count_containing(st, b))
     rng = random.Random(4712)
     runs = 0
     for trial in range(6):
@@ -608,11 +609,11 @@ def test_erosion_scales_staircases_only_for_the_pair_loop(monkeypatch):
             continue
         snap = exact_skyscraper(M).snapshot(sa.keys(), Fr(1))
         G = _key_grid(sa)
-        del scaled[:]
+        del counted[:]
         assert _assert_same_erosion(sa, snap, Fr(0), G) == (0, 0)
-        assert scaled == []
+        assert counted == []
         _assert_same_erosion(sa, _moved(snap, rng), Fr(0), G)
-        assert scaled
+        assert counted
         runs += 1
     assert runs >= 3
 
@@ -627,10 +628,11 @@ def _uneven_grid(G, rng):
 
 
 def test_erosion_distance_matches_reference_off_integers():
-    """The integer-lattice erosion against the Fraction reference on
-    rescaled modules (negative degrees over denominators 2 and 3), lattice
-    spacings 1/3 and 2/3 and unevenly spaced probe grids over further
-    denominators, so that the 1/D scaling is exercised."""
+    """erosion_distance against the Fraction reference on rescaled
+    modules (negative degrees over denominators 2 and 3), lattice spacings
+    1/3 and 2/3 and unevenly spaced probe grids over further denominators,
+    so that spacings, shifts and shifted probe points off the integers are
+    exercised."""
     rng = random.Random(4712)
     results = []
     for trial in range(8):
