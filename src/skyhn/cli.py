@@ -11,8 +11,10 @@ Presentation files use the line-oriented "skypres v1" format::
     1 0 : 0 1
     0/1 3 : 0 1
 
-Degrees are decimals or p/q rationals, parsed exactly.  '#' starts a
-comment.  Stores and landscapes are emitted as sorted CSV.
+Degrees are decimals or p/q rationals, parsed exactly; a decimal
+exponent above _MAX_EXPONENT = 4300 in absolute value, whose power of ten
+alone would take seconds to build, is refused like any bad rational.  '#'
+starts a comment.  Stores and landscapes are emitted as sorted CSV.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ EXIT_PARSE = 2
 EXIT_ENGINE = 3
 EXIT_CHECK = 4
 
+_MAX_EXPONENT = 4300
+_MAX_RESOLUTION = 128   # landscape's work grows as the resolution cubed
+
 
 class ParseError(ValueError):
     def __init__(self, path, lineno, msg):
@@ -47,10 +52,13 @@ class ParseError(ValueError):
 
 
 def _fraction(tok):
-    """Fraction(tok) of "3", "1.5" or "3/2", exactly.  A malformed token or
-    a zero denominator raises ArgumentTypeError, which argparse reports as
-    a one-line usage error."""
+    """Fraction(tok) of "3", "1.5", "3/2" or "1e-3", exactly.  A malformed
+    token, a zero denominator or an exponent above _MAX_EXPONENT raises
+    ArgumentTypeError, which argparse reports as a one-line usage error."""
     try:
+        _, e, exp = tok.lower().partition("e")
+        if e and abs(int(exp)) > _MAX_EXPONENT:
+            raise ValueError
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("bad rational %r" % tok)
@@ -202,16 +210,17 @@ def parse_store(path, epsilon=None):
                 raise ParseError(path, r.line_num, "expected %d fields, got %d"
                                  % (len(STORE_FIELDS), len(row)))
             try:
-                ax, ay, j = Fraction(row[0]), Fraction(row[1]), int(row[2])
+                ax, ay, j = _fraction(row[0]), _fraction(row[1]), int(row[2])
                 slope = Fraction(int(row[3]), int(row[4]))
-                gen = (Fraction(row[5]), Fraction(row[6]))
+                gen = (_fraction(row[5]), _fraction(row[6]))
                 rels = []
                 if row[7]:
                     for tok in row[7].split(";"):
                         x, y = tok.split(":")
-                        rels.append((Fraction(x), Fraction(y)))
+                        rels.append((_fraction(x), _fraction(y)))
                 stair = Staircase(gen, rels)
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError,
+                    argparse.ArgumentTypeError) as exc:
                 raise ParseError(path, r.line_num, "bad store row: %s" % exc)
             groups.setdefault((ax, ay), {}).setdefault(
                 (j, slope), []).append(stair)
@@ -261,8 +270,9 @@ def _k_list(text):
 
 
 def _resolution(text):
-    if not text.isdigit() or int(text) < 2:
-        raise argparse.ArgumentTypeError("expected an integer >= 2")
+    if not text.isdigit() or not 2 <= int(text) <= _MAX_RESOLUTION:
+        raise argparse.ArgumentTypeError("expected an integer from 2 to %d"
+                                         % _MAX_RESOLUTION)
     return int(text)
 
 
@@ -311,7 +321,7 @@ def build_parser():
     p.add_argument("--theta", type=_frac_list, default=(Fraction(0),))
     p.add_argument("--resolution", type=_resolution, default=8,
                    help="evaluation points per axis and bisection steps, "
-                   ">= 2")
+                   "2 to %d" % _MAX_RESOLUTION)
     p.add_argument("--anchor", choices=["center", "source"],
                    default="center")
 
@@ -321,44 +331,31 @@ def build_parser():
     return ap
 
 
-def _load(args):
-    return parse_presentation(args.input, args.field)
-
-
-def _box(args, M):
-    return args.box or pipeline.bounding_box(M)
-
-
 def _store_path(args, name):
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
 
 
-def _cmd_hn(args):
-    M = _load(args)
+def _cmd_hn(args, M, box):
     fl = pipeline.hn_at(M, args.at, engine=args.engine, seed=args.seed,
-                        box=_box(args, M))
+                        box=box)
     store = SkyscraperStore()
     store.insert(fl)
     emit_store(store, _store_path(args, "hn.csv"))
     for j, f in enumerate(fl.factors):
         print("factor %d slope %s dim %d" % (j, f.slope, len(f.staircases)))
-    return EXIT_OK
 
 
-def _cmd_approx(args):
-    M = _load(args)
+def _cmd_approx(args, M, box):
     cfg = pipeline.ScanConfig(epsilon=args.epsilon, engine=args.engine,
-                              seed=args.seed, box=args.box)
+                              seed=args.seed, box=box)
     store = pipeline.approx_skyscraper(M, cfg)
     emit_store(store, _store_path(args, "store.csv"))
     print("entries %d" % len(store))
-    return EXIT_OK
 
 
-def _cmd_exact(args):
-    M = _load(args)
-    ex = pipeline.exact_skyscraper(M, box=args.box)
+def _cmd_exact(args, M, box):
+    ex = pipeline.exact_skyscraper(M, box, eager=False)
     # the grid points of the decompose pieces, where a filtration changes:
     # a presentation that hides a direct sum in one block gets no more
     keys = sorted({p for piece in ex.pieces
@@ -366,29 +363,22 @@ def _cmd_exact(args):
     snap = ex.snapshot(keys)
     emit_store(snap, _store_path(args, "exact.csv"))
     print("entries %d" % len(snap))
-    return EXIT_OK
 
 
-def _cmd_scan(args):
-    M = _load(args)
-    cfg = pipeline.ScanConfig(epsilon=args.epsilon, box=args.box)
+def _cmd_scan(args, M, box):
+    cfg = pipeline.ScanConfig(epsilon=args.epsilon, box=box)
     store = pipeline.parallel_grid_scan(M, cfg)
     emit_store(store, _store_path(args, "scan.csv"))
     print("entries %d work %s" % (len(store), store.work))
-    return EXIT_OK
 
 
-def _cmd_query(args):
-    M = _load(args)
-    ex = pipeline.exact_skyscraper(M, box=args.box, eager=False)
+def _cmd_query(args, M, box):
+    ex = pipeline.exact_skyscraper(M, box, eager=False)
     print(ex.query(args.theta, args.src, args.dst))
-    return EXIT_OK
 
 
-def _cmd_landscape(args):
-    M = _load(args)
-    box = _box(args, M)
-    ex = pipeline.exact_skyscraper(M, box=box, eager=False)
+def _cmd_landscape(args, M, box):
+    ex = pipeline.exact_skyscraper(M, box, eager=False)
     # R evenly spaced points per axis from the box's lower to its upper
     # corner, x0 + (x1 - x0) * i/(R - 1), on ints over (R - 1)*D
     D, (x0, y0, x1, y1) = grmat._over_lcm(box)
@@ -406,7 +396,6 @@ def _cmd_landscape(args):
                 rows.append((x, y, k, theta, v))
     emit_landscape(rows, _store_path(args, "landscape.csv"))
     print("rows %d" % len(rows))
-    return EXIT_OK
 
 
 def _map_rank(M, a, b):
@@ -433,9 +422,7 @@ def _probe_pairs(box):
                 Fraction(8 * ay + (8 * y1 - ay) * l, 64 * D)))
 
 
-def _cmd_check(args):
-    M = _load(args)
-    box = _box(args, M)
+def _cmd_check(args, M, box):
     cfg = pipeline.ScanConfig(epsilon=args.epsilon, box=box)
     approx = pipeline.approx_skyscraper(M, cfg)
     scan = pipeline.parallel_grid_scan(M, cfg)
@@ -468,7 +455,6 @@ def _cmd_check(args):
         return EXIT_CHECK
     print("check ok (%d entries, %d non-interval factors)"
           % (len(approx), len(report)))
-    return EXIT_OK
 
 
 _COMMANDS = {"hn": _cmd_hn, "approx": _cmd_approx, "exact": _cmd_exact,
@@ -484,9 +470,14 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one command on the presentation args.input in its box (--box,
+    else the bounding box); exit status 0 unless the command returns
+    another (check's EXIT_CHECK)."""
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.cmd](args)
+        M = parse_presentation(args.input, args.field)
+        return _COMMANDS[args.cmd](
+            args, M, args.box or pipeline.bounding_box(M)) or EXIT_OK
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -245,10 +245,6 @@ class DenseMatrix:
         self.data = data
 
     @classmethod
-    def zero(cls, rows, cols, field):
-        return cls(rows, cols, field)
-
-    @classmethod
     def from_columns(cls, cols, nrows, field):
         return cls(nrows, len(cols), field,
                    [[col[i] for col in cols] for i in range(nrows)])
@@ -718,7 +714,7 @@ def kron(X, A):
     """Kronecker product: block (i,j) of the result is X[i][j] * A."""
     assert X.field == A.field
     q = X.field.q
-    out = DenseMatrix.zero(X.rows * A.rows, X.cols * A.cols, X.field)
+    out = DenseMatrix(X.rows * A.rows, X.cols * A.cols, X.field)
     for i, xrow in enumerate(X.data):
         for j, x in enumerate(xrow):
             if not x:

@@ -262,12 +262,8 @@ class SubdivNode:
         self.poly = poly
         self.children = []
 
-    @property
-    def factor_dim(self):
-        return len(self.staircases)
-
     def __repr__(self):
-        return "SubdivNode(dim=%d, %d children)" % (self.factor_dim,
+        return "SubdivNode(dim=%d, %d children)" % (len(self.staircases),
                                                     len(self.children))
 
 

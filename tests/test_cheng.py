@@ -282,7 +282,7 @@ def _draw_reference(space, p, seed, q=None, g_extra=0):
         xmats.append(X)
     C = [tail for tail, _ in reference.column_echelon(
         F.q, [[row[b] for X in xmats for row in X] for b in range(Q)])]
-    A = DenseMatrix.zero(P * N, Q * Np, F)
+    A = DenseMatrix(P * N, Q * Np, F)
     for X, B in zip(xmats, placed(space)):
         XC = DenseMatrix(P, Q, F, [[sum(row[k] * C[j][k] for k in range(Q))
                                     % F.q for j in range(Q)] for row in X])

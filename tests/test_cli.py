@@ -357,9 +357,9 @@ def _skypres(M):
 
 def test_cli_reads_a_lazy_exact_store(cross_file, tmp_path, monkeypatch,
                                       capsys):
-    """query, landscape and check build the exact store lazily and answer
-    as the eager store does; query builds at most one cell per summand
-    (and at most one non-empty one, ExactStore.work)."""
+    """exact, query, landscape and check build every exact store lazily
+    and answer as the eager store does; query builds at most one cell per
+    summand (and at most one non-empty one, ExactStore.work)."""
     p = tmp_path / "m.skypres"
     M = random_bounded_module(random.Random(8), PrimeField(3), 3, dmax=4)
     p.write_text(_skypres(M))
@@ -367,6 +367,7 @@ def test_cli_reads_a_lazy_exact_store(cross_file, tmp_path, monkeypatch,
     stores = []
 
     def record(M, box=None, eager=True):
+        assert not eager
         stores.append(real(M, box, eager))
         return stores[-1]
 
@@ -375,7 +376,7 @@ def test_cli_reads_a_lazy_exact_store(cross_file, tmp_path, monkeypatch,
         rc = main(["--out", str(out)] + argv)
         return rc, capsys.readouterr().out, [
             open(os.path.join(out, f)).read() for f in sorted(os.listdir(out))]
-    commands = [
+    commands = [["exact", f] for f in (cross_file, str(p))] + [
         ["query", path, "--theta", "0", "--from", a, "--to", b]
         for path, a, b in [(cross_file, "0,1", "0,2"),
                            (str(p), "%s,%s" % M.row_degrees[0], "4,4")]
@@ -643,6 +644,69 @@ def test_cli_landscape_resolution_below_two(cross_file, tmp_path, capsys):
     assert len(rows) == 1 + 2 * 2
 
 
+def test_cli_landscape_resolution_above_the_bound(cross_file, tmp_path,
+                                                  capsys, monkeypatch):
+    """--resolution above cli._MAX_RESOLUTION = 128 exits 2 with one error
+    line before the file is read or an evaluation point is built; 128
+    reaches the command."""
+    runs = []
+    monkeypatch.setitem(cli._COMMANDS, "landscape",
+                        lambda args, M, box: runs.append(args.resolution))
+    argv = ["--out", str(tmp_path), "landscape", cross_file, "--resolution"]
+    t0 = time.perf_counter()
+    for bad in ("129", "30000"):
+        with pytest.raises(SystemExit) as ei:
+            main(argv + [bad])
+        assert ei.value.code == 2, bad
+        errors = [line for line in _one_line_error(capsys).splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "--resolution" in errors[0], bad
+        assert "128" in errors[0], bad
+    assert time.perf_counter() - t0 < 1
+    assert runs == []
+    with pytest.raises(SystemExit):
+        main(["landscape", "--help"])
+    assert "2 to 128" in " ".join(capsys.readouterr().out.split())
+    assert main(argv + ["128"]) == 0 and runs == [128]
+
+
+def test_huge_exponents_are_bad_rationals(cross_file, tmp_path, capsys):
+    """A decimal exponent above cli._MAX_EXPONENT = 4300 in absolute value
+    is a bad rational in a presentation's degree, a rational flag and a
+    store row, refused at once: Fraction("1e999999999") never returns.
+    4300 itself parses."""
+    t0 = time.perf_counter()
+    p = tmp_path / "big.skypres"
+    for deg in ("1e999999999", "1E4301", "1e-4301"):
+        p.write_text("skypres v1\nfield 2\ngenerators 1\n%s 0\n"
+                     "relations 0\n" % deg)
+        with pytest.raises(ParseError, match="bad rational") as ei:
+            parse_presentation(str(p))
+        assert ei.value.lineno == 4, deg
+        assert main(["--out", str(tmp_path), "approx", str(p),
+                     "--epsilon", "1"]) == 2, deg
+        assert len(_one_line_error(capsys).splitlines()) == 1, deg
+    for argv, flag in ((["hn", cross_file, "--at", "1e999999999,0"], "--at"),
+                       (["approx", cross_file, "--epsilon", "1e-999999999"],
+                        "--epsilon")):
+        with pytest.raises(SystemExit) as ei:
+            main(["--out", str(tmp_path)] + argv)
+        assert ei.value.code == 2, argv
+        errors = [line for line in _one_line_error(capsys).splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0], argv
+    head = ",".join(cli.STORE_FIELDS) + "\n"
+    s = tmp_path / "big.csv"
+    for row in ("1e999999999,0,0,1,1,0,0,", "0,0,0,1,1,0,0,1:1e-999999999"):
+        s.write_text(head + row + "\n")
+        with pytest.raises(ParseError, match="bad rational") as ei:
+            parse_store(str(s))
+        assert ei.value.lineno == 2, row
+    assert time.perf_counter() - t0 < 1
+    assert cli._fraction("1e4300") == 10 ** 4300
+    assert cli._fraction("-25E-2") == Fr(-1, 4)
+
+
 def test_cli_landscape_k_below_one(tmp_path, capsys):
     # --k 0 and --k -1 wrote lambda = 2 everywhere, also at (2, 2), where
     # this module is zero
@@ -677,7 +741,7 @@ def test_cli_parser_built_once_and_calls_share_no_state(cross_file, tmp_path,
     cli._parser.cache_clear()
     seen = []
     monkeypatch.setattr(cli, "_COMMANDS", {
-        name: (lambda args: seen.append(args) or 0)
+        name: (lambda args, M, box: seen.append(args) or 0)
         for name in cli._COMMANDS})
     out = ["--out", str(tmp_path)]
     calls = [["landscape", cross_file],

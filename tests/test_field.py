@@ -165,7 +165,7 @@ def test_reduce_rank_and_kernel():
 
 
 def test_reduce_zero_matrix():
-    M = DenseMatrix.zero(3, 2, F2)
+    M = DenseMatrix(3, 2, F2)
     rank, basis, ker = fieldmod.reduce(M)
     assert rank == 0
     assert ker.cols == 2

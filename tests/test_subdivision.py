@@ -197,7 +197,7 @@ def test_exact_tree_stable_near_origin(stable):
     assert len(tree.root.children) == 1
     node = tree.root.children[0]
     assert node.children == []
-    assert node.factor_dim == 2
+    assert len(node.staircases) == 2
 
 
 def test_exact_tree_stable_destabilizes_in_first_cell(stable):

@@ -632,6 +632,22 @@ def test_pipeline_prepares_a_module_in_one_place():
                        _PREPARATION) == _PREPARATION
 
 
+def test_cli_reads_its_input_in_main():
+    """skyhn reads the presentation and settles its box once, in main,
+    which hands both to the command: no _cmd_* parses a file or takes a
+    bounding box."""
+    names = ("parse_presentation", "bounding_box")
+    assert _call_sites(
+        "def main(a):\n    M = parse_presentation(a.input)\n"
+        "    return f(a, M, a.box or pipeline.bounding_box(M))\n"
+        "def _cmd_hn(a, M, box):\n    return pipeline.bounding_box(M)\n"
+        "def parse_presentation(path):\n    pass\n", names) == {
+            "parse_presentation": ["main"],
+            "bounding_box": ["main", "_cmd_hn"]}
+    assert _call_sites(_src_sources()["cli.py"], names) == {
+        "parse_presentation": ["main"], "bounding_box": ["main"]}
+
+
 def _grid_builders(sources):
     """The files of sources, {file: text}, that call Grid (_call_sites),
     bare or as grmat.Grid, sorted."""
